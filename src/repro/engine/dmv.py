@@ -272,6 +272,8 @@ def query_stats_rows(query_store) -> List[Tuple[object, ...]]:
 def memory_cache_rows(database: Database,
                       buffer_pool=None) -> List[Tuple[object, ...]]:
     """``dm_os_memory_cache_counters``: the shared decoded-segment cache,
+    the statement cache (capped by entry, so ``budget_bytes`` is 0 and
+    ``bytes_cached`` counts the UTF-8 bytes of the texts it retains),
     plus a :class:`~repro.storage.bufferpool.BufferPool` when one exists
     — either the database's own demand-paging pool
     (``Database.open(..., paging=True)``) or a modeled pool the caller
@@ -286,6 +288,12 @@ def memory_cache_rows(database: Database,
         stats.hits, stats.misses, stats.evictions,
         round(stats.hit_ratio, 6), 1 if cache.enabled else 0,
     )]
+    statements = database.statement_cache
+    rows.append((
+        "statement_cache", len(statements), statements.bytes_cached, 0,
+        statements.hits, statements.misses, statements.evictions,
+        round(statements.hit_ratio, 6), 1,
+    ))
     if buffer_pool is None:
         buffer_pool = getattr(database, "buffer_pool", None)
     if buffer_pool is not None:

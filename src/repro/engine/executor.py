@@ -38,7 +38,6 @@ from repro.sql.binder import (
     BoundSelect,
     BoundUpdate,
 )
-from repro.sql.parser import parse
 from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
 from repro.storage.columnstore import RID_COLUMN, ColumnstoreIndex
 from repro.storage.database import Database
@@ -127,8 +126,8 @@ class Executor:
         concurrent_queries: int = 1,
     ) -> QueryResult:
         """Parse, plan, and run one statement."""
-        statement = parse(sql, params)
         database = self.database
+        statement = database.statement_cache.statement(sql, params)
         # Every user statement advances the deterministic logical clock;
         # telemetry stamps recorded while it runs carry its sequence
         # number (observation-only: no modeled cost).
@@ -242,7 +241,8 @@ class Executor:
              cold: bool = False,
              memory_grant_bytes: Optional[int] = None) -> PlannedQuery:
         """Optimize a SELECT without executing it."""
-        bound = self.binder.bind(parse(sql, params))
+        bound = self.binder.bind(
+            self.database.statement_cache.statement(sql, params))
         if not isinstance(bound, BoundSelect):
             raise ExecutionError("plan() supports SELECT statements")
         return self._optimizer(memory_grant_bytes, cold).optimize(bound)

@@ -281,6 +281,11 @@ class HashAggregate(_AggregateBase):
                     if state is None:
                         state = on_new_group(key)
                     self._update_state(state, arg_values, indices, ctx)
+            if not groups and not self.group_by:
+                # A scalar aggregate answers one row even over no input
+                # (count 0, the others NULL); it is not a hash-table
+                # entry, so it takes no grant and no modeled cost.
+                groups[()] = _GroupState(n_aggs)
             result = self._emit(groups)
         finally:
             if reserved:
@@ -434,6 +439,9 @@ class StreamAggregate(_AggregateBase):
                     current_key = key
                     state = _GroupState(n_aggs)
                 self._update_state(state, arg_values, indices, ctx)
+        if state is None and not self.group_by:
+            # Scalar aggregate over no input: one row (count 0, else NULL).
+            current_key, state = (), _GroupState(n_aggs)
         if state is not None:
             out_rows.append(self._finalize_row(current_key, state))
         result = rows_to_batch(out_rows, self.output_columns)

@@ -43,26 +43,32 @@ from repro.engine.executor import Executor, QueryResult
 from repro.optimizer.catalog import Catalog
 from repro.server.parallel_scan import MorselPool
 from repro.server.scheduler import AdmissionController
-from repro.sql.ast import SelectStmt
+from repro.sql.cache import StatementCache
 from repro.sql.lexer import KEYWORD, LPAREN, tokenize
-from repro.sql.parser import parse
+from repro.sql.parser import parse_template
 from repro.storage.database import Database
 
 
-def statement_writes(sql: str, params: Sequence[object] = ()) -> bool:
+def statement_writes(sql: str, params: Sequence[object] = (),
+                     cache: Optional[StatementCache] = None) -> bool:
     """Whether ``sql`` needs exclusive (write) access.
 
     Classification comes from the *parsed* statement type — only a
-    :class:`~repro.sql.ast.SelectStmt` is read-only — so leading
-    comments, whitespace, or future read-only syntax can never be
-    lexically misclassified as DML. If the statement does not parse,
-    fall back to the first meaningful token (comments are stripped by
-    the lexer, leading parentheses skipped); anything that is not
-    ``SELECT`` gets the exclusive latch, the safe default for unknown
-    syntax — the executor will surface the real error either way.
+    SELECT template is read-only — so leading comments, whitespace, or
+    future read-only syntax can never be lexically misclassified as
+    DML. The template comes from ``cache`` when one is given (a session
+    passes its database's, so the executor's parse of the same text is
+    a hit); ``params`` do not affect the statement's type. If the
+    statement does not parse, fall back to the first meaningful token
+    (comments are stripped by the lexer, leading parentheses skipped);
+    anything that is not ``SELECT`` gets the exclusive latch, the safe
+    default for unknown syntax — the executor will surface the real
+    error either way.
     """
     try:
-        return not isinstance(parse(sql, params), SelectStmt)
+        template = (parse_template(tokenize(sql)) if cache is None
+                    else cache.template(sql))
+        return not template.read_only
     except SqlError:
         pass
     try:
@@ -155,7 +161,8 @@ class Session:
         if self.closed:
             raise ExecutionError(f"session {self.session_id} is closed")
         run_cold = self.cold if cold is None else cold
-        writes = statement_writes(sql, params)
+        writes = statement_writes(
+            sql, params, self.manager.database.statement_cache)
         self._executor.encoded_execution = self.encoded_execution
         # The wait-stats session scope covers admission *and* execution,
         # so latch/grant queueing and every in-engine wait this thread

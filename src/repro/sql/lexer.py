@@ -7,12 +7,16 @@ separate DOT tokens), integer/float literals, single-quoted strings with
 markers. Keywords are case-insensitive; identifiers preserve case but
 compare case-sensitively against the catalog (all generated workloads use
 lowercase).
+
+One compiled alternation does the scanning: each match skips leading
+whitespace and ``--`` comments and then takes exactly one lexeme, so the
+Python-level loop runs once per token instead of once per character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple
 
 from repro.core.errors import SqlError
 
@@ -38,12 +42,13 @@ STAR = "STAR"
 PARAM = "PARAM"
 EOF = "EOF"
 
-_OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">", "+", "-", "/", "*")
 
+class Token(NamedTuple):
+    """One lexed token: type, value, and source position.
 
-@dataclass(frozen=True)
-class Token:
-    """One lexed token: type, value, and source position."""
+    The position is where the lexeme starts, except for NUMBER and
+    STRING tokens, which record where it ends.
+    """
     type: str
     value: object
     position: int
@@ -52,109 +57,57 @@ class Token:
         return f"Token({self.type}, {self.value!r}@{self.position})"
 
 
+# Group numbers are what ``tokenize`` dispatches on. A number must be
+# tried before the lone dot (``.5`` is a number, ``t.c`` a qualifier and
+# ``1.`` an integer followed by a dot), and the catch-all last group
+# means the skip prefix never has to backtrack into a comment (after
+# the last lexeme it is the end-of-text group that takes the match).
+_WORD, _NUMBER, _STRING, _OP, _PUNCT, _END, _BAD = range(1, 8)
+_LEXEME = re.compile(r"""
+    (?: \s+ | --[^\n]* )*
+    (?: ([^\W\d]\w*)                    # identifier or keyword
+      | (\d+(?:\.\d+)?|\.\d+)           # integer or float
+      | '((?:[^']|'')*)'                # string body, '' escapes a quote
+      | (<=|>=|!=|<>|[=<>+\-/])         # operator
+      | ([(),?.*])                      # punctuation
+      | (\Z)
+      | ([\s\S])                        # anything else is an error
+    )""", re.VERBOSE)
+_PUNCT_TYPES = {"(": LPAREN, ")": RPAREN, ",": COMMA, "?": PARAM,
+                ".": DOT, "*": STAR}
+
+
 def tokenize(sql: str) -> List[Token]:
     """Tokenize ``sql``; raises :class:`SqlError` on unknown characters."""
     tokens: List[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and sql[i + 1] == "-":
-            # Line comment.
-            while i < n and sql[i] != "\n":
-                i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(LPAREN, "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(RPAREN, ")", i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(COMMA, ",", i))
-            i += 1
-            continue
-        if ch == "?":
-            tokens.append(Token(PARAM, "?", i))
-            i += 1
-            continue
-        if ch == "'":
-            value, i = _read_string(sql, i)
-            tokens.append(Token(STRING, value, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            value, i = _read_number(sql, i)
-            tokens.append(Token(NUMBER, value, i))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            lowered = word.lower()
+    append = tokens.append
+    new = tuple.__new__     # skips NamedTuple's Python-level __new__
+    for match in _LEXEME.finditer(sql):
+        kind = match.lastindex
+        text = match.group(kind)
+        end = match.end()
+        if kind == _WORD:
+            lowered = text.lower()
             if lowered in KEYWORDS:
-                tokens.append(Token(KEYWORD, lowered, start))
+                append(new(Token, (KEYWORD, lowered, end - len(text))))
             else:
-                tokens.append(Token(IDENT, word, start))
-            continue
-        if ch == ".":
-            tokens.append(Token(DOT, ".", i))
-            i += 1
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                if op == "*":
-                    tokens.append(Token(STAR, "*", i))
-                elif op == "<>":
-                    tokens.append(Token(OP, "!=", i))
-                else:
-                    tokens.append(Token(OP, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        raise SqlError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(EOF, None, n))
+                append(new(Token, (IDENT, text, end - len(text))))
+        elif kind == _NUMBER:
+            value = float(text) if "." in text else int(text)
+            append(new(Token, (NUMBER, value, end)))
+        elif kind == _OP:
+            append(new(Token, (OP, "!=" if text == "<>" else text,
+                               end - len(text))))
+        elif kind == _PUNCT:
+            append(new(Token, (_PUNCT_TYPES[text], text, end - 1)))
+        elif kind == _STRING:
+            append(new(Token, (STRING, text.replace("''", "'"), end)))
+        elif kind == _END:
+            break
+        elif text == "'":
+            raise SqlError("unterminated string literal")
+        else:
+            raise SqlError(
+                f"unexpected character {text!r} at position {end - 1}")
+    append(new(Token, (EOF, None, len(sql))))
     return tokens
-
-
-def _read_string(sql: str, i: int):
-    """Read a single-quoted string starting at ``i``; '' escapes a quote."""
-    i += 1
-    parts: List[str] = []
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SqlError("unterminated string literal")
-
-
-def _read_number(sql: str, i: int):
-    start = i
-    n = len(sql)
-    seen_dot = False
-    while i < n and (sql[i].isdigit() or (sql[i] == "." and not seen_dot)):
-        if sql[i] == ".":
-            # A trailing dot followed by a non-digit is a qualifier dot.
-            if i + 1 >= n or not sql[i + 1].isdigit():
-                break
-            seen_dot = True
-        i += 1
-    text = sql[start:i]
-    if seen_dot:
-        return float(text), i
-    return int(text), i

@@ -22,15 +22,23 @@ Grammar (informally)::
     primary     := literal | DATE 'yyyy-mm-dd' | DATEADD(DAY, e, e)
                  | agg ( [*|e] ) | qualified_name | ( e ) | ?
 
-``?`` markers are replaced by positional parameters supplied to
-:func:`parse`, so workloads can reuse one statement text with different
-constants (the paper's ``{1}`` placeholders).
+Parsing is split in two so its result can be reused.
+:func:`parse_template` turns tokens into a :class:`Template`: the
+statement with a *slot* node at every parameter position (each ``?``,
+and on request each number and string literal). :func:`instantiate`
+fills the slots from a value list, rebuilding only the nodes above a
+slot and sharing every other subtree with the template, which is why a
+template and the statements made from it must never be mutated.
+:func:`parse` is the two composed: ``?`` markers are replaced by the
+positional parameters supplied, so workloads can reuse one statement
+text with different constants (the paper's ``{1}`` placeholders).
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SqlError
 from repro.core.types import date_to_int
@@ -78,13 +86,53 @@ from repro.sql.lexer import (
 
 _AGG_KEYWORDS = ("sum", "count", "avg", "min", "max")
 
+_TOO_FEW_PARAMS = "not enough parameters supplied for '?' markers"
+
+
+# Slot nodes exist only inside a Template; ``index`` is the position of
+# the slot's value in the list given to ``instantiate``, which is the
+# order the parameter tokens appear in the text.
+@dataclass(frozen=True)
+class _Slot(Expr):
+    """A parameter where an expression stands: becomes ``Literal(value)``."""
+    index: int
+
+
+@dataclass(frozen=True)
+class _ValueSlot:
+    """A parameter inside an IN list: becomes the bare value."""
+    index: int
+
+
+@dataclass(frozen=True)
+class _CountSlot:
+    """A parameter after TOP: becomes ``int(value)``, capped by the
+    statement's LIMIT when it has one."""
+    index: int
+    limit: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class _Negated(Expr):
+    """Unary minus over a slot: whether it folds into the literal depends
+    on the value, so the fold waits for ``instantiate``."""
+    operand: Expr
+
+
+def _negate(operand: Expr) -> Expr:
+    if isinstance(operand, Literal) and isinstance(
+            operand.value, (int, float)):
+        return Literal(-operand.value)
+    return Arithmetic("-", Literal(0), operand)
+
 
 class _Parser:
-    def __init__(self, tokens: List[Token], params: Sequence[object]):
+    def __init__(self, tokens: List[Token], slot_literals: bool):
         self.tokens = tokens
         self.pos = 0
-        self.params = list(params)
-        self.param_index = 0
+        #: Whether number and string literals become slots like ``?``.
+        self.slot_literals = slot_literals
+        self.n_slots = 0
 
     # ----------------------------------------------------------- plumbing
     def peek(self, offset: int = 0) -> Token:
@@ -174,7 +222,10 @@ class _Parser:
         if self.accept_keyword("limit"):
             limit_token = self.expect(NUMBER)
             limit = int(limit_token.value)
-            top = limit if top is None else min(top, limit)
+            if isinstance(top, _CountSlot):
+                top = _CountSlot(top.index, limit)
+            else:
+                top = limit if top is None else min(top, limit)
         return SelectStmt(
             items=items, from_table=from_table, joins=joins, where=where,
             group_by=group_by, order_by=order_by, top=top, distinct=distinct,
@@ -217,27 +268,25 @@ class _Parser:
         return InsertStmt(table=table, columns=columns, rows=rows)
 
     # ------------------------------------------------------------- pieces
-    def _parse_top(self) -> Optional[int]:
+    def _parse_top(self):
         if not self.accept_keyword("top"):
             return None
         parenthesized = self.accept(LPAREN) is not None
-        value = self._parse_count_value()
+        token = self.accept(PARAM) or self.expect(NUMBER)
+        index = self._slot_index(token)
+        value = int(token.value) if index is None else _CountSlot(index)
         if parenthesized:
             self.expect(RPAREN)
         return value
 
-    def _parse_count_value(self) -> int:
-        if self.peek().type == PARAM:
-            self.advance()
-            return int(self._next_param())
-        return int(self.expect(NUMBER).value)
-
-    def _next_param(self) -> object:
-        if self.param_index >= len(self.params):
-            raise SqlError("not enough parameters supplied for '?' markers")
-        value = self.params[self.param_index]
-        self.param_index += 1
-        return value
+    def _slot_index(self, token: Token) -> Optional[int]:
+        """The next slot index when the just-consumed PARAM, NUMBER or
+        STRING ``token`` is a parameter position, else None."""
+        if token.type != PARAM and not self.slot_literals:
+            return None
+        index = self.n_slots
+        self.n_slots += 1
+        return index
 
     def _parse_select_items(self) -> List[SelectItem]:
         items = [self._parse_select_item()]
@@ -350,15 +399,10 @@ class _Parser:
 
     def _parse_literal_value(self) -> object:
         token = self.peek()
-        if token.type == NUMBER:
+        if token.type in (NUMBER, STRING, PARAM):
             self.advance()
-            return token.value
-        if token.type == STRING:
-            self.advance()
-            return token.value
-        if token.type == PARAM:
-            self.advance()
-            return self._next_param()
+            index = self._slot_index(token)
+            return token.value if index is None else _ValueSlot(index)
         if token.type == KEYWORD and token.value == "null":
             self.advance()
             return None
@@ -392,23 +436,17 @@ class _Parser:
         if token.type == OP and token.value == "-":
             self.advance()
             operand = self._parse_unary()
-            if isinstance(operand, Literal) and isinstance(
-                    operand.value, (int, float)):
-                return Literal(-operand.value)
-            return Arithmetic("-", Literal(0), operand)
+            if isinstance(operand, (_Slot, _Negated)):
+                return _Negated(operand)
+            return _negate(operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
         token = self.peek()
-        if token.type == NUMBER:
+        if token.type in (NUMBER, STRING, PARAM):
             self.advance()
-            return Literal(token.value)
-        if token.type == STRING:
-            self.advance()
-            return Literal(token.value)
-        if token.type == PARAM:
-            self.advance()
-            return Literal(self._next_param())
+            index = self._slot_index(token)
+            return Literal(token.value) if index is None else _Slot(index)
         if token.type == LPAREN:
             self.advance()
             expr = self.parse_expr()
@@ -468,7 +506,148 @@ def _parse_date_literal(text: str) -> int:
         raise SqlError(f"bad DATE literal {text!r}") from None
 
 
+# Literals that stay part of a normalised key instead of becoming a
+# slot, by the keyword before them: the parser reads ``DATE 'text'`` and
+# ``LIMIT n`` as one unit (the text is converted while parsing, the
+# count folds into TOP), so neither is a parameter position.
+_KEPT_AFTER = {STRING: "date", NUMBER: "limit"}
+_NUMBER_SLOT = (NUMBER,)
+_STRING_SLOT = (STRING,)
+#: Stands in :func:`normalise`'s values for a ``?`` the caller fills.
+UNBOUND = object()
+
+
+def normalise(tokens: Sequence[Token]) -> Tuple[tuple, tuple]:
+    """The text's template key and the values its slots take.
+
+    The key is the token stream without positions and with every number
+    and string literal that ``parse_template(tokens, slot_literals=True)``
+    turns into a slot replaced by a marker of its type, so texts that
+    differ only in such literals share one key. The second result has
+    one entry per slot, in slot order: the literal's value, or
+    :data:`UNBOUND` where the text has a ``?`` (see :func:`fill`).
+    """
+    key = []
+    values = []
+    previous = tokens[-1]       # EOF: no literal follows it
+    for token in tokens:
+        type_ = token.type
+        if type_ == NUMBER or type_ == STRING:
+            if (previous.type == KEYWORD
+                    and previous.value == _KEPT_AFTER[type_]):
+                key.append((type_, token.value))
+            else:
+                key.append(_NUMBER_SLOT if type_ == NUMBER else _STRING_SLOT)
+                values.append(token.value)
+        else:
+            key.append(token.value)
+            if type_ == PARAM:
+                values.append(UNBOUND)
+        previous = token
+    return tuple(key), tuple(values)
+
+
+def fill(values: Sequence[object], params: Sequence[object]
+         ) -> Sequence[object]:
+    """``values`` with each :data:`UNBOUND` entry replaced by the next of
+    ``params``: the literals of a text interleaved, in token order, with
+    the caller's values for its ``?`` markers."""
+    if UNBOUND not in values:
+        return values
+    remaining = iter(params)
+    try:
+        return [next(remaining) if value is UNBOUND else value
+                for value in values]
+    except StopIteration:
+        raise SqlError(_TOO_FEW_PARAMS) from None
+
+
+class Template:
+    """A parsed statement with slots at its parameter positions."""
+
+    __slots__ = ("statement", "n_slots", "_build")
+
+    def __init__(self, statement, n_slots: int):
+        #: The statement with its slot nodes; only ``instantiate`` turns
+        #: it into one the binder can take.
+        self.statement = statement
+        self.n_slots = n_slots
+        self._build = _builder(statement) if n_slots else None
+
+    @property
+    def read_only(self) -> bool:
+        """Whether the statement is a SELECT."""
+        return isinstance(self.statement, SelectStmt)
+
+
+_LEAF_CLASSES = frozenset((str, int, float, bool, type(None)))
+
+
+def _builder(node) -> Optional[Callable[[Sequence[object]], object]]:
+    """A function from the slot values to ``node`` with its slots filled,
+    or None when ``node`` holds no slot and can be shared as it is."""
+    cls = node.__class__
+    if cls in _LEAF_CLASSES:
+        return None
+    if cls is _Slot:
+        index = node.index
+        return lambda values: Literal(values[index])
+    if cls is _ValueSlot:
+        index = node.index
+        return lambda values: values[index]
+    if cls is _CountSlot:
+        index, limit = node.index, node.limit
+        if limit is None:
+            return lambda values: int(values[index])
+        return lambda values: min(int(values[index]), limit)
+    if cls is _Negated:
+        operand = _builder(node.operand)
+        return lambda values: _negate(operand(values))
+    sequence = cls is list or cls is tuple
+    # Otherwise an AST dataclass; field order is constructor order.
+    items = node if sequence else [
+        getattr(node, name) for name in node.__dataclass_fields__]
+    # Plain loops, here and in ``build``: one frame per level of the
+    # tree, so a long chain of operators nests as deep as it does in
+    # the binder and no deeper.
+    parts = []
+    shared = True
+    for item in items:
+        part = _builder(item)
+        parts.append((item, part))
+        shared = shared and part is None
+    if shared:
+        return None
+
+    def build(values):
+        built = []
+        for item, part in parts:
+            built.append(item if part is None else part(values))
+        return cls(built) if sequence else cls(*built)
+    return build
+
+
+def parse_template(tokens: Sequence[Token],
+                   slot_literals: bool = False) -> Template:
+    """Parse one statement's tokens into a :class:`Template`.
+
+    Every ``?`` becomes a slot; with ``slot_literals`` so does every
+    number and string literal except those :func:`normalise` keeps in
+    the key, so the template serves any text with the same key.
+    """
+    parser = _Parser(tokens, slot_literals)
+    return Template(parser.parse_statement(), parser.n_slots)
+
+
+def instantiate(template: Template, values: Sequence[object]):
+    """The template's statement with slot ``i`` filled from ``values[i]``."""
+    if len(values) < template.n_slots:
+        raise SqlError(_TOO_FEW_PARAMS)
+    if template._build is None:
+        return template.statement
+    return template._build(values)
+
+
 def parse(sql: str, params: Sequence[object] = ()):
     """Parse one SQL statement, substituting ``?`` markers from ``params``."""
-    parser = _Parser(tokenize(sql), params)
-    return parser.parse_statement()
+    return instantiate(parse_template(tokenize(sql)), params)

@@ -76,6 +76,11 @@ class Database:
         #: executor on logical-clock boundaries (the drift substrate for
         #: the future online tuner).
         self.history = TelemetryHistory()
+        #: Parsed-statement templates keyed by SQL text, shared by every
+        #: session and executor of this database. Imported here because
+        #: the ``repro.sql`` package imports this module (the binder).
+        from repro.sql.cache import StatementCache
+        self.statement_cache = StatementCache()
         self.segment_cache.waits = self.waits
         self.fault_injector.events = self.events
         self._tables: Dict[str, Table] = {}

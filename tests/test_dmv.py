@@ -78,8 +78,9 @@ class TestSqlSurface:
         for name in SYSTEM_VIEW_NAMES:
             result = executor.execute(f"SELECT * FROM {name}")
             if name == "dm_os_memory_cache_counters":
-                # The segment cache always exists, even in an empty db.
-                assert [row[0] for row in result.rows] == ["segment_cache"]
+                # Both caches always exist, even in an empty db.
+                assert [row[0] for row in result.rows] == [
+                    "segment_cache", "statement_cache"]
             elif name == "dm_os_wait_stats":
                 # Every canonical wait type is present (zeros included),
                 # like the real view.
@@ -421,7 +422,9 @@ class TestExports:
         assert snap["logical_clock"] == 0
         assert snap["dm_db_index_usage_stats"] == []
         assert snap["dm_db_missing_index_details"] == []
-        assert len(snap["dm_os_memory_cache_counters"]) == 1
+        assert [row["cache_name"]
+                for row in snap["dm_os_memory_cache_counters"]] == [
+            "segment_cache", "statement_cache"]
 
     def test_prometheus_exposition_format(self):
         database = make_hybrid_db()
@@ -459,8 +462,8 @@ class TestExports:
         table = build_view("dm_os_memory_cache_counters", database,
                            buffer_pool=pool)
         rows = {row[0]: row for _, row in table.iter_rows()}
-        assert "segment_cache" in rows
-        assert "buffer_pool" in rows
+        assert list(rows) == ["segment_cache", "statement_cache",
+                              "buffer_pool"]
         assert rows["buffer_pool"][4] == pool.hits
 
     def test_segment_cache_counters_reflect_hits(self):
@@ -478,6 +481,24 @@ class TestExports:
             "SELECT hits FROM dm_os_memory_cache_counters "
             "WHERE cache_name = 'segment_cache'")
         assert result.scalar() > 0
+
+
+    def test_statement_cache_counters_answer_is_my_traffic_templated(self):
+        executor = Executor(make_db())
+        for o_id in (1, 2, 3, 3):
+            executor.execute(f"SELECT o_amt FROM orders WHERE o_id = {o_id}")
+        query = ("SELECT entries, bytes_cached, budget_bytes, hits, misses, "
+                 "evictions, hit_ratio, enabled FROM "
+                 "dm_os_memory_cache_counters "
+                 "WHERE cache_name = 'statement_cache'")
+        # Four lookups parsed once; this query is a second shape. Entries:
+        # three texts and one template, then this text and its template.
+        text_bytes = 3 * len("SELECT o_amt FROM orders WHERE o_id = 1")
+        assert executor.execute(query).rows == [
+            (6, text_bytes + len(query), 0, 3, 2, 0, 0.6, 1)]
+        text = to_prometheus(executor.database)
+        assert 'repro_cache_hits{cache="statement_cache"} 3' in text
+        assert 'repro_cache_entries{cache="statement_cache"} 6' in text
 
 
 class TestDeterminism:

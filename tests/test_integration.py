@@ -97,6 +97,42 @@ class TestCrossDesignCorrectness:
         assert results[0] == results[1]
 
 
+    @pytest.mark.parametrize("design", list(DESIGN_SETUPS))
+    @pytest.mark.parametrize("encoded", [True, False])
+    def test_aggregates_over_no_rows_match_sqlite(self, design, encoded):
+        """A scalar aggregate answers one row over an empty input and a
+        GROUP BY none, whatever the design and execution mode (the engine
+        used to return no row for the first; found by the PR 12 oracle)."""
+        import sqlite3
+        db = tpch_db(scale=0.05)
+        table = db.table("lineitem")
+        DESIGN_SETUPS[design](table)
+        oracle = sqlite3.connect(":memory:")
+        oracle.execute("CREATE TABLE lineitem (l_orderkey INT, "
+                       "l_linenumber INT, l_quantity REAL, l_returnflag TEXT)")
+        oracle.executemany(
+            "INSERT INTO lineitem VALUES (?, ?, ?, ?)",
+            [(row[0], row[3], row[4], row[8]) for row in oracle_rows(table)])
+        executor = Executor(db)
+        executor.encoded_execution = encoded
+        for sql in (
+            "SELECT count(*) FROM lineitem WHERE l_orderkey < 0",
+            "SELECT count(*), count(l_quantity), sum(l_quantity), "
+            "avg(l_quantity), min(l_returnflag), max(l_linenumber) "
+            "FROM lineitem WHERE l_orderkey < 0",
+            "SELECT sum(l_quantity) FROM lineitem "
+            "WHERE l_orderkey < 0 AND l_returnflag = 'R'",
+            "SELECT l_returnflag, count(*) FROM lineitem "
+            "WHERE l_orderkey < 0 GROUP BY l_returnflag",
+            "SELECT DISTINCT l_returnflag FROM lineitem "
+            "WHERE l_orderkey < 0",
+            "SELECT count(*), max(l_linenumber) FROM lineitem "
+            "WHERE l_orderkey = 1",
+        ):
+            assert executor.execute(sql).rows \
+                == oracle.execute(sql).fetchall(), sql
+
+
 class TestDmlConsistencyAcrossIndexes:
     def make_hybrid(self):
         db = tpch_db(scale=0.1)

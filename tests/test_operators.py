@@ -284,6 +284,60 @@ class TestAggregates:
         # Streaming aggregation needs no workspace memory.
         assert ctx.metrics.memory_peak_bytes == 0
 
+    @pytest.mark.parametrize("operator", [HashAggregate, StreamAggregate])
+    @pytest.mark.parametrize("batch_mode", [False, True])
+    @pytest.mark.parametrize("encoded", [False, True])
+    def test_scalar_aggregate_over_empty_input_is_one_row(
+            self, operator, batch_mode, encoded):
+        """SQL answers one row (count 0, the rest NULL) for an aggregate
+        without GROUP BY over no rows, and no row with GROUP BY; the
+        answers are sqlite3's."""
+        import sqlite3
+        oracle = sqlite3.connect(":memory:")
+        oracle.execute("CREATE TABLE t (a INT, b INT, s TEXT)")
+        functions = ("count(*)", "count(b)", "sum(b)", "avg(b)", "min(s)",
+                     "max(b)")
+        scalar = oracle.execute(
+            f"SELECT {', '.join(functions)} FROM t WHERE a < 0").fetchall()
+        grouped = oracle.execute(
+            f"SELECT a, {', '.join(functions)} FROM t WHERE a < 0 "
+            "GROUP BY a").fetchall()
+        assert scalar == [(0, 0, None, None, None, None)] and grouped == []
+
+        table = make_table(1000)
+        specs = [AggregateSpec("count", None, "n"),
+                 AggregateSpec("count", ColumnRef("b"), "nb"),
+                 AggregateSpec("sum", ColumnRef("b"), "sb"),
+                 AggregateSpec("avg", ColumnRef("b"), "ab"),
+                 AggregateSpec("min", ColumnRef("s"), "ls"),
+                 AggregateSpec("max", ColumnRef("b"), "hb")]
+
+        csi = (table.create_secondary_columnstore("csi", rowgroup_size=256)
+               if batch_mode else None)
+
+        def no_rows():
+            if batch_mode:
+                return ColumnstoreScan(table, csi, ["a", "b", "s"],
+                                       residual=pred("a", "<", 0))
+            return BTreeSeek(table, ["a", "b", "s"],
+                             residual=pred("a", "<", 0))
+
+        ctx = ExecutionContext(encoded_execution=encoded)
+        child_rows, child_ctx = drain(
+            no_rows(), ExecutionContext(encoded_execution=encoded))
+        assert child_rows == []
+        rows, ctx = drain(operator(no_rows(), [], specs), ctx)
+        assert rows == scalar
+        # The row costs nothing: all modeled time is the child's.
+        assert ctx.metrics.elapsed_ms == child_ctx.metrics.elapsed_ms
+        assert ctx.metrics.memory_peak_bytes == 0
+        child = no_rows()
+        if operator is StreamAggregate and batch_mode:
+            child = Sort(child, [SortKey("a")])     # a scan has no order
+        rows, _ = drain(operator(child, ["a"], specs),
+                        ExecutionContext(encoded_execution=encoded))
+        assert rows == grouped
+
 
 class TestJoins:
     def make_dim(self):

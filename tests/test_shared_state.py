@@ -373,3 +373,63 @@ class TestBufferPoolThreadSafety:
         thread.join()
         assert not errors, errors[0]
         pool.check_consistency()
+
+
+class TestStatementCacheThreadSafety:
+    """One cache per database, shared by every session: eight threads
+    mixing hot ``?``-texts with fresh literal texts must lose no counter
+    update and no hot entry, and always get what ``parse`` returns."""
+
+    N_THREADS = 8
+    LOOKUPS_PER_THREAD = 1500
+
+    def test_mixed_hot_and_fresh_texts(self):
+        import sys
+
+        from repro.sql.cache import StatementCache
+        from repro.sql.parser import parse
+
+        cache = StatementCache()
+        hot = [f"SELECT a FROM t{n} WHERE k = ? AND v IN (?, {n})"
+               for n in range(4)]
+        errors = []
+
+        def client(seed):
+            try:
+                for i in range(self.LOOKUPS_PER_THREAD):
+                    if i % 2:
+                        sql, params = hot[(seed + i) % len(hot)], (seed, i)
+                    else:
+                        # fresh text, one of three shapes
+                        sql, params = (
+                            f"SELECT a FROM u{i % 3} WHERE k = {seed} "
+                            f"AND v = 'c{i}'", ())
+                    got = cache.statement(sql, params)
+                    want = parse(sql, params)
+                    assert got == want and repr(got) == repr(want), sql
+                    assert cache.template(sql).read_only
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(n,))
+                       for n in range(self.N_THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        lookups = 2 * self.N_THREADS * self.LOOKUPS_PER_THREAD
+        assert cache.hits + cache.misses == lookups
+        # Seven shapes; a race can parse one more than once, never lose it.
+        assert 7 <= cache.misses <= 7 * self.N_THREADS
+        assert len(cache) <= StatementCache.CAPACITY
+        assert cache.evictions > 0
+        assert all(sql in cache._entries for sql in hot)
+        texts = [key for key in cache._entries if isinstance(key, str)]
+        assert cache.bytes_cached == sum(len(t.encode()) for t in texts)
