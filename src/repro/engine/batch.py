@@ -7,9 +7,12 @@ primitives, which is what makes batch mode an order of magnitude cheaper
 per row than row-at-a-time processing in this engine — mirroring SQL
 Server's batch vs row mode distinction.
 
-Row-mode operators exchange plain tuples. :func:`batch_to_rows` and
-:func:`rows_to_batch` adapt between the two worlds at mode boundaries
-(the paper notes hybrid plans mix both modes, Section 4.5).
+Every operator exchanges batches — row mode and batch mode differ in
+the modeled CPU charged per row, not in what flows between operators
+(rowstore scans pivot whole leaf chunks, see
+:mod:`repro.engine.operators.scans`). :func:`batch_to_rows` and
+:func:`rows_to_batch` adapt to row tuples where an operator works a row
+at a time (joins, sorts, the final result).
 
 A batch column is either a plain numpy array or an
 :class:`~repro.engine.encoded.EncodedColumn` (dictionary codes + shared
@@ -164,6 +167,10 @@ def batch_to_rows(batch: Batch, names: Optional[Sequence[str]] = None) -> List[R
     return list(zip(*pythonic))
 
 
+_INT_TYPES = frozenset({int})
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _column_array(values: Sequence[object]) -> np.ndarray:
     """Build a numpy array with a sensible dtype for a value list.
 
@@ -171,9 +178,18 @@ def _column_array(values: Sequence[object]) -> np.ndarray:
     float64 regardless of which kind appears first, so vectorized batch
     ops keep working; anything else (strings, None) becomes an object
     array so mixed/NULL data round-trips safely.
+
+    Plain Python ints and floats — what rowstore leaves hold — are
+    recognised from the set of value types in one C-level pass
+    (``np.array``'s own inference would not do: it coerces a stray
+    ``bool``); every other mix takes the per-value rule below.
     """
-    has_none = any(v is None for v in values)
-    if not has_none:
+    kinds = set(map(type, values))
+    if kinds <= _INT_TYPES:
+        return np.array(values, dtype=np.int64)
+    if kinds <= _NUMBER_TYPES:
+        return np.array(values, dtype=np.float64)
+    if type(None) not in kinds:
         first = values[0]
         if isinstance(first, (bool, np.bool_)):
             pass  # fall through to object

@@ -38,7 +38,11 @@ from repro.sql.binder import (
     BoundSelect,
     BoundUpdate,
 )
-from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
+from repro.storage.btree import (
+    PrimaryBTreeIndex,
+    SecondaryBTreeIndex,
+    iter_entries,
+)
 from repro.storage.columnstore import RID_COLUMN, ColumnstoreIndex
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -333,11 +337,11 @@ class Executor:
         if isinstance(primary, PrimaryBTreeIndex):
             bounds = _prefix_bounds_for(primary.key_columns, ranges)
             scanned = 0
-            for rid, row in primary.seek_range(bounds[0], bounds[1], ctx,
-                                               low_inclusive=bounds[2],
-                                               high_inclusive=bounds[3]):
+            for key, row in iter_entries(primary.seek_range(
+                    bounds[0], bounds[1], ctx,
+                    low_inclusive=bounds[2], high_inclusive=bounds[3])):
                 scanned += 1
-                if _take(rid, row):
+                if _take(key[-1], row):
                     break
             ctx.charge_serial_cpu(
                 scanned * ctx.cost_model.row_cpu_ms_per_row)
@@ -347,10 +351,11 @@ class Executor:
         if best_index is not None:
             bounds = _prefix_bounds_for(best_index.key_columns, ranges)
             scanned = 0
-            for rid, _ in best_index.seek_range(bounds[0], bounds[1], ctx,
-                                                low_inclusive=bounds[2],
-                                                high_inclusive=bounds[3]):
+            for key, _ in iter_entries(best_index.seek_range(
+                    bounds[0], bounds[1], ctx,
+                    low_inclusive=bounds[2], high_inclusive=bounds[3])):
                 scanned += 1
+                rid = key[-1]
                 row = table.get_row(rid)
                 ctx.charge_random_read(1)
                 table.primary.usage.record_lookup()
@@ -394,7 +399,7 @@ class Executor:
             return rids
         # 4) Heap scan.
         scanned = 0
-        for rid, row in primary.scan(ctx):
+        for rid, row in iter_entries(primary.scan(ctx)):
             scanned += 1
             if _take(rid, row):
                 break

@@ -18,7 +18,7 @@ workloads.)
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -277,7 +277,11 @@ def eval_row(expr: Expr, row: Sequence[object], positions: Dict[str, int]) -> ob
 def compile_row_predicate(
     expr: Optional[Expr], positions: Dict[str, int]
 ) -> Callable[[Sequence[object]], bool]:
-    """Return a fast row -> bool callable for a (possibly None) predicate."""
+    """Return a row -> bool callable for a (possibly None) predicate.
+
+    It walks the expression tree through :func:`eval_row` on every call,
+    so it is for per-row consumers (DML target location, nested-loop
+    probes); scans evaluate whole chunks with :func:`eval_batch`."""
     if expr is None:
         return lambda row: True
     return lambda row: bool(eval_row(expr, row, positions))
@@ -307,7 +311,7 @@ def eval_batch(expr: Expr, batch: Batch, ctx=None) -> np.ndarray:
                              expr, "arithmetic")
         right = _materialized(eval_batch(expr.right, batch, ctx), ctx,
                               expr, "arithmetic")
-        return _ARITH_OPS[expr.op](left, right)
+        return _null_aware(_ARITH_OPS[expr.op], left, right, None, object)
     if isinstance(expr, Comparison):
         if isinstance(expr.right, Literal):
             subject = eval_batch(expr.left, batch, ctx)
@@ -348,7 +352,7 @@ def eval_batch(expr: Expr, batch: Batch, ctx=None) -> np.ndarray:
             note_code_hit(ctx)
             return isin_codes(value, expr.values)
         if value.dtype == object:
-            allowed = set(expr.values)
+            allowed = set(expr.values) - {None}  # NULL IN (NULL) is not-true
             return np.fromiter((v in allowed for v in value), dtype=bool,
                                count=len(value))
         return np.isin(value, np.array(list(expr.values)))
@@ -381,22 +385,30 @@ def _materialized(values, ctx, expr=None, why: str = ""):
     return values
 
 
+def _null_aware(op: Callable, left: np.ndarray, right: np.ndarray,
+                null_result: object, dtype) -> np.ndarray:
+    """``op(left, right)`` elementwise, with ``null_result`` wherever an
+    object-dtype operand holds a NULL: the non-NULL positions are
+    computed in one vectorised call, the NULL ones never reach ``op``."""
+    if left.dtype != object and right.dtype != object:
+        return op(left, right)
+    valid = np.ones(len(left), dtype=bool)
+    for operand in (left, right):
+        if operand.dtype == object:
+            valid &= operand != None  # noqa: E711 - elementwise NULL test
+    left, right = left[valid], right[valid]
+    if dtype is object:
+        # Python scalars in, Python scalars out: an object + int64 add
+        # would leave boxed numpy scalars in the result rows.
+        left, right = left.astype(object), right.astype(object)
+    out = np.full(len(valid), null_result, dtype=dtype)
+    out[valid] = op(left, right)
+    return out
+
+
 def _compare_arrays(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Comparison that treats object-array NULLs as not-true."""
-    left_obj = getattr(left, "dtype", None) == object
-    right_obj = getattr(right, "dtype", None) == object
-    if left_obj or right_obj:
-        compare = _COMPARE_OPS[op]
-        n = len(left) if hasattr(left, "__len__") else len(right)
-        out = np.zeros(n, dtype=bool)
-        for i in range(n):
-            lv = left[i] if hasattr(left, "__len__") else left
-            rv = right[i] if hasattr(right, "__len__") else right
-            if lv is None or rv is None:
-                continue
-            out[i] = compare(lv, rv)
-        return out
-    return _COMPARE_OPS[op](left, right)
+    return _null_aware(_COMPARE_OPS[op], left, right, False, bool)
 
 
 # ------------------------------------------------------ predicate analysis
@@ -408,6 +420,10 @@ class ColumnRange:
     high: object = None
     low_inclusive: bool = True
     high_inclusive: bool = True
+    #: The conjuncts :func:`extract_column_ranges` folded into this
+    #: range. The range is their intersection, so it implies each of
+    #: them (see :func:`drop_folded_conjuncts`).
+    sources: Tuple[Expr, ...] = field(default=(), compare=False, repr=False)
 
     def intersect_low(self, value: object, inclusive: bool) -> None:
         """Tighten the lower bound with another predicate's bound."""
@@ -450,10 +466,13 @@ def extract_column_ranges(expr: Optional[Expr]) -> Dict[str, ColumnRange]:
 
 def _absorb_conjunct(conj: Expr, ranges: Dict[str, ColumnRange]) -> None:
     if isinstance(conj, Between) and isinstance(conj.subject, ColumnRef):
-        if isinstance(conj.low, Literal) and isinstance(conj.high, Literal):
+        if (isinstance(conj.low, Literal) and isinstance(conj.high, Literal)
+                and conj.low.value is not None
+                and conj.high.value is not None):  # NULL bound: not-true
             column_range = ranges.setdefault(conj.subject.name, ColumnRange())
             column_range.intersect_low(conj.low.value, True)
             column_range.intersect_high(conj.high.value, True)
+            column_range.sources += (conj,)
         return
     if not isinstance(conj, Comparison):
         return
@@ -480,6 +499,27 @@ def _absorb_conjunct(conj: Expr, ranges: Dict[str, ColumnRange]) -> None:
         column_range.intersect_low(value, False)
     elif op == ">=":
         column_range.intersect_low(value, True)
+    column_range.sources += (conj,)
+
+
+def drop_folded_conjuncts(
+    expr: Optional[Expr], ranges: Sequence[ColumnRange]
+) -> Optional[Expr]:
+    """``expr`` without the conjuncts that were folded into ``ranges``.
+
+    For a caller that enforces every one of ``ranges`` exactly on a NOT
+    NULL column (a B+ seek on its key prefix): a row inside a range
+    satisfies each ``column <op> literal`` / ``BETWEEN`` conjunct the
+    range was intersected from, so re-testing them is wasted work.
+    Matching is by identity with the objects :func:`extract_column_ranges`
+    saw, so ranges built any other way drop nothing; ``!=``, NULL
+    literals and non-sargable conjuncts are never folded and stay."""
+    folded = {id(conj) for column_range in ranges
+              for conj in column_range.sources}
+    if not folded:
+        return expr
+    return make_and([conj for conj in conjuncts(expr)
+                     if id(conj) not in folded])
 
 
 def elimination_ranges(

@@ -3,10 +3,14 @@
 All operators exchange :class:`~repro.engine.batch.Batch` objects, but each
 declares an execution **mode**:
 
-* ``row`` — row-at-a-time processing, charged at
+* ``row`` — modeled as row-at-a-time processing, charged at
   ``CostModel.row_cpu_ms_per_row`` (B+ tree plans);
-* ``batch`` — vectorized processing, charged at
+* ``batch`` — modeled as vectorized processing, charged at
   ``CostModel.batch_cpu_ms_per_row`` (columnstore plans).
+
+The mode is the cost model's label only: rowstore scans hand whole leaf
+chunks to the vectorised evaluator too (DESIGN.md, "Row mode is a cost
+label").
 
 This mirrors SQL Server's row mode vs batch mode split that the paper
 identifies as a key source of the columnstore's scan advantage.

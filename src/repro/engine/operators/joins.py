@@ -8,6 +8,7 @@ The merge join exploits B+ tree sort order on both inputs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -306,18 +307,22 @@ class IndexNestedLoopJoin(PhysicalOperator):
         self.inner_columns = list(inner_columns)
         self.inner_prefix = inner_prefix
         self.residual = residual
-        self._inner_ordinals = inner_table.schema.ordinals(self.inner_columns)
         self._is_secondary = isinstance(inner_index, SecondaryBTreeIndex)
         if self._is_secondary:
             covered = set(inner_index.covered_columns)
-            self._lookup_columns = [
-                c for c in self.inner_columns if c not in covered]
             self._lookup_ordinals = inner_table.schema.ordinals(
-                self._lookup_columns)
-            self._covered_pos = {
-                name: i for i, name in enumerate(inner_index.covered_columns)}
-        elif not isinstance(inner_index, PrimaryBTreeIndex):
+                [c for c in self.inner_columns if c not in covered])
+            self._rid_at = len(inner_index.key_columns)
+            ordinals = inner_index.entry_ordinals(self.inner_columns)
+        elif isinstance(inner_index, PrimaryBTreeIndex):
+            ordinals = inner_table.schema.ordinals(self.inner_columns)
+        else:
             raise ExecutionError("inner index must be a B+ tree")
+        if len(ordinals) == 1:  # itemgetter alone would return a bare value
+            only = ordinals[0]
+            self._project_inner = lambda row: (row[only],)
+        else:
+            self._project_inner = itemgetter(*ordinals)
 
     @property
     def output_columns(self) -> List[str]:
@@ -360,23 +365,16 @@ class IndexNestedLoopJoin(PhysicalOperator):
 
     def _seek_inner(self, bounds: Tuple[object, ...],
                     ctx: ExecutionContext) -> Iterator[Row]:
-        if self._is_secondary:
-            for rid, covered_values in self.inner_index.seek_range(
-                    bounds, bounds, ctx):
-                if self._lookup_columns:
-                    fetched = self.inner_table.fetch_columns(
-                        rid, self._lookup_ordinals, ctx)
-                    lookup = dict(zip(self._lookup_columns, fetched))
-                else:
-                    lookup = {}
-                yield tuple(
-                    covered_values[self._covered_pos[c]]
-                    if c in self._covered_pos else lookup[c]
-                    for c in self.inner_columns
-                )
-        else:
-            for _, row in self.inner_index.seek_range(bounds, bounds, ctx):
-                yield tuple(row[i] for i in self._inner_ordinals)
+        for keys, values in self.inner_index.seek_range(bounds, bounds, ctx):
+            if not self._is_secondary:
+                rows = values
+            else:
+                rows = self.inner_index.entry_rows(keys, values)
+                if self._lookup_ordinals:
+                    rows = (row + self.inner_table.fetch_columns(
+                                row[self._rid_at], self._lookup_ordinals, ctx)
+                            for row in rows)
+            yield from map(self._project_inner, rows)
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""

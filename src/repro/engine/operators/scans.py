@@ -4,20 +4,27 @@ columnstore scans.
 These are the access paths the optimizer chooses among, and the leaves
 counted in Figure 10's plan-composition analysis. Every scan records a
 ``leaf_access`` metric tagged with the index kind it reads.
+
+``ROW_MODE`` on the rowstore scans is the cost model's label (modeled
+CPU per row); the implementation consumes whole leaf chunks
+(:mod:`repro.storage.btree`) and filters them with the vectorised
+evaluator, see :meth:`_ScanBase._chunks_to_batches`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
-from repro.engine.batch import Batch, rows_to_batch
+from repro.engine.batch import Batch, _column_array, rows_to_batch
 from repro.engine.expressions import (
     ColumnRange,
     Expr,
-    compile_row_predicate,
+    drop_folded_conjuncts,
     eval_batch,
 )
 from repro.engine.metrics import ExecutionContext
@@ -95,12 +102,77 @@ class _ScanBase(PhysicalOperator):
         """Names of the columns produced, in order."""
         return _qualify(self.prefix, self.columns)
 
-    def _rows_to_output_batch(self, rows: List[Tuple[object, ...]]) -> Optional[Batch]:
-        return rows_to_batch(rows, self.output_columns)
+    def _seek_on(self, key_range, key_ranges) -> None:
+        """Record the seek ranges along the index key prefix and drop from
+        the residual the conjuncts they were derived from: the seek
+        bounds enforce those, so a point lookup keeps no residual."""
+        if key_ranges is None and key_range is not None:
+            key_ranges = [key_range]
+        self.key_ranges = list(key_ranges) if key_ranges else None
+        self.key_range = self.key_ranges[0] if self.key_ranges else None
+        self.residual = drop_folded_conjuncts(self.residual, self.key_ranges or ())
 
-    def _residual_positions(self) -> Dict[str, int]:
+    def _chunks_to_batches(
+        self,
+        ctx: ExecutionContext,
+        chunks: Iterable[Sequence[Tuple[object, ...]]],
+        ordinals: Sequence[int],
+        kind: str,
+        weight: float = 1.0,
+        widen: Optional[Callable] = None,
+    ) -> Iterator[Batch]:
+        """Pivot a stream of row chunks into output batches.
+
+        ``ordinals[i]`` is where output column ``i`` sits in a chunk's
+        rows. Per chunk: the residual's columns are pulled out with one
+        ``itemgetter`` pass each and evaluated in one :func:`eval_batch`
+        call, then the survivors' output columns are pulled out the same
+        way; output batches hold ``DEFAULT_BATCH_ROWS`` rows (the last
+        one fewer). ``widen`` appends columns to the rows it is given
+        (bookmark lookups); a chunk is never widened past the row that
+        fills a batch, so the lookups' charges keep their order relative
+        to the charges of the operators consuming that batch.
+        """
+        names = self.output_columns
+        getters = [itemgetter(ordinal) for ordinal in ordinals]
+        residual = self.residual
+        if residual is not None:
+            filter_names = (list(dict.fromkeys(residual.columns()))
+                            or names[:1])  # a constant predicate
+            filter_getters = [getters[self._output_position(name)]
+                              for name in filter_names]
+        pending: List[List[object]] = [[] for _ in names]
+        scanned = 0
+        for rows in chunks:
+            scanned += len(rows)
+            start = 0
+            while start < len(rows):
+                part = rows[start:start + DEFAULT_BATCH_ROWS - len(pending[0])]
+                start += len(part)
+                if widen is not None:
+                    part = widen(part)
+                if residual is not None:
+                    mask = eval_batch(residual, Batch({
+                        name: _column_array(list(map(getter, part)))
+                        for name, getter in zip(filter_names, filter_getters)
+                    }), ctx)
+                    part = list(compress(part, mask.tolist()))
+                for values, getter in zip(pending, getters):
+                    values.extend(map(getter, part))
+                if len(pending[0]) >= DEFAULT_BATCH_ROWS:
+                    yield Batch(dict(zip(names, map(_column_array, pending))))
+                    pending = [[] for _ in names]
+        self.charge_rows(ctx, scanned, weight)
+        ctx.metrics.record_leaf_access(kind)
+        if pending[0]:
+            yield Batch(dict(zip(names, map(_column_array, pending))))
+
+    def _output_position(self, name: str) -> int:
         # Residual predicates reference qualified output names.
-        return {name: i for i, name in enumerate(self.output_columns)}
+        try:
+            return self.output_columns.index(name)
+        except ValueError:
+            raise ExecutionError(f"unknown column {name!r}") from None
 
 
 class HeapScan(_ScanBase):
@@ -114,24 +186,8 @@ class HeapScan(_ScanBase):
         if not isinstance(heap, HeapFile):
             raise ExecutionError(f"{self.table.name} primary is not a heap")
         ctx.charge_parallel_startup(self.dop)
-        predicate = compile_row_predicate(self.residual, self._residual_positions())
-        pending: List[Tuple[object, ...]] = []
-        scanned = 0
-        for _, row in heap.scan(ctx):
-            scanned += 1
-            projected = tuple(row[i] for i in self._ordinals)
-            if predicate(projected):
-                pending.append(projected)
-            if len(pending) >= DEFAULT_BATCH_ROWS:
-                batch = self._rows_to_output_batch(pending)
-                if batch is not None:
-                    yield batch
-                pending = []
-        self.charge_rows(ctx, scanned)
-        ctx.metrics.record_leaf_access("heap")
-        batch = self._rows_to_output_batch(pending)
-        if batch is not None:
-            yield batch
+        chunks = (rows for _, rows in heap.scan(ctx))
+        yield from self._chunks_to_batches(ctx, chunks, self._ordinals, "heap")
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
@@ -163,10 +219,7 @@ class BTreeSeek(_ScanBase):
             raise ExecutionError(
                 f"{table.name} primary is not a clustered B+ tree")
         self.index: PrimaryBTreeIndex = table.primary
-        if key_ranges is None and key_range is not None:
-            key_ranges = [key_range]
-        self.key_ranges = list(key_ranges) if key_ranges else None
-        self.key_range = self.key_ranges[0] if self.key_ranges else None
+        self._seek_on(key_range, key_ranges)
 
     @property
     def output_ordering(self) -> List[str]:
@@ -175,29 +228,11 @@ class BTreeSeek(_ScanBase):
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
-        low, high, low_inc, high_inc = (
-            compose_prefix_bounds(self.key_ranges) if self.key_ranges
-            else (None, None, True, True))
+        low, high, *inclusive = compose_prefix_bounds(self.key_ranges or ())
         ctx.charge_parallel_startup(self.dop)
-        predicate = compile_row_predicate(self.residual, self._residual_positions())
-        pending: List[Tuple[object, ...]] = []
-        scanned = 0
-        for _, row in self.index.seek_range(
-                low, high, ctx, low_inclusive=low_inc, high_inclusive=high_inc):
-            scanned += 1
-            projected = tuple(row[i] for i in self._ordinals)
-            if predicate(projected):
-                pending.append(projected)
-            if len(pending) >= DEFAULT_BATCH_ROWS:
-                batch = self._rows_to_output_batch(pending)
-                if batch is not None:
-                    yield batch
-                pending = []
-        self.charge_rows(ctx, scanned)
-        ctx.metrics.record_leaf_access("btree")
-        batch = self._rows_to_output_batch(pending)
-        if batch is not None:
-            yield batch
+        chunks = (rows for _, rows in self.index.seek_range(
+            low, high, ctx, *inclusive))
+        yield from self._chunks_to_batches(ctx, chunks, self._ordinals, "btree")
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
@@ -227,17 +262,12 @@ class SecondaryBTreeSeek(_ScanBase):
     ):
         super().__init__(table, columns, residual, prefix, dop)
         self.index = index
-        if key_ranges is None and key_range is not None:
-            key_ranges = [key_range]
-        self.key_ranges = list(key_ranges) if key_ranges else None
-        self.key_range = self.key_ranges[0] if self.key_ranges else None
+        self._seek_on(key_range, key_ranges)
         covered = set(index.covered_columns)
         self.lookup_columns = [c for c in self.columns if c not in covered]
         self.needs_lookup = bool(self.lookup_columns)
-        self._covered_pos = {
-            name: i for i, name in enumerate(index.covered_columns)
-        }
         self._lookup_ordinals = table.schema.ordinals(self.lookup_columns)
+        self._row_ordinals = index.entry_ordinals(self.columns)
 
     @property
     def output_ordering(self) -> List[str]:
@@ -246,38 +276,22 @@ class SecondaryBTreeSeek(_ScanBase):
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
-        low, high, low_inc, high_inc = (
-            compose_prefix_bounds(self.key_ranges) if self.key_ranges
-            else (None, None, True, True))
+        low, high, *inclusive = compose_prefix_bounds(self.key_ranges or ())
         ctx.charge_parallel_startup(self.dop)
-        predicate = compile_row_predicate(self.residual, self._residual_positions())
-        pending: List[Tuple[object, ...]] = []
-        scanned = 0
-        for rid, covered_values in self.index.seek_range(
-                low, high, ctx, low_inclusive=low_inc, high_inclusive=high_inc):
-            scanned += 1
-            if self.needs_lookup:
-                fetched = self.table.fetch_columns(rid, self._lookup_ordinals, ctx)
-                lookup = dict(zip(self.lookup_columns, fetched))
-            else:
-                lookup = {}
-            projected = tuple(
-                covered_values[self._covered_pos[c]] if c in self._covered_pos
-                else lookup[c]
-                for c in self.columns
-            )
-            if predicate(projected):
-                pending.append(projected)
-            if len(pending) >= DEFAULT_BATCH_ROWS:
-                batch = self._rows_to_output_batch(pending)
-                if batch is not None:
-                    yield batch
-                pending = []
-        self.charge_rows(ctx, scanned, weight=2.0 if self.needs_lookup else 1.0)
-        ctx.metrics.record_leaf_access("btree")
-        batch = self._rows_to_output_batch(pending)
-        if batch is not None:
-            yield batch
+        chunks = (self.index.entry_rows(*chunk) for chunk in
+                  self.index.seek_range(low, high, ctx, *inclusive))
+        yield from self._chunks_to_batches(
+            ctx, chunks, self._row_ordinals, "btree",
+            weight=2.0 if self.needs_lookup else 1.0,
+            widen=self._with_lookups(ctx) if self.needs_lookup else None)
+
+    def _with_lookups(self, ctx: ExecutionContext) -> Callable:
+        """rows -> rows with the bookmark-lookup columns appended, one
+        charged fetch per rid."""
+        fetch, ordinals = self.table.fetch_columns, self._lookup_ordinals
+        rid_at = len(self.index.key_columns)
+        return lambda rows: [row + fetch(row[rid_at], ordinals, ctx)
+                             for row in rows]
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""

@@ -22,13 +22,21 @@ traversals, leaf-chain bandwidth for range scans) against the supplied
 :class:`~repro.engine.metrics.ExecutionContext`. Per-row *CPU* is charged
 by the operators that consume the rows, so the same index can feed row-mode
 and batch-mode plans with different CPU costs.
+
+Scan protocol: every range read hands out **leaf chunks** — one
+``(keys, values)`` pair of equal-length lists per leaf touched, in key
+order, never empty. A leaf that lies wholly inside the bounds is handed
+out as the leaf's own lists (borrowed, not copied: read them, never
+mutate them, and do not keep them past the statement whose latch
+protects the tree); the first and last leaf are sliced at the bounds.
+:func:`iter_entries` flattens chunks into pairs for per-entry consumers.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right, insort
-from typing import Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from operator import add
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
@@ -38,6 +46,35 @@ from repro.storage.telemetry import IndexUsageStats
 
 Key = Tuple[object, ...]
 Row = Tuple[object, ...]
+#: One leaf's worth of a scan: equal-length key and value lists.
+Chunk = Tuple[List[Key], List[Row]]
+
+
+def iter_entries(chunks: Iterable[Chunk]) -> Iterator[Tuple[Key, Row]]:
+    """Flatten a chunk stream into its (key, value) pairs, in order.
+
+    Works for B+ chunks (the rid is ``key[-1]``) and for
+    :meth:`HeapFile.scan <repro.storage.heap.HeapFile.scan>` chunks
+    (the key *is* the rid)."""
+    for keys, values in chunks:
+        yield from zip(keys, values)
+
+
+def _clip_leaf(keys: List[Key], values: List[Row], low: Optional[Key],
+               high: Optional[Key], low_inclusive: bool,
+               high_inclusive: bool) -> Tuple[List[Key], List[Row], bool]:
+    """The part of one leaf inside the bounds, and whether the scan ends
+    here (the leaf's last key reaches ``high``). ``low`` is passed for
+    the first leaf only; a leaf wholly inside comes back as it is."""
+    start, end = 0, len(keys)
+    if low is not None:
+        start = (bisect_left if low_inclusive else bisect_right)(keys, low)
+    last = high is not None and end > 0 and keys[-1] >= high
+    if last:
+        end = (bisect_right if high_inclusive else bisect_left)(keys, high, start)
+    if start > 0 or end < len(keys):
+        keys, values = keys[start:end], values[start:end]
+    return keys, values, last
 
 
 class _Leaf:
@@ -119,48 +156,38 @@ class BPlusTree:
             return leaf.values[idx]
         return None
 
-    def scan_range(
+    def leaf_chunks(
         self,
         low: Optional[Key] = None,
         high: Optional[Key] = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[Tuple[Key, Row]]:
-        """Yield (key, value) pairs with low <= key <= high in key order.
+    ) -> Iterator[Chunk]:
+        """Leaf chunks (see the module docstring) holding exactly the
+        entries with low <= key <= high, in key order.
 
         Open bounds are expressed with ``None``. Exclusive bounds via the
         ``*_inclusive`` flags. Prefix bounds work naturally because Python
         tuple comparison is lexicographic.
         """
-        if low is None:
-            leaf: Optional[_Leaf] = self._first_leaf
-            idx = 0
-        else:
-            leaf = self._find_leaf(low)
-            if low_inclusive:
-                idx = bisect_left(leaf.keys, low)
-            else:
-                idx = bisect_right(leaf.keys, low)
+        leaf = self._first_leaf if low is None else self._find_leaf(low)
         while leaf is not None:
-            keys = leaf.keys
-            values = leaf.values
-            n = len(keys)
-            while idx < n:
-                key = keys[idx]
-                if high is not None:
-                    if high_inclusive:
-                        if key > high:
-                            return
-                    elif key >= high:
-                        return
-                yield key, values[idx]
-                idx += 1
+            keys, values, last = _clip_leaf(
+                leaf.keys, leaf.values, low, high, low_inclusive, high_inclusive)
+            if keys:
+                yield keys, values
+            if last:
+                return
+            low = None
             leaf = leaf.next
-            idx = 0
+
+    def scan_range(self, *bounds, **inclusive) -> Iterator[Tuple[Key, Row]]:
+        """The (key, value) pairs of :meth:`leaf_chunks`, same arguments."""
+        return iter_entries(self.leaf_chunks(*bounds, **inclusive))
 
     def count_range(self, low: Optional[Key], high: Optional[Key]) -> int:
         """Number of keys within the given bounds."""
-        return sum(1 for _ in self.scan_range(low, high))
+        return sum(len(keys) for keys, _ in self.leaf_chunks(low, high))
 
     def leaves_in_range(self, low: Optional[Key], high: Optional[Key]) -> int:
         """Number of leaf pages a range scan over [low, high] touches."""
@@ -469,6 +496,27 @@ class _BTreeIndexBase:
         ctx.charge_btree_scan_read(nbytes)
         ctx.record_data_read(nbytes)
 
+    def _leaf_chunks(self, *bounds) -> Iterator[Chunk]:
+        return self.tree.leaf_chunks(*bounds)
+
+    def _read_chunks(self, ctx: Optional[ExecutionContext], *bounds
+                     ) -> Iterator[Chunk]:
+        """Leaf chunks within full-key ``bounds``; the leaf-chain I/O for
+        the entries handed out is charged once the scan is exhausted."""
+        entries = 0
+        for chunk in self._leaf_chunks(*bounds):
+            entries += len(chunk[0])
+            yield chunk
+        self._charge_range_io(ctx, entries)
+
+    def _seek_chunks(self, low, high, ctx, low_inclusive, high_inclusive
+                     ) -> Iterator[Chunk]:
+        self._charge_traversal(ctx)
+        self._record_range_access(ctx, low, high)
+        low_key, high_key = _pad_prefix_bounds(low, high, low_inclusive, high_inclusive)
+        return self._read_chunks(ctx, low_key, high_key,
+                                 low_inclusive, high_inclusive)
+
     def _record_range_access(
         self,
         ctx: Optional[ExecutionContext],
@@ -580,32 +628,20 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         ctx: Optional[ExecutionContext] = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[Tuple[int, Row]]:
-        """Range scan on a key prefix; yields (rid, row) in key order.
+    ) -> Iterator[Chunk]:
+        """Range scan on a key prefix: (keys, rows) leaf chunks in key
+        order; each key ends in the row's rid.
 
         ``low``/``high`` are key-column-value tuples (no rid); bounds are
         padded so that inclusive/exclusive semantics apply per key prefix.
         """
-        self._charge_traversal(ctx)
-        self._record_range_access(ctx, low, high)
-        low_key, high_key = _pad_prefix_bounds(low, high, low_inclusive, high_inclusive)
-        rows = 0
-        for key, row in self.tree.scan_range(
-            low_key, high_key, low_inclusive, high_inclusive
-        ):
-            rows += 1
-            yield key[-1], row
-        self._charge_range_io(ctx, rows)
+        yield from self._seek_chunks(low, high, ctx, low_inclusive, high_inclusive)
 
-    def scan(self, ctx: Optional[ExecutionContext] = None) -> Iterator[Tuple[int, Row]]:
-        """Full ordered scan of the leaf chain."""
+    def scan(self, ctx: Optional[ExecutionContext] = None) -> Iterator[Chunk]:
+        """Full ordered scan of the leaf chain, as leaf chunks."""
         if ctx is not None:
             self.usage.record_scan()
-        rows = 0
-        for key, row in self.tree.items():
-            rows += 1
-            yield key[-1], row
-        self._charge_range_io(ctx, rows)
+        yield from self._read_chunks(ctx, None, None, True, True)
 
     def lookup_rid(self, rid_to_row: Row, rid: int) -> Optional[Row]:
         """Find the stored row for (row values, rid); None if absent."""
@@ -710,6 +746,26 @@ class SecondaryBTreeIndex(_BTreeIndexBase):
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 
+    def entry_ordinals(self, columns: Sequence[str]) -> List[int]:
+        """Where each of ``columns`` sits in ``key + payload + fetched``:
+        a leaf entry's key columns, its rid, its included columns, and
+        behind them whatever a bookmark lookup appends — the non-covered
+        ``columns``, in their order of appearance."""
+        n_keys = len(self.key_columns)
+        fetched = [c for c in columns if c not in self.covered_columns]
+        ordinals = []
+        for column in columns:
+            if column in fetched:
+                ordinals.append(len(self.covered_columns) + 1 + fetched.index(column))
+            else:
+                position = self.covered_columns.index(column)
+                ordinals.append(position if position < n_keys else position + 1)
+        return ordinals
+
+    def entry_rows(self, keys: List[Key], payloads: List[Row]) -> Sequence[Row]:
+        """One chunk as ``key + payload`` rows (see :meth:`entry_ordinals`)."""
+        return list(map(add, keys, payloads)) if self.included_ordinals else keys
+
     def seek_range(
         self,
         low: Optional[Key],
@@ -717,21 +773,13 @@ class SecondaryBTreeIndex(_BTreeIndexBase):
         ctx: Optional[ExecutionContext] = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[Tuple[int, Row]]:
-        """Yields (rid, covered_values) where covered_values follows
-        ``self.covered_columns`` order."""
-        self._charge_traversal(ctx)
-        self._record_range_access(ctx, low, high)
-        low_key, high_key = _pad_prefix_bounds(low, high, low_inclusive, high_inclusive)
-        rows = 0
-        for key, payload in self.tree.scan_range(
-            low_key, high_key, low_inclusive, high_inclusive
-        ):
-            rows += 1
-            yield key[-1], key[:-1] + payload
-        self._charge_range_io(ctx, rows)
+    ) -> Iterator[Chunk]:
+        """(keys, payloads) leaf chunks in key order: a key is the key
+        columns plus the rid, a payload the included columns (see
+        :meth:`entry_ordinals`)."""
+        yield from self._seek_chunks(low, high, ctx, low_inclusive, high_inclusive)
 
-    def scan(self, ctx: Optional[ExecutionContext] = None) -> Iterator[Tuple[int, Row]]:
+    def scan(self, ctx: Optional[ExecutionContext] = None) -> Iterator[Chunk]:
         """Iterate the structure's rows/batches in storage order."""
         yield from self.seek_range(None, None, ctx)
 
@@ -748,7 +796,8 @@ class PagedLeafSource:
     internal structure resident, leaves paged).
 
     ``read_page(offset, length)`` decodes one PT_BTREE_LEAF page into
-    its (key, value) item list; it is supplied by
+    its ``(keys, values)`` chunk — the shape of a resident leaf, which
+    is what the pool caches; it is supplied by
     :mod:`repro.storage.pages` so this module stays codec-free.
     """
 
@@ -771,8 +820,8 @@ class PagedLeafSource:
     def n_pages(self) -> int:
         return len(self.page_locs)
 
-    def fetch(self, page_no: int, pin: bool = False) -> List[Tuple[Key, Row]]:
-        """Items of one leaf page, faulting it in through the pool."""
+    def fetch(self, page_no: int, pin: bool = False) -> Chunk:
+        """One leaf page's chunk, faulting it in through the pool."""
         page_id, offset, length = self.page_locs[page_no]
         return self.pool.get_or_load(
             (self.object_id, page_id),
@@ -837,7 +886,7 @@ class _PagedBTreeMixin:
         source = self._paged
         items: List[Tuple[Key, Row]] = []
         for page_no in range(source.n_pages):
-            items.extend(source.fetch(page_no))
+            items.extend(zip(*source.fetch(page_no)))
         tree = BPlusTree.bulk_load(
             items, leaf_capacity=self._tree.leaf_capacity,
             internal_capacity=self._tree.internal_capacity)
@@ -876,56 +925,46 @@ class _PagedBTreeMixin:
         else:
             super()._charge_traversal(ctx)
 
+    def _leaf_chunks(self, *bounds) -> Iterator[Chunk]:
+        if self._paged is None:
+            return super()._leaf_chunks(*bounds)
+        return self._paged_scan(*bounds)
+
     def _paged_scan(
         self,
         low: Optional[Key],
         high: Optional[Key],
         low_inclusive: bool,
         high_inclusive: bool,
-    ) -> Iterator[Tuple[Key, Row]]:
-        """Replicates :meth:`BPlusTree.scan_range` bound semantics over
-        paged leaves. Each page stays pinned while its items are being
-        yielded so LRU pressure from other sessions cannot evict the
-        page mid-read."""
+    ) -> Iterator[Chunk]:
+        """:meth:`BPlusTree.leaf_chunks` over paged leaves: one chunk per
+        page, the page pinned while its chunk is out so LRU pressure
+        from other sessions cannot evict it mid-read."""
         source = self._paged
-        n_pages = source.n_pages
-        idx: Optional[int]
-        if low is None:
-            page_no, idx = 0, 0
-        else:
-            page_no = max(0, bisect_right(source.fences, low) - 1)
-            idx = None  # bisect within the first page once fetched
-        while page_no < n_pages:
-            items = source.fetch(page_no, pin=True)
+        first = 0 if low is None else max(0, bisect_right(source.fences, low) - 1)
+        for page_no in range(first, source.n_pages):
+            keys, values = source.fetch(page_no, pin=True)
             try:
-                if idx is None:
-                    keys = [k for k, _ in items]
-                    idx = (bisect_left(keys, low) if low_inclusive
-                           else bisect_right(keys, low))
-                for key, value in items[idx:]:
-                    if high is not None:
-                        if high_inclusive:
-                            if key > high:
-                                return
-                        elif key >= high:
-                            return
-                    yield key, value
+                keys, values, last = _clip_leaf(
+                    keys, values, low, high, low_inclusive, high_inclusive)
+                if keys:
+                    yield keys, values
             finally:
                 source.unpin(page_no)
-            page_no += 1
-            idx = 0
+            if last:
+                return
+            low = None
 
     def _paged_get(self, key: Key) -> Optional[Row]:
         source = self._paged
         if source.n_pages == 0:
             return None
         page_no = max(0, bisect_right(source.fences, key) - 1)
-        items = source.fetch(page_no, pin=True)
+        keys, values = source.fetch(page_no, pin=True)
         try:
-            keys = [k for k, _ in items]
             idx = bisect_left(keys, key)
             if idx < len(keys) and keys[idx] == key:
-                return items[idx][1]
+                return values[idx]
             return None
         finally:
             source.unpin(page_no)
@@ -940,42 +979,6 @@ class PagedPrimaryBTreeIndex(_PagedBTreeMixin, PrimaryBTreeIndex):
     forces residency the same way).
     """
 
-    def seek_range(
-        self,
-        low: Optional[Key],
-        high: Optional[Key],
-        ctx: Optional[ExecutionContext] = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Iterator[Tuple[int, Row]]:
-        if self._paged is None:
-            yield from super().seek_range(low, high, ctx,
-                                          low_inclusive, high_inclusive)
-            return
-        self._charge_traversal(ctx)
-        self._record_range_access(ctx, low, high)
-        low_key, high_key = _pad_prefix_bounds(
-            low, high, low_inclusive, high_inclusive)
-        rows = 0
-        for key, row in self._paged_scan(low_key, high_key,
-                                         low_inclusive, high_inclusive):
-            rows += 1
-            yield key[-1], row
-        self._charge_range_io(ctx, rows)
-
-    def scan(self, ctx: Optional[ExecutionContext] = None
-             ) -> Iterator[Tuple[int, Row]]:
-        if self._paged is None:
-            yield from super().scan(ctx)
-            return
-        if ctx is not None:
-            self.usage.record_scan()
-        rows = 0
-        for key, row in self._paged_scan(None, None, True, True):
-            rows += 1
-            yield key[-1], row
-        self._charge_range_io(ctx, rows)
-
     def lookup_rid(self, rid_to_row: Row, rid: int) -> Optional[Row]:
         if self._paged is None:
             return super().lookup_rid(rid_to_row, rid)
@@ -984,31 +987,7 @@ class PagedPrimaryBTreeIndex(_PagedBTreeMixin, PrimaryBTreeIndex):
 
 class PagedSecondaryBTreeIndex(_PagedBTreeMixin, SecondaryBTreeIndex):
     """Nonclustered B+ index with demand-paged leaves (see
-    :class:`PagedPrimaryBTreeIndex`; ``scan`` delegates to
-    ``seek_range`` in the base class and needs no override)."""
-
-    def seek_range(
-        self,
-        low: Optional[Key],
-        high: Optional[Key],
-        ctx: Optional[ExecutionContext] = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Iterator[Tuple[int, Row]]:
-        if self._paged is None:
-            yield from super().seek_range(low, high, ctx,
-                                          low_inclusive, high_inclusive)
-            return
-        self._charge_traversal(ctx)
-        self._record_range_access(ctx, low, high)
-        low_key, high_key = _pad_prefix_bounds(
-            low, high, low_inclusive, high_inclusive)
-        rows = 0
-        for key, payload in self._paged_scan(low_key, high_key,
-                                             low_inclusive, high_inclusive):
-            rows += 1
-            yield key[-1], key[:-1] + tuple(payload)
-        self._charge_range_io(ctx, rows)
+    :class:`PagedPrimaryBTreeIndex`)."""
 
 
 class _Infinity:
@@ -1064,8 +1043,3 @@ def _pad_prefix_bounds(
     if high is not None:
         high_key = tuple(high) + (_INFINITY,) if high_inclusive else tuple(high)
     return low_key, high_key
-
-
-def math_ceil_pages(nbytes: int, page_bytes: int) -> int:
-    """Number of pages needed for ``nbytes``."""
-    return int(math.ceil(nbytes / page_bytes))

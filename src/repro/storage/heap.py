@@ -5,7 +5,7 @@ index lookups.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
@@ -14,6 +14,9 @@ from repro.storage.faults import FaultInjector, trip
 from repro.storage.telemetry import IndexUsageStats
 
 Row = Tuple[object, ...]
+
+#: Rows per chunk handed out by :meth:`HeapFile.scan`.
+SCAN_CHUNK_ROWS = 4096
 
 
 class HeapFile:
@@ -27,6 +30,11 @@ class HeapFile:
         self.schema = schema
         self.object_id = object_id
         self._rows: Dict[int, Row] = {}
+        #: Whether ``_rows`` iterates in RID order (rids normally only
+        #: grow); cleared by an insert below ``_max_rid``, after which
+        #: scans sort.
+        self._rid_ordered = True
+        self._max_rid = -1
         #: Fault injector attached by the owning Table (None standalone).
         self.faults: Optional[FaultInjector] = None
         #: Cumulative usage counters (dm_db_index_usage_stats); recorded
@@ -47,6 +55,10 @@ class HeapFile:
             raise StorageError(f"duplicate rid {rid} in heap {self.name!r}")
         trip(self.faults, "heap.insert")
         self._rows[rid] = row
+        if rid < self._max_rid:
+            self._rid_ordered = False
+        else:
+            self._max_rid = rid
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
 
@@ -85,12 +97,21 @@ class HeapFile:
             self.usage.record_lookup()
         return row
 
-    def scan(self, ctx: Optional[ExecutionContext] = None) -> Iterator[Tuple[int, Row]]:
-        """Full scan in RID order; charges sequential-ish heap I/O."""
+    def scan(self, ctx: Optional[ExecutionContext] = None
+             ) -> Iterator[Tuple[List[int], List[Row]]]:
+        """Full scan in RID order as (rids, rows) chunks — the B+ leaf
+        chunk protocol (:func:`repro.storage.btree.iter_entries` flattens
+        them); charges sequential-ish heap I/O."""
         if ctx is not None:
             nbytes = len(self._rows) * self.schema.row_byte_width
             ctx.charge_btree_scan_read(nbytes)
             ctx.record_data_read(nbytes)
             self.usage.record_scan()
-        for rid in sorted(self._rows):
-            yield rid, self._rows[rid]
+        if self._rid_ordered:
+            rids, rows = list(self._rows), list(self._rows.values())
+        else:
+            rids = sorted(self._rows)
+            rows = list(map(self._rows.__getitem__, rids))
+        for start in range(0, len(rids), SCAN_CHUNK_ROWS):
+            stop = start + SCAN_CHUNK_ROWS
+            yield rids[start:stop], rows[start:stop]

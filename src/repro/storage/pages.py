@@ -937,8 +937,11 @@ def _restore_btree_paged(table, desc: Dict[str, object],
                  for _ in range(desc["n_pages"])]
 
     def read_leaf(offset: int, length: int):
-        return reader.read_page(offset, length, PT_BTREE_LEAF) \
+        # Decoded once per fault into the resident leaf's shape, so
+        # seeks bisect the cached key list instead of rebuilding it.
+        items = reader.read_page(offset, length, PT_BTREE_LEAF) \
             .payload["items"]
+        return [k for k, _ in items], [v for _, v in items]
 
     index.attach_paged(PagedLeafSource(
         pool, desc["object_id"], desc["n_items"], fences, page_locs,

@@ -12,6 +12,7 @@ from repro.storage.btree import (
     BPlusTree,
     PrimaryBTreeIndex,
     SecondaryBTreeIndex,
+    iter_entries,
 )
 
 
@@ -153,14 +154,15 @@ class TestPrimaryBTreeIndex:
         schema = schema_two_ints()
         rows = [(i, (i, i % 7)) for i in range(200)]
         index = PrimaryBTreeIndex.build("pk", schema, ["a"], rows)
-        got = [(rid, row) for rid, row in index.seek_range((50,), (59,))]
+        got = list(iter_entries(index.seek_range((50,), (59,))))
         assert [row[0] for _, row in got] == list(range(50, 60))
+        assert [key[-1] for key, _ in got] == list(range(50, 60))  # rids
 
     def test_nonunique_keys_allowed(self):
         schema = schema_two_ints()
         rows = [(i, (i % 5, i)) for i in range(100)]
         index = PrimaryBTreeIndex.build("pk", schema, ["a"], rows)
-        hits = list(index.seek_range((3,), (3,)))
+        hits = list(iter_entries(index.seek_range((3,), (3,))))
         assert len(hits) == 20
         assert all(row[0] == 3 for _, row in hits)
 
@@ -170,11 +172,13 @@ class TestPrimaryBTreeIndex:
         index.insert(1, (10, 100))
         index.insert(2, (20, 200))
         index.update(1, (10, 100), (10, 111))
-        assert [row for _, row in index.seek_range((10,), (10,))] == [(10, 111)]
+        assert [row for _, row in iter_entries(
+            index.seek_range((10,), (10,)))] == [(10, 111)]
         index.update(2, (20, 200), (5, 200))  # key change
-        assert [row for _, row in index.scan()] == [(5, 200), (10, 111)]
+        assert [row for _, row in iter_entries(index.scan())] == [
+            (5, 200), (10, 111)]
         index.delete(1, (10, 111))
-        assert [row for _, row in index.scan()] == [(5, 200)]
+        assert [row for _, row in iter_entries(index.scan())] == [(5, 200)]
 
     def test_null_key_rejected(self):
         schema = schema_two_ints()
@@ -230,23 +234,27 @@ class TestSecondaryBTreeIndex:
         rows = [(i, (i, i * 2, f"s{i}")) for i in range(50)]
         index = SecondaryBTreeIndex.build(
             "ix", self.schema(), ["b"], rows, included_columns=["c"])
-        hits = list(index.seek_range((20,), (24,)))
-        assert [(rid, vals) for rid, vals in hits] == [
-            (10, (20, "s10")), (11, (22, "s11")), (12, (24, "s12"))]
+        hits = list(iter_entries(index.seek_range((20,), (24,))))
+        assert hits == [((20, 10), ("s10",)), ((22, 11), ("s11",)),
+                        ((24, 12), ("s12",))]  # (key + rid, included)
+        assert index.entry_rows(*zip(*hits)) == [
+            (20, 10, "s10"), (22, 11, "s11"), (24, 12, "s12")]
+        assert index.entry_ordinals(["c", "b", "a"]) == [2, 0, 3]
 
     def test_update_skips_uncovered_columns(self):
         rows = [(i, (i, i, f"s{i}")) for i in range(10)]
         index = SecondaryBTreeIndex.build("ix", self.schema(), ["b"], rows)
-        before = list(index.scan())
+        before = list(iter_entries(index.scan()))
         # Change only column c, which the index neither keys nor includes.
         index.update(3, (3, 3, "s3"), (3, 3, "zzz"))
-        assert list(index.scan()) == before
+        assert list(iter_entries(index.scan())) == before
 
     def test_update_rewrites_on_key_change(self):
         rows = [(i, (i, i, f"s{i}")) for i in range(10)]
         index = SecondaryBTreeIndex.build("ix", self.schema(), ["b"], rows)
         index.update(3, (3, 3, "s3"), (3, 99, "s3"))
-        assert [rid for rid, _ in index.seek_range((99,), (99,))] == [3]
+        assert [key[-1] for key, _ in iter_entries(
+            index.seek_range((99,), (99,)))] == [3]
 
     def test_entry_width_smaller_than_row(self):
         schema = self.schema()

@@ -9,6 +9,7 @@ from repro.engine.expressions import (
     And,
     Arithmetic,
     Between,
+    ColumnRange,
     ColumnRef,
     Comparison,
     InList,
@@ -17,6 +18,7 @@ from repro.engine.expressions import (
     Or,
     compile_row_predicate,
     conjuncts,
+    drop_folded_conjuncts,
     elimination_ranges,
     eval_batch,
     eval_row,
@@ -127,6 +129,32 @@ class TestBatchEval:
         mask = eval_batch(Comparison("=", col("s"), lit("hello")), batch())
         assert mask.tolist() == [False, True, False, False]
 
+    def test_in_list_null_is_not_true(self):
+        mask = eval_batch(InList(col("s"), ("x", None)), batch())
+        assert mask.tolist() == [True, False, False, False]
+
+    def test_null_masks_match_eval_row(self):
+        """Arithmetic propagates NULL, comparisons over it are not-true —
+        column against column, literal on either side, a NULL literal."""
+        nullable = Batch({
+            "a": np.array([1, None, 3, None], dtype=object),
+            "b": np.array([2, 5, None, None], dtype=object),
+            "s": np.array([7, 8, 9, 10]),
+        })
+        rows = list(zip(*(nullable.column(c).tolist() for c in "abs")))
+        total = Arithmetic("+", col("a"), col("b"))
+        for expr in (
+                Comparison("<", col("a"), col("b")),
+                Comparison(">=", lit(3), col("a")),
+                Comparison("!=", col("a"), lit(None)),
+                Comparison(">", total, lit(2)),
+                Comparison("<", Arithmetic("*", col("a"), col("s")), col("s")),
+                Between(col("s"), col("a"), Arithmetic("/", col("s"), lit(1))),
+                Not(Comparison("=", total, lit(3)))):
+            want = [bool(eval_row(expr, row, POS)) for row in rows]
+            assert eval_batch(expr, nullable).tolist() == want, str(expr)
+        assert eval_batch(total, nullable).tolist() == [3, None, None, None]
+
     def test_and_or(self):
         expr = And((Comparison(">", col("a"), lit(5)),
                     Comparison("<", col("b"), lit(4))))
@@ -210,6 +238,38 @@ class TestAnalysis:
             Comparison("=", col("b"), lit(3)),
         ])
         assert elimination_ranges(expr) == {"a": (5, None), "b": (3, 3)}
+
+    def test_ranges_remember_the_conjuncts_folded_into_them(self):
+        low = Comparison(">=", col("a"), lit(3))
+        between = Between(col("a"), lit(0), lit(9))
+        flipped = Comparison("<", lit(1), col("b"))
+        not_folded = [Comparison("!=", col("a"), lit(4)),
+                      Comparison("<", col("a"), lit(None)),
+                      Between(col("b"), lit(None), lit(5)),
+                      Or((low, flipped))]
+        ranges = extract_column_ranges(
+            make_and([low, between, flipped] + not_folded))
+        assert ranges["a"].sources == (low, between)
+        assert ranges["b"].sources == (flipped,)
+        assert ranges["a"] == ColumnRange(low=3, high=9)  # sources not compared
+
+    def test_drop_folded_conjuncts(self):
+        keep = Comparison("!=", col("a"), lit(4))
+        flipped = Comparison("<", lit(1), col("b"))
+        expr = make_and([
+            Comparison(">=", col("a"), lit(3)), Between(col("a"), lit(0), lit(9)),
+            keep, flipped])
+        ranges = extract_column_ranges(expr)
+        assert drop_folded_conjuncts(expr, [ranges["a"]]) == make_and(
+            [keep, flipped])
+        assert drop_folded_conjuncts(expr, ranges.values()) == keep
+        assert drop_folded_conjuncts(expr, []) is expr
+        assert drop_folded_conjuncts(None, ranges.values()) is None
+        point = Comparison("=", col("a"), lit(5))
+        assert drop_folded_conjuncts(
+            point, extract_column_ranges(point).values()) is None
+        # by identity: an equal range built by hand enforces nothing known
+        assert drop_folded_conjuncts(expr, [ColumnRange(low=3, high=9)]) is expr
 
     def test_columns_collection(self):
         expr = make_and([

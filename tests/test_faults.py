@@ -13,6 +13,7 @@ from repro.core.errors import ProcessAbort, StorageError
 from repro.core.schema import Column, TableSchema
 from repro.core.types import INT, varchar
 from repro.engine.metrics import ExecutionContext
+from repro.storage.btree import iter_entries
 from repro.storage.checker import check_database, check_table
 from repro.storage.database import Database
 from repro.storage.faults import (
@@ -293,7 +294,8 @@ class TestDmlRollback:
         with pytest.raises(InjectedFault):
             table.update_rid(3, (3, 444, "kk"))
         ix = table.secondary_indexes["ix_b"]
-        assert any(rid == 3 for rid, _ in ix.seek_range((3,), (3,)))
+        assert any(key[-1] == 3 for key, _ in iter_entries(
+            ix.seek_range((3,), (3,))))
         assert check_table(table).ok
 
     def test_executor_rollback_surfaces_metrics(self):

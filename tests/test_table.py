@@ -9,6 +9,7 @@ from repro.engine.batch import concat_batches
 from repro.engine.metrics import ExecutionContext
 from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.database import Database
+from repro.storage.btree import iter_entries
 from repro.storage.heap import HeapFile
 from repro.storage.table import Table
 
@@ -33,7 +34,8 @@ class TestHeap:
         heap.insert(1, (1, 2, "x"))
         heap.insert(2, (3, 4, "y"))
         assert heap.fetch(1) == (1, 2, "x")
-        assert [rid for rid, _ in heap.scan()] == [1, 2]
+        assert list(heap.scan()) == [([1, 2], [(1, 2, "x"), (3, 4, "y")])]
+        assert [rid for rid, _ in iter_entries(heap.scan())] == [1, 2]
         assert len(heap) == 2
 
     def test_delete_and_update(self):
@@ -93,7 +95,7 @@ class TestPhysicalDesignChanges:
     def test_set_primary_btree_preserves_rows(self):
         table = loaded_table(200)
         table.set_primary_btree(["a"])
-        rows = [row for _, row in table.primary.scan()]
+        rows = [row for _, row in iter_entries(table.primary.scan())]
         assert len(rows) == 200
         assert rows[0][0] == 0
 
@@ -170,9 +172,10 @@ class TestDmlMaintainsAllIndexes:
         table = self.make_hybrid_table()
         rid = table.insert_row((1000, 77, "new"))
         assert table.get_row(rid) == (1000, 77, "new")
-        assert [r for _, r in table.primary.seek_range((1000,), (1000,))]
+        assert list(table.primary.seek_range((1000,), (1000,)))
         ix = table.secondary_indexes["ix_b"]
-        assert any(got_rid == rid for got_rid, _ in ix.seek_range((77,), (77,)))
+        assert any(key[-1] == rid for key, _ in iter_entries(
+            ix.seek_range((77,), (77,))))
         assert 1000 in self.all_a_values(table)
 
     def test_delete_reaches_every_index(self):
@@ -187,8 +190,8 @@ class TestDmlMaintainsAllIndexes:
         table.update_rid(5, (5, 999, "upd"))
         assert table.get_row(5) == (5, 999, "upd")
         ix = table.secondary_indexes["ix_b"]
-        hits = list(ix.seek_range((999,), (999,)))
-        assert [vals for _, vals in hits] == [(999, "upd")]
+        hits = list(iter_entries(ix.seek_range((999,), (999,))))
+        assert hits == [((999, 5), ("upd",))]
 
     def test_batch_delete(self):
         table = self.make_hybrid_table()
@@ -276,8 +279,8 @@ class TestUpdateRidsDedup:
         assert table.get_row(5) == (5, 222, "last")
         ix = table.secondary_indexes["ix_b"]
         assert not list(ix.seek_range((111,), (111,)))
-        hits = list(ix.seek_range((222,), (222,)))
-        assert [vals for _, vals in hits] == [(222, "last")]
+        hits = list(iter_entries(ix.seek_range((222,), (222,))))
+        assert hits == [((222, 5), ("last",))]
 
     def test_duplicate_rid_batch_stays_consistent(self):
         from repro.storage.checker import check_table
