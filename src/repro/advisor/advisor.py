@@ -19,17 +19,16 @@ Tuning modes reproduce the paper's three compared designs (Section 5.1):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.advisor.candidates import (
     CSI_MODE_ALL,
     CandidateGenerator,
-    CandidateSet,
     missing_index_candidates,
     select_candidates_per_query,
 )
-from repro.advisor.enumeration import GreedyEnumerator, SearchResult
+from repro.advisor.enumeration import GreedyEnumerator
 from repro.advisor.merging import merge_candidates
 from repro.advisor.size_estimation import estimate_csi_size
 from repro.advisor.workload import Workload

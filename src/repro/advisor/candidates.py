@@ -21,10 +21,10 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.advisor.size_estimation import estimate_csi_size
-from repro.advisor.workload import Workload, WorkloadStatement
+from repro.advisor.workload import Workload
 from repro.core.errors import AdvisorError
 from repro.engine.expressions import extract_column_ranges
 from repro.optimizer.catalog import Catalog

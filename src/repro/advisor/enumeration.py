@@ -18,16 +18,15 @@ table's primary structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.advisor.workload import Workload, WorkloadStatement
-from repro.core.errors import AdvisorError
 from repro.engine.expressions import extract_column_ranges
 from repro.optimizer.catalog import Catalog
 from repro.optimizer.plans import KIND_BTREE, KIND_CSI, KIND_HEAP, IndexDescriptor
 from repro.optimizer.whatif import Configuration, WhatIfSession
-from repro.sql.binder import BoundDelete, BoundInsert, BoundSelect, BoundUpdate
+from repro.sql.binder import BoundInsert
 
 #: Safety cap on greedy iterations.
 MAX_CHOSEN_INDEXES = 40

@@ -17,12 +17,12 @@ one of the indexes is a columnstore, then the candidates are not merged"
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.advisor.candidates import CandidateSet
 from repro.optimizer.catalog import Catalog
 from repro.optimizer.plans import KIND_CSI, IndexDescriptor
-from repro.optimizer.whatif import hypothetical_btree, hypothetical_columnstore
+from repro.optimizer.whatif import hypothetical_btree
 
 
 def merge_btree_pair(a: IndexDescriptor, b: IndexDescriptor,

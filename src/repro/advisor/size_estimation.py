@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.errors import AdvisorError
 from repro.core.types import TypeKind
 from repro.engine.batch import _column_array
-from repro.storage.compression import compress_rowgroup, count_runs
+from repro.storage.compression import compress_rowgroup
 from repro.storage.table import Table
 
 _RUN_HEADER_BYTES = 4

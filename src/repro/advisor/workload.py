@@ -9,8 +9,8 @@ costs to the advisor's objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from repro.core.errors import AdvisorError
 from repro.sql.binder import (
@@ -20,7 +20,6 @@ from repro.sql.binder import (
     BoundSelect,
     BoundUpdate,
 )
-from repro.sql.parser import parse
 from repro.storage.database import Database
 
 
@@ -67,8 +66,8 @@ class Workload:
             if statement.weight <= 0:
                 raise AdvisorError(
                     f"statement weight must be positive: {statement.sql!r}")
-            statement.bound = binder.bind(
-                parse(statement.sql, statement.params))
+            statement.bound = binder.bind(database.statement_cache.statement(
+                statement.sql, statement.params))
 
     @classmethod
     def from_sql(cls, sql_statements: Sequence[Union[str, Tuple[str, float]]],

@@ -7,7 +7,7 @@ plot; these helpers keep that output consistent across benches.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 #: Figure 9/11 bucket upper bounds; the final bucket is "> 10".
 SPEEDUP_BUCKETS = (0.5, 0.8, 1.2, 1.5, 2.0, 5.0, 10.0)

@@ -9,12 +9,11 @@ discrete-event concurrency simulator.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.concurrency import StatementProfile
-from repro.engine.executor import Executor, QueryResult
+from repro.engine.executor import Executor
 from repro.engine.locks import range_bucket
 from repro.engine.metrics import QueryMetrics
 from repro.storage.database import Database

@@ -8,7 +8,7 @@ name→position mapping and per-row validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.errors import SchemaError
 from repro.core.types import ColumnType

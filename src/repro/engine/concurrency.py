@@ -26,16 +26,12 @@ pool a core budget.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import TransactionError
 from repro.engine.locks import (
-    LOCK_S,
-    LOCK_X,
     READ_COMMITTED,
     SNAPSHOT,
     SNAPSHOT_READ_VERSION_MS,

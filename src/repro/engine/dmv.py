@@ -47,7 +47,7 @@ from repro.core.types import BIGINT, INT, decimal, varchar
 from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.database import Database
 from repro.storage.table import Table
-from repro.storage.waits import HISTOGRAM_BUCKETS_MS, WAIT_TYPES
+from repro.storage.waits import HISTOGRAM_BUCKETS_MS
 
 #: Names of every system view, in registration order.
 SYSTEM_VIEW_NAMES: Tuple[str, ...] = (

@@ -10,13 +10,16 @@ update-cost asymmetries of Figure 5 are measured.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
+from repro.engine.analyze import AnalyzedQuery
 from repro.engine.batch import batch_to_rows
+from repro.engine.dmv import SYSTEM_VIEW_NAMES, materialize_system_views
 from repro.engine.expressions import (
     ColumnRange,
     Expr,
@@ -26,6 +29,7 @@ from repro.engine.expressions import (
     extract_column_ranges,
 )
 from repro.engine.metrics import ExecutionContext, OperatorSpan, QueryMetrics
+from repro.engine.query_store import node_stats_from_span, plan_fingerprint
 from repro.optimizer.catalog import Catalog
 from repro.optimizer.cost_model import CostingOptions
 from repro.optimizer.materializer import Materializer
@@ -38,6 +42,7 @@ from repro.sql.binder import (
     BoundSelect,
     BoundUpdate,
 )
+from repro.sql.parser import Template, fill, instantiate
 from repro.storage.btree import (
     PrimaryBTreeIndex,
     SecondaryBTreeIndex,
@@ -92,6 +97,36 @@ class QueryResult:
         return [row[i] for row in self.rows]
 
 
+@dataclass
+class Statement:
+    """One statement's record: ``prepare`` creates it, each later stage
+    reads what the stages before it wrote, and the record stage tells
+    every sensor about the statement from it. Data only, except
+    ``enter``."""
+
+    sql: str
+    params: Sequence[object]
+    #: The cached template of the text, and that template with this
+    #: execution's values in its slots.
+    template: Template
+    parsed: object
+    #: Only a SELECT is: the latch mode a session admits the statement in.
+    read_only: bool
+    #: The one hook, behaviour rather than data: a context ``execute``
+    #: enters between opening the wait scope and begin. A session puts
+    #: its ``AdmissionController.admit(...)`` here (latch hold + memory
+    #: grant, so their queueing lands in ``waits``); embedded, nothing.
+    enter: ContextManager = nullcontext()
+    #: Written by begin (the logical-clock sequence number), bind, run.
+    stamp: Optional[int] = None
+    bound: object = None
+    ctx: Optional[ExecutionContext] = None
+    result: Optional[QueryResult] = None
+    #: ``wait_type -> [count, wait_ms]`` of the statement's wait scope.
+    waits: Optional[Dict[str, List[float]]] = None
+    error: Optional[BaseException] = None
+
+
 class Executor:
     """Executes SQL statements against a database."""
 
@@ -120,104 +155,156 @@ class Executor:
         physical design changes or bulk DML)."""
         self.catalog.invalidate()
 
-    # ------------------------------------------------------------ running
+    # ------------- pipeline: prepare -> begin -> bind -> run -> record
+    def prepare(self, sql: str, params: Sequence[object] = ()) -> Statement:
+        """Stage 1: the record for ``sql``, from one statement-cache
+        lookup. A pure function of text and values: it needs no latch,
+        and text that does not parse raises its ``SqlError`` here."""
+        template, values = self.database.statement_cache.lookup(sql)
+        parsed = instantiate(template, fill(values, params))
+        return Statement(sql, params, template, parsed, template.read_only)
+
     def execute(
         self,
-        sql: str,
+        sql: Union[str, Statement],
         params: Sequence[object] = (),
         cold: bool = False,
         memory_grant_bytes: Optional[int] = None,
         concurrent_queries: int = 1,
     ) -> QueryResult:
-        """Parse, plan, and run one statement."""
+        """Run one statement: SQL text, or the record a session prepared
+        and hung its admission on (``record.enter``). The wait scope
+        opens first, so queueing for the latch and the grant is charged
+        to the statement."""
+        record = sql if isinstance(sql, Statement) else self.prepare(
+            sql, params)
+        with self.database.waits.statement() as record.waits, \
+                record.enter:
+            self._begin(record)
+            try:
+                self._bind(record)
+                self._run(record, cold, memory_grant_bytes,
+                          concurrent_queries)
+            except BaseException as exc:
+                record.error = exc
+                raise
+            finally:
+                self._record(record)
+        return record.result
+
+    def _begin(self, record: Statement) -> None:
+        """Stage 2: stamp and announce the statement, and rematerialize
+        any ``dm_*`` view it references against current telemetry."""
         database = self.database
-        statement = database.statement_cache.statement(sql, params)
         # Every user statement advances the deterministic logical clock;
         # telemetry stamps recorded while it runs carry its sequence
         # number (observation-only: no modeled cost).
-        stamp = database.telemetry.clock.advance()
+        record.stamp = database.telemetry.clock.advance()
         # Emitted before the system views refresh so a query over
         # dm_xe_ring_buffer observes its own statement_begin.
         database.events.emit("statement_begin", {
-            "sql": sql[:200], "statement": stamp,
+            "sql": record.sql[:200], "statement": record.stamp,
         })
-        self._refresh_system_views(statement)
-        try:
-            with database.waits.statement() as profile:
-                bound = self.binder.bind(statement)
-                ctx = ExecutionContext(
-                    cost_model=database.cost_model, cold=cold,
-                    memory_grant_bytes=memory_grant_bytes,
-                    encoded_execution=self.encoded_execution,
-                    morsel_pool=self.morsel_pool,
-                    waits=database.waits,
-                )
-                ctx.charge_statement_overhead()
-                if isinstance(bound, BoundSelect):
-                    result = self._run_select(bound, ctx, concurrent_queries)
-                elif isinstance(bound, (BoundUpdate, BoundDelete,
-                                        BoundInsert)):
-                    # On a durable database every DML statement is one WAL
-                    # transaction: the redo ops raised by its Table calls
-                    # buffer in the scope and hit disk together with the
-                    # COMMIT before the statement returns. Failure aborts
-                    # the scope — nothing from this statement ever reaches
-                    # the log.
-                    with self._wal_statement():
-                        if isinstance(bound, BoundUpdate):
-                            result = self._run_update(bound, ctx)
-                        elif isinstance(bound, BoundDelete):
-                            result = self._run_delete(bound, ctx)
-                        else:
-                            result = self._run_insert(bound, ctx)
-                else:
-                    raise ExecutionError(
-                        f"cannot execute {type(bound).__name__}")
-        except BaseException as exc:
-            database.events.emit("statement_end", {
-                "sql": sql[:200], "statement": stamp,
-                "error": type(exc).__name__,
+        parsed = record.parsed
+        referenced = [
+            ref.table
+            for ref in getattr(parsed, "table_refs", None) or [parsed.table]
+            if ref.table in SYSTEM_VIEW_NAMES
+            and not database.has_table(ref.table)
+        ]
+        if referenced:
+            for name in materialize_system_views(
+                    database, names=referenced, query_store=self.query_store,
+                    buffer_pool=database.buffer_pool):
+                self.catalog.invalidate(name)
+
+    def _bind(self, record: Statement) -> object:
+        """Stage 3: resolve the statement's names against the catalog."""
+        record.bound = self.binder.bind(record.parsed)
+        return record.bound
+
+    def _run(self, record: Statement, cold: bool,
+             memory_grant_bytes: Optional[int],
+             concurrent_queries: int) -> None:
+        """Stage 4. SELECT: optimize, materialize, drain. DML: locate the
+        target rows, then apply them inside one WAL scope."""
+        bound, database = record.bound, self.database
+        record.ctx = ctx = ExecutionContext(
+            cost_model=database.cost_model, cold=cold,
+            memory_grant_bytes=memory_grant_bytes,
+            encoded_execution=self.encoded_execution,
+            morsel_pool=self.morsel_pool,
+            waits=database.waits,
+        )
+        ctx.charge_statement_overhead()
+        result = QueryResult(columns=[], rows=[], metrics=ctx.metrics)
+        if isinstance(bound, BoundSelect):
+            result.plan = self._optimizer(
+                ctx.memory_grant_bytes, cold, concurrent_queries,
+            ).optimize(bound)
+            root = self.materializer.materialize(result.plan)
+            result.columns = root.output_columns
+            for batch in root.execute(ctx):
+                result.rows.extend(batch_to_rows(batch, result.columns))
+            ctx.metrics.rows_returned = len(result.rows)
+        elif type(bound) in self._APPLY:
+            # On a durable database every DML statement is one WAL
+            # transaction: the redo ops raised by its Table calls buffer
+            # in the scope and hit disk together with the COMMIT before
+            # the statement returns. Failure aborts the scope — nothing
+            # from this statement ever reaches the log.
+            wal = database.wal
+            with nullcontext() if wal is None else wal.statement():
+                result.rows_affected = self._APPLY[type(bound)](
+                    self, bound, ctx)
+        else:
+            raise ExecutionError(f"cannot execute {type(bound).__name__}")
+        record.result = result
+
+    def _record(self, record: Statement) -> None:
+        """Stage 5, success or failure: close the spans, format the wait
+        profile, feed the Query Store, emit ``statement_end``, offer the
+        history a sample."""
+        database, result = self.database, record.result
+        payload = {"sql": record.sql[:200], "statement": record.stamp}
+        if record.error is not None:
+            payload["error"] = type(record.error).__name__
+        else:
+            record.ctx.finalize_spans()
+            result.root_span = record.ctx.root_span
+            result.replayed_io_ms = record.ctx.replayed_io_ms
+            result.wait_profile = {
+                wait_type: {"count": int(count), "wait_ms": round(ms, 4)}
+                for wait_type, (count, ms) in sorted(record.waits.items())
+            }
+            if self.query_store is not None:
+                self._record_in_query_store(record.sql, result)
+            payload.update(
+                elapsed_ms=round(result.metrics.elapsed_ms, 4),
+                cpu_ms=round(result.metrics.cpu_ms, 4),
+                rows=len(result.rows), rows_affected=result.rows_affected)
+            if result.wait_profile:
+                # Only when the statement blocked, so single-threaded
+                # determinism harnesses see stable payloads.
+                payload["waits"] = result.wait_profile
+        database.events.emit("statement_end", payload)
+        if record.error is None:
+            database.history.maybe_sample(database)
+
+    def _record_in_query_store(self, sql: str, result: QueryResult) -> None:
+        fingerprint = plan_fingerprint(result.plan)
+        prior = self.query_store.stats(sql)
+        if (fingerprint and prior is not None and prior.plan_fingerprints
+                and fingerprint not in prior.plan_fingerprints):
+            self.database.events.emit("plan_change", {
+                "sql": sql[:200],
+                "previous_plan": prior.plan_fingerprints[-1][:200],
+                "new_plan": fingerprint[:200],
             })
-            raise
-        ctx.finalize_spans()
-        result.root_span = ctx.root_span
-        result.replayed_io_ms = ctx.replayed_io_ms
-        result.wait_profile = {
-            wait_type: {"count": int(count), "wait_ms": round(ms, 4)}
-            for wait_type, (count, ms) in sorted(profile.items())
-        }
-        if self.query_store is not None:
-            from repro.engine.query_store import (
-                node_stats_from_span,
-                plan_fingerprint,
-            )
-            fingerprint = plan_fingerprint(result.plan)
-            prior = self.query_store.stats(sql)
-            if (fingerprint and prior is not None and prior.plan_fingerprints
-                    and fingerprint not in prior.plan_fingerprints):
-                database.events.emit("plan_change", {
-                    "sql": sql[:200],
-                    "previous_plan": prior.plan_fingerprints[-1][:200],
-                    "new_plan": fingerprint[:200],
-                })
-            self.query_store.record(sql, result.metrics, fingerprint,
-                                    node_stats=node_stats_from_span(
-                                        ctx.root_span),
-                                    wait_profile=result.wait_profile)
-        end_payload = {
-            "sql": sql[:200], "statement": stamp,
-            "elapsed_ms": round(result.metrics.elapsed_ms, 4),
-            "cpu_ms": round(result.metrics.cpu_ms, 4),
-            "rows": len(result.rows),
-            "rows_affected": result.rows_affected,
-        }
-        if result.wait_profile:
-            # Wall-clock blocking appears only when it happened, so the
-            # single-threaded determinism harnesses see stable payloads.
-            end_payload["waits"] = result.wait_profile
-        database.events.emit("statement_end", end_payload)
-        database.history.maybe_sample(database)
-        return result
+        self.query_store.record(
+            sql, result.metrics, fingerprint,
+            node_stats=node_stats_from_span(result.root_span),
+            wait_profile=result.wait_profile)
 
     def explain_analyze(
         self,
@@ -225,13 +312,12 @@ class Executor:
         params: Sequence[object] = (),
         cold: bool = False,
         memory_grant_bytes: Optional[int] = None,
-    ) -> "AnalyzedQuery":
+    ) -> AnalyzedQuery:
         """Execute ``sql`` and return the plan tree annotated with actual
         per-operator statistics (rows, batches, elapsed/CPU, I/O, memory,
         spills) next to the optimizer's estimates — the reproduction of
         SQL Server's actual-execution-plan / DMV surface the paper's
         methodology leans on (Sections 3.1, 5.2.1)."""
-        from repro.engine.analyze import AnalyzedQuery
         result = self.execute(sql, params=params, cold=cold,
                               memory_grant_bytes=memory_grant_bytes)
         return AnalyzedQuery(sql=sql, result=result)
@@ -245,35 +331,10 @@ class Executor:
              cold: bool = False,
              memory_grant_bytes: Optional[int] = None) -> PlannedQuery:
         """Optimize a SELECT without executing it."""
-        bound = self.binder.bind(
-            self.database.statement_cache.statement(sql, params))
+        bound = self._bind(self.prepare(sql, params))
         if not isinstance(bound, BoundSelect):
             raise ExecutionError("plan() supports SELECT statements")
         return self._optimizer(memory_grant_bytes, cold).optimize(bound)
-
-    def _refresh_system_views(self, statement) -> None:
-        """Rematerialize any ``dm_*`` system view the statement references
-        so it binds and executes against current telemetry."""
-        from repro.engine.dmv import (
-            SYSTEM_VIEW_NAMES,
-            materialize_system_views,
-        )
-        refs = getattr(statement, "table_refs", None)
-        if refs is None:
-            table = getattr(statement, "table", None)
-            refs = [table] if table is not None else []
-        referenced = [
-            ref.table for ref in refs
-            if ref.table in SYSTEM_VIEW_NAMES
-            and not self.database.has_table(ref.table)
-        ]
-        if not referenced:
-            return
-        for name in materialize_system_views(
-                self.database, names=referenced,
-                query_store=self.query_store,
-                buffer_pool=getattr(self.database, "buffer_pool", None)):
-            self.catalog.invalidate(name)
 
     def _optimizer(self, memory_grant_bytes: Optional[int],
                    cold: bool, concurrent_queries: int = 1) -> Optimizer:
@@ -284,20 +345,6 @@ class Executor:
         )
         return Optimizer(self.catalog, options,
                          telemetry=self.database.telemetry)
-
-    def _run_select(self, bound: BoundSelect, ctx: ExecutionContext,
-                    concurrent_queries: int) -> QueryResult:
-        planned = self._optimizer(
-            ctx.memory_grant_bytes, ctx.cold, concurrent_queries,
-        ).optimize(bound)
-        root = self.materializer.materialize(planned)
-        rows: List[Tuple[object, ...]] = []
-        names = root.output_columns
-        for batch in root.execute(ctx):
-            rows.extend(batch_to_rows(batch, names))
-        ctx.metrics.rows_returned = len(rows)
-        return QueryResult(columns=names, rows=rows, metrics=ctx.metrics,
-                           plan=planned)
 
     # ---------------------------------------------------------------- DML
     def _positions_for(self, table: Table) -> Dict[str, int]:
@@ -418,7 +465,7 @@ class Executor:
         return best
 
     def _run_update(self, bound: BoundUpdate,
-                    ctx: ExecutionContext) -> QueryResult:
+                    ctx: ExecutionContext) -> int:
         table = bound.table
         rids = self._locate_rids(table, bound.where, bound.top, ctx)
         positions = self._positions_for(table)
@@ -438,20 +485,17 @@ class Executor:
                 new_row[ordinal] = eval_row(expr, row, positions)
             updates.append((rid, tuple(new_row)))
         table.update_rids(updates, ctx)
-        ctx.metrics.rows_returned = 0
-        return QueryResult(columns=[], rows=[], metrics=ctx.metrics,
-                           rows_affected=len(updates))
+        return len(updates)
 
     def _run_delete(self, bound: BoundDelete,
-                    ctx: ExecutionContext) -> QueryResult:
+                    ctx: ExecutionContext) -> int:
         table = bound.table
         rids = self._locate_rids(table, bound.where, bound.top, ctx)
         table.delete_rids(rids, ctx)
-        return QueryResult(columns=[], rows=[], metrics=ctx.metrics,
-                           rows_affected=len(rids))
+        return len(rids)
 
     def _run_insert(self, bound: BoundInsert,
-                    ctx: ExecutionContext) -> QueryResult:
+                    ctx: ExecutionContext) -> int:
         table = bound.table
         inserted: List[int] = []
         try:
@@ -466,17 +510,12 @@ class Executor:
                 for rid in reversed(inserted):
                     table.delete_rid(rid)
             raise
-        return QueryResult(columns=[], rows=[], metrics=ctx.metrics,
-                           rows_affected=len(bound.rows))
+        return len(bound.rows)
 
-    def _wal_statement(self):
-        """The WAL statement scope for one DML statement (no-op context
-        on a non-durable database)."""
-        wal = self.database.wal
-        if wal is None:
-            from contextlib import nullcontext
-            return nullcontext()
-        return wal.statement()
+    #: The apply step of each DML statement kind; each returns the
+    #: number of rows it affected.
+    _APPLY = {BoundUpdate: _run_update, BoundDelete: _run_delete,
+              BoundInsert: _run_insert}
 
 
 def _prefix_bounds_for(key_columns: Sequence[str],

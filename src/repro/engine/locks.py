@@ -26,10 +26,8 @@ order (a simplification that keeps the simulator deterministic).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.errors import TransactionError
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.core.errors import ExecutionError
@@ -122,6 +123,9 @@ SPAN_ATTRIBUTED_FIELDS = (
     "faults_injected",
     "rollbacks",
 )
+#: ``QueryMetrics`` -> the tuple of those fields' current values: one C
+#: call per span switch (a point lookup switches spans 14 times).
+_metrics_mark = attrgetter(*SPAN_ATTRIBUTED_FIELDS)
 
 
 @dataclass
@@ -254,18 +258,14 @@ class ExecutionContext:
         #: operator (statement overhead, DML index maintenance) land here.
         self.root_span = OperatorSpan(label="<statement>", op_id=0)
         self._span_stack: List[OperatorSpan] = [self.root_span]
-        self._span_mark = self._metrics_mark()
+        self._span_mark = _metrics_mark(self.metrics)
         self._next_span_id = 1
 
     # ------------------------------------------------------------- spans
-    def _metrics_mark(self):
-        metrics = self.metrics
-        return tuple(getattr(metrics, name) for name in SPAN_ATTRIBUTED_FIELDS)
-
     def _attribute_to_active(self) -> None:
         """Charge everything since the last switch point to the span that
         was active during that interval (the current stack top)."""
-        mark = self._metrics_mark()
+        mark = _metrics_mark(self.metrics)
         previous = self._span_mark
         if mark != previous:
             span = self._span_stack[-1]

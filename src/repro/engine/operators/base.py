@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.core.errors import ExecutionError
 from repro.engine.batch import Batch

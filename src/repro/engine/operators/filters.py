@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
-from repro.engine.batch import Batch, batch_to_rows, rows_to_batch
-from repro.engine.expressions import Expr, eval_batch, eval_row
+from repro.engine.batch import Batch
+from repro.engine.expressions import Expr, eval_batch
 from repro.engine.metrics import ExecutionContext
-from repro.engine.operators.base import BATCH_MODE, PhysicalOperator, ROW_MODE
+from repro.engine.operators.base import PhysicalOperator
 
 
 class Filter(PhysicalOperator):

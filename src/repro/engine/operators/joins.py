@@ -20,7 +20,7 @@ from repro.engine.encoded import (
     note_code_fallback,
     note_code_hit,
 )
-from repro.engine.expressions import ColumnRange, Expr, compile_row_predicate
+from repro.engine.expressions import Expr, compile_row_predicate
 from repro.engine.metrics import ExecutionContext
 from repro.engine.operators.base import BATCH_MODE, PhysicalOperator, ROW_MODE
 from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex

@@ -17,7 +17,6 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
 
 from repro.core.errors import ExecutionError
 from repro.engine.batch import Batch, _column_array, rows_to_batch

@@ -14,7 +14,7 @@ the input) plus extra CPU, while still producing exact results.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import math
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.engine.costs import MB, CostModel
-from repro.optimizer.plans import (
-    KIND_BTREE,
-    KIND_CSI,
-    KIND_HEAP,
-    IndexDescriptor,
-)
+from repro.optimizer.plans import KIND_HEAP, IndexDescriptor
 
 
 @dataclass

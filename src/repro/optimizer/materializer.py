@@ -8,7 +8,6 @@ real execution.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
 
 from repro.core.errors import OptimizerError
 from repro.engine.expressions import ColumnRef

@@ -26,7 +26,7 @@ descriptors), and DTA's configuration search.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import OptimizerError
 from repro.engine.expressions import (

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import OptimizerError
 from repro.engine.expressions import ColumnRange, Expr
 from repro.engine.operators.aggregates import AggregateSpec
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.errors import CatalogError, OptimizerError
 from repro.optimizer.catalog import Catalog
@@ -34,7 +34,6 @@ from repro.optimizer.plans import (
     PlannedQuery,
 )
 from repro.sql.binder import Binder, BoundSelect
-from repro.sql.parser import parse
 from repro.storage.database import Database
 
 _hypo_counter = itertools.count(1)
@@ -178,7 +177,8 @@ class WhatIfSession:
     def _bind(self, bound_or_sql) -> BoundSelect:
         if isinstance(bound_or_sql, BoundSelect):
             return bound_or_sql
-        bound = self.binder.bind(parse(bound_or_sql))
+        bound = self.binder.bind(
+            self.database.statement_cache.statement(bound_or_sql))
         if not isinstance(bound, BoundSelect):
             raise OptimizerError("what-if costing supports SELECTs")
         return bound

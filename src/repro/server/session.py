@@ -3,11 +3,12 @@
 A :class:`SessionManager` wraps one
 :class:`~repro.storage.database.Database` and hands out
 :class:`Session` objects — one per client. Each session owns its own
-:class:`~repro.engine.executor.Executor` (its own binder and statement
-pipeline, so per-statement state never crosses sessions) while sharing
-the manager's :class:`~repro.optimizer.catalog.Catalog` (statistics are
-a property of the data, not the client), admission controller, and
-optional morsel pool.
+:class:`~repro.engine.executor.Executor` (its own binder; a statement's
+state lives in the record its pipeline run creates, so it never crosses
+sessions) while sharing the manager's
+:class:`~repro.optimizer.catalog.Catalog` (statistics are a property of
+the data, not the client), admission controller, and optional morsel
+pool.
 
 What is per-session vs shared (the ownership rules DESIGN.md spells
 out):
@@ -36,50 +37,14 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.core.errors import ExecutionError, SqlError
+from repro.core.errors import ExecutionError
 from repro.engine.executor import Executor, QueryResult
 from repro.optimizer.catalog import Catalog
 from repro.server.parallel_scan import MorselPool
 from repro.server.scheduler import AdmissionController
-from repro.sql.cache import StatementCache
-from repro.sql.lexer import KEYWORD, LPAREN, tokenize
-from repro.sql.parser import parse_template
 from repro.storage.database import Database
-
-
-def statement_writes(sql: str, params: Sequence[object] = (),
-                     cache: Optional[StatementCache] = None) -> bool:
-    """Whether ``sql`` needs exclusive (write) access.
-
-    Classification comes from the *parsed* statement type — only a
-    SELECT template is read-only — so leading comments, whitespace, or
-    future read-only syntax can never be lexically misclassified as
-    DML. The template comes from ``cache`` when one is given (a session
-    passes its database's, so the executor's parse of the same text is
-    a hit); ``params`` do not affect the statement's type. If the
-    statement does not parse, fall back to the first meaningful token
-    (comments are stripped by the lexer, leading parentheses skipped);
-    anything that is not ``SELECT`` gets the exclusive latch, the safe
-    default for unknown syntax — the executor will surface the real
-    error either way.
-    """
-    try:
-        template = (parse_template(tokenize(sql)) if cache is None
-                    else cache.template(sql))
-        return not template.read_only
-    except SqlError:
-        pass
-    try:
-        tokens = tokenize(sql)
-    except SqlError:
-        return True
-    for token in tokens:
-        if token.type == LPAREN:
-            continue
-        return not (token.type == KEYWORD and token.value == "select")
-    return True
 
 
 class SessionStats:
@@ -129,23 +94,30 @@ class Session:
                  cold: bool = False):
         self.manager = manager
         self.session_id = session_id
-        #: Per-session dictionary-coded execution override (None defers
-        #: to the process default) — the fix for the process-global
-        #: ``set_encoded_execution`` leak.
-        self.encoded_execution = encoded_execution
         #: Per-session run temperature: cold statements charge modeled
         #: I/O (and can replay it, see the module docstring).
         self.cold = cold
         self.stats = SessionStats()
         self._txn_depth = 0
-        self._txn_exit = None
         self._executor = Executor(
             manager.database,
             catalog=manager.catalog,
             query_store=manager.query_store,
         )
+        self._executor.encoded_execution = encoded_execution
         self._executor.morsel_pool = manager.morsel_pool
         self.closed = False
+
+    @property
+    def encoded_execution(self) -> Optional[bool]:
+        """Per-session dictionary-coded execution override (None defers
+        to the process default) — the fix for the process-global
+        ``set_encoded_execution`` leak. Lives on the session's executor."""
+        return self._executor.encoded_execution
+
+    @encoded_execution.setter
+    def encoded_execution(self, value: Optional[bool]) -> None:
+        self._executor.encoded_execution = value
 
     # ---------------------------------------------------------- execution
     def execute(self, sql: str, params: Sequence[object] = (),
@@ -153,38 +125,30 @@ class Session:
                 memory_grant_bytes: Optional[int] = None) -> QueryResult:
         """Run one statement under admission control.
 
-        The statement queues for its memory grant, takes the database
-        latch in the mode its class needs (SELECT shared, DML
-        exclusive), executes, then replays any un-replayed modeled I/O
-        wait as real sleep when the manager has a replay scale.
+        The statement is prepared (text that does not parse fails here,
+        holding nothing), queues for the database latch in the mode its
+        class needs (SELECT shared, DML exclusive) and for its memory
+        grant, executes, then replays any un-replayed modeled I/O wait
+        as real sleep when the manager has a replay scale.
         """
         if self.closed:
             raise ExecutionError(f"session {self.session_id} is closed")
-        run_cold = self.cold if cold is None else cold
-        writes = statement_writes(
-            sql, params, self.manager.database.statement_cache)
-        self._executor.encoded_execution = self.encoded_execution
-        # The wait-stats session scope covers admission *and* execution,
-        # so latch/grant queueing and every in-engine wait this thread
-        # hits are attributed to this session in
-        # dm_exec_session_wait_stats. The statement scope opens out here
-        # too (the executor's own scope joins it), so admission waits
-        # appear in the statement's wait profile exactly as SQL Server
-        # charges RESOURCE_SEMAPHORE time to the waiting statement.
-        waits = self.manager.database.waits
-        with waits.session_scope(self.session_id):
-            with waits.statement():
-                with self.manager.admission.admit(
-                        self.session_id, writes, memory_grant_bytes):
-                    result = self._executor.execute(
-                        sql, params=params, cold=run_cold,
-                        memory_grant_bytes=memory_grant_bytes)
+        record = self._executor.prepare(sql, params)
+        record.enter = self.manager.admission.admit(
+            self.session_id, not record.read_only, memory_grant_bytes)
+        # The session scope attributes every wait this thread hits,
+        # admission queueing included, to this session in
+        # dm_exec_session_wait_stats.
+        with self.manager.database.waits.session_scope(self.session_id):
+            result = self._executor.execute(
+                record, cold=self.cold if cold is None else cold,
+                memory_grant_bytes=memory_grant_bytes)
         self._replay_io(result)
         self.stats.statements += 1
-        if writes:
-            self.stats.writes += 1
-        else:
+        if record.read_only:
             self.stats.reads += 1
+        else:
+            self.stats.writes += 1
         self.stats.rows_returned += len(result.rows)
         self.stats.rows_affected += result.rows_affected
         self.stats.modeled_elapsed_ms += result.metrics.elapsed_ms
@@ -289,14 +253,6 @@ class SessionManager:
         self._sessions: Dict[int, Session] = {}
         self._next_session_id = 1
         self._lock = threading.Lock()
-
-    @property
-    def buffer_pool(self):
-        """The database's demand-paging buffer pool (None unless it was
-        opened with ``paging=True``). One pool serves every session and
-        every morsel worker — the pool's internal lock is what makes the
-        shared read path safe, mirroring the decoded segment cache."""
-        return getattr(self.database, "buffer_pool", None)
 
     # ----------------------------------------------------------- sessions
     def session(self, encoded_execution: Optional[bool] = None,

@@ -9,7 +9,7 @@ not scalar expressions) and :class:`Star` (``SELECT *`` / ``COUNT(*)``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.engine.expressions import Expr
 

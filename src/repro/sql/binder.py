@@ -10,8 +10,8 @@ consumes.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import SqlError
 from repro.core.types import TypeKind, date_to_int

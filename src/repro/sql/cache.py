@@ -66,14 +66,13 @@ class StatementCache:
     def statement(self, sql: str, params: Sequence[object] = ()):
         """What ``parse(sql, params)`` returns, parsing only when the
         text's template is not cached."""
-        template, values = self._lookup(sql)
+        template, values = self.lookup(sql)
         return instantiate(template, fill(values, params))
 
-    def template(self, sql: str) -> Template:
-        """The text's template (enough to classify the statement)."""
-        return self._lookup(sql)[0]
-
-    def _lookup(self, sql: str) -> Tuple[Template, Sequence[object]]:
+    def lookup(self, sql: str) -> Tuple[Template, Sequence[object]]:
+        """The text's template and the values found in the text for its
+        slots (:data:`~repro.sql.parser.UNBOUND` where the text has a
+        ``?``); ``statement`` is a view of this."""
         entries = self._entries
         with self._lock:
             entry = entries.get(sql)

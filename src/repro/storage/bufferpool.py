@@ -1,27 +1,16 @@
 """A byte-budgeted LRU buffer pool with pin counts and demand loading.
 
-Two usage regimes share one class:
-
-* **Modeled residency** (the original role): a context holding a
-  :class:`BufferPool` charges I/O only for pages that miss, and repeated
-  runs warm the cache, so a "cold then hot" sequence can be produced by
-  executing the same query twice against one pool. :meth:`touch` /
-  :meth:`touch_range` access pages without contents; each modeled page
-  is accounted at :data:`PAGE_BYTES`.
-
-* **Real demand paging** (``Database.open(..., paging=True)``): the pool
-  is the buffer manager over the durable snapshot. :meth:`get_or_load`
-  faults B+ leaf pages and columnstore segment pages in from the
-  snapshot file on first touch, keeps them under the byte budget with
-  LRU eviction, and honors **pin counts** so a page cannot be evicted
-  while a scan or seek is reading it (eviction skips pinned frames; if
-  everything is pinned the pool temporarily overcommits rather than
-  corrupting a reader).
+The pool is the buffer manager over the durable snapshot
+(``Database.open(..., paging=True)``). :meth:`get_or_load` faults B+
+leaf pages and columnstore segment pages in from the snapshot file on
+first touch, keeps them under the byte budget with LRU eviction, and
+honors **pin counts** so a page cannot be evicted while a scan or seek
+is reading it (eviction skips pinned frames; if everything is pinned the
+pool temporarily overcommits rather than corrupting a reader).
 
 Pages are identified by ``(object_id, page_no)`` where ``object_id`` is
-an index- or heap-unique integer handed out by :class:`PageAllocator`
-(or, for durable databases, recorded in the snapshot catalog) and
-``page_no`` is the page's id within the snapshot stream.
+the index's id recorded in the snapshot catalog and ``page_no`` is the
+page's id within the snapshot stream.
 
 The pool is shared by every serving session and every morsel worker, so
 all map mutations, LRU reordering, pin counts, and counters run under a
@@ -39,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, Set, Tuple
 
 from repro.core.errors import StorageError
 from repro.storage.waits import WAIT_PAGEIOLATCH
@@ -54,8 +43,7 @@ EVICTION_STORM_THRESHOLD = 32
 #: The modeled page size, shared with :mod:`repro.storage.pages` and the
 #: DMV byte math in :mod:`repro.engine.dmv`. Real snapshot pages are
 #: variable-length (header + tagged payload); this constant prices
-#: *modeled* page accesses and converts the legacy ``capacity_pages``
-#: construction into a byte budget.
+#: *modeled* page accesses.
 PAGE_BYTES = 8192
 
 #: Default demand-paging budget for ``Database.open(..., paging=True)``
@@ -63,26 +51,9 @@ PAGE_BYTES = 8192
 DEFAULT_POOL_BYTES = 64 * 1024 * 1024
 
 
-class PageAllocator:
-    """Hands out unique object ids to storage structures.
-
-    Each heap, B+ tree, or columnstore obtains one object id; its pages
-    are then ``(object_id, 0..n)``.
-    """
-
-    def __init__(self) -> None:
-        self._next_object_id = 1
-
-    def allocate_object(self) -> int:
-        """Hand out the next unique object id."""
-        oid = self._next_object_id
-        self._next_object_id += 1
-        return oid
-
-
 class _Frame:
-    """One resident page: its payload (None for modeled pages), its
-    budget charge, and how many readers currently pin it."""
+    """One resident page: its payload, its budget charge, and how many
+    readers currently pin it."""
 
     __slots__ = ("value", "nbytes", "pins")
 
@@ -97,31 +68,14 @@ class BufferPool:
 
     Parameters
     ----------
-    capacity_pages:
-        Legacy sizing: the budget becomes ``capacity_pages * PAGE_BYTES``
-        so modeled :meth:`touch` accesses (charged at one
-        :data:`PAGE_BYTES` each) keep exactly the old fixed-capacity LRU
-        behavior.
     budget_bytes:
-        Direct byte budget for demand paging. Exactly one of the two
-        must be given.
+        Bytes of page payload the pool may keep resident.
     """
 
-    def __init__(self, capacity_pages: Optional[int] = None,
-                 budget_bytes: Optional[int] = None):
-        if (capacity_pages is None) == (budget_bytes is None):
-            raise StorageError(
-                "BufferPool needs exactly one of capacity_pages / "
-                "budget_bytes")
-        if capacity_pages is not None:
-            if capacity_pages <= 0:
-                raise StorageError("buffer pool capacity must be positive")
-            budget_bytes = capacity_pages * PAGE_BYTES
+    def __init__(self, budget_bytes: int):
         if budget_bytes <= 0:
             raise StorageError("buffer pool budget must be positive")
         self.budget_bytes = int(budget_bytes)
-        #: Budget expressed in modeled pages (DMV compatibility).
-        self.capacity_pages = max(1, self.budget_bytes // PAGE_BYTES)
         self._resident: "OrderedDict[PageId, _Frame]" = OrderedDict()
         #: object_id -> resident page keys of that object, so
         #: :meth:`evict_object` is O(pages of the object).
@@ -220,30 +174,6 @@ class BufferPool:
         self._index_page(page)
         self.peak_bytes = max(self.peak_bytes, self._bytes)
 
-    # ----------------------------------------------------- modeled access
-    def touch(self, pages: Iterable[PageId]) -> int:
-        """Access ``pages`` in order; return how many were misses.
-
-        Modeled access: missing pages become resident with no payload,
-        charged at one :data:`PAGE_BYTES` each.
-        """
-        missed = 0
-        with self._lock:
-            for page in pages:
-                frame = self._resident.get(page)
-                if frame is not None:
-                    self._resident.move_to_end(page)
-                    self.hits += 1
-                else:
-                    missed += 1
-                    self.misses += 1
-                    self._insert(page, _Frame(None, PAGE_BYTES))
-        return missed
-
-    def touch_range(self, object_id: int, start: int, count: int) -> int:
-        """Access a contiguous page range of one object; returns misses."""
-        return self.touch((object_id, p) for p in range(start, start + count))
-
     # ------------------------------------------------------ demand paging
     def get_or_load(self, page: PageId,
                     loader: Callable[[], Tuple[object, int]],
@@ -257,11 +187,6 @@ class BufferPool:
         """
         with self._lock:
             frame = self._resident.get(page)
-            if frame is not None and frame.value is None:
-                # Modeled residency only (:meth:`touch`): the payload was
-                # never loaded, so a content request is still a fault.
-                self._drop(page, frame)
-                frame = None
             if frame is not None:
                 self._resident.move_to_end(page)
                 self.hits += 1

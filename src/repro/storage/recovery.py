@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.errors import RecoveryError, ReproError
 from repro.storage.checker import check_database

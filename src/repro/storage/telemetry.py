@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 #: How many distinct recent statement stamps each index remembers for

@@ -22,9 +22,7 @@ from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.workloads.tpcc import (
     DISTRICTS_PER_WAREHOUSE,
-    N_ITEMS,
     ORDERS_PER_DISTRICT,
-    STOCK_PER_WAREHOUSE,
     generate_tpcc,
 )
 

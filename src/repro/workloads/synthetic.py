@@ -10,7 +10,7 @@ linearly onto the value domain.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.errors import AdvisorError
 from repro.core.schema import Column, TableSchema

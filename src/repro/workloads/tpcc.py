@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.schema import Column, TableSchema
-from repro.core.types import DATE, INT, decimal, varchar
+from repro.core.types import INT, decimal, varchar
 from repro.storage.database import Database
 from repro.storage.table import Table
 

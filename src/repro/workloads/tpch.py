@@ -14,7 +14,7 @@ size-estimation example of Section 4.4).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.core.schema import Column, TableSchema
 from repro.core.types import DATE, INT, date_to_int, decimal, varchar

@@ -29,7 +29,7 @@ from repro.engine.executor import Executor
 from repro.engine.query_store import QueryStore
 from repro.optimizer.catalog import Catalog
 from repro.optimizer.whatif import WhatIfSession, hypothetical_btree
-from repro.storage.bufferpool import BufferPool
+from repro.storage.bufferpool import PAGE_BYTES, BufferPool
 from repro.storage.database import Database
 from repro.storage.telemetry import IndexUsageStats, LogicalClock
 from repro.storage.waits import WAIT_TYPES
@@ -456,9 +456,9 @@ class TestExports:
 
     def test_memory_cache_counters_with_buffer_pool(self):
         database = make_db()
-        pool = BufferPool(capacity_pages=64)
-        pool.touch([1])
-        pool.touch([1])
+        pool = BufferPool(budget_bytes=64 * PAGE_BYTES)
+        for _ in range(2):      # a miss, then a hit
+            pool.get_or_load((1, 0), lambda: (b"page", PAGE_BYTES))
         table = build_view("dm_os_memory_cache_counters", database,
                            buffer_pool=pool)
         rows = {row[0]: row for _, row in table.iter_rows()}

@@ -14,7 +14,7 @@ from repro.engine.batch import (
 )
 from repro.engine.costs import DEFAULT_COST_MODEL, MB, CostModel
 from repro.engine.metrics import ExecutionContext, QueryMetrics
-from repro.storage.bufferpool import BufferPool, PageAllocator
+from repro.storage.bufferpool import PAGE_BYTES, BufferPool
 
 
 class TestExecutionContext:
@@ -179,25 +179,28 @@ class TestBatch:
         assert batch.column("a").dtype == object
 
 
+def _load(pool, object_id, start, count):
+    """Read ``count`` pages of one object through the pool; returns how
+    many of them faulted."""
+    before = pool.misses
+    for page_no in range(start, start + count):
+        pool.get_or_load((object_id, page_no), lambda: (b"page", PAGE_BYTES))
+    return pool.misses - before
+
+
 class TestBufferPool:
     def test_lru_eviction(self):
-        pool = BufferPool(capacity_pages=2)
-        assert pool.touch([(1, 0), (1, 1)]) == 2
-        assert pool.touch([(1, 0)]) == 0  # hit, refreshes LRU position
-        assert pool.touch([(1, 2)]) == 1  # evicts (1, 1)
+        pool = BufferPool(budget_bytes=2 * PAGE_BYTES)
+        assert _load(pool, 1, 0, 2) == 2
+        assert _load(pool, 1, 0, 1) == 0  # hit, refreshes LRU position
+        assert _load(pool, 1, 2, 1) == 1  # evicts (1, 1)
         assert pool.is_resident((1, 0))
         assert not pool.is_resident((1, 1))
 
-    def test_touch_range_and_hit_ratio(self):
-        pool = BufferPool(capacity_pages=10)
-        assert pool.touch_range(5, 0, 4) == 4
-        assert pool.touch_range(5, 0, 4) == 0
-        assert pool.hit_ratio == pytest.approx(0.5)
-
     def test_evict_object(self):
-        pool = BufferPool(capacity_pages=10)
-        pool.touch_range(1, 0, 3)
-        pool.touch_range(2, 0, 2)
+        pool = BufferPool(budget_bytes=10 * PAGE_BYTES)
+        _load(pool, 1, 0, 3)
+        _load(pool, 2, 0, 2)
         pool.evict_object(1)
         assert len(pool) == 2
 
@@ -208,41 +211,41 @@ class TestBufferPool:
     def test_clear_resets_hit_ratio(self):
         # Regression: clear() left hits/misses intact, so hit_ratio bled
         # across back-to-back experiments sharing one pool.
-        pool = BufferPool(capacity_pages=10)
-        pool.touch_range(1, 0, 4)
-        pool.touch_range(1, 0, 4)
+        pool = BufferPool(budget_bytes=10 * PAGE_BYTES)
+        _load(pool, 1, 0, 4)
+        _load(pool, 1, 0, 4)
         assert pool.hit_ratio == pytest.approx(0.5)
         pool.clear()
         assert pool.hit_ratio == 0.0
         assert len(pool) == 0
-        assert pool.touch_range(1, 0, 2) == 2  # all cold again
+        assert _load(pool, 1, 0, 2) == 2  # all cold again
 
     def test_evict_all_keeps_stats(self):
-        pool = BufferPool(capacity_pages=10)
-        pool.touch_range(1, 0, 4)
+        pool = BufferPool(budget_bytes=10 * PAGE_BYTES)
+        _load(pool, 1, 0, 4)
         pool.evict_all()
         assert len(pool) == 0
         assert pool.misses == 4
 
     def test_reset_stats_keeps_residency(self):
-        pool = BufferPool(capacity_pages=10)
-        pool.touch_range(1, 0, 4)
+        pool = BufferPool(budget_bytes=10 * PAGE_BYTES)
+        _load(pool, 1, 0, 4)
         pool.reset_stats()
         assert pool.hits == 0 and pool.misses == 0
-        assert pool.touch_range(1, 0, 4) == 0  # still resident
+        assert _load(pool, 1, 0, 4) == 0  # still resident
 
     def test_evict_object_no_cross_object_evictions(self):
         # Regression: evict_object used to scan every resident frame;
         # the per-object page index must drop exactly the target
         # object's pages and leave every other object untouched.
-        pool = BufferPool(capacity_pages=100)
+        pool = BufferPool(budget_bytes=100 * PAGE_BYTES)
         for oid in range(5):
-            pool.touch_range(oid, 0, 10)
+            _load(pool, oid, 0, 10)
         dropped = pool.evict_object(3)
         assert dropped == 10
         assert not any(page[0] == 3 for page in pool._resident)
         for oid in (0, 1, 2, 4):
-            assert pool.touch_range(oid, 0, 10) == 0, (
+            assert _load(pool, oid, 0, 10) == 0, (
                 f"object {oid} lost pages to another object's eviction")
         assert pool.evictions == 0  # invalidation is not LRU eviction
         assert pool.invalidations == 10
@@ -250,9 +253,7 @@ class TestBufferPool:
         pool.check_consistency()
 
     def test_pin_blocks_eviction(self):
-        from repro.storage.bufferpool import PAGE_BYTES
-
-        pool = BufferPool(capacity_pages=2)
+        pool = BufferPool(budget_bytes=2 * PAGE_BYTES)
         pool.get_or_load((1, 0), lambda: ("a", PAGE_BYTES), pin=True)
         pool.get_or_load((1, 1), lambda: ("b", PAGE_BYTES))
         # Over budget: the pinned page must survive, the unpinned not.
@@ -265,18 +266,11 @@ class TestBufferPool:
         pool.check_consistency()
 
     def test_peak_bytes_never_exceeds_budget(self):
-        from repro.storage.bufferpool import PAGE_BYTES
-
         pool = BufferPool(budget_bytes=4 * PAGE_BYTES)
         for i in range(32):
             pool.get_or_load((1, i), lambda: (i, PAGE_BYTES))
         assert pool.peak_bytes <= pool.budget_bytes
         assert pool.evictions == 28
-
-    def test_allocator_unique(self):
-        allocator = PageAllocator()
-        ids = {allocator.allocate_object() for _ in range(10)}
-        assert len(ids) == 10
 
 
 class TestCli:

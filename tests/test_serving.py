@@ -16,13 +16,13 @@ import time
 
 import pytest
 
-from repro.core.errors import ExecutionError
+from repro.core.errors import ExecutionError, SqlError
 from repro.engine.executor import Executor
 from repro.engine.metrics import SPAN_ATTRIBUTED_FIELDS
 from repro.server.frontend import ReproServer
 from repro.server.parallel_scan import MorselPool
 from repro.server.scheduler import DatabaseLatch, MemoryGrantPool
-from repro.server.session import SessionManager, statement_writes
+from repro.server.session import SessionManager
 from repro.storage.checker import check_database
 from repro.storage.database import Database
 from repro.workloads.synthetic import make_uniform_table, q1_scan
@@ -245,6 +245,12 @@ class TestDifferentialSuite:
                 == self.SESSIONS * updates_per_session)
 
 
+def statement_writes(sql, params=()):
+    """The latch mode a session admits ``sql`` in: exclusive unless the
+    prepared record is read-only."""
+    return not Executor(Database()).prepare(sql, params).read_only
+
+
 class TestSessionLayer:
     def test_statement_classification(self):
         assert not statement_writes("SELECT 1 FROM micro")
@@ -257,12 +263,15 @@ class TestSessionLayer:
         """Leading comments/parens must not misclassify a SELECT as DML
         (classification uses the parsed statement type, not a prefix)."""
         assert not statement_writes("-- warm cache\nSELECT count(*) FROM micro")
-        assert not statement_writes("(SELECT count(*) FROM micro)")
         assert not statement_writes(
             "SELECT count(*) FROM micro WHERE col1 = ?", (1,))
         assert statement_writes("-- audited\nDELETE FROM micro WHERE col1 = 1")
-        # Unparseable syntax defaults to the exclusive latch.
-        assert statement_writes("???")
+        # Text that does not parse has no class: it raises instead of
+        # queueing for the exclusive latch in order to fail (what a
+        # session then holds is in tests/test_statement_pipeline.py).
+        for text in ("???", "(SELECT count(*) FROM micro)"):
+            with pytest.raises(SqlError):
+                statement_writes(text)
 
     def test_per_session_encoded_override(self):
         from repro.core.schema import Column, TableSchema
@@ -283,6 +292,12 @@ class TestSessionLayer:
             assert on.scalar() == off.scalar()
             assert on.metrics.columns_late_materialized > 0
             assert off.metrics.columns_late_materialized == 0
+            # The attribute is live: reassigning it changes the next
+            # statement.
+            assert decoded.encoded_execution is False
+            decoded.encoded_execution = True
+            assert (decoded.execute(sql).metrics.columns_late_materialized
+                    == on.metrics.columns_late_materialized)
             encoded.close()
             decoded.close()
 

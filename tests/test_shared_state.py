@@ -306,7 +306,7 @@ class TestFaultInjectorThreadSafety:
 
 class TestBufferPoolThreadSafety:
     """The PR 9 satellite: BufferPool is shared by every serving session
-    and morsel worker once paging is on, so touch/get_or_load/
+    and morsel worker once paging is on, so get_or_load/unpin/
     evict_object/clear must hold the pool lock — an unsynchronized
     ``move_to_end`` racing a ``popitem`` corrupts the OrderedDict."""
 
@@ -334,7 +334,7 @@ class TestBufferPoolThreadSafety:
                     elif i % 17 == 0:
                         pool.evict_all()
                     else:
-                        pool.touch([page])
+                        pool.get_or_load(page, lambda: (b"x" * 64, PAGE_BYTES))
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -407,7 +407,7 @@ class TestStatementCacheThreadSafety:
                     got = cache.statement(sql, params)
                     want = parse(sql, params)
                     assert got == want and repr(got) == repr(want), sql
-                    assert cache.template(sql).read_only
+                    assert cache.lookup(sql)[0].read_only
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 

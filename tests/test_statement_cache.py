@@ -19,7 +19,7 @@ from repro.server.session import SessionManager
 from repro.sql.ast import SelectStmt
 from repro.sql.cache import StatementCache
 from repro.sql.lexer import tokenize
-from repro.sql.parser import normalise, parse, parse_template
+from repro.sql.parser import UNBOUND, normalise, parse, parse_template
 from tests.sql_corpus import (
     parameterise,
     runnable_workloads,
@@ -236,7 +236,7 @@ def check_cache_against_parse(cache, lexer, sql, params):
     calls, hits, misses = lexer.calls, cache.hits, cache.misses
     assert same(cache.statement(sql, params), reference), sql
     assert (lexer.calls, cache.hits, cache.misses) == (calls, hits + 1, misses)
-    assert cache.template(sql).read_only == isinstance(reference, SelectStmt)
+    assert cache.lookup(sql)[0].read_only == isinstance(reference, SelectStmt)
     # A text of the same shape is tokenized once and not parsed.
     other = with_other_literals(sql)
     if other is not None and other != sql and first_lookup_missed_text:
@@ -279,7 +279,7 @@ def test_errors_are_those_of_parse_and_cache_nothing():
     for sql, params in bad:
         assert error_of(cache.statement, sql, params) \
             == error_of(parse, sql, params), sql
-        assert error_of(cache.template, sql) == error_of(
+        assert error_of(cache.lookup, sql) == error_of(
             lambda text: parse_template(tokenize(text)), sql), sql
     assert len(cache) == 0 and cache.hits == cache.misses == 0
     assert cache.bytes_cached == 0
@@ -315,13 +315,12 @@ def test_statements_of_one_template_do_not_alias():
 
 # ------------------------------------------------ (c) through Session.execute
 class Uncached:
-    """The pre-cache pipeline: every lookup parses."""
-
-    statement = staticmethod(parse)
+    """The pre-cache pipeline: every lookup parses, as ``parse`` does."""
 
     @staticmethod
-    def template(sql):
-        return parse_template(tokenize(sql))
+    def lookup(sql):
+        template = parse_template(tokenize(sql))
+        return template, (UNBOUND,) * template.n_slots
 
 
 def observe(session, sql):
@@ -348,7 +347,7 @@ def test_miss_hit_and_uncached_executions_agree(workload):
     database = build()
     cache = database.statement_cache
     selects = [sql for sql in dict.fromkeys(statements)
-               if cache.template(sql).read_only]
+               if cache.lookup(sql)[0].read_only]
     assert selects
     database.statement_cache = cache = StatementCache()
     with SessionManager(database) as manager:
@@ -362,8 +361,8 @@ def test_miss_hit_and_uncached_executions_agree(workload):
             second = observe(session, sql)
             assert first == uncached, sql
             assert second == uncached, sql
-            # classify + execute, twice: the second pair is all text hits
-            assert cache.hits + cache.misses == misses + 4
+            # one lookup per execution; the second is a text hit
+            assert cache.hits + cache.misses == misses + 2
     assert cache.hits > 0
 
 
