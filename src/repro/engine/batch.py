@@ -12,7 +12,7 @@ the modeled CPU charged per row, not in what flows between operators
 (rowstore scans pivot whole leaf chunks, see
 :mod:`repro.engine.operators.scans`). :func:`batch_to_rows` and
 :func:`rows_to_batch` adapt to row tuples where an operator works a row
-at a time (joins, sorts, the final result).
+at a time (merge and nested-loop joins, sorts, the final result).
 
 A batch column is either a plain numpy array or an
 :class:`~repro.engine.encoded.EncodedColumn` (dictionary codes + shared

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.errors import ExecutionError
 from repro.engine.analyze import AnalyzedQuery
-from repro.engine.batch import batch_to_rows
+from repro.engine.batch import Batch, batch_to_rows
 from repro.engine.dmv import SYSTEM_VIEW_NAMES, materialize_system_views
 from repro.engine.expressions import (
     ColumnRange,
@@ -432,7 +432,6 @@ class Executor:
                         f"{table.name}.{c}": batch.column(c) for c in needed
                     }
                     renamed.update({c: batch.column(c) for c in needed})
-                    from repro.engine.batch import Batch
                     mask = eval_batch(where, Batch(renamed))
                 else:
                     mask = np.ones(len(batch), dtype=bool)

@@ -8,21 +8,33 @@ The merge join exploits B+ tree sort order on both inputs.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
-from repro.engine.batch import Batch, batch_to_rows, rows_to_batch
+from repro.engine.batch import (
+    Batch,
+    _column_array,
+    batch_to_rows,
+    rows_to_batch,
+)
 from repro.engine.encoded import (
     EncodedColumn,
+    maybe_materialize,
     note_code_fallback,
     note_code_hit,
 )
 from repro.engine.expressions import Expr, compile_row_predicate
 from repro.engine.metrics import ExecutionContext
-from repro.engine.operators.base import BATCH_MODE, PhysicalOperator, ROW_MODE
+from repro.engine.operators.base import (
+    BATCH_MODE,
+    DEFAULT_BATCH_ROWS,
+    PhysicalOperator,
+    ROW_MODE,
+)
 from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
 from repro.storage.table import Table
 
@@ -37,6 +49,128 @@ def _key_getter(names: Sequence[str], available: Sequence[str]):
     return lambda row: tuple(row[p] for p in positions)
 
 
+def _find_sorted(distinct: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in ``distinct`` (ascending, no repeats);
+    -1 where it is absent."""
+    if not len(distinct):
+        return np.full(len(values), -1, dtype=np.int64)
+    at = np.searchsorted(distinct, values)
+    at[at == len(distinct)] = 0
+    return np.where(distinct[at] == values, at, -1)
+
+
+def _concat(pieces: List[np.ndarray]) -> np.ndarray:
+    """One array of the pieces' values. Pieces of different dtypes meet
+    as Python objects, so no int is widened to float on the way."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if len({piece.dtype for piece in pieces}) > 1:
+        pieces = [piece.astype(object) for piece in pieces]
+    return np.concatenate(pieces)
+
+
+def _output_array(values: np.ndarray) -> np.ndarray:
+    """The array :func:`rows_to_batch` makes of these values: integers
+    are int64, floats float64, and everything else is an object column
+    whose dtype is inferred again from the values of this batch alone."""
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    if values.dtype.kind == "f":
+        return values.astype(np.float64, copy=False)
+    return _column_array(values.tolist())
+
+
+class _KeyColumn:
+    """The distinct non-NULL values of one build key column, numbered.
+
+    Numeric columns of one kind are matched by binary search over the
+    sorted distinct values. Every other pairing — strings, nullable
+    object columns, an int column against a float one — goes through a
+    dict of Python values, whose hashing is the equality the row-wise
+    join had (``1 == 1.0``); ``None`` is seeded as -1, so NULL matches
+    nothing on either side.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.sorted: Optional[np.ndarray] = None
+        self.numbers: Optional[Dict[object, int]] = None
+        if values.dtype.kind in "if":
+            self.sorted = np.unique(values)
+            self.cardinality = len(self.sorted)
+        else:
+            distinct = dict.fromkeys(values.tolist())
+            distinct.pop(None, None)
+            self._number(distinct)
+
+    def _number(self, distinct) -> None:
+        self.numbers = {value: i for i, value in enumerate(distinct)}
+        self.cardinality = len(self.numbers)
+        self.numbers[None] = -1
+
+    def encode(self, column) -> np.ndarray:
+        """Each value's number; -1 for NULL and for values the build
+        side does not have."""
+        if isinstance(column, EncodedColumn):
+            # Code-space probe: look up the dictionary's values once,
+            # then index the result by code.
+            return self.encode(column.dictionary.values)[column.codes]
+        if self.sorted is not None and (
+                column.dtype.kind == self.sorted.dtype.kind):
+            return _find_sorted(self.sorted, column)
+        if self.numbers is None:
+            self._number(self.sorted.tolist())
+        return np.fromiter(
+            map(self.numbers.get, column.tolist(), repeat(-1)),
+            dtype=np.int64, count=len(column))
+
+
+class _BuildSide:
+    """The build rows as column arrays, grouped by join key:
+    ``order[starts[g]:starts[g] + counts[g]]`` are the rows of group
+    ``g`` in arrival order. Rows with a NULL in any key column are in no
+    group."""
+
+    def __init__(self, batches: List[Batch], names: Sequence[str],
+                 keys: Sequence[str]):
+        self.columns = {
+            name: _concat([maybe_materialize(batch.column(name))
+                           for batch in batches])
+            for name in names}
+        self.keys = [_KeyColumn(self.columns[key]) for key in keys]
+        #: Per key column after the first: the sorted distinct
+        #: (group so far, number in this column) pairs of the build rows.
+        self.pairs: List[np.ndarray] = []
+        group = self.keys[0].encode(self.columns[keys[0]])
+        for key, name in zip(self.keys[1:], keys[1:]):
+            pairs, group = np.unique(
+                self._pair(group, key, self.columns[name]),
+                return_inverse=True)
+            if len(pairs) and pairs[0] < 0:     # rows out of every group
+                pairs, group = pairs[1:], group - 1
+            self.pairs.append(pairs)
+        self.order = np.argsort(group, kind="stable")[
+            np.count_nonzero(group < 0):]
+        self.counts = np.bincount(group[self.order])    # no group is empty
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    @staticmethod
+    def _pair(group: np.ndarray, key: _KeyColumn, column) -> np.ndarray:
+        # Groups are renumbered densely after every column, so both
+        # factors stay below the build row count and the product cannot
+        # leave int64.
+        numbers = key.encode(column)
+        return np.where((group < 0) | (numbers < 0), -1,
+                        group * key.cardinality + numbers)
+
+    def groups_of(self, key_columns: Sequence[object]) -> np.ndarray:
+        """The build group each probe row joins; -1 for none."""
+        group = self.keys[0].encode(key_columns[0])
+        for key, pairs, column in zip(self.keys[1:], self.pairs,
+                                      key_columns[1:]):
+            group = _find_sorted(pairs, self._pair(group, key, column))
+        return group
+
+
 class HashJoin(PhysicalOperator):
     """Equality hash join; build side is the first child.
 
@@ -44,6 +178,12 @@ class HashJoin(PhysicalOperator):
     batch-mode hash join over columnstores). Build-side memory is
     reserved against the grant; overflow charges a Grace-hash spill of
     both sides.
+
+    Build, probe and output stay in column arrays: the build rows are
+    grouped by key once (:class:`_BuildSide`), each probe batch's keys
+    map to build groups in one vectorised lookup, the matches expand
+    into a pair of row-index arrays, and every output column is one
+    gather per index piece. NULL keys match nothing.
     """
 
     def __init__(
@@ -69,12 +209,7 @@ class HashJoin(PhysicalOperator):
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
         cm = ctx.cost_model
-        build_cols = self.child(0).output_columns
-        probe_cols = self.child(1).output_columns
-        build_key = _key_getter(self.build_keys, build_cols)
-        probe_key = _key_getter(self.probe_keys, probe_cols)
-
-        table: Dict[object, List[Row]] = {}
+        batches: List[Batch] = []
         build_bytes = 0
         spilled = False
         build_rows = 0
@@ -91,19 +226,21 @@ class HashJoin(PhysicalOperator):
                     ctx.charge_spill(payload)
                 else:
                     build_bytes += payload
-                for row in batch_to_rows(batch, build_cols):
-                    table.setdefault(build_key(row), []).append(row)
+                batches.append(batch)
             ctx.charge_parallel_cpu(build_rows * cm.hash_cpu_ms_per_row, self.dop)
-            yield from self._probe(ctx, cm, table, probe_cols, probe_key,
-                                   spilled)
+            build = _BuildSide(batches, self.child(0).output_columns,
+                               self.build_keys) if build_rows else None
+            del batches     # the rows live on in ``build``'s arrays
+            yield from self._probe(ctx, cm, build, spilled)
         finally:
             if build_bytes:
                 ctx.release_memory(build_bytes)
 
-    def _probe(self, ctx: ExecutionContext, cm, table, probe_cols,
-               probe_key, spilled: bool) -> Iterator[Batch]:
-        out_names = self.output_columns
-        pending: List[Row] = []
+    def _probe(self, ctx: ExecutionContext, cm, build: Optional[_BuildSide],
+               spilled: bool) -> Iterator[Batch]:
+        #: Matches not yet emitted: (probe batch, build rows, probe rows).
+        pieces: List[Tuple[Batch, np.ndarray, np.ndarray]] = []
+        pending = 0
         for batch in self.child(1).execute(ctx):
             probe_cost = len(batch) * cm.hash_cpu_ms_per_row
             if self.mode == BATCH_MODE:
@@ -112,67 +249,56 @@ class HashJoin(PhysicalOperator):
                 probe_cost *= cm.spill_cpu_multiplier
                 ctx.charge_spill(batch.payload_bytes())
             ctx.charge_parallel_cpu(probe_cost, self.dop)
-            code_matches = self._translate_probe_dictionary(batch, table, ctx)
-            if code_matches is not None:
-                match_lists, codes = code_matches
-                keep = np.flatnonzero(
-                    np.fromiter((match_lists[c] is not None for c in codes),
-                                dtype=bool, count=len(codes)))
-                if len(keep) == 0:
-                    continue
-                # Late materialization: only rows with a build match pivot
-                # into tuples; the key strings themselves never re-hash.
-                surviving = batch.take(keep)
-                for i, row in zip(keep.tolist(),
-                                  batch_to_rows(surviving, probe_cols)):
-                    for build_row in match_lists[codes[i]]:
-                        pending.append(build_row + row)
-                    if len(pending) >= 4096:
-                        result = rows_to_batch(pending, out_names)
-                        if result is not None:
-                            yield result
-                        pending = []
+            key_columns = [batch.column(key) for key in self.probe_keys]
+            if any(isinstance(column, EncodedColumn) for column in key_columns):
+                if len(key_columns) == 1:
+                    note_code_hit(ctx)
+                else:
+                    note_code_fallback(
+                        ctx, reason=("hash join: multi-column probe key "
+                                     f"{self.probe_keys}"))
+            if build is None:       # the probe child is drained all the same
                 continue
-            for row in batch_to_rows(batch, probe_cols):
-                matches = table.get(probe_key(row))
-                if not matches:
-                    continue
-                for build_row in matches:
-                    pending.append(build_row + row)
-                if len(pending) >= 4096:
-                    result = rows_to_batch(pending, out_names)
-                    if result is not None:
-                        yield result
-                    pending = []
-        result = rows_to_batch(pending, out_names)
-        if result is not None:
-            yield result
+            group = build.groups_of(key_columns)
+            probe_rows = np.flatnonzero(group >= 0)
+            if not len(probe_rows):
+                continue
+            group = group[probe_rows]
+            counts = build.counts[group]
+            ends = np.cumsum(counts)    # matches up to and including each row
+            probe_idx = np.repeat(probe_rows, counts)
+            # Match m of this batch belongs to the probe row whose span
+            # [end - count, end) holds m, and is that far into its group.
+            build_idx = build.order[
+                np.repeat(build.starts[group] - (ends - counts), counts)
+                + np.arange(ends[-1])]
+            # A batch goes out after the first probe row that brings the
+            # pending count to DEFAULT_BATCH_ROWS (operators above charge
+            # per batch, so the cut points are modeled cost).
+            done = 0
+            while True:
+                row = np.searchsorted(ends, done + DEFAULT_BATCH_ROWS - pending)
+                if row == len(ends):
+                    break
+                cut = ends[row]
+                pieces.append((batch, build_idx[done:cut], probe_idx[done:cut]))
+                yield self._output(build, pieces)
+                pieces, pending, done = [], 0, cut
+            if done < ends[-1]:
+                pieces.append((batch, build_idx[done:], probe_idx[done:]))
+                pending += ends[-1] - done
+        if pieces:
+            yield self._output(build, pieces)
 
-    def _translate_probe_dictionary(self, batch: Batch, table, ctx):
-        """Code-space probe for a dictionary-coded single join key.
-
-        Translates the probe batch's dictionary to build-side match
-        lists once (at most ``|dictionary|`` hash lookups — covering the
-        shared-dictionary case for free, since the translation is pure
-        array indexing either way), then probes by code: no per-row
-        string hashing and no materialization of non-matching rows.
-        Returns (match list per code, per-row codes), or None when the
-        key is not a single encoded column (decoded fallback).
-        """
-        if len(self.probe_keys) != 1:
-            if any(isinstance(batch.columns.get(k), EncodedColumn)
-                   for k in self.probe_keys):
-                note_code_fallback(
-                    ctx, reason=("hash join: multi-column probe key "
-                                 f"{self.probe_keys}"))
-            return None
-        column = batch.columns.get(self.probe_keys[0])
-        if not isinstance(column, EncodedColumn):
-            return None
-        note_code_hit(ctx)
-        match_lists = [table.get(value)
-                       for value in column.dictionary.values.tolist()]
-        return match_lists, column.codes
+    def _output(self, build: _BuildSide, pieces) -> Batch:
+        build_idx = _concat([rows for _, rows, _ in pieces])
+        columns = {name: _output_array(values[build_idx])
+                   for name, values in build.columns.items()}
+        for name in self.child(1).output_columns:
+            columns[name] = _output_array(_concat(
+                [maybe_materialize(batch.column(name)[rows])
+                 for batch, _, rows in pieces]))
+        return Batch(columns)
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
@@ -349,6 +475,8 @@ class IndexNestedLoopJoin(PhysicalOperator):
             for row in batch_to_rows(batch, outer_cols):
                 key = outer_key(row)
                 bounds = (key,) if single else tuple(key)
+                if None in bounds:      # NULL equals nothing: no seek
+                    continue
                 for inner_values in self._seek_inner(bounds, ctx):
                     combined = row + inner_values
                     if predicate(combined):

@@ -379,6 +379,14 @@ class Binder:
                     raise SqlError(
                         "computed select expressions require GROUP BY "
                         "or aggregation in this subset")
+        # Results are keyed by output name downstream: two outputs of one
+        # name would silently return one column's values twice.
+        names = set()
+        for out in outputs:
+            if out.name in names:
+                raise SqlError(f"duplicate output column {out.name!r}; "
+                               "alias one of them")
+            names.add(out.name)
 
         order_by: List[Tuple[str, bool]] = []
         for order in stmt.order_by:

@@ -235,6 +235,23 @@ class TestBinder:
         bound, _ = self.bind("SELECT * FROM orders")
         assert [o.name for o in bound.outputs] == ["o_orderkey", "o_custkey"]
 
+    def test_duplicate_output_names_rejected(self):
+        # Results are keyed by output name: both statements used to
+        # return b.id's values under both columns.
+        db = Database()
+        for name in "ab":
+            db.create_table(TableSchema(name, [
+                Column("id", INT, nullable=False), Column("k", INT)]))
+        for sql in ("SELECT a.id, b.id FROM a JOIN b ON a.k = b.k",
+                    "SELECT * FROM a JOIN b ON a.k = b.k",
+                    "SELECT a.k id, count(*) id FROM a GROUP BY a.k"):
+            with pytest.raises(SqlError, match="duplicate output column 'id'; "
+                                               "alias one of them"):
+                Binder(db).bind(parse(sql))
+        bound = Binder(db).bind(parse(
+            "SELECT a.id aid, b.id bid FROM a JOIN b ON a.k = b.k"))
+        assert [out.name for out in bound.outputs] == ["aid", "bid"]
+
     def test_join_edges_extracted(self):
         bound, _ = self.bind(
             "SELECT l_quantity FROM lineitem l JOIN orders o "
