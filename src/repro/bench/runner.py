@@ -10,13 +10,12 @@ discrete-event concurrency simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.concurrency import StatementProfile
 from repro.engine.executor import Executor
 from repro.engine.locks import range_bucket
 from repro.engine.metrics import QueryMetrics
-from repro.storage.database import Database
 
 
 @dataclass
@@ -122,29 +121,6 @@ class DesignComparison:
                 if per_design[over] > 0:
                     out.append(per_design[base] / per_design[over])
         return out
-
-
-def run_design_comparison(
-    database_factory: Callable[[], Tuple[Database, Sequence[str]]],
-    designs: Dict[str, Callable[[Database, Sequence[str]], None]],
-    repeats: int = 1,
-) -> DesignComparison:
-    """Measure every query under every design.
-
-    ``database_factory`` builds a fresh database + query list;
-    each design callable mutates the database's physical design before
-    measurement. A fresh database per design avoids cross-design
-    contamination (leftover delta stores, stats).
-    """
-    comparison = DesignComparison(design_names=list(designs))
-    for design_name, apply_design in designs.items():
-        database, queries = database_factory()
-        apply_design(database, queries)
-        executor = Executor(database)
-        for i, sql in enumerate(queries):
-            measurement = measure(executor, sql, repeats=repeats)
-            comparison.record(f"q{i}", design_name, measurement.cpu_ms)
-    return comparison
 
 
 def update_lock_footprint(table: str, key_column: str, key_value: object,

@@ -9,10 +9,12 @@ Supported nodes: column references, literals, arithmetic (+ - * /),
 comparisons (= != < <= > >=), BETWEEN, IN, AND/OR/NOT.
 
 NULL semantics follow SQL's three-valued logic for comparisons: any
-comparison with NULL is not-true, so filters drop those rows. (Full
-UNKNOWN propagation through NOT is simplified to two-valued logic after
-the comparison level, which matches every query in the reproduced
-workloads.)
+comparison with NULL is not-true, so filters drop those rows. The
+evaluators themselves are two-valued above the comparison level — a
+``Not`` node flips not-true to true — so the SQL binder never hands them
+one over a predicate: it pushes ``NOT`` down to the comparisons
+(``repro.sql.binder._negate``), where negating the operator keeps a
+NULL operand not-true.
 """
 
 from __future__ import annotations

@@ -138,22 +138,10 @@ class LockManager:
                 del self._locks[resource]
         return woken
 
-    def cancel_waits(self, owner: int) -> None:
-        """Remove the owner from every wait queue."""
-        for state in self._locks.values():
-            state.waiters = [
-                (w_owner, w_mode) for w_owner, w_mode in state.waiters
-                if w_owner != owner
-            ]
-
     def holders_of(self, resource: Resource) -> Dict[int, str]:
         """Current holders (owner -> mode) of one resource."""
         state = self._locks.get(resource)
         return dict(state.holders) if state else {}
-
-    def held_by(self, owner: int) -> List[Resource]:
-        """Resources currently held by one owner."""
-        return list(self._held.get(owner, []))
 
 
 def range_bucket(value: object, bucket_width: int = 1) -> int:

@@ -186,10 +186,6 @@ class OperatorSpan:
         """Inclusive value of one attributed field (self + descendants)."""
         return getattr(self, name) + sum(c.total(name) for c in self.children)
 
-    def self_metrics(self) -> Dict[str, object]:
-        """The attributed self-amounts, as a plain dict."""
-        return {name: getattr(self, name) for name in SPAN_ATTRIBUTED_FIELDS}
-
 
 class ExecutionContext:
     """Mutable per-statement execution state.
@@ -479,11 +475,6 @@ class ExecutionContext:
         self.metrics.io_wait_ms += mb * (cm.write_io_ms_per_mb + cm.seq_io_ms_per_mb)
 
     # ------------------------------------------------------------- misc
-    def charge_lock_wait(self, ms: float) -> None:
-        """Add blocked time to elapsed (lock waits burn no CPU)."""
-        self.metrics.lock_wait_ms += ms
-        self.metrics.elapsed_ms += ms
-
     def charge_statement_overhead(self) -> None:
         """Fixed per-statement cost (parse, plan cache, logging)."""
         self.charge_serial_cpu(self.cost_model.statement_overhead_ms)

@@ -153,12 +153,3 @@ class PhysicalOperator:
 
     def __repr__(self) -> str:
         return self.describe()
-
-
-def require_columns(available: Sequence[str], needed: Sequence[str],
-                    where: str) -> None:
-    """Raise ExecutionError unless every needed column is available."""
-    missing = [c for c in needed if c not in available]
-    if missing:
-        raise ExecutionError(f"{where}: missing columns {missing} "
-                             f"(available: {list(available)})")

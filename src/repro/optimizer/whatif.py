@@ -123,13 +123,6 @@ class Configuration:
                     total += descriptor.size_bytes
         return total
 
-    def secondary_descriptors(self) -> List[IndexDescriptor]:
-        """All non-primary descriptors across every table."""
-        out = []
-        for descriptors in self.indexes.values():
-            out.extend(d for d in descriptors if not d.is_primary)
-        return out
-
     def validate(self) -> None:
         """Enforce engine restrictions: at most one columnstore per table
         (unless ``allow_multiple_csi`` lifts the rule)."""

@@ -26,6 +26,7 @@ from repro.engine.expressions import (
     Literal,
     Not,
     Or,
+    _NEGATED,
     conjuncts,
     make_and,
 )
@@ -229,12 +230,38 @@ def _qualify_expr(expr: Expr, scope: _Scope) -> Expr:
     if isinstance(expr, Or):
         return Or(tuple(_qualify_expr(op, scope) for op in expr.operands))
     if isinstance(expr, Not):
-        return Not(_qualify_expr(expr.operand, scope))
+        if isinstance(expr.operand, Not):
+            return _qualify_expr(expr.operand.operand, scope)
+        return _negate(_qualify_expr(expr.operand, scope))
     if isinstance(expr, AggregateCall):
         argument = (None if expr.argument is None
                     else _qualify_expr(expr.argument, scope))
         return AggregateCall(expr.func, argument)
     raise SqlError(f"cannot bind expression {type(expr).__name__}")
+
+
+def _negate(expr: Expr) -> Expr:
+    """``NOT expr`` with the negation pushed down to the comparisons.
+
+    A comparison with NULL is not-true, and stays not-true under SQL's
+    NOT; a ``Not`` node over it would flip the evaluators' false to true
+    and keep the row. Negating the leaves instead needs no new node kind
+    and no branch in the evaluators: ``NOT IN`` becomes a conjunction of
+    ``!=`` (never true once the list holds a NULL), ``NOT BETWEEN`` the
+    two open ranges outside it."""
+    if isinstance(expr, Comparison):
+        return Comparison(_NEGATED[expr.op], expr.left, expr.right)
+    if isinstance(expr, Between):
+        return Or((Comparison("<", expr.subject, expr.low),
+                   Comparison(">", expr.subject, expr.high)))
+    if isinstance(expr, InList):
+        return make_and([Comparison("!=", expr.subject, Literal(value))
+                         for value in expr.values])
+    if isinstance(expr, And):
+        return Or(tuple(_negate(op) for op in expr.operands))
+    if isinstance(expr, Or):
+        return And(tuple(_negate(op) for op in expr.operands))
+    return Not(expr)
 
 
 def _is_date_column(expr: Expr, scope: _Scope) -> bool:

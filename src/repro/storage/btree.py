@@ -189,20 +189,6 @@ class BPlusTree:
         """Number of keys within the given bounds."""
         return sum(len(keys) for keys, _ in self.leaf_chunks(low, high))
 
-    def leaves_in_range(self, low: Optional[Key], high: Optional[Key]) -> int:
-        """Number of leaf pages a range scan over [low, high] touches."""
-        if low is None:
-            leaf: Optional[_Leaf] = self._first_leaf
-        else:
-            leaf = self._find_leaf(low)
-        pages = 0
-        while leaf is not None:
-            pages += 1
-            if high is not None and leaf.keys and leaf.keys[-1] > high:
-                break
-            leaf = leaf.next
-        return pages
-
     # ------------------------------------------------------------ insert
     def insert(self, key: Key, value: Row) -> None:
         """Insert a unique key. Raises on duplicates."""

@@ -148,7 +148,7 @@ class ColumnstoreIndex:
         #: force per-column encodings via ``compress_rowgroup``'s
         #: ``encoding_overrides``; None keeps the smallest-size layout.
         self.layout_policy = None
-        #: Demand-paging hooks, set by ``load_snapshot_paged`` when the
+        #: Demand-paging hooks, set by :meth:`attach_pager` when the
         #: database opened with ``paging=True``: the shared
         #: :class:`~repro.storage.bufferpool.BufferPool` and the pager
         #: that faults this index's segment pages through it. Both stay
@@ -236,6 +236,36 @@ class ColumnstoreIndex:
 
     def _append_group(self, group: CompressedRowGroup) -> None:
         self._register_group(self._groups, self._rid_location, group)
+
+    # ----------------------------------------------------------- restore
+    #
+    # The snapshot loader's way in: nothing outside this module writes
+    # the index's underscore fields.
+
+    def restore_group(self, group: CompressedRowGroup,
+                      deleted_mask: np.ndarray, n_deleted: int) -> None:
+        """Append one row group as a snapshot recorded it, delete bitmap
+        included. Masked (bitmap-deleted) slots keep no locator — that
+        is the checker invariant."""
+        self._append_group(group)
+        state = self._groups[-1]
+        state.deleted_mask = deleted_mask
+        state.n_deleted = n_deleted
+        for pos in np.flatnonzero(deleted_mask).tolist():
+            self._rid_location.pop(int(group.rids[pos]), None)
+
+    def restore_side_state(self, delta: Iterable[Tuple[int, Sequence]],
+                           delete_buffer: Iterable[int]) -> None:
+        """Replace the delta store and the delete buffer with a
+        snapshot's."""
+        self._delta = {rid: tuple(values) for rid, values in delta}
+        self._delete_buffer = set(delete_buffer)
+
+    def attach_pager(self, pager, pool) -> None:
+        """Demand-page this index: ``pager`` faults its segment pages
+        through ``pool`` (see the hooks' comment in ``__init__``)."""
+        self._pager = pager
+        self.buffer_pool = pool
 
     # ------------------------------------------------------------- sizing
     def size_bytes(self) -> int:
@@ -779,93 +809,94 @@ class ColumnstoreIndex:
             misses = 0
             hits = 0
             #: Pool frames pinned for this group's batch; released after
-            #: the batch is yielded (or the generator is closed), so LRU
-            #: eviction cannot drop a segment page mid-read.
+            #: the batch is yielded (or the generator is closed, or a
+            #: later segment fails to load), so LRU eviction cannot drop
+            #: a segment page mid-read and no failed scan leaves a pin.
             pinned_keys = []
-            for name in needed:
-                decoded = None
-                if cache is not None:
-                    decoded = cache.get((self.object_id, group_index, name))
-                if decoded is None:
-                    # SEGCACHE_MISS wait: real wall time spent loading
-                    # and decoding because the decoded cache missed.
-                    # Timed only when a cache is enabled, wired to a
-                    # collector, *and* the scan is session-attributed —
-                    # embedded runs (figures, determinism harnesses)
-                    # carry no session and must keep their DMV
-                    # snapshots free of wall-clock values.
-                    miss_started = (
-                        time.perf_counter()
-                        if (cache is not None and cache.waits is not None
-                            and cache.waits.current_session_id != 0)
-                        else None)
-                    if self._pager is not None and group.loader is not None:
-                        segment, key = self._pager.load(
-                            group_index, name, pin=True)
-                        pinned_keys.append(key)
-                    else:
-                        segment = group.column(name)
-                    code_space = segment.code_space() if use_encoded else None
-                    if code_space is not None:
-                        # Late materialization: hand the consumer the
-                        # int32 codes plus the shared dictionary instead
-                        # of decoding now. Dictionary segments serve
-                        # their stored codes; numeric RLE / bit-packed
-                        # segments serve the code space derived from
-                        # their compressed representation (run values,
-                        # frame-of-reference offsets). Modeled costs
-                        # (segment read + decode CPU below) are charged
-                        # exactly as for the decoded path — only real
-                        # wall-clock changes.
-                        decoded = EncodedColumn(*code_space)
-                    else:
-                        decoded = segment.decode()
-                    miss_bytes += segment.size_bytes
-                    misses += 1
-                    if cache is not None:
-                        evicted = cache.put(
-                            (self.object_id, group_index, name), decoded)
-                        if ctx is not None:
-                            ctx.metrics.segment_cache_misses += 1
-                            ctx.metrics.segment_cache_evictions += evicted
-                    if miss_started is not None:
-                        cache.waits.record(
-                            WAIT_SEGCACHE_MISS,
-                            (time.perf_counter() - miss_started) * 1000.0)
-                else:
-                    hits += 1
-                    if isinstance(decoded, EncodedColumn) and not use_encoded:
-                        # Cached as codes while encoded execution is now
-                        # off: serve the decoded twin.
-                        decoded = decoded.materialize()
-                if isinstance(decoded, EncodedColumn) and ctx is not None:
-                    ctx.metrics.columns_late_materialized += 1
-                data[name] = decoded
-            if ctx is not None:
-                if misses:
-                    ctx.charge_seq_read(miss_bytes)
-                    ctx.record_data_read(miss_bytes)
-                    ctx.charge_serial_cpu(
-                        misses * ctx.cost_model.segment_decode_cpu_ms)
-                if hits:
-                    # Hits are memory resident — no segment read, no
-                    # decode; only a cheap lookup per segment.
-                    ctx.metrics.segment_cache_hits += hits
-                    ctx.charge_serial_cpu(
-                        hits * ctx.cost_model.segment_cache_lookup_cpu_ms)
-            if include_rids:
-                data[RID_COLUMN] = group.rids
-            batch = Batch(data)
-            if ctx is not None and not self.is_primary and self._delete_buffer:
-                # Anti-semi join between the row group and the delete
-                # buffer (Section 2's scan overhead of secondary CSIs).
-                ctx.charge_serial_cpu(
-                    group.n_rows * ctx.cost_model.batch_cpu_ms_per_row
-                )
-            mask = self._live_mask(state)
-            if mask is not None:
-                batch = batch.filter(mask)
             try:
+                for name in needed:
+                    decoded = None
+                    if cache is not None:
+                        decoded = cache.get((self.object_id, group_index, name))
+                    if decoded is None:
+                        # SEGCACHE_MISS wait: real wall time spent loading
+                        # and decoding because the decoded cache missed.
+                        # Timed only when a cache is enabled, wired to a
+                        # collector, *and* the scan is session-attributed —
+                        # embedded runs (figures, determinism harnesses)
+                        # carry no session and must keep their DMV
+                        # snapshots free of wall-clock values.
+                        miss_started = (
+                            time.perf_counter()
+                            if (cache is not None and cache.waits is not None
+                                and cache.waits.current_session_id != 0)
+                            else None)
+                        if self._pager is not None and group.loader is not None:
+                            segment, key = self._pager.load(
+                                group_index, name, pin=True)
+                            pinned_keys.append(key)
+                        else:
+                            segment = group.column(name)
+                        code_space = segment.code_space() if use_encoded else None
+                        if code_space is not None:
+                            # Late materialization: hand the consumer the
+                            # int32 codes plus the shared dictionary instead
+                            # of decoding now. Dictionary segments serve
+                            # their stored codes; numeric RLE / bit-packed
+                            # segments serve the code space derived from
+                            # their compressed representation (run values,
+                            # frame-of-reference offsets). Modeled costs
+                            # (segment read + decode CPU below) are charged
+                            # exactly as for the decoded path — only real
+                            # wall-clock changes.
+                            decoded = EncodedColumn(*code_space)
+                        else:
+                            decoded = segment.decode()
+                        miss_bytes += segment.size_bytes
+                        misses += 1
+                        if cache is not None:
+                            evicted = cache.put(
+                                (self.object_id, group_index, name), decoded)
+                            if ctx is not None:
+                                ctx.metrics.segment_cache_misses += 1
+                                ctx.metrics.segment_cache_evictions += evicted
+                        if miss_started is not None:
+                            cache.waits.record(
+                                WAIT_SEGCACHE_MISS,
+                                (time.perf_counter() - miss_started) * 1000.0)
+                    else:
+                        hits += 1
+                        if isinstance(decoded, EncodedColumn) and not use_encoded:
+                            # Cached as codes while encoded execution is now
+                            # off: serve the decoded twin.
+                            decoded = decoded.materialize()
+                    if isinstance(decoded, EncodedColumn) and ctx is not None:
+                        ctx.metrics.columns_late_materialized += 1
+                    data[name] = decoded
+                if ctx is not None:
+                    if misses:
+                        ctx.charge_seq_read(miss_bytes)
+                        ctx.record_data_read(miss_bytes)
+                        ctx.charge_serial_cpu(
+                            misses * ctx.cost_model.segment_decode_cpu_ms)
+                    if hits:
+                        # Hits are memory resident — no segment read, no
+                        # decode; only a cheap lookup per segment.
+                        ctx.metrics.segment_cache_hits += hits
+                        ctx.charge_serial_cpu(
+                            hits * ctx.cost_model.segment_cache_lookup_cpu_ms)
+                if include_rids:
+                    data[RID_COLUMN] = group.rids
+                batch = Batch(data)
+                if ctx is not None and not self.is_primary and self._delete_buffer:
+                    # Anti-semi join between the row group and the delete
+                    # buffer (Section 2's scan overhead of secondary CSIs).
+                    ctx.charge_serial_cpu(
+                        group.n_rows * ctx.cost_model.batch_cpu_ms_per_row
+                    )
+                mask = self._live_mask(state)
+                if mask is not None:
+                    batch = batch.filter(mask)
                 if len(batch) > 0:
                     yield batch
             finally:
@@ -873,7 +904,7 @@ class ColumnstoreIndex:
                 # (LIMIT-style early exit), so pins never outlive the
                 # consumer's hold on this group's batch.
                 for key in pinned_keys:
-                    self._pager.unpin(key)
+                    self.buffer_pool.unpin(key)
         if not include_delta:
             return
         delta_batch = self._delta_batch(needed, include_rids)

@@ -171,10 +171,6 @@ class Database:
         not shadowed by a real table)."""
         return name in self._system_views and name not in self._tables
 
-    def system_view_names(self) -> List[str]:
-        """Names of the registered system views, in registration order."""
-        return list(self._system_views)
-
     def tables(self) -> List[Table]:
         """All tables, in creation order."""
         return list(self._tables.values())
@@ -286,6 +282,16 @@ class Database:
                             faults=self.fault_injector, waits=self.waits)
         wal.checkpoint(0)
         self._attach_storage(data_dir, wal)
+
+    def close(self) -> None:
+        """Release the files this database holds open: the WAL handle
+        and, after a paged open, the snapshot reader. Idempotent. A
+        closed database can still be read where it is resident; logging
+        a statement or faulting a deferred page raises."""
+        if self.wal is not None:
+            self.wal.close()
+        if self._snapshot_reader is not None:
+            self._snapshot_reader.close()
 
     @classmethod
     def open(cls, data_dir: str, cost_model: CostModel = DEFAULT_COST_MODEL,

@@ -5,7 +5,7 @@ index lookups.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
@@ -54,13 +54,23 @@ class HeapFile:
         if rid in self._rows:
             raise StorageError(f"duplicate rid {rid} in heap {self.name!r}")
         trip(self.faults, "heap.insert")
+        self._store(rid, row)
+        if ctx is not None:
+            ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
+
+    def _store(self, rid: int, row: Row) -> None:
         self._rows[rid] = row
         if rid < self._max_rid:
             self._rid_ordered = False
         else:
             self._max_rid = rid
-        if ctx is not None:
-            ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
+
+    def restore_rows(self, rows_with_rids: Iterable[Tuple[int, Row]]) -> None:
+        """Snapshot restore: take the table's (rid, row) pairs as this
+        heap's content. A load is not a statement — no fault point, no
+        charge — but it keeps the same rid bookkeeping as ``insert``."""
+        for rid, row in rows_with_rids:
+            self._store(rid, row)
 
     def delete(self, rid: int, row: Row, ctx: Optional[ExecutionContext] = None) -> None:
         """Delete one row, charging maintenance costs to ``ctx``."""

@@ -312,31 +312,52 @@ def build_page(page_id: int, page_type: int, lsn: int,
     return header + body
 
 
-def parse_page(buf: bytes, offset: int = 0) -> Tuple[Page, int]:
-    """Decode one page at ``offset``, validating magic and checksum."""
-    if offset + PAGE_HEADER.size > len(buf):
+def _expect_type(page_id: int, page_type: int, expected_type: int) -> None:
+    if page_type != expected_type:
         raise StorageError(
-            f"truncated page header at byte {offset} "
-            f"({len(buf) - offset} of {PAGE_HEADER.size} bytes)")
-    (magic, version, page_type, _reserved, page_id, lsn, payload_len,
-     crc) = PAGE_HEADER.unpack_from(buf, offset)
+            f"snapshot page {page_id}: expected "
+            f"{PAGE_TYPE_NAMES[expected_type]}, got "
+            f"{PAGE_TYPE_NAMES.get(page_type, page_type)}")
+
+
+def _check_header(header: bytes, at: int, available: int,
+                  expected_type: Optional[int] = None) -> Tuple:
+    """Validate a page header read at byte ``at`` of an input with
+    ``available`` bytes from there on — the one place magic, version,
+    reserved bytes, type (when one is expected) and payload length are
+    checked. Returns (page_type, page_id, lsn, payload_len, crc)."""
+    if len(header) < PAGE_HEADER.size:
+        raise StorageError(
+            f"truncated page header at byte {at} "
+            f"({len(header)} of {PAGE_HEADER.size} bytes)")
+    (magic, version, page_type, reserved, page_id, lsn, payload_len,
+     crc) = PAGE_HEADER.unpack(header)
     if magic != PAGE_MAGIC:
-        raise StorageError(f"bad page magic at byte {offset}: {magic!r}")
+        raise StorageError(f"bad page magic at byte {at}: {magic!r}")
     if version != PAGE_VERSION:
         raise StorageError(f"unsupported page version {version}")
-    if _reserved != 0:
+    if reserved != 0:
         # Not covered by the CRC, so corruption here must be caught by
         # its only legal value.
         raise StorageError(
             f"page {page_id} reserved header bytes are nonzero")
-    body_start = offset + PAGE_HEADER.size
-    body_end = body_start + payload_len
-    if body_end > len(buf):
+    if expected_type is not None:
+        _expect_type(page_id, page_type, expected_type)
+    if PAGE_HEADER.size + payload_len > available:
         raise StorageError(
             f"truncated page {page_id}: payload needs {payload_len} bytes, "
-            f"{len(buf) - body_start} available")
+            f"{available - PAGE_HEADER.size} available")
+    return page_type, page_id, lsn, payload_len, crc
+
+
+def parse_page(buf: bytes, offset: int = 0) -> Tuple[Page, int]:
+    """Decode one page at ``offset``, validating magic and checksum."""
+    body_start = offset + PAGE_HEADER.size
+    page_type, page_id, lsn, payload_len, crc = _check_header(
+        bytes(buf[offset:body_start]), offset, len(buf) - offset)
+    body_end = body_start + payload_len
     body = bytes(buf[body_start:body_end])
-    meta = struct.pack("<BBQQI", version, page_type, page_id, lsn,
+    meta = struct.pack("<BBQQI", PAGE_VERSION, page_type, page_id, lsn,
                        payload_len)
     if zlib.crc32(meta + body) & 0xFFFFFFFF != crc:
         raise StorageError(f"page {page_id} checksum mismatch")
@@ -574,172 +595,6 @@ def write_snapshot(database, out: BinaryIO, checkpoint_lsn: int = 0,
 
 # ------------------------------------------------------- snapshot loader
 
-class _PageStream:
-    """Sequential reader over a parsed snapshot byte buffer."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.offset = 0
-        self.pages_read = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.offset >= len(self.buf)
-
-    def next(self, expected_type: int) -> Page:
-        if self.exhausted:
-            raise StorageError(
-                f"snapshot ended early: expected a "
-                f"{PAGE_TYPE_NAMES[expected_type]} page")
-        page, self.offset = parse_page(self.buf, self.offset)
-        self.pages_read += 1
-        if page.page_type != expected_type:
-            raise StorageError(
-                f"snapshot page {page.page_id}: expected "
-                f"{PAGE_TYPE_NAMES[expected_type]}, got "
-                f"{PAGE_TYPE_NAMES.get(page.page_type, page.page_type)}")
-        return page
-
-
-def _restore_btree(table, desc: Dict[str, object], stream: _PageStream):
-    items: List[Tuple] = []
-    for _ in range(desc["n_pages"]):
-        page = stream.next(PT_BTREE_LEAF)
-        items.extend(page.payload["items"])
-    if len(items) != desc["n_items"]:
-        raise StorageError(
-            f"index {desc['name']!r}: snapshot has {len(items)} leaf "
-            f"entries, descriptor says {desc['n_items']}")
-    if desc["included_columns"] is None:
-        index = PrimaryBTreeIndex(desc["name"], table.schema,
-                                  desc["key_columns"],
-                                  object_id=desc["object_id"])
-    else:
-        index = SecondaryBTreeIndex(desc["name"], table.schema,
-                                    desc["key_columns"],
-                                    desc["included_columns"],
-                                    object_id=desc["object_id"])
-    if items:
-        index.tree = BPlusTree.bulk_load(
-            items, leaf_capacity=index.tree.leaf_capacity)
-    return index
-
-
-def _restore_columnstore(table, desc: Dict[str, object],
-                         stream: _PageStream) -> ColumnstoreIndex:
-    index = ColumnstoreIndex(
-        desc["name"], table.schema, columns=desc["columns"],
-        is_primary=desc["is_primary"], rowgroup_size=desc["rowgroup_size"],
-        object_id=desc["object_id"],
-    )
-    for gi in range(desc["n_groups"]):
-        group_page = stream.next(PT_CSI_GROUP).payload
-        if group_page["group_index"] != gi:
-            raise StorageError(
-                f"index {desc['name']!r}: row group pages out of order")
-        segments: Dict[str, ColumnSegment] = {}
-        for column in group_page["columns"]:
-            seg_page = stream.next(PT_CSI_SEGMENT).payload
-            if seg_page["column"] != column or seg_page["group_index"] != gi:
-                raise StorageError(
-                    f"index {desc['name']!r}: segment pages out of order")
-            segments[column] = _segment_from_payload(seg_page)
-        group = CompressedRowGroup(
-            segments=segments,
-            rids=group_page["rids"],
-            n_rows=group_page["n_rows"],
-            sort_order=group_page["sort_order"],
-        )
-        index._append_group(group)
-        state = index._groups[-1]
-        state.deleted_mask = group_page["deleted_mask"]
-        state.n_deleted = group_page["n_deleted"]
-        # _append_group registered every rid; masked (bitmap-deleted)
-        # slots must not keep locators — that is the checker invariant.
-        for pos in np.flatnonzero(state.deleted_mask).tolist():
-            index._rid_location.pop(int(group.rids[pos]), None)
-    side = stream.next(PT_CSI_SIDE).payload
-    index._delta = {rid: tuple(values) for rid, values in side["delta"]}
-    index._delete_buffer = set(side["delete_buffer"])
-    return index
-
-
-def load_snapshot(source, cost_model=None):
-    """Load a snapshot written by :func:`write_snapshot`.
-
-    ``source`` is a path or bytes. Returns ``(database, meta)`` where
-    ``meta`` carries the catalog header (notably ``checkpoint_lsn`` and
-    ``pages_read``). Raises :class:`StorageError` on any torn page,
-    checksum mismatch, or structural inconsistency.
-    """
-    from repro.engine.costs import DEFAULT_COST_MODEL
-    from repro.storage.database import Database
-
-    if isinstance(source, (bytes, bytearray)):
-        buf = bytes(source)
-    else:
-        with open(source, "rb") as f:
-            buf = f.read()
-    stream = _PageStream(buf)
-    catalog = stream.next(PT_CATALOG).payload
-    database = Database(catalog["name"],
-                        cost_model=cost_model or DEFAULT_COST_MODEL)
-    max_object_id = 0
-    for table_name in catalog["tables"]:
-        table_page = stream.next(PT_TABLE).payload
-        if table_page["table"] != table_name:
-            raise StorageError(
-                f"snapshot table pages out of order: expected "
-                f"{table_name!r}, got {table_page['table']!r}")
-        schema = _schema_from_payload(table_name, table_page["schema"])
-        table = database.create_table(schema)
-        for _ in range(table_page["n_row_pages"]):
-            rows_page = stream.next(PT_ROWS).payload
-            for rid, row in zip(rows_page["rids"], rows_page["rows"]):
-                table._rows[rid] = tuple(row)
-        table._next_rid = table_page["next_rid"]
-        table.modification_counter = table_page["modification_counter"]
-        for position in range(table_page["n_indexes"]):
-            desc = stream.next(PT_INDEX).payload
-            max_object_id = max(max_object_id, desc["object_id"])
-            if desc["kind"] == "heap":
-                index = HeapFile(desc["name"], schema,
-                                 object_id=desc["object_id"])
-                for rid, row in table.iter_rows():
-                    index._rows[rid] = row
-            elif desc["kind"] == "btree":
-                index = _restore_btree(table, desc, stream)
-            elif desc["kind"] == "csi":
-                index = _restore_columnstore(table, desc, stream)
-                index.segment_cache = table.segment_cache
-            else:
-                raise StorageError(
-                    f"unknown index kind {desc['kind']!r} in snapshot")
-            index.faults = database.fault_injector
-            index.usage.clock = database.telemetry.clock
-            if position == 0:
-                if desc["role"] != "primary":
-                    raise StorageError(
-                        f"table {table_name!r}: first index in snapshot "
-                        "is not the primary structure")
-                table.primary = index
-            else:
-                table.secondary_indexes[desc["name"]] = index
-    if not stream.exhausted:
-        raise StorageError(
-            f"snapshot has {len(buf) - stream.offset} trailing bytes "
-            f"after page {stream.pages_read - 1}")
-    ensure_object_ids_above(max_object_id)
-    meta = {
-        "name": catalog["name"],
-        "checkpoint_lsn": catalog["checkpoint_lsn"],
-        "pages_read": stream.pages_read,
-    }
-    return database, meta
-
-
-# ------------------------------------------------- lazy (paged) loader
-
 class SnapshotReader:
     """Random-access page reads from a published snapshot file.
 
@@ -749,11 +604,11 @@ class SnapshotReader:
     deferred pages skip validation at open time, so the first fault is
     where corruption surfaces.
 
-    The file handle is held open for the database's lifetime. A later
-    checkpoint replaces ``snapshot.db`` via ``os.replace``, but on POSIX
-    the open handle keeps reading the original inode — and a quiesced
-    checkpoint rewrites unchanged pages byte-identically, so in-flight
-    paged structures stay consistent either way.
+    The file handle is held open until the owning database is closed. A
+    later checkpoint replaces ``snapshot.db`` via ``os.replace``, but on
+    POSIX the open handle keeps reading the original inode — and a
+    quiesced checkpoint rewrites unchanged pages byte-identically, so
+    in-flight paged structures stay consistent either way.
     """
 
     def __init__(self, path):
@@ -776,11 +631,7 @@ class SnapshotReader:
                 f"snapshot {self.path}: short read at offset {offset} "
                 f"({len(buf)} of {length} bytes)")
         page, _ = parse_page(buf, 0)
-        if page.page_type != expected_type:
-            raise StorageError(
-                f"snapshot page {page.page_id}: expected "
-                f"{PAGE_TYPE_NAMES[expected_type]}, got "
-                f"{PAGE_TYPE_NAMES.get(page.page_type, page.page_type)}")
+        _expect_type(page.page_id, page.page_type, expected_type)
         return page
 
     def close(self) -> None:
@@ -790,14 +641,24 @@ class SnapshotReader:
                 self._f.close()
 
 
-class _LazyPageStream:
-    """Sequential pass over a snapshot *file* that parses structural
-    pages but only records the location of deferred data pages
-    (PT_BTREE_LEAF, PT_CSI_SEGMENT), leaving their payloads on disk."""
+class _PageStream:
+    """The one sequential walk over a snapshot's pages.
 
-    def __init__(self, f: BinaryIO, size: int):
+    ``f`` is a seekable binary file — the open snapshot for a path,
+    ``io.BytesIO`` for bytes. :meth:`defer` validates the next page's
+    header and skips the payload; :meth:`next` goes on to read, checksum
+    and decode it. A walk never reads more than it parses.
+
+    A ``lazy`` walk (the paged open) rejects a page of the wrong type
+    from its header; an eager one checksums the page first and reports a
+    damaged type byte as the mismatch it is. Both orders predate this
+    class: every corrupt snapshot still fails with the message it had.
+    """
+
+    def __init__(self, f: BinaryIO, lazy: bool):
         self.f = f
-        self.size = size
+        self.size = f.seek(0, os.SEEK_END)
+        self.lazy = lazy
         self.offset = 0
         self.pages_read = 0
 
@@ -805,60 +666,34 @@ class _LazyPageStream:
     def exhausted(self) -> bool:
         return self.offset >= self.size
 
-    def _header(self, expected_type: int) -> Tuple[int, int, int]:
-        """Validate the header at the current offset; returns
-        (page_id, payload_len, total_len) without reading the payload."""
+    def defer(self, expected_type: int,
+              check_type: bool = True) -> Tuple[int, int, int]:
+        """Validate the next page's header and skip its payload; returns
+        (page_id, offset, length) for :meth:`SnapshotReader.read_page`.
+        The id is the page's position in the stream, which is what the
+        writer numbered it by: the header's copy is not checksummed
+        until the payload is read, and this id keys the buffer pool."""
         if self.exhausted:
             raise StorageError(
                 f"snapshot ended early: expected a "
                 f"{PAGE_TYPE_NAMES[expected_type]} page")
         self.f.seek(self.offset)
-        header = self.f.read(PAGE_HEADER.size)
-        if len(header) != PAGE_HEADER.size:
-            raise StorageError(
-                f"truncated page header at byte {self.offset} "
-                f"({len(header)} of {PAGE_HEADER.size} bytes)")
-        (magic, version, page_type, reserved, page_id, _lsn, payload_len,
-         _crc) = PAGE_HEADER.unpack(header)
-        if magic != PAGE_MAGIC:
-            raise StorageError(
-                f"bad page magic at byte {self.offset}: {magic!r}")
-        if version != PAGE_VERSION:
-            raise StorageError(f"unsupported page version {version}")
-        if reserved != 0:
-            raise StorageError(
-                f"page {page_id} reserved header bytes are nonzero")
-        if page_type != expected_type:
-            raise StorageError(
-                f"snapshot page {page_id}: expected "
-                f"{PAGE_TYPE_NAMES[expected_type]}, got "
-                f"{PAGE_TYPE_NAMES.get(page_type, page_type)}")
-        total = PAGE_HEADER.size + payload_len
-        if self.offset + total > self.size:
-            raise StorageError(
-                f"truncated page {page_id}: payload needs {payload_len} "
-                f"bytes, {self.size - self.offset - PAGE_HEADER.size} "
-                "available")
-        return page_id, payload_len, total
-
-    def next(self, expected_type: int) -> Page:
-        """Fully parse (and CRC-check) the next page."""
-        _page_id, _payload_len, total = self._header(expected_type)
-        self.f.seek(self.offset)
-        buf = self.f.read(total)
-        page, _ = parse_page(buf, 0)
-        self.offset += total
-        self.pages_read += 1
-        return page
-
-    def defer(self, expected_type: int) -> Tuple[int, int, int]:
-        """Skip the next page's payload; returns (page_id, offset,
-        length) for a later :meth:`SnapshotReader.read_page`."""
-        page_id, _payload_len, total = self._header(expected_type)
-        location = (page_id, self.offset, total)
-        self.offset += total
+        _type, _id, _lsn, payload_len, _crc = _check_header(
+            self.f.read(PAGE_HEADER.size), self.offset,
+            self.size - self.offset, expected_type if check_type else None)
+        location = (self.pages_read, self.offset,
+                    PAGE_HEADER.size + payload_len)
+        self.offset += location[2]
         self.pages_read += 1
         return location
+
+    def next(self, expected_type: int) -> Page:
+        """Read, checksum and decode the next page."""
+        _id, offset, length = self.defer(expected_type, check_type=self.lazy)
+        self.f.seek(offset)
+        page, _ = parse_page(self.f.read(length))
+        _expect_type(page.page_id, page.page_type, expected_type)
+        return page
 
 
 class _CsiPager:
@@ -874,17 +709,15 @@ class _CsiPager:
         self.reader = reader
         self.pool = pool
         self.object_id = object_id
-        self._locations: Dict[Tuple[int, str], Tuple[int, int, int]] = {}
-
-    def register(self, group_index: int, column: str, page_id: int,
-                 offset: int, length: int) -> None:
-        self._locations[(group_index, column)] = (page_id, offset, length)
+        #: (group index, column) -> the segment page's (page_id, offset,
+        #: length), as :meth:`_PageStream.defer` returned it.
+        self.locations: Dict[Tuple[int, str], Tuple[int, int, int]] = {}
 
     def load(self, group_index: int, column: str,
              pin: bool = False) -> Tuple[ColumnSegment, Tuple[int, int]]:
         """Returns (segment, pool page key); the key is pinned when
         ``pin`` and must be unpinned by the caller."""
-        page_id, offset, length = self._locations[(group_index, column)]
+        page_id, offset, length = self.locations[(group_index, column)]
         key = (self.object_id, page_id)
 
         def fault() -> Tuple[ColumnSegment, int]:
@@ -902,29 +735,35 @@ class _CsiPager:
 
     def group_loader(self, group_index: int):
         """The ``CompressedRowGroup.loader`` callable for one group."""
-        def load(column: str) -> ColumnSegment:
-            segment, _key = self.load(group_index, column)
-            return segment
-        return load
-
-    def unpin(self, key: Tuple[int, int]) -> None:
-        self.pool.unpin(key)
+        return lambda column: self.load(group_index, column)[0]
 
 
-def _restore_btree_paged(table, desc: Dict[str, object],
-                         stream: _LazyPageStream, reader: SnapshotReader,
-                         pool: BufferPool):
-    """Lazy counterpart of :func:`_restore_btree`: defer every leaf
-    page, keeping only the descriptor's fence keys resident."""
+def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
+                   pool: Optional[BufferPool],
+                   reader: Optional[SnapshotReader]):
+    """Rebuild one B+ index from its leaf pages: parsed and bulk-loaded
+    now, or — given a pool and a reader — left on disk behind the
+    descriptor's fence keys, the only part that stays resident."""
     if desc["included_columns"] is None:
-        index = PagedPrimaryBTreeIndex(desc["name"], table.schema,
-                                       desc["key_columns"],
-                                       object_id=desc["object_id"])
+        cls = PrimaryBTreeIndex if pool is None else PagedPrimaryBTreeIndex
+        index = cls(desc["name"], table.schema, desc["key_columns"],
+                    object_id=desc["object_id"])
     else:
-        index = PagedSecondaryBTreeIndex(desc["name"], table.schema,
-                                         desc["key_columns"],
-                                         desc["included_columns"],
-                                         object_id=desc["object_id"])
+        cls = SecondaryBTreeIndex if pool is None else PagedSecondaryBTreeIndex
+        index = cls(desc["name"], table.schema, desc["key_columns"],
+                    desc["included_columns"], object_id=desc["object_id"])
+    if pool is None:
+        items: List[Tuple] = []
+        for _ in range(desc["n_pages"]):
+            items.extend(stream.next(PT_BTREE_LEAF).payload["items"])
+        if len(items) != desc["n_items"]:
+            raise StorageError(
+                f"index {desc['name']!r}: snapshot has {len(items)} leaf "
+                f"entries, descriptor says {desc['n_items']}")
+        if items:
+            index.tree = BPlusTree.bulk_load(
+                items, leaf_capacity=index.tree.leaf_capacity)
+        return index
     if not desc["n_pages"]:
         return index  # empty index: nothing to page
     fences = desc.get("leaf_fences")
@@ -949,63 +788,143 @@ def _restore_btree_paged(table, desc: Dict[str, object],
     return index
 
 
-def _restore_columnstore_paged(table, desc: Dict[str, object],
-                               stream: _LazyPageStream,
-                               reader: SnapshotReader,
-                               pool: BufferPool) -> ColumnstoreIndex:
-    """Lazy counterpart of :func:`_restore_columnstore`: group pages
-    (rids, delete bitmaps, sort order, per-column metadata) load
-    eagerly; segment pages defer behind the pool."""
+def _restore_columnstore(table, desc: Dict[str, object],
+                         stream: _PageStream, pool: Optional[BufferPool],
+                         reader: Optional[SnapshotReader]
+                         ) -> ColumnstoreIndex:
+    """Rebuild one columnstore. Group pages (rids, delete bitmap, sort
+    order, per-column metadata) and the side page always load now;
+    segment pages are parsed now, or — given a pool and a reader — left
+    to a pager that faults them through the pool."""
     index = ColumnstoreIndex(
         desc["name"], table.schema, columns=desc["columns"],
         is_primary=desc["is_primary"], rowgroup_size=desc["rowgroup_size"],
         object_id=desc["object_id"],
     )
-    pager = _CsiPager(reader, pool, desc["object_id"])
+    pager = None
+    if pool is not None:
+        pager = _CsiPager(reader, pool, desc["object_id"])
+        index.attach_pager(pager, pool)
     for gi in range(desc["n_groups"]):
         group_page = stream.next(PT_CSI_GROUP).payload
         if group_page["group_index"] != gi:
             raise StorageError(
                 f"index {desc['name']!r}: row group pages out of order")
-        meta_payload = group_page.get("segment_meta")
-        if meta_payload is None:
-            raise StorageError(
-                f"index {desc['name']!r}: snapshot predates the paged "
-                "format (no segment metadata) — rewrite it with save() "
-                "before opening with paging=True")
+        segments: Dict[str, ColumnSegment] = {}
+        meta = loader = None
+        if pager is not None:
+            meta_payload = group_page.get("segment_meta")
+            if meta_payload is None:
+                raise StorageError(
+                    f"index {desc['name']!r}: snapshot predates the paged "
+                    "format (no segment metadata) — rewrite it with save() "
+                    "before opening with paging=True")
+            meta = {
+                column: SegmentMeta(
+                    column=column, n_rows=m["n_rows"],
+                    encoding=m["encoding"], size_bytes=m["size_bytes"],
+                    min_value=m["min"], max_value=m["max"])
+                for column, m in meta_payload.items()
+            }
+            loader = pager.group_loader(gi)
         for column in group_page["columns"]:
-            page_id, offset, length = stream.defer(PT_CSI_SEGMENT)
-            pager.register(gi, column, page_id, offset, length)
-        meta = {
-            column: SegmentMeta(
-                column=column, n_rows=m["n_rows"], encoding=m["encoding"],
-                size_bytes=m["size_bytes"], min_value=m["min"],
-                max_value=m["max"])
-            for column, m in meta_payload.items()
-        }
-        group = CompressedRowGroup(
-            segments={},
-            rids=group_page["rids"],
-            n_rows=group_page["n_rows"],
-            sort_order=group_page["sort_order"],
-            meta=meta,
-            loader=pager.group_loader(gi),
-        )
-        index._append_group(group)
-        state = index._groups[-1]
-        state.deleted_mask = group_page["deleted_mask"]
-        state.n_deleted = group_page["n_deleted"]
-        for pos in np.flatnonzero(state.deleted_mask).tolist():
-            index._rid_location.pop(int(group.rids[pos]), None)
+            if pager is not None:
+                pager.locations[gi, column] = stream.defer(PT_CSI_SEGMENT)
+                continue
+            seg_page = stream.next(PT_CSI_SEGMENT).payload
+            if seg_page["column"] != column or seg_page["group_index"] != gi:
+                raise StorageError(
+                    f"index {desc['name']!r}: segment pages out of order")
+            segments[column] = _segment_from_payload(seg_page)
+        index.restore_group(
+            CompressedRowGroup(
+                segments=segments, rids=group_page["rids"],
+                n_rows=group_page["n_rows"],
+                sort_order=group_page["sort_order"], meta=meta,
+                loader=loader),
+            group_page["deleted_mask"], group_page["n_deleted"])
     side = stream.next(PT_CSI_SIDE).payload
-    index._delta = {rid: tuple(values) for rid, values in side["delta"]}
-    index._delete_buffer = set(side["delete_buffer"])
-    index._pager = pager
-    index.buffer_pool = pool
+    index.restore_side_state(side["delta"], side["delete_buffer"])
     return index
 
 
-def load_snapshot_paged(path, pool: BufferPool, cost_model=None):
+def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
+          reader: Optional[SnapshotReader] = None):
+    """The one snapshot loader: walk the catalog → table → rows → index
+    pages of the snapshot open as ``f`` and rebuild the database through
+    each structure's restore interface. Leaf and segment pages are
+    parsed now, or — given a pool and a reader — stay on disk (see
+    :func:`load_snapshot_paged`). Returns ``(database, meta)``."""
+    from repro.engine.costs import DEFAULT_COST_MODEL
+    from repro.storage.database import Database
+
+    stream = _PageStream(f, lazy=pool is not None)
+    catalog = stream.next(PT_CATALOG).payload
+    database = Database(catalog["name"],
+                        cost_model=cost_model or DEFAULT_COST_MODEL)
+    max_object_id = 0
+    for table_name in catalog["tables"]:
+        table_page = stream.next(PT_TABLE).payload
+        if table_page["table"] != table_name:
+            raise StorageError(
+                f"snapshot table pages out of order: expected "
+                f"{table_name!r}, got {table_page['table']!r}")
+        table = database.create_table(
+            _schema_from_payload(table_name, table_page["schema"]))
+        for _ in range(table_page["n_row_pages"]):
+            rows_page = stream.next(PT_ROWS).payload
+            table.restore_rows(rows_page["rids"], rows_page["rows"])
+        table.restore_counters(table_page["next_rid"],
+                               table_page["modification_counter"])
+        for position in range(table_page["n_indexes"]):
+            desc = stream.next(PT_INDEX).payload
+            max_object_id = max(max_object_id, desc["object_id"])
+            if desc["kind"] == "heap":
+                index = HeapFile(desc["name"], table.schema,
+                                 object_id=desc["object_id"])
+                index.restore_rows(table.iter_rows())
+            elif desc["kind"] == "btree":
+                index = _restore_btree(table, desc, stream, pool, reader)
+            elif desc["kind"] == "csi":
+                index = _restore_columnstore(table, desc, stream, pool,
+                                             reader)
+            else:
+                raise StorageError(
+                    f"unknown index kind {desc['kind']!r} in snapshot")
+            if position == 0 and desc["role"] != "primary":
+                raise StorageError(
+                    f"table {table_name!r}: first index in snapshot "
+                    "is not the primary structure")
+            table.adopt_index(index, primary=position == 0)
+    if not stream.exhausted:
+        raise StorageError(
+            f"snapshot has {stream.size - stream.offset} trailing bytes "
+            f"after page {stream.pages_read - 1}")
+    ensure_object_ids_above(max_object_id)
+    return database, {
+        "name": catalog["name"],
+        "checkpoint_lsn": catalog["checkpoint_lsn"],
+        "pages_read": stream.pages_read,
+    }
+
+
+def load_snapshot(source, cost_model=None):
+    """Load a snapshot written by :func:`write_snapshot`.
+
+    ``source`` is a path or bytes. Returns ``(database, meta)`` where
+    ``meta`` carries the catalog header (notably ``checkpoint_lsn`` and
+    ``pages_read``). Raises :class:`StorageError` on any torn page,
+    checksum mismatch, or structural inconsistency.
+    """
+    if isinstance(source, (bytes, bytearray)):
+        f = io.BytesIO(source)
+    else:
+        f = open(source, "rb")
+    with f:
+        return _load(f, cost_model)
+
+
+def load_snapshot_paged(path, pool: Optional[BufferPool], cost_model=None):
     """Load a snapshot lazily: catalog, row store, B+ fences, and
     columnstore group metadata come into memory; B+ leaf pages and
     column segment pages stay on disk and are demand-loaded through
@@ -1013,79 +932,18 @@ def load_snapshot_paged(path, pool: BufferPool, cost_model=None):
 
     Returns ``(database, meta, reader)``. The caller owns the reader's
     lifetime (``Database.open(..., paging=True)`` parks it on the
-    database). Deferred pages are CRC-validated at fault time, not at
-    open time.
+    database, whose ``close()`` closes it). Deferred pages are
+    CRC-validated at fault time, not at open time. Without a pool there
+    is nothing to defer behind: everything loads now, the reader is None.
     """
-    from repro.engine.costs import DEFAULT_COST_MODEL
-    from repro.storage.database import Database
-
-    reader = SnapshotReader(path)
-    f = open(path, "rb")
+    reader = None if pool is None else SnapshotReader(path)
     try:
-        size = os.fstat(f.fileno()).st_size
-        stream = _LazyPageStream(f, size)
-        catalog = stream.next(PT_CATALOG).payload
-        database = Database(catalog["name"],
-                            cost_model=cost_model or DEFAULT_COST_MODEL)
-        max_object_id = 0
-        for table_name in catalog["tables"]:
-            table_page = stream.next(PT_TABLE).payload
-            if table_page["table"] != table_name:
-                raise StorageError(
-                    f"snapshot table pages out of order: expected "
-                    f"{table_name!r}, got {table_page['table']!r}")
-            schema = _schema_from_payload(table_name, table_page["schema"])
-            table = database.create_table(schema)
-            for _ in range(table_page["n_row_pages"]):
-                rows_page = stream.next(PT_ROWS).payload
-                for rid, row in zip(rows_page["rids"], rows_page["rows"]):
-                    table._rows[rid] = tuple(row)
-            table._next_rid = table_page["next_rid"]
-            table.modification_counter = table_page["modification_counter"]
-            for position in range(table_page["n_indexes"]):
-                desc = stream.next(PT_INDEX).payload
-                max_object_id = max(max_object_id, desc["object_id"])
-                if desc["kind"] == "heap":
-                    index = HeapFile(desc["name"], schema,
-                                     object_id=desc["object_id"])
-                    for rid, row in table.iter_rows():
-                        index._rows[rid] = row
-                elif desc["kind"] == "btree":
-                    index = _restore_btree_paged(table, desc, stream,
-                                                 reader, pool)
-                elif desc["kind"] == "csi":
-                    index = _restore_columnstore_paged(table, desc, stream,
-                                                       reader, pool)
-                    index.segment_cache = table.segment_cache
-                else:
-                    raise StorageError(
-                        f"unknown index kind {desc['kind']!r} in snapshot")
-                index.faults = database.fault_injector
-                index.usage.clock = database.telemetry.clock
-                if position == 0:
-                    if desc["role"] != "primary":
-                        raise StorageError(
-                            f"table {table_name!r}: first index in "
-                            "snapshot is not the primary structure")
-                    table.primary = index
-                else:
-                    table.secondary_indexes[desc["name"]] = index
-        if not stream.exhausted:
-            raise StorageError(
-                f"snapshot has {size - stream.offset} trailing bytes "
-                f"after page {stream.pages_read - 1}")
-        ensure_object_ids_above(max_object_id)
-        meta = {
-            "name": catalog["name"],
-            "checkpoint_lsn": catalog["checkpoint_lsn"],
-            "pages_read": stream.pages_read,
-        }
-        return database, meta, reader
+        with open(path, "rb") as f:
+            return (*_load(f, cost_model, pool, reader), reader)
     except BaseException:
-        reader.close()
+        if reader is not None:
+            reader.close()
         raise
-    finally:
-        f.close()
 
 
 def snapshot_bytes(database, checkpoint_lsn: int = 0) -> bytes:

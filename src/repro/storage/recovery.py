@@ -34,12 +34,11 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.errors import RecoveryError, ReproError
 from repro.storage.checker import check_database
 from repro.storage.pages import (
-    load_snapshot,
     load_snapshot_paged,
     snapshot_bytes,
     _schema_from_payload,
@@ -137,24 +136,6 @@ class RecoveryReport:
 
 # --------------------------------------------------------------- redo ops
 
-def _redo_insert(table, rid: int, row: Tuple) -> None:
-    """Apply one logged insert, forcing its original rid.
-
-    ``Table.insert_row`` cannot be reused: rid allocation must match the
-    log exactly even when aborted statements burned rids in the original
-    process (their rids are absent from the log and must stay absent)."""
-    if rid in table._rows:
-        raise RecoveryError(
-            f"redo insert: rid {rid} already live in table {table.name!r}")
-    row = tuple(row)
-    table._rows[rid] = row
-    table._next_rid = max(table._next_rid, rid + 1)
-    table.primary.insert(rid, row)
-    for index in table.secondary_indexes.values():
-        index.insert(rid, row)
-    table.modification_counter += 1
-
-
 _MAINTENANCE_KINDS = ("tuple_move", "rebuild", "reorganize", "compact")
 
 
@@ -170,13 +151,13 @@ def _apply_op(database, op: Dict[str, object]) -> None:
         return
     table = database.table(op["table"])
     if kind == "insert":
-        _redo_insert(table, op["rid"], op["row"])
+        if table.has_rid(op["rid"]):
+            raise RecoveryError(
+                f"redo insert: rid {op['rid']} already live in table "
+                f"{table.name!r}")
+        table.redo_insert([op["rid"]], [op["row"]])
     elif kind == "bulk_insert":
-        for rid, row in zip(op["rids"], op["rows"]):
-            table._rows[rid] = tuple(row)
-            table.primary.insert(rid, tuple(row))
-            table._next_rid = max(table._next_rid, rid + 1)
-        table.modification_counter += len(op["rids"])
+        table.redo_insert(op["rids"], op["rows"])
     elif kind == "delete":
         table.delete_rids(op["rids"])
     elif kind == "update":
@@ -255,18 +236,11 @@ def recover(data_dir, cost_model=None, buffer_pool=None):
     data_dir = str(data_dir)
     report = RecoveryReport(data_dir=data_dir)
     snapshot_path = os.path.join(data_dir, SNAPSHOT_FILENAME)
-    paged = False
+    reader = None
     if os.path.exists(snapshot_path):
         try:
-            if buffer_pool is not None:
-                database, meta, reader = load_snapshot_paged(
-                    snapshot_path, buffer_pool, cost_model=cost_model)
-                database.buffer_pool = buffer_pool
-                database._snapshot_reader = reader
-                paged = True
-            else:
-                database, meta = load_snapshot(
-                    snapshot_path, cost_model=cost_model)
+            database, meta, reader = load_snapshot_paged(
+                snapshot_path, buffer_pool, cost_model=cost_model)
         except ReproError as exc:
             raise RecoveryError(
                 f"snapshot {snapshot_path} is unrecoverable: {exc}"
@@ -277,9 +251,19 @@ def recover(data_dir, cost_model=None, buffer_pool=None):
     else:
         database = Database(
             cost_model=cost_model or DEFAULT_COST_MODEL)
-        if buffer_pool is not None:
-            database.buffer_pool = buffer_pool
+    database.buffer_pool = buffer_pool
+    database._snapshot_reader = reader
+    try:
+        _redo_and_check(database, report, paged=reader is not None)
+    except BaseException:
+        database.close()
+        raise
+    return database, report
 
+
+def _redo_and_check(database, report: RecoveryReport, paged: bool) -> None:
+    """Steps 2–4 of recovery over a loaded (or empty) database."""
+    data_dir = report.data_dir
     wal_path = os.path.join(data_dir, WAL_FILENAME)
     scan: WalScan = read_wal(wal_path)
     report.wal_found = os.path.exists(wal_path)

@@ -54,10 +54,6 @@ class Table:
         #: Telemetry (standalone tables get a private one); attached to
         #: every index's usage counters for last_user_* stamps.
         self.usage_clock = usage_clock or LogicalClock()
-        self.primary: PrimaryStructure = HeapFile(f"{self.name}_heap", schema)
-        self.primary.faults = fault_injector
-        self.primary.usage.clock = self.usage_clock
-        self.secondary_indexes: Dict[str, SecondaryIndex] = {}
         #: Shared decoded-segment cache handed down by the owning
         #: Database; attached to every columnstore built on this table.
         #: None (standalone tables) leaves columnstores uncached.
@@ -71,6 +67,20 @@ class Table:
         #: executor's statement scope makes multi-call statements one
         #: atomic log transaction.
         self.wal = None
+        self.primary: PrimaryStructure = self._wire(
+            HeapFile(f"{self.name}_heap", schema))
+        self.secondary_indexes: Dict[str, SecondaryIndex] = {}
+
+    def _wire(self, index):
+        """Hand a new index structure this table's shared services — the
+        one place fault injector, usage clock, segment cache and WAL
+        maintenance hook are attached, whoever built the index."""
+        index.faults = self.fault_injector
+        index.usage.clock = self.usage_clock
+        if isinstance(index, ColumnstoreIndex):
+            index.segment_cache = self.segment_cache
+        self._attach_wal_hooks(index)
+        return index
 
     # --------------------------------------------------------- durability
     def attach_wal(self, wal) -> None:
@@ -95,6 +105,47 @@ class Table:
     def _log_ops(self, ops) -> None:
         if self.wal is not None:
             self.wal.log_ops(ops)
+
+    # The snapshot loader and WAL redo rebuild a table through the four
+    # methods below; nothing outside this module writes ``_rows`` or
+    # ``_next_rid``. None of them logs, charges or trips a fault point.
+
+    def restore_rows(self, rids: Sequence[int],
+                     rows: Sequence[Sequence[object]]) -> None:
+        """Snapshot restore: add one page of the canonical row store."""
+        for rid, row in zip(rids, rows):
+            self._rows[rid] = tuple(row)
+
+    def restore_counters(self, next_rid: int,
+                         modification_counter: int) -> None:
+        """Snapshot restore: resume rid allocation and the statistics
+        staleness count where the snapshot left them."""
+        self._next_rid = next_rid
+        self.modification_counter = modification_counter
+
+    def adopt_index(self, index, primary: bool) -> None:
+        """Snapshot restore: install an index rebuilt from its pages as
+        the primary structure or as a secondary index."""
+        self._wire(index)
+        if primary:
+            self.primary = index
+        else:
+            self.secondary_indexes[index.name] = index
+
+    def redo_insert(self, rids: Sequence[int],
+                    rows: Sequence[Sequence[object]]) -> None:
+        """WAL redo of logged inserts (one row, or a bulk load's): every
+        row goes in at its logged rid. ``insert_row`` cannot be reused:
+        rid allocation must match the log exactly even when aborted
+        statements burned rids in the original process (their rids are
+        absent from the log and must stay absent)."""
+        for rid, row in zip(rids, rows):
+            row = tuple(row)
+            self._rows[rid] = row
+            self._next_rid = max(self._next_rid, rid + 1)
+            for index in self.all_indexes:
+                index.insert(rid, row)
+        self.modification_counter += len(rids)
 
     # ------------------------------------------------------------ basics
     def __len__(self) -> int:
@@ -173,11 +224,9 @@ class Table:
                           name: Optional[str] = None) -> PrimaryBTreeIndex:
         """Convert the primary structure to a clustered B+ tree."""
         index_name = name or f"{self.name}_pk_btree"
-        index = PrimaryBTreeIndex.build(
+        index = self._wire(PrimaryBTreeIndex.build(
             index_name, self.schema, key_columns, self.rows_with_rids()
-        )
-        index.faults = self.fault_injector
-        index.usage.clock = self.usage_clock
+        ))
         self._evict_cached_segments(self.primary)
         self.primary = index
         self._log_ops([{
@@ -206,16 +255,12 @@ class Table:
         kwargs = {}
         if rowgroup_size is not None:
             kwargs["rowgroup_size"] = rowgroup_size
-        index = ColumnstoreIndex.build(
+        index = self._wire(ColumnstoreIndex.build(
             name or f"{self.name}_pk_csi", self.schema, self.rows_with_rids(),
             is_primary=True, presorted=presorted, **kwargs,
-        )
-        index.segment_cache = self.segment_cache
-        index.faults = self.fault_injector
-        index.usage.clock = self.usage_clock
+        ))
         self._evict_cached_segments(self.primary)
         self.primary = index
-        self._attach_wal_hooks(index)
         self._log_ops([{
             "op": "set_primary_columnstore", "table": self.name,
             "name": index.name, "rowgroup_size": rowgroup_size,
@@ -230,9 +275,7 @@ class Table:
 
     def set_primary_heap(self) -> HeapFile:
         """Convert the primary structure back to a heap file."""
-        heap = HeapFile(f"{self.name}_heap", self.schema)
-        heap.faults = self.fault_injector
-        heap.usage.clock = self.usage_clock
+        heap = self._wire(HeapFile(f"{self.name}_heap", self.schema))
         for rid, row in self.iter_rows():
             heap.insert(rid, row)
         self._evict_cached_segments(self.primary)
@@ -248,12 +291,10 @@ class Table:
     ) -> SecondaryBTreeIndex:
         """Build a nonclustered B+ tree on the current rows."""
         self._check_index_name(name)
-        index = SecondaryBTreeIndex.build(
+        index = self._wire(SecondaryBTreeIndex.build(
             name, self.schema, key_columns, self.rows_with_rids(),
             included_columns=included_columns,
-        )
-        index.faults = self.fault_injector
-        index.usage.clock = self.usage_clock
+        ))
         self.secondary_indexes[name] = index
         self._log_ops([{
             "op": "create_secondary_btree", "table": self.name,
@@ -298,16 +339,12 @@ class Table:
             rows = sorted(rows, key=lambda item: (
                 item[1][ordinal] is not None, item[1][ordinal]))
             presorted = True
-        index = ColumnstoreIndex.build(
+        index = self._wire(ColumnstoreIndex.build(
             name, self.schema, rows,
             columns=columns, is_primary=False, presorted=presorted,
             **kwargs,
-        )
-        index.segment_cache = self.segment_cache
-        index.faults = self.fault_injector
-        index.usage.clock = self.usage_clock
+        ))
         self.secondary_indexes[name] = index
-        self._attach_wal_hooks(index)
         self._log_ops([{
             "op": "create_secondary_columnstore", "table": self.name,
             "name": name,

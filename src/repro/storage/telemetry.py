@@ -325,7 +325,3 @@ class Telemetry:
             key=lambda d: (-d.statement_count, d.table_name,
                            d.equality_columns, d.inequality_columns),
         )
-
-    def clear_missing_indexes(self) -> None:
-        """Forget all missing-index observations."""
-        self._missing.clear()

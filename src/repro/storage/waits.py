@@ -181,13 +181,8 @@ class WaitStatsCollector:
         """Capture this thread's waits into a per-statement profile.
 
         Yields a dict ``wait_type -> [count, wait_ms]`` that fills in as
-        the statement blocks. Nested scopes join the outer statement
-        (compound executor paths stay one profile).
+        the statement blocks.
         """
-        existing = getattr(self._local, "profile", None)
-        if existing is not None:
-            yield existing
-            return
         profile: Dict[str, List[float]] = {}
         self._local.profile = profile
         try:

@@ -133,6 +133,62 @@ class TestCrossDesignCorrectness:
                 == oracle.execute(sql).fetchall(), sql
 
 
+NOT_PREDICATES = (
+    "NOT (a = 10)",
+    "NOT a < 11",
+    "NOT (a = 10 AND s = 'x')",
+    "NOT (a = 10 OR s = 'x')",
+    "NOT (a BETWEEN 10 AND 11)",
+    "NOT (a IN (10, 11))",
+    "NOT (a IN (10, NULL))",
+    "NOT NOT (a = 10)",
+    "NOT (NOT (a = 10) AND s = 'x')",
+    "NOT (a BETWEEN 10 AND 11 OR NOT s = 'x') AND k > 1",
+)
+
+
+class TestNotOverUnknown:
+    """``NOT`` over a comparison with NULL is unknown, not true: the row
+    is not selected, updated or deleted (the engine used to keep it:
+    ``NOT (a = 10)`` returned the rows whose ``a`` is NULL)."""
+
+    ROWS = [(k, a, s)
+            for k, (a, s) in enumerate(
+                (a, s) for _ in range(40)
+                for a in (10, None, 11, 12) for s in ("x", None, "y"))]
+
+    @pytest.mark.parametrize("encoded", [True, False])
+    @pytest.mark.parametrize("design", ["heap", "btree", "pri_csi"])
+    def test_select_update_delete_match_sqlite(self, design, encoded):
+        import sqlite3
+        db = Database()
+        table = db.create_table(TableSchema("t", [
+            Column("k", INT, nullable=False), Column("a", INT),
+            Column("s", varchar(4))]))
+        table.bulk_load(self.ROWS)
+        if design == "btree":
+            table.set_primary_btree(["k"])
+        elif design == "pri_csi":
+            table.set_primary_columnstore(rowgroup_size=128)
+        oracle = sqlite3.connect(":memory:")
+        oracle.execute("CREATE TABLE t (k INT, a INT, s TEXT)")
+        oracle.executemany("INSERT INTO t VALUES (?, ?, ?)", self.ROWS)
+        executor = Executor(db)
+        executor.encoded_execution = encoded
+        everything = "SELECT k, a, s FROM t ORDER BY k"
+        for predicate in NOT_PREDICATES:
+            select = f"SELECT k FROM t WHERE {predicate} ORDER BY k"
+            assert executor.execute(select).rows \
+                == oracle.execute(select).fetchall(), predicate
+        for predicate in NOT_PREDICATES:
+            for dml in (f"UPDATE t SET a = 13 WHERE k < 300 AND {predicate}",
+                        f"DELETE FROM t WHERE k >= 300 AND {predicate}"):
+                executor.execute(dml)
+                oracle.execute(dml)
+                assert executor.execute(everything).rows \
+                    == oracle.execute(everything).fetchall(), dml
+
+
 class TestDmlConsistencyAcrossIndexes:
     def make_hybrid(self):
         db = tpch_db(scale=0.1)

@@ -124,14 +124,6 @@ class TestCollector:
         assert profile[WAIT_LATCH_EX][1] == pytest.approx(5.0)
         assert profile[WAIT_CXPACKET][0] == 1
 
-    def test_nested_statement_scopes_share_one_profile(self):
-        collector = WaitStatsCollector()
-        with collector.statement() as outer:
-            with collector.statement() as inner:
-                collector.record(WAIT_WRITELOG, 1.0)
-            assert inner is outer
-        assert outer[WAIT_WRITELOG][0] == 1
-
     def test_reset_clears_server_and_sessions(self):
         collector = WaitStatsCollector()
         with collector.session_scope(2):
