@@ -574,11 +574,8 @@ def _cmd_serve(args) -> int:
             # the WAL: every statement served from here on is durable.
             database.enable_durability(args.data_dir)
             print(f"durable: snapshot + WAL in {args.data_dir}")
-    manager = SessionManager(
-        database,
-        morsel_workers=args.morsel_workers,
-        io_replay_scale=args.io_replay_scale,
-    )
+    manager = SessionManager(database,
+                             morsel_workers=args.morsel_workers)
     mode = ("morsel-parallel" if args.morsel_workers
             else "serial") + (" cold" if args.cold else " hot")
     print(f"serving CH database ({args.warehouses} warehouses, {mode} "
@@ -644,47 +641,6 @@ def _cmd_crash_child(args) -> int:
         args.statements, crash_point=args.crash_point,
         crash_hit=args.crash_hit, checkpoint_every=args.checkpoint_every,
     )
-
-
-def _cmd_bench_serving(args) -> int:
-    import json
-
-    from repro.bench.reporting import format_table
-    from repro.server.bench import run_serving_bench
-
-    report = run_serving_bench(
-        session_counts=tuple(args.sessions),
-        rounds=args.rounds,
-        morsel_workers=args.morsel_workers,
-        io_replay_scale=args.io_replay_scale,
-        fig1_scale=args.fig1_scale,
-        fig1_replay_scale=args.fig1_replay_scale,
-        out_path=args.out,
-        wait_stats_out=args.wait_stats_out,
-        events_out=args.events_out,
-    )
-    print(format_table(
-        ["sessions", "scan mode", "statements", "wall s", "QPS"],
-        [(row["sessions"], row["scan_mode"], row["statements"],
-          row["wall_s"], row["qps"]) for row in report["ch_qps"]],
-        title="CH mixed workload, sustained QPS"))
-    fig1 = report["fig1_morsel"]
-    print()
-    print(format_table(
-        ["sel%", "serial ms", "morsel ms", "speedup"],
-        list(zip(fig1["selectivity_pct"], fig1["serial_wall_ms"],
-                 fig1["morsel_wall_ms"], fig1["speedup"])),
-        title=f"Q1 sweep wall clock, {fig1['rows']} rows "
-              f"({fig1['rowgroups']} rowgroups)"))
-    print()
-    print("acceptance: " + json.dumps(report["acceptance"]))
-    if args.out:
-        print(f"report written to {args.out}")
-    if args.wait_stats_out:
-        print(f"wait-stats snapshot written to {args.wait_stats_out}")
-    if args.events_out:
-        print(f"extended events written to {args.events_out}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -776,9 +732,6 @@ def main(argv=None) -> int:
                        help="CH scale (TPC-C warehouses)")
     serve.add_argument("--morsel-workers", type=int, default=4,
                        help="morsel-scan worker threads (0 = serial scans)")
-    serve.add_argument("--io-replay-scale", type=float, default=0.0,
-                       help="real ms slept per modeled I/O-wait ms "
-                            "(0 = never sleep)")
     serve.add_argument("--cold", action="store_true",
                        help="run client statements cold (charge modeled "
                             "I/O)")
@@ -829,37 +782,6 @@ def main(argv=None) -> int:
     crash_child.add_argument("--crash-hit", type=int, default=1)
     crash_child.add_argument("--checkpoint-every", type=int, default=7)
 
-    bench_serving = sub.add_parser(
-        "bench-serving",
-        help="measure sustained QPS vs session count and morsel-scan "
-             "speedup; write BENCH_serving.json")
-    bench_serving.add_argument("--sessions", type=int, nargs="+",
-                               default=[1, 2, 4, 8],
-                               help="session counts to sweep")
-    bench_serving.add_argument("--rounds", type=int, default=2,
-                               help="CH mix replays per session")
-    bench_serving.add_argument("--morsel-workers", type=int, default=4)
-    bench_serving.add_argument("--io-replay-scale", type=float,
-                               default=250.0,
-                               help="real ms slept per modeled I/O-wait "
-                                    "ms in the QPS runs (restores the "
-                                    "native-engine I/O:CPU ratio)")
-    bench_serving.add_argument("--fig1-scale", type=int, default=10,
-                               help="Q1 sweep rows = scale x 200k")
-    bench_serving.add_argument("--fig1-replay-scale", type=float,
-                               default=4.0,
-                               help="I/O replay scale for the Q1 sweep")
-    bench_serving.add_argument("--out", default="BENCH_serving.json",
-                               help="output JSON path ('' to skip)")
-    bench_serving.add_argument("--wait-stats-out", default=None,
-                               metavar="FILE",
-                               help="also write per-cell wait-stats "
-                                    "snapshots (server + per-session) "
-                                    "as JSON to FILE")
-    bench_serving.add_argument("--events-out", default=None, metavar="FILE",
-                               help="also write the extended-events ring "
-                                    "buffer as JSON Lines to FILE")
-
     args = parser.parse_args(argv)
     handlers = {
         "demo": _cmd_demo,
@@ -870,7 +792,6 @@ def main(argv=None) -> int:
         "analyze": _cmd_analyze,
         "monitor": _cmd_monitor,
         "serve": _cmd_serve,
-        "bench-serving": _cmd_bench_serving,
         "recover": _cmd_recover,
         "crashtest": _cmd_crashtest,
         "crash-child": _cmd_crash_child,

@@ -65,11 +65,6 @@ class QueryResult:
     #: Root of the per-operator span tree recorded while executing (the
     #: synthetic "<statement>" span; operator spans hang beneath it).
     root_span: Optional[OperatorSpan] = None
-    #: Modeled I/O milliseconds already replayed as real wall time by
-    #: morsel workers (see :mod:`repro.server.parallel_scan`); the
-    #: serving layer sleeps only the remainder of ``metrics.io_wait_ms``
-    #: so overlapped waits are never double-counted.
-    replayed_io_ms: float = 0.0
     #: Real blocking observed while this statement executed:
     #: ``{wait_type: {"count": n, "wait_ms": ms}}``. Observation-only
     #: wall-clock data (empty on an uncontended run) — never part of the
@@ -272,7 +267,6 @@ class Executor:
         else:
             record.ctx.finalize_spans()
             result.root_span = record.ctx.root_span
-            result.replayed_io_ms = record.ctx.replayed_io_ms
             result.wait_profile = {
                 wait_type: {"count": int(count), "wait_ms": round(ms, 4)}
                 for wait_type, (count, ms) in sorted(record.waits.items())

@@ -38,10 +38,6 @@ class QueryMetrics:
     memory_peak_bytes: int = 0
     spilled_bytes: int = 0
     lock_wait_ms: float = 0.0
-    #: Portion of ``elapsed_ms`` that is modeled I/O wait (cold reads,
-    #: writes, spills). The serving layer can replay this as real wall
-    #: time so multi-session benchmarks overlap I/O like a real engine.
-    io_wait_ms: float = 0.0
     dop: int = 1
     #: Leaf data-access counts by index kind, for Figure 10
     #: ("percentage of leaf nodes accessing columnstore vs B+ tree").
@@ -83,7 +79,6 @@ class QueryMetrics:
         self.memory_peak_bytes = max(self.memory_peak_bytes, other.memory_peak_bytes)
         self.spilled_bytes += other.spilled_bytes
         self.lock_wait_ms += other.lock_wait_ms
-        self.io_wait_ms += other.io_wait_ms
         self.dop = max(self.dop, other.dop)
         for kind, count in other.leaf_accesses.items():
             self.leaf_accesses[kind] = self.leaf_accesses.get(kind, 0) + count
@@ -244,10 +239,6 @@ class ExecutionContext:
         self.encoded_execution = encoded_execution
         self.morsel_pool = morsel_pool
         self.waits = waits
-        #: Modeled I/O-wait milliseconds already replayed as real wall
-        #: time by morsel workers (so a session replaying the statement's
-        #: remaining I/O wait never double-sleeps).
-        self.replayed_io_ms = 0.0
         self.metrics = QueryMetrics()
         self._memory_in_use = 0
         #: Root of the statement's span tree. Charges made outside any
@@ -393,7 +384,6 @@ class ExecutionContext:
         self.metrics.pages_read += pages
         self.metrics.data_read_mb += pages * cm.page_bytes / MB
         self.metrics.elapsed_ms += pages * cm.random_io_ms_per_page
-        self.metrics.io_wait_ms += pages * cm.random_io_ms_per_page
         # I/O wait consumes negligible CPU.
 
     def charge_btree_scan_read(self, data_bytes: float) -> None:
@@ -405,7 +395,6 @@ class ExecutionContext:
         self.metrics.pages_read += _ceil_pages(data_bytes, cm.page_bytes)
         self.metrics.data_read_mb += mb
         self.metrics.elapsed_ms += mb * cm.btree_scan_io_ms_per_mb
-        self.metrics.io_wait_ms += mb * cm.btree_scan_io_ms_per_mb
 
     def charge_seq_read(self, data_bytes: float) -> None:
         """Large sequential reads (columnstore segments)."""
@@ -416,7 +405,6 @@ class ExecutionContext:
         self.metrics.pages_read += _ceil_pages(data_bytes, cm.page_bytes)
         self.metrics.data_read_mb += mb
         self.metrics.elapsed_ms += mb * cm.seq_io_ms_per_mb
-        self.metrics.io_wait_ms += mb * cm.seq_io_ms_per_mb
 
     def record_data_read(self, data_bytes: float) -> None:
         """Account logical data volume on hot runs (Figure 2(b) reports
@@ -431,7 +419,6 @@ class ExecutionContext:
         mb = data_bytes / MB
         self.metrics.data_written_mb += mb
         self.metrics.elapsed_ms += mb * cm.write_io_ms_per_mb
-        self.metrics.io_wait_ms += mb * cm.write_io_ms_per_mb
 
     # ----------------------------------------------------------- memory
     def acquire_memory(self, nbytes: int) -> bool:
@@ -472,7 +459,6 @@ class ExecutionContext:
         self.metrics.spilled_bytes += nbytes
         self.metrics.data_written_mb += mb
         self.metrics.elapsed_ms += mb * (cm.write_io_ms_per_mb + cm.seq_io_ms_per_mb)
-        self.metrics.io_wait_ms += mb * (cm.write_io_ms_per_mb + cm.seq_io_ms_per_mb)
 
     # ------------------------------------------------------------- misc
     def charge_statement_overhead(self) -> None:

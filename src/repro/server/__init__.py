@@ -13,11 +13,12 @@ serve many concurrent clients:
 * :mod:`repro.server.parallel_scan` — morsel-style intra-query
   parallelism: :class:`MorselPool` partitions columnstore rowgroups
   across a thread pool; merged worker metrics are byte-identical to the
-  serial scan's.
+  serial scan's. Under the GIL it buys no wall clock: the fig-1 sweep
+  runs 2.9 ms/stmt serial vs 3.3 on four workers (measured at PR 21).
 * :mod:`repro.server.frontend` — a line-protocol TCP frontend
   (``python -m repro serve``).
-* :mod:`repro.server.bench` — the sustained-QPS serving benchmark
-  (``python -m repro bench-serving``) behind ``BENCH_serving.json``.
+* :mod:`repro.server.bench` — :func:`build_ch_database`, the hybrid-design
+  CH database ``serve``, the tests and the e2e benchmark share.
 
 Shared-state ownership rules (enforced by the bugfixes that shipped with
 this package) are documented in DESIGN.md's "Serving layer" section.

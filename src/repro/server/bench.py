@@ -1,61 +1,9 @@
-"""Sustained-QPS serving benchmark behind ``BENCH_serving.json``.
-
-Two measurements:
-
-* **CH mixed-workload QPS** — N closed-loop sessions (1/2/4/8) each
-  replay the CH analytic + point-query mix against a hybrid-design CH
-  database, cold, with modeled-I/O replay on (see
-  :mod:`repro.server.session`): every statement sleeps its modeled
-  ``io_wait_ms`` scaled to real time, releasing the GIL, so sessions
-  overlap I/O exactly as concurrent queries overlap reads in a real
-  engine. Sustained QPS = statements / wall seconds. Run serial and
-  morsel-parallel.
-* **Fig1 morsel sweep** — the paper's Q1 selectivity sweep over a
-  uniform table at ``scale x 200k`` rows on a primary columnstore,
-  wall-clocked serial vs morsel-parallel (the pool's workers replay
-  each morsel's I/O concurrently), per selectivity.
-
-Everything modeled (``elapsed_ms`` and friends) is identical across all
-of these configurations — the benchmark measures *real* wall time of
-the serving layer, never the figures' modeled costs.
-"""
+"""The CH database ``serve``, the SQL-corpus tests and the e2e benchmark
+share (it stays at this import path until ROADMAP item 1 moves it)."""
 
 from __future__ import annotations
 
-import json
-import time
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
-
 from repro.storage.database import Database
-from repro.server.session import SessionManager
-
-#: Real milliseconds slept per modeled I/O-wait millisecond in the QPS
-#: runs. The cost model's I/O constants describe a *native* engine,
-#: whose cold analytic statements are I/O-bound; this interpreter burns
-#: roughly two orders of magnitude more CPU per row than native code,
-#: so replaying modeled I/O 1:1 would leave the workload CPU-bound and
-#: measure the GIL instead of the serving layer. Scaling I/O by the
-#: same factor Python inflates CPU restores the native I/O:CPU ratio —
-#: the regime where admission and overlap actually decide throughput.
-DEFAULT_IO_REPLAY_SCALE = 250.0
-
-#: Replay scale for the fig1 sweep: the serial/morsel *ratio* is what
-#: the sweep reports and it is scale-invariant, so a small scale keeps
-#: per-query wall times (and the whole benchmark) short.
-DEFAULT_FIG1_REPLAY_SCALE = 4.0
-
-DEFAULT_SESSION_COUNTS = (1, 2, 4, 8)
-DEFAULT_MORSEL_WORKERS = 4
-FIG1_BASE_ROWS = 200_000
-
-
-def _ch_statements() -> List[str]:
-    """The CH mix one session replays per round (analytic + point)."""
-    from repro.workloads.ch import ch_analytic_queries, ch_point_queries
-    statements = [sql for _, sql in ch_analytic_queries()]
-    statements += [sql for _, sql in ch_point_queries(n_warehouses=2)]
-    return statements
 
 
 def build_ch_database(n_warehouses: int = 2) -> Database:
@@ -65,201 +13,3 @@ def build_ch_database(n_warehouses: int = 2) -> Database:
     generate_ch(database, n_warehouses=n_warehouses)
     apply_ch_hybrid_design(database)
     return database
-
-
-def _run_closed_loop(manager: SessionManager, n_sessions: int,
-                     statements: Sequence[str], rounds: int) -> Dict:
-    """N closed-loop session threads; returns QPS + wait telemetry.
-
-    Each grid cell reports its *own* contention: the admission counters
-    and the wait-stats ledger are zeroed before the clients start
-    (``DBCC SQLPERF(..., CLEAR)`` between phases), so a cell's
-    ``wait_stats`` are attributable to its session count and scan mode
-    alone."""
-    manager.admission.reset_stats()
-    manager.database.waits.reset()
-    errors: List[str] = []
-
-    def client() -> None:
-        with manager.session(cold=True) as session:
-            try:
-                for _ in range(rounds):
-                    for sql in statements:
-                        session.execute(sql)
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(f"{type(exc).__name__}: {exc}")
-
-    threads = [threading.Thread(target=client, name=f"bench-session-{i}")
-               for i in range(n_sessions)]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_s = time.perf_counter() - started
-    if errors:
-        raise RuntimeError(f"serving bench client failed: {errors[0]}")
-    total = n_sessions * rounds * len(statements)
-    waits = manager.database.waits
-    return {
-        "sessions": n_sessions,
-        "statements": total,
-        "wall_s": round(wall_s, 3),
-        "qps": round(total / wall_s, 2) if wall_s else 0.0,
-        "grant_waits": manager.admission.grants.grant_waits,
-        "latch_wait_ms": round(manager.admission.latch.total_wait_ms, 1),
-        # The taxonomy view of the same run: nonzero wait types only.
-        "wait_stats": {
-            wait_type: acc.as_dict()
-            for wait_type, acc in waits.server_stats().items()
-            if acc.waiting_tasks_count
-        },
-        "session_wait_stats": {
-            session_id: {wait_type: acc.as_dict()
-                         for wait_type, acc in buckets.items()}
-            for session_id, buckets in waits.session_stats().items()
-        },
-    }
-
-
-def run_qps_bench(session_counts: Sequence[int] = DEFAULT_SESSION_COUNTS,
-                  rounds: int = 2,
-                  morsel_workers: int = DEFAULT_MORSEL_WORKERS,
-                  io_replay_scale: float = DEFAULT_IO_REPLAY_SCALE,
-                  n_warehouses: int = 2,
-                  events_out: Optional[str] = None) -> List[Dict]:
-    """The CH QPS grid: every session count, serial and morsel.
-
-    ``events_out`` optionally writes the database's extended-events ring
-    (statement lifecycle + any grant timeouts/eviction storms the grid
-    provoked) as JSONL once the grid finishes."""
-    database = build_ch_database(n_warehouses=n_warehouses)
-    statements = _ch_statements()
-    results = []
-    for mode, workers in (("serial", 0), ("morsel", morsel_workers)):
-        for n_sessions in session_counts:
-            with SessionManager(database, morsel_workers=workers,
-                                io_replay_scale=io_replay_scale) as manager:
-                row = _run_closed_loop(manager, n_sessions, statements,
-                                       rounds)
-            row["scan_mode"] = mode
-            results.append(row)
-    if events_out:
-        database.events.write_jsonl(events_out)
-    return results
-
-
-def run_fig1_morsel_sweep(scale: int = 10,
-                          morsel_workers: int = DEFAULT_MORSEL_WORKERS,
-                          io_replay_scale: float = DEFAULT_FIG1_REPLAY_SCALE,
-                          selectivities: Optional[Sequence[float]] = None
-                          ) -> Dict:
-    """Wall-clock Q1 selectivity sweep, serial vs morsel-parallel."""
-    from repro.workloads.synthetic import (
-        PAPER_SELECTIVITIES_PCT,
-        make_uniform_table,
-        q1_scan,
-    )
-    if selectivities is None:
-        # The interior of the paper grid: the degenerate endpoints add
-        # wall-clock noise without adding information about overlap.
-        selectivities = [s for s in PAPER_SELECTIVITIES_PCT if 0.01 <= s]
-    n_rows = scale * FIG1_BASE_ROWS
-    database = Database("fig1-serving")
-    make_uniform_table(database, "micro", n_rows, 1, seed=5)
-    database.table("micro").set_primary_columnstore()
-    sweep: Dict = {
-        "rows": n_rows,
-        "scale": scale,
-        "rowgroups": database.table("micro").primary.n_rowgroups,
-        "selectivity_pct": list(selectivities),
-        "serial_wall_ms": [],
-        "morsel_wall_ms": [],
-        "speedup": [],
-    }
-    for mode, workers in (("serial", 0), ("morsel", morsel_workers)):
-        key = f"{mode}_wall_ms"
-        with SessionManager(database, morsel_workers=workers,
-                            io_replay_scale=io_replay_scale) as manager:
-            with manager.session(cold=True) as session:
-                for selectivity in selectivities:
-                    sql = q1_scan(selectivity)
-                    started = time.perf_counter()
-                    session.execute(sql)
-                    sweep[key].append(
-                        round((time.perf_counter() - started) * 1000.0, 1))
-    sweep["speedup"] = [
-        round(serial / morsel, 2) if morsel else 0.0
-        for serial, morsel in zip(sweep["serial_wall_ms"],
-                                  sweep["morsel_wall_ms"])
-    ]
-    return sweep
-
-
-def run_serving_bench(session_counts: Sequence[int] = DEFAULT_SESSION_COUNTS,
-                      rounds: int = 2,
-                      morsel_workers: int = DEFAULT_MORSEL_WORKERS,
-                      io_replay_scale: float = DEFAULT_IO_REPLAY_SCALE,
-                      fig1_scale: int = 10,
-                      fig1_replay_scale: float = DEFAULT_FIG1_REPLAY_SCALE,
-                      out_path: Optional[str] = "BENCH_serving.json",
-                      wait_stats_out: Optional[str] = None,
-                      events_out: Optional[str] = None) -> Dict:
-    """Run both measurements and (optionally) write the JSON artifact.
-
-    ``wait_stats_out`` additionally writes the per-cell wait-stats
-    snapshots (server-wide + per-session) as one JSON file, and
-    ``events_out`` the extended-events ring as JSONL — the two CI
-    observability artifacts."""
-    qps = run_qps_bench(session_counts=session_counts, rounds=rounds,
-                        morsel_workers=morsel_workers,
-                        io_replay_scale=io_replay_scale,
-                        events_out=events_out)
-    fig1 = run_fig1_morsel_sweep(scale=fig1_scale,
-                                 morsel_workers=morsel_workers,
-                                 io_replay_scale=fig1_replay_scale)
-    by_mode: Dict[Tuple[str, int], float] = {
-        (row["scan_mode"], row["sessions"]): row["qps"] for row in qps
-    }
-    speedups = fig1["speedup"]
-    report = {
-        "benchmark": "serving",
-        "config": {
-            "session_counts": list(session_counts),
-            "rounds": rounds,
-            "morsel_workers": morsel_workers,
-            "io_replay_scale": io_replay_scale,
-            "fig1_scale": fig1_scale,
-            "fig1_replay_scale": fig1_replay_scale,
-        },
-        "ch_qps": qps,
-        "fig1_morsel": fig1,
-        "acceptance": {
-            "qps_scaling_4_vs_1_serial": round(
-                by_mode.get(("serial", 4), 0.0)
-                / max(by_mode.get(("serial", 1), 0.0), 1e-9), 2),
-            "qps_scaling_4_vs_1_morsel": round(
-                by_mode.get(("morsel", 4), 0.0)
-                / max(by_mode.get(("morsel", 1), 0.0), 1e-9), 2),
-            "fig1_mean_morsel_speedup": round(
-                sum(speedups) / len(speedups), 2) if speedups else 0.0,
-            "fig1_morsel_beats_serial": bool(
-                speedups and sum(speedups) / len(speedups) > 1.0),
-        },
-    }
-    if wait_stats_out:
-        cells = [{
-            "sessions": row["sessions"],
-            "scan_mode": row["scan_mode"],
-            "wait_stats": row["wait_stats"],
-            "session_wait_stats": row["session_wait_stats"],
-        } for row in qps]
-        with open(wait_stats_out, "w", encoding="utf-8") as handle:
-            json.dump({"benchmark": "serving-wait-stats", "cells": cells},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    return report

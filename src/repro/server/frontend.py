@@ -13,7 +13,10 @@ Protocol (deliberately trivial, one line each way):
   ``{"ok": true, "columns": [...], "rows": [...], "rows_affected": n,
   "elapsed_ms": modeled, "session": id}`` or
   ``{"ok": false, "error": "..."}``;
-* an empty line (or EOF) closes the session.
+* an empty line (or EOF) closes the session;
+* a line longer than :data:`MAX_STATEMENT_BYTES` gets one
+  ``{"ok": false, ...}`` reply and the connection is closed (the stream
+  cannot be resynchronised mid-line).
 
 Try it with ``nc localhost 5433``.
 """
@@ -29,6 +32,9 @@ from repro.server.session import SessionManager
 
 DEFAULT_PORT = 5433
 
+#: Longest statement line accepted, newline included.
+MAX_STATEMENT_BYTES = 1 << 20
+
 
 class _SessionHandler(socketserver.StreamRequestHandler):
     """One thread per connection; one session per connection."""
@@ -38,7 +44,15 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         with manager.session(cold=self.server.cold) as session:  # type: ignore[attr-defined]
             self._reply({"ok": True, "session": session.session_id,
                          "server": manager.database.name})
-            for raw in self.rfile:
+            while True:
+                raw = self.rfile.readline(MAX_STATEMENT_BYTES + 1)
+                if len(raw) > MAX_STATEMENT_BYTES:
+                    session.stats.errors += 1
+                    self._reply({
+                        "ok": False, "session": session.session_id,
+                        "error": f"statement longer than "
+                                 f"{MAX_STATEMENT_BYTES} bytes"})
+                    break
                 sql = raw.decode("utf-8", errors="replace").strip()
                 if not sql:
                     break
@@ -53,7 +67,6 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         "elapsed_ms": round(result.metrics.elapsed_ms, 4),
                     })
                 except Exception as exc:  # noqa: BLE001 - report to client
-                    session.stats.errors += 1
                     self._reply({"ok": False, "error": str(exc),
                                  "session": session.session_id})
 

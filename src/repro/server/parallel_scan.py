@@ -25,13 +25,12 @@ Invariants, all covered by ``tests/test_serving.py``:
   coordinator records one ``user_scans`` bump plus the summed
   per-worker segment counts.
 
-Real wall-clock benefit on one core comes from *I/O overlap*: the
-engine's cold I/O is modeled (``QueryMetrics.io_wait_ms``), and a pool
-constructed with ``io_replay_scale > 0`` has each worker sleep its own
-morsel's modeled wait — concurrent morsels overlap their waits exactly
-as a real engine overlaps outstanding reads. The coordinator accounts
-the replayed milliseconds in ``ctx.replayed_io_ms`` so the session
-layer never sleeps the same wait twice.
+No wall-clock benefit is claimed. Modeled I/O is charged, never
+slept, so a morsel is interpreter work under the GIL: measured at PR 21
+on a 1 M-row primary columnstore (31 rowgroups), the fig-1 selectivity
+sweep runs 2.9 ms/stmt serial vs 3.3 ms/stmt on four workers, and the CH
+analytic mix 20.3 vs 20.0 ms/stmt. Whether the pool earns its place is
+ROADMAP item 1's ``ch_mixed_tcp`` A/B.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Default number of morsel workers per pool.
 DEFAULT_MORSEL_WORKERS = 4
 
-#: Below this many rowgroups a parallel scan is all coordination and no
-#: overlap; such indexes stay on the serial path.
+#: Below this many rowgroups a parallel scan is all coordination; such
+#: indexes stay on the serial path.
 DEFAULT_MIN_ROWGROUPS = 2
 
 
@@ -69,21 +68,14 @@ class MorselPool:
     min_rowgroups:
         Smallest index (in rowgroups) worth parallelizing; smaller
         indexes scan serially.
-    io_replay_scale:
-        When > 0, each worker sleeps ``io_wait_ms * scale`` real
-        milliseconds of its morsel's modeled I/O, making overlap
-        measurable in wall time. 0 (the default) never sleeps —
-        modeled metrics are unaffected either way.
     """
 
     def __init__(self, n_workers: int = DEFAULT_MORSEL_WORKERS,
-                 min_rowgroups: int = DEFAULT_MIN_ROWGROUPS,
-                 io_replay_scale: float = 0.0):
+                 min_rowgroups: int = DEFAULT_MIN_ROWGROUPS):
         if n_workers < 1:
             raise ValueError("MorselPool needs at least one worker")
         self.n_workers = n_workers
         self.min_rowgroups = min_rowgroups
-        self.io_replay_scale = io_replay_scale
         self._executor = ThreadPoolExecutor(
             max_workers=n_workers, thread_name_prefix="morsel")
         self._closed = False
@@ -139,10 +131,7 @@ def morsel_scan(scan: "ColumnstoreScan", ctx: "ExecutionContext",
             include_delta=False,
             record_usage=False,
         ))
-        metrics = worker_ctx.metrics
-        if pool.io_replay_scale > 0 and metrics.io_wait_ms > 0:
-            time.sleep(metrics.io_wait_ms * pool.io_replay_scale / 1000.0)
-        return batches, metrics
+        return batches, worker_ctx.metrics
 
     futures: List[Future] = [
         pool.submit(run_morsel, group_index)
@@ -164,8 +153,6 @@ def morsel_scan(scan: "ColumnstoreScan", ctx: "ExecutionContext",
             batches, worker_metrics = future.result()
         segments_scanned += worker_metrics.segments_read
         segments_skipped += worker_metrics.segments_skipped
-        if pool.io_replay_scale > 0:
-            ctx.replayed_io_ms += worker_metrics.io_wait_ms
         ctx.absorb_worker_metrics(worker_metrics)
         for batch in batches:
             yield batch

@@ -35,9 +35,7 @@ queued grant records ``RESOURCE_SEMAPHORE``. Only *genuine* blocking is
 recorded — an uncontended acquire leaves the taxonomy untouched, while
 the legacy ``total_wait_ms`` scalars keep their historical
 measure-always semantics for backward compatibility. Both primitives
-also gained ``reset_stats()`` (symmetric with
-``BufferPool.reset_stats()``) so benches can zero counters between
-phases.
+have a ``reset_stats()`` symmetric with ``BufferPool.reset_stats()``.
 """
 
 from __future__ import annotations
@@ -317,11 +315,6 @@ class AdmissionController:
         self.grants = MemoryGrantPool(capacity_bytes, waits=waits,
                                       events=events)
         self.latch = DatabaseLatch(waits=waits)
-
-    def reset_stats(self) -> None:
-        """Zero both primitives' counters between bench phases."""
-        self.grants.reset_stats()
-        self.latch.reset_stats()
 
     @contextmanager
     def admit(self, owner: object, writes: bool,

@@ -22,20 +22,17 @@ out):
 * **Process-global (default only):** the encoded-execution default in
   :mod:`repro.engine.encoded`.
 
-Modeled I/O replay: the engine's cold I/O is *simulated* — statements
-return instantly no matter how much I/O the cost model charged. With
-``io_replay_scale > 0`` a session sleeps its statement's modeled
-``io_wait_ms`` (scaled) for real, releasing the GIL, which is what lets
-N sessions genuinely overlap their I/O waits and the serving benchmark
-measure honest concurrency scaling. Morsel workers may have replayed
-part of that wait already (``QueryResult.replayed_io_ms``); the session
-sleeps only the remainder.
+Modeled I/O is charged to ``QueryMetrics``, never slept: a statement's
+wall time is the interpreter work it does, so concurrent sessions
+interleave under the GIL rather than overlap. Measured at PR 21 on a
+1 M-row primary columnstore (31 rowgroups): the fig-1 selectivity sweep
+runs 2.9 ms/stmt serial vs 3.3 ms/stmt with four morsel workers, the CH
+analytic mix 20.3 vs 20.0 ms/stmt.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -50,14 +47,13 @@ from repro.storage.database import Database
 class SessionStats:
     """Per-session counters.
 
-    All counts are real observed quantities except the two ``*_ms``
-    fields, which aggregate the engine's *modeled* milliseconds (see
-    each field's note) — neither is a wall-clock measurement.
+    All counts are real observed quantities except
+    ``modeled_elapsed_ms``, which aggregates the engine's *modeled*
+    milliseconds — it is not a wall-clock measurement.
     """
 
     __slots__ = ("statements", "reads", "writes", "rows_returned",
-                 "rows_affected", "errors", "io_replayed_ms",
-                 "modeled_elapsed_ms")
+                 "rows_affected", "errors", "modeled_elapsed_ms")
 
     def __init__(self) -> None:
         self.statements = 0
@@ -66,13 +62,6 @@ class SessionStats:
         self.rows_returned = 0
         self.rows_affected = 0
         self.errors = 0
-        #: Scaled modeled I/O-wait milliseconds replayed for this
-        #: session's statements: the session's own remainder sleep plus
-        #: the sum of every morsel worker's replayed wait. Workers
-        #: sleep their shares *concurrently*, so for morsel-parallel
-        #: statements this is modeled work replayed, not wall time
-        #: slept — it can exceed the real elapsed time.
-        self.io_replayed_ms = 0.0
         #: Sum of the statements' modeled elapsed_ms (what the figures
         #: would report for the same statements).
         self.modeled_elapsed_ms = 0.0
@@ -94,8 +83,7 @@ class Session:
                  cold: bool = False):
         self.manager = manager
         self.session_id = session_id
-        #: Per-session run temperature: cold statements charge modeled
-        #: I/O (and can replay it, see the module docstring).
+        #: Per-session run temperature: cold statements charge modeled I/O.
         self.cold = cold
         self.stats = SessionStats()
         self._txn_depth = 0
@@ -128,22 +116,24 @@ class Session:
         The statement is prepared (text that does not parse fails here,
         holding nothing), queues for the database latch in the mode its
         class needs (SELECT shared, DML exclusive) and for its memory
-        grant, executes, then replays any un-replayed modeled I/O wait
-        as real sleep when the manager has a replay scale.
+        grant, and executes.
         """
         if self.closed:
             raise ExecutionError(f"session {self.session_id} is closed")
-        record = self._executor.prepare(sql, params)
-        record.enter = self.manager.admission.admit(
-            self.session_id, not record.read_only, memory_grant_bytes)
-        # The session scope attributes every wait this thread hits,
-        # admission queueing included, to this session in
-        # dm_exec_session_wait_stats.
-        with self.manager.database.waits.session_scope(self.session_id):
-            result = self._executor.execute(
-                record, cold=self.cold if cold is None else cold,
-                memory_grant_bytes=memory_grant_bytes)
-        self._replay_io(result)
+        try:
+            record = self._executor.prepare(sql, params)
+            record.enter = self.manager.admission.admit(
+                self.session_id, not record.read_only, memory_grant_bytes)
+            # The session scope attributes every wait this thread hits,
+            # admission queueing included, to this session in
+            # dm_exec_session_wait_stats.
+            with self.manager.database.waits.session_scope(self.session_id):
+                result = self._executor.execute(
+                    record, cold=self.cold if cold is None else cold,
+                    memory_grant_bytes=memory_grant_bytes)
+        except Exception:
+            self.stats.errors += 1
+            raise
         self.stats.statements += 1
         if record.read_only:
             self.stats.reads += 1
@@ -153,17 +143,6 @@ class Session:
         self.stats.rows_affected += result.rows_affected
         self.stats.modeled_elapsed_ms += result.metrics.elapsed_ms
         return result
-
-    def _replay_io(self, result: QueryResult) -> None:
-        scale = self.manager.io_replay_scale
-        if scale <= 0:
-            return
-        remaining = max(
-            0.0, result.metrics.io_wait_ms - result.replayed_io_ms)
-        if remaining > 0:
-            time.sleep(remaining * scale / 1000.0)
-        self.stats.io_replayed_ms += (
-            (remaining + result.replayed_io_ms) * scale)
 
     # --------------------------------------------------------- transactions
     @contextmanager
@@ -222,22 +201,17 @@ class SessionManager:
         Size of the shared morsel pool; 0 disables intra-query
         parallelism entirely (every scan serial — the byte-identical
         configuration).
-    io_replay_scale:
-        Real milliseconds slept per modeled I/O-wait millisecond
-        (sessions *and* morsel workers); 0 disables replay.
     grant_capacity_bytes:
         Memory-grant pool capacity; defaults to 8 default grants.
     """
 
     def __init__(self, database: Database,
                  morsel_workers: int = 0,
-                 io_replay_scale: float = 0.0,
                  grant_capacity_bytes: Optional[int] = None,
                  query_store: Optional[object] = None):
         self.database = database
         self.catalog = Catalog(database)
         self.query_store = query_store
-        self.io_replay_scale = io_replay_scale
         self.admission = AdmissionController(
             default_grant_bytes=database.cost_model.default_memory_grant_bytes,
             capacity_bytes=grant_capacity_bytes,
@@ -246,10 +220,7 @@ class SessionManager:
         )
         self.morsel_pool: Optional[MorselPool] = None
         if morsel_workers > 0:
-            self.morsel_pool = MorselPool(
-                n_workers=morsel_workers,
-                io_replay_scale=io_replay_scale,
-            )
+            self.morsel_pool = MorselPool(n_workers=morsel_workers)
         self._sessions: Dict[int, Session] = {}
         self._next_session_id = 1
         self._lock = threading.Lock()

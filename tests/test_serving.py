@@ -8,6 +8,7 @@ database after interleaved DML (b), and DMV counters that match the
 statement counts (c) — 50 iterations without a mismatch.
 """
 
+import contextlib
 import dataclasses
 import json
 import socket
@@ -19,7 +20,7 @@ import pytest
 from repro.core.errors import ExecutionError, SqlError
 from repro.engine.executor import Executor
 from repro.engine.metrics import SPAN_ATTRIBUTED_FIELDS
-from repro.server.frontend import ReproServer
+from repro.server.frontend import MAX_STATEMENT_BYTES, ReproServer
 from repro.server.parallel_scan import MorselPool
 from repro.server.scheduler import DatabaseLatch, MemoryGrantPool
 from repro.server.session import SessionManager
@@ -57,6 +58,13 @@ def assert_metrics_equivalent(got, expected):
                                               rel=1e-9, abs=1e-12), name
         else:
             assert got_value == expected_value, name
+
+
+def _assert_idle(manager):
+    """No latch is held and no grant is reserved."""
+    admission = manager.admission
+    assert admission.latch._writer is None and not admission.latch._readers
+    assert admission.grants.available_bytes == admission.grants.capacity_bytes
 
 
 class TestMorselScan:
@@ -455,6 +463,17 @@ class TestSessionLayer:
                 with latch.exclusive("s1"):
                     pass
 
+    def test_failed_statement_is_counted_and_holds_nothing(self):
+        database = _micro_db(n_rows=2000, rowgroup_size=1024)
+        with SessionManager(database) as manager:
+            session = manager.session()
+            with pytest.raises(SqlError):
+                session.execute("SELECT nope FROM micro")
+            assert (session.stats.errors, session.stats.statements) == (1, 0)
+            _assert_idle(manager)
+            session.execute("SELECT count(*) FROM micro")
+            assert (session.stats.errors, session.stats.statements) == (1, 1)
+
     def test_closed_session_rejects_statements(self):
         database = _micro_db(n_rows=2000, rowgroup_size=1024)
         with SessionManager(database) as manager:
@@ -464,25 +483,60 @@ class TestSessionLayer:
                 session.execute("SELECT count(*) FROM micro")
 
 
+@contextlib.contextmanager
+def _served(manager):
+    """``connect()`` -> ``(connection, reply reader, its server-side
+    session)`` against a frontend over ``manager``, hello line consumed."""
+    server = ReproServer(manager, host="127.0.0.1", port=0)
+    server.serve_background()
+    connections = []
+
+    def connect():
+        before = set(manager.active_sessions())
+        conn = socket.create_connection(server.server_address, timeout=10)
+        connections.append(conn)
+        reader = conn.makefile("r", encoding="utf-8")
+        hello = json.loads(reader.readline())
+        (session,) = set(manager.active_sessions()) - before
+        assert hello["ok"] and hello["session"] == session.session_id
+        return conn, reader, session
+    try:
+        yield connect
+    finally:
+        for conn in connections:
+            conn.close()
+        server.shutdown()
+        server.server_close()
+
+
 class TestFrontend:
     def test_line_protocol_roundtrip(self):
         database = _micro_db(n_rows=2000, rowgroup_size=1024)
-        with SessionManager(database) as manager:
-            server = ReproServer(manager, host="127.0.0.1", port=0)
-            server.serve_background()
-            try:
-                host, port = server.server_address
-                with socket.create_connection((host, port), timeout=10) as conn:
-                    reader = conn.makefile("r", encoding="utf-8")
-                    hello = json.loads(reader.readline())
-                    assert hello["ok"] and "session" in hello
-                    conn.sendall(b"SELECT count(*) FROM micro\n")
-                    reply = json.loads(reader.readline())
-                    assert reply["ok"]
-                    assert reply["rows"] == [[2000]]
-                    conn.sendall(b"SELECT broken FROM nowhere\n")
-                    failure = json.loads(reader.readline())
-                    assert not failure["ok"] and failure["error"]
-            finally:
-                server.shutdown()
-                server.server_close()
+        with SessionManager(database) as manager, _served(manager) as connect:
+            conn, reader, session = connect()
+            conn.sendall(b"SELECT count(*) FROM micro\n")
+            reply = json.loads(reader.readline())
+            assert reply["ok"]
+            assert reply["rows"] == [[2000]]
+            conn.sendall(b"SELECT broken FROM nowhere\n")
+            failure = json.loads(reader.readline())
+            assert not failure["ok"] and failure["error"]
+            # Counted by the session, not a second time by the frontend.
+            assert session.stats.errors == 1
+            _assert_idle(manager)
+
+    def test_overlong_line_gets_a_typed_reply_and_a_closed_connection(self):
+        database = _micro_db(n_rows=2000, rowgroup_size=1024)
+        with SessionManager(database) as manager, _served(manager) as connect:
+            conn, reader, session = connect()
+            conn.sendall(b"x" * (MAX_STATEMENT_BYTES + 1))   # no newline
+            reply = json.loads(reader.readline())
+            assert not reply["ok"]
+            assert str(MAX_STATEMENT_BYTES) in reply["error"]
+            assert reader.readline() == ""      # the server hung up
+            assert session.stats.errors == 1 and session.closed
+            _assert_idle(manager)
+            conn, reader, _ = connect()         # and still serves others
+            conn.sendall(b"SELECT count(*) FROM micro\n")
+            assert json.loads(reader.readline())["rows"] == [[2000]]
+            _assert_idle(manager)

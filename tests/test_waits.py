@@ -386,10 +386,21 @@ class TestConcurrentSessions:
     """The acceptance scenario: 4 sessions, morsel scans, a grant pool
     sized to one default grant — LATCH_EX, RESOURCE_SEMAPHORE, and
     CXPACKET all accumulate, the per-session ledgers sum exactly to the
-    server ledger, and modeled metrics match an embedded serial run."""
+    server ledger, and modeled metrics match an embedded serial run.
+
+    The overlap is arranged, not hoped for: the test holds the latch
+    (a ``transaction()``) and the pool's one grant until it has seen
+    every client queue on the first and then one on the second."""
 
     N_SESSIONS = 4
     ROUNDS = 3
+
+    @staticmethod
+    def _until(condition):
+        deadline = time.monotonic() + 30.0
+        while not condition():
+            assert time.monotonic() < deadline, "the clients never queued"
+            time.sleep(0.001)
 
     def _run_contended(self):
         database = _micro_db()
@@ -405,24 +416,31 @@ class TestConcurrentSessions:
         select_sql = q1_scan(10.0)
         update_sql = "UPDATE TOP (8) side SET v += 1 WHERE k >= 0"
         capacity = database.cost_model.default_memory_grant_bytes
-        barrier = threading.Barrier(self.N_SESSIONS)
         select_results = {}
 
         with SessionManager(database, morsel_workers=2,
-                            io_replay_scale=0.02,
                             grant_capacity_bytes=capacity) as manager:
-            def client(idx):
+            latch, grants = manager.admission.latch, manager.admission.grants
+
+            def client():
                 with manager.session(cold=True) as session:
-                    barrier.wait()
                     for _ in range(self.ROUNDS):
-                        result = session.execute(select_sql)
                         session.execute(update_sql)
+                        result = session.execute(select_sql)
                     select_results[session.session_id] = result
 
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(self.N_SESSIONS)]
-            for thread in threads:
-                thread.start()
+            threads = [threading.Thread(target=client)
+                       for _ in range(self.N_SESSIONS)]
+            with manager.session() as holder, grants.grant(capacity):
+                with holder.transaction():
+                    for thread in threads:
+                        thread.start()
+                    # Every client's UPDATE is queued behind the holder.
+                    self._until(
+                        lambda: latch._waiting_writers == self.N_SESSIONS)
+                # The latch is free and the grant is not: the first
+                # writer through queues for it.
+                self._until(lambda: len(grants._waiters) == 1)
             for thread in threads:
                 thread.join()
         return database, select_sql, select_results
