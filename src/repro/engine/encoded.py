@@ -272,14 +272,10 @@ def between_codes(column: EncodedColumn, low: object, high: object) -> np.ndarra
 
 
 def isin_codes(column: EncodedColumn, values: Sequence[object]) -> np.ndarray:
-    """``column IN values`` on codes.
-
-    Mirrors the decoded path's membership test verbatim — including its
-    treatment of an explicit NULL in the value list, which matches NULL
-    column values (``v in allowed`` on Python objects).
-    """
-    allowed = [code for code in (column.dictionary.code_of(v) for v in values)
-               if code is not None]
+    """``column IN values`` on codes. A NULL in the value list matches
+    nothing (``NULL IN (NULL)`` is not-true), as on decoded values."""
+    codes = (column.dictionary.code_of(v) for v in values if v is not None)
+    allowed = [code for code in codes if code is not None]
     if not allowed:
         return np.zeros(len(column.codes), dtype=bool)
     return np.isin(column.codes, np.array(allowed, dtype=CODE_DTYPE))

@@ -12,23 +12,24 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
 from repro.engine.analyze import AnalyzedQuery
-from repro.engine.batch import Batch, batch_to_rows
+from repro.engine.batch import Batch, _column_array, batch_to_rows
 from repro.engine.dmv import SYSTEM_VIEW_NAMES, materialize_system_views
 from repro.engine.expressions import (
     ColumnRange,
     Expr,
-    compile_row_predicate,
+    drop_folded_conjuncts,
     eval_batch,
-    eval_row,
     extract_column_ranges,
 )
 from repro.engine.metrics import ExecutionContext, OperatorSpan, QueryMetrics
+from repro.engine.operators.scans import compose_prefix_bounds
 from repro.engine.query_store import node_stats_from_span, plan_fingerprint
 from repro.optimizer.catalog import Catalog
 from repro.optimizer.cost_model import CostingOptions
@@ -43,11 +44,7 @@ from repro.sql.binder import (
     BoundUpdate,
 )
 from repro.sql.parser import Template, fill, instantiate
-from repro.storage.btree import (
-    PrimaryBTreeIndex,
-    SecondaryBTreeIndex,
-    iter_entries,
-)
+from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
 from repro.storage.columnstore import RID_COLUMN, ColumnstoreIndex
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -341,110 +338,91 @@ class Executor:
                          telemetry=self.database.telemetry)
 
     # ---------------------------------------------------------------- DML
-    def _positions_for(self, table: Table) -> Dict[str, int]:
-        positions = {}
-        for ordinal, column in enumerate(table.schema.columns):
-            positions[column.name] = ordinal
-            positions[f"{table.name}.{column.name}"] = ordinal
-        return positions
-
     def _locate_rids(self, table: Table, where: Optional[Expr],
                      top: Optional[int], ctx: ExecutionContext) -> List[int]:
         """Find target row ids through the cheapest available access path.
 
-        Mirrors access-path selection for DML: a sargable secondary or
-        primary B+ tree seek when possible, a columnstore scan when the
-        primary is a CSI, a heap scan otherwise.
+        Mirrors access-path selection for DML: a sargable primary B+ tree
+        seek, else a sargable secondary B+ tree seek that looks every row
+        up, else a columnstore scan when the primary is a CSI, else a
+        heap scan. Each is a source of ``(rids, batch)`` chunks; what is
+        left of ``where`` once the seek's own conjuncts are dropped is
+        evaluated once per chunk by the evaluator SELECT's scans use.
         """
-        positions = self._positions_for(table)
-        predicate = compile_row_predicate(where, positions)
-        qualified_ranges = extract_column_ranges(where)
+        if top == 0:
+            return []
         ranges = {
             name.split(".", 1)[-1]: column_range
-            for name, column_range in qualified_ranges.items()
+            for name, column_range in extract_column_ranges(where).items()
         }
-        limit = top if top is not None else None
-        rids: List[int] = []
-
-        def _take(rid: int, row: Tuple[object, ...]) -> bool:
-            if predicate(row):
-                rids.append(rid)
-                if limit is not None and len(rids) >= limit:
-                    return True
-            return False
-
         primary = table.primary
-        # 1) Primary B+ tree seek on its key prefix.
-        if isinstance(primary, PrimaryBTreeIndex):
-            bounds = _prefix_bounds_for(primary.key_columns, ranges)
-            scanned = 0
-            for key, row in iter_entries(primary.seek_range(
-                    bounds[0], bounds[1], ctx,
-                    low_inclusive=bounds[2], high_inclusive=bounds[3])):
-                scanned += 1
-                if _take(key[-1], row):
-                    break
-            ctx.charge_serial_cpu(
-                scanned * ctx.cost_model.row_cpu_ms_per_row)
-            return rids
-        # 2) Secondary B+ tree seek with lookups.
-        best_index = self._best_secondary_for(table, ranges)
-        if best_index is not None:
-            bounds = _prefix_bounds_for(best_index.key_columns, ranges)
-            scanned = 0
-            for key, _ in iter_entries(best_index.seek_range(
-                    bounds[0], bounds[1], ctx,
-                    low_inclusive=bounds[2], high_inclusive=bounds[3])):
-                scanned += 1
-                rid = key[-1]
-                row = table.get_row(rid)
-                ctx.charge_random_read(1)
-                table.primary.usage.record_lookup()
-                if _take(rid, row):
-                    break
-            ctx.charge_serial_cpu(
-                scanned * ctx.cost_model.row_cpu_ms_per_row * 2)
-            return rids
-        # 3) Primary columnstore scan with segment elimination.
-        if isinstance(primary, ColumnstoreIndex):
-            elimination = {
-                column: column_range.as_bounds()
-                for column, column_range in ranges.items()
-            }
-            needed = (
-                [c for c in _bare_columns(where, table)]
-                or [table.schema.columns[0].name]
-            )
-            done = False
-            for batch in primary.scan(needed, ctx,
-                                      elimination_ranges=elimination or None,
-                                      include_rids=True):
-                ctx.charge_serial_cpu(
-                    len(batch) * ctx.cost_model.batch_cpu_ms_per_row)
-                if where is not None:
-                    renamed = {
-                        f"{table.name}.{c}": batch.column(c) for c in needed
-                    }
-                    renamed.update({c: batch.column(c) for c in needed})
-                    mask = eval_batch(where, Batch(renamed))
-                else:
-                    mask = np.ones(len(batch), dtype=bool)
-                for rid in batch.column(RID_COLUMN)[mask].tolist():
-                    rids.append(int(rid))
-                    if limit is not None and len(rids) >= limit:
-                        done = True
-                        break
-                if done:
-                    break
-            return rids
-        # 4) Heap scan.
+        index = (primary if isinstance(primary, PrimaryBTreeIndex)
+                 else self._best_secondary_for(table, ranges))
+        key_ranges = (_seek_ranges(index.key_columns, ranges)
+                      if index is not None else [])
+        low, high, *inclusive = compose_prefix_bounds(key_ranges)
+        # The seek bounds enforce the conjuncts they were made from.
+        where = drop_folded_conjuncts(where, key_ranges)
+        pivot = _row_pivot(table, where)
+        #: Modeled CPU per examined row, charged once after the loop.
+        row_ms = ctx.cost_model.row_cpu_ms_per_row
+        lookups = index is not None and index is not primary
+
+        def seek_chunks():
+            for keys, rows in index.seek_range(low, high, ctx, *inclusive):
+                rids = [key[-1] for key in keys]
+                if lookups:     # a secondary leaf holds keys, not rows
+                    rows = [table.get_row(rid) for rid in rids]
+                yield rids, pivot(rows)
+
+        if index is not None:
+            chunks = seek_chunks()
+            row_ms *= 2 if lookups else 1
+        elif isinstance(primary, ColumnstoreIndex):
+            chunks = self._columnstore_chunks(table, where, ranges, ctx)
+            row_ms = 0.0        # that source charges per batch instead
+        else:
+            chunks = ((rids, pivot(rows)) for rids, rows in primary.scan(ctx))
+
+        located: List[int] = []
         scanned = 0
-        for rid, row in iter_entries(primary.scan(ctx)):
-            scanned += 1
-            if _take(rid, row):
+        for rids, batch in chunks:
+            hits = (np.arange(len(batch)) if where is None
+                    else np.flatnonzero(eval_batch(where, batch)))
+            # Under TOP n a chunk is examined up to its n-th match only.
+            last = top is not None and len(located) + len(hits) >= top
+            if last:
+                hits = hits[:top - len(located)]
+            examined = int(hits[-1]) + 1 if last else len(batch)
+            scanned += examined
+            if lookups:
+                for _ in range(examined):
+                    ctx.charge_random_read(1)
+                    primary.usage.record_lookup()
+            located += [int(rids[hit]) for hit in hits.tolist()]
+            if last:
                 break
-        ctx.charge_serial_cpu(scanned * ctx.cost_model.row_cpu_ms_per_row)
-        return rids
+        if row_ms:
+            ctx.charge_serial_cpu(scanned * row_ms)
+        return located
+
+    def _columnstore_chunks(self, table: Table, where: Optional[Expr],
+                            ranges: Dict[str, ColumnRange],
+                            ctx: ExecutionContext):
+        """``(rids, batch)`` per batch of a primary columnstore scan with
+        segment elimination, the batch holding ``where``'s columns under
+        their bare and their qualified names."""
+        needed = _bare_columns(where, table) or [table.schema.columns[0].name]
+        elimination = {column: column_range.as_bounds()
+                       for column, column_range in ranges.items()}
+        for batch in table.primary.scan(
+                needed, ctx, elimination_ranges=elimination or None,
+                include_rids=True):
+            ctx.charge_serial_cpu(
+                len(batch) * ctx.cost_model.batch_cpu_ms_per_row)
+            columns = {f"{table.name}.{c}": batch.column(c) for c in needed}
+            columns.update({c: batch.column(c) for c in needed})
+            yield batch.column(RID_COLUMN), Batch(columns)
 
     def _best_secondary_for(self, table: Table, ranges: Dict[str, ColumnRange]
                             ) -> Optional[SecondaryBTreeIndex]:
@@ -461,21 +439,23 @@ class Executor:
                     ctx: ExecutionContext) -> int:
         table = bound.table
         rids = self._locate_rids(table, bound.where, bound.top, ctx)
-        positions = self._positions_for(table)
-        assignment_ordinals = [
-            (table.schema.ordinal(column), expr)
-            for column, expr in bound.assignments
-        ]
-        updates = []
-        for rid in rids:
-            row = table.get_row(rid)
+        rows = [table.get_row(rid) for rid in rids]
+        for _ in rids:
             # Re-fetching the target row is the same random access that
             # _locate_rids charges; cold update runs previously got it
             # for free, under-reporting Figure 5's update costs.
             ctx.charge_random_read(1)
+        # Each SET expression is evaluated once, over all located rows.
+        assigned = [
+            (table.schema.ordinal(column),
+             eval_batch(expr, _row_pivot(table, expr)(rows)).tolist())
+            for column, expr in bound.assignments
+        ]
+        updates = []
+        for n, (rid, row) in enumerate(zip(rids, rows)):
             new_row = list(row)
-            for ordinal, expr in assignment_ordinals:
-                new_row[ordinal] = eval_row(expr, row, positions)
+            for ordinal, values in assigned:
+                new_row[ordinal] = values[n]
             updates.append((rid, tuple(new_row)))
         table.update_rids(updates, ctx)
         return len(updates)
@@ -511,11 +491,10 @@ class Executor:
               BoundInsert: _run_insert}
 
 
-def _prefix_bounds_for(key_columns: Sequence[str],
-                       ranges: Dict[str, ColumnRange]):
-    """Composite-key seek bounds from per-column ranges: points along the
-    key prefix, optionally ending in one non-point range."""
-    from repro.engine.operators.scans import compose_prefix_bounds
+def _seek_ranges(key_columns: Sequence[str],
+                 ranges: Dict[str, ColumnRange]) -> List[ColumnRange]:
+    """The per-column ranges a composite-key seek can use: points along
+    the key prefix, optionally ending in one non-point range."""
     seek_ranges = []
     for column in key_columns:
         column_range = ranges.get(column)
@@ -524,9 +503,21 @@ def _prefix_bounds_for(key_columns: Sequence[str],
         seek_ranges.append(column_range)
         if not column_range.is_point:
             break
-    if not seek_ranges:
-        return None, None, True, True
-    return compose_prefix_bounds(seek_ranges)
+    return seek_ranges
+
+
+def _row_pivot(table: Table, expr: Optional[Expr]):
+    """rows -> the batch ``expr`` is evaluated over: one array per column
+    it names (bare or qualified), or the first column when it names none
+    (a batch carries its length in a column)."""
+    ordinals = {name: table.schema.ordinal(name.split(".", 1)[-1])
+                for name in (expr.columns() if expr is not None else ())}
+    if not ordinals:
+        ordinals = {table.schema.columns[0].name: 0}
+    getters = {name: itemgetter(at) for name, at in ordinals.items()}
+    return lambda rows: Batch({
+        name: _column_array(list(map(getter, rows)))
+        for name, getter in getters.items()})
 
 
 def _bare_columns(where: Optional[Expr], table: Table) -> List[str]:

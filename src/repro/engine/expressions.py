@@ -75,11 +75,21 @@ class Literal(Expr):
         return repr(self.value)
 
 
+def _divide(left, right):
+    """``left / right`` for scalars and arrays alike; a zero divisor is
+    the statement's error whatever the operands' dtype (numpy would
+    answer ``inf``/``nan`` and warn, Python raise ``ZeroDivisionError``).
+    """
+    if np.any(right == 0):
+        raise ExecutionError("division by zero")
+    return operator.truediv(left, right)
+
+
 _ARITH_OPS: Dict[str, Callable] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": operator.truediv,
+    "/": _divide,
 }
 
 _COMPARE_OPS: Dict[str, Callable] = {
@@ -282,8 +292,9 @@ def compile_row_predicate(
     """Return a row -> bool callable for a (possibly None) predicate.
 
     It walks the expression tree through :func:`eval_row` on every call,
-    so it is for per-row consumers (DML target location, nested-loop
-    probes); scans evaluate whole chunks with :func:`eval_batch`."""
+    so it is for the per-row consumer left (the nested-loop join's
+    residual); scans and DML evaluate whole chunks with
+    :func:`eval_batch`."""
     if expr is None:
         return lambda row: True
     return lambda row: bool(eval_row(expr, row, positions))

@@ -20,7 +20,6 @@ from repro.core.errors import ExecutionError
 from repro.engine.batch import Batch, _object_column_bytes, rows_to_batch
 from repro.engine.encoded import (
     EncodedColumn,
-    maybe_materialize,
     note_code_fallback,
     note_code_hit,
 )
@@ -49,31 +48,44 @@ class AggregateSpec:
             raise ExecutionError(f"{self.func} requires an argument")
 
 
-class _GroupState:
-    """Accumulator for one group across batches."""
+class _GroupStates:
+    """Accumulators of every group seen so far, one slot per group: the
+    row count, and per aggregate (one array row each) the non-NULL
+    count, the running sum and the running minimum or maximum."""
 
-    __slots__ = ("sums", "counts", "mins", "maxs", "total")
+    def __init__(self, n_aggs: int, capacity: int = 16):
+        self.totals = np.zeros(capacity, dtype=np.int64)
+        self.counts = np.zeros((n_aggs, capacity), dtype=np.int64)
+        self.sums = np.zeros((n_aggs, capacity), dtype=np.float64)
+        self.best = np.full((n_aggs, capacity), None, dtype=object)
 
-    def __init__(self, n_aggs: int):
-        self.sums = [0.0] * n_aggs
-        self.counts = [0] * n_aggs
-        self.mins: List[object] = [None] * n_aggs
-        self.maxs: List[object] = [None] * n_aggs
-        self.total = 0
+    def reserve(self, n_slots: int) -> None:
+        """Make slots ``[0, n_slots)`` addressable (new ones are empty)."""
+        capacity = len(self.totals)
+        if n_slots <= capacity:
+            return
+        grown = _GroupStates(len(self.counts), max(n_slots, 2 * capacity))
+        for name in ("totals", "counts", "sums", "best"):
+            values = getattr(grown, name)
+            values[..., :capacity] = getattr(self, name)
+            setattr(self, name, values)
 
-
-def _finalize(spec: AggregateSpec, state: _GroupState, i: int) -> object:
-    if spec.func == "sum":
-        return state.sums[i] if state.counts[i] else None
-    if spec.func == "count":
-        return state.total if spec.expr is None else state.counts[i]
-    if spec.func == "avg":
-        return state.sums[i] / state.counts[i] if state.counts[i] else None
-    if spec.func == "min":
-        return state.mins[i]
-    if spec.func == "max":
-        return state.maxs[i]
-    raise ExecutionError(f"unknown aggregate {spec.func!r}")
+    def column(self, i: int, spec: AggregateSpec, n_slots: int) -> List[object]:
+        """Aggregate ``i``'s output value for slots ``[0, n_slots)``."""
+        counts = self.counts[i, :n_slots]
+        if spec.func == "count":
+            return (self.totals[:n_slots] if spec.expr is None
+                    else counts).tolist()
+        if spec.func in ("min", "max"):
+            return self.best[i, :n_slots].tolist()
+        # sum / avg of no non-NULL value is NULL.
+        seen = counts > 0
+        values = self.sums[i, :n_slots][seen]
+        if spec.func == "avg":
+            values = values / counts[seen]
+        out = np.full(n_slots, None, dtype=object)
+        out[seen] = values
+        return out.tolist()
 
 
 class _AggregateBase(PhysicalOperator):
@@ -90,121 +102,143 @@ class _AggregateBase(PhysicalOperator):
         """Names of the columns produced, in order."""
         return self.group_by + [a.output for a in self.aggregates]
 
-    def _update_state(self, state: _GroupState,
-                      arg_values: List[Optional[np.ndarray]],
-                      indices: np.ndarray,
-                      ctx: Optional[ExecutionContext] = None) -> None:
-        """Fold the rows selected by ``indices`` into ``state``."""
-        state.total += len(indices)
-        for i, values in enumerate(arg_values):
-            if values is None:
-                continue
-            if isinstance(values, EncodedColumn):
-                if self._update_from_codes(state, i, values, indices, ctx):
-                    continue
-                note_code_fallback(
-                    ctx, reason=f"aggregate {self.aggregates[i].func}"
-                                f"({self.aggregates[i].output}) on "
-                                "non-integer domain")
-                # Materialize to the *decoded* representation: a numeric
-                # dictionary decodes to a numeric array, so float sums
-                # use the same pairwise numpy summation as the decoded
-                # twin (sequential Python summation rounds differently).
-                selected = maybe_materialize(values[indices])
-            else:
-                selected = values[indices]
-            if selected.dtype == object:
-                selected = np.array(
-                    [v for v in selected if v is not None], dtype=object)
-                if len(selected) == 0:
-                    continue
-                state.counts[i] += len(selected)
-                spec = self.aggregates[i]
-                if spec.func in ("sum", "avg"):
-                    state.sums[i] += float(sum(selected))
-                lo, hi = min(selected), max(selected)
-            else:
-                state.counts[i] += len(selected)
-                state.sums[i] += float(selected.sum())
-                lo = selected.min().item()
-                hi = selected.max().item()
-            if state.mins[i] is None or lo < state.mins[i]:
-                state.mins[i] = lo
-            if state.maxs[i] is None or hi > state.maxs[i]:
-                state.maxs[i] = hi
+    def _segments(self, batch: Batch, ctx: ExecutionContext, runs: bool
+                  ) -> Tuple[List[Tuple[object, ...]], Optional[np.ndarray],
+                             np.ndarray, np.ndarray]:
+        """Cut a batch into one segment per group: ``(keys, order,
+        starts, sizes)``, where ``order`` lists the row positions so that
+        each group's rows are contiguous and in batch order (None when
+        they already are) and segment ``j`` — the ``sizes[j]`` rows of
+        ``keys[j]`` — begins at ``starts[j]`` of that arrangement.
 
-    def _update_from_codes(self, state: _GroupState, i: int,
-                           column: EncodedColumn, indices: np.ndarray,
-                           ctx: Optional[ExecutionContext]) -> bool:
-        """Fold an encoded argument into ``state`` purely in code space.
+        A scalar aggregate is one segment. With ``runs`` (sorted input)
+        every run of equal keys is a segment, in batch order; otherwise
+        the segments are the distinct keys in ascending code order."""
+        if not self.group_by:
+            return ([()], None, np.zeros(1, dtype=np.intp),
+                    np.array([len(batch)]))
+        codes, uniques = _factorize(batch, self.group_by, ctx)
+        if runs:
+            change = np.empty(len(codes), dtype=bool)
+            change[0] = True
+            np.not_equal(codes[1:], codes[:-1], out=change[1:])
+            starts = np.flatnonzero(change)
+            ends = np.append(starts[1:], len(codes))
+            return ([uniques[c] for c in codes[starts].tolist()], None,
+                    starts, ends - starts)
+        sizes = np.bincount(codes, minlength=len(uniques))
+        return (uniques, np.argsort(codes, kind="stable"),
+                np.cumsum(sizes) - sizes, sizes)
 
-        min/max reduce over codes (the dictionary is sorted, so the
-        extreme code is the extreme value) and decode one value each;
-        count needs only the non-null code count; sum/avg use a bincount
-        over codes dotted with the integer dictionary domain. Exactness
-        rules keep both modes bit-identical: integer numeric
-        dictionaries accumulate in int64 exactly like the decoded twin's
-        ``selected.sum()``; all-integer object dictionaries accumulate
-        in arbitrary-precision Python exactly like the decoded twin's
-        ``sum()`` loop; float domains return False and materialize.
+    def _fold(self, states: _GroupStates, slots: np.ndarray, batch: Batch,
+              order: Optional[np.ndarray], starts: np.ndarray,
+              sizes: np.ndarray, ctx: ExecutionContext) -> None:
+        """Fold one batch into ``states``: segment ``j`` of
+        :meth:`_segments` into slot ``slots[j]``.
+
+        Every argument is reduced over the segment starts and the
+        batch's partial results are merged by slot. The arithmetic is
+        fixed so that a result does not depend on how the input was
+        batched, encoded or grouped: integers sum exactly in int64,
+        floats with one ``sum()`` per contiguous segment (numpy's
+        pairwise rounding depends on where a summation starts and
+        ends), objects with Python's ``sum``/``min``/``max`` per
+        segment, and partial sums are added to the state as float64 in
+        batch order. An encoded argument is counted once per batch as a
+        code-path hit or fallback: count/min/max reduce its codes (the
+        dictionary is sorted, so the extreme code is the extreme value)
+        and decode one value per group; sum/avg read the decoded values,
+        which is a hit when they are integers and a fallback otherwise.
         """
-        spec = self.aggregates[i]
-        dictionary = column.dictionary
-        needs_sum = spec.func in ("sum", "avg")
-        domain = dictionary.integer_domain() if needs_sum else None
-        if needs_sum and domain is None:
-            return False
-        codes = column.codes[indices]
-        null_offset = dictionary.null_offset
-        if null_offset:
-            codes = codes[codes >= null_offset]
-        note_code_hit(ctx)
-        if len(codes) == 0:
-            return True  # all NULL: nothing to fold, like the decoded path
-        state.counts[i] += len(codes)
-        if needs_sum:
-            counts = np.bincount(
-                codes - null_offset,
-                minlength=len(dictionary.values) - null_offset)
-            if isinstance(domain, np.ndarray):
-                state.sums[i] += float(np.dot(counts, domain))
-            else:
-                state.sums[i] += float(sum(
-                    value * int(count)
-                    for value, count in zip(domain, counts.tolist())
-                    if count))
-        # mins/maxs track unconditionally, mirroring the decoded branches.
-        lo = dictionary.values[int(codes.min())]
-        hi = dictionary.values[int(codes.max())]
-        if isinstance(lo, np.generic):
-            lo = lo.item()
-        if isinstance(hi, np.generic):
-            hi = hi.item()
-        if state.mins[i] is None or lo < state.mins[i]:
-            state.mins[i] = lo
-        if state.maxs[i] is None or hi > state.maxs[i]:
-            state.maxs[i] = hi
-        return True
+        states.totals[slots] += sizes
+        for i, spec in enumerate(self.aggregates):
+            if spec.expr is None:
+                continue
+            values = eval_batch(spec.expr, batch, ctx)
+            dictionary = valid = None
+            if isinstance(values, EncodedColumn):
+                if spec.func not in ("sum", "avg"):
+                    note_code_hit(ctx)
+                    dictionary, values = values.dictionary, values.codes
+                    if dictionary.null_offset:
+                        valid = values >= dictionary.null_offset
+                else:
+                    if values.dictionary.is_integral():
+                        note_code_hit(ctx)
+                    else:
+                        note_code_fallback(
+                            ctx, reason=f"aggregate {spec.func}"
+                                        f"({spec.output}) on non-integer "
+                                        "domain")
+                    values = values.materialize()
+            if dictionary is None and values.dtype == object:
+                valid = values != None  # noqa: E711 - elementwise NULL test
+            if order is not None:
+                values = values[order]
+                if valid is not None:
+                    valid = valid[order]
+            target, at, counts = slots, starts, sizes
+            if valid is not None:
+                # Only the non-NULL rows are reduced, and only the
+                # segments that still have one.
+                counts = np.add.reduceat(valid, starts, dtype=np.int64)
+                values = values[valid]
+                live = counts > 0
+                target, counts = slots[live], counts[live]
+                at = np.cumsum(counts) - counts
+                if not len(target):
+                    continue
+            if spec.func in ("sum", "avg"):
+                states.sums[i][target] += _segment_sums(values, at)
+            elif spec.func in ("min", "max"):
+                best = _segment_extremes(spec.func, values, at)
+                if dictionary is not None:
+                    best = dictionary.values[best]
+                best = best.astype(object)
+                # A slot holds a value once it has counted one.
+                held = states.counts[i][target] > 0
+                wins = np.less if spec.func == "min" else np.greater
+                better = ~held
+                better[held] = wins(best[held], states.best[i][target[held]])
+                states.best[i][target[better]] = best[better]
+            states.counts[i][target] += counts
 
-    def _arg_arrays(self, batch: Batch,
-                    ctx: Optional[ExecutionContext] = None
-                    ) -> List[Optional[np.ndarray]]:
-        return [
-            eval_batch(spec.expr, batch, ctx) if spec.expr is not None else None
-            for spec in self.aggregates
-        ]
+    def _result(self, keys: List[Tuple[object, ...]], states: _GroupStates,
+                ) -> List[Tuple[object, ...]]:
+        """One output row per slot: ``keys[slot]`` + its aggregates."""
+        if not keys:
+            return []
+        columns = list(zip(*keys)) if self.group_by else []
+        columns += [states.column(i, spec, len(keys))
+                    for i, spec in enumerate(self.aggregates)]
+        return list(zip(*columns))
 
-    def _emit(self, groups: Dict[Tuple[object, ...], _GroupState]
-              ) -> Optional[Batch]:
-        rows = []
-        for key, state in groups.items():
-            out = list(key)
-            for i, spec in enumerate(self.aggregates):
-                out.append(_finalize(spec, state, i))
-            rows.append(tuple(out))
-        rows.sort(key=lambda r: tuple(
-            (v is not None, v) for v in r[:len(self.group_by)]))
-        return rows_to_batch(rows, self.output_columns)
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of each segment of ``values`` as float64 (see ``_fold``)."""
+    if values.dtype.kind in "iub":
+        return np.add.reduceat(
+            values, starts, dtype=np.int64).astype(np.float64)
+    total = sum if values.dtype == object else np.sum
+    return np.array([
+        float(total(values[start:end])) for start, end in _bounds(values, starts)
+    ], dtype=np.float64)
+
+
+def _segment_extremes(func: str, values: np.ndarray,
+                      starts: np.ndarray) -> np.ndarray:
+    """Minimum or maximum of each segment of ``values``."""
+    if values.dtype != object:
+        reducer = np.minimum if func == "min" else np.maximum
+        return reducer.reduceat(values, starts)
+    pick = min if func == "min" else max
+    out = np.empty(len(starts), dtype=object)
+    out[:] = [pick(values[start:end]) for start, end in _bounds(values, starts)]
+    return out
+
+
+def _bounds(values: np.ndarray, starts: np.ndarray):
+    return zip(starts.tolist(), starts[1:].tolist() + [len(values)])
 
 
 class HashAggregate(_AggregateBase):
@@ -239,12 +273,12 @@ class HashAggregate(_AggregateBase):
             len(self.group_by) * 16 + len(self.aggregates) * 24
             + cm.hash_entry_overhead_bytes
         )
-        groups: Dict[Tuple[object, ...], _GroupState] = {}
+        slot_of: Dict[Tuple[object, ...], int] = {}
+        states = _GroupStates(len(self.aggregates))
         reserved = 0
         self.spilled = False
         self.spill_bytes_written = 0
         self.spill_bytes_decoded = 0
-        n_aggs = len(self.aggregates)
         # The hash-table grant must be returned even when the child (or
         # an aggregate expression) raises mid-stream.
         try:
@@ -260,119 +294,36 @@ class HashAggregate(_AggregateBase):
                     self._serialize_spill_run(batch, payload)
                 ctx.charge_parallel_cpu(hash_cost, self.dop)
 
-                arg_values = self._arg_arrays(batch, ctx)
-
-                def on_new_group(state_key):
-                    nonlocal reserved
-                    state = _GroupState(n_aggs)
-                    groups[state_key] = state
-                    if not self.spilled:
-                        if ctx.acquire_memory(entry_bytes):
-                            reserved += entry_bytes
-                        else:
-                            self.spilled = True
-                    return state
-
-                if self._fold_batch_vectorized(batch, arg_values, groups,
-                                               on_new_group, ctx):
-                    continue
-                for key, indices in _group_indices(batch, self.group_by, ctx).items():
-                    state = groups.get(key)
-                    if state is None:
-                        state = on_new_group(key)
-                    self._update_state(state, arg_values, indices, ctx)
-            if not groups and not self.group_by:
+                keys, *segments = self._segments(batch, ctx, runs=False)
+                slots = [slot_of.get(key) for key in keys]
+                if None in slots:
+                    # One hash-table entry, and one grant request, per
+                    # new group, in ascending key-code order.
+                    for j, key in enumerate(keys):
+                        if slots[j] is None:
+                            slots[j] = slot_of[key] = len(slot_of)
+                            if not self.spilled:
+                                if ctx.acquire_memory(entry_bytes):
+                                    reserved += entry_bytes
+                                else:
+                                    self.spilled = True
+                    states.reserve(len(slot_of))
+                self._fold(states, np.array(slots, dtype=np.intp), batch,
+                           *segments, ctx)
+            if not slot_of and not self.group_by:
                 # A scalar aggregate answers one row even over no input
                 # (count 0, the others NULL); it is not a hash-table
                 # entry, so it takes no grant and no modeled cost.
-                groups[()] = _GroupState(n_aggs)
-            result = self._emit(groups)
+                slot_of[()] = 0
+            rows = self._result(list(slot_of), states)
+            rows.sort(key=lambda r: tuple(
+                (v is not None, v) for v in r[:len(self.group_by)]))
+            result = rows_to_batch(rows, self.output_columns)
         finally:
             if reserved:
                 ctx.release_memory(reserved)
         if result is not None:
             yield result
-
-    #: Ceiling on the (groups x dictionary) bincount matrix the
-    #: vectorized fold may allocate per aggregate (int64 cells).
-    _VECTOR_FOLD_MAX_CELLS = 1 << 24
-
-    def _fold_batch_vectorized(self, batch: Batch,
-                               arg_values: List[Optional[np.ndarray]],
-                               groups: Dict[Tuple[object, ...], _GroupState],
-                               on_new_group, ctx) -> bool:
-        """Fold one batch with per-batch bincounts instead of per-group
-        gathers, when every aggregate argument is an ``EncodedColumn``.
-
-        One ``bincount`` over the composite ``group_code * |dict| +
-        value_code`` yields the full (group x value) contingency matrix,
-        from which counts, int64-exact sums (matrix-vector product with
-        the integer dictionary domain — the same int64 arithmetic as the
-        per-group ``np.dot``), and code-space min/max all fall out
-        without touching row indices. Returns False when any argument is
-        ineligible (plain array, float/object-int domain under sum/avg,
-        oversized matrix); the caller then runs the per-group path,
-        which produces bit-identical state.
-        """
-        if not self.group_by:
-            return False
-        specs = []
-        for i, values in enumerate(arg_values):
-            if values is None:
-                continue
-            spec = self.aggregates[i]
-            if not isinstance(values, EncodedColumn):
-                return False
-            if spec.func in ("sum", "avg") and not isinstance(
-                    values.dictionary.integer_domain(), np.ndarray):
-                return False
-            specs.append((i, spec, values))
-        gcodes, uniques = _factorize(batch, self.group_by, ctx)
-        k = len(uniques)
-        for _, _, values in specs:
-            if k * len(values.dictionary) > self._VECTOR_FOLD_MAX_CELLS:
-                return False
-        group_counts = np.bincount(gcodes, minlength=k)
-        states = []
-        for j, key in enumerate(uniques):
-            state = groups.get(key)
-            if state is None:
-                state = on_new_group(key)
-            state.total += int(group_counts[j])
-            states.append(state)
-        for i, spec, values in specs:
-            dictionary = values.dictionary
-            nv = len(dictionary)
-            null_offset = dictionary.null_offset
-            combined = gcodes * nv + values.codes
-            mat = np.bincount(combined, minlength=k * nv).reshape(k, nv)
-            nonnull = mat[:, null_offset:]
-            note_code_hit(ctx)
-            if nonnull.shape[1] == 0:
-                continue  # all-NULL dictionary: nothing to fold
-            counts = nonnull.sum(axis=1)
-            sums = (nonnull @ dictionary.integer_domain()
-                    if spec.func in ("sum", "avg") else None)
-            occupied = nonnull > 0
-            first = np.argmax(occupied, axis=1)
-            last = (nonnull.shape[1] - 1
-                    - np.argmax(occupied[:, ::-1], axis=1))
-            for j in np.flatnonzero(counts).tolist():
-                state = states[j]
-                state.counts[i] += int(counts[j])
-                if sums is not None:
-                    state.sums[i] += float(sums[j])
-                lo = dictionary.values[int(first[j]) + null_offset]
-                hi = dictionary.values[int(last[j]) + null_offset]
-                if isinstance(lo, np.generic):
-                    lo = lo.item()
-                if isinstance(hi, np.generic):
-                    hi = hi.item()
-                if state.mins[i] is None or lo < state.mins[i]:
-                    state.mins[i] = lo
-                if state.maxs[i] is None or hi > state.maxs[i]:
-                    state.maxs[i] = hi
-        return True
 
     def _serialize_spill_run(self, batch: Batch, decoded_payload: int) -> None:
         """Account the real size of one post-spill run written in code
@@ -423,77 +374,32 @@ class StreamAggregate(_AggregateBase):
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
         cm = ctx.cost_model
-        current_key: Optional[Tuple[object, ...]] = None
-        state: Optional[_GroupState] = None
-        out_rows: List[Tuple[object, ...]] = []
-        n_aggs = len(self.aggregates)
+        keys: List[Tuple[object, ...]] = []   # one per run, in arrival order
+        states = _GroupStates(len(self.aggregates))
         for batch in self.child().execute(ctx):
             ctx.charge_parallel_cpu(
                 len(batch) * cm.stream_agg_cpu_ms_per_row, self.dop)
-            arg_values = self._arg_arrays(batch, ctx)
-            # Group keys arrive in sorted runs: split the batch into runs.
-            for key, indices in _ordered_group_runs(batch, self.group_by, ctx):
-                if key != current_key:
-                    if state is not None:
-                        out_rows.append(self._finalize_row(current_key, state))
-                    current_key = key
-                    state = _GroupState(n_aggs)
-                self._update_state(state, arg_values, indices, ctx)
-        if state is None and not self.group_by:
+            runs, *segments = self._segments(batch, ctx, runs=True)
+            # A batch's first run continues the group the last batch
+            # ended in when the keys are equal.
+            continued = int(bool(keys) and runs[0] == keys[-1])
+            first = len(keys) - continued
+            keys += runs[continued:]
+            states.reserve(len(keys))
+            self._fold(states, np.arange(first, len(keys)), batch, *segments,
+                       ctx)
+        if not keys and not self.group_by:
             # Scalar aggregate over no input: one row (count 0, else NULL).
-            current_key, state = (), _GroupState(n_aggs)
-        if state is not None:
-            out_rows.append(self._finalize_row(current_key, state))
-        result = rows_to_batch(out_rows, self.output_columns)
+            keys.append(())
+        result = rows_to_batch(self._result(keys, states), self.output_columns)
         if result is not None:
             yield result
-
-    def _finalize_row(self, key: Tuple[object, ...],
-                      state: _GroupState) -> Tuple[object, ...]:
-        out = list(key)
-        for i, spec in enumerate(self.aggregates):
-            out.append(_finalize(spec, state, i))
-        return tuple(out)
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
         return (f"StreamAggregate(by={self.group_by}, "
                 f"aggs={[a.output for a in self.aggregates]}) "
                 f"[{self.mode}, dop={self.dop}]")
-
-
-def _group_indices(batch: Batch, group_by: Sequence[str],
-                   ctx: Optional[ExecutionContext] = None
-                   ) -> Dict[Tuple[object, ...], np.ndarray]:
-    """Map each distinct key tuple to the row indices holding it."""
-    if not group_by:
-        return {(): np.arange(len(batch))}
-    codes, uniques = _factorize(batch, group_by, ctx)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-    out: Dict[Tuple[object, ...], np.ndarray] = {}
-    for chunk in np.split(order, boundaries):
-        key = uniques[int(codes[chunk[0]])]
-        out[key] = chunk
-    return out
-
-
-def _ordered_group_runs(batch: Batch, group_by: Sequence[str],
-                        ctx: Optional[ExecutionContext] = None):
-    """Yield (key, indices) runs in batch order (input already sorted)."""
-    if not group_by:
-        yield (), np.arange(len(batch))
-        return
-    codes, uniques = _factorize(batch, group_by, ctx)
-    n = len(codes)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
-    for start, end in zip(starts, ends):
-        yield uniques[int(codes[start])], np.arange(start, end)
 
 
 def _factorize(batch: Batch, group_by: Sequence[str],

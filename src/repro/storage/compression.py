@@ -97,6 +97,7 @@ class Dictionary:
 
     def __post_init__(self):
         self._code_map = None  # value -> code, built lazily
+        self._integral = None  # see is_integral
 
     def __len__(self) -> int:
         return len(self.values)
@@ -118,28 +119,18 @@ class Dictionary:
         """Exact-match code for ``value``; None when absent."""
         return self._lookup().get(value)
 
-    def integer_domain(self):
-        """The non-null dictionary values when they are all integers —
-        an int64 ndarray for numeric dictionaries, a Python list for
-        object dictionaries — or None when the domain is not purely
-        integral (floats must aggregate on materialized values: their
+    def is_integral(self) -> bool:
+        """Whether every non-null value is an integer, so that a sum over
+        decoded values is exact in any order (floats are not: their
         summation order affects rounding). Cached on the instance."""
-        cached = getattr(self, "_integer_domain", _UNSET)
-        if cached is not _UNSET:
-            return cached
-        non_null = self.values[self.null_offset:]
-        if self.values.dtype != object:
-            result = (non_null.astype(np.int64)
-                      if self.values.dtype.kind in "iu" else None)
-        else:
-            listed = non_null.tolist()
-            if all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in listed):
-                result = listed
+        if self._integral is None:
+            if self.values.dtype != object:
+                self._integral = self.values.dtype.kind in "iu"
             else:
-                result = None
-        self._integer_domain = result
-        return result
+                self._integral = all(
+                    isinstance(v, int) and not isinstance(v, bool)
+                    for v in self.values[self.null_offset:].tolist())
+        return self._integral
 
     def size_bytes(self) -> int:
         """Approximate on-disk size in bytes."""

@@ -186,7 +186,8 @@ class TestCodeTranslation:
     def test_isin_matches_decoded_membership(self):
         col, data = self.make()
         for allowed in (["a", "d"], ["zz"], [], ["b", None]):
-            expected = np.array([v in allowed for v in data])
+            # NULL IN (..., NULL) is not-true, as eval_batch's decoded path.
+            expected = np.array([v is not None and v in allowed for v in data])
             np.testing.assert_array_equal(isin_codes(col, allowed), expected)
 
 

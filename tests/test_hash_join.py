@@ -42,6 +42,7 @@ from repro.server.bench import build_ch_database
 from repro.storage.compression import Dictionary
 from repro.storage.database import Database
 from repro.workloads.ch import ch_analytic_queries
+from tests.oracle import sqlite_answer
 
 EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "data",
                              "hash_join_expected.json")
@@ -385,17 +386,6 @@ def null_database(design, b_rows, b_nullable=True):
         elif design == "columnstore":
             table.set_primary_columnstore()
     return database
-
-
-def sqlite_answer(database, sql):
-    connection = sqlite3.connect(":memory:")
-    for table in database.tables():
-        names = table.schema.column_names()
-        connection.execute(f"CREATE TABLE {table.name} ({', '.join(names)})")
-        connection.executemany(
-            f"INSERT INTO {table.name} VALUES ({', '.join('?' * len(names))})",
-            [row for _, row in table.rows_with_rids()])
-    return sorted(connection.execute(sql).fetchall())
 
 
 @pytest.mark.parametrize("encoded", [True, False])

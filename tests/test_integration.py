@@ -14,6 +14,7 @@ from repro.core.types import DATE, INT, decimal, varchar
 from repro.engine.executor import Executor
 from repro.storage.database import Database
 from repro.workloads.tpch import generate_tpch
+from tests.oracle import sqlite_mirror
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 
@@ -103,16 +104,10 @@ class TestCrossDesignCorrectness:
         """A scalar aggregate answers one row over an empty input and a
         GROUP BY none, whatever the design and execution mode (the engine
         used to return no row for the first; found by the PR 12 oracle)."""
-        import sqlite3
         db = tpch_db(scale=0.05)
         table = db.table("lineitem")
         DESIGN_SETUPS[design](table)
-        oracle = sqlite3.connect(":memory:")
-        oracle.execute("CREATE TABLE lineitem (l_orderkey INT, "
-                       "l_linenumber INT, l_quantity REAL, l_returnflag TEXT)")
-        oracle.executemany(
-            "INSERT INTO lineitem VALUES (?, ?, ?, ?)",
-            [(row[0], row[3], row[4], row[8]) for row in oracle_rows(table)])
+        oracle = sqlite_mirror([table])
         executor = Executor(db)
         executor.encoded_execution = encoded
         for sql in (
@@ -160,7 +155,6 @@ class TestNotOverUnknown:
     @pytest.mark.parametrize("encoded", [True, False])
     @pytest.mark.parametrize("design", ["heap", "btree", "pri_csi"])
     def test_select_update_delete_match_sqlite(self, design, encoded):
-        import sqlite3
         db = Database()
         table = db.create_table(TableSchema("t", [
             Column("k", INT, nullable=False), Column("a", INT),
@@ -170,9 +164,7 @@ class TestNotOverUnknown:
             table.set_primary_btree(["k"])
         elif design == "pri_csi":
             table.set_primary_columnstore(rowgroup_size=128)
-        oracle = sqlite3.connect(":memory:")
-        oracle.execute("CREATE TABLE t (k INT, a INT, s TEXT)")
-        oracle.executemany("INSERT INTO t VALUES (?, ?, ?)", self.ROWS)
+        oracle = sqlite_mirror([table])
         executor = Executor(db)
         executor.encoded_execution = encoded
         everything = "SELECT k, a, s FROM t ORDER BY k"

@@ -33,6 +33,7 @@ from repro.engine.operators import (
     Top,
 )
 from repro.storage.table import Table
+from tests.oracle import sqlite_mirror
 
 
 def make_table(n=1000, with_btree=True):
@@ -292,9 +293,8 @@ class TestAggregates:
         """SQL answers one row (count 0, the rest NULL) for an aggregate
         without GROUP BY over no rows, and no row with GROUP BY; the
         answers are sqlite3's."""
-        import sqlite3
-        oracle = sqlite3.connect(":memory:")
-        oracle.execute("CREATE TABLE t (a INT, b INT, s TEXT)")
+        table = make_table(1000)
+        oracle = sqlite_mirror([table])
         functions = ("count(*)", "count(b)", "sum(b)", "avg(b)", "min(s)",
                      "max(b)")
         scalar = oracle.execute(
@@ -304,7 +304,6 @@ class TestAggregates:
             "GROUP BY a").fetchall()
         assert scalar == [(0, 0, None, None, None, None)] and grouped == []
 
-        table = make_table(1000)
         specs = [AggregateSpec("count", None, "n"),
                  AggregateSpec("count", ColumnRef("b"), "nb"),
                  AggregateSpec("sum", ColumnRef("b"), "sb"),

@@ -525,6 +525,18 @@ class TestFrontend:
             assert session.stats.errors == 1
             _assert_idle(manager)
 
+    def test_division_by_zero_gets_a_typed_reply(self):
+        database = _micro_db(n_rows=2000, rowgroup_size=1024)
+        with SessionManager(database) as manager, _served(manager) as connect:
+            conn, reader, session = connect()
+            conn.sendall(b"UPDATE micro SET col2 = col1 / (col2 - col2)\n")
+            reply = json.loads(reader.readline())
+            assert not reply["ok"] and "division by zero" in reply["error"]
+            assert session.stats.errors == 1
+            _assert_idle(manager)
+            conn.sendall(b"SELECT count(*) FROM micro\n")
+            assert json.loads(reader.readline())["rows"] == [[2000]]
+
     def test_overlong_line_gets_a_typed_reply_and_a_closed_connection(self):
         database = _micro_db(n_rows=2000, rowgroup_size=1024)
         with SessionManager(database) as manager, _served(manager) as connect:
