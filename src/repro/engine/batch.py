@@ -12,7 +12,7 @@ the modeled CPU charged per row, not in what flows between operators
 (rowstore scans pivot whole leaf chunks, see
 :mod:`repro.engine.operators.scans`). :func:`batch_to_rows` and
 :func:`rows_to_batch` adapt to row tuples where an operator works a row
-at a time (merge and nested-loop joins, sorts, the final result).
+at a time (sorts, RID lookups, the final result).
 
 A batch column is either a plain numpy array or an
 :class:`~repro.engine.encoded.EncodedColumn` (dictionary codes + shared
@@ -24,7 +24,7 @@ boundary.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,9 +240,3 @@ def concat_batches(batches: Iterable[Batch]) -> Optional[Batch]:
                       for a in arrays]
         columns[name] = np.concatenate(arrays)
     return Batch(columns)
-
-
-def iter_rows(batches: Iterable[Batch], names: Sequence[str]) -> Iterator[Row]:
-    """Iterate (rid, row) pairs in RID order."""
-    for batch in batches:
-        yield from batch_to_rows(batch, names)

@@ -2,17 +2,19 @@
 
 One expression AST serves the whole stack: the SQL parser produces it, the
 optimizer analyses it (conjunct extraction, sargable-range derivation for
-index seeks and segment elimination), and the executor evaluates it in
-both row mode (per-tuple) and batch mode (vectorized over numpy arrays).
+index seeks and segment elimination), and the executor evaluates it
+vectorized over numpy arrays (:func:`eval_batch`) whatever the
+operator's mode; the per-tuple evaluator it replaced is the tests'
+reference (``tests/reference_eval.py``).
 
 Supported nodes: column references, literals, arithmetic (+ - * /),
 comparisons (= != < <= > >=), BETWEEN, IN, AND/OR/NOT.
 
 NULL semantics follow SQL's three-valued logic for comparisons: any
 comparison with NULL is not-true, so filters drop those rows. The
-evaluators themselves are two-valued above the comparison level — a
-``Not`` node flips not-true to true — so the SQL binder never hands them
-one over a predicate: it pushes ``NOT`` down to the comparisons
+evaluator itself is two-valued above the comparison level — a ``Not``
+node flips not-true to true — so the SQL binder never hands it one
+over a predicate: it pushes ``NOT`` down to the comparisons
 (``repro.sql.binder._negate``), where negating the operator keeps a
 NULL operand not-true.
 """
@@ -237,67 +239,6 @@ def conjuncts(expr: Optional[Expr]) -> List[Expr]:
             out.extend(conjuncts(op))
         return out
     return [expr]
-
-
-# --------------------------------------------------------------- row mode
-def eval_row(expr: Expr, row: Sequence[object], positions: Dict[str, int]) -> object:
-    """Evaluate an expression against one row tuple.
-
-    ``positions`` maps column names to tuple positions. Comparisons with
-    NULL evaluate to False (SQL not-true).
-    """
-    if isinstance(expr, ColumnRef):
-        try:
-            return row[positions[expr.name]]
-        except KeyError:
-            raise ExecutionError(f"unknown column {expr.name!r}") from None
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Arithmetic):
-        left = eval_row(expr.left, row, positions)
-        right = eval_row(expr.right, row, positions)
-        if left is None or right is None:
-            return None
-        return _ARITH_OPS[expr.op](left, right)
-    if isinstance(expr, Comparison):
-        left = eval_row(expr.left, row, positions)
-        right = eval_row(expr.right, row, positions)
-        if left is None or right is None:
-            return False
-        return bool(_COMPARE_OPS[expr.op](left, right))
-    if isinstance(expr, Between):
-        value = eval_row(expr.subject, row, positions)
-        low = eval_row(expr.low, row, positions)
-        high = eval_row(expr.high, row, positions)
-        if value is None or low is None or high is None:
-            return False
-        return low <= value <= high
-    if isinstance(expr, InList):
-        value = eval_row(expr.subject, row, positions)
-        if value is None:
-            return False
-        return value in expr.values
-    if isinstance(expr, And):
-        return all(eval_row(op, row, positions) for op in expr.operands)
-    if isinstance(expr, Or):
-        return any(eval_row(op, row, positions) for op in expr.operands)
-    if isinstance(expr, Not):
-        return not eval_row(expr.operand, row, positions)
-    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-
-def compile_row_predicate(
-    expr: Optional[Expr], positions: Dict[str, int]
-) -> Callable[[Sequence[object]], bool]:
-    """Return a row -> bool callable for a (possibly None) predicate.
-
-    It walks the expression tree through :func:`eval_row` on every call,
-    so it is for the per-row consumer left (the nested-loop join's
-    residual); scans and DML evaluate whole chunks with
-    :func:`eval_batch`."""
-    if expr is None:
-        return lambda row: True
-    return lambda row: bool(eval_row(expr, row, positions))
 
 
 # -------------------------------------------------------------- batch mode

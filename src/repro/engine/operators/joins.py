@@ -9,25 +9,19 @@ The merge join exploits B+ tree sort order on both inputs.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
-from repro.engine.batch import (
-    Batch,
-    _column_array,
-    batch_to_rows,
-    rows_to_batch,
-)
+from repro.engine.batch import Batch, _column_array
 from repro.engine.encoded import (
     EncodedColumn,
     maybe_materialize,
     note_code_fallback,
     note_code_hit,
 )
-from repro.engine.expressions import Expr, compile_row_predicate
+from repro.engine.expressions import Expr
 from repro.engine.metrics import ExecutionContext
 from repro.engine.operators.base import (
     BATCH_MODE,
@@ -35,18 +29,8 @@ from repro.engine.operators.base import (
     PhysicalOperator,
     ROW_MODE,
 )
-from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
+from repro.engine.operators.scans import btree_seek
 from repro.storage.table import Table
-
-Row = Tuple[object, ...]
-
-
-def _key_getter(names: Sequence[str], available: Sequence[str]):
-    positions = [list(available).index(n) for n in names]
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda row: row[p]
-    return lambda row: tuple(row[p] for p in positions)
 
 
 def _find_sorted(distinct: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -70,7 +54,7 @@ def _concat(pieces: List[np.ndarray]) -> np.ndarray:
 
 
 def _output_array(values: np.ndarray) -> np.ndarray:
-    """The array :func:`rows_to_batch` makes of these values: integers
+    """The array a pivot from row tuples makes of these values: integers
     are int64, floats float64, and everything else is an object column
     whose dtype is inferred again from the values of this batch alone."""
     if values.dtype.kind in "iu":
@@ -78,6 +62,37 @@ def _output_array(values: np.ndarray) -> np.ndarray:
     if values.dtype.kind == "f":
         return values.astype(np.float64, copy=False)
     return _column_array(values.tolist())
+
+
+def _one_batch(batches: List[Batch], names: Sequence[str]) -> Batch:
+    """The batches' columns ``names`` as one batch of plain arrays."""
+    return Batch({name: _concat([maybe_materialize(batch.column(name))
+                                 for batch in batches])
+                  for name in names})
+
+
+def _gather(pieces, names: Sequence[str]) -> Dict[str, np.ndarray]:
+    """Output columns ``names`` of the ``(batch, rows)`` pieces: rows
+    ``rows`` of ``batch``, piece after piece."""
+    return {name: _output_array(_concat(
+                [maybe_materialize(batch.column(name)[rows])
+                 for batch, rows in pieces]))
+            for name in names}
+
+
+def _cuts(ends: np.ndarray, pending: int) -> Iterator[int]:
+    """Where output batches close within a run of matches, ``ends[i]``
+    being the matches up to and including unit ``i`` (a probe row, or a
+    merge join's key group): after the first unit that brings the
+    pending count to ``DEFAULT_BATCH_ROWS``. Operators above charge per
+    batch, so the cut points are modeled cost."""
+    done = 0
+    while True:
+        unit = np.searchsorted(ends, done + DEFAULT_BATCH_ROWS - pending)
+        if unit == len(ends):
+            return
+        done, pending = ends[unit], 0
+        yield done
 
 
 class _KeyColumn:
@@ -125,25 +140,22 @@ class _KeyColumn:
 
 
 class _BuildSide:
-    """The build rows as column arrays, grouped by join key:
+    """The build rows as one batch (``rows``), grouped by join key:
     ``order[starts[g]:starts[g] + counts[g]]`` are the rows of group
     ``g`` in arrival order. Rows with a NULL in any key column are in no
     group."""
 
     def __init__(self, batches: List[Batch], names: Sequence[str],
                  keys: Sequence[str]):
-        self.columns = {
-            name: _concat([maybe_materialize(batch.column(name))
-                           for batch in batches])
-            for name in names}
-        self.keys = [_KeyColumn(self.columns[key]) for key in keys]
+        self.rows = _one_batch(batches, names)
+        self.keys = [_KeyColumn(self.rows.column(key)) for key in keys]
         #: Per key column after the first: the sorted distinct
         #: (group so far, number in this column) pairs of the build rows.
         self.pairs: List[np.ndarray] = []
-        group = self.keys[0].encode(self.columns[keys[0]])
+        group = self.keys[0].encode(self.rows.column(keys[0]))
         for key, name in zip(self.keys[1:], keys[1:]):
             pairs, group = np.unique(
-                self._pair(group, key, self.columns[name]),
+                self._pair(group, key, self.rows.column(name)),
                 return_inverse=True)
             if len(pairs) and pairs[0] < 0:     # rows out of every group
                 pairs, group = pairs[1:], group - 1
@@ -169,6 +181,24 @@ class _BuildSide:
                                       key_columns[1:]):
             group = _find_sorted(pairs, self._pair(group, key, column))
         return group
+
+    def matches(self, key_columns: Sequence[object]):
+        """Every match of a probe batch, probe rows in order and each
+        with the rows of its build group in arrival order: the group of
+        each probe row that has one, the matches up to and including
+        that row, and the probe row and the build row of every match."""
+        group = self.groups_of(key_columns)
+        probe_rows = np.flatnonzero(group >= 0)
+        group = group[probe_rows]
+        counts = self.counts[group]
+        ends = np.cumsum(counts)
+        probe_idx = np.repeat(probe_rows, counts)
+        # Match m belongs to the probe row whose span [end - count, end)
+        # holds m, and is that far into its group.
+        build_idx = self.order[
+            np.repeat(self.starts[group] - (ends - counts), counts)
+            + np.arange(len(probe_idx))]
+        return group, ends, probe_idx, build_idx
 
 
 class HashJoin(PhysicalOperator):
@@ -259,28 +289,11 @@ class HashJoin(PhysicalOperator):
                                      f"{self.probe_keys}"))
             if build is None:       # the probe child is drained all the same
                 continue
-            group = build.groups_of(key_columns)
-            probe_rows = np.flatnonzero(group >= 0)
-            if not len(probe_rows):
+            _, ends, probe_idx, build_idx = build.matches(key_columns)
+            if not len(ends):
                 continue
-            group = group[probe_rows]
-            counts = build.counts[group]
-            ends = np.cumsum(counts)    # matches up to and including each row
-            probe_idx = np.repeat(probe_rows, counts)
-            # Match m of this batch belongs to the probe row whose span
-            # [end - count, end) holds m, and is that far into its group.
-            build_idx = build.order[
-                np.repeat(build.starts[group] - (ends - counts), counts)
-                + np.arange(ends[-1])]
-            # A batch goes out after the first probe row that brings the
-            # pending count to DEFAULT_BATCH_ROWS (operators above charge
-            # per batch, so the cut points are modeled cost).
             done = 0
-            while True:
-                row = np.searchsorted(ends, done + DEFAULT_BATCH_ROWS - pending)
-                if row == len(ends):
-                    break
-                cut = ends[row]
+            for cut in _cuts(ends, pending):
                 pieces.append((batch, build_idx[done:cut], probe_idx[done:cut]))
                 yield self._output(build, pieces)
                 pieces, pending, done = [], 0, cut
@@ -292,13 +305,10 @@ class HashJoin(PhysicalOperator):
 
     def _output(self, build: _BuildSide, pieces) -> Batch:
         build_idx = _concat([rows for _, rows, _ in pieces])
-        columns = {name: _output_array(values[build_idx])
-                   for name, values in build.columns.items()}
-        for name in self.child(1).output_columns:
-            columns[name] = _output_array(_concat(
-                [maybe_materialize(batch.column(name)[rows])
-                 for batch, _, rows in pieces]))
-        return Batch(columns)
+        return Batch({
+            **_gather([(build.rows, build_idx)], self.child(0).output_columns),
+            **_gather([(batch, rows) for batch, _, rows in pieces],
+                      self.child(1).output_columns)})
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
@@ -309,9 +319,13 @@ class HashJoin(PhysicalOperator):
 class MergeJoin(PhysicalOperator):
     """Equality merge join over two inputs sorted on their join keys.
 
-    Verifies the children's declared orderings; needs no hash table and
-    (for unique build keys) no materialization beyond the current group —
-    the low-memory join enabled by B+ tree sort order.
+    Verifies the children's declared orderings and reserves no memory —
+    the low-memory join enabled by B+ tree sort order, and what the cost
+    model charges for. "Merge" is that cost label: the matches come from
+    the hash join's kernel (:class:`_BuildSide` over the right input),
+    left rows in order and each with its right matches in arrival order,
+    which on sorted inputs is the order of a two-pointer merge. NULL
+    keys match nothing.
     """
 
     def __init__(
@@ -347,52 +361,29 @@ class MergeJoin(PhysicalOperator):
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
-        left_cols = self.child(0).output_columns
-        right_cols = self.child(1).output_columns
-        left_key = _key_getter(self.left_keys, left_cols)
-        right_key = _key_getter(self.right_keys, right_cols)
-        left_rows = self._drain(self.child(0), ctx, left_cols)
-        right_rows = self._drain(self.child(1), ctx, right_cols)
-        self.charge_rows(ctx, len(left_rows) + len(right_rows))
-
-        out_names = self.output_columns
-        pending: List[Row] = []
-        i = j = 0
-        while i < len(left_rows) and j < len(right_rows):
-            lk = left_key(left_rows[i])
-            rk = right_key(right_rows[j])
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                # Gather the full duplicate group on both sides.
-                i_end = i
-                while i_end < len(left_rows) and left_key(left_rows[i_end]) == lk:
-                    i_end += 1
-                j_end = j
-                while j_end < len(right_rows) and right_key(right_rows[j_end]) == rk:
-                    j_end += 1
-                for li in range(i, i_end):
-                    for rj in range(j, j_end):
-                        pending.append(left_rows[li] + right_rows[rj])
-                i, j = i_end, j_end
-            if len(pending) >= 4096:
-                result = rows_to_batch(pending, out_names)
-                if result is not None:
-                    yield result
-                pending = []
-        result = rows_to_batch(pending, out_names)
-        if result is not None:
-            yield result
-
-    @staticmethod
-    def _drain(child: PhysicalOperator, ctx: ExecutionContext,
-               names: Sequence[str]) -> List[Row]:
-        rows: List[Row] = []
-        for batch in child.execute(ctx):
-            rows.extend(batch_to_rows(batch, names))
-        return rows
+        left = list(self.child(0).execute(ctx))
+        right = list(self.child(1).execute(ctx))
+        self.charge_rows(ctx, sum(map(len, left)) + sum(map(len, right)))
+        if not left or not right:
+            return
+        left_names, right_names = (c.output_columns for c in self.children)
+        probe = _one_batch(left, left_names)
+        build = _BuildSide(right, right_names, self.right_keys)
+        group, ends, probe_idx, build_idx = build.matches(
+            [probe.column(key) for key in self.left_keys])
+        if not len(ends):
+            return
+        # A batch closes after the key group that fills it: the left
+        # rows of one key are adjacent and share their build group.
+        group_ends = ends[np.append(group[1:] != group[:-1], True)]
+        done = 0
+        for cut in [*_cuts(group_ends, 0), ends[-1]]:
+            if done < cut:
+                yield Batch({
+                    **_gather([(probe, probe_idx[done:cut])], left_names),
+                    **_gather([(build.rows, build_idx[done:cut])],
+                              right_names)})
+                done = cut
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
@@ -403,10 +394,13 @@ class MergeJoin(PhysicalOperator):
 class IndexNestedLoopJoin(PhysicalOperator):
     """For each outer row, seek a B+ tree on the inner table.
 
-    The inner side is a parameterized equality seek on ``inner_index``
-    whose leading key columns are matched against ``outer_keys``. This is
-    the hybrid-plan workhorse of Section 5.3: selective dimension filters
-    drive index seeks into large fact tables.
+    The inner side is a seek operator (``inner``, the one a plan would
+    run on that index, residual and bookmark lookups included) that is
+    never executed on its own: every outer row supplies the bounds of
+    one equality seek on the leading key columns matched by
+    ``outer_keys``. This is the hybrid-plan workhorse of Section 5.3:
+    selective dimension filters drive index seeks into large fact
+    tables.
     """
 
     mode = ROW_MODE
@@ -427,34 +421,14 @@ class IndexNestedLoopJoin(PhysicalOperator):
             raise ExecutionError("nested loop join needs outer key columns")
         if len(outer_keys) > len(inner_index.key_columns):
             raise ExecutionError("more outer keys than inner index key columns")
-        self.inner_table = inner_table
-        self.inner_index = inner_index
         self.outer_keys = list(outer_keys)
-        self.inner_columns = list(inner_columns)
-        self.inner_prefix = inner_prefix
-        self.residual = residual
-        self._is_secondary = isinstance(inner_index, SecondaryBTreeIndex)
-        if self._is_secondary:
-            covered = set(inner_index.covered_columns)
-            self._lookup_ordinals = inner_table.schema.ordinals(
-                [c for c in self.inner_columns if c not in covered])
-            self._rid_at = len(inner_index.key_columns)
-            ordinals = inner_index.entry_ordinals(self.inner_columns)
-        elif isinstance(inner_index, PrimaryBTreeIndex):
-            ordinals = inner_table.schema.ordinals(self.inner_columns)
-        else:
-            raise ExecutionError("inner index must be a B+ tree")
-        if len(ordinals) == 1:  # itemgetter alone would return a bare value
-            only = ordinals[0]
-            self._project_inner = lambda row: (row[only],)
-        else:
-            self._project_inner = itemgetter(*ordinals)
+        self.inner = btree_seek(inner_table, inner_index, inner_columns,
+                                residual=residual, prefix=inner_prefix)
 
     @property
     def output_columns(self) -> List[str]:
         """Names of the columns produced, in order."""
-        inner = [self.inner_prefix + c for c in self.inner_columns]
-        return self.child(0).output_columns + inner
+        return self.child(0).output_columns + self.inner.output_columns
 
     @property
     def output_ordering(self) -> List[str]:
@@ -462,50 +436,49 @@ class IndexNestedLoopJoin(PhysicalOperator):
         return self.child(0).output_ordering
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Run the operator, yielding result batches."""
-        outer_cols = self.child(0).output_columns
-        outer_key = _key_getter(self.outer_keys, outer_cols)
-        single = len(self.outer_keys) == 1
-        out_names = self.output_columns
-        positions = {name: i for i, name in enumerate(out_names)}
-        predicate = compile_row_predicate(self.residual, positions)
-        pending: List[Row] = []
+        """Run the operator, yielding result batches.
+
+        The seek of an outer row is charged when that row is reached,
+        and a batch closes after the outer row that brings the pending
+        count to ``DEFAULT_BATCH_ROWS``, so no seek runs ahead of the
+        consumer of the rows before it.
+        """
+        inner = self.inner
+        step = inner.chunk_step(ctx)
+        #: Matches not yet emitted: the inner side as one value list per
+        #: column, the outer side as (outer batch, outer row per match).
+        pending: List[List[object]] = [[] for _ in inner.columns]
+        pieces: List[Tuple[Batch, List[int]]] = []
         for batch in self.child(0).execute(ctx):
             self.charge_rows(ctx, len(batch))
-            for row in batch_to_rows(batch, outer_cols):
-                key = outer_key(row)
-                bounds = (key,) if single else tuple(key)
-                if None in bounds:      # NULL equals nothing: no seek
+            rows: List[int] = []
+            keys = zip(*[batch.column(key).tolist() for key in self.outer_keys])
+            for row, key in enumerate(keys):
+                if None in key:     # NULL equals nothing: no seek
                     continue
-                for inner_values in self._seek_inner(bounds, ctx):
-                    combined = row + inner_values
-                    if predicate(combined):
-                        pending.append(combined)
-                if len(pending) >= 4096:
-                    result = rows_to_batch(pending, out_names)
-                    if result is not None:
-                        yield result
-                    pending = []
-        result = rows_to_batch(pending, out_names)
-        if result is not None:
-            yield result
+                before = len(pending[0])
+                for chunk in inner.row_chunks(ctx, key, key):
+                    step(chunk, pending)
+                rows.extend(repeat(row, len(pending[0]) - before))
+                if len(pending[0]) >= DEFAULT_BATCH_ROWS:
+                    yield self._output(pieces + [(batch, rows)], pending)
+                    pending, pieces, rows = [[] for _ in inner.columns], [], []
+            if rows:
+                pieces.append((batch, rows))
+        if pieces:
+            yield self._output(pieces, pending)
         ctx.metrics.record_leaf_access("btree")
 
-    def _seek_inner(self, bounds: Tuple[object, ...],
-                    ctx: ExecutionContext) -> Iterator[Row]:
-        for keys, values in self.inner_index.seek_range(bounds, bounds, ctx):
-            if not self._is_secondary:
-                rows = values
-            else:
-                rows = self.inner_index.entry_rows(keys, values)
-                if self._lookup_ordinals:
-                    rows = (row + self.inner_table.fetch_columns(
-                                row[self._rid_at], self._lookup_ordinals, ctx)
-                            for row in rows)
-            yield from map(self._project_inner, rows)
+    def _output(self, pieces, pending: List[List[object]]) -> Batch:
+        columns = _gather(pieces, self.child(0).output_columns)
+        columns.update(zip(self.inner.output_columns,
+                           map(_column_array, pending)))
+        return Batch(columns)
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
+        inner = self.inner
+        where = "" if inner.residual is None else f" where {inner.residual}"
         return (f"IndexNestedLoopJoin(outer {self.outer_keys} -> "
-                f"{self.inner_table.name}.{self.inner_index.name}) "
+                f"{inner.table.name}.{inner.index.name}{where}) "
                 f"[{self.mode}, dop={self.dop}]")

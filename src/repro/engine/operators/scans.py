@@ -8,7 +8,7 @@ counted in Figure 10's plan-composition analysis. Every scan records a
 ``ROW_MODE`` on the rowstore scans is the cost model's label (modeled
 CPU per row); the implementation consumes whole leaf chunks
 (:mod:`repro.storage.btree`) and filters them with the vectorised
-evaluator, see :meth:`_ScanBase._chunks_to_batches`.
+evaluator, see :meth:`_ScanBase.chunk_step`.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ def compose_prefix_bounds(ranges: Sequence[ColumnRange]):
 class _ScanBase(PhysicalOperator):
     """Shared bits for leaf scans: output naming and residual filters."""
 
+    #: Whether non-covered columns are fetched by bookmark lookup.
+    needs_lookup = False
+
     def __init__(
         self,
         table: Table,
@@ -111,35 +114,56 @@ class _ScanBase(PhysicalOperator):
         self.key_range = self.key_ranges[0] if self.key_ranges else None
         self.residual = drop_folded_conjuncts(self.residual, self.key_ranges or ())
 
+    def chunk_step(self, ctx: ExecutionContext) -> Callable:
+        """The per-chunk step of a rowstore scan: ``step(rows, pending)``
+        appends to ``pending`` (one value list per output column) the
+        output columns of the rows that pass the residual.
+
+        ``_ordinals[i]`` is where output column ``i`` sits in a chunk's
+        rows. Rows that need bookmark lookups are first widened with the
+        looked-up columns; then the residual's columns are pulled out
+        with one ``itemgetter`` pass each and evaluated in one
+        :func:`eval_batch` call, and the survivors' output columns are
+        pulled out the same way.
+        """
+        getters = [itemgetter(ordinal) for ordinal in self._ordinals]
+        widen = self._with_lookups(ctx) if self.needs_lookup else None
+        residual = self.residual
+        if residual is not None:
+            filter_names = (list(dict.fromkeys(residual.columns()))
+                            or self.output_columns[:1])  # a constant predicate
+            filter_getters = [getters[self._output_position(name)]
+                              for name in filter_names]
+
+        def step(part, pending):
+            if widen is not None:
+                part = widen(part)
+            if residual is not None:
+                mask = eval_batch(residual, Batch({
+                    name: _column_array(list(map(getter, part)))
+                    for name, getter in zip(filter_names, filter_getters)
+                }), ctx)
+                part = list(compress(part, mask.tolist()))
+            for values, getter in zip(pending, getters):
+                values.extend(map(getter, part))
+        return step
+
     def _chunks_to_batches(
         self,
         ctx: ExecutionContext,
         chunks: Iterable[Sequence[Tuple[object, ...]]],
-        ordinals: Sequence[int],
         kind: str,
-        weight: float = 1.0,
-        widen: Optional[Callable] = None,
     ) -> Iterator[Batch]:
-        """Pivot a stream of row chunks into output batches.
+        """Pivot a stream of row chunks into output batches through
+        :meth:`chunk_step` and charge the scan for them.
 
-        ``ordinals[i]`` is where output column ``i`` sits in a chunk's
-        rows. Per chunk: the residual's columns are pulled out with one
-        ``itemgetter`` pass each and evaluated in one :func:`eval_batch`
-        call, then the survivors' output columns are pulled out the same
-        way; output batches hold ``DEFAULT_BATCH_ROWS`` rows (the last
-        one fewer). ``widen`` appends columns to the rows it is given
-        (bookmark lookups); a chunk is never widened past the row that
-        fills a batch, so the lookups' charges keep their order relative
+        Output batches hold ``DEFAULT_BATCH_ROWS`` rows (the last one
+        fewer). A chunk is never stepped past the row that fills a
+        batch, so a bookmark lookup's charges keep their order relative
         to the charges of the operators consuming that batch.
         """
         names = self.output_columns
-        getters = [itemgetter(ordinal) for ordinal in ordinals]
-        residual = self.residual
-        if residual is not None:
-            filter_names = (list(dict.fromkeys(residual.columns()))
-                            or names[:1])  # a constant predicate
-            filter_getters = [getters[self._output_position(name)]
-                              for name in filter_names]
+        step = self.chunk_step(ctx)
         pending: List[List[object]] = [[] for _ in names]
         scanned = 0
         for rows in chunks:
@@ -148,20 +172,11 @@ class _ScanBase(PhysicalOperator):
             while start < len(rows):
                 part = rows[start:start + DEFAULT_BATCH_ROWS - len(pending[0])]
                 start += len(part)
-                if widen is not None:
-                    part = widen(part)
-                if residual is not None:
-                    mask = eval_batch(residual, Batch({
-                        name: _column_array(list(map(getter, part)))
-                        for name, getter in zip(filter_names, filter_getters)
-                    }), ctx)
-                    part = list(compress(part, mask.tolist()))
-                for values, getter in zip(pending, getters):
-                    values.extend(map(getter, part))
+                step(part, pending)
                 if len(pending[0]) >= DEFAULT_BATCH_ROWS:
                     yield Batch(dict(zip(names, map(_column_array, pending))))
                     pending = [[] for _ in names]
-        self.charge_rows(ctx, scanned, weight)
+        self.charge_rows(ctx, scanned, 2.0 if self.needs_lookup else 1.0)
         ctx.metrics.record_leaf_access(kind)
         if pending[0]:
             yield Batch(dict(zip(names, map(_column_array, pending))))
@@ -186,7 +201,7 @@ class HeapScan(_ScanBase):
             raise ExecutionError(f"{self.table.name} primary is not a heap")
         ctx.charge_parallel_startup(self.dop)
         chunks = (rows for _, rows in heap.scan(ctx))
-        yield from self._chunks_to_batches(ctx, chunks, self._ordinals, "heap")
+        yield from self._chunks_to_batches(ctx, chunks, "heap")
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
@@ -194,14 +209,50 @@ class HeapScan(_ScanBase):
                 f"[{self.mode}, dop={self.dop}]")
 
 
-class BTreeSeek(_ScanBase):
+class _BTreeSeekBase(_ScanBase):
+    """A range seek on a B+ tree. :meth:`execute` runs the seek that
+    ``key_ranges`` describe; a nested-loop join runs one per outer row
+    through the same :meth:`row_chunks` and :meth:`chunk_step`. Output
+    is ordered by the index key columns."""
+
+    mode = ROW_MODE
+
+    @property
+    def output_ordering(self) -> List[str]:
+        """Sorted-prefix columns of the output ([] when unsorted)."""
+        return _qualify(self.prefix, self.index.key_columns)
+
+    def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        """Run the operator, yielding result batches."""
+        low, high, *inclusive = compose_prefix_bounds(self.key_ranges or ())
+        ctx.charge_parallel_startup(self.dop)
+        yield from self._chunks_to_batches(
+            ctx, self.row_chunks(ctx, low, high, *inclusive), "btree")
+
+    def row_chunks(self, ctx: ExecutionContext, low, high,
+                   *inclusive: bool) -> Iterator[Sequence[Tuple[object, ...]]]:
+        """The leaf entries between the bounds, one chunk of rows per
+        leaf (the rows ``_ordinals`` index into), charged as the index
+        charges a seek."""
+        return (rows for _, rows in self.index.seek_range(
+            low, high, ctx, *inclusive))
+
+    def describe(self) -> str:
+        """One-line human-readable summary of this node."""
+        bounds = "full" if self.key_range is None else (
+            f"[{self.key_range.low}..{self.key_range.high}]")
+        lookup = " +lookup" if self.needs_lookup else ""
+        return (f"{type(self).__name__}({self.table.name}.{self.index.name} "
+                f"{bounds}){lookup} cols={self.columns} "
+                f"[{self.mode}, dop={self.dop}]")
+
+
+class BTreeSeek(_BTreeSeekBase):
     """Range seek (or full ordered scan) on the clustered B+ tree.
 
     ``key_range`` bounds the leading key column; ``None`` means a full
-    scan of the leaf chain. Output is ordered by the index key columns.
+    scan of the leaf chain.
     """
-
-    mode = ROW_MODE
 
     def __init__(
         self,
@@ -220,33 +271,11 @@ class BTreeSeek(_ScanBase):
         self.index: PrimaryBTreeIndex = table.primary
         self._seek_on(key_range, key_ranges)
 
-    @property
-    def output_ordering(self) -> List[str]:
-        """Sorted-prefix columns of the output ([] when unsorted)."""
-        return _qualify(self.prefix, self.index.key_columns)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Run the operator, yielding result batches."""
-        low, high, *inclusive = compose_prefix_bounds(self.key_ranges or ())
-        ctx.charge_parallel_startup(self.dop)
-        chunks = (rows for _, rows in self.index.seek_range(
-            low, high, ctx, *inclusive))
-        yield from self._chunks_to_batches(ctx, chunks, self._ordinals, "btree")
-
-    def describe(self) -> str:
-        """One-line human-readable summary of this node."""
-        bounds = "full" if self.key_range is None else (
-            f"[{self.key_range.low}..{self.key_range.high}]")
-        return (f"BTreeSeek({self.table.name}.{self.index.name} {bounds}) "
-                f"cols={self.columns} [{self.mode}, dop={self.dop}]")
-
-
-class SecondaryBTreeSeek(_ScanBase):
+class SecondaryBTreeSeek(_BTreeSeekBase):
     """Seek on a nonclustered B+ tree, with RID lookups for non-covered
     columns (the classic bookmark-lookup plan whose random I/O makes
     secondary seeks expensive at high selectivity)."""
-
-    mode = ROW_MODE
 
     def __init__(
         self,
@@ -266,23 +295,12 @@ class SecondaryBTreeSeek(_ScanBase):
         self.lookup_columns = [c for c in self.columns if c not in covered]
         self.needs_lookup = bool(self.lookup_columns)
         self._lookup_ordinals = table.schema.ordinals(self.lookup_columns)
-        self._row_ordinals = index.entry_ordinals(self.columns)
+        self._ordinals = index.entry_ordinals(self.columns)
 
-    @property
-    def output_ordering(self) -> List[str]:
-        """Sorted-prefix columns of the output ([] when unsorted)."""
-        return _qualify(self.prefix, self.index.key_columns)
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Run the operator, yielding result batches."""
-        low, high, *inclusive = compose_prefix_bounds(self.key_ranges or ())
-        ctx.charge_parallel_startup(self.dop)
-        chunks = (self.index.entry_rows(*chunk) for chunk in
-                  self.index.seek_range(low, high, ctx, *inclusive))
-        yield from self._chunks_to_batches(
-            ctx, chunks, self._row_ordinals, "btree",
-            weight=2.0 if self.needs_lookup else 1.0,
-            widen=self._with_lookups(ctx) if self.needs_lookup else None)
+    def row_chunks(self, ctx, low, high, *inclusive):
+        """``key + payload`` entries, one chunk per leaf."""
+        return (self.index.entry_rows(*chunk) for chunk in
+                self.index.seek_range(low, high, ctx, *inclusive))
 
     def _with_lookups(self, ctx: ExecutionContext) -> Callable:
         """rows -> rows with the bookmark-lookup columns appended, one
@@ -292,14 +310,16 @@ class SecondaryBTreeSeek(_ScanBase):
         return lambda rows: [row + fetch(row[rid_at], ordinals, ctx)
                              for row in rows]
 
-    def describe(self) -> str:
-        """One-line human-readable summary of this node."""
-        bounds = "full" if self.key_range is None else (
-            f"[{self.key_range.low}..{self.key_range.high}]")
-        lookup = " +lookup" if self.needs_lookup else ""
-        return (f"SecondaryBTreeSeek({self.table.name}.{self.index.name} "
-                f"{bounds}){lookup} cols={self.columns} "
-                f"[{self.mode}, dop={self.dop}]")
+
+def btree_seek(table: Table, index, columns: Sequence[str],
+               **options) -> _BTreeSeekBase:
+    """The seek operator for ``index``: every B+ seek of a plan, the
+    inner side of a nested-loop join included, is built here."""
+    if isinstance(index, SecondaryBTreeIndex):
+        return SecondaryBTreeSeek(table, index, columns, **options)
+    if isinstance(index, PrimaryBTreeIndex):
+        return BTreeSeek(table, columns, **options)
+    raise ExecutionError("a seek needs a B+ tree index")
 
 
 class ColumnstoreScan(_ScanBase):

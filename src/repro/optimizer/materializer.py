@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.core.errors import OptimizerError
 from repro.engine.expressions import ColumnRef
 from repro.engine.operators import (
-    BTreeSeek,
     ColumnstoreScan,
     Filter,
     HashAggregate,
@@ -22,12 +21,12 @@ from repro.engine.operators import (
     MergeJoin,
     PhysicalOperator,
     Project,
-    SecondaryBTreeSeek,
     Sort,
     SortKey,
     StreamAggregate,
     Top,
 )
+from repro.engine.operators.scans import btree_seek
 from repro.optimizer.plans import (
     KIND_BTREE,
     KIND_CSI,
@@ -106,18 +105,10 @@ class Materializer:
             return HeapScan(table, node.columns, residual=node.residual,
                             prefix=prefix, dop=node.dop)
         if descriptor.kind == KIND_BTREE:
-            key_ranges = node.seek_ranges
-            if key_ranges is None and node.ranges:
-                leading = node.ranges.get(descriptor.key_columns[0])
-                key_ranges = [leading] if leading is not None else None
-            if descriptor.is_primary:
-                return BTreeSeek(table, node.columns, key_ranges=key_ranges,
-                                 residual=node.residual, prefix=prefix,
-                                 dop=node.dop)
-            index = descriptor.physical
-            return SecondaryBTreeSeek(
-                table, index, node.columns, key_ranges=key_ranges,
-                residual=node.residual, prefix=prefix, dop=node.dop)
+            return btree_seek(
+                table, descriptor.physical, node.columns,
+                key_ranges=node.seek_ranges, residual=node.residual,
+                prefix=prefix, dop=node.dop)
         if descriptor.kind == KIND_CSI:
             index = descriptor.physical
             pushdown = None

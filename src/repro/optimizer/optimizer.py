@@ -380,8 +380,8 @@ class Optimizer:
         candidates.append(hash_node)
 
         # Index nested loop: inner B+ tree keyed on the join column.
-        inl = self._try_inl(bound, current, alias, left_keys, right_keys,
-                            out_rows, stats)
+        inl = self._try_inl(current, path, left_keys, right_keys, out_rows,
+                            stats)
         if inl is not None:
             candidates.append(inl)
 
@@ -401,27 +401,30 @@ class Optimizer:
 
         return min(candidates, key=lambda node: node.est_cost)
 
-    def _try_inl(self, bound: BoundSelect, current: PlanNode, alias: str,
+    def _try_inl(self, current: PlanNode, path: AccessPathNode,
                  left_keys: List[str], right_keys: List[str],
                  out_rows: float, stats) -> Optional[JoinNode]:
+        """The cheapest nested-loop join into a B+ tree keyed on the join
+        column: ``path`` — its columns and its residual, the inner
+        table's local predicates that ``out_rows`` assumes — as a seek
+        on that index per outer row."""
         if len(right_keys) != 1:
             return None
-        table = bound.table_by_alias(alias).table
         join_col = right_keys[0].split(".", 1)[1]
-        needed = bound.referenced_columns(alias)
         best: Optional[JoinNode] = None
-        for descriptor in self._indexes_for(table.name):
+        for descriptor in self._indexes_for(path.descriptor.table_name):
             if descriptor.kind != KIND_BTREE:
                 continue
             if not descriptor.key_columns or \
                     descriptor.key_columns[0] != join_col:
                 continue
-            covering = descriptor.covers(needed)
+            covering = descriptor.covers(path.columns)
             matches = max(0.001, stats.row_count / max(
                 1, stats.column(join_col).n_distinct))
             inner_path = AccessPathNode(
-                alias, descriptor, "seek", list(needed),
-                ranges=None, residual=None, needs_lookup=not covering)
+                path.alias, descriptor, "seek", list(path.columns),
+                ranges=None, residual=path.residual,
+                needs_lookup=not covering)
             inner_path.est_rows = matches
             node = JoinNode("inl", current, inner_path,
                             left_keys, right_keys)

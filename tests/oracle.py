@@ -10,6 +10,8 @@ holds it (no affinity conversion).
 import sqlite3
 from typing import Iterable, List, Tuple
 
+from hypothesis import settings
+
 from repro.storage.database import Database
 from repro.storage.table import Table
 
@@ -30,3 +32,13 @@ def sqlite_answer(database: Database, sql: str) -> List[Tuple[object, ...]]:
     """The rows ``sqlite3`` answers ``sql`` with over a copy of
     ``database``, sorted."""
     return sorted(sqlite_mirror(database.tables()).execute(sql).fetchall())
+
+
+def examples(tier1: int) -> settings:
+    """Hypothesis settings for a property of an oracle suite: ``tier1``
+    examples in an ordinary run, the profile's count under a profile
+    chosen with ``--hypothesis-profile`` (``long``, see ``conftest.py``)."""
+    chosen = settings.default.max_examples
+    if chosen == settings.get_profile("default").max_examples:
+        chosen = tier1
+    return settings(max_examples=chosen, deadline=None)

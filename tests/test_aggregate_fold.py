@@ -14,7 +14,7 @@ import itertools
 import struct
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.engine.batch import Batch, batch_to_rows
 from repro.engine.encoded import EncodedColumn, maybe_materialize
@@ -23,6 +23,7 @@ from repro.engine.metrics import ExecutionContext
 from repro.engine.operators import AggregateSpec, HashAggregate, StreamAggregate
 from repro.engine.operators.base import BATCH_MODE, PhysicalOperator
 from repro.storage.compression import Dictionary
+from tests.oracle import examples
 
 #: Counted per (batch, encoded argument) now, per (batch, group) then.
 COUNTERS = ("code_path_hits", "code_path_fallbacks")
@@ -240,7 +241,7 @@ def engine_fold(op, ctx):
     return rows, getattr(op, "spilled", False)  # a stream never spills
 
 
-@settings(max_examples=60, deadline=None)
+@examples(60)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        shape=st.sampled_from([(1, 1), (6, 1), (40, 2), (40, 7), (300, 50),
                               (9000, 4), (9000, 3000)]),

@@ -9,7 +9,6 @@ from repro.engine.batch import (
     Batch,
     batch_to_rows,
     concat_batches,
-    iter_rows,
     rows_to_batch,
 )
 from repro.engine.costs import DEFAULT_COST_MODEL, MB, CostModel
@@ -149,11 +148,6 @@ class TestBatch:
 
     def test_concat_empty(self):
         assert concat_batches([]) is None
-
-    def test_iter_rows(self):
-        batches = [rows_to_batch([(1,), (2,)], ["a"]),
-                   rows_to_batch([(3,)], ["a"])]
-        assert list(iter_rows(batches, ["a"])) == [(1,), (2,), (3,)]
 
     def test_payload_bytes(self):
         numeric = Batch({"a": np.arange(100, dtype=np.int64)})

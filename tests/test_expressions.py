@@ -16,15 +16,14 @@ from repro.engine.expressions import (
     Literal,
     Not,
     Or,
-    compile_row_predicate,
     conjuncts,
     drop_folded_conjuncts,
     elimination_ranges,
     eval_batch,
-    eval_row,
     extract_column_ranges,
     make_and,
 )
+from tests.reference_eval import compile_row_predicate, eval_row
 
 
 def col(name):

@@ -27,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.errors import ExecutionError
 from repro.core.schema import Column, TableSchema
@@ -42,7 +42,7 @@ from repro.server.bench import build_ch_database
 from repro.storage.compression import Dictionary
 from repro.storage.database import Database
 from repro.workloads.ch import ch_analytic_queries
-from tests.oracle import sqlite_answer
+from tests.oracle import examples, sqlite_answer
 
 EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "data",
                              "hash_join_expected.json")
@@ -309,7 +309,7 @@ def join_inputs(draw):
 
 
 class TestAgainstSqlite:
-    @settings(max_examples=300, deadline=None)
+    @examples(300)
     @given(join_inputs())
     def test_rows_order_cuts_and_dtypes(self, inputs):
         (n_keys, build_rows, probe_rows, build_batch, probe_batch, encode,

@@ -17,7 +17,6 @@ from repro.engine.expressions import (
     Comparison,
     Literal,
     eval_batch,
-    eval_row,
     extract_column_ranges,
 )
 from repro.engine.batch import Batch
@@ -26,6 +25,7 @@ from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.compression import rle_runs
 from repro.storage.database import Database
 from repro.storage.table import Table
+from tests.reference_eval import eval_row
 
 slow = settings(max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow],

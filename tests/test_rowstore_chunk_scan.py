@@ -40,7 +40,6 @@ from repro.engine.expressions import (
     Literal,
     Not,
     Or,
-    eval_row,
     extract_column_ranges,
 )
 from repro.engine.metrics import ExecutionContext
@@ -55,6 +54,7 @@ from repro.engine.operators import (
 )
 from repro.storage.btree import BPlusTree, PrimaryBTreeIndex
 from repro.storage.database import Database
+from tests.reference_eval import eval_row
 
 EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "data",
                              "rowstore_scan_expected.json")
