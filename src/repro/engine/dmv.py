@@ -274,8 +274,10 @@ def memory_cache_rows(database: Database,
     """``dm_os_memory_cache_counters``: the shared decoded-segment cache,
     the statement cache (capped by entry, so ``budget_bytes`` is 0 and
     ``bytes_cached`` counts the UTF-8 bytes of the texts it retains),
-    plus a :class:`~repro.storage.bufferpool.BufferPool` when one exists
-    — either the database's own demand-paging pool
+    the plans its templates carry (``plan_cache``: entries = plans held,
+    hits = executions that reused one, misses = executions of a reusable
+    SELECT that were optimized, no byte accounting), plus a
+    :class:`~repro.storage.bufferpool.BufferPool` when one exists — either the database's own demand-paging pool
     (``Database.open(..., paging=True)``) or a modeled pool the caller
     tracks. Byte math derives from the pool's real accounting
     (``bytes_resident``/``budget_bytes``, both rooted in the single
@@ -293,6 +295,11 @@ def memory_cache_rows(database: Database,
         "statement_cache", len(statements), statements.bytes_cached, 0,
         statements.hits, statements.misses, statements.evictions,
         round(statements.hit_ratio, 6), 1,
+    ))
+    rows.append((
+        "plan_cache", statements.plans_cached, 0, 0,
+        statements.plan_hits, statements.plan_misses,
+        statements.plan_evictions, round(statements.plan_hit_ratio, 6), 1,
     ))
     if buffer_pool is None:
         buffer_pool = getattr(database, "buffer_pool", None)

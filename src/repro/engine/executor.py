@@ -27,6 +27,7 @@ from repro.engine.expressions import (
     drop_folded_conjuncts,
     eval_batch,
     extract_column_ranges,
+    key_prefix_ranges,
 )
 from repro.engine.metrics import ExecutionContext, OperatorSpan, QueryMetrics
 from repro.engine.operators.scans import compose_prefix_bounds
@@ -36,6 +37,7 @@ from repro.optimizer.cost_model import CostingOptions
 from repro.optimizer.materializer import Materializer
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.plans import PlannedQuery
+from repro.optimizer.reuse import keep_plan, reuse_plan
 from repro.sql.binder import (
     Binder,
     BoundDelete,
@@ -98,9 +100,10 @@ class Statement:
 
     sql: str
     params: Sequence[object]
-    #: The cached template of the text, and that template with this
-    #: execution's values in its slots.
+    #: The cached template of the text, this execution's value for each
+    #: of its slots, and the template with those values in its slots.
     template: Template
+    values: Sequence[object]
     parsed: object
     #: Only a SELECT is: the latch mode a session admits the statement in.
     read_only: bool
@@ -109,9 +112,11 @@ class Statement:
     #: its ``AdmissionController.admit(...)`` here (latch hold + memory
     #: grant, so their queueing lands in ``waits``); embedded, nothing.
     enter: ContextManager = nullcontext()
-    #: Written by begin (the logical-clock sequence number), bind, run.
+    #: Written by begin (the logical-clock sequence number), bind (the
+    #: bound statement, or a SELECT's reused plan instead), run.
     stamp: Optional[int] = None
     bound: object = None
+    plan: Optional[PlannedQuery] = None
     ctx: Optional[ExecutionContext] = None
     result: Optional[QueryResult] = None
     #: ``wait_type -> [count, wait_ms]`` of the statement's wait scope.
@@ -153,8 +158,9 @@ class Executor:
         lookup. A pure function of text and values: it needs no latch,
         and text that does not parse raises its ``SqlError`` here."""
         template, values = self.database.statement_cache.lookup(sql)
-        parsed = instantiate(template, fill(values, params))
-        return Statement(sql, params, template, parsed, template.read_only)
+        values = fill(values, params)
+        return Statement(sql, params, template, values,
+                         instantiate(template, values), template.read_only)
 
     def execute(
         self,
@@ -170,13 +176,13 @@ class Executor:
         to the statement."""
         record = sql if isinstance(sql, Statement) else self.prepare(
             sql, params)
+        options = (cold, memory_grant_bytes, concurrent_queries)
         with self.database.waits.statement() as record.waits, \
                 record.enter:
             self._begin(record)
             try:
-                self._bind(record)
-                self._run(record, cold, memory_grant_bytes,
-                          concurrent_queries)
+                self._bind(record, options)
+                self._run(record, options)
             except BaseException as exc:
                 record.error = exc
                 raise
@@ -197,7 +203,12 @@ class Executor:
         database.events.emit("statement_begin", {
             "sql": record.sql[:200], "statement": record.stamp,
         })
-        parsed = record.parsed
+        self._materialize_views(record.parsed)
+
+    def _materialize_views(self, parsed) -> None:
+        """Rematerialize every ``dm_*`` view ``parsed`` names (and no
+        table shadows) against current telemetry."""
+        database = self.database
         referenced = [
             ref.table
             for ref in getattr(parsed, "table_refs", None) or [parsed.table]
@@ -210,17 +221,26 @@ class Executor:
                     buffer_pool=database.buffer_pool):
                 self.catalog.invalidate(name)
 
-    def _bind(self, record: Statement) -> object:
-        """Stage 3: resolve the statement's names against the catalog."""
+    def _bind(self, record: Statement, options: Optional[tuple] = None
+              ) -> object:
+        """Stage 3: resolve the statement's names against the catalog.
+        Given the run's ``options``, a SELECT whose template holds a plan
+        valid for them and these values takes that plan instead, and is
+        neither bound nor optimized (:mod:`repro.optimizer.reuse`)."""
+        if options is not None and record.read_only:
+            record.plan = reuse_plan(record.template, record.values,
+                                     options, self.catalog)
+            if record.plan is not None:
+                return None
         record.bound = self.binder.bind(record.parsed)
         return record.bound
 
-    def _run(self, record: Statement, cold: bool,
-             memory_grant_bytes: Optional[int],
-             concurrent_queries: int) -> None:
-        """Stage 4. SELECT: optimize, materialize, drain. DML: locate the
-        target rows, then apply them inside one WAL scope."""
+    def _run(self, record: Statement, options: tuple) -> None:
+        """Stage 4. SELECT: optimize (unless bind took a cached plan),
+        materialize, drain. DML: locate the target rows, then apply them
+        inside one WAL scope."""
         bound, database = record.bound, self.database
+        cold, memory_grant_bytes, concurrent_queries = options
         record.ctx = ctx = ExecutionContext(
             cost_model=database.cost_model, cold=cold,
             memory_grant_bytes=memory_grant_bytes,
@@ -231,9 +251,14 @@ class Executor:
         ctx.charge_statement_overhead()
         result = QueryResult(columns=[], rows=[], metrics=ctx.metrics)
         if isinstance(bound, BoundSelect):
-            result.plan = self._optimizer(
-                ctx.memory_grant_bytes, cold, concurrent_queries,
-            ).optimize(bound)
+            optimizer = self._optimizer(
+                ctx.memory_grant_bytes, cold, concurrent_queries)
+            record.plan = optimizer.optimize(bound)
+            keep_plan(record.template, record.values, options, self.catalog,
+                      self.binder, bound, record.plan,
+                      optimizer.reported_missing_index)
+        if record.plan is not None:
+            result.plan = record.plan
             root = self.materializer.materialize(result.plan)
             result.columns = root.output_columns
             for batch in root.execute(ctx):
@@ -321,8 +346,12 @@ class Executor:
     def plan(self, sql: str, params: Sequence[object] = (),
              cold: bool = False,
              memory_grant_bytes: Optional[int] = None) -> PlannedQuery:
-        """Optimize a SELECT without executing it."""
-        bound = self._bind(self.prepare(sql, params))
+        """Optimize a SELECT without executing it: always through the
+        optimizer (never a reused plan), and without stamping or
+        announcing a statement."""
+        record = self.prepare(sql, params)
+        self._materialize_views(record.parsed)
+        bound = self._bind(record)
         if not isinstance(bound, BoundSelect):
             raise ExecutionError("plan() supports SELECT statements")
         return self._optimizer(memory_grant_bytes, cold).optimize(bound)
@@ -358,7 +387,7 @@ class Executor:
         primary = table.primary
         index = (primary if isinstance(primary, PrimaryBTreeIndex)
                  else self._best_secondary_for(table, ranges))
-        key_ranges = (_seek_ranges(index.key_columns, ranges)
+        key_ranges = (key_prefix_ranges(index.key_columns, ranges)
                       if index is not None else [])
         low, high, *inclusive = compose_prefix_bounds(key_ranges)
         # The seek bounds enforce the conjuncts they were made from.
@@ -489,21 +518,6 @@ class Executor:
     #: number of rows it affected.
     _APPLY = {BoundUpdate: _run_update, BoundDelete: _run_delete,
               BoundInsert: _run_insert}
-
-
-def _seek_ranges(key_columns: Sequence[str],
-                 ranges: Dict[str, ColumnRange]) -> List[ColumnRange]:
-    """The per-column ranges a composite-key seek can use: points along
-    the key prefix, optionally ending in one non-point range."""
-    seek_ranges = []
-    for column in key_columns:
-        column_range = ranges.get(column)
-        if column_range is None:
-            break
-        seek_ranges.append(column_range)
-        if not column_range.is_point:
-            break
-    return seek_ranges
 
 
 def _row_pivot(table: Table, expr: Optional[Expr]):

@@ -456,6 +456,21 @@ def _absorb_conjunct(conj: Expr, ranges: Dict[str, ColumnRange]) -> None:
     column_range.sources += (conj,)
 
 
+def key_prefix_ranges(key_columns: Sequence[str],
+                      ranges: Dict[str, ColumnRange]) -> List[ColumnRange]:
+    """The per-column ranges a composite-key seek can use: points along
+    the key prefix, optionally ending in one non-point range."""
+    prefix = []
+    for column in key_columns:
+        column_range = ranges.get(column)
+        if column_range is None:
+            break
+        prefix.append(column_range)
+        if not column_range.is_point:
+            break
+    return prefix
+
+
 def drop_folded_conjuncts(
     expr: Optional[Expr], ranges: Sequence[ColumnRange]
 ) -> Optional[Expr]:

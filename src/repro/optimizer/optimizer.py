@@ -26,7 +26,7 @@ descriptors), and DTA's configuration search.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import OptimizerError
 from repro.engine.expressions import (
@@ -34,6 +34,7 @@ from repro.engine.expressions import (
     Expr,
     conjuncts,
     extract_column_ranges,
+    key_prefix_ranges,
     make_and,
 )
 from repro.optimizer import cost_model as cm
@@ -86,6 +87,9 @@ class Optimizer:
         #: telemetry; what-if sessions and DTA leave it None so
         #: hypothetical probing never pollutes the DMVs.
         self.telemetry = telemetry
+        #: Whether planning reported a missing index; such a plan is
+        #: never reused, so the report repeats with every execution.
+        self.reported_missing_index = False
 
     # ------------------------------------------------------------ surface
     def optimize(self, bound: BoundSelect) -> PlannedQuery:
@@ -135,11 +139,7 @@ class Optimizer:
             needed = [table.schema.columns[0].name]
         predicate = make_and(local_conjuncts)
         qualified_ranges = extract_column_ranges(predicate)
-        # Strip 'alias.' for matching against index key columns.
-        ranges: Dict[str, ColumnRange] = {
-            name.split(".", 1)[1]: column_range
-            for name, column_range in qualified_ranges.items()
-        }
+        ranges = bare_ranges(qualified_ranges)
         selectivity = stats.selectivity(qualified_ranges)
         out_rows = max(1.0, table_rows * selectivity)
         column_bytes = self.catalog.column_bytes(table.name)
@@ -194,6 +194,7 @@ class Optimizer:
             c for c, r in ranges.items() if not r.is_point))
         included = tuple(
             c for c in needed if c not in equality and c not in inequality)
+        self.reported_missing_index = True
         self.telemetry.record_missing_index(
             table.name, equality, inequality, included,
             selectivity=selectivity)
@@ -202,9 +203,10 @@ class Optimizer:
                        column_bytes, needed, ranges, stats, predicate,
                        out_rows) -> Optional[AccessPathNode]:
         options = self.options
+        node_ranges, seek_ranges = access_ranges(descriptor, ranges)
         if descriptor.kind == KIND_HEAP:
             node = AccessPathNode(alias, descriptor, "scan", list(needed),
-                                  ranges=None, residual=predicate)
+                                  ranges=node_ranges, residual=predicate)
             node.est_cost = cm.cost_heap_scan(
                 options, descriptor, table_rows, row_bytes, out_rows)
             node.est_rows = out_rows
@@ -212,20 +214,12 @@ class Optimizer:
             return node
 
         if descriptor.kind == KIND_BTREE:
-            # Composite-key sargability: consume point ranges along the
-            # key prefix, optionally ending with one non-point range.
-            seek_ranges = []
             seek_fraction = 1.0
-            for key_column in descriptor.key_columns:
-                key_range = ranges.get(key_column)
-                if key_range is None:
-                    break
-                seek_ranges.append(key_range)
+            for key_column, key_range in zip(descriptor.key_columns,
+                                             seek_ranges or ()):
                 if key_column in stats.columns:
                     seek_fraction *= stats.column(
                         key_column).range_selectivity(key_range)
-                if not key_range.is_point:
-                    break
             if seek_ranges:
                 rows_scanned = max(1.0, table_rows * seek_fraction)
                 access = "seek"
@@ -243,13 +237,10 @@ class Optimizer:
             height = max(2, int(math.log(max(table_rows, 2), 64)) + 1)
             node = AccessPathNode(
                 alias, descriptor, access, list(needed),
-                ranges=(
-                    {c: r for c, r in zip(descriptor.key_columns,
-                                          seek_ranges)}
-                    if seek_ranges else None),
-                residual=predicate, needs_lookup=not covering,
+                ranges=node_ranges, residual=predicate,
+                needs_lookup=not covering,
             )
-            node.seek_ranges = seek_ranges or None
+            node.seek_ranges = seek_ranges
             node.est_cost = cm.cost_btree_access(
                 options, descriptor, rows_scanned, entry_bytes,
                 lookup_rows=lookup_rows, tree_height=height)
@@ -277,7 +268,7 @@ class Optimizer:
             }
             node = AccessPathNode(
                 alias, descriptor, "scan", list(needed),
-                ranges=ranges or None, residual=predicate)
+                ranges=node_ranges, residual=predicate)
             node.est_cost = cm.cost_csi_scan(
                 options, descriptor, table_rows, read_bytes, read_fraction,
                 encodings=descriptor.column_encodings or None)
@@ -520,6 +511,32 @@ class Optimizer:
         node.est_cost = root.est_cost
         node.dop = root.dop
         return node
+
+
+def bare_ranges(qualified: Dict[str, ColumnRange]) -> Dict[str, ColumnRange]:
+    """``alias.column -> range`` with the aliases stripped, for matching
+    index key columns."""
+    return {name.split(".", 1)[1]: column_range
+            for name, column_range in qualified.items()}
+
+
+def access_ranges(descriptor: IndexDescriptor,
+                  ranges: Dict[str, ColumnRange]
+                  ) -> Tuple[Optional[Dict[str, ColumnRange]],
+                             Optional[List[ColumnRange]]]:
+    """``(ranges, seek_ranges)`` of an access path through ``descriptor``
+    given its table's bare-column ranges: a B+ tree seeks the key prefix
+    (composite-key sargability: points, optionally ending in one range),
+    a columnstore eliminates segments on every ranged column, a heap
+    uses none. Plan reuse re-derives a cached leaf's ranges here too."""
+    if descriptor.kind == KIND_BTREE:
+        seek_ranges = key_prefix_ranges(descriptor.key_columns, ranges)
+        if not seek_ranges:
+            return None, None
+        return dict(zip(descriptor.key_columns, seek_ranges)), seek_ranges
+    if descriptor.kind == KIND_CSI:
+        return ranges or None, None
+    return None, None
 
 
 def _edges_between(edges: Sequence[JoinEdge], joined: set,

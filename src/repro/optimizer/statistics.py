@@ -44,10 +44,16 @@ class ColumnStats:
         """P(column = value)."""
         if self.n_rows == 0 or self.n_distinct == 0:
             return 0.0
-        if isinstance(value, (int, float)) and self.min_value is not None:
-            if value < self.min_value or value > self.max_value:
-                return 0.0
+        if self.outside_range(value):
+            return 0.0
         return (1.0 - self.null_fraction) / self.n_distinct
+
+    def outside_range(self, value: object) -> bool:
+        """Whether ``value`` is a number outside ``[min, max]``: the only
+        way :meth:`equality_selectivity` depends on the value (plan reuse
+        keys its plans by this bit)."""
+        return (isinstance(value, (int, float)) and self.min_value is not None
+                and (value < self.min_value or value > self.max_value))
 
     def range_selectivity(self, column_range: ColumnRange) -> float:
         """P(low <= column <= high) from the histogram."""

@@ -8,11 +8,16 @@ scheduler modules.
 
 Protocol (deliberately trivial, one line each way):
 
-* client sends one SQL statement per line (UTF-8, newline-terminated);
+* client sends one statement per line (UTF-8, newline-terminated):
+  plain SQL, or a JSON object ``{"sql": "... ? ...", "params": [...]}``
+  whose values fill the text's ``?`` markers in order (a repeated text
+  then reuses its parse, and an equality lookup its plan);
 * server replies with one JSON object per line:
   ``{"ok": true, "columns": [...], "rows": [...], "rows_affected": n,
   "elapsed_ms": modeled, "session": id}`` or
-  ``{"ok": false, "error": "..."}``;
+  ``{"ok": false, "error": "..."}`` — also for a JSON line that is
+  malformed or whose ``params`` do not match the ``?`` count, after
+  which the connection stays open;
 * an empty line (or EOF) closes the session;
 * a line longer than :data:`MAX_STATEMENT_BYTES` gets one
   ``{"ok": false, ...}`` reply and the connection is closed (the stream
@@ -26,7 +31,7 @@ from __future__ import annotations
 import json
 import socketserver
 import threading
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from repro.server.session import SessionManager
 
@@ -34,6 +39,22 @@ DEFAULT_PORT = 5433
 
 #: Longest statement line accepted, newline included.
 MAX_STATEMENT_BYTES = 1 << 20
+
+
+def _request(line: str) -> Tuple[str, Sequence[object]]:
+    """``(sql, params)`` of one request line (ValueError when a JSON
+    line is not a request object)."""
+    if not line.startswith("{"):
+        return line, ()
+    try:
+        request = json.loads(line)
+    except ValueError:
+        raise ValueError("malformed JSON request line") from None
+    if not (isinstance(request, dict) and isinstance(request.get("sql"), str)
+            and isinstance(request.get("params", []), list)):
+        raise ValueError(
+            'a JSON request line is {"sql": "...", "params": [...]}')
+    return request["sql"], request.get("params", [])
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
@@ -53,11 +74,18 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         "error": f"statement longer than "
                                  f"{MAX_STATEMENT_BYTES} bytes"})
                     break
-                sql = raw.decode("utf-8", errors="replace").strip()
-                if not sql:
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
                     break
                 try:
-                    result = session.execute(sql)
+                    sql, params = _request(line)
+                except ValueError as exc:
+                    session.stats.errors += 1
+                    self._reply({"ok": False, "error": str(exc),
+                                 "session": session.session_id})
+                    continue
+                try:
+                    result = session.execute(sql, params)
                     self._reply({
                         "ok": True,
                         "session": session.session_id,

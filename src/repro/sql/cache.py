@@ -17,6 +17,12 @@ after the cache), so nothing that happens to the database can make an
 entry stale and there is no invalidation. Text that does not tokenize or
 parse is not cached and raises what the uncached
 :func:`~repro.sql.parser.parse` raises.
+
+A template also carries its reusable plans (:mod:`repro.optimizer.reuse`
+decides what they are and when one is valid). They are kept here, under
+this cache's lock and counters, at most ``PLANS_PER_TEMPLATE`` per
+template, and leave with the template: evicting a template evicts its
+plans.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ class StatementCache:
     #: Longer texts (bulk INSERTs) are parsed without being cached: they
     #: do not repeat, and their size is what an entry cap cannot bound.
     MAX_TEXT_CHARS = 4096
+    #: Most plans kept per template (one per option set and value
+    #: signature), least recently used evicted first.
+    PLANS_PER_TEMPLATE = 4
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -53,6 +62,11 @@ class StatementCache:
         self.evictions = 0
         #: UTF-8 bytes of the raw texts currently retained as keys.
         self.bytes_cached = 0
+        #: Executions of a reusable SELECT that took a cached plan / that
+        #: were optimized; plans dropped for the cap or with a template.
+        self.plan_hits = 0
+        self.plan_misses = 0
+        self.plan_evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -62,6 +76,44 @@ class StatementCache:
         """Fraction of lookups that did not parse (0 before any)."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
+
+    @property
+    def plan_hit_ratio(self) -> float:
+        """Fraction of reusable executions that took a cached plan."""
+        lookups = self.plan_hits + self.plan_misses
+        return self.plan_hits / lookups if lookups else 0.0
+
+    @property
+    def plans_cached(self) -> int:
+        """Plans held by the templates this cache holds."""
+        with self._lock:
+            templates = {id(t): t for t in (
+                value[0] if isinstance(key, str) else value
+                for key, value in self._entries.items())}
+        return sum(len(t.plans.entries) for t in templates.values()
+                   if t.plans)
+
+    def plan_hit(self, plans, key) -> None:
+        """Count a hit on ``plans.entries[key]`` and mark it most recently
+        used."""
+        with self._lock:
+            self.plan_hits += 1
+            if key in plans.entries:
+                plans.entries.move_to_end(key)
+
+    def keep_plan(self, plans, key, entry) -> None:
+        """Count an optimization of a reusable statement and keep its
+        plan under ``key`` (``entry`` None: counted, not kept)."""
+        with self._lock:
+            self.plan_misses += 1
+            if entry is None:
+                return
+            entries = plans.entries
+            entries[key] = entry
+            entries.move_to_end(key)
+            while len(entries) > self.PLANS_PER_TEMPLATE:
+                entries.popitem(last=False)
+                self.plan_evictions += 1
 
     def statement(self, sql: str, params: Sequence[object] = ()):
         """What ``parse(sql, params)`` returns, parsing only when the
@@ -107,7 +159,10 @@ class StatementCache:
         entries[key] = value
         entries.move_to_end(key)
         while len(entries) > self.CAPACITY:
-            evicted, _ = entries.popitem(last=False)
+            evicted, value = entries.popitem(last=False)
             self.evictions += 1
             if isinstance(evicted, str):
                 self.bytes_cached -= len(evicted.encode())
+            elif value.plans:
+                self.plan_evictions += len(value.plans.entries)
+                value.plans = None

@@ -87,6 +87,7 @@ from repro.sql.lexer import (
 _AGG_KEYWORDS = ("sum", "count", "avg", "min", "max")
 
 _TOO_FEW_PARAMS = "not enough parameters supplied for '?' markers"
+_TOO_MANY_PARAMS = "more parameters supplied than the text has '?' markers"
 
 
 # Slot nodes exist only inside a Template; ``index`` is the position of
@@ -96,6 +97,12 @@ _TOO_FEW_PARAMS = "not enough parameters supplied for '?' markers"
 class _Slot(Expr):
     """A parameter where an expression stands: becomes ``Literal(value)``."""
     index: int
+
+
+def slot_index(node) -> Optional[int]:
+    """The value index of ``node`` when it is a template's expression slot
+    (a ``?`` or literal standing where an expression does), else None."""
+    return node.index if node.__class__ is _Slot else None
 
 
 @dataclass(frozen=True)
@@ -551,21 +558,27 @@ def fill(values: Sequence[object], params: Sequence[object]
          ) -> Sequence[object]:
     """``values`` with each :data:`UNBOUND` entry replaced by the next of
     ``params``: the literals of a text interleaved, in token order, with
-    the caller's values for its ``?`` markers."""
+    the caller's values for its ``?`` markers, of which there must be
+    exactly as many as ``params`` has values."""
     if UNBOUND not in values:
+        if len(params):
+            raise SqlError(_TOO_MANY_PARAMS)
         return values
     remaining = iter(params)
     try:
-        return [next(remaining) if value is UNBOUND else value
-                for value in values]
+        filled = [next(remaining) if value is UNBOUND else value
+                  for value in values]
     except StopIteration:
         raise SqlError(_TOO_FEW_PARAMS) from None
+    if next(remaining, UNBOUND) is not UNBOUND:
+        raise SqlError(_TOO_MANY_PARAMS)
+    return filled
 
 
 class Template:
     """A parsed statement with slots at its parameter positions."""
 
-    __slots__ = ("statement", "n_slots", "_build")
+    __slots__ = ("statement", "n_slots", "_build", "plans")
 
     def __init__(self, statement, n_slots: int):
         #: The statement with its slot nodes; only ``instantiate`` turns
@@ -573,6 +586,10 @@ class Template:
         self.statement = statement
         self.n_slots = n_slots
         self._build = _builder(statement) if n_slots else None
+        #: What plan reuse knows of the template
+        #: (:mod:`repro.optimizer.reuse`): None until a SELECT made from
+        #: it first binds, then False or its cached plans.
+        self.plans = None
 
     @property
     def read_only(self) -> bool:
@@ -640,9 +657,12 @@ def parse_template(tokens: Sequence[Token],
 
 
 def instantiate(template: Template, values: Sequence[object]):
-    """The template's statement with slot ``i`` filled from ``values[i]``."""
+    """The template's statement with slot ``i`` filled from ``values[i]``,
+    one value per slot."""
     if len(values) < template.n_slots:
         raise SqlError(_TOO_FEW_PARAMS)
+    if len(values) > template.n_slots:
+        raise SqlError(_TOO_MANY_PARAMS)
     if template._build is None:
         return template.statement
     return template._build(values)

@@ -78,9 +78,9 @@ class TestSqlSurface:
         for name in SYSTEM_VIEW_NAMES:
             result = executor.execute(f"SELECT * FROM {name}")
             if name == "dm_os_memory_cache_counters":
-                # Both caches always exist, even in an empty db.
+                # The caches always exist, even in an empty db.
                 assert [row[0] for row in result.rows] == [
-                    "segment_cache", "statement_cache"]
+                    "segment_cache", "statement_cache", "plan_cache"]
             elif name == "dm_os_wait_stats":
                 # Every canonical wait type is present (zeros included),
                 # like the real view.
@@ -92,6 +92,18 @@ class TestSqlSurface:
                            for row in result.rows)
             else:
                 assert result.rows == []
+
+    def test_explain_plans_a_view_without_running_a_statement(self):
+        """Executing the text always worked; EXPLAIN raised
+        ``CatalogError: no table named ...``."""
+        database = make_db()
+        executor = Executor(database)
+        sql = "SELECT cache_name FROM dm_os_memory_cache_counters"
+        assert "SCAN dm_os_memory_cache_counters" in executor.explain(sql)
+        assert database.telemetry.clock.now == 0
+        assert database.events.emitted == 0
+        assert executor.plan(sql).explain() == executor.execute(
+            sql).plan.explain()
 
     def test_usage_view_filterable(self):
         database = make_hybrid_db()
@@ -424,7 +436,7 @@ class TestExports:
         assert snap["dm_db_missing_index_details"] == []
         assert [row["cache_name"]
                 for row in snap["dm_os_memory_cache_counters"]] == [
-            "segment_cache", "statement_cache"]
+            "segment_cache", "statement_cache", "plan_cache"]
 
     def test_prometheus_exposition_format(self):
         database = make_hybrid_db()
@@ -463,7 +475,7 @@ class TestExports:
                            buffer_pool=pool)
         rows = {row[0]: row for _, row in table.iter_rows()}
         assert list(rows) == ["segment_cache", "statement_cache",
-                              "buffer_pool"]
+                              "plan_cache", "buffer_pool"]
         assert rows["buffer_pool"][4] == pool.hits
 
     def test_segment_cache_counters_reflect_hits(self):
@@ -499,6 +511,20 @@ class TestExports:
         text = to_prometheus(executor.database)
         assert 'repro_cache_hits{cache="statement_cache"} 3' in text
         assert 'repro_cache_entries{cache="statement_cache"} 6' in text
+
+    def test_plan_cache_counters_count_reuse(self):
+        executor = Executor(make_db())
+        for o_id in (1, 2, 3, 99999):
+            executor.execute(f"SELECT o_amt FROM orders WHERE o_id = {o_id}")
+        query = ("SELECT entries, bytes_cached, budget_bytes, hits, misses, "
+                 "evictions, hit_ratio, enabled FROM "
+                 "dm_os_memory_cache_counters WHERE cache_name = 'plan_cache'")
+        # One plan per value class: 1 and 99999 were optimized, 2 and 3
+        # reused the first. This query is counted after its snapshot.
+        assert executor.execute(query).rows == [(2, 0, 0, 2, 2, 0, 0.5, 1)]
+        text = to_prometheus(executor.database)
+        assert 'repro_cache_hits{cache="plan_cache"} 2' in text
+        assert 'repro_cache_misses{cache="plan_cache"} 3' in text
 
 
 class TestDeterminism:

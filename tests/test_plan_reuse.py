@@ -1,0 +1,412 @@
+"""Plan reuse is invisible. An equality-only SELECT that takes its
+template's cached plan, skipping bind and optimize, must return what
+planning it afresh returns. That covers the plan text, rows, modeled
+metrics, span rows, Query Store fingerprints, events and missing-index
+reports. It must hold on every physical design, hot and cold, under two
+memory grants, for values in and out of the column's range, NULL, int
+and float. And a cached plan is dropped exactly when the catalog would
+plan differently.
+
+The reference for an execution is ``Executor.plan()`` (never reused),
+and a second executor over an identical database whose statement cache
+is replaced before each of its statements, so it binds and optimizes
+every one. Hits are counted and asserted, so the suite cannot silently
+stop covering reuse.
+"""
+
+import random
+import sys
+import threading
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core.schema import Column, TableSchema
+from repro.core.types import INT, varchar
+from repro.engine.dmv import missing_index_rows, usage_rows
+from repro.engine.executor import Executor
+from repro.engine.query_store import QueryStore, plan_fingerprint
+from repro.server.session import SessionManager
+from repro.sql.cache import StatementCache
+from repro.storage.database import Database
+from tests.oracle import examples, sqlite_mirror
+
+N_ROWS = 2400
+DESIGNS = ("heap", "btree", "btree+cov", "heap+ix", "pri_csi", "sorted_csi")
+#: (cold, memory_grant_bytes) of every run in the matrix.
+OPTIONS = ((False, None), (True, None), (False, 20_000), (True, 20_000))
+
+
+def make_database(design: str) -> Database:
+    """``t(k, g, c, s, n)``: ``k`` unique (loaded shuffled), ``g`` two
+    values, ``c`` forty, ``s`` three strings, ``n`` nullable; ``dim(dk,
+    dv)`` clustered on ``dk``; ``fact(fk, x, y)``, 100 rows per ``fk``.
+    ``design`` lays out ``t`` and ``fact`` alike."""
+    database = Database()
+    keys = list(range(N_ROWS))
+    random.Random(7).shuffle(keys)
+    t = database.create_table(TableSchema("t", [
+        Column("k", INT, nullable=False), Column("g", INT, nullable=False),
+        Column("c", INT, nullable=False), Column("s", varchar(4)),
+        Column("n", INT)]))
+    t.bulk_load([(k, k % 2, k % 40, f"s{k % 3}",
+                  None if k % 9 == 0 else k % 11) for k in keys])
+    dim = database.create_table(TableSchema("dim", [
+        Column("dk", INT, nullable=False), Column("dv", INT)]))
+    dim.bulk_load([(i, i % 2) for i in range(50)])
+    dim.set_primary_btree(["dk"])
+    fact = database.create_table(TableSchema("fact", [
+        Column("fk", INT, nullable=False), Column("x", INT, nullable=False),
+        Column("y", INT, nullable=False)]))
+    fact.bulk_load([(i % 50, i % 3, i) for i in range(5000)])
+    if design == "btree":
+        t.set_primary_btree(["k"])
+        fact.set_primary_btree(["fk"])
+    elif design == "btree+cov":
+        t.set_primary_btree(["k"])
+        t.create_secondary_btree("ix_c", ["c"], included_columns=["k", "s"])
+        fact.set_primary_btree(["y"])
+        fact.create_secondary_btree("ix_fk", ["fk"], included_columns=["x"])
+    elif design == "heap+ix":
+        t.create_secondary_btree("ix_c", ["c"])
+        fact.create_secondary_btree("ix_fk", ["fk"])
+    elif design == "pri_csi":
+        t.set_primary_columnstore(rowgroup_size=256)
+        fact.set_primary_columnstore(rowgroup_size=256)
+    elif design == "sorted_csi":
+        t.create_secondary_columnstore("csi_g", sorted_on="g",
+                                       rowgroup_size=256)
+        fact.create_secondary_columnstore("csi_fk", sorted_on="fk",
+                                          rowgroup_size=256)
+    return database
+
+
+#: Templates and the values run through them, in order: in and out of
+#: the column's range, NULL, float for an INT column, repeats.
+STATEMENTS = (
+    ("SELECT g, s FROM t WHERE k = ?",
+     [(17,), (18,), (5000,), (-3,), (None,), (17.0,), (2399,), (9999,),
+      (None,)]),
+    ("SELECT k, s FROM t WHERE c = ?",
+     [(3,), (39,), (40,), (None,), (3.0,), (2.5,), (4,), (41,)]),
+    ("SELECT count(*), max(c) FROM t WHERE g = ?",
+     [(0,), (1,), (7,), (1.0,), (0,), (-1,)]),
+    ("SELECT count(*), min(k) FROM t WHERE s = ?",
+     [("s1",), ("s0",), ("zz",), (None,), ("s2",)]),
+    ("SELECT k FROM t WHERE ? = c AND n = ? ORDER BY k",
+     [(5, 3), (5, None), (50, 3), (6, 4), (7, 10)]),
+    ("SELECT count(*), sum(k) FROM t WHERE g = ? AND s = ?",
+     [(1, "s1"), (0, "s2"), (2, "s0"), (1, "s0")]),
+    ("SELECT d.dv, f.y FROM dim d JOIN fact f ON d.dk = f.fk "
+     "WHERE d.dk = ? AND f.x = ?",
+     [(3, 2), (4, 1), (60, 2), (3, 0), (49, 2), (5, None)]),
+    ("SELECT count(*), sum(f.y) FROM dim d JOIN fact f ON d.dk = f.fk "
+     "WHERE d.dv = ?",
+     [(1,), (0,), (9,), (1,)]),
+)
+#: Literal texts of one template (the statement cache parses it once).
+LITERALS = ("SELECT s, n FROM t WHERE k = {} AND g = {}",
+            [(17, 1), (18, 0), (99999, 1), (20, 0), (21.5, 1)])
+
+
+def executions():
+    for sql, values in STATEMENTS:
+        for params in values:
+            yield sql, params
+    sql, values = LITERALS
+    for params in values:
+        yield sql.format(*params), ()
+
+
+def plan_hits(database) -> int:
+    return getattr(database.statement_cache, "plan_hits", 0)
+
+
+def plan_misses(database) -> int:
+    return getattr(database.statement_cache, "plan_misses", 0)
+
+
+def span_rows(span) -> list:
+    return [(span.label, span.rows_out)] + [
+        row for child in span.children for row in span_rows(child)]
+
+
+def observed(result) -> tuple:
+    """What a client and the sensors see of one execution."""
+    return (result.columns, result.rows, asdict(result.metrics),
+            result.plan.explain(), span_rows(result.root_span),
+            plan_fingerprint(result.plan), result.wait_profile)
+
+
+def replanned(reference: Executor, sql, params=(), **options):
+    """``reference`` running ``sql`` through bind and optimize."""
+    reference.database.statement_cache = StatementCache()
+    return reference.execute(sql, params, **options)
+
+
+def fingerprints(store: QueryStore) -> dict:
+    return {stats.sql: (stats.recorded, stats.plan_fingerprints)
+            for stats in store.top_by_cpu(len(store))}
+
+
+def sqlite_rows(mirror, sql, params):
+    rows = mirror.execute(sql, params).fetchall()
+    return rows if "ORDER BY" in sql else sorted(rows, key=repr)
+
+
+# ------------------------------------------------------------- the matrix
+@pytest.mark.parametrize("design", DESIGNS)
+def test_a_reused_plan_is_the_plan_planning_makes(design):
+    database, reference_database = make_database(design), make_database(design)
+    store, reference_store = QueryStore(), QueryStore()
+    executor = Executor(database, query_store=store)
+    reference = Executor(reference_database, query_store=reference_store)
+    mirror = sqlite_mirror(database.tables())
+    hit_plans = []
+    for cold, grant in OPTIONS:
+        options = {"cold": cold, "memory_grant_bytes": grant}
+        for sql, params in executions():
+            before = plan_hits(database)
+            result = executor.execute(sql, params, **options)
+            if plan_hits(database) > before:
+                hit_plans.append(result.plan.explain())
+            expected = replanned(reference, sql, params, **options)
+            assert observed(result) == observed(expected), (sql, params)
+            # (Planning reports missing indexes too: plan on both sides.)
+            assert result.plan.explain() == executor.plan(
+                sql, params, **options).explain() == reference.plan(
+                sql, params, **options).explain(), (sql, params)
+            rows = result.rows if "ORDER BY" in sql else sorted(
+                result.rows, key=repr)
+            assert rows == sqlite_rows(mirror, sql, params), (sql, params)
+    assert hit_plans, design
+    # Everything the sensors kept is what replanning every statement
+    # leaves: events, history, Query Store, index usage, missing indexes.
+    assert database.events.to_jsonl() == reference_database.events.to_jsonl()
+    assert database.history.digest() == reference_database.history.digest()
+    assert fingerprints(store) == fingerprints(reference_store)
+    assert usage_rows(database) == usage_rows(reference_database)
+    assert missing_index_rows(database) == missing_index_rows(
+        reference_database)
+    if design in ("btree", "btree+cov"):
+        assert any("INL JOIN" in plan for plan in hit_plans), design
+    if design in ("pri_csi", "sorted_csi"):
+        assert any("columnstore g:[" in plan for plan in hit_plans), design
+
+
+def test_the_matrix_reaches_what_it_claims():
+    """Hits on seeks, scans, joins and aggregates; a plan reported as a
+    missing index is never reused but counted every time."""
+    database = make_database("heap")
+    executor = Executor(database)
+    sql = "SELECT g, s FROM t WHERE k = ?"      # a heap scan: missing index
+    for key in (1, 2, 3):
+        before = plan_hits(database)
+        executor.execute(sql, (key,))
+        assert plan_hits(database) == before
+    (row,) = missing_index_rows(database)
+    assert row[:2] == ("t", "k") and row[4] == 3       # statement_count
+    for design in ("btree", "pri_csi"):
+        database = make_database(design)
+        executor = Executor(database)
+        executor.execute(sql, (1,))
+        before = plan_hits(database)
+        executor.execute(sql, (2,))
+        assert plan_hits(database) == before + (design == "btree")
+
+
+def test_an_out_of_range_value_has_its_own_access_path():
+    """``c`` has forty values: one of them is a heap scan's worth of
+    rows, a value outside ``[0, 39]`` is estimated at one row and seeks
+    the secondary index; each class reuses its own plan."""
+    database = make_database("heap+ix")
+    executor = Executor(database)
+    sql = "SELECT k, s FROM t WHERE c = ?"
+    expected = {3: "SCAN t via t_heap", 45: "SEEK t via ix_c",
+                4: "SCAN t via t_heap", 46: "SEEK t via ix_c",
+                -2: "SEEK t via ix_c"}
+    hits = []
+    for value, access in expected.items():
+        before = plan_hits(database)
+        result = executor.execute(sql, (value,))
+        hits.append(plan_hits(database) - before)
+        assert access in result.plan.explain(), value
+        assert result.plan.explain() == executor.plan(sql, (value,)).explain()
+        assert sorted(result.rows) == sorted(
+            (k, f"s{k % 3}") for k in range(N_ROWS) if k % 40 == value)
+    assert hits == [0, 0, 1, 1, 1]
+
+
+# ----------------------------------------------------------- invalidation
+def _runs(executor, sql, params):
+    """``(result, whether it reused a plan)``."""
+    before = plan_hits(executor.database)
+    result = executor.execute(sql, params)
+    return result, plan_hits(executor.database) > before
+
+
+def test_a_new_index_is_seen_after_refresh_and_not_before():
+    database = make_database("heap+ix")
+    executor = Executor(database)
+    sql = "SELECT k, s FROM t WHERE c = ?"
+    executor.execute(sql, (3,))
+    assert _runs(executor, sql, (4,))[1]
+    database.table("t").create_secondary_btree(
+        "ix_c_cov", ["c"], included_columns=["k", "s"])
+    # Not refreshed: the uncached optimizer does not see it either.
+    result, hit = _runs(executor, sql, (5,))
+    assert hit and "ix_c_cov" not in result.plan.explain()
+    assert result.plan.explain() == executor.plan(sql, (5,)).explain()
+    executor.refresh()
+    result, hit = _runs(executor, sql, (6,))
+    assert not hit and "SEEK t via ix_c_cov" in result.plan.explain()
+    assert observed(result) == observed(Executor(database).execute(sql, (6,)))
+    assert _runs(executor, sql, (7,))[1]
+
+
+def test_dml_past_the_auto_stats_threshold_replans():
+    database = make_database("heap+ix")
+    executor = Executor(database)
+    sql = "SELECT k, s FROM t WHERE c = ?"
+    executor.execute(sql, (45,))
+    result, hit = _runs(executor, sql, (46,))
+    assert hit and "SEEK t via ix_c" in result.plan.explain()
+    # Below the threshold the statistics stand, and so does the plan;
+    # the rows are the table's current ones.
+    executor.execute("INSERT INTO t (k, g, c, s, n) VALUES "
+                     "(90000, 0, 46, 's0', 1)")
+    result, hit = _runs(executor, sql, (46,))
+    assert hit and result.rows == [(90000, "s0")]
+    assert result.plan.explain() == executor.plan(sql, (46,)).explain()
+    # 25 % more rows, with c in 40..49: 46 is inside [min, max] now.
+    values = ", ".join(f"({100000 + i}, 1, {40 + i % 10}, 's1', 2)"
+                       for i in range(N_ROWS // 4))
+    executor.execute(f"INSERT INTO t (k, g, c, s, n) VALUES {values}")
+    result, hit = _runs(executor, sql, (46,))
+    assert not hit and "SCAN t via t_heap" in result.plan.explain()
+    assert observed(result) == observed(
+        Executor(database).execute(sql, (46,)))
+    assert _runs(executor, sql, (47,))[1]
+
+
+def test_a_system_view_is_planned_against_its_fresh_snapshot():
+    database = make_database("btree")
+    executor = Executor(database)
+    view = ("SELECT user_seeks FROM dm_db_index_usage_stats "
+            "WHERE index_name = ?")
+    (seeks,), = executor.execute(view, ("t_pk_btree",)).rows
+    executor.execute("SELECT g FROM t WHERE k = ?", (1,))
+    result, hit = _runs(executor, view, ("t_pk_btree",))
+    assert not hit and result.rows == [(seeks + 1,)]
+
+
+def test_ddl_on_another_table_keeps_the_plan():
+    database = make_database("btree")
+    executor = Executor(database)
+    sql = "SELECT g, s FROM t WHERE k = ?"
+    executor.execute(sql, (1,))
+    database.create_table(TableSchema("other", [Column("o", INT)]))
+    database.drop_table("fact")
+    result, hit = _runs(executor, sql, (2,))
+    assert hit and result.rows == [(0, "s2")]
+
+
+def test_a_dropped_and_recreated_table_is_rebound():
+    database = make_database("btree")
+    executor = Executor(database)
+    sql = "SELECT g FROM t WHERE k = ?"
+    executor.execute(sql, (1,))
+    database.drop_table("t")
+    database.create_table(TableSchema("t", [
+        Column("k", INT, nullable=False), Column("g", varchar(4))])
+    ).bulk_load([(1, "one"), (2, "two")])
+    executor.refresh()
+    result, hit = _runs(executor, sql, (2,))
+    assert not hit and result.rows == [("two",)]
+    result, hit = _runs(executor, sql, (1,))
+    assert hit and result.rows == [("one",)]
+
+
+# ---------------------------------------------------- concurrent sessions
+def test_sessions_share_plans_under_contention():
+    """Eight sessions look keys up through three templates at once, with
+    the interpreter switching threads as often as it can: every answer
+    is right, and every execution is counted once, as a hit or a miss."""
+    database = make_database("btree")
+    texts = ("SELECT g, s FROM t WHERE k = ?",
+             "SELECT d.dv, f.y FROM dim d JOIN fact f ON d.dk = f.fk "
+             "WHERE d.dk = ? AND f.x = ?",
+             "SELECT s, n FROM t WHERE k = {} AND g = {}")
+    errors, per_thread = [], 60
+
+    def client(seed):
+        try:
+            rng = random.Random(seed)
+            session = manager.session()
+            for i in range(per_thread):
+                k = rng.randrange(N_ROWS)
+                if i % 3 == 0:
+                    result = session.execute(texts[0], (k,))
+                    assert result.rows == [(k % 2, f"s{k % 3}")], k
+                elif i % 3 == 1:
+                    dk, x = k % 50, k % 3
+                    result = session.execute(texts[1], (dk, x))
+                    assert sorted(result.rows) == [
+                        (dk % 2, y) for y in range(5000)
+                        if y % 50 == dk and y % 3 == x], (dk, x)
+                else:
+                    result = session.execute(texts[2].format(k, k % 2))
+                    assert result.rows == [
+                        (f"s{k % 3}", None if k % 9 == 0 else k % 11)], k
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with SessionManager(database) as manager:
+            threads = [threading.Thread(target=client, args=(n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
+    assert plan_hits(database) + plan_misses(database) == 8 * per_thread
+    # Three templates; a race may optimize one twice, never lose a count.
+    assert plan_hits(database) >= 8 * per_thread - 3 * 8
+
+
+# ------------------------------------------------------- random values
+#: Ints and halves in and beyond the columns' ranges, and NULL.
+_VALUES = st.one_of(st.integers(-5, 45), st.none(),
+                    st.integers(-10, 90).map(lambda twice: twice / 2))
+
+
+@pytest.fixture(scope="module")
+def flip_databases():
+    database = make_database("heap+ix")
+    return (database, make_database("heap+ix"),
+            sqlite_mirror([database.table("t")]))
+
+
+@examples(60)
+@given(c=_VALUES, n=_VALUES, g=st.integers(-1, 2))
+def test_random_values_through_a_reused_plan(flip_databases, c, n, g):
+    database, reference_database, mirror = flip_databases
+    executor = Executor(database)
+    sql = "SELECT k, n FROM t WHERE c = ? AND n = ? AND g = ?"
+    first = executor.execute(sql, (c, n, g))
+    reports = missing_index_rows(database)
+    result, hit = _runs(executor, sql, (c, n, g))
+    # Reused unless planning reports a missing index (no B+ tree on g).
+    assert hit == (missing_index_rows(database) == reports)
+    assert observed(result) == observed(first)
+    reference = Executor(reference_database)
+    assert observed(result) == observed(replanned(reference, sql, (c, n, g)))
+    assert sorted(result.rows, key=repr) == sqlite_rows(
+        mirror, sql, (c, n, g))

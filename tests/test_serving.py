@@ -537,6 +537,30 @@ class TestFrontend:
             conn.sendall(b"SELECT count(*) FROM micro\n")
             assert json.loads(reader.readline())["rows"] == [[2000]]
 
+    def test_json_lines_carry_parameters(self):
+        database = _micro_db(n_rows=2000, rowgroup_size=1024)
+        sql = "SELECT count(*) FROM micro WHERE col1 < ?"
+        (expected,) = Executor(database).execute(sql, (100,)).rows
+        with SessionManager(database) as manager, _served(manager) as connect:
+            conn, reader, session = connect()
+
+            def ask(line: str) -> dict:
+                conn.sendall(line.encode("utf-8") + b"\n")
+                return json.loads(reader.readline())
+
+            assert ask(json.dumps({"sql": sql, "params": [100]}))["rows"] \
+                == [list(expected)]
+            for bad in ('{"sql": "SELECT count(*) FROM', '{"sql": 5}',
+                        json.dumps({"sql": sql, "params": 100}),
+                        json.dumps({"sql": sql, "params": []}),
+                        json.dumps({"sql": sql, "params": [1, 2]})):
+                reply = ask(bad)
+                assert not reply["ok"] and reply["error"], bad
+            assert session.stats.errors == 5
+            # The connection stays open; plain lines are what they were.
+            assert ask("SELECT count(*) FROM micro")["rows"] == [[2000]]
+            _assert_idle(manager)
+
     def test_overlong_line_gets_a_typed_reply_and_a_closed_connection(self):
         database = _micro_db(n_rows=2000, rowgroup_size=1024)
         with SessionManager(database) as manager, _served(manager) as connect:

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro.sql.cache as cache_module
 from repro.core.errors import SqlError
+from repro.core.schema import Column, TableSchema
+from repro.core.types import INT
 from repro.engine.executor import Executor
 from repro.engine.expressions import Arithmetic, Literal
 from repro.server.session import SessionManager
@@ -20,6 +22,7 @@ from repro.sql.ast import SelectStmt
 from repro.sql.cache import StatementCache
 from repro.sql.lexer import tokenize
 from repro.sql.parser import UNBOUND, normalise, parse, parse_template
+from repro.storage.database import Database
 from tests.sql_corpus import (
     parameterise,
     runnable_workloads,
@@ -301,7 +304,53 @@ def test_too_few_parameters_raise_as_parse_does():
                 == error_of(parse, sql, params)
         enough = tuple(range(sql.count("?")))
         assert same(cache.statement(sql, enough), parse(sql, enough))
-        assert same(cache.statement(sql, enough + (9,)), parse(sql, enough))
+        # One value too many is an error too, as in sqlite3.
+        assert error_of(cache.statement, sql, enough + (9,)) \
+            == error_of(parse, sql, enough + (9,))
+
+
+def _id_x_executor() -> Executor:
+    database = Database()
+    database.create_table(TableSchema("t", [
+        Column("id", INT, nullable=False), Column("x", INT)])).bulk_load(
+        [(5, 50), (7, 70)])
+    return Executor(database)
+
+
+def test_values_for_a_text_without_markers_raise():
+    """As in ``sqlite3`` ("Incorrect number of bindings"); the value was
+    silently ignored. The statement fails in prepare: it never begins."""
+    executor = _id_x_executor()
+    with pytest.raises(SqlError, match="more parameters"):
+        executor.execute("SELECT x FROM t WHERE id = 5", (7,))
+    assert executor.database.telemetry.clock.now == 0
+
+
+def test_more_values_than_markers_raise():
+    executor = _id_x_executor()
+    with pytest.raises(SqlError, match="more parameters"):
+        executor.execute("SELECT x FROM t WHERE id = ?", (7, 8))
+    assert executor.execute("SELECT x FROM t WHERE id = ?", (7,)).rows == [
+        (70,)]
+
+
+def test_plans_are_capped_per_template_and_leave_with_it(monkeypatch):
+    executor = _id_x_executor()
+    cache = executor.database.statement_cache
+    sql = "SELECT x FROM t WHERE id = ?"
+    for grant in range(StatementCache.PLANS_PER_TEMPLATE + 1):
+        executor.execute(sql, (5,), memory_grant_bytes=10_000 + grant)
+    assert cache.plans_cached == StatementCache.PLANS_PER_TEMPLATE
+    assert (cache.plan_misses, cache.plan_evictions) == (
+        StatementCache.PLANS_PER_TEMPLATE + 1, 1)
+    executor.execute(sql, (7,), memory_grant_bytes=10_000 + 1)
+    assert cache.plan_hits == 1
+    # Four other templates push the text and its template out.
+    monkeypatch.setattr(StatementCache, "CAPACITY", 4)
+    for column in ("id", "x", "id, x", "x, id"):
+        executor.execute(f"SELECT {column} FROM t WHERE x < 60")
+    assert sql not in cache._entries and cache.plans_cached == 0
+    assert cache.plan_evictions == 1 + StatementCache.PLANS_PER_TEMPLATE
 
 
 def test_statements_of_one_template_do_not_alias():
@@ -314,11 +363,11 @@ def test_statements_of_one_template_do_not_alias():
 
 
 # ------------------------------------------------ (c) through Session.execute
-class Uncached:
-    """The pre-cache pipeline: every lookup parses, as ``parse`` does."""
+class Uncached(StatementCache):
+    """The pre-cache pipeline: every lookup parses, as ``parse`` does (so
+    no template, and no plan, is ever seen twice)."""
 
-    @staticmethod
-    def lookup(sql):
+    def lookup(self, sql):
         template = parse_template(tokenize(sql))
         return template, (UNBOUND,) * template.n_slots
 
@@ -350,10 +399,11 @@ def test_miss_hit_and_uncached_executions_agree(workload):
                if cache.lookup(sql)[0].read_only]
     assert selects
     database.statement_cache = cache = StatementCache()
+    uncached_cache = Uncached()
     with SessionManager(database) as manager:
         session = manager.session()
         for sql in selects:
-            database.statement_cache = Uncached
+            database.statement_cache = uncached_cache
             uncached = observe(session, sql)
             database.statement_cache = cache
             misses = cache.misses + cache.hits
