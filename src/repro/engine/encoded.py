@@ -37,7 +37,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.storage.compression import Dictionary
+from repro.storage.compression import Dictionary, sorted_distinct
 
 #: Process-wide *default* for whether columnstore scans produce
 #: :class:`EncodedColumn` values for dictionary-coded segments. On by
@@ -297,7 +297,7 @@ def merge_dictionaries(
     non_null_parts = [d.values[d.null_offset:] for d in dictionaries]
     all_numeric = all(part.dtype != object for part in non_null_parts)
     if all_numeric:
-        merged_non_null = np.unique(np.concatenate(non_null_parts))
+        merged_non_null = sorted_distinct(np.concatenate(non_null_parts))
     else:
         distinct = set()
         for part in non_null_parts:

@@ -12,12 +12,12 @@ wins by up to ~5x instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
-from repro.engine.batch import Batch, _object_column_bytes, rows_to_batch
+from repro.engine.batch import Batch, _column_array, _object_column_bytes
 from repro.engine.encoded import (
     EncodedColumn,
     note_code_fallback,
@@ -26,6 +26,7 @@ from repro.engine.encoded import (
 from repro.engine.expressions import Expr, eval_batch
 from repro.engine.metrics import ExecutionContext
 from repro.engine.operators.base import BATCH_MODE, PhysicalOperator
+from repro.storage.compression import Dictionary
 
 AGG_FUNCS = ("sum", "count", "avg", "min", "max")
 
@@ -70,20 +71,21 @@ class _GroupStates:
             values[..., :capacity] = getattr(self, name)
             setattr(self, name, values)
 
-    def column(self, i: int, spec: AggregateSpec, n_slots: int) -> List[object]:
-        """Aggregate ``i``'s output value for slots ``[0, n_slots)``."""
-        counts = self.counts[i, :n_slots]
+    def column(self, i: int, spec: AggregateSpec,
+               slots: np.ndarray) -> List[object]:
+        """Aggregate ``i``'s output value for ``slots``, in that order."""
+        counts = self.counts[i, slots]
         if spec.func == "count":
-            return (self.totals[:n_slots] if spec.expr is None
+            return (self.totals[slots] if spec.expr is None
                     else counts).tolist()
         if spec.func in ("min", "max"):
-            return self.best[i, :n_slots].tolist()
+            return self.best[i, slots].tolist()
         # sum / avg of no non-NULL value is NULL.
         seen = counts > 0
-        values = self.sums[i, :n_slots][seen]
+        values = self.sums[i, slots][seen]
         if spec.func == "avg":
             values = values / counts[seen]
-        out = np.full(n_slots, None, dtype=object)
+        out = np.full(len(slots), None, dtype=object)
         out[seen] = values
         return out.tolist()
 
@@ -103,31 +105,37 @@ class _AggregateBase(PhysicalOperator):
         return self.group_by + [a.output for a in self.aggregates]
 
     def _segments(self, batch: Batch, ctx: ExecutionContext, runs: bool
-                  ) -> Tuple[List[Tuple[object, ...]], Optional[np.ndarray],
+                  ) -> Tuple[List[_GroupColumn], Optional[np.ndarray],
                              np.ndarray, np.ndarray]:
         """Cut a batch into one segment per group: ``(keys, order,
         starts, sizes)``, where ``order`` lists the row positions so that
         each group's rows are contiguous and in batch order (None when
-        they already are) and segment ``j`` — the ``sizes[j]`` rows of
-        ``keys[j]`` — begins at ``starts[j]`` of that arrangement.
+        they already are) and segment ``j`` — the ``sizes[j]`` rows whose
+        key is ``values[parts[j]]`` in each column of ``keys`` — begins
+        at ``starts[j]`` of that arrangement.
 
-        A scalar aggregate is one segment. With ``runs`` (sorted input)
-        every run of equal keys is a segment, in batch order; otherwise
-        the segments are the distinct keys in ascending code order."""
+        A scalar aggregate is one segment and has no key columns. With
+        ``runs`` (sorted input) every run of equal keys is a segment, in
+        batch order; otherwise the segments are the distinct keys in
+        ascending code order, and the stable sort that makes them
+        contiguous runs on the narrowest unsigned dtype that holds the
+        group numbers (numpy radix-sorts 8- and 16-bit keys)."""
         if not self.group_by:
-            return ([()], None, np.zeros(1, dtype=np.intp),
-                    np.array([len(batch)]))
-        codes, uniques = _factorize(batch, self.group_by, ctx)
+            return [], None, np.zeros(1, dtype=np.intp), np.array([len(batch)])
+        groups, keys = _factorize(batch, self.group_by, ctx)
         if runs:
-            change = np.empty(len(codes), dtype=bool)
+            change = np.empty(len(groups), dtype=bool)
             change[0] = True
-            np.not_equal(codes[1:], codes[:-1], out=change[1:])
+            np.not_equal(groups[1:], groups[:-1], out=change[1:])
             starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], len(codes))
-            return ([uniques[c] for c in codes[starts].tolist()], None,
-                    starts, ends - starts)
-        sizes = np.bincount(codes, minlength=len(uniques))
-        return (uniques, np.argsort(codes, kind="stable"),
+            ends = np.append(starts[1:], len(groups))
+            run_groups = groups[starts]
+            return ([key._replace(parts=key.parts[run_groups]) for key in keys],
+                    None, starts, ends - starts)
+        n_groups = len(keys[0].parts)
+        groups = groups.astype(np.min_scalar_type(max(n_groups - 1, 0)))
+        sizes = np.bincount(groups, minlength=n_groups)
+        return (keys, np.argsort(groups, kind="stable"),
                 np.cumsum(sizes) - sizes, sizes)
 
     def _fold(self, states: _GroupStates, slots: np.ndarray, batch: Batch,
@@ -203,15 +211,17 @@ class _AggregateBase(PhysicalOperator):
                 states.best[i][target[better]] = best[better]
             states.counts[i][target] += counts
 
-    def _result(self, keys: List[Tuple[object, ...]], states: _GroupStates,
-                ) -> List[Tuple[object, ...]]:
-        """One output row per slot: ``keys[slot]`` + its aggregates."""
-        if not keys:
-            return []
-        columns = list(zip(*keys)) if self.group_by else []
-        columns += [states.column(i, spec, len(keys))
-                    for i, spec in enumerate(self.aggregates)]
-        return list(zip(*columns))
+    def _result(self, keys: List[List[object]], states: _GroupStates,
+                slots: np.ndarray) -> Optional[Batch]:
+        """One output row per slot of ``slots``, in that order: the
+        slot's key (``keys`` holds each group column's values for
+        ``slots``) and its aggregates; None for no slot."""
+        if not len(slots):
+            return None
+        columns = keys + [states.column(i, spec, slots)
+                          for i, spec in enumerate(self.aggregates)]
+        return Batch({name: _column_array(values)
+                      for name, values in zip(self.output_columns, columns)})
 
 
 def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -273,7 +283,7 @@ class HashAggregate(_AggregateBase):
             len(self.group_by) * 16 + len(self.aggregates) * 24
             + cm.hash_entry_overhead_bytes
         )
-        slot_of: Dict[Tuple[object, ...], int] = {}
+        table = _SlotTable(len(self.group_by))
         states = _GroupStates(len(self.aggregates))
         reserved = 0
         self.spilled = False
@@ -295,30 +305,29 @@ class HashAggregate(_AggregateBase):
                 ctx.charge_parallel_cpu(hash_cost, self.dop)
 
                 keys, *segments = self._segments(batch, ctx, runs=False)
-                slots = [slot_of.get(key) for key in keys]
-                if None in slots:
+                known = table.size
+                slots = table.slots(keys)
+                if table.size > known:
                     # One hash-table entry, and one grant request, per
-                    # new group, in ascending key-code order.
-                    for j, key in enumerate(keys):
-                        if slots[j] is None:
-                            slots[j] = slot_of[key] = len(slot_of)
-                            if not self.spilled:
-                                if ctx.acquire_memory(entry_bytes):
-                                    reserved += entry_bytes
-                                else:
-                                    self.spilled = True
-                    states.reserve(len(slot_of))
-                self._fold(states, np.array(slots, dtype=np.intp), batch,
-                           *segments, ctx)
-            if not slot_of and not self.group_by:
+                    # new group, in ascending key-code order (the order
+                    # the new slots were handed out in).
+                    for _ in range(table.size - known):
+                        if self.spilled:
+                            break
+                        if ctx.acquire_memory(entry_bytes):
+                            reserved += entry_bytes
+                        else:
+                            self.spilled = True
+                    states.reserve(table.size)
+                self._fold(states, slots, batch, *segments, ctx)
+            if table.size or self.group_by:
+                order = table.ordered()
+            else:
                 # A scalar aggregate answers one row even over no input
                 # (count 0, the others NULL); it is not a hash-table
                 # entry, so it takes no grant and no modeled cost.
-                slot_of[()] = 0
-            rows = self._result(list(slot_of), states)
-            rows.sort(key=lambda r: tuple(
-                (v is not None, v) for v in r[:len(self.group_by)]))
-            result = rows_to_batch(rows, self.output_columns)
+                order = np.zeros(1, dtype=np.intp)
+            result = self._result(table.keys(order), states, order)
         finally:
             if reserved:
                 ctx.release_memory(reserved)
@@ -374,24 +383,30 @@ class StreamAggregate(_AggregateBase):
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
         cm = ctx.cost_model
-        keys: List[Tuple[object, ...]] = []   # one per run, in arrival order
+        # Per group column, the key of every run so far, in arrival order.
+        keys: List[List[object]] = [[] for _ in self.group_by]
+        n_runs = 0
         states = _GroupStates(len(self.aggregates))
         for batch in self.child().execute(ctx):
             ctx.charge_parallel_cpu(
                 len(batch) * cm.stream_agg_cpu_ms_per_row, self.dop)
             runs, *segments = self._segments(batch, ctx, runs=True)
+            run_keys = [run.values[run.parts].tolist() for run in runs]
             # A batch's first run continues the group the last batch
             # ended in when the keys are equal.
-            continued = int(bool(keys) and runs[0] == keys[-1])
-            first = len(keys) - continued
-            keys += runs[continued:]
-            states.reserve(len(keys))
-            self._fold(states, np.arange(first, len(keys)), batch, *segments,
+            continued = int(n_runs > 0 and tuple(k[0] for k in run_keys)
+                            == tuple(k[-1] for k in keys))
+            first = n_runs - continued
+            n_runs = first + len(segments[1])
+            for held, new in zip(keys, run_keys):
+                held += new[continued:]
+            states.reserve(n_runs)
+            self._fold(states, np.arange(first, n_runs), batch, *segments,
                        ctx)
-        if not keys and not self.group_by:
+        if not n_runs and not self.group_by:
             # Scalar aggregate over no input: one row (count 0, else NULL).
-            keys.append(())
-        result = rows_to_batch(self._result(keys, states), self.output_columns)
+            n_runs = 1
+        result = self._result(keys, states, np.arange(n_runs))
         if result is not None:
             yield result
 
@@ -402,49 +417,231 @@ class StreamAggregate(_AggregateBase):
                 f"[{self.mode}, dop={self.dop}]")
 
 
+class _GroupColumn(NamedTuple):
+    """One group column of a batch as :func:`_factorize` numbers it."""
+
+    #: The column's distinct values in the batch, ascending, NULL first.
+    values: np.ndarray
+    #: Per group (or run), the position of its value in ``values``.
+    parts: np.ndarray
+    #: The dictionary of an encoded column, and the code of each value.
+    dictionary: Optional[Dictionary]
+    codes: Optional[np.ndarray]
+
+
 def _factorize(batch: Batch, group_by: Sequence[str],
                ctx: Optional[ExecutionContext] = None
-               ) -> Tuple[np.ndarray, List[Tuple[object, ...]]]:
-    """Encode each row's group key as an integer code.
+               ) -> Tuple[np.ndarray, List[_GroupColumn]]:
+    """Number each row's group key: ``(groups, columns)``.
 
-    Returns (codes per row, unique key tuples indexed by code).
+    Groups are numbered densely in ascending key order (NULL first,
+    column by column); ``columns`` holds one :class:`_GroupColumn` per
+    key column, whose ``parts`` give each group's value. Several columns
+    combine in mixed radix over the values each has in the batch and are
+    split back apart with one ``divmod`` per column.
 
-    Dictionary-coded columns contribute their codes directly: the
-    dictionary is sorted NULL-first, matching the rank order the decoded
-    path assigns, so downstream grouping behaves identically while the
-    key strings materialize only for the groups actually emitted.
+    A dictionary-coded column is numbered on its codes: the dictionary is
+    sorted NULL-first, the rank order the decoded path assigns, and one
+    ``bincount`` finds the codes present, so only the values of the
+    batch's groups are decoded.
     """
-    per_column_codes = []
-    per_column_values = []
+    numbered = []
+    row_parts = []
     for name in group_by:
         values = batch.column(name)
+        dictionary = codes = None
         if isinstance(values, EncodedColumn):
             note_code_hit(ctx)
-            codes = values.codes.astype(np.int64)
-            decoded = values.dictionary.values.tolist()
+            dictionary = values.dictionary
+            present = np.bincount(values.codes,
+                                  minlength=len(dictionary)) > 0
+            codes = np.flatnonzero(present)
+            parts = (np.cumsum(present) - 1)[values.codes]
+            distinct = dictionary.values[codes]
         elif values.dtype == object:
             keyed = [(v is not None, v) for v in values]
             uniques = sorted(set(keyed))
             lookup = {k: i for i, k in enumerate(uniques)}
-            codes = np.fromiter((lookup[k] for k in keyed), dtype=np.int64,
+            parts = np.fromiter((lookup[k] for k in keyed), dtype=np.int64,
                                 count=len(keyed))
-            decoded = [u[1] for u in uniques]
+            distinct = np.empty(len(uniques), dtype=object)
+            distinct[:] = [u[1] for u in uniques]
         else:
-            decoded_arr, codes = np.unique(values, return_inverse=True)
-            decoded = decoded_arr.tolist()
-        per_column_codes.append(codes)
-        per_column_values.append(decoded)
-    combined = per_column_codes[0].astype(np.int64)
-    for codes, values in zip(per_column_codes[1:], per_column_values[1:]):
-        combined = combined * len(values) + codes
-    unique_combined, final_codes = np.unique(combined, return_inverse=True)
-    # Decode each combined code back into the component key tuple.
-    uniques: List[Tuple[object, ...]] = []
-    for code in unique_combined.tolist():
-        parts = []
-        for values in reversed(per_column_values[1:]):
-            code, part = divmod(code, len(values))
-            parts.append(values[part])
-        parts.append(per_column_values[0][code])
-        uniques.append(tuple(reversed(parts)))
-    return final_codes, uniques
+            distinct, parts = np.unique(values, return_inverse=True)
+        numbered.append((distinct, dictionary, codes))
+        row_parts.append(parts)
+    if len(numbered) == 1:
+        groups = row_parts[0]
+        group_parts = [np.arange(len(numbered[0][0]))]
+    else:
+        combined = row_parts[0].astype(np.int64)
+        for parts, (distinct, _, _) in zip(row_parts[1:], numbered[1:]):
+            combined = combined * len(distinct) + parts
+        combined, groups = np.unique(combined, return_inverse=True)
+        group_parts = []
+        for distinct, _, _ in reversed(numbered[1:]):
+            combined, parts = np.divmod(combined, len(distinct))
+            group_parts.append(parts)
+        group_parts.append(combined)
+        group_parts.reverse()
+    return groups, [_GroupColumn(distinct, parts, dictionary, codes)
+                    for (distinct, dictionary, codes), parts
+                    in zip(numbered, group_parts)]
+
+
+#: Group and value numbers stay below 2**31, so a (group so far, value
+#: number) pair packs into one int64.
+_PAIR_RADIX = 1 << 31
+
+
+class _KeyDomain:
+    """The distinct values of one key met so far, numbered in the order
+    they were first met.
+
+    The non-NULL values are kept sorted, so a batch's values are found
+    with one ``searchsorted``. Values of one dtype kind compare as
+    numbers; values of different kinds (an int column that arrives as
+    Python objects in another batch) compare as Python objects, so
+    ``1 == 1.0`` as in a dict. A dictionary-coded column also keeps the
+    number of every code of each dictionary it met, so the values of one
+    dictionary are looked up once however many batches share it.
+    """
+
+    def __init__(self):
+        self.values: Optional[np.ndarray] = None   # sorted, non-NULL
+        self.numbers = np.zeros(0, dtype=np.int64)  # the number of each
+        self.null = -1                              # NULL's, once met
+        self.size = 0
+        self._codes: Dict[int, Tuple[Dictionary, np.ndarray]] = {}
+
+    def number(self, column: _GroupColumn) -> np.ndarray:
+        """The number of each of ``column.values``."""
+        if column.dictionary is None:
+            return self.find(column.values)
+        held = self._codes.get(id(column.dictionary))
+        if held is None:
+            held = self._codes[id(column.dictionary)] = (
+                column.dictionary,
+                np.full(len(column.dictionary), -1, dtype=np.int64))
+        known = held[1]
+        numbers = known[column.codes]
+        unmet = numbers < 0
+        if unmet.any():
+            numbers[unmet] = known[column.codes[unmet]] = self.find(
+                column.values[unmet])
+        return numbers
+
+    def find(self, values: np.ndarray) -> np.ndarray:
+        """The number of each of ``values`` (distinct, NULL only first);
+        values not met before are numbered next, in the order given."""
+        numbers = np.empty(len(values), dtype=np.int64)
+        skip = int(values.dtype == object and len(values) > 0
+                   and values[0] is None)
+        if skip:
+            if self.null < 0:
+                self.null, self.size = self.size, self.size + 1
+            numbers[0] = self.null
+        known, rest = self._comparable(values[skip:])
+        at = np.searchsorted(known, rest)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == rest[hit]
+        numbers[skip:][hit] = self.numbers[at[hit]]
+        fresh = np.flatnonzero(~hit)
+        if len(fresh):
+            new = self.size + np.arange(len(fresh))
+            self.size += len(fresh)
+            numbers[skip + fresh] = new
+            order = np.argsort(rest[fresh], kind="stable")
+            added = rest[fresh][order]
+            where = np.searchsorted(known, added)
+            self.values = np.insert(known, where, added)
+            self.numbers = np.insert(self.numbers, where, new[order])
+        return numbers
+
+    def find_all(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`find` for values that may repeat; new values are
+        numbered in the order of their first occurrence."""
+        distinct, first, inverse = np.unique(
+            values, return_index=True, return_inverse=True)
+        met = np.argsort(first)
+        numbers = np.empty(len(distinct), dtype=np.int64)
+        numbers[met] = self.find(distinct[met])
+        return numbers[inverse]
+
+    def _comparable(self, values: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The known values and ``values`` in one dtype."""
+        known = self.values
+        if known is None or not len(known):
+            self.values = values[:0]
+            return self.values, values
+        if known.dtype == values.dtype:
+            return known, values
+        kind = known.dtype.kind
+        common = (np.result_type(known.dtype, values.dtype)
+                  if kind == values.dtype.kind and kind in "biuf"
+                  else np.dtype(object))
+        self.values = known.astype(common)
+        return self.values, values.astype(common)
+
+    def ranks(self) -> np.ndarray:
+        """The rank of each number in value order, NULL first."""
+        ordered = self.numbers
+        if self.null >= 0:
+            ordered = np.concatenate([[self.null], ordered])
+        ranks = np.empty(self.size, dtype=np.int64)
+        ranks[ordered] = np.arange(self.size)
+        return ranks
+
+
+class _SlotTable:
+    """A hash aggregate's groups: slots handed out in the order groups
+    are first met (ascending key order within a batch), with each
+    group's key.
+
+    Each group column numbers its values in a :class:`_KeyDomain`; every
+    further column folds (group so far, number in this column) into one
+    int64, numbered by a domain of its own, so the last domain's numbers
+    are the slots. No group is looked up one at a time.
+    """
+
+    def __init__(self, n_columns: int):
+        self.columns = [_KeyDomain() for _ in range(n_columns)]
+        self.pairs = [_KeyDomain() for _ in range(n_columns - 1)]
+        #: Per group column, each slot's value and its number there.
+        self.values: List[List[object]] = [[] for _ in range(n_columns)]
+        self.numbers: List[List[np.ndarray]] = [[] for _ in range(n_columns)]
+        self.size = 0
+
+    def slots(self, keys: Sequence[_GroupColumn]) -> np.ndarray:
+        """The slot of each group of a batch (:func:`_factorize`'s
+        columns); groups not met before take the next slots, in order."""
+        if not keys:            # a scalar aggregate is one group
+            self.size = 1
+            return np.zeros(1, dtype=np.intp)
+        numbers = [domain.number(key)[key.parts]
+                   for domain, key in zip(self.columns, keys)]
+        slots = numbers[0]
+        for domain, column in zip(self.pairs, numbers[1:]):
+            slots = domain.find_all(slots * _PAIR_RADIX + column)
+        new = slots >= self.size
+        if new.any():
+            self.size += int(np.count_nonzero(new))
+            for key, number, values, held in zip(keys, numbers, self.values,
+                                                 self.numbers):
+                values += key.values[key.parts[new]].tolist()
+                held.append(number[new])
+        return slots
+
+    def ordered(self) -> np.ndarray:
+        """Every slot, in ascending key order (NULL first)."""
+        if not self.size or not self.columns:
+            return np.arange(self.size)
+        ranks = [domain.ranks()[np.concatenate(numbers)]
+                 for domain, numbers in zip(self.columns, self.numbers)]
+        return np.lexsort(ranks[::-1])
+
+    def keys(self, slots: np.ndarray) -> List[List[object]]:
+        """Each group column's values for ``slots``, in that order."""
+        at = slots.tolist()
+        return [[values[i] for i in at] for values in self.values]

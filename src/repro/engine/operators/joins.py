@@ -30,6 +30,7 @@ from repro.engine.operators.base import (
     ROW_MODE,
 )
 from repro.engine.operators.scans import btree_seek
+from repro.storage.compression import sorted_distinct
 from repro.storage.table import Table
 
 
@@ -110,7 +111,7 @@ class _KeyColumn:
         self.sorted: Optional[np.ndarray] = None
         self.numbers: Optional[Dict[object, int]] = None
         if values.dtype.kind in "if":
-            self.sorted = np.unique(values)
+            self.sorted = sorted_distinct(values)
             self.cardinality = len(self.sorted)
         else:
             distinct = dict.fromkeys(values.tolist())

@@ -54,11 +54,11 @@ class Sort(PhysicalOperator):
     the derived numeric code spaces guarantee by construction.
 
     ``limit`` (set by the materializer when a TOP sits directly above)
-    enables the TOP-N fast path: a single encoded key selects the first
-    ``limit`` rows with ``argpartition`` over a (code, row-index)
-    composite instead of fully sorting, yielding the same rows in the
-    same order as the full stable sort. Modeled costs are charged for
-    the full sort either way — the fast path changes wall-clock only.
+    enables the TOP-N fast path: a single encoded or integer key selects
+    the first ``limit`` rows with ``np.partition`` instead of fully
+    sorting, yielding the same rows in the same order as the full stable
+    sort. Modeled costs are charged for the full sort either way — the
+    fast path changes wall-clock only.
     """
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey],
@@ -134,26 +134,22 @@ class Sort(PhysicalOperator):
 
     def _top_n_order(self, batch: Batch,
                      ctx: Optional[ExecutionContext]) -> Optional[np.ndarray]:
-        """TOP-N selection for a single encoded key: ``argpartition`` on
-        a (code, row-index) int64 composite. The row index makes the
-        composite unique, so the selected prefix and its order equal the
-        full stable sort's — ties resolve to input order in both paths.
-        """
-        if self.limit is None or len(self.keys) != 1:
+        """TOP-N selection when the one key is encoded (its codes order
+        as its values do) or a plain integer column; None when the full
+        sort must run."""
+        if (self.limit is None or len(self.keys) != 1
+                or not 0 < self.limit < len(batch)):
             return None
-        n = len(batch)
-        if self.limit >= n:
+        key = self.keys[0]
+        values = batch.column(key.column)
+        if isinstance(values, EncodedColumn):
+            note_code_hit(ctx)
+            values = values.codes
+        elif values.dtype.kind not in "iu":
             return None
-        values = batch.column(self.keys[0].column)
-        if not isinstance(values, EncodedColumn):
-            return None
-        note_code_hit(ctx)
-        codes = values.codes.astype(np.int64)
-        if self.keys[0].descending:
-            codes = -codes
-        composite = codes * n + np.arange(n, dtype=np.int64)
-        prefix = np.argpartition(composite, self.limit - 1)[:self.limit]
-        return prefix[np.argsort(composite[prefix])]
+        if key.descending:
+            values = _descending_view(values)
+        return _top_n(values, self.limit)
 
     def describe(self) -> str:
         """One-line human-readable summary of this node."""
@@ -178,10 +174,26 @@ def _sortable_array(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _top_n(keys: np.ndarray, limit: int) -> np.ndarray:
+    """The first ``limit`` positions of a stable ascending sort of
+    ``keys`` (``0 < limit < len(keys)``): every row below the limit-th
+    smallest key, then the first rows equal to it in input order, and
+    that prefix stable-sorted — ties resolve to input order as in the
+    full sort."""
+    kth = np.partition(keys, limit - 1)[limit - 1]
+    chosen = keys < kth
+    ties = np.flatnonzero(keys == kth)
+    chosen[ties[:limit - np.count_nonzero(chosen)]] = True
+    prefix = np.flatnonzero(chosen)
+    return prefix[np.argsort(keys[prefix], kind="stable")]
+
+
 def _descending_view(values: np.ndarray) -> np.ndarray:
-    if values.dtype.kind in ("i", "u"):
-        return -values.astype(np.int64)
+    """Keys whose ascending order is the descending order of ``values``.
+    Integers (and the rank codes ``_sortable_array`` gives objects) are
+    inverted bitwise: ``~x`` is ``-x - 1`` for signed and ``max - x`` for
+    unsigned integers, so unlike negation it cannot overflow at
+    ``INT64_MIN`` or above ``2**63``."""
     if values.dtype.kind == "f":
         return -values
-    # Rank codes from _sortable_array are ints, so this covers objects too.
-    return -values.astype(np.int64)
+    return ~values

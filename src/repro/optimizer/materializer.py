@@ -85,9 +85,9 @@ class Materializer:
             child = self._build(node.inputs[0])
             if isinstance(child, Sort):
                 # TOP directly over a sort: let the sort select the
-                # first N rows in code space (argpartition) instead of
-                # fully ordering the input. Same rows, same modeled
-                # costs — wall-clock only.
+                # first N rows by partition instead of fully ordering
+                # the input. Same rows, same modeled costs — wall-clock
+                # only.
                 child.limit = node.limit
             return Top(child, node.limit, dop=node.dop)
         if isinstance(node, ProjectNode):

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.errors import OptimizerError
 from repro.engine.expressions import ColumnRange
+from repro.storage.compression import sorted_distinct
 from repro.storage.table import Table
 
 HISTOGRAM_BUCKETS = 64
@@ -131,7 +132,7 @@ def build_column_stats(values: Sequence[object]) -> ColumnStats:
         non_null[0], bool)
     if numeric:
         arr = np.asarray(non_null, dtype=np.float64)
-        n_distinct = len(np.unique(arr))
+        n_distinct = len(sorted_distinct(arr))
         bounds = _equidepth_bounds(arr)
         return ColumnStats(
             n_rows, n_nulls, n_distinct,
