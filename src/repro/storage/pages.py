@@ -25,7 +25,10 @@ The payload is encoded with a small tagged value codec
 (:func:`pack_value` / :func:`unpack_value`) covering exactly the value
 universe the engine stores after validation — ``None``/bool/int/float/
 str/bytes, containers, and 1-D numpy arrays (object arrays element-wise)
-— so numpy segment payloads round-trip bit-exactly.
+— so numpy segment payloads round-trip bit-exactly. A long sequence
+whose items share one fixed layout (a B+ leaf's entries, a page of
+integer rows) is written and read as one numpy record array, in the same
+bytes the per-value encoding gives.
 
 Snapshot layout: one :data:`PT_CATALOG` page, then per table a
 :data:`PT_TABLE` page, :data:`PT_ROWS` pages chunking the canonical row
@@ -50,6 +53,7 @@ import os
 import struct
 import threading
 import zlib
+from itertools import repeat
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -134,6 +138,9 @@ _T_DICT = 10
 _T_NDARRAY = 11
 _T_OBJARRAY = 12
 
+_CONSTANTS = {_T_NONE: None, _T_FALSE: False, _T_TRUE: True}
+
+_U8 = struct.Struct("<B")
 _I64 = struct.Struct("<q")
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
@@ -176,8 +183,7 @@ def pack_value(value: object, out: bytearray) -> None:
         if value.dtype == object:
             out.append(_T_OBJARRAY)
             out += _U32.pack(len(value))
-            for item in value.tolist():
-                pack_value(item, out)
+            _pack_items(value.tolist(), out)
         else:
             dtype = value.dtype.str.encode("ascii")
             raw = np.ascontiguousarray(value).tobytes()
@@ -189,8 +195,7 @@ def pack_value(value: object, out: bytearray) -> None:
     elif isinstance(value, (list, tuple)):
         out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
         out += _U32.pack(len(value))
-        for item in value:
-            pack_value(item, out)
+        _pack_items(value, out)
     elif isinstance(value, dict):
         # Sorted by key so serialization is order-independent (the
         # digest-based idempotence checks depend on this).
@@ -204,19 +209,26 @@ def pack_value(value: object, out: bytearray) -> None:
             f"value of type {type(value).__name__} cannot be serialized")
 
 
-def unpack_value(buf: bytes, offset: int = 0) -> Tuple[object, int]:
-    """Decode one value at ``offset``; returns (value, next offset)."""
+def unpack_value(buf, offset: int = 0) -> Tuple[object, int]:
+    """Decode one value at ``offset`` of ``buf`` (any bytes-like object);
+    returns (value, next offset). Input that is not a whole encoding
+    raises :class:`StorageError`, never another exception type, so a
+    reader that catches it (the WAL scan, the snapshot loader) sees every
+    malformed payload."""
+    try:
+        return _unpack(buf, offset)
+    except RecursionError:
+        raise StorageError("value payload nested too deeply") from None
+
+
+def _unpack(buf, offset: int) -> Tuple[object, int]:
     try:
         tag = buf[offset]
     except IndexError:
         raise StorageError("truncated value payload") from None
     offset += 1
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_TRUE:
-        return True, offset
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag], offset
     try:
         if tag == _T_INT:
             return _I64.unpack_from(buf, offset)[0], offset + 8
@@ -224,59 +236,248 @@ def unpack_value(buf: bytes, offset: int = 0) -> Tuple[object, int]:
             return _F64.unpack_from(buf, offset)[0], offset + 8
         if tag in (_T_BIGINT, _T_STR, _T_BYTES):
             (length,) = _U32.unpack_from(buf, offset)
-            offset += 4
-            raw = bytes(buf[offset:offset + length])
-            if len(raw) != length:
-                raise StorageError("truncated value payload")
-            offset += length
-            if tag == _T_BIGINT:
-                return int(raw.decode("ascii")), offset
-            if tag == _T_STR:
+            raw = _take(buf, offset + 4, length)
+            offset += 4 + length
+            if tag == _T_BYTES:
+                return raw, offset
+            try:
+                if tag == _T_BIGINT:
+                    return int(raw.decode("ascii")), offset
                 return raw.decode("utf-8"), offset
-            return raw, offset
+            except ValueError:  # UnicodeDecodeError is a ValueError
+                what = "integer" if tag == _T_BIGINT else "string"
+                raise StorageError(
+                    f"undecodable {what} payload {raw[:32]!r}") from None
         if tag in (_T_LIST, _T_TUPLE):
             (count,) = _U32.unpack_from(buf, offset)
-            offset += 4
-            items = []
-            for _ in range(count):
-                item, offset = unpack_value(buf, offset)
-                items.append(item)
+            items, offset = _unpack_items(buf, offset + 4, count)
             return (items if tag == _T_LIST else tuple(items)), offset
         if tag == _T_DICT:
             (count,) = _U32.unpack_from(buf, offset)
             offset += 4
             result = {}
             for _ in range(count):
-                key, offset = unpack_value(buf, offset)
-                val, offset = unpack_value(buf, offset)
-                result[key] = val
+                key, offset = _unpack(buf, offset)
+                val, offset = _unpack(buf, offset)
+                try:
+                    result[key] = val
+                except TypeError:
+                    raise StorageError(
+                        f"unhashable dict key of type {type(key).__name__}"
+                    ) from None
             return result, offset
         if tag == _T_NDARRAY:
-            dtype_len = buf[offset]
-            offset += 1
-            dtype = np.dtype(buf[offset:offset + dtype_len].decode("ascii"))
-            offset += dtype_len
+            (dtype_len,) = _U8.unpack_from(buf, offset)
+            dtype = _array_dtype(_take(buf, offset + 1, dtype_len))
+            offset += 1 + dtype_len
             (count,) = _U32.unpack_from(buf, offset)
             offset += 4
-            nbytes = count * dtype.itemsize
-            raw = bytes(buf[offset:offset + nbytes])
-            if len(raw) != nbytes:
+            end = offset + count * dtype.itemsize
+            if end > len(buf):
                 raise StorageError("truncated value payload")
-            offset += nbytes
-            return np.frombuffer(raw, dtype=dtype).copy(), offset
+            return np.frombuffer(buf, dtype, count, offset).copy(), end
         if tag == _T_OBJARRAY:
             (count,) = _U32.unpack_from(buf, offset)
-            offset += 4
-            items = []
-            for _ in range(count):
-                item, offset = unpack_value(buf, offset)
-                items.append(item)
+            items, offset = _unpack_items(buf, offset + 4, count)
             arr = np.empty(count, dtype=object)
             arr[:] = items
             return arr, offset
     except struct.error:
         raise StorageError("truncated value payload") from None
     raise StorageError(f"unknown value tag {tag}")
+
+
+def _take(buf, offset: int, length: int) -> bytes:
+    raw = bytes(buf[offset:offset + length])
+    if len(raw) != length:
+        raise StorageError("truncated value payload")
+    return raw
+
+
+def _array_dtype(raw: bytes) -> np.dtype:
+    try:
+        dtype = np.dtype(raw.decode("ascii"))
+    # numpy parses a comma-separated dtype with ast: SyntaxError too
+    except (TypeError, ValueError, SyntaxError):
+        raise StorageError(f"bad array dtype {raw!r}") from None
+    if dtype.hasobject or dtype.itemsize == 0:
+        # frombuffer cannot build either: objects are coded as
+        # _T_OBJARRAY, and no array the engine stores has empty items.
+        raise StorageError(f"bad array dtype {raw!r}")
+    return dtype
+
+
+# ------------------------------------------------- fixed-layout sequences
+#
+# A page is mostly long sequences of one shape: a B+ leaf is 1 024
+# ``((k, rid), (k, a, b, c))`` entries, a rows page 2 048 row tuples, a
+# WAL delete its list of rids. When every item of a sequence has the same
+# *fixed layout* -- built only from int64, float64, None, True and False,
+# nested in tuples and lists of constant length -- its encoding is a
+# record array: the tag and count bytes repeat in every record and the
+# values sit at constant offsets. Such sequences are coded in one numpy
+# pass; every other sequence, and every malformed one, goes one value at
+# a time. The bytes are the same either way.
+
+#: Sequences shorter than this are coded one value at a time. The record
+#: path has ~15 us of numpy set-up: at 16 items it decodes B+ leaf
+#: entries in 25 us against 57 us per value and encodes them in 28
+#: against 96 us (CPython 3.11, numpy 2.4), while a list of plain ints
+#: only breaks even near 40 items.
+_MIN_RECORDS = 16
+
+
+def _pack_items(items, out: bytearray) -> None:
+    """Append the encodings of ``items``: one record array when they all
+    share a fixed layout, else one value at a time."""
+    if len(items) >= _MIN_RECORDS:
+        template = bytearray()
+        fields: List[Tuple[int, np.ndarray]] = []
+        if _describe(items, template, fields):
+            records = np.empty((len(items), len(template)), np.uint8)
+            records[:] = np.frombuffer(template, np.uint8)
+            for at, column in fields:
+                records[:, at:at + 8] = column.view(np.uint8).reshape(-1, 8)
+            out += records.tobytes()
+            return
+    for item in items:
+        pack_value(item, out)
+
+
+def _describe(column, template: bytearray,
+              fields: List[Tuple[int, np.ndarray]]) -> bool:
+    """Append to ``template`` the encoding every value of ``column``
+    shares, with zeros where values go, and to ``fields`` the (offset,
+    values) of each int64/float64 slot. False when the values share no
+    fixed layout. Only exact types qualify: a bool, a numpy scalar or an
+    int subclass is tagged by :func:`pack_value`'s ``isinstance`` rules,
+    which the per-value path applies."""
+    kinds = set(map(type, column))
+    if len(kinds) != 1:
+        return False
+    kind = kinds.pop()
+    if kind is int:
+        try:
+            values = np.array(column, np.dtype("<i8"))
+        except OverflowError:  # beyond int64: _T_BIGINT, coded per value
+            return False
+        template.append(_T_INT)
+    elif kind is float:
+        values = np.array(column, np.dtype("<f8"))
+        template.append(_T_FLOAT)
+    elif kind is type(None):
+        template.append(_T_NONE)
+        return True
+    elif kind is tuple or kind is list:
+        lengths = set(map(len, column))
+        if len(lengths) != 1:
+            return False
+        template.append(_T_TUPLE if kind is tuple else _T_LIST)
+        template += _U32.pack(lengths.pop())
+        return all(_describe(part, template, fields)
+                   for part in zip(*column))
+    else:
+        return False
+    fields.append((len(template), values))
+    template += bytes(8)
+    return True
+
+
+def _unpack_items(buf, offset: int, count: int) -> Tuple[list, int]:
+    """Decode ``count`` consecutive values; returns (list, next offset)."""
+    if count >= _MIN_RECORDS:
+        decoded = _unpack_records(buf, offset, count)
+        if decoded is not None:
+            return decoded
+    items = []
+    for _ in range(count):
+        item, offset = _unpack(buf, offset)
+        items.append(item)
+    return items, offset
+
+
+def _unpack_records(buf, offset: int, count: int
+                    ) -> Optional[Tuple[list, int]]:
+    """``count`` values at ``offset`` decoded as one record array, or None
+    when they are not all of the first value's fixed layout (or run past
+    the buffer: the per-value path then raises what it raises).
+
+    The check is exact. Decoding reads structure only from tag and count
+    bytes, each at a position the earlier ones fix, so a record whose tag
+    and count bytes all equal the first record's decodes along the same
+    path; and where a record departs from the layout, the first byte
+    that differs is a tag or count byte at a position the layout expects.
+    """
+    positions: List[int] = []
+    formats: List[Tuple[int, str]] = []
+    learned = _learn(buf, offset, offset, positions, formats)
+    if learned is None:
+        return None
+    shape, itemsize = learned[0], learned[1] - offset
+    end = offset + count * itemsize
+    if end > len(buf):
+        return None
+    last = end - itemsize
+    # One record's worth of Python before any numpy pass, so a sequence
+    # of rows with strings or ragged tuples costs O(1) to turn away.
+    if any(buf[last + at] != buf[offset + at] for at in positions):
+        return None
+    structure = np.frombuffer(buf, np.uint8, count * itemsize, offset) \
+        .reshape(count, itemsize)[:, positions]
+    if not (structure == structure[0]).all():
+        return None
+    columns = []
+    if formats:
+        records = np.frombuffer(buf, np.dtype({
+            "names": [f"v{i}" for i in range(len(formats))],
+            "formats": [fmt for _, fmt in formats],
+            "offsets": [at for at, _ in formats],
+            "itemsize": itemsize,
+        }), count, offset)
+        columns = [records[name].tolist() for name in records.dtype.names]
+    return list(_rebuild(shape, columns, count)), end
+
+
+def _learn(buf, at: int, start: int, positions: List[int],
+           formats: List[Tuple[int, str]]) -> Optional[Tuple[object, int]]:
+    """Walk the value at ``at`` as a fixed layout: record its tag and count
+    byte positions and value slots (relative to ``start``) and return
+    (shape, next offset), or None when it is not one."""
+    if at >= len(buf):
+        return None
+    tag = buf[at]
+    positions.append(at - start)
+    if tag in _CONSTANTS:
+        return ("const", _CONSTANTS[tag]), at + 1
+    if tag == _T_INT or tag == _T_FLOAT:
+        formats.append((at + 1 - start, "<i8" if tag == _T_INT else "<f8"))
+        return ("column", len(formats) - 1), at + 9
+    if tag not in (_T_LIST, _T_TUPLE) or at + 5 > len(buf):
+        return None
+    positions.extend(range(at + 1 - start, at + 5 - start))
+    (count,) = _U32.unpack_from(buf, at + 1)
+    at += 5
+    parts = []
+    for _ in range(count):
+        learned = _learn(buf, at, start, positions, formats)
+        if learned is None:
+            return None
+        part, at = learned
+        parts.append(part)
+    return (list if tag == _T_LIST else tuple, parts), at
+
+
+def _rebuild(shape, columns: List[list], count: int):
+    """An iterable of the ``count`` values a learned shape describes."""
+    kind, arg = shape
+    if kind == "column":
+        return columns[arg]
+    if kind == "const":
+        return repeat(arg, count)
+    parts = [_rebuild(part, columns, count) for part in arg]
+    if kind is tuple:
+        return zip(*parts) if parts else repeat((), count)
+    return map(list, zip(*parts)) if parts else ([] for _ in range(count))
 
 
 # ----------------------------------------------------------- page framing
@@ -303,10 +504,9 @@ def build_page(page_id: int, page_type: int, lsn: int,
     """Serialize one page (header + payload) to bytes."""
     body = bytearray()
     pack_value(payload, body)
-    body = bytes(body)
     meta = struct.pack("<BBQQI", PAGE_VERSION, page_type, page_id, lsn,
                        len(body))
-    crc = zlib.crc32(meta + body) & 0xFFFFFFFF
+    crc = zlib.crc32(body, zlib.crc32(meta))
     header = PAGE_HEADER.pack(PAGE_MAGIC, PAGE_VERSION, page_type, 0,
                               page_id, lsn, len(body), crc)
     return header + body
@@ -356,10 +556,10 @@ def parse_page(buf: bytes, offset: int = 0) -> Tuple[Page, int]:
     page_type, page_id, lsn, payload_len, crc = _check_header(
         bytes(buf[offset:body_start]), offset, len(buf) - offset)
     body_end = body_start + payload_len
-    body = bytes(buf[body_start:body_end])
+    body = memoryview(buf)[body_start:body_end]
     meta = struct.pack("<BBQQI", PAGE_VERSION, page_type, page_id, lsn,
                        payload_len)
-    if zlib.crc32(meta + body) & 0xFFFFFFFF != crc:
+    if zlib.crc32(body, zlib.crc32(meta)) != crc:
         raise StorageError(f"page {page_id} checksum mismatch")
     payload, consumed = unpack_value(body, 0)
     if consumed != len(body):

@@ -164,9 +164,8 @@ def read_wal(path) -> WalScan:
                 f"(lsn {lsn})")
             break
         body = buf[body_start:body_start + payload_len]
-        expect = zlib.crc32(
-            _CRC_META.pack(lsn, txn, rec_type) + body) & 0xFFFFFFFF
-        if expect != crc:
+        meta = _CRC_META.pack(lsn, txn, rec_type)
+        if zlib.crc32(body, zlib.crc32(meta)) != crc:
             scan.torn = True
             scan.torn_reason = f"CRC mismatch at byte {offset} (lsn {lsn})"
             break
@@ -252,11 +251,10 @@ class WriteAheadLog:
             return -1
         body = bytearray()
         pack_value(payload, body)
-        body = bytes(body)
         lsn = self._next_lsn
         self._next_lsn += 1
-        crc = zlib.crc32(
-            _CRC_META.pack(lsn, txn, rec_type) + body) & 0xFFFFFFFF
+        meta = _CRC_META.pack(lsn, txn, rec_type)
+        crc = zlib.crc32(body, zlib.crc32(meta))
         frame = RECORD_HEADER.pack(len(body), crc, lsn, txn, rec_type) + body
         try:
             trip(self.faults, "wal_append")

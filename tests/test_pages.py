@@ -16,9 +16,12 @@ from repro.core.errors import StorageError
 from repro.core.schema import Column, TableSchema
 from repro.core.types import INT, varchar
 from repro.engine.executor import Executor
+from repro.storage import pages
 from repro.storage.database import Database
 from repro.storage.pages import (
     PAGE_HEADER,
+    PT_BTREE_LEAF,
+    PT_ROWS,
     build_page,
     load_snapshot,
     pack_value,
@@ -27,6 +30,7 @@ from repro.storage.pages import (
     unpack_value,
 )
 from repro.storage.recovery import state_digest
+from repro.workloads.ch import generate_ch
 
 
 def roundtrip(value):
@@ -79,6 +83,136 @@ class TestValueCodec:
         for cut in range(len(buf)):
             with pytest.raises(StorageError):
                 unpack_value(bytes(buf[:cut]), 0)
+
+
+def encode(value) -> bytes:
+    buf = bytearray()
+    pack_value(value, buf)
+    return bytes(buf)
+
+
+#: One value of every kind the codec writes, and the sequences it codes
+#: as record arrays.
+EVERY_KIND = {
+    "none": None, "false": False, "true": True, "int": -7, "bigint": 2**70,
+    "float": -2.5, "str": "ünï", "bytes": b"\x00raw",
+    "list": [1, "a", None], "tuple": (1, (2.0, None)),
+    "dict": {"k": [1], "j": (True,)},
+    "ndarray": np.array([1, 2, 3], dtype=np.int64),
+    "objarray": np.array(["x", None, 3], dtype=object),
+    "record ints": list(range(16)),
+    "record leaves": [((k, k + 1), (k, -k, 0.5, None, True))
+                      for k in range(20)],
+    "record objarray": np.array(list(range(20)), dtype=object),
+}
+
+
+class TestTypedErrors:
+    """Every malformed payload is a StorageError: the WAL scan and the
+    snapshot loader catch that type only."""
+
+    @pytest.mark.parametrize("payload", [
+        b"\x0b",                                  # ndarray: no dtype length
+        b"\x0b\x03<i",                            # ndarray: dtype cut short
+        b"\x0b\x03zzz\x00\x00\x00\x00",           # ndarray: no such dtype
+        b"\x0b\x03<,8\x00\x00\x00\x00",           # ndarray: dtype not Python
+        b"\x0b\x02|O\x01\x00\x00\x00" + bytes(8),  # ndarray of objects
+        b"\x0b\x03|V0\x01\x00\x00\x00",           # ndarray: empty items
+        b"\x06\x01\x00\x00\x00\xff",              # str: not UTF-8
+        b"\x04\x01\x00\x00\x00\xff",              # bigint: not ASCII
+        b"\x04\x01\x00\x00\x00x",                 # bigint: not digits
+        b"\x0a\x01\x00\x00\x00\x08\x00\x00\x00\x00\x00",  # dict: list key
+        b"\x08\x01\x00\x00\x00" * 5000,           # nested past the stack
+        b"\x0d",                                  # unknown tag
+    ])
+    def test_malformed_payload(self, payload):
+        with pytest.raises(StorageError):
+            unpack_value(payload, 0)
+
+    @pytest.mark.parametrize("value", EVERY_KIND.values(), ids=EVERY_KIND)
+    def test_every_prefix(self, value):
+        buf = encode(value)
+        for cut in range(len(buf)):
+            with pytest.raises(StorageError):
+                unpack_value(buf[:cut], 0)
+
+    # a damaged dtype may spell numpy's deprecated alias "a"
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("value", EVERY_KIND.values(), ids=EVERY_KIND)
+    def test_every_single_byte_corruption(self, value):
+        buf = encode(value)
+        replacements = range(256) if len(buf) < 64 else (0x01, 0x80, 0xFF)
+        for position in range(len(buf)):
+            for byte in replacements:
+                corrupt = bytearray(buf)
+                corrupt[position] = byte
+                try:
+                    unpack_value(bytes(corrupt), 0)
+                except StorageError:
+                    pass
+
+    def test_uniform_list_cut_at_and_inside_every_record(self):
+        ints = encode(list(range(1024)))          # 5-byte head, 9-byte ints
+        for record in range(1024):
+            with pytest.raises(StorageError):
+                unpack_value(ints[:5 + 9 * record], 0)
+        leaf = encode([((k, k), (k, k, k, k)) for k in range(1024)])
+        size = (len(leaf) - 5) // 1024
+        for record in (0, 1, 511, 1023):
+            for inside in range(1, size):
+                with pytest.raises(StorageError):
+                    unpack_value(leaf[:5 + size * record + inside], 0)
+
+
+def pages_of(snapshot: bytes):
+    """(page bytes, decoded page) for each page of a snapshot."""
+    offset = 0
+    while offset < len(snapshot):
+        start = offset
+        page, offset = parse_page(snapshot, offset)
+        yield snapshot[start:offset], page
+
+
+class TestRecordPath:
+    def test_leaf_page_decodes_without_per_value_calls(self, monkeypatch):
+        database = Database("leaves")
+        table = database.create_table(TableSchema("t", [
+            Column("k", INT, nullable=False), Column("a", INT),
+            Column("b", INT), Column("c", INT)]))
+        table.bulk_load([(k, k * 3, -k, 2**40 + k) for k in range(3000)])
+        table.set_primary_btree(["k"])
+        leaves = [(raw, page.payload)
+                  for raw, page in pages_of(snapshot_bytes(database))
+                  if page.page_type == PT_BTREE_LEAF]
+        assert [len(p["items"]) for _, p in leaves] == [1024, 1024, 952]
+        calls = []
+        per_value = pages._unpack
+
+        def counted(buf, offset):
+            calls.append(offset)
+            return per_value(buf, offset)
+
+        monkeypatch.setattr(pages, "_unpack", counted)
+        for raw, payload in leaves:
+            calls.clear()
+            assert parse_page(raw)[0].payload == payload
+            # the payload dict, its three keys and its three values: the
+            # entries are one record array, not 6 calls each
+            assert len(calls) == 7
+
+    def test_rows_pages_with_strings_round_trip(self):
+        database = Database("ch")
+        generate_ch(database, n_warehouses=1)
+        snapshot = snapshot_bytes(database)
+        rows_pages = [page for _, page in pages_of(snapshot)
+                      if page.page_type == PT_ROWS
+                      and page.payload["table"] == "customer"]
+        assert any(isinstance(value, str)
+                   for value in rows_pages[0].payload["rows"][0])
+        restored, _ = load_snapshot(snapshot)
+        assert state_digest(restored) == state_digest(database)
+        assert (restored.table("customer").rows_with_rids()
+                == database.table("customer").rows_with_rids())
 
 
 class TestPageFraming:
