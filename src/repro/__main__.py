@@ -5,12 +5,10 @@ Commands
 
 ``demo``
     The quickstart walkthrough (B+ tree vs columnstore, advisor loop).
-``micro --experiment {selectivity,updates,groupby,scancache,encoded-numeric}``
+``micro --experiment {selectivity,updates,groupby,scancache}``
     Run one micro-benchmark sweep and print the paper-style table
     (``scancache`` times repeated scans against the decoded-segment
-    cache; tune it with ``--cache-mb`` / ``--no-cache``;
-    ``encoded-numeric`` times numeric queries with code-space execution
-    on vs off and checks modeled costs stayed identical).
+    cache; tune it with ``--cache-mb`` / ``--no-cache``).
 ``tune --workload {tpcds,cust1..cust5} [--mode hybrid|btree_only|csi_only]``
     Tune a workload and print the recommendation.
 ``inventory``
@@ -198,48 +196,6 @@ def _cmd_micro(args) -> int:
         print()
         print(format_segment_cache(database.segment_cache,
                                    title="segment cache totals"))
-        return 0
-
-    if args.experiment == "encoded-numeric":
-        import time
-
-        from repro.engine.encoded import set_encoded_execution
-        from repro.workloads.synthetic import make_group_table
-
-        queries = [
-            ("filter", "SELECT count(*) FROM micro3 WHERE col2 = 5"),
-            ("range", "SELECT count(*) FROM micro3 "
-                      "WHERE col2 >= 10 AND col2 < 200"),
-            ("group-by", q3_group_by()),
-            ("top-n", "SELECT TOP 10 col2 FROM micro3 ORDER BY col2"),
-        ]
-        database = Database()
-        make_group_table(database, "micro3", args.rows, 1_000)
-        database.table("micro3").set_primary_columnstore(rowgroup_size=8192)
-        executor = Executor(database)
-        rows = []
-        for label, sql in queries:
-            executor.execute(sql)  # warm-up, untimed
-            walls = {}
-            modeled = {}
-            for enabled in (False, True):
-                prev = set_encoded_execution(enabled)
-                try:
-                    start = time.perf_counter()
-                    result = executor.execute(sql)
-                    walls[enabled] = (time.perf_counter() - start) * 1000
-                    modeled[enabled] = result.metrics.elapsed_ms
-                finally:
-                    set_encoded_execution(prev)
-            rows.append((
-                label, f"{walls[False]:.2f}", f"{walls[True]:.2f}",
-                f"{walls[False] / max(walls[True], 1e-9):.1f}x",
-                "yes" if modeled[True] == modeled[False] else "NO"))
-        print(format_table(
-            ["query", "decoded ms", "encoded ms", "speedup",
-             "modeled identical"], rows,
-            title=f"Numeric code-space execution, {args.rows} rows "
-                  "(wall clock; modeled costs must not move)"))
         return 0
 
     if args.experiment == "updates":
@@ -659,7 +615,7 @@ def main(argv=None) -> int:
     micro = sub.add_parser("micro", help="run a micro-benchmark sweep")
     micro.add_argument("--experiment", default="selectivity",
                        choices=("selectivity", "groupby", "updates",
-                                "scancache", "encoded-numeric"))
+                                "scancache"))
     micro.add_argument("--rows", type=int, default=200_000)
     micro.add_argument("--cache-mb", type=int, default=64,
                        help="decoded-segment cache budget (scancache)")

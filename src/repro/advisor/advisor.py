@@ -196,7 +196,6 @@ class TuningAdvisor:
             chosen.append(hypothetical_columnstore(
                 table_name, columns, estimate.column_sizes,
                 is_primary=False, name=f"hc_{table_name}_only",
-                column_encodings=estimate.column_encodings,
             ))
         enumerator = GreedyEnumerator(workload, session, self.catalog)
         base_config = enumerator.base_configuration()

@@ -115,7 +115,8 @@ class CandidateGenerator:
         self.csi_mode = csi_mode
         self.size_estimation_method = size_estimation_method
         self.size_sampling_ratio = size_sampling_ratio
-        self._csi_size_cache: Dict[Tuple[str, Tuple[str, ...]], object] = {}
+        self._csi_size_cache: Dict[Tuple[str, Tuple[str, ...]],
+                                   Dict[str, int]] = {}
 
     # ----------------------------------------------------------- per query
     def candidates_for_query(self, bound: BoundSelect,
@@ -206,7 +207,6 @@ class CandidateGenerator:
         candidates = [hypothetical_columnstore(
             table.name, columns, column_sizes,
             is_primary=False, name=f"hc_{table.name}_sec",
-            column_encodings=self._csi_encodings(table, columns),
         )]
         if self.consider_primary_csi and \
                 not table.schema.has_unsupported_columns():
@@ -214,7 +214,6 @@ class CandidateGenerator:
             candidates.append(hypothetical_columnstore(
                 table.name, supported, all_sizes,
                 is_primary=True, name=f"hc_{table.name}_pri",
-                column_encodings=self._csi_encodings(table, supported),
             ))
         if self.consider_sorted_csi:
             candidates.extend(
@@ -242,25 +241,17 @@ class CandidateGenerator:
                 table.name, columns, column_sizes, is_primary=False,
                 sorted_on=column,
                 name=f"hc_{table.name}_sorted_{column}",
-                column_encodings=self._csi_encodings(table, columns),
             ))
         return out
 
-    def _csi_estimate(self, table: Table, columns: Sequence[str]):
+    def _csi_sizes(self, table: Table,
+                   columns: Sequence[str]) -> Dict[str, int]:
         key = (table.name, tuple(columns))
         if key not in self._csi_size_cache:
             self._csi_size_cache[key] = estimate_csi_size(
                 table, columns, method=self.size_estimation_method,
-                sampling_ratio=self.size_sampling_ratio)
+                sampling_ratio=self.size_sampling_ratio).column_sizes
         return self._csi_size_cache[key]
-
-    def _csi_sizes(self, table: Table,
-                   columns: Sequence[str]) -> Dict[str, int]:
-        return self._csi_estimate(table, columns).column_sizes
-
-    def _csi_encodings(self, table: Table,
-                       columns: Sequence[str]) -> Dict[str, str]:
-        return self._csi_estimate(table, columns).column_encodings
 
 
 def missing_index_candidates(database, catalog: Catalog

@@ -28,7 +28,7 @@ the sample as uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,10 +51,6 @@ class SizeEstimate:
     method: str
     sample_rows: int
     sampling_ratio: float
-    #: Compression scheme each size estimate assumed ("rle" | "dict" |
-    #: "bitpack" | "raw"); feeds Kimura-style compression-aware what-if
-    #: costing via ``hypothetical_columnstore(column_encodings=...)``.
-    column_encodings: Dict[str, str] = field(default_factory=dict)
 
     @property
     def total_bytes(self) -> int:
@@ -159,11 +155,7 @@ def estimate_blackbox(table: Table, columns: Sequence[str],
         column: int(group.column(column).size_bytes * scale)
         for column in columns
     }
-    encodings = {
-        column: group.column(column).encoding for column in columns
-    }
-    return SizeEstimate(sizes, "blackbox", len(sample), actual_ratio,
-                        column_encodings=encodings)
+    return SizeEstimate(sizes, "blackbox", len(sample), actual_ratio)
 
 
 def estimate_run_modelling(table: Table, columns: Sequence[str],
@@ -200,7 +192,6 @@ def estimate_run_modelling(table: Table, columns: Sequence[str],
     order = sorted(columns, key=lambda c: (distinct[c], c))
 
     sizes: Dict[str, int] = {}
-    encodings: Dict[str, str] = {}
     prefix_values: Optional[List[Tuple[object, ...]]] = None
     for column in order:
         values = by_column[column]
@@ -224,21 +215,10 @@ def estimate_run_modelling(table: Table, columns: Sequence[str],
         rle_size = est_runs * (code_bytes + _RUN_HEADER_BYTES)
         pack_size = total_rows * _bits_for(distinct[column]) / 8.0
         raw_size = total_rows * code_bytes
-        best = min(rle_size, pack_size, raw_size)
-        sizes[column] = int(best + dict_overhead)
-        # Record the scheme the winning price assumed, so the estimate
-        # can feed compression-aware (Kimura) what-if costing.
-        if best == rle_size:
-            encodings[column] = "rle"
-        elif is_string:
-            encodings[column] = "dict"
-        elif best == pack_size:
-            encodings[column] = "bitpack"
-        else:
-            encodings[column] = "raw"
+        sizes[column] = int(min(rle_size, pack_size, raw_size)
+                            + dict_overhead)
     return SizeEstimate(sizes, "run_modelling", len(sample),
-                        len(sample) / total_rows,
-                        column_encodings=encodings)
+                        len(sample) / total_rows)
 
 
 def estimate_csi_size(table: Table, columns: Sequence[str],

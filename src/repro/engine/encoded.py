@@ -26,73 +26,21 @@ falls back to decoded semantics (and the fallback is counted in
 ``QueryMetrics.code_path_fallbacks``).
 
 The encoded path changes *real* wall-clock execution speed only; every
-modeled cost charge (the paper's figure metrics) is identical with the
-path on or off, which is asserted by the differential test suite.
+modeled cost charge (the paper's figure metrics) is identical to a
+decoded scan's, which the differential suites assert against the
+decoded reference in ``tests/reference_scan.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.storage.compression import Dictionary, sorted_distinct
 
-#: Process-wide *default* for whether columnstore scans produce
-#: :class:`EncodedColumn` values for dictionary-coded segments. On by
-#: default. This is only the default: every
-#: :class:`~repro.engine.metrics.ExecutionContext` (and therefore every
-#: server session) can override it per statement via its
-#: ``encoded_execution`` flag, so one session's toggle never leaks into
-#: another. Prefer the :func:`encoded_execution` context manager over
-#: :func:`set_encoded_execution` so a raising test can't leave the
-#: process default flipped.
-_ENCODED_EXECUTION = True
-
 #: Dtype used for code arrays carried in batches.
 CODE_DTYPE = np.int32
-
-
-def encoded_execution_enabled() -> bool:
-    """Whether scans produce encoded columns by default."""
-    return _ENCODED_EXECUTION
-
-
-def set_encoded_execution(enabled: bool) -> bool:
-    """Set the process-wide encoded-execution default; returns the
-    previous value (so tests/benchmarks can restore it).
-
-    This mutates *process-global* state: in a multi-session server it
-    affects every session whose context carries no per-statement
-    override. Sessions should set
-    :attr:`~repro.engine.metrics.ExecutionContext.encoded_execution`
-    (``Session(encoded_execution=...)``) instead; tests should use the
-    :func:`encoded_execution` context manager, which restores the
-    previous default even when the body raises.
-    """
-    global _ENCODED_EXECUTION
-    previous = _ENCODED_EXECUTION
-    _ENCODED_EXECUTION = bool(enabled)
-    return previous
-
-
-@contextmanager
-def encoded_execution(enabled: bool) -> Iterator[None]:
-    """Scoped override of the process-wide encoded-execution default::
-
-        with encoded_execution(False):
-            ...  # decoded path, restored on exit even on error
-
-    The ``finally`` restore is the point: the bare setter left the
-    global flipped whenever a test body failed, leaking the toggle into
-    every later test (and, in a server, into every other session).
-    """
-    previous = set_encoded_execution(enabled)
-    try:
-        yield
-    finally:
-        set_encoded_execution(previous)
 
 
 class EncodedColumn:

@@ -137,11 +137,6 @@ class Executor:
         #: Optional Query Store recording every execution (Section 3.1's
         #: monitoring methodology). None disables recording.
         self.query_store = query_store
-        #: Per-executor (therefore per-session) encoded-execution
-        #: override threaded into every statement's ExecutionContext;
-        #: None defers to the process default in
-        #: :mod:`repro.engine.encoded`.
-        self.encoded_execution: Optional[bool] = None
         #: Morsel worker pool for intra-query-parallel columnstore scans
         #: (:class:`repro.server.parallel_scan.MorselPool`); None keeps
         #: every scan serial.
@@ -244,7 +239,6 @@ class Executor:
         record.ctx = ctx = ExecutionContext(
             cost_model=database.cost_model, cold=cold,
             memory_grant_bytes=memory_grant_bytes,
-            encoded_execution=self.encoded_execution,
             morsel_pool=self.morsel_pool,
             waits=database.waits,
         )

@@ -198,12 +198,6 @@ class ExecutionContext:
     dop:
         Degree of parallelism for the *current* parallel region; operators
         enter/leave parallel regions via :meth:`charge_parallel_cpu`.
-    encoded_execution:
-        Per-statement override of the dictionary-coded execution path:
-        True/False force it on/off for this statement, None (the default)
-        defers to the process-wide default in :mod:`repro.engine.encoded`.
-        Sessions own this flag so one session's toggle can never leak
-        into another.
     morsel_pool:
         Optional :class:`repro.server.parallel_scan.MorselPool`. When set,
         columnstore scans partition their row groups across the pool's
@@ -225,7 +219,6 @@ class ExecutionContext:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         cold: bool = False,
         memory_grant_bytes: Optional[int] = None,
-        encoded_execution: Optional[bool] = None,
         morsel_pool: Optional[object] = None,
         waits: Optional[object] = None,
     ):
@@ -236,7 +229,6 @@ class ExecutionContext:
             if memory_grant_bytes is not None
             else cost_model.default_memory_grant_bytes
         )
-        self.encoded_execution = encoded_execution
         self.morsel_pool = morsel_pool
         self.waits = waits
         self.metrics = QueryMetrics()
@@ -310,17 +302,9 @@ class ExecutionContext:
         return self._span_stack[-1]
 
     # --------------------------------------------------- morsel workers
-    def encoded_enabled(self) -> bool:
-        """Whether this statement runs the dictionary-coded path: the
-        per-statement override when set, the process default otherwise."""
-        if self.encoded_execution is not None:
-            return self.encoded_execution
-        from repro.engine.encoded import encoded_execution_enabled
-        return encoded_execution_enabled()
-
     def spawn_worker(self) -> "ExecutionContext":
         """A fresh context for one morsel worker: same cost model, run
-        temperature, grant and encoded-execution setting, but its own
+        temperature and grant, but its own
         :class:`QueryMetrics` (merged back via
         :meth:`absorb_worker_metrics`) and no morsel pool — morsel
         parallelism never nests."""
@@ -328,7 +312,6 @@ class ExecutionContext:
             cost_model=self.cost_model,
             cold=self.cold,
             memory_grant_bytes=self.memory_grant_bytes,
-            encoded_execution=self.encoded_execution,
         )
 
     def absorb_worker_metrics(self, worker: QueryMetrics) -> None:

@@ -51,7 +51,6 @@ def describe_physical_index(table: Table, index) -> IndexDescriptor:
             name=index.name, table_name=table.name, kind=KIND_CSI,
             is_primary=index.is_primary, csi_columns=list(index.columns),
             size_bytes=index.size_bytes(), column_sizes=index.column_sizes(),
-            column_encodings=index.column_encodings(),
             sorted_on=sorted_on, physical=index,
         )
     raise CatalogError(f"unknown index type {type(index).__name__}")

@@ -29,12 +29,6 @@ class CostingOptions:
     cold: bool = False
     memory_grant_bytes: Optional[int] = None
     concurrent_queries: int = 1
-    #: Kimura et al.-style compression-aware costing: when True,
-    #: :func:`cost_csi_scan` scales its per-segment decode CPU by the
-    #: encoding each column was actually (or hypothetically) compressed
-    #: with. Off by default so existing plans and figures are
-    #: numerically unchanged.
-    compression_aware: bool = False
 
     @property
     def grant(self) -> int:
@@ -111,48 +105,17 @@ def csi_read_fraction(descriptor: IndexDescriptor,
     return 1.0
 
 
-#: Relative per-segment decode CPU by encoding, used only when
-#: ``options.compression_aware`` is set (Kimura et al., "Compression
-#: Aware Physical Database Design"): compression is not free to *read*
-#: either, and the relative cost differs by scheme. RLE decodes a
-#: handful of runs (cheapest), raw is a memcpy, bit-packing pays an
-#: unpack pass, and dictionary segments pay the gather through the
-#: dictionary (the 1.0 baseline — it is what ``segment_decode_cpu_ms``
-#: was calibrated against).
-ENCODING_DECODE_FACTOR: Dict[str, float] = {
-    "rle": 0.35,
-    "raw": 0.55,
-    "bitpack": 0.80,
-    "dict": 1.00,
-}
-
-
 def cost_csi_scan(options: CostingOptions, descriptor: IndexDescriptor,
                   table_rows: float, columns_read: Dict[str, int],
-                  read_fraction: float = 1.0,
-                  encodings: Optional[Dict[str, str]] = None) -> float:
-    """Columnstore scan reading only ``columns_read`` (name -> bytes).
-
-    ``encodings`` maps column name -> compression scheme ("rle",
-    "bitpack", "dict", "raw"). It participates only when
-    ``options.compression_aware`` is set: the segment-decode CPU term is
-    then charged per column, scaled by :data:`ENCODING_DECODE_FACTOR`.
-    With the flag off (the default) or no encodings supplied, the
-    formula is numerically identical to the encoding-oblivious model.
-    """
+                  read_fraction: float = 1.0) -> float:
+    """Columnstore scan reading only ``columns_read`` (name -> bytes)."""
     cm = options.cost_model
     rows_read = table_rows * read_fraction
     dop = choose_dop(options, rows_read)
     segments_per_column = max(1.0, rows_read / 32768.0)
     cpu = rows_read * cm.batch_cpu_ms_per_row
-    if options.compression_aware and encodings:
-        for column in (columns_read or {"": 0}):
-            factor = ENCODING_DECODE_FACTOR.get(
-                encodings.get(column, "dict"), 1.0)
-            cpu += segments_per_column * cm.segment_decode_cpu_ms * factor
-    else:
-        n_segments = segments_per_column * max(1, len(columns_read))
-        cpu += n_segments * cm.segment_decode_cpu_ms
+    n_segments = segments_per_column * max(1, len(columns_read))
+    cpu += n_segments * cm.segment_decode_cpu_ms
     cost = parallel_adjusted(options, cpu, dop)
     if options.cold:
         read_bytes = sum(columns_read.values()) * read_fraction

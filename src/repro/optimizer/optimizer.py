@@ -270,8 +270,7 @@ class Optimizer:
                 alias, descriptor, "scan", list(needed),
                 ranges=node_ranges, residual=predicate)
             node.est_cost = cm.cost_csi_scan(
-                options, descriptor, table_rows, read_bytes, read_fraction,
-                encodings=descriptor.column_encodings or None)
+                options, descriptor, table_rows, read_bytes, read_fraction)
             node.est_rows = out_rows
             node.dop = cm.choose_dop(options, table_rows * read_fraction)
             return node

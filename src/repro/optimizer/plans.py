@@ -39,11 +39,6 @@ class IndexDescriptor:
     #: Section 4.2 (the optimizer needs them because a CSI scan reads only
     #: the referenced columns).
     column_sizes: Dict[str, int] = field(default_factory=dict)
-    #: Per-column dominant compression scheme for CSIs ("rle" |
-    #: "dict" | "bitpack" | "raw"). Consulted by the cost model only
-    #: under ``CostingOptions.compression_aware`` (Kimura-style
-    #: compression-aware what-if costing); empty otherwise-harmless.
-    column_encodings: Dict[str, str] = field(default_factory=dict)
     #: Column the underlying data was sorted on when the CSI was built,
     #: enabling segment elimination on that column (Figure 2).
     sorted_on: Optional[str] = None

@@ -72,16 +72,12 @@ def hypothetical_columnstore(
     is_primary: bool = False,
     sorted_on: Optional[str] = None,
     name: Optional[str] = None,
-    column_encodings: Optional[Dict[str, str]] = None,
 ) -> IndexDescriptor:
     """Create a hypothetical columnstore descriptor.
 
     ``column_sizes`` must contain the estimated compressed per-column
     sizes (from :mod:`repro.advisor.size_estimation`) — the what-if
-    extension of Section 4.2. ``column_encodings`` optionally records
-    the compression scheme each size estimate assumed, so Kimura-style
-    compression-aware costing (``CostingOptions.compression_aware``)
-    can charge decode CPU per scheme when costing the hypothetical.
+    extension of Section 4.2.
     """
     missing = [c for c in columns if c not in column_sizes]
     if missing:
@@ -94,7 +90,6 @@ def hypothetical_columnstore(
         csi_columns=list(columns),
         size_bytes=sum(column_sizes[c] for c in columns),
         column_sizes=dict(column_sizes), sorted_on=sorted_on,
-        column_encodings=dict(column_encodings or {}),
         hypothetical=True,
     )
 

@@ -13,14 +13,13 @@ pool.
 What is per-session vs shared (the ownership rules DESIGN.md spells
 out):
 
-* **Per session:** encoded-execution override, run temperature
-  (hot/cold), the statement clock stamp (thread-local on the shared
+* **Per session:** run temperature (hot/cold), the statement clock
+  stamp (thread-local on the shared
   :class:`~repro.storage.telemetry.LogicalClock`), transaction scope,
   and all :class:`SessionStats`.
 * **Per database (shared, lock-protected):** segment cache, fault
   injector, telemetry/usage counters, the tables themselves.
-* **Process-global (default only):** the encoded-execution default in
-  :mod:`repro.engine.encoded`.
+* **Process-global:** nothing.
 
 Modeled I/O is charged to ``QueryMetrics``, never slept: a statement's
 wall time is the interpreter work it does, so concurrent sessions
@@ -79,7 +78,6 @@ class Session:
     """
 
     def __init__(self, manager: "SessionManager", session_id: int,
-                 encoded_execution: Optional[bool] = None,
                  cold: bool = False):
         self.manager = manager
         self.session_id = session_id
@@ -92,20 +90,8 @@ class Session:
             catalog=manager.catalog,
             query_store=manager.query_store,
         )
-        self._executor.encoded_execution = encoded_execution
         self._executor.morsel_pool = manager.morsel_pool
         self.closed = False
-
-    @property
-    def encoded_execution(self) -> Optional[bool]:
-        """Per-session dictionary-coded execution override (None defers
-        to the process default) — the fix for the process-global
-        ``set_encoded_execution`` leak. Lives on the session's executor."""
-        return self._executor.encoded_execution
-
-    @encoded_execution.setter
-    def encoded_execution(self, value: Optional[bool]) -> None:
-        self._executor.encoded_execution = value
 
     # ---------------------------------------------------------- execution
     def execute(self, sql: str, params: Sequence[object] = (),
@@ -226,15 +212,12 @@ class SessionManager:
         self._lock = threading.Lock()
 
     # ----------------------------------------------------------- sessions
-    def session(self, encoded_execution: Optional[bool] = None,
-                cold: bool = False) -> Session:
+    def session(self, cold: bool = False) -> Session:
         """Open a new session."""
         with self._lock:
             session_id = self._next_session_id
             self._next_session_id += 1
-            session = Session(self, session_id,
-                              encoded_execution=encoded_execution,
-                              cold=cold)
+            session = Session(self, session_id, cold=cold)
             self._sessions[session_id] = session
             return session
 

@@ -10,6 +10,7 @@ consumes.
 from __future__ import annotations
 
 import datetime as _dt
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -214,16 +215,22 @@ def _qualify_expr(expr: Expr, scope: _Scope) -> Expr:
         left = _qualify_expr(expr.left, scope)
         right = _qualify_expr(expr.right, scope)
         left, right = _coerce_date_pair(left, right, scope)
+        _check_comparable(left, right, scope)
+        _check_comparable(right, left, scope)
         return Comparison(expr.op, left, right)
     if isinstance(expr, Between):
         subject = _qualify_expr(expr.subject, scope)
         low = _coerce_for(subject, _qualify_expr(expr.low, scope), scope)
         high = _coerce_for(subject, _qualify_expr(expr.high, scope), scope)
+        _check_comparable(subject, low, scope)
+        _check_comparable(subject, high, scope)
         return Between(subject, low, high)
     if isinstance(expr, InList):
         subject = _qualify_expr(expr.subject, scope)
         values = tuple(
             _coerce_value_for(subject, v, scope) for v in expr.values)
+        for value in values:
+            _check_comparable(subject, Literal(value), scope)
         return InList(subject, values)
     if isinstance(expr, And):
         return And(tuple(_qualify_expr(op, scope) for op in expr.operands))
@@ -277,6 +284,29 @@ def _coerce_date_pair(left: Expr, right: Expr, scope: _Scope):
     elif _is_date_column(right, scope):
         left = _coerce_for(right, left, scope)
     return left, right
+
+
+#: Column kinds a string literal never compares with (a DATE string is
+#: coerced to a day number before the check).
+_NUMERIC_KINDS = frozenset((TypeKind.INT, TypeKind.BIGINT, TypeKind.DECIMAL,
+                            TypeKind.DATE))
+
+
+def _check_comparable(column: Expr, other: Expr, scope: _Scope) -> None:
+    """Reject a string literal against a numeric column and a number
+    against a VARCHAR column; NULL compares with anything. Each physical
+    design used to answer such a predicate its own way (no rows, other
+    rows, or a raw ``TypeError``), so it is an error before any runs."""
+    if not isinstance(other, Literal) or not isinstance(column, ColumnRef) \
+            or "." not in column.name:
+        return
+    value = other.value
+    alias, name = column.name.split(".", 1)
+    kind = scope.column_type(alias, name).kind
+    if isinstance(value, str) and kind in _NUMERIC_KINDS or \
+            isinstance(value, numbers.Number) and kind is TypeKind.VARCHAR:
+        raise SqlError(f"cannot compare {kind.value} column {name!r} "
+                       f"with {value!r}")
 
 
 def _coerce_for(subject: Expr, expr: Expr, scope: _Scope) -> Expr:

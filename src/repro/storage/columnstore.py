@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
 from repro.engine.batch import Batch, _column_array
-from repro.engine.encoded import EncodedColumn, encoded_execution_enabled
+from repro.engine.encoded import EncodedColumn
 from repro.engine.metrics import ExecutionContext
 from repro.storage.compression import CompressedRowGroup, compress_rowgroup
 from repro.storage.faults import FaultInjector, trip
@@ -143,11 +143,6 @@ class ColumnstoreIndex:
         #: charged. Survives rebuild/reorganize: those swap the index's
         #: internals, not the index object.
         self.usage = IndexUsageStats()
-        #: Optional adaptive layout policy (ByteStore-style). When set,
-        #: REBUILD consults it with this index's DMV usage stats and may
-        #: force per-column encodings via ``compress_rowgroup``'s
-        #: ``encoding_overrides``; None keeps the smallest-size layout.
-        self.layout_policy = None
         #: Demand-paging hooks, set by :meth:`attach_pager` when the
         #: database opened with ``paging=True``: the shared
         #: :class:`~repro.storage.bufferpool.BufferPool` and the pager
@@ -290,23 +285,6 @@ class ColumnstoreIndex:
             ))
             sizes[col] += int(len(self._delta) * delta_per_row * share / total_width)
         return sizes
-
-    def column_encodings(self) -> Dict[str, str]:
-        """Dominant physical encoding per column (by bytes stored) — the
-        layout the adaptive policy chose, surfaced for DMVs, tests, and
-        the compression-aware cost model (Kimura)."""
-        by_column: Dict[str, Dict[str, int]] = {
-            col: {} for col in self.columns}
-        for state in self._groups:
-            for col in state.group.column_names():
-                meta = state.group.column_meta(col)
-                tally = by_column[col]
-                tally[meta.encoding] = (
-                    tally.get(meta.encoding, 0) + meta.size_bytes)
-        return {
-            col: (max(tally, key=tally.get) if tally else "raw")
-            for col, tally in by_column.items()
-        }
 
     def _delta_row_bytes(self) -> int:
         return sum(
@@ -629,14 +607,6 @@ class ColumnstoreIndex:
         and full-size row groups with tight min/max metadata.
         """
         trip(self.faults, "csi.rebuild.compress")
-        encoding_overrides = None
-        if self.layout_policy is not None:
-            decisions = self.layout_policy.choose(self.usage, self.columns)
-            encoding_overrides = {
-                column: decision.forced_encoding
-                for column, decision in decisions.items()
-                if decision.forced_encoding is not None
-            } or None
         try:
             live: List[Tuple[int, Row]] = []
             for state in self._groups:
@@ -666,9 +636,7 @@ class ColumnstoreIndex:
                     name: _column_array([values[i] for _, values in chunk])
                     for i, name in enumerate(self.columns)
                 }
-                group = compress_rowgroup(
-                    self.schema, column_data, rids,
-                    encoding_overrides=encoding_overrides)
+                group = compress_rowgroup(self.schema, column_data, rids)
                 self._register_group(new_groups, new_locations, group)
         except BaseException:
             self.invalidate_cached_segments()  # conservative on abort
@@ -784,10 +752,6 @@ class ColumnstoreIndex:
             cache = None
         if ctx is not None and record_usage:
             self.usage.record_scan()
-        if ctx is not None:
-            use_encoded = ctx.encoded_enabled()
-        else:
-            use_encoded = encoded_execution_enabled()
         if groups is None:
             selected = enumerate(self._groups)
         else:
@@ -837,7 +801,7 @@ class ColumnstoreIndex:
                             pinned_keys.append(key)
                         else:
                             segment = group.column(name)
-                        code_space = segment.code_space() if use_encoded else None
+                        code_space = segment.code_space()
                         if code_space is not None:
                             # Late materialization: hand the consumer the
                             # int32 codes plus the shared dictionary instead
@@ -866,10 +830,6 @@ class ColumnstoreIndex:
                                 (time.perf_counter() - miss_started) * 1000.0)
                     else:
                         hits += 1
-                        if isinstance(decoded, EncodedColumn) and not use_encoded:
-                            # Cached as codes while encoded execution is now
-                            # off: serve the decoded twin.
-                            decoded = decoded.materialize()
                     if isinstance(decoded, EncodedColumn) and ctx is not None:
                         ctx.metrics.columns_late_materialized += 1
                     data[name] = decoded

@@ -311,21 +311,12 @@ def _segment_min_max(values: np.ndarray) -> Tuple[object, object]:
 
 
 def encode_segment(column: str, values: np.ndarray, value_bytes: int,
-                   dictionary: Optional[Dictionary] = None,
-                   forced_encoding: Optional[str] = None) -> ColumnSegment:
+                   dictionary: Optional[Dictionary] = None) -> ColumnSegment:
     """Choose the smallest encoding for ``values`` and build the segment.
 
     ``values`` must already be in the row group's final (sorted) order.
     ``value_bytes`` is the uncompressed per-value width; with a dictionary,
     the encoded width is the code width.
-
-    ``forced_encoding`` overrides the smallest-size choice — the hook the
-    adaptive layout policy uses to trade size for access pattern (e.g.
-    positional bit-packed codes for point-lookup-heavy columns instead
-    of RLE, which needs a run prefix-sum to answer "value at position
-    i"). The segment's ``size_bytes`` is always the size of the
-    representation actually built, so forcing a layout is honestly
-    reflected in storage accounting.
     """
     n = len(values)
     if n == 0:
@@ -364,29 +355,6 @@ def encode_segment(column: str, values: np.ndarray, value_bytes: int,
     raw_size = int(n * code_bytes) + dict_overhead
 
     min_value, max_value = _segment_min_max(values)
-    if forced_encoding is not None:
-        if forced_encoding == ENCODING_RLE:
-            return ColumnSegment(
-                column=column, n_rows=n, encoding=ENCODING_RLE,
-                size_bytes=rle_size, min_value=min_value, max_value=max_value,
-                run_values=run_values, run_lengths=run_lengths,
-                dictionary=dictionary,
-            )
-        if dictionary is not None:
-            # Positional layout for a dictionary column: bit-packed codes.
-            return ColumnSegment(
-                column=column, n_rows=n, encoding=ENCODING_DICT,
-                size_bytes=pack_size, min_value=min_value,
-                max_value=max_value, values=stored, dictionary=dictionary,
-            )
-        size = raw_size if forced_encoding == ENCODING_RAW else pack_size
-        encoding = (ENCODING_RAW if forced_encoding == ENCODING_RAW
-                    else ENCODING_BITPACK)
-        return ColumnSegment(
-            column=column, n_rows=n, encoding=encoding, size_bytes=size,
-            min_value=min_value, max_value=max_value,
-            values=stored, dictionary=dictionary,
-        )
     best = min(rle_size, pack_size, raw_size)
     if best == rle_size:
         return ColumnSegment(
@@ -532,7 +500,6 @@ def compress_rowgroup(
     columns: Dict[str, np.ndarray],
     rids: np.ndarray,
     presorted: bool = False,
-    encoding_overrides: Optional[Dict[str, str]] = None,
 ) -> CompressedRowGroup:
     """Compress one row group.
 
@@ -541,10 +508,6 @@ def compress_rowgroup(
     maximise run lengths, and ``rids`` is permuted alongside, so stored
     position is decoupled from arrival order — exactly why primary
     columnstores need a scan to locate a row (Section 2).
-
-    ``encoding_overrides`` maps column name to a forced encoding (see
-    :func:`encode_segment`) — the adaptive layout policy's entry point
-    at rebuild time; absent columns keep the smallest-size choice.
     """
     names = list(columns)
     if not names:
@@ -571,11 +534,8 @@ def compress_rowgroup(
         dictionary = None
         if values.dtype == object or col_type.kind is TypeKind.VARCHAR:
             dictionary = Dictionary.build(values)
-        forced = encoding_overrides.get(name) if encoding_overrides else None
         segments[name] = encode_segment(
-            name, values, col_type.byte_width, dictionary,
-            forced_encoding=forced,
-        )
+            name, values, col_type.byte_width, dictionary)
     return CompressedRowGroup(
         segments=segments, rids=np.asarray(rids), n_rows=n, sort_order=sort_order
     )

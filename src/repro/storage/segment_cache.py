@@ -30,8 +30,8 @@ Invalidation is kept consistent across both layers —
 ``ColumnstoreIndex.invalidate_cached_segments`` drops the decoded
 entries here *and* the compressed frames from the pool in one call.
 
-With encoded execution on (the default,
-:mod:`repro.engine.encoded`), code-space-capable segments — dictionary
+Under encoded execution (:mod:`repro.engine.encoded`, always on),
+code-space-capable segments — dictionary
 string segments and numeric RLE / bit-packed segments — are cached as
 :class:`~repro.engine.encoded.EncodedColumn` objects: int32 codes plus
 the shared per-segment dictionary. Such entries are charged at their
@@ -39,13 +39,11 @@ the shared per-segment dictionary. Such entries are charged at their
 the dictionary belongs to the segment, which outlives the cache entry)
 rather than the decoded width — codes are what actually occupies cache
 memory, and charging decoded width would leave most of the budget
-unusable. The resulting hit/miss counters are still identical across
-modes on a fixed access sequence as long as the budget holds both
-representations; the byte totals legitimately differ and are asserted
-against what is actually resident by the differential accounting test.
-If encoded execution is toggled off after codes were cached, the scan
-materializes the cached entry on the way out (see
-``ColumnstoreIndex.scan``).
+unusable. The resulting hit/miss counters are still identical to the
+decoded reference scan's on a fixed access sequence as long as the
+budget holds both representations; the byte totals legitimately differ
+and are asserted against what is actually resident by the differential
+accounting test.
 
 One cache is owned per :class:`~repro.storage.database.Database` and is
 **disabled by default** so that cold-run experiments and the paper's

@@ -18,6 +18,7 @@ from repro.engine.executor import Executor
 from repro.storage.checker import check_database
 from repro.storage.database import Database
 from tests.oracle import sqlite_mirror
+from tests.reference_scan import scans
 
 #: k is unique; a, b, s are nullable with few distinct values (so a
 #: columnstore hands them out dictionary-coded); c is NOT NULL, as an
@@ -238,10 +239,10 @@ DIVISIONS = (
 def test_division_by_zero_is_one_typed_error(design, encoded):
     database, _ = make_database(design)
     executor = Executor(database)
-    executor.encoded_execution = encoded
-    before = executor.execute(EVERYTHING).rows
-    for sql in DIVISIONS:
-        with pytest.raises(ExecutionError, match="^division by zero$"):
-            executor.execute(sql)
-    assert executor.execute(EVERYTHING).rows == before
+    with scans(encoded):
+        before = executor.execute(EVERYTHING).rows
+        for sql in DIVISIONS:
+            with pytest.raises(ExecutionError, match="^division by zero$"):
+                executor.execute(sql)
+        assert executor.execute(EVERYTHING).rows == before
     assert check_database(database).ok

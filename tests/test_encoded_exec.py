@@ -1,7 +1,8 @@
 """Differential tests for dictionary-coded (late materialization)
 execution: every query must return identical rows AND identical modeled
-metrics with the encoded path on and off — the encoded path changes real
-wall-clock only. Also unit-tests the code-space primitives."""
+metrics as the decoded reference scan (``tests/reference_scan.py``) —
+the encoded path changes real wall-clock only. Also unit-tests the
+code-space primitives."""
 
 import dataclasses
 
@@ -14,9 +15,7 @@ from repro.engine.encoded import (
     EncodedColumn,
     compare_codes,
     concat_encoded,
-    encoded_execution_enabled,
     isin_codes,
-    set_encoded_execution,
 )
 from repro.engine.executor import Executor
 from repro.storage.compression import (
@@ -25,6 +24,7 @@ from repro.storage.compression import (
     compress_rowgroup,
 )
 from repro.storage.database import Database
+from tests.reference_scan import scans
 
 # Counters expected to differ between the two modes by design.
 _MODE_COUNTERS = (
@@ -70,11 +70,8 @@ def make_join_db():
 
 
 def run_query(db_factory, sql, enabled):
-    prev = set_encoded_execution(enabled)
-    try:
+    with scans(enabled):
         return Executor(db_factory()).execute(sql)
-    finally:
-        set_encoded_execution(prev)
 
 
 def metrics_dict(result):
@@ -85,7 +82,8 @@ def metrics_dict(result):
 
 
 def assert_differential(sql, db_factory=make_db):
-    """Encoded and decoded runs agree on rows and modeled metrics."""
+    """Encoded runs and the decoded reference agree on rows and modeled
+    metrics."""
     off = run_query(db_factory, sql, enabled=False)
     on = run_query(db_factory, sql, enabled=True)
     assert on.rows == off.rows
@@ -146,14 +144,6 @@ class TestEncodedColumnUnit:
         # code order still equals value order (code-space sort legality).
         assert joined.dictionary.values[0] is None
         assert list(joined.dictionary.values[1:]) == ["a", "b", "c", "x"]
-
-    def test_flag_roundtrip(self):
-        prev = set_encoded_execution(False)
-        try:
-            assert not encoded_execution_enabled()
-        finally:
-            set_encoded_execution(prev)
-        assert encoded_execution_enabled() == prev
 
 
 class TestCodeTranslation:
@@ -257,24 +247,6 @@ class TestDifferentialQueries:
 
 
 class TestEncodedWithSegmentCache:
-    def test_toggle_after_cache_populated(self):
-        """Codes cached while encoding is on must decode correctly after
-        the flag is turned off (same warm database)."""
-        sql = "SELECT city, count(*) c FROM t GROUP BY city ORDER BY c, city"
-        db = make_db(cache=True)
-        executor = Executor(db)
-        prev = set_encoded_execution(True)
-        try:
-            warm = executor.execute(sql)
-            assert warm.metrics.segment_cache_misses > 0
-            set_encoded_execution(False)
-            cold_path = executor.execute(sql)
-        finally:
-            set_encoded_execution(prev)
-        assert cold_path.rows == warm.rows
-        assert cold_path.metrics.segment_cache_hits > 0
-        assert cold_path.metrics.code_path_hits == 0
-
     def test_cache_accounting_identical_across_modes(self):
         # Hit/miss/eviction counts and residency are mode-independent;
         # byte totals legitimately differ (encoded entries are charged
@@ -284,8 +256,7 @@ class TestEncodedWithSegmentCache:
         stats = {}
         resident_bytes = {}
         for enabled in (False, True):
-            prev = set_encoded_execution(enabled)
-            try:
+            with scans(enabled):
                 db = make_db(cache=True)
                 executor = Executor(db)
                 executor.execute(sql)
@@ -294,8 +265,6 @@ class TestEncodedWithSegmentCache:
                 stats[enabled] = (cache.stats.hits, cache.stats.misses,
                                   cache.stats.evictions, len(cache))
                 resident_bytes[enabled] = cache.bytes_cached
-            finally:
-                set_encoded_execution(prev)
         assert stats[True] == stats[False]
         # Codes are never wider than the decoded representation.
         assert resident_bytes[True] <= resident_bytes[False]
@@ -308,8 +277,7 @@ class TestEncodedWithSegmentCache:
         from repro.storage.segment_cache import _array_bytes
 
         for enabled in (False, True):
-            prev = set_encoded_execution(enabled)
-            try:
+            with scans(enabled):
                 db = make_db(cache=True)
                 executor = Executor(db)
                 executor.execute(
@@ -321,8 +289,6 @@ class TestEncodedWithSegmentCache:
                 for entry in cache._entries.values():
                     if isinstance(entry, EncodedColumn):
                         assert _array_bytes(entry) == entry.codes.nbytes
-            finally:
-                set_encoded_execution(prev)
 
 
 def numeric_schema():
@@ -403,8 +369,8 @@ class TestNumericCodeSpaceUnit:
 
 
 class TestNumericDifferential:
-    """Numeric code paths: identical rows and modeled metrics with the
-    encoded flag on and off (the encoded run only changes wall-clock)."""
+    """Numeric code paths: identical rows and modeled metrics as the
+    decoded reference (the encoded run only changes wall-clock)."""
 
     def test_rle_group_by_with_sums(self):
         on, _ = assert_differential(
@@ -530,20 +496,10 @@ class TestSpillingAggregates:
     SQL = ("SELECT city, qty, count(*) c, sum(id) s FROM t "
            "GROUP BY city, qty ORDER BY c, city, qty")
 
-    def run_both(self):
-        off = run_query(
-            lambda: make_db(n=6000), self.SQL, enabled=False)
-        on = run_query(
-            lambda: make_db(n=6000), self.SQL, enabled=True)
-        return on, off
-
     def run_tight(self, enabled):
-        prev = set_encoded_execution(enabled)
-        try:
+        with scans(enabled):
             return Executor(make_db(n=6000)).execute(
                 self.SQL, memory_grant_bytes=2048)
-        finally:
-            set_encoded_execution(prev)
 
     def test_spill_differential_under_tight_grant(self):
         on = self.run_tight(True)
@@ -564,148 +520,18 @@ class TestSpillingAggregates:
         )
         from repro.engine.expressions import ColumnRef
 
-        prev = set_encoded_execution(True)
-        try:
-            db = make_db(n=6000)
-            table = db.table("t")
-            agg = HashAggregate(
-                ColumnstoreScan(table, table.primary, ["city", "qty"]),
-                ["city", "qty"],
-                [AggregateSpec("count", None, "c")])
-            ctx = ExecutionContext(memory_grant_bytes=2048)
-            list(agg.execute(ctx))
-        finally:
-            set_encoded_execution(prev)
+        db = make_db(n=6000)
+        table = db.table("t")
+        agg = HashAggregate(
+            ColumnstoreScan(table, table.primary, ["city", "qty"]),
+            ["city", "qty"],
+            [AggregateSpec("count", None, "c")])
+        ctx = ExecutionContext(memory_grant_bytes=2048)
+        list(agg.execute(ctx))
         assert agg.spilled
         assert agg.spill_bytes_written > 0
         assert agg.spill_bytes_written < agg.spill_bytes_decoded
         assert "SPILLED" in agg.describe()
-
-
-class TestAdaptiveLayouts:
-    """ByteStore-style adaptive per-column layouts: the DMV-observed
-    access mix drives the encodings a REBUILD chooses, both directions."""
-
-    def _index(self):
-        db = make_numeric_db(n=3000)
-        return db, db.table("n").primary
-
-    def test_point_heavy_mix_switches_to_positional(self):
-        from repro.storage.layout import AdaptiveLayoutPolicy
-
-        db, index = self._index()
-        index.layout_policy = AdaptiveLayoutPolicy()
-        before = index.column_encodings()
-        assert before["bucket"] == ENCODING_RLE
-        index.usage.reset()
-        for _ in range(200):
-            index.usage.record_seek()
-        index.rebuild()
-        after = index.column_encodings()
-        assert after["bucket"] == "bitpack"
-        # Rows survive the layout flip untouched.
-        assert Executor(db).execute(
-            "SELECT count(*) FROM n").scalar() == 3000
-
-    def test_scan_heavy_mix_switches_back(self):
-        from repro.storage.layout import AdaptiveLayoutPolicy
-
-        db, index = self._index()
-        index.layout_policy = AdaptiveLayoutPolicy()
-        index.usage.reset()
-        for _ in range(200):
-            index.usage.record_seek()
-        index.rebuild()
-        assert index.column_encodings()["bucket"] == "bitpack"
-        index.usage.reset()
-        for _ in range(200):
-            index.usage.record_scan()
-        index.rebuild()
-        assert index.column_encodings()["bucket"] == ENCODING_RLE
-
-    def test_few_observations_keep_default_layout(self):
-        from repro.storage.layout import AdaptiveLayoutPolicy
-
-        db, index = self._index()
-        index.layout_policy = AdaptiveLayoutPolicy(min_observations=16)
-        index.usage.reset()
-        index.usage.record_seek()
-        decisions = index.layout_policy.choose(index.usage, index.columns)
-        assert all(d.forced_encoding is None for d in decisions.values())
-        assert all("keeping" in d.reason for d in decisions.values())
-
-    def test_size_bytes_reflects_forced_encoding(self):
-        db, index = self._index()
-        before = index.size_bytes()
-        from repro.storage.layout import AdaptiveLayoutPolicy
-        index.layout_policy = AdaptiveLayoutPolicy()
-        index.usage.reset()
-        for _ in range(200):
-            index.usage.record_seek()
-        index.rebuild()
-        # Positional bitpack forgoes RLE on the run-friendly column, so
-        # the truthful size grows.
-        assert index.size_bytes() > before
-
-
-class TestCompressionAwareCosting:
-    """Kimura-style costing: decode CPU differs by scheme, opt-in only."""
-
-    def _options(self, aware):
-        from repro.optimizer.cost_model import CostModel, CostingOptions
-        return CostingOptions(cost_model=CostModel(),
-                              compression_aware=aware)
-
-    def _descriptor(self, encodings):
-        from repro.optimizer.whatif import hypothetical_columnstore
-        return hypothetical_columnstore(
-            "t", ["a", "b"], {"a": 1000, "b": 1000},
-            column_encodings=encodings)
-
-    def test_flag_off_is_numerically_identical(self):
-        from repro.optimizer import cost_model as cm
-
-        descriptor = self._descriptor({"a": "rle", "b": "rle"})
-        baseline = cm.cost_csi_scan(
-            self._options(False), descriptor, 100_000,
-            {"a": 1000, "b": 1000})
-        with_enc = cm.cost_csi_scan(
-            self._options(False), descriptor, 100_000,
-            {"a": 1000, "b": 1000},
-            encodings=descriptor.column_encodings)
-        assert with_enc == baseline
-
-    def test_same_sizes_different_encodings_different_costs(self):
-        from repro.optimizer import cost_model as cm
-
-        options = self._options(True)
-        cost_rle = cm.cost_csi_scan(
-            options, self._descriptor({"a": "rle", "b": "rle"}),
-            100_000, {"a": 1000, "b": 1000},
-            encodings={"a": "rle", "b": "rle"})
-        cost_dict = cm.cost_csi_scan(
-            options, self._descriptor({"a": "dict", "b": "dict"}),
-            100_000, {"a": 1000, "b": 1000},
-            encodings={"a": "dict", "b": "dict"})
-        assert cost_rle < cost_dict
-
-    def test_run_modelling_emits_encodings(self):
-        from repro.advisor.size_estimation import estimate_run_modelling
-
-        db = make_numeric_db(n=2000)
-        estimate = estimate_run_modelling(
-            db.table("n"), ["id", "bucket"], sampling_ratio=0.5)
-        assert set(estimate.column_encodings) == {"id", "bucket"}
-        assert all(e in ("rle", "dict", "bitpack", "raw")
-                   for e in estimate.column_encodings.values())
-
-    def test_real_descriptors_carry_encodings(self):
-        from repro.optimizer.catalog import describe_physical_index
-
-        db = make_numeric_db(n=2000)
-        table = db.table("n")
-        descriptor = describe_physical_index(table, table.primary)
-        assert descriptor.column_encodings == table.primary.column_encodings()
 
 
 class TestConcurrentEncodedSessions:
@@ -735,17 +561,13 @@ class TestConcurrentEncodedSessions:
             except Exception as exc:  # pragma: no cover - diagnostics
                 errors.append((sql, exc))
 
-        prev = set_encoded_execution(True)
-        try:
-            with SessionManager(db, morsel_workers=4) as manager:
-                threads = [threading.Thread(target=worker, args=(sql,))
-                           for sql in sqls]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-        finally:
-            set_encoded_execution(prev)
+        with SessionManager(db, morsel_workers=4) as manager:
+            threads = [threading.Thread(target=worker, args=(sql,))
+                       for sql in sqls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         assert not errors
         assert results == expected
 
@@ -765,9 +587,5 @@ class TestScanProducesEncodedColumns:
 
     def test_scan_counts_late_materialized_columns(self):
         db = make_db(n=1000)
-        prev = set_encoded_execution(True)
-        try:
-            res = Executor(db).execute("SELECT city FROM t WHERE id < 10")
-        finally:
-            set_encoded_execution(prev)
+        res = Executor(db).execute("SELECT city FROM t WHERE id < 10")
         assert res.metrics.columns_late_materialized > 0

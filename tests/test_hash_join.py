@@ -3,8 +3,9 @@
 (a) a fixed corpus on the CH database reproduces the rows (in order),
     ``QueryMetrics``, ``explain()`` and per-span ``rows_out``/batches
     recorded from the row-at-a-time join this implementation replaced
-    (``tests/data/hash_join_expected.json``), with encoded execution on
-    and off and with a grant the build side overflows;
+    (``tests/data/hash_join_expected.json``), with encoded scans and
+    the decoded reference (``tests/reference_scan.py``), and with a
+    grant the build side overflows;
 (b) small random inputs give ``sqlite3``'s inner join, in "probe order,
     then build arrival order";
 (c) NULL join keys never match, under every physical design and plan;
@@ -43,6 +44,7 @@ from repro.storage.compression import Dictionary
 from repro.storage.database import Database
 from repro.workloads.ch import ch_analytic_queries
 from tests.oracle import examples, sqlite_answer
+from tests.reference_scan import scans
 
 EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "data",
                              "hash_join_expected.json")
@@ -121,34 +123,34 @@ def record_corpus(database):
     executor = Executor(database)
     record = {}
     for encoded, grant in MODES:
-        executor.encoded_execution = encoded
-        for name, sql in CORPUS_SQL:
-            analyzed = executor.explain_analyze(sql, memory_grant_bytes=grant)
-            result = analyzed.result
-            record[mode_label(name, encoded, grant)] = {
-                "rows": len(result.rows),
-                "head": [list(row) for row in result.rows[:3]],
-                "rows_digest": rows_digest(result.rows),
-                "metrics": dataclasses.asdict(result.metrics),
-                "explain": result.plan.explain(),
-                "spans": [[span.label, span.rows_out, span.batches_out,
-                           span.fallback_reasons]
-                          for span in analyzed.root_span.walk()],
-            }
-        for name, op in operator_corpus(database):
-            ctx = ExecutionContext(memory_grant_bytes=grant,
-                                   encoded_execution=encoded)
-            batches = [batch_to_rows(batch, op.output_columns)
-                       for batch in op.execute(ctx)]
-            rows = [row for batch in batches for row in batch]
-            record[mode_label(name, encoded, grant)] = {
-                "rows": len(rows),
-                "head": [list(row) for row in rows[:3]],
-                "rows_digest": rows_digest(rows),
-                "metrics": dataclasses.asdict(ctx.metrics),
-                "explain": op.describe(),
-                "batches": [len(batch) for batch in batches],
-            }
+        with scans(encoded):
+            for name, sql in CORPUS_SQL:
+                analyzed = executor.explain_analyze(
+                    sql, memory_grant_bytes=grant)
+                result = analyzed.result
+                record[mode_label(name, encoded, grant)] = {
+                    "rows": len(result.rows),
+                    "head": [list(row) for row in result.rows[:3]],
+                    "rows_digest": rows_digest(result.rows),
+                    "metrics": dataclasses.asdict(result.metrics),
+                    "explain": result.plan.explain(),
+                    "spans": [[span.label, span.rows_out, span.batches_out,
+                               span.fallback_reasons]
+                              for span in analyzed.root_span.walk()],
+                }
+            for name, op in operator_corpus(database):
+                ctx = ExecutionContext(memory_grant_bytes=grant)
+                batches = [batch_to_rows(batch, op.output_columns)
+                           for batch in op.execute(ctx)]
+                rows = [row for batch in batches for row in batch]
+                record[mode_label(name, encoded, grant)] = {
+                    "rows": len(rows),
+                    "head": [list(row) for row in rows[:3]],
+                    "rows_digest": rows_digest(rows),
+                    "metrics": dataclasses.asdict(ctx.metrics),
+                    "explain": op.describe(),
+                    "batches": [len(batch) for batch in batches],
+                }
     return record
 
 
@@ -395,9 +397,9 @@ class TestNullKeysNeverMatch:
         database = null_database(
             design, [(1, 1, 10), (2, None, 20), (3, None, 30), (4, 3, 40)])
         executor = Executor(database)
-        executor.encoded_execution = encoded
         assert "HASH JOIN" in executor.explain(NULL_JOIN)
-        rows = sorted(executor.execute(NULL_JOIN).rows)
+        with scans(encoded):
+            rows = sorted(executor.execute(NULL_JOIN).rows)
         assert rows == sqlite_answer(database, NULL_JOIN) == [(1, 1), (3, 4)]
 
     def test_index_nested_loop_join(self, design, encoded):
@@ -405,9 +407,9 @@ class TestNullKeysNeverMatch:
             design, [(i, i, i * 10) for i in range(50_000)], b_nullable=False)
         database.table("b").create_secondary_btree("ix_k", ["k"])
         executor = Executor(database)
-        executor.encoded_execution = encoded
         assert "INL JOIN" in executor.explain(NULL_JOIN)
-        rows = sorted(executor.execute(NULL_JOIN).rows)
+        with scans(encoded):
+            rows = sorted(executor.execute(NULL_JOIN).rows)
         assert rows == sqlite_answer(database, NULL_JOIN) == [(1, 1), (3, 3)]
 
 

@@ -15,6 +15,7 @@ from repro.engine.executor import Executor
 from repro.storage.database import Database
 from repro.workloads.tpch import generate_tpch
 from tests.oracle import sqlite_mirror
+from tests.reference_scan import scans
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 
@@ -109,23 +110,23 @@ class TestCrossDesignCorrectness:
         DESIGN_SETUPS[design](table)
         oracle = sqlite_mirror([table])
         executor = Executor(db)
-        executor.encoded_execution = encoded
-        for sql in (
-            "SELECT count(*) FROM lineitem WHERE l_orderkey < 0",
-            "SELECT count(*), count(l_quantity), sum(l_quantity), "
-            "avg(l_quantity), min(l_returnflag), max(l_linenumber) "
-            "FROM lineitem WHERE l_orderkey < 0",
-            "SELECT sum(l_quantity) FROM lineitem "
-            "WHERE l_orderkey < 0 AND l_returnflag = 'R'",
-            "SELECT l_returnflag, count(*) FROM lineitem "
-            "WHERE l_orderkey < 0 GROUP BY l_returnflag",
-            "SELECT DISTINCT l_returnflag FROM lineitem "
-            "WHERE l_orderkey < 0",
-            "SELECT count(*), max(l_linenumber) FROM lineitem "
-            "WHERE l_orderkey = 1",
-        ):
-            assert executor.execute(sql).rows \
-                == oracle.execute(sql).fetchall(), sql
+        with scans(encoded):
+            for sql in (
+                "SELECT count(*) FROM lineitem WHERE l_orderkey < 0",
+                "SELECT count(*), count(l_quantity), sum(l_quantity), "
+                "avg(l_quantity), min(l_returnflag), max(l_linenumber) "
+                "FROM lineitem WHERE l_orderkey < 0",
+                "SELECT sum(l_quantity) FROM lineitem "
+                "WHERE l_orderkey < 0 AND l_returnflag = 'R'",
+                "SELECT l_returnflag, count(*) FROM lineitem "
+                "WHERE l_orderkey < 0 GROUP BY l_returnflag",
+                "SELECT DISTINCT l_returnflag FROM lineitem "
+                "WHERE l_orderkey < 0",
+                "SELECT count(*), max(l_linenumber) FROM lineitem "
+                "WHERE l_orderkey = 1",
+            ):
+                assert executor.execute(sql).rows \
+                    == oracle.execute(sql).fetchall(), sql
 
 
 NOT_PREDICATES = (
@@ -166,19 +167,19 @@ class TestNotOverUnknown:
             table.set_primary_columnstore(rowgroup_size=128)
         oracle = sqlite_mirror([table])
         executor = Executor(db)
-        executor.encoded_execution = encoded
-        everything = "SELECT k, a, s FROM t ORDER BY k"
-        for predicate in NOT_PREDICATES:
-            select = f"SELECT k FROM t WHERE {predicate} ORDER BY k"
-            assert executor.execute(select).rows \
-                == oracle.execute(select).fetchall(), predicate
-        for predicate in NOT_PREDICATES:
-            for dml in (f"UPDATE t SET a = 13 WHERE k < 300 AND {predicate}",
-                        f"DELETE FROM t WHERE k >= 300 AND {predicate}"):
-                executor.execute(dml)
-                oracle.execute(dml)
-                assert executor.execute(everything).rows \
-                    == oracle.execute(everything).fetchall(), dml
+        with scans(encoded):
+            everything = "SELECT k, a, s FROM t ORDER BY k"
+            for predicate in NOT_PREDICATES:
+                select = f"SELECT k FROM t WHERE {predicate} ORDER BY k"
+                assert executor.execute(select).rows \
+                    == oracle.execute(select).fetchall(), predicate
+            for predicate in NOT_PREDICATES:
+                for dml in (f"UPDATE t SET a = 13 WHERE k < 300 AND {predicate}",
+                            f"DELETE FROM t WHERE k >= 300 AND {predicate}"):
+                    executor.execute(dml)
+                    oracle.execute(dml)
+                    assert executor.execute(everything).rows \
+                        == oracle.execute(everything).fetchall(), dml
 
 
 class TestDmlConsistencyAcrossIndexes:

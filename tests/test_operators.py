@@ -34,6 +34,7 @@ from repro.engine.operators import (
 )
 from repro.storage.table import Table
 from tests.oracle import sqlite_mirror
+from tests.reference_scan import scans
 
 
 def make_table(n=1000, with_btree=True):
@@ -321,21 +322,20 @@ class TestAggregates:
             return BTreeSeek(table, ["a", "b", "s"],
                              residual=pred("a", "<", 0))
 
-        ctx = ExecutionContext(encoded_execution=encoded)
-        child_rows, child_ctx = drain(
-            no_rows(), ExecutionContext(encoded_execution=encoded))
-        assert child_rows == []
-        rows, ctx = drain(operator(no_rows(), [], specs), ctx)
-        assert rows == scalar
-        # The row costs nothing: all modeled time is the child's.
-        assert ctx.metrics.elapsed_ms == child_ctx.metrics.elapsed_ms
-        assert ctx.metrics.memory_peak_bytes == 0
-        child = no_rows()
-        if operator is StreamAggregate and batch_mode:
-            child = Sort(child, [SortKey("a")])     # a scan has no order
-        rows, _ = drain(operator(child, ["a"], specs),
-                        ExecutionContext(encoded_execution=encoded))
-        assert rows == grouped
+        with scans(encoded):
+            ctx = ExecutionContext()
+            child_rows, child_ctx = drain(no_rows(), ExecutionContext())
+            assert child_rows == []
+            rows, ctx = drain(operator(no_rows(), [], specs), ctx)
+            assert rows == scalar
+            # The row costs nothing: all modeled time is the child's.
+            assert ctx.metrics.elapsed_ms == child_ctx.metrics.elapsed_ms
+            assert ctx.metrics.memory_peak_bytes == 0
+            child = no_rows()
+            if operator is StreamAggregate and batch_mode:
+                child = Sort(child, [SortKey("a")])     # a scan has no order
+            rows, _ = drain(operator(child, ["a"], specs), ExecutionContext())
+            assert rows == grouped
 
 
 class TestJoins:

@@ -281,34 +281,6 @@ class TestSessionLayer:
             with pytest.raises(SqlError):
                 statement_writes(text)
 
-    def test_per_session_encoded_override(self):
-        from repro.core.schema import Column, TableSchema
-        from repro.core.types import INT, varchar
-        database = Database()
-        table = database.create_table(TableSchema("t", [
-            Column("k", INT, nullable=False),
-            Column("s", varchar(10)),
-        ]))
-        table.bulk_load([(i, f"v{i % 5}") for i in range(5000)])
-        table.set_primary_columnstore(rowgroup_size=1024)
-        with SessionManager(database) as manager:
-            encoded = manager.session(encoded_execution=True)
-            decoded = manager.session(encoded_execution=False)
-            sql = "SELECT count(*) FROM t WHERE s = 'v3'"
-            on = encoded.execute(sql)
-            off = decoded.execute(sql)
-            assert on.scalar() == off.scalar()
-            assert on.metrics.columns_late_materialized > 0
-            assert off.metrics.columns_late_materialized == 0
-            # The attribute is live: reassigning it changes the next
-            # statement.
-            assert decoded.encoded_execution is False
-            decoded.encoded_execution = True
-            assert (decoded.execute(sql).metrics.columns_late_materialized
-                    == on.metrics.columns_late_materialized)
-            encoded.close()
-            decoded.close()
-
     def test_transaction_blocks_other_sessions(self):
         database = _micro_db(n_rows=2000, rowgroup_size=1024)
         order = []

@@ -1,69 +1,17 @@
 """Regression tests for the shared-state fixes behind the serving layer.
 
 Each class targets one of the bugs the multi-session work exposed: the
-process-global encoded-execution leak, the unsynchronized segment
-cache, the statement-clock / usage-stamp races, and the fault
-injector's shared suspend depth and one-shot arming race.
+unsynchronized segment cache, the statement-clock / usage-stamp races,
+and the fault injector's shared suspend depth and one-shot arming race.
 """
 
 import threading
 
 import numpy as np
-import pytest
 
-from repro.engine.encoded import (
-    encoded_execution,
-    encoded_execution_enabled,
-    set_encoded_execution,
-)
-from repro.engine.costs import CostModel
-from repro.engine.metrics import ExecutionContext
 from repro.storage.faults import FaultInjector, InjectedFault
 from repro.storage.segment_cache import DecodedSegmentCache
 from repro.storage.telemetry import IndexUsageStats, LogicalClock
-
-
-class TestEncodedExecutionScoping:
-    def teardown_method(self):
-        set_encoded_execution(True)
-
-    def test_context_manager_restores_previous_value(self):
-        set_encoded_execution(True)
-        with encoded_execution(False):
-            assert not encoded_execution_enabled()
-        assert encoded_execution_enabled()
-
-    def test_context_manager_restores_on_exception(self):
-        set_encoded_execution(True)
-        with pytest.raises(RuntimeError):
-            with encoded_execution(False):
-                raise RuntimeError("boom")
-        assert encoded_execution_enabled()
-
-    def test_set_returns_previous_value(self):
-        set_encoded_execution(True)
-        assert set_encoded_execution(False) is True
-        assert set_encoded_execution(True) is False
-
-    def test_per_context_override_beats_global(self):
-        model = CostModel()
-        set_encoded_execution(True)
-        ctx_off = ExecutionContext(model, encoded_execution=False)
-        ctx_on = ExecutionContext(model, encoded_execution=True)
-        ctx_default = ExecutionContext(model)
-        assert not ctx_off.encoded_enabled()
-        assert ctx_on.encoded_enabled()
-        assert ctx_default.encoded_enabled()
-        set_encoded_execution(False)
-        assert not ctx_default.encoded_enabled()
-        assert ctx_on.encoded_enabled()
-
-    def test_worker_context_inherits_override(self):
-        model = CostModel()
-        set_encoded_execution(True)
-        ctx = ExecutionContext(model, encoded_execution=False)
-        worker = ctx.spawn_worker()
-        assert not worker.encoded_enabled()
 
 
 class TestSegmentCacheThreadSafety:
