@@ -52,12 +52,21 @@ class AggregateSpec:
 class _GroupStates:
     """Accumulators of every group seen so far, one slot per group: the
     row count, and per aggregate (one array row each) the non-NULL
-    count, the running sum and the running minimum or maximum."""
+    count, the running sum and the running minimum or maximum.
+
+    A sum is kept twice: in float64, and as an exact integer for as long
+    as every value summed into the slot is an integer (``inexact`` is
+    set by the first one that is not). The exact sum is held modulo
+    2**64 in ``ints``; the float64 sum of the same values is far closer
+    than 2**63 to it, so it tells how often ``ints`` wrapped (see
+    :meth:`sum_values`), whatever the order the parts were added in."""
 
     def __init__(self, n_aggs: int, capacity: int = 16):
         self.totals = np.zeros(capacity, dtype=np.int64)
         self.counts = np.zeros((n_aggs, capacity), dtype=np.int64)
         self.sums = np.zeros((n_aggs, capacity), dtype=np.float64)
+        self.ints = np.zeros((n_aggs, capacity), dtype=np.int64)
+        self.inexact = np.zeros((n_aggs, capacity), dtype=bool)
         self.best = np.full((n_aggs, capacity), None, dtype=object)
 
     def reserve(self, n_slots: int) -> None:
@@ -66,7 +75,7 @@ class _GroupStates:
         if n_slots <= capacity:
             return
         grown = _GroupStates(len(self.counts), max(n_slots, 2 * capacity))
-        for name in ("totals", "counts", "sums", "best"):
+        for name in ("totals", "counts", "sums", "ints", "inexact", "best"):
             values = getattr(grown, name)
             values[..., :capacity] = getattr(self, name)
             setattr(self, name, values)
@@ -82,12 +91,66 @@ class _GroupStates:
             return self.best[i, slots].tolist()
         # sum / avg of no non-NULL value is NULL.
         seen = counts > 0
-        values = self.sums[i, slots][seen]
+        values = self.sum_values(i, slots, spec)[seen]
         if spec.func == "avg":
             values = values / counts[seen]
         out = np.full(len(slots), None, dtype=object)
         out[seen] = values
         return out.tolist()
+
+    def add_sums(self, i: int, slots: np.ndarray, values: np.ndarray,
+                 starts: np.ndarray) -> None:
+        """Add the sum of each segment of ``values`` (see
+        :meth:`_AggregateBase._fold`) to aggregate ``i`` of ``slots``."""
+        floats, exact = _segment_sums(values, starts)
+        self.sums[i][slots] += floats
+        if exact is None:
+            self.inexact[i][slots] = True
+            return
+        if exact.dtype == object:
+            # Python ints: the non-integer segments are None.
+            integral = exact != None  # noqa: E711 - elementwise None test
+            self.inexact[i][slots[~integral]] = True
+            slots = slots[integral]
+            exact = np.array([(v + _HALF) % _WRAP - _HALF
+                              for v in exact[integral]], dtype=np.int64)
+        self.ints[i][slots] += exact    # modulo 2**64, without a warning
+
+    def sum_values(self, i: int, slots: np.ndarray,
+                   spec: AggregateSpec) -> np.ndarray:
+        """Aggregate ``i``'s sums for ``slots``: the float64 sum where a
+        value was not an integer, else the exact sum — for SUM the
+        float64 it rounds to, and one beyond int64 is the statement's
+        error; for AVG the Python int, which it divides.
+
+        ``ints`` is the exact sum modulo 2**64. The float64 sum of the
+        same values is off the exact one by ~2**-53 of their magnitudes
+        times the rows summed, far less than 2**63, so rounding the
+        difference to a multiple of 2**64 gives the wraps exactly."""
+        sums, inexact = self.sums[i][slots], self.inexact[i][slots]
+        n_inexact = np.count_nonzero(inexact)
+        if n_inexact == len(slots):
+            return sums
+        ints = self.ints[i][slots]
+        rounded = ints.astype(np.float64)
+        wraps = np.rint((sums - rounded) / float(_WRAP))
+        if n_inexact:
+            wraps[inexact] = 0
+            rounded[inexact] = sums[inexact]
+        if spec.func == "sum":
+            if np.count_nonzero(wraps):
+                raise ExecutionError(f"integer overflow in sum({spec.expr})")
+            return rounded
+        exact = ~inexact
+        out = sums.astype(object)
+        out[exact] = [t + int(w) * _WRAP for t, w
+                      in zip(ints[exact].tolist(), wraps[exact].tolist())]
+        return out
+
+
+#: An exact integer sum is held modulo 2**64 as an int64.
+_WRAP = 1 << 64
+_HALF = 1 << 63
 
 
 class _AggregateBase(PhysicalOperator):
@@ -147,12 +210,12 @@ class _AggregateBase(PhysicalOperator):
         Every argument is reduced over the segment starts and the
         batch's partial results are merged by slot. The arithmetic is
         fixed so that a result does not depend on how the input was
-        batched, encoded or grouped: integers sum exactly in int64,
-        floats with one ``sum()`` per contiguous segment (numpy's
-        pairwise rounding depends on where a summation starts and
-        ends), objects with Python's ``sum``/``min``/``max`` per
-        segment, and partial sums are added to the state as float64 in
-        batch order. An encoded argument is counted once per batch as a
+        batched, encoded or grouped: integers sum exactly (modulo 2**64
+        in int64, see :class:`_GroupStates`), floats with one ``sum()``
+        per contiguous segment (numpy's pairwise rounding depends on
+        where a summation starts and ends), objects with Python's
+        ``sum``/``min``/``max`` per segment, and partial float sums are
+        added to the state in batch order. An encoded argument is counted once per batch as a
         code-path hit or fallback: count/min/max reduce its codes (the
         dictionary is sorted, so the extreme code is the extreme value)
         and decode one value per group; sum/avg read the decoded values,
@@ -197,7 +260,7 @@ class _AggregateBase(PhysicalOperator):
                 if not len(target):
                     continue
             if spec.func in ("sum", "avg"):
-                states.sums[i][target] += _segment_sums(values, at)
+                states.add_sums(i, target, values, at)
             elif spec.func in ("min", "max"):
                 best = _segment_extremes(spec.func, values, at)
                 if dictionary is not None:
@@ -224,15 +287,23 @@ class _AggregateBase(PhysicalOperator):
                       for name, values in zip(self.output_columns, columns)})
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum of each segment of ``values`` as float64 (see ``_fold``)."""
+def _segment_sums(values: np.ndarray, starts: np.ndarray
+                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sum of each segment of ``values`` (see ``_fold``): ``(floats,
+    exact)``, the float64 sums and the exact integer ones — int64
+    modulo 2**64 for an integer array, Python ints for an object array
+    (None for a segment that holds a non-integer), None for floats."""
     if values.dtype.kind in "iub":
-        return np.add.reduceat(
-            values, starts, dtype=np.int64).astype(np.float64)
-    total = sum if values.dtype == object else np.sum
-    return np.array([
-        float(total(values[start:end])) for start, end in _bounds(values, starts)
-    ], dtype=np.float64)
+        return (np.add.reduceat(values, starts, dtype=np.float64),
+                np.add.reduceat(values, starts, dtype=np.int64))
+    if values.dtype != object:
+        return np.array([
+            float(np.sum(values[start:end]))
+            for start, end in _bounds(values, starts)], dtype=np.float64), None
+    sums = [sum(values[start:end]) for start, end in _bounds(values, starts)]
+    exact = np.empty(len(sums), dtype=object)
+    exact[:] = [v if isinstance(v, int) else None for v in sums]
+    return np.array([float(v) for v in sums], dtype=np.float64), exact
 
 
 def _segment_extremes(func: str, values: np.ndarray,

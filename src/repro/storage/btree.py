@@ -24,11 +24,14 @@ by the operators that consume the rows, so the same index can feed row-mode
 and batch-mode plans with different CPU costs.
 
 Scan protocol: every range read hands out **leaf chunks** — one
-``(keys, values)`` pair of equal-length lists per leaf touched, in key
-order, never empty. A leaf that lies wholly inside the bounds is handed
-out as the leaf's own lists (borrowed, not copied: read them, never
-mutate them, and do not keep them past the statement whose latch
-protects the tree); the first and last leaf are sliced at the bounds.
+``(keys, values)`` pair of equal-length sequences per leaf touched, in
+key order, never empty. ``keys`` is a list; ``values`` is a list, or for
+a leaf faulted in from a snapshot page a read-only sequence that builds
+a row when it is indexed, sliced or iterated. A leaf that lies wholly
+inside the bounds is handed out as the leaf's own sequences (borrowed,
+not copied: read them, never mutate or concatenate them, and do not keep
+them past the statement whose latch protects the tree); the first and
+last leaf are sliced at the bounds, which gives lists.
 :func:`iter_entries` flattens chunks into pairs for per-entry consumers.
 """
 
@@ -46,8 +49,9 @@ from repro.storage.telemetry import IndexUsageStats
 
 Key = Tuple[object, ...]
 Row = Tuple[object, ...]
-#: One leaf's worth of a scan: equal-length key and value lists.
-Chunk = Tuple[List[Key], List[Row]]
+#: One leaf's worth of a scan: a key list and an equal-length value
+#: sequence (see the module docstring).
+Chunk = Tuple[List[Key], Sequence[Row]]
 
 
 def iter_entries(chunks: Iterable[Chunk]) -> Iterator[Tuple[Key, Row]]:
@@ -60,9 +64,9 @@ def iter_entries(chunks: Iterable[Chunk]) -> Iterator[Tuple[Key, Row]]:
         yield from zip(keys, values)
 
 
-def _clip_leaf(keys: List[Key], values: List[Row], low: Optional[Key],
+def _clip_leaf(keys: List[Key], values: Sequence[Row], low: Optional[Key],
                high: Optional[Key], low_inclusive: bool,
-               high_inclusive: bool) -> Tuple[List[Key], List[Row], bool]:
+               high_inclusive: bool) -> Tuple[List[Key], Sequence[Row], bool]:
     """The part of one leaf inside the bounds, and whether the scan ends
     here (the leaf's last key reaches ``high``). ``low`` is passed for
     the first leaf only; a leaf wholly inside comes back as it is."""
@@ -782,8 +786,9 @@ class PagedLeafSource:
     internal structure resident, leaves paged).
 
     ``read_page(offset, length)`` decodes one PT_BTREE_LEAF page into
-    its ``(keys, values)`` chunk — the shape of a resident leaf, which
-    is what the pool caches; it is supplied by
+    its ``(keys, values)`` chunk, which is what the pool caches: the key
+    list of a resident leaf, and values that are a list or a read-only
+    sequence building each row when it is read. It is supplied by
     :mod:`repro.storage.pages` so this module stays codec-free.
     """
 

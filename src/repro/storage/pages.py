@@ -28,7 +28,8 @@ str/bytes, containers, and 1-D numpy arrays (object arrays element-wise)
 — so numpy segment payloads round-trip bit-exactly. A long sequence
 whose items share one fixed layout (a B+ leaf's entries, a page of
 integer rows) is written and read as one numpy record array, in the same
-bytes the per-value encoding gives.
+bytes the per-value encoding gives; a B+ leaf page faulted in by a paged
+index keeps its entries as that array's columns (:class:`Records`).
 
 Snapshot layout: one :data:`PT_CATALOG` page, then per table a
 :data:`PT_TABLE` page, :data:`PT_ROWS` pages chunking the canonical row
@@ -53,8 +54,9 @@ import os
 import struct
 import threading
 import zlib
+from collections.abc import Sequence
 from itertools import repeat
-from typing import BinaryIO, Dict, List, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -209,19 +211,24 @@ def pack_value(value: object, out: bytearray) -> None:
             f"value of type {type(value).__name__} cannot be serialized")
 
 
-def unpack_value(buf, offset: int = 0) -> Tuple[object, int]:
+def unpack_value(buf, offset: int = 0,
+                 lazy: bool = False) -> Tuple[object, int]:
     """Decode one value at ``offset`` of ``buf`` (any bytes-like object);
     returns (value, next offset). Input that is not a whole encoding
     raises :class:`StorageError`, never another exception type, so a
     reader that catches it (the WAL scan, the snapshot loader) sees every
-    malformed payload."""
+    malformed payload.
+
+    With ``lazy``, a fixed-layout list that is the value or one of its
+    dict values (a B+ leaf page's entries) decodes to :class:`Records`
+    instead of a list; lists nested deeper decode as usual."""
     try:
-        return _unpack(buf, offset)
+        return _unpack(buf, offset, lazy)
     except RecursionError:
         raise StorageError("value payload nested too deeply") from None
 
 
-def _unpack(buf, offset: int) -> Tuple[object, int]:
+def _unpack(buf, offset: int, lazy: bool = False) -> Tuple[object, int]:
     try:
         tag = buf[offset]
     except IndexError:
@@ -250,7 +257,7 @@ def _unpack(buf, offset: int) -> Tuple[object, int]:
                     f"undecodable {what} payload {raw[:32]!r}") from None
         if tag in (_T_LIST, _T_TUPLE):
             (count,) = _U32.unpack_from(buf, offset)
-            items, offset = _unpack_items(buf, offset + 4, count)
+            items, offset = _unpack_items(buf, offset + 4, count, lazy)
             return (items if tag == _T_LIST else tuple(items)), offset
         if tag == _T_DICT:
             (count,) = _U32.unpack_from(buf, offset)
@@ -258,7 +265,7 @@ def _unpack(buf, offset: int) -> Tuple[object, int]:
             result = {}
             for _ in range(count):
                 key, offset = _unpack(buf, offset)
-                val, offset = _unpack(buf, offset)
+                val, offset = _unpack(buf, offset, lazy)
                 try:
                     result[key] = val
                 except TypeError:
@@ -383,12 +390,17 @@ def _describe(column, template: bytearray,
     return True
 
 
-def _unpack_items(buf, offset: int, count: int) -> Tuple[list, int]:
-    """Decode ``count`` consecutive values; returns (list, next offset)."""
+def _unpack_items(buf, offset: int, count: int, lazy: bool = False
+                  ) -> Tuple[Sequence, int]:
+    """Decode ``count`` consecutive values; returns (list, next offset),
+    or with ``lazy`` (:class:`Records`, next offset) when the values
+    share one fixed layout."""
     if count >= _MIN_RECORDS:
-        decoded = _unpack_records(buf, offset, count)
-        if decoded is not None:
-            return decoded
+        layout = _fixed_layout(buf, offset, count)
+        if layout is not None:
+            shape, columns, end = layout
+            records = Records(shape, columns, count)
+            return (records if lazy else records[:]), end
     items = []
     for _ in range(count):
         item, offset = _unpack(buf, offset)
@@ -396,11 +408,14 @@ def _unpack_items(buf, offset: int, count: int) -> Tuple[list, int]:
     return items, offset
 
 
-def _unpack_records(buf, offset: int, count: int
-                    ) -> Optional[Tuple[list, int]]:
-    """``count`` values at ``offset`` decoded as one record array, or None
-    when they are not all of the first value's fixed layout (or run past
-    the buffer: the per-value path then raises what it raises).
+def _fixed_layout(buf, offset: int, count: int
+                  ) -> Optional[Tuple[object, List[np.ndarray], int]]:
+    """The ``count`` values at ``offset`` as one record array: ``(shape,
+    columns, end)``, where ``columns`` holds one array per int64/float64
+    slot of the layout (copies: the page buffer is never kept) and
+    ``shape`` says how they nest; None when the values are not all of the
+    first value's fixed layout (or run past the buffer: the per-value
+    path then raises what it raises).
 
     The check is exact. Decoding reads structure only from tag and count
     bytes, each at a position the earlier ones fix, so a record whose tag
@@ -434,8 +449,8 @@ def _unpack_records(buf, offset: int, count: int
             "offsets": [at for at, _ in formats],
             "itemsize": itemsize,
         }), count, offset)
-        columns = [records[name].tolist() for name in records.dtype.names]
-    return list(_rebuild(shape, columns, count)), end
+        columns = [records[name].copy() for name in records.dtype.names]
+    return shape, columns, end
 
 
 def _learn(buf, at: int, start: int, positions: List[int],
@@ -467,17 +482,56 @@ def _learn(buf, at: int, start: int, positions: List[int],
     return (list if tag == _T_LIST else tuple, parts), at
 
 
-def _rebuild(shape, columns: List[list], count: int):
-    """An iterable of the ``count`` values a learned shape describes."""
+def _rebuild(shape, column: Callable[[int], list], count: int):
+    """An iterable of the ``count`` values a learned shape describes;
+    ``column(i)`` gives the values of column ``i``, asked once each."""
     kind, arg = shape
     if kind == "column":
-        return columns[arg]
+        return column(arg)
     if kind == "const":
         return repeat(arg, count)
-    parts = [_rebuild(part, columns, count) for part in arg]
+    parts = [_rebuild(part, column, count) for part in arg]
     if kind is tuple:
         return zip(*parts) if parts else repeat((), count)
     return map(list, zip(*parts)) if parts else ([] for _ in range(count))
+
+
+class Records(Sequence):
+    """A read-only sequence of ``count`` values of one fixed layout, held
+    as the layout's columns and built into Python values only when read.
+
+    An index or a slice builds just the values it returns (a slice as a
+    list); iterating builds them all, once per iteration. A paged B+
+    leaf's values are one of these, so a pool miss on a point seek builds
+    the row the seek returns and not the other 1 023.
+    """
+
+    __slots__ = ("shape", "columns", "count")
+
+    def __init__(self, shape, columns: List[np.ndarray], count: int):
+        self.shape = shape
+        self.columns = columns
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            columns = self.columns
+            return list(_rebuild(self.shape,
+                                 lambda i: columns[i][index].tolist(),
+                                 len(range(self.count)[index])))
+        # a one-value slice; ``or None`` lets index -1 reach the end
+        return self[index:index + 1 or None][0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def part(self, i: int) -> "Records":
+        """The ``i``-th field of each value, as records over the same
+        columns (the values must be tuples or lists)."""
+        return Records(self.shape[1][i], self.columns, self.count)
 
 
 # ----------------------------------------------------------- page framing
@@ -550,8 +604,11 @@ def _check_header(header: bytes, at: int, available: int,
     return page_type, page_id, lsn, payload_len, crc
 
 
-def parse_page(buf: bytes, offset: int = 0) -> Tuple[Page, int]:
-    """Decode one page at ``offset``, validating magic and checksum."""
+def parse_page(buf: bytes, offset: int = 0,
+               decode=unpack_value) -> Tuple[Page, int]:
+    """Decode one page at ``offset``, validating magic and checksum.
+    ``decode(body, 0)`` decodes the payload (:func:`unpack_value`, or
+    :func:`_leaf_chunk` for a B+ leaf faulted in)."""
     body_start = offset + PAGE_HEADER.size
     page_type, page_id, lsn, payload_len, crc = _check_header(
         bytes(buf[offset:body_start]), offset, len(buf) - offset)
@@ -561,7 +618,7 @@ def parse_page(buf: bytes, offset: int = 0) -> Tuple[Page, int]:
                        payload_len)
     if zlib.crc32(body, zlib.crc32(meta)) != crc:
         raise StorageError(f"page {page_id} checksum mismatch")
-    payload, consumed = unpack_value(body, 0)
+    payload, consumed = decode(body, 0)
     if consumed != len(body):
         raise StorageError(
             f"page {page_id} payload has {len(body) - consumed} "
@@ -817,9 +874,10 @@ class SnapshotReader:
         self._lock = threading.Lock()
         self._closed = False
 
-    def read_page(self, offset: int, length: int,
-                  expected_type: int) -> Page:
-        """Read, checksum, and decode one page at a known location."""
+    def read_page(self, offset: int, length: int, expected_type: int,
+                  decode=unpack_value) -> Page:
+        """Read, checksum, and decode one page at a known location
+        (``decode`` as for :func:`parse_page`)."""
         with self._lock:
             if self._closed:
                 raise StorageError(
@@ -830,7 +888,7 @@ class SnapshotReader:
             raise StorageError(
                 f"snapshot {self.path}: short read at offset {offset} "
                 f"({len(buf)} of {length} bytes)")
-        page, _ = parse_page(buf, 0)
+        page, _ = parse_page(buf, 0, decode)
         _expect_type(page.page_id, page.page_type, expected_type)
         return page
 
@@ -976,16 +1034,37 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
                  for _ in range(desc["n_pages"])]
 
     def read_leaf(offset: int, length: int):
-        # Decoded once per fault into the resident leaf's shape, so
-        # seeks bisect the cached key list instead of rebuilding it.
-        items = reader.read_page(offset, length, PT_BTREE_LEAF) \
-            .payload["items"]
-        return [k for k, _ in items], [v for _, v in items]
+        return reader.read_page(offset, length, PT_BTREE_LEAF,
+                                _leaf_chunk).payload
 
     index.attach_paged(PagedLeafSource(
         pool, desc["object_id"], desc["n_items"], fences, page_locs,
         read_leaf))
     return index
+
+
+def _leaf_chunk(body, offset: int) -> Tuple[Tuple[list, Sequence], int]:
+    """A PT_BTREE_LEAF payload decoded into the chunk a paged leaf is
+    cached as: ``((keys, values), next offset)``.
+
+    The payload decodes as :func:`unpack_value` decodes it, except that
+    entries of one fixed layout stay columns: the keys are built as a
+    list, which seeks bisect, and the values are :class:`Records`, so a
+    fault builds the key tuples and no row until one is read. Other
+    entries (strings, NULL in some rows) are split into two lists."""
+    payload, end = unpack_value(body, offset, lazy=True)
+    try:
+        items = payload["items"]
+    except (TypeError, KeyError):
+        raise StorageError("btree leaf payload has no entries") from None
+    if isinstance(items, Records) and items.shape[0] in (tuple, list) \
+            and len(items.shape[1]) == 2:
+        return (items.part(0)[:], items.part(1)), end
+    try:
+        return ([k for k, _ in items], [v for _, v in items]), end
+    except (TypeError, ValueError):
+        raise StorageError(
+            "btree leaf entries are not (key, value) pairs") from None
 
 
 def _restore_columnstore(table, desc: Dict[str, object],

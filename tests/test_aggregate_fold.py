@@ -36,6 +36,9 @@ def null_first(key):
 class _State:
     def __init__(self, n_aggs):
         self.sums = [0.0] * n_aggs
+        #: The exact sum while every value summed is an integer (the
+        #: ``sqlite3`` rule), else None.
+        self.ints = [0] * n_aggs
         self.counts = [0] * n_aggs
         self.mins = [None] * n_aggs
         self.maxs = [None] * n_aggs
@@ -55,11 +58,14 @@ def _update(state, specs, args, indices):
                 continue
             state.counts[i] += len(selected)
             if specs[i].func in ("sum", "avg"):
-                state.sums[i] += float(sum(selected))
+                total = sum(selected)
+                state.sums[i] += float(total)
+                _add_exact(state, i, total)
             lo, hi = min(selected), max(selected)
         else:
             state.counts[i] += len(selected)
             state.sums[i] += float(selected.sum())
+            _add_exact(state, i, sum(selected.tolist()))
             lo, hi = selected.min().item(), selected.max().item()
         if state.mins[i] is None or lo < state.mins[i]:
             state.mins[i] = lo
@@ -67,13 +73,19 @@ def _update(state, specs, args, indices):
             state.maxs[i] = hi
 
 
+def _add_exact(state, i, total):
+    if state.ints[i] is not None:
+        state.ints[i] = total + state.ints[i] if type(total) is int else None
+
+
 def _finalize(spec, state, i):
+    total = state.sums[i] if state.ints[i] is None else state.ints[i]
     if spec.func == "sum":
-        return state.sums[i] if state.counts[i] else None
+        return float(total) if state.counts[i] else None
     if spec.func == "count":
         return state.total if spec.expr is None else state.counts[i]
     if spec.func == "avg":
-        return state.sums[i] / state.counts[i] if state.counts[i] else None
+        return total / state.counts[i] if state.counts[i] else None
     return state.mins[i] if spec.func == "min" else state.maxs[i]
 
 

@@ -8,9 +8,14 @@ state — and every corruption of a page is detected by its checksum.
 """
 
 import os
+import random
+import struct
+import zlib
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.errors import StorageError
 from repro.core.schema import Column, TableSchema
@@ -20,8 +25,11 @@ from repro.storage import pages
 from repro.storage.database import Database
 from repro.storage.pages import (
     PAGE_HEADER,
+    PAGE_MAGIC,
+    PAGE_VERSION,
     PT_BTREE_LEAF,
     PT_ROWS,
+    Records,
     build_page,
     load_snapshot,
     pack_value,
@@ -31,6 +39,7 @@ from repro.storage.pages import (
 )
 from repro.storage.recovery import state_digest
 from repro.workloads.ch import generate_ch
+from tests.oracle import examples
 
 
 def roundtrip(value):
@@ -188,9 +197,9 @@ class TestRecordPath:
         calls = []
         per_value = pages._unpack
 
-        def counted(buf, offset):
+        def counted(buf, offset, *lazy):
             calls.append(offset)
-            return per_value(buf, offset)
+            return per_value(buf, offset, *lazy)
 
         monkeypatch.setattr(pages, "_unpack", counted)
         for raw, payload in leaves:
@@ -213,6 +222,136 @@ class TestRecordPath:
         assert state_digest(restored) == state_digest(database)
         assert (restored.table("customer").rows_with_rids()
                 == database.table("customer").rows_with_rids())
+
+
+#: Leaf entry kinds: the fixed layouts a paged leaf keeps as columns,
+#: then the entries that decode to plain lists.
+FIXED_LEAVES = ["int key", "composite key", "float values", "null column",
+                "empty payload"]
+LIST_LEAVES = ["strings", "int and null"]
+
+
+def leaf_items(kind, count, rng):
+    """``count`` B+ leaf entries ``(key + (rid,), value)`` in key order."""
+    items = []
+    for rid in range(count):
+        k = rid * 3 + rng.randrange(3)
+        big = rng.randrange(-2 ** 63, 2 ** 63)
+        if kind == "int key":
+            entry = ((k, rid), (k, big, rng.getrandbits(40), -rid))
+        elif kind == "composite key":
+            entry = ((k // 7, k, rid), (k // 7, k, float(rid)))
+        elif kind == "float values":
+            entry = ((k, rid), (k, rng.uniform(-1e9, 1e9),
+                                rng.choice([0.0, -0.0, 5e-324])))
+        elif kind == "null column":
+            entry = ((k, rid), (k, None, big))
+        elif kind == "empty payload":
+            entry = ((k, rid), ())
+        elif kind == "strings":
+            entry = ((k, rid), (k, f"s{rid % 5}"))
+        else:       # an int column with a NULL in some rows
+            entry = ((k, rid), (k, None if rid % 4 == 0 else big))
+        items.append(entry)
+    return items
+
+
+def leaf_page(items) -> bytes:
+    return build_page(3, PT_BTREE_LEAF, 7,
+                      {"table": "t", "index": "ix", "items": items})
+
+
+def framed(body: bytes) -> bytes:
+    """A leaf page around ``body`` whose checksum matches it."""
+    meta = struct.pack("<BBQQI", PAGE_VERSION, PT_BTREE_LEAF, 3, 7, len(body))
+    return PAGE_HEADER.pack(PAGE_MAGIC, PAGE_VERSION, PT_BTREE_LEAF, 0, 3, 7,
+                            len(body), zlib.crc32(body, zlib.crc32(meta))) \
+        + body
+
+
+def eager_chunk(page: bytes):
+    """The chunk the eager decode gives: the entries split in two lists."""
+    items = parse_page(page)[0].payload["items"]
+    return [k for k, _ in items], [v for _, v in items]
+
+
+def leaf_chunk(page: bytes):
+    """The chunk a paged leaf fault caches."""
+    return parse_page(page, 0, pages._leaf_chunk)[0].payload
+
+
+class TestLeafDecoder:
+    """A paged leaf's chunk equals the eager decode of its page: the same
+    key list, and values that read as the same list however they are
+    indexed, sliced or iterated (``repr`` tells ``1`` from ``1.0``,
+    ``-0.0`` from ``0.0`` and tuples from lists)."""
+
+    @given(st.sampled_from(FIXED_LEAVES + LIST_LEAVES),
+           st.sampled_from([0, 1, 15, 16, 17, 300, 1024]),
+           st.randoms(use_true_random=False))
+    @examples(60)
+    def test_equals_eager_decode(self, kind, count, rng):
+        page = leaf_page(leaf_items(kind, count, rng))
+        keys, values = leaf_chunk(page)
+        eager_keys, eager_values = eager_chunk(page)
+        assert type(keys) is list and keys == eager_keys
+        fixed = kind in FIXED_LEAVES and count >= 16
+        assert isinstance(values, Records) == fixed
+        assert not isinstance(values, list) or not fixed
+        if fixed:       # copies: a cached leaf never holds the page bytes
+            assert all(column.flags.owndata for column in values.columns)
+        assert len(values) == len(eager_values)
+        assert ([repr(values[i]) for i in range(-count, count)]
+                == [repr(eager_values[i]) for i in range(-count, count)])
+        for outside in (count, -count - 1):
+            with pytest.raises(IndexError):
+                values[outside]
+        assert repr(list(values)) == repr(eager_values)
+        bounds = [None] + list(range(-count - 2, count + 2))
+        for _ in range(20):
+            cut = slice(rng.choice(bounds), rng.choice(bounds),
+                        rng.choice([None, 1, 2, -1, -3]))
+            assert repr(values[cut]) == repr(eager_values[cut])
+        for _ in range(20):
+            probe = (rng.randrange(-2, 3 * count + 2),)
+            if kind == "composite key":
+                probe = (probe[0] // 7,) + probe
+            assert bisect_left(keys, probe) == bisect_left(eager_keys, probe)
+            assert (bisect_right(keys, probe)
+                    == bisect_right(eager_keys, probe))
+
+    @pytest.mark.parametrize("items", [
+        [((k, k), (k, 1), k) for k in range(20)],     # triples
+        [((k, k),) for k in range(20)],               # singles
+        list(range(20)),                              # not sequences
+    ], ids=["triples", "singles", "ints"])
+    def test_entries_that_are_not_pairs(self, items):
+        page = leaf_page(items)
+        with pytest.raises((TypeError, ValueError)):
+            eager_chunk(page)
+        with pytest.raises(StorageError, match="not \\(key, value\\) pairs"):
+            leaf_chunk(page)
+
+    @pytest.mark.parametrize("kind", FIXED_LEAVES + LIST_LEAVES)
+    def test_every_single_byte_corruption(self, kind):
+        """A damaged body that still checksums (the CRC is recomputed)
+        raises StorageError from the leaf decoder exactly when the eager
+        decode fails, and otherwise decodes to the same entries."""
+        body = leaf_page(leaf_items(kind, 20, random.Random(kind)))[
+            PAGE_HEADER.size:]
+        for position in range(len(body)):
+            for byte in (0x00, 0x01, 0x80, 0xFF, body[position] ^ 0x08):
+                corrupt = bytearray(body)
+                corrupt[position] = byte
+                page = framed(bytes(corrupt))
+                try:
+                    eager = eager_chunk(page)
+                except (StorageError, KeyError, TypeError, ValueError):
+                    with pytest.raises(StorageError):
+                        leaf_chunk(page)
+                    continue
+                keys, values = leaf_chunk(page)
+                assert repr((keys, list(values))) == repr(eager)
 
 
 class TestPageFraming:

@@ -15,18 +15,26 @@ import numpy as np
 import pytest
 
 from repro.core.schema import Column, TableSchema
-from repro.core.types import INT, varchar
+from repro.core.types import BIGINT, INT, decimal, varchar
 from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionContext
 from repro.storage.btree import iter_entries
 from repro.storage.checker import check_database
 from repro.storage.database import Database
+from repro.storage.pages import BTREE_ITEMS_PER_PAGE, Records
 from repro.storage.recovery import recover, state_digest
+
+
+#: Rows of ``n`` whose ``y`` is NULL: every fifth row of its third leaf
+#: page, so that page decodes to lists and the others to columns.
+NULL_Y = range(2 * BTREE_ITEMS_PER_PAGE, 3 * BTREE_ITEMS_PER_PAGE, 5)
 
 
 def build_mixed_db():
     """Hybrid physical design: clustered B+ tree + secondary B+ tree on
-    one table, primary columnstore on another."""
+    one table, primary columnstore on another, and an all-numeric
+    clustered B+ tree (with a secondary) whose leaves fault in as
+    columns, but for the one page where ``y`` has NULLs."""
     database = Database("paging")
     t = database.create_table(TableSchema("t", [
         Column("a", INT, nullable=False),
@@ -42,6 +50,16 @@ def build_mixed_db():
     ]))
     u.bulk_load([(i, i * 2) for i in range(4096)])
     u.set_primary_columnstore(name="u_csi", rowgroup_size=1024)
+    n = database.create_table(TableSchema("n", [
+        Column("k", INT, nullable=False),
+        Column("x", INT, nullable=False),
+        Column("f", decimal(2)),
+        Column("y", BIGINT),
+    ]))
+    n.bulk_load([(i, i * 7 % 1000, i / 4, None if i in NULL_Y else i << 34)
+                 for i in range(5000)])
+    n.set_primary_btree(["k"])
+    n.create_secondary_btree("ix_x", ["x"], included_columns=["f"])
     return database
 
 
@@ -117,6 +135,27 @@ class TestDifferentialReads:
         rid, row = full.table("t").rows_with_rids()[0]
         assert (full.table("t").primary.lookup_rid(row, rid)
                 == paged.table("t").primary.lookup_rid(row, rid))
+        # The numeric table: every leaf page, whichever way it decoded.
+        n_f, n_p = full.table("n").primary, paged.table("n").primary
+        assert entries(n_f.scan()) == entries(n_p.scan())
+        for low, high in ((0, 4999), (1000, 1030), (2040, 2060), (4321, 4321)):
+            assert (entries(n_f.seek_range((low,), (high,)))
+                    == entries(n_p.seek_range((low,), (high,))))
+        ix_f = full.table("n").secondary_indexes["ix_x"]
+        ix_p = paged.table("n").secondary_indexes["ix_x"]
+        assert entries(ix_f.scan()) == entries(ix_p.scan())
+        assert (entries(ix_f.seek_range((10,), (20,)))
+                == entries(ix_p.seek_range((10,), (20,))))
+        for rid, row in full.table("n").rows_with_rids()[::499]:
+            assert (n_f.lookup_rid(row, rid) == n_p.lookup_rid(row, rid)
+                    == row)
+
+    def test_numeric_leaves_fault_in_both_page_kinds(self, durable_dir):
+        _, paged = open_both(durable_dir)
+        source = paged.table("n").primary._paged
+        kinds = [type(source.fetch(page_no)[1])
+                 for page_no in range(source.n_pages)]
+        assert kinds == [Records, Records, list, Records, Records]
 
     def test_modeled_metrics_identical(self, durable_dir):
         """Paged reads charge exactly the modeled costs of the in-memory
@@ -129,6 +168,12 @@ class TestDifferentialReads:
             list(full.table("t").primary.seek_range((50,), (950,), ctx=ctx_f))
             list(paged.table("t").primary.seek_range((50,), (950,),
                                                      ctx=ctx_p))
+            for name, low, high in (("t", 50, 950), ("n", 1500, 3500),
+                                    ("n", 2100, 2100)):
+                list(full.table(name).primary.seek_range(
+                    (low,), (high,), ctx=ctx_f))
+                list(paged.table(name).primary.seek_range(
+                    (low,), (high,), ctx=ctx_p))
             list(full.table("u").primary.scan(
                 ["a", "b"], ctx=ctx_f,
                 elimination_ranges={"a": (0, 1500)}))
@@ -140,6 +185,8 @@ class TestDifferentialReads:
 
     def test_state_digest_and_checker_identical(self, durable_dir):
         full, paged = open_both(durable_dir)
+        # Faulted leaves of both kinds are what the checker then reads.
+        Executor(paged).execute("SELECT count(y), max(f) FROM n")
         result = check_database(paged)
         assert result.ok, result.errors
         assert state_digest(paged) == state_digest(full)
@@ -150,6 +197,11 @@ class TestDifferentialReads:
             "SELECT COUNT(*) FROM t WHERE c > 600",
             "SELECT a, b FROM t WHERE a BETWEEN 10 AND 40",
             "SELECT SUM(b) FROM u WHERE a < 2000",
+            "SELECT k, f, y FROM n WHERE k BETWEEN 2000 AND 2100",
+            "SELECT k, y FROM n WHERE k = 2050",
+            "SELECT count(*), count(y), min(y), max(f) FROM n WHERE k > 1900",
+            "SELECT x, f FROM n WHERE x BETWEEN 5 AND 9",
+            "SELECT TOP 3 k, y FROM n WHERE k > 4000 ORDER BY k",
         ):
             rf = Executor(full).execute(sql)
             rp = Executor(paged).execute(sql)
@@ -191,6 +243,29 @@ class TestDifferentialDml:
             db.table("t").delete_rids([100, 101])
             db.table("t").insert_row((88888, "new", 7))
             db.table("u").primary.rebuild()
+        assert state_digest(paged) == state_digest(full)
+        result = check_database(paged)
+        assert result.ok, result.errors
+
+    def test_sql_dml_after_faults(self, durable_dir):
+        """DML located through faulted leaves of both kinds, then the
+        reads that follow it, answer as on the fully loaded database."""
+        full, paged = open_both(durable_dir, pool_bytes=64 * 1024)
+        statements = (
+            "SELECT k, y FROM n WHERE k BETWEEN 2040 AND 2060",
+            # located across a page of columns and a page of lists
+            "DELETE FROM n WHERE k BETWEEN 1990 AND 2100",
+            "UPDATE n SET y = 5 WHERE k BETWEEN 2145 AND 2155",
+            "UPDATE n SET f = f + 1 WHERE x = 14",
+            "INSERT INTO n VALUES (9000, 1, 0.5, NULL)",
+            "SELECT count(*), sum(x), count(y) FROM n",
+            "SELECT k, f, y FROM n WHERE k BETWEEN 1980 AND 2160",
+            "SELECT x, f FROM n WHERE x = 14",
+        )
+        for sql in statements:
+            rf, rp = Executor(full).execute(sql), Executor(paged).execute(sql)
+            assert rf.rows == rp.rows, sql
+            assert rf.metrics == rp.metrics, sql
         assert state_digest(paged) == state_digest(full)
         result = check_database(paged)
         assert result.ok, result.errors
