@@ -25,6 +25,9 @@ from dataclasses import dataclass
 from repro.core.errors import SchemaError
 
 _EPOCH = _dt.date(1970, 1, 1)
+#: The range INT, BIGINT and DATE values must fit, and integer
+#: arithmetic must stay in: int64, like the columns that hold them.
+INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 
 class TypeKind(enum.Enum):
@@ -36,6 +39,10 @@ class TypeKind(enum.Enum):
     VARCHAR = "varchar"
     DATE = "date"
     XML = "xml"
+
+
+#: The kinds whose values are integers (a DATE is a day number).
+_INTEGER_KINDS = (TypeKind.INT, TypeKind.BIGINT, TypeKind.DATE)
 
 
 @dataclass(frozen=True)
@@ -87,12 +94,14 @@ class ColumnType:
         int day number). Raises :class:`SchemaError` on mismatch. ``None``
         is allowed for every type (NULL).
         """
+        if type(value) is int and self.kind in _INTEGER_KINDS:
+            return _in_int64(value)
         if value is None:
             return None
         if self.kind in (TypeKind.INT, TypeKind.BIGINT):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SchemaError(f"expected int, got {value!r}")
-            return value
+            return _in_int64(value)
         if self.kind is TypeKind.DECIMAL:
             if isinstance(value, bool):
                 raise SchemaError(f"expected numeric, got {value!r}")
@@ -111,7 +120,7 @@ class ColumnType:
             if isinstance(value, _dt.date):
                 return (value - _EPOCH).days
             if isinstance(value, int):
-                return value
+                return _in_int64(value)
             raise SchemaError(f"expected date, got {value!r}")
         if self.kind is TypeKind.XML:
             if not isinstance(value, str):
@@ -154,3 +163,12 @@ def date_to_int(value: _dt.date) -> int:
 def int_to_date(days: int) -> _dt.date:
     """Convert an internal day number back to a ``datetime.date``."""
     return _EPOCH + _dt.timedelta(days=days)
+
+
+def _in_int64(value: int) -> int:
+    """``value`` if it fits int64; else the arithmetic overflow error SQL
+    Server raises for a value its integer column cannot hold."""
+    if INT64_MIN <= value <= INT64_MAX:
+        return value
+    raise SchemaError(
+        f"arithmetic overflow: {value} does not fit a 64-bit integer")

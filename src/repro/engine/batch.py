@@ -24,12 +24,15 @@ boundary.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
 from repro.engine.encoded import EncodedColumn, concat_encoded
+from repro.storage.records import lossless_array
 
 Row = Tuple[object, ...]
 
@@ -209,6 +212,73 @@ def _column_array(values: Sequence[object]) -> np.ndarray:
     arr = np.empty(len(values), dtype=object)
     arr[:] = values
     return arr
+
+
+def batch_column(pieces: Sequence[np.ndarray]) -> np.ndarray:
+    """A new batch column from lossless pieces (slices of leaf columns,
+    pivoted rows; see :func:`~repro.storage.records.lossless_array`):
+    exactly what :func:`_column_array` builds from their values. Pieces
+    of one typed dtype are concatenated; any other mix is rebuilt from
+    the values, which a lossless piece gives back unchanged."""
+    dtype = pieces[0].dtype
+    if dtype != object and all(piece.dtype == dtype for piece in pieces):
+        return pieces[0].copy() if len(pieces) == 1 else np.concatenate(pieces)
+    return _column_array([value for piece in pieces
+                          for value in piece.tolist()])
+
+
+def eval_column(piece: np.ndarray) -> np.ndarray:
+    """One lossless piece as an expression reads it: a typed piece as it
+    is (a view the evaluator only reads), an object one as
+    :func:`batch_column` builds it."""
+    return piece if piece.dtype != object else batch_column([piece])
+
+
+class RowColumns:
+    """Row tuples read by column: the pivot for scan entries that are
+    rows (a heap chunk, a secondary index's key tuples, bookmark-looked-up
+    columns). It reads like :class:`~repro.storage.records.Records`
+    (``len``, :meth:`column`, :meth:`view`, :meth:`take`), pivoting a
+    field each time one is asked for."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[Row]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def column(self, ordinal: int) -> np.ndarray:
+        return lossless_array(list(map(itemgetter(ordinal), self.rows)))
+
+    def view(self, start: int, stop: int) -> "RowColumns":
+        return RowColumns(self.rows[start:stop])
+
+    def take(self, mask: np.ndarray) -> "RowColumns":
+        return RowColumns(list(compress(self.rows, mask.tolist())))
+
+
+class PendingColumns:
+    """Output columns gathered piece by piece until they fill a batch."""
+
+    __slots__ = ("pieces", "count")
+
+    def __init__(self, width: int):
+        self.pieces: List[List[np.ndarray]] = [[] for _ in range(width)]
+        #: Rows gathered so far.
+        self.count = 0
+
+    def add(self, columns: Sequence[np.ndarray]) -> None:
+        """Append one lossless piece per column, all of one length."""
+        if len(columns[0]):
+            for pieces, column in zip(self.pieces, columns):
+                pieces.append(column)
+            self.count += len(columns[0])
+
+    def batch(self, names: Sequence[str]) -> Batch:
+        """The gathered rows as a batch with columns ``names``."""
+        return Batch(dict(zip(names, map(batch_column, self.pieces))))
 
 
 def concat_batches(batches: Iterable[Batch]) -> Optional[Batch]:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
 from repro.engine.analyze import AnalyzedQuery
-from repro.engine.batch import Batch, _column_array, batch_to_rows
+from repro.engine.batch import Batch, RowColumns, batch_to_rows, eval_column
 from repro.engine.dmv import SYSTEM_VIEW_NAMES, materialize_system_views
 from repro.engine.expressions import (
     ColumnRange,
@@ -386,17 +385,17 @@ class Executor:
         low, high, *inclusive = compose_prefix_bounds(key_ranges)
         # The seek bounds enforce the conjuncts they were made from.
         where = drop_folded_conjuncts(where, key_ranges)
-        pivot = _row_pivot(table, where)
+        read = _column_reader(table, where)
         #: Modeled CPU per examined row, charged once after the loop.
         row_ms = ctx.cost_model.row_cpu_ms_per_row
         lookups = index is not None and index is not primary
 
         def seek_chunks():
-            for keys, rows in index.seek_range(low, high, ctx, *inclusive):
+            for keys, values in index.seek_range(low, high, ctx, *inclusive):
                 rids = [key[-1] for key in keys]
                 if lookups:     # a secondary leaf holds keys, not rows
-                    rows = [table.get_row(rid) for rid in rids]
-                yield rids, pivot(rows)
+                    values = RowColumns([table.get_row(rid) for rid in rids])
+                yield rids, read(values)
 
         if index is not None:
             chunks = seek_chunks()
@@ -405,7 +404,8 @@ class Executor:
             chunks = self._columnstore_chunks(table, where, ranges, ctx)
             row_ms = 0.0        # that source charges per batch instead
         else:
-            chunks = ((rids, pivot(rows)) for rids, rows in primary.scan(ctx))
+            chunks = ((rids, read(RowColumns(rows)))
+                      for rids, rows in primary.scan(ctx))
 
         located: List[int] = []
         scanned = 0
@@ -471,7 +471,8 @@ class Executor:
         # Each SET expression is evaluated once, over all located rows.
         assigned = [
             (table.schema.ordinal(column),
-             eval_batch(expr, _row_pivot(table, expr)(rows)).tolist())
+             eval_batch(expr, _column_reader(table, expr)(RowColumns(rows)))
+             .tolist())
             for column, expr in bound.assignments
         ]
         updates = []
@@ -514,18 +515,18 @@ class Executor:
               BoundInsert: _run_insert}
 
 
-def _row_pivot(table: Table, expr: Optional[Expr]):
-    """rows -> the batch ``expr`` is evaluated over: one array per column
-    it names (bare or qualified), or the first column when it names none
-    (a batch carries its length in a column)."""
+def _column_reader(table: Table, expr: Optional[Expr]):
+    """whole rows read by column (a leaf's records, or
+    :class:`RowColumns`) -> the batch ``expr`` is evaluated over: one
+    array per column it names (bare or qualified), or the first column
+    when it names none (a batch carries its length in a column)."""
     ordinals = {name: table.schema.ordinal(name.split(".", 1)[-1])
                 for name in (expr.columns() if expr is not None else ())}
     if not ordinals:
         ordinals = {table.schema.columns[0].name: 0}
-    getters = {name: itemgetter(at) for name, at in ordinals.items()}
-    return lambda rows: Batch({
-        name: _column_array(list(map(getter, rows)))
-        for name, getter in getters.items()})
+    return lambda source: Batch({
+        name: eval_column(source.column(at))
+        for name, at in ordinals.items()})
 
 
 def _bare_columns(where: Optional[Expr], table: Table) -> List[str]:

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import ExecutionError
+from repro.core.types import INT64_MAX, INT64_MIN
 from repro.engine.batch import Batch
 from repro.engine.encoded import (
     EncodedColumn,
@@ -87,10 +88,41 @@ def _divide(left, right):
     return operator.truediv(left, right)
 
 
+def _exact(op: Callable) -> Callable:
+    """``op`` (+, - or *) that never wraps: where an integer result does
+    not fit int64 it raises SQL Server's arithmetic overflow error.
+    Object operands (Python ints, exact) and scalars (constant folding)
+    are held to the same range, so a statement fails or not whatever
+    dtype its batches happen to have."""
+    def apply(left, right):
+        out = op(left, right)
+        if not isinstance(out, np.ndarray):
+            exact = [out]
+        elif out.dtype == object:
+            exact = out.tolist()
+        elif out.dtype == np.int64:
+            # The float64 result is within a relative 2**-52 of the
+            # exact one, so every int64 result that wrapped is among
+            # these candidates, which are then computed exactly.
+            near = np.flatnonzero(np.abs(op(left.astype(np.float64),
+                                            right.astype(np.float64)))
+                                  >= 2.0 ** 62)
+            exact = list(map(op, left[near].tolist(), right[near].tolist()))
+        else:
+            exact = []
+        if any(type(value) is int and not INT64_MIN <= value <= INT64_MAX
+               for value in exact):
+            raise ExecutionError(
+                f"arithmetic overflow: an integer {op.__name__} does not "
+                "fit a 64-bit integer")
+        return out
+    return apply
+
+
 _ARITH_OPS: Dict[str, Callable] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
+    "+": _exact(operator.add),
+    "-": _exact(operator.sub),
+    "*": _exact(operator.mul),
     "/": _divide,
 }
 

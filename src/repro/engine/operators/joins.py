@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import ExecutionError
-from repro.engine.batch import Batch, _column_array
+from repro.engine.batch import Batch, PendingColumns, _column_array
 from repro.engine.encoded import (
     EncodedColumn,
     maybe_materialize,
@@ -446,9 +446,9 @@ class IndexNestedLoopJoin(PhysicalOperator):
         """
         inner = self.inner
         step = inner.chunk_step(ctx)
-        #: Matches not yet emitted: the inner side as one value list per
-        #: column, the outer side as (outer batch, outer row per match).
-        pending: List[List[object]] = [[] for _ in inner.columns]
+        #: Matches not yet emitted: the inner side as its output columns,
+        #: the outer side as (outer batch, outer row per match).
+        pending = PendingColumns(len(inner.columns))
         pieces: List[Tuple[Batch, List[int]]] = []
         for batch in self.child(0).execute(ctx):
             self.charge_rows(ctx, len(batch))
@@ -457,23 +457,23 @@ class IndexNestedLoopJoin(PhysicalOperator):
             for row, key in enumerate(keys):
                 if None in key:     # NULL equals nothing: no seek
                     continue
-                before = len(pending[0])
-                for chunk in inner.row_chunks(ctx, key, key):
+                before = pending.count
+                for chunk in inner.entry_chunks(ctx, key, key):
                     step(chunk, pending)
-                rows.extend(repeat(row, len(pending[0]) - before))
-                if len(pending[0]) >= DEFAULT_BATCH_ROWS:
+                rows.extend(repeat(row, pending.count - before))
+                if pending.count >= DEFAULT_BATCH_ROWS:
                     yield self._output(pieces + [(batch, rows)], pending)
-                    pending, pieces, rows = [[] for _ in inner.columns], [], []
+                    pending = PendingColumns(len(inner.columns))
+                    pieces, rows = [], []
             if rows:
                 pieces.append((batch, rows))
         if pieces:
             yield self._output(pieces, pending)
         ctx.metrics.record_leaf_access("btree")
 
-    def _output(self, pieces, pending: List[List[object]]) -> Batch:
+    def _output(self, pieces, pending: PendingColumns) -> Batch:
         columns = _gather(pieces, self.child(0).output_columns)
-        columns.update(zip(self.inner.output_columns,
-                           map(_column_array, pending)))
+        columns.update(pending.batch(self.inner.output_columns).columns)
         return Batch(columns)
 
     def describe(self) -> str:

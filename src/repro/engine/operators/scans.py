@@ -6,20 +6,25 @@ counted in Figure 10's plan-composition analysis. Every scan records a
 ``leaf_access`` metric tagged with the index kind it reads.
 
 ``ROW_MODE`` on the rowstore scans is the cost model's label (modeled
-CPU per row); the implementation consumes whole leaf chunks
-(:mod:`repro.storage.btree`) and filters them with the vectorised
-evaluator, see :meth:`_ScanBase.chunk_step`.
+CPU per row); the implementation reads whole leaf chunks
+(:mod:`repro.storage.btree`) by column and filters them with the
+vectorised evaluator, see :meth:`_ScanBase.chunk_step`.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
 
 from repro.core.errors import ExecutionError
-from repro.engine.batch import Batch, _column_array, rows_to_batch
+from repro.engine.batch import (
+    Batch,
+    PendingColumns,
+    RowColumns,
+    eval_column,
+    rows_to_batch,
+)
 from repro.engine.expressions import (
     ColumnRange,
     Expr,
@@ -114,48 +119,61 @@ class _ScanBase(PhysicalOperator):
         self.key_range = self.key_ranges[0] if self.key_ranges else None
         self.residual = drop_folded_conjuncts(self.residual, self.key_ranges or ())
 
-    def chunk_step(self, ctx: ExecutionContext) -> Callable:
-        """The per-chunk step of a rowstore scan: ``step(rows, pending)``
-        appends to ``pending`` (one value list per output column) the
-        output columns of the rows that pass the residual.
+    def _source_widths(self) -> List[int]:
+        """Field counts of the sources an entry chunk holds, in the order
+        ``_ordinals`` counts through them: by default one, the whole row
+        (a heap chunk's rows, a clustered leaf's records)."""
+        return [len(self.table.schema.columns)]
 
-        ``_ordinals[i]`` is where output column ``i`` sits in a chunk's
-        rows. Rows that need bookmark lookups are first widened with the
-        looked-up columns; then the residual's columns are pulled out
-        with one ``itemgetter`` pass each and evaluated in one
-        :func:`eval_batch` call, and the survivors' output columns are
-        pulled out the same way.
+    def chunk_step(self, ctx: ExecutionContext) -> Callable:
+        """The per-chunk step of a rowstore scan: ``step(sources,
+        pending)`` adds to ``pending`` (a :class:`PendingColumns`) the
+        output columns of the entries that pass the residual.
+
+        An entry chunk is a list of equal-length sources read by column:
+        a leaf's :class:`~repro.storage.records.Records`, or
+        :class:`RowColumns` where the entries are rows. ``_ordinals[i]``
+        is where output column ``i`` sits across them (see
+        :meth:`_source_widths`). Entries that need bookmark lookups
+        first gain one more source, the looked-up columns; then the
+        residual's columns are read and evaluated in one
+        :func:`eval_batch` call, the sources are cut to the survivors,
+        and the survivors' output columns are read.
         """
-        getters = [itemgetter(ordinal) for ordinal in self._ordinals]
+        widths = self._source_widths()
+        at = [_locate(ordinal, widths) for ordinal in self._ordinals]
         widen = self._with_lookups(ctx) if self.needs_lookup else None
         residual = self.residual
         if residual is not None:
             filter_names = (list(dict.fromkeys(residual.columns()))
                             or self.output_columns[:1])  # a constant predicate
-            filter_getters = [getters[self._output_position(name)]
-                              for name in filter_names]
+            filter_at = [at[self._output_position(name)]
+                         for name in filter_names]
 
-        def step(part, pending):
+        def step(sources, pending):
             if widen is not None:
-                part = widen(part)
+                sources = sources + [widen(sources)]
             if residual is not None:
                 mask = eval_batch(residual, Batch({
-                    name: _column_array(list(map(getter, part)))
-                    for name, getter in zip(filter_names, filter_getters)
+                    name: eval_column(sources[source].column(ordinal))
+                    for name, (source, ordinal) in zip(filter_names, filter_at)
                 }), ctx)
-                part = list(compress(part, mask.tolist()))
-            for values, getter in zip(pending, getters):
-                values.extend(map(getter, part))
+                mask = np.asarray(mask, dtype=bool)
+                if not mask.any():
+                    return
+                sources = [source.take(mask) for source in sources]
+            pending.add([sources[source].column(ordinal)
+                         for source, ordinal in at])
         return step
 
     def _chunks_to_batches(
         self,
         ctx: ExecutionContext,
-        chunks: Iterable[Sequence[Tuple[object, ...]]],
+        chunks: Iterable[List[object]],
         kind: str,
     ) -> Iterator[Batch]:
-        """Pivot a stream of row chunks into output batches through
-        :meth:`chunk_step` and charge the scan for them.
+        """Turn a stream of entry chunks (see :meth:`chunk_step`) into
+        output batches and charge the scan for them.
 
         Output batches hold ``DEFAULT_BATCH_ROWS`` rows (the last one
         fewer). A chunk is never stepped past the row that fills a
@@ -164,22 +182,25 @@ class _ScanBase(PhysicalOperator):
         """
         names = self.output_columns
         step = self.chunk_step(ctx)
-        pending: List[List[object]] = [[] for _ in names]
+        pending = PendingColumns(len(names))
         scanned = 0
-        for rows in chunks:
-            scanned += len(rows)
+        for sources in chunks:
+            size = len(sources[0])
+            scanned += size
             start = 0
-            while start < len(rows):
-                part = rows[start:start + DEFAULT_BATCH_ROWS - len(pending[0])]
-                start += len(part)
-                step(part, pending)
-                if len(pending[0]) >= DEFAULT_BATCH_ROWS:
-                    yield Batch(dict(zip(names, map(_column_array, pending))))
-                    pending = [[] for _ in names]
+            while start < size:
+                stop = min(size, start + DEFAULT_BATCH_ROWS - pending.count)
+                step(sources if stop - start == size
+                     else [source.view(start, stop) for source in sources],
+                     pending)
+                start = stop
+                if pending.count >= DEFAULT_BATCH_ROWS:
+                    yield pending.batch(names)
+                    pending = PendingColumns(len(names))
         self.charge_rows(ctx, scanned, 2.0 if self.needs_lookup else 1.0)
         ctx.metrics.record_leaf_access(kind)
-        if pending[0]:
-            yield Batch(dict(zip(names, map(_column_array, pending))))
+        if pending.count:
+            yield pending.batch(names)
 
     def _output_position(self, name: str) -> int:
         # Residual predicates reference qualified output names.
@@ -187,6 +208,16 @@ class _ScanBase(PhysicalOperator):
             return self.output_columns.index(name)
         except ValueError:
             raise ExecutionError(f"unknown column {name!r}") from None
+
+
+def _locate(ordinal: int, widths: Sequence[int]) -> Tuple[int, int]:
+    """(source, field) of entry ordinal ``ordinal`` across sources of
+    ``widths`` fields each."""
+    for source, width in enumerate(widths):
+        if ordinal < width:
+            return source, ordinal
+        ordinal -= width
+    raise ExecutionError(f"entry ordinal {ordinal} is past the entry")
 
 
 class HeapScan(_ScanBase):
@@ -200,7 +231,7 @@ class HeapScan(_ScanBase):
         if not isinstance(heap, HeapFile):
             raise ExecutionError(f"{self.table.name} primary is not a heap")
         ctx.charge_parallel_startup(self.dop)
-        chunks = (rows for _, rows in heap.scan(ctx))
+        chunks = ([RowColumns(rows)] for _, rows in heap.scan(ctx))
         yield from self._chunks_to_batches(ctx, chunks, "heap")
 
     def describe(self) -> str:
@@ -212,7 +243,7 @@ class HeapScan(_ScanBase):
 class _BTreeSeekBase(_ScanBase):
     """A range seek on a B+ tree. :meth:`execute` runs the seek that
     ``key_ranges`` describe; a nested-loop join runs one per outer row
-    through the same :meth:`row_chunks` and :meth:`chunk_step`. Output
+    through the same :meth:`entry_chunks` and :meth:`chunk_step`. Output
     is ordered by the index key columns."""
 
     mode = ROW_MODE
@@ -227,14 +258,14 @@ class _BTreeSeekBase(_ScanBase):
         low, high, *inclusive = compose_prefix_bounds(self.key_ranges or ())
         ctx.charge_parallel_startup(self.dop)
         yield from self._chunks_to_batches(
-            ctx, self.row_chunks(ctx, low, high, *inclusive), "btree")
+            ctx, self.entry_chunks(ctx, low, high, *inclusive), "btree")
 
-    def row_chunks(self, ctx: ExecutionContext, low, high,
-                   *inclusive: bool) -> Iterator[Sequence[Tuple[object, ...]]]:
-        """The leaf entries between the bounds, one chunk of rows per
-        leaf (the rows ``_ordinals`` index into), charged as the index
-        charges a seek."""
-        return (rows for _, rows in self.index.seek_range(
+    def entry_chunks(self, ctx: ExecutionContext, low, high,
+                     *inclusive: bool) -> Iterator[List[object]]:
+        """The leaf entries between the bounds as entry chunks (see
+        :meth:`chunk_step`), one per leaf: the leaf's own records,
+        charged as the index charges a seek."""
+        return ([values] for _, values in self.index.seek_range(
             low, high, ctx, *inclusive))
 
     def describe(self) -> str:
@@ -297,18 +328,25 @@ class SecondaryBTreeSeek(_BTreeSeekBase):
         self._lookup_ordinals = table.schema.ordinals(self.lookup_columns)
         self._ordinals = index.entry_ordinals(self.columns)
 
-    def row_chunks(self, ctx, low, high, *inclusive):
-        """``key + payload`` entries, one chunk per leaf."""
-        return (self.index.entry_rows(*chunk) for chunk in
+    def entry_chunks(self, ctx, low, high, *inclusive):
+        """One entry chunk per leaf: its key tuples (key columns, then
+        the rid) and its payload records (the included columns)."""
+        return ([RowColumns(keys), values] for keys, values in
                 self.index.seek_range(low, high, ctx, *inclusive))
 
+    def _source_widths(self) -> List[int]:
+        """Key tuples, payload records, then the looked-up columns (see
+        :meth:`SecondaryBTreeIndex.entry_ordinals`)."""
+        return [len(self.index.key_columns) + 1,
+                len(self.index.included_columns), len(self.lookup_columns)]
+
     def _with_lookups(self, ctx: ExecutionContext) -> Callable:
-        """rows -> rows with the bookmark-lookup columns appended, one
+        """sources -> the bookmark-lookup columns of their entries, one
         charged fetch per rid."""
         fetch, ordinals = self.table.fetch_columns, self._lookup_ordinals
         rid_at = len(self.index.key_columns)
-        return lambda rows: [row + fetch(row[rid_at], ordinals, ctx)
-                             for row in rows]
+        return lambda sources: RowColumns(
+            [fetch(key[rid_at], ordinals, ctx) for key in sources[0].rows])
 
 
 def btree_seek(table: Table, index, columns: Sequence[str],

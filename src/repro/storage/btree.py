@@ -23,35 +23,40 @@ traversals, leaf-chain bandwidth for range scans) against the supplied
 by the operators that consume the rows, so the same index can feed row-mode
 and batch-mode plans with different CPU costs.
 
+Leaf layout: a leaf holds its keys as a Python list (``bisect`` runs
+in C) and its values as :class:`~repro.storage.records.Records`, one
+typed numpy array per value field. A resident leaf and a leaf faulted
+in from a snapshot page are the same two objects.
+
 Scan protocol: every range read hands out **leaf chunks** — one
-``(keys, values)`` pair of equal-length sequences per leaf touched, in
-key order, never empty. ``keys`` is a list; ``values`` is a list, or for
-a leaf faulted in from a snapshot page a read-only sequence that builds
-a row when it is indexed, sliced or iterated. A leaf that lies wholly
-inside the bounds is handed out as the leaf's own sequences (borrowed,
-not copied: read them, never mutate or concatenate them, and do not keep
+``(keys, values)`` pair of equal length per leaf touched, in key order,
+never empty: a key list and a :class:`Records`. A leaf that lies wholly
+inside the bounds is handed out as the leaf's own list and records
+(borrowed, not copied: read them, never mutate them, and do not keep
 them past the statement whose latch protects the tree); the first and
-last leaf are sliced at the bounds, which gives lists.
-:func:`iter_entries` flattens chunks into pairs for per-entry consumers.
+last leaf are cut at the bounds, which slices the key list and gives a
+:meth:`Records.view` of the leaf's arrays. :func:`iter_entries`
+flattens chunks into (key, row tuple) pairs for per-entry consumers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
 from repro.engine.metrics import ExecutionContext
 from repro.storage.faults import FaultInjector, trip
+from repro.storage.records import Records, lossless_array
 from repro.storage.telemetry import IndexUsageStats
 
 Key = Tuple[object, ...]
 Row = Tuple[object, ...]
-#: One leaf's worth of a scan: a key list and an equal-length value
-#: sequence (see the module docstring).
-Chunk = Tuple[List[Key], Sequence[Row]]
+#: One leaf's worth of a scan: a key list and the equal-length records
+#: of its values (see the module docstring).
+Chunk = Tuple[List[Key], Records]
 
 
 def iter_entries(chunks: Iterable[Chunk]) -> Iterator[Tuple[Key, Row]]:
@@ -64,9 +69,9 @@ def iter_entries(chunks: Iterable[Chunk]) -> Iterator[Tuple[Key, Row]]:
         yield from zip(keys, values)
 
 
-def _clip_leaf(keys: List[Key], values: Sequence[Row], low: Optional[Key],
+def _clip_leaf(keys: List[Key], values: Records, low: Optional[Key],
                high: Optional[Key], low_inclusive: bool,
-               high_inclusive: bool) -> Tuple[List[Key], Sequence[Row], bool]:
+               high_inclusive: bool) -> Tuple[List[Key], Records, bool]:
     """The part of one leaf inside the bounds, and whether the scan ends
     here (the leaf's last key reaches ``high``). ``low`` is passed for
     the first leaf only; a leaf wholly inside comes back as it is."""
@@ -77,7 +82,7 @@ def _clip_leaf(keys: List[Key], values: Sequence[Row], low: Optional[Key],
     if last:
         end = (bisect_right if high_inclusive else bisect_left)(keys, high, start)
     if start > 0 or end < len(keys):
-        keys, values = keys[start:end], values[start:end]
+        keys, values = keys[start:end], values.view(start, end)
     return keys, values, last
 
 
@@ -86,7 +91,7 @@ class _Leaf:
 
     def __init__(self) -> None:
         self.keys: List[Key] = []
-        self.values: List[Row] = []
+        self.values = Records()
         self.next: Optional["_Leaf"] = None
         self.prev: Optional["_Leaf"] = None
         self.page_no: int = -1
@@ -159,6 +164,16 @@ class BPlusTree:
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             return leaf.values[idx]
         return None
+
+    def replace(self, key: Key, value: Row) -> bool:
+        """Overwrite the payload stored under ``key`` in place; False
+        (and nothing written) when ``key`` is absent."""
+        leaf = self._find_leaf(key)
+        idx = bisect_left(leaf.keys, key)
+        if idx < len(leaf.keys) and leaf.keys[idx] == key:
+            leaf.values[idx] = value
+            return True
+        return False
 
     def leaf_chunks(
         self,
@@ -233,9 +248,8 @@ class BPlusTree:
         right = _Leaf()
         right.page_no = self._alloc_page()
         right.keys = leaf.keys[mid:]
-        right.values = leaf.values[mid:]
-        leaf.keys = leaf.keys[:mid]
-        leaf.values = leaf.values[:mid]
+        right.values = leaf.values.split(mid)
+        del leaf.keys[mid:]
         right.next = leaf.next
         if right.next is not None:
             right.next.prev = right
@@ -357,26 +371,49 @@ class BPlusTree:
         Leaves are filled to ~85% like a real bulk load, leaving headroom
         for subsequent inserts.
         """
+        return cls.from_columns([k for k, _ in items],
+                                Records.from_rows([v for _, v in items]),
+                                leaf_capacity, internal_capacity)
+
+    @classmethod
+    def from_columns(
+        cls,
+        keys: List[Key],
+        values: Records,
+        leaf_capacity: int = 128,
+        internal_capacity: int = 64,
+    ) -> "BPlusTree":
+        """:meth:`bulk_load` from a sorted unique key list and the records
+        of its values, whose columns the leaves adopt: a typed column is
+        cut into views, one per leaf, and an object column is narrowed
+        per leaf to the tightest lossless dtype, so one NULL leaves one
+        leaf's column an object array rather than the whole column's."""
         tree = cls(leaf_capacity=leaf_capacity, internal_capacity=internal_capacity)
-        if not items:
+        if not keys:
             return tree
-        for i in range(1, len(items)):
-            if items[i][0] <= items[i - 1][0]:
+        if len(keys) != len(values):
+            raise StorageError("bulk_load needs one value per key")
+        for i in range(1, len(keys)):
+            if keys[i] <= keys[i - 1]:
                 raise StorageError("bulk_load requires sorted unique keys")
+        columns = values.live_columns()
         fill = max(4, int(leaf_capacity * 0.85))
         leaves: List[_Leaf] = []
-        for start in range(0, len(items), fill):
-            chunk = items[start:start + fill]
+        for start in range(0, len(keys), fill):
+            stop = min(start + fill, len(keys))
             leaf = _Leaf()
             leaf.page_no = tree._alloc_page() if leaves else tree._first_leaf.page_no
-            leaf.keys = [k for k, _ in chunk]
-            leaf.values = [v for _, v in chunk]
+            leaf.keys = keys[start:stop]
+            leaf.values = Records(
+                [column[start:stop] if column.dtype != object
+                 else lossless_array(column[start:stop].tolist())
+                 for column in columns], stop - start)
             if leaves:
                 leaves[-1].next = leaf
                 leaf.prev = leaves[-1]
             leaves.append(leaf)
         tree._first_leaf = leaves[0]
-        tree._count = len(items)
+        tree._count = len(keys)
         # Build internal levels bottom-up.
         level: List[object] = list(leaves)
         separators = [leaf.keys[0] for leaf in leaves]
@@ -414,6 +451,8 @@ class BPlusTree:
                     raise StorageError(f"key order violated at {key!r}")
                 previous = key
                 count += 1
+            if len(leaf.values) != len(leaf.keys):
+                raise StorageError("leaf keys and values differ in length")
             if leaf.next is not None and leaf.next.prev is not leaf:
                 raise StorageError("leaf chain back-pointer broken")
             leaf = leaf.next
@@ -465,6 +504,20 @@ class _BTreeIndexBase:
         index reads the resident item count instead of materializing."""
         data = len(self) * self.entry_byte_width
         return int(data * 1.02) + 8192
+
+    def _sorted_entries(self, rows_with_rids: Sequence[Tuple[int, Row]]
+                        ) -> Tuple[List[Key], List[Row]]:
+        """The index keys of ``rows_with_rids`` in key order, and the rows
+        in that order: a bulk build's entries, one pass per key column."""
+        rows = [row for _, row in rows_with_rids]
+        key_columns = [list(map(itemgetter(i), rows))
+                       for i in self.key_ordinals]
+        if any(None in column for column in key_columns):
+            raise StorageError("NULL is not allowed in index key columns")
+        keys = list(zip(*key_columns, [rid for rid, _ in rows_with_rids]))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return (list(map(keys.__getitem__, order)),
+                list(map(rows.__getitem__, order)))
 
     def _make_key(self, row: Row, rid: int) -> Key:
         key_values = tuple(row[i] for i in self.key_ordinals)
@@ -552,16 +605,10 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
     ) -> "PrimaryBTreeIndex":
         """Construct and populate the demo database."""
         index = cls(name, schema, key_columns, object_id=object_id)
-        ordinals = index.key_ordinals
-        items = []
-        for rid, row in rows_with_rids:
-            key_values = tuple(row[i] for i in ordinals)
-            _check_key_not_null(key_values)
-            items.append((key_values + (rid,), row))
-        items.sort(key=lambda kv: kv[0])
-        index.tree = BPlusTree.bulk_load(
-            items, leaf_capacity=index.tree.leaf_capacity
-        )
+        keys, rows = index._sorted_entries(rows_with_rids)
+        index.tree = BPlusTree.from_columns(
+            keys, Records.from_rows(rows),
+            leaf_capacity=index.tree.leaf_capacity)
         return index
 
     def insert(self, rid: int, row: Row, ctx: Optional[ExecutionContext] = None) -> None:
@@ -593,11 +640,8 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         trip(self.faults, "btree.update")
         self._charge_traversal(ctx)
         if old_key == new_key:
-            leaf = self.tree._find_leaf(old_key)
-            idx = bisect_left(leaf.keys, old_key)
-            if idx >= len(leaf.keys) or leaf.keys[idx] != old_key:
+            if not self.tree.replace(old_key, new_row):
                 raise StorageError(f"row {rid} not found for in-place update")
-            leaf.values[idx] = new_row
         else:
             self.tree.delete(old_key)
             try:
@@ -680,14 +724,11 @@ class SecondaryBTreeIndex(_BTreeIndexBase):
     ) -> "SecondaryBTreeIndex":
         """Construct and populate the demo database."""
         index = cls(name, schema, key_columns, included_columns, object_id=object_id)
-        items = []
-        for rid, row in rows_with_rids:
-            key_values = tuple(row[i] for i in index.key_ordinals)
-            _check_key_not_null(key_values)
-            payload = tuple(row[i] for i in index.included_ordinals)
-            items.append((key_values + (rid,), payload))
-        items.sort(key=lambda kv: kv[0])
-        index.tree = BPlusTree.bulk_load(items, leaf_capacity=index.tree.leaf_capacity)
+        keys, rows = index._sorted_entries(rows_with_rids)
+        payloads = Records([lossless_array(list(map(itemgetter(i), rows)))
+                            for i in index.included_ordinals], len(rows))
+        index.tree = BPlusTree.from_columns(
+            keys, payloads, leaf_capacity=index.tree.leaf_capacity)
         return index
 
     def _payload(self, row: Row) -> Row:
@@ -787,9 +828,8 @@ class PagedLeafSource:
 
     ``read_page(offset, length)`` decodes one PT_BTREE_LEAF page into
     its ``(keys, values)`` chunk, which is what the pool caches: the key
-    list of a resident leaf, and values that are a list or a read-only
-    sequence building each row when it is read. It is supplied by
-    :mod:`repro.storage.pages` so this module stays codec-free.
+    list and the :class:`Records` a resident leaf holds. It is supplied
+    by :mod:`repro.storage.pages` so this module stays codec-free.
     """
 
     __slots__ = ("pool", "object_id", "n_items", "fences", "page_locs",
@@ -836,8 +876,9 @@ class _PagedBTreeMixin:
     read). Any access that needs the full in-memory tree — a mutation,
     ``check_invariants``, a checkpoint's ``tree.items()`` — goes through
     the ``tree`` property, which transparently **materializes**: all
-    leaf pages are read once, bulk-loaded into a real
-    :class:`BPlusTree`, and the paged pages evicted from the pool. After
+    leaf pages are read once, their columns adopted by a real
+    :class:`BPlusTree` (:meth:`BPlusTree.from_columns`, no row built),
+    and the paged pages evicted from the pool. After
     materialization the index is indistinguishable from an eagerly
     restored one, so correctness never depends on staying paged.
 
@@ -875,11 +916,15 @@ class _PagedBTreeMixin:
 
     def _materialize(self) -> None:
         source = self._paged
-        items: List[Tuple[Key, Row]] = []
+        keys: List[Key] = []
+        parts: List[Records] = []
         for page_no in range(source.n_pages):
-            items.extend(zip(*source.fetch(page_no)))
-        tree = BPlusTree.bulk_load(
-            items, leaf_capacity=self._tree.leaf_capacity,
+            page_keys, values = source.fetch(page_no)
+            keys += page_keys
+            parts.append(values)
+        tree = BPlusTree.from_columns(
+            keys, Records.concat(parts),
+            leaf_capacity=self._tree.leaf_capacity,
             internal_capacity=self._tree.internal_capacity)
         self._tree = tree
         self._paged = None

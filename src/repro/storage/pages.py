@@ -29,7 +29,8 @@ str/bytes, containers, and 1-D numpy arrays (object arrays element-wise)
 whose items share one fixed layout (a B+ leaf's entries, a page of
 integer rows) is written and read as one numpy record array, in the same
 bytes the per-value encoding gives; a B+ leaf page faulted in by a paged
-index keeps its entries as that array's columns (:class:`Records`).
+index keeps its values as that array's columns, in the
+:class:`~repro.storage.records.Records` every leaf holds.
 
 Snapshot layout: one :data:`PT_CATALOG` page, then per table a
 :data:`PT_TABLE` page, :data:`PT_ROWS` pages chunking the canonical row
@@ -54,9 +55,8 @@ import os
 import struct
 import threading
 import zlib
-from collections.abc import Sequence
 from itertools import repeat
-from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +84,7 @@ from repro.storage.compression import (
 )
 from repro.storage.faults import FaultInjector, trip
 from repro.storage.heap import HeapFile
+from repro.storage.records import Records
 
 __all__ = [
     "PAGE_BYTES",
@@ -220,8 +221,9 @@ def unpack_value(buf, offset: int = 0,
     malformed payload.
 
     With ``lazy``, a fixed-layout list that is the value or one of its
-    dict values (a B+ leaf page's entries) decodes to :class:`Records`
-    instead of a list; lists nested deeper decode as usual."""
+    dict values (a B+ leaf page's entries) decodes to its
+    :class:`_Fixed` columns instead of a list; lists nested deeper
+    decode as usual."""
     try:
         return _unpack(buf, offset, lazy)
     except RecursionError:
@@ -390,17 +392,30 @@ def _describe(column, template: bytearray,
     return True
 
 
+class _Fixed(NamedTuple):
+    """``count`` values of one fixed layout, still as its columns."""
+    shape: object
+    columns: List[np.ndarray]
+    count: int
+
+    def values(self, shape=None) -> list:
+        """The values (or, given a part of the shape, that part of each)."""
+        columns = self.columns
+        return list(_rebuild(self.shape if shape is None else shape,
+                             lambda i: columns[i].tolist(), self.count))
+
+
 def _unpack_items(buf, offset: int, count: int, lazy: bool = False
-                  ) -> Tuple[Sequence, int]:
+                  ) -> Tuple[object, int]:
     """Decode ``count`` consecutive values; returns (list, next offset),
-    or with ``lazy`` (:class:`Records`, next offset) when the values
-    share one fixed layout."""
+    or with ``lazy`` (:class:`_Fixed`, next offset) when the values share
+    one fixed layout."""
     if count >= _MIN_RECORDS:
         layout = _fixed_layout(buf, offset, count)
         if layout is not None:
             shape, columns, end = layout
-            records = Records(shape, columns, count)
-            return (records if lazy else records[:]), end
+            fixed = _Fixed(shape, columns, count)
+            return (fixed if lazy else fixed.values()), end
     items = []
     for _ in range(count):
         item, offset = _unpack(buf, offset)
@@ -494,44 +509,6 @@ def _rebuild(shape, column: Callable[[int], list], count: int):
     if kind is tuple:
         return zip(*parts) if parts else repeat((), count)
     return map(list, zip(*parts)) if parts else ([] for _ in range(count))
-
-
-class Records(Sequence):
-    """A read-only sequence of ``count`` values of one fixed layout, held
-    as the layout's columns and built into Python values only when read.
-
-    An index or a slice builds just the values it returns (a slice as a
-    list); iterating builds them all, once per iteration. A paged B+
-    leaf's values are one of these, so a pool miss on a point seek builds
-    the row the seek returns and not the other 1 023.
-    """
-
-    __slots__ = ("shape", "columns", "count")
-
-    def __init__(self, shape, columns: List[np.ndarray], count: int):
-        self.shape = shape
-        self.columns = columns
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            columns = self.columns
-            return list(_rebuild(self.shape,
-                                 lambda i: columns[i][index].tolist(),
-                                 len(range(self.count)[index])))
-        # a one-value slice; ``or None`` lets index -1 reach the end
-        return self[index:index + 1 or None][0]
-
-    def __iter__(self):
-        return iter(self[:])
-
-    def part(self, i: int) -> "Records":
-        """The ``i``-th field of each value, as records over the same
-        columns (the values must be tuples or lists)."""
-        return Records(self.shape[1][i], self.columns, self.count)
 
 
 # ----------------------------------------------------------- page framing
@@ -1043,28 +1020,38 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
     return index
 
 
-def _leaf_chunk(body, offset: int) -> Tuple[Tuple[list, Sequence], int]:
+def _leaf_chunk(body, offset: int) -> Tuple[Tuple[list, Records], int]:
     """A PT_BTREE_LEAF payload decoded into the chunk a paged leaf is
-    cached as: ``((keys, values), next offset)``.
+    cached as: ``((keys, values), next offset)``, the key list and the
+    :class:`Records` a resident leaf holds.
 
     The payload decodes as :func:`unpack_value` decodes it, except that
     entries of one fixed layout stay columns: the keys are built as a
-    list, which seeks bisect, and the values are :class:`Records`, so a
-    fault builds the key tuples and no row until one is read. Other
-    entries (strings, NULL in some rows) are split into two lists."""
+    list, which seeks bisect, and each value field's column (or the
+    constant every value holds there) is adopted as it is, so a fault
+    builds the key tuples and no row. Other entries (strings, NULL in
+    some rows) are pivoted into columns once."""
     payload, end = unpack_value(body, offset, lazy=True)
     try:
         items = payload["items"]
     except (TypeError, KeyError):
         raise StorageError("btree leaf payload has no entries") from None
-    if isinstance(items, Records) and items.shape[0] in (tuple, list) \
-            and len(items.shape[1]) == 2:
-        return (items.part(0)[:], items.part(1)), end
+    if isinstance(items, _Fixed):
+        outer, parts = items.shape
+        if outer in (tuple, list) and len(parts) == 2 \
+                and parts[1][0] is tuple \
+                and all(part[0] in ("column", "const") for part in parts[1][1]):
+            return (items.values(parts[0]), Records(
+                [items.columns[arg] if kind == "column"
+                 else np.full(items.count, arg, dtype=object)
+                 for kind, arg in parts[1][1]], items.count)), end
+        items = items.values()
     try:
-        return ([k for k, _ in items], [v for _, v in items]), end
+        keys, values = [k for k, _ in items], [v for _, v in items]
     except (TypeError, ValueError):
         raise StorageError(
             "btree leaf entries are not (key, value) pairs") from None
+    return (keys, Records.from_rows(values)), end
 
 
 def _restore_columnstore(table, desc: Dict[str, object],

@@ -3,10 +3,18 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.core.errors import StorageError
 from repro.core.schema import Column, TableSchema
 from repro.core.types import INT, varchar
+from repro.engine.batch import _column_array, batch_column
 from repro.engine.metrics import ExecutionContext
 from repro.storage.btree import (
     BPlusTree,
@@ -14,6 +22,7 @@ from repro.storage.btree import (
     SecondaryBTreeIndex,
     iter_entries,
 )
+from tests.oracle import examples
 
 
 def schema_two_ints():
@@ -260,3 +269,121 @@ class TestSecondaryBTreeIndex:
         schema = self.schema()
         index = SecondaryBTreeIndex("ix", schema, ["b"])
         assert index.entry_byte_width < schema.row_byte_width + 8
+
+
+# ================================ the columnar leaf against a row model
+
+#: A payload field: mostly ints, so typed int64 columns are common and
+#: a NULL, float, str or bool arriving in one is an edit the leaf must
+#: absorb (and its leaving one a column that stays object).
+FIELD = (st.integers(-5, 5) | st.integers(-2 ** 63, 2 ** 63 - 1)
+         | st.integers(0, 9) | st.floats(allow_nan=False) | st.none()
+         | st.text(max_size=2) | st.booleans())
+KEYS = st.integers(0, 60)
+
+
+def lossless_dtype(values):
+    """The dtype the lossless rule allows for these values."""
+    kinds = {type(value) for value in values}
+    return ("i" if kinds == {int} else "f" if kinds == {float} else "O")
+
+
+class ColumnarLeafMachine(RuleBasedStateMachine):
+    """A B+ tree whose leaves hold typed columns, edited by inserts,
+    deletes, in-place and key-changing updates at leaf capacities 4-8
+    (so splits, borrows and merges all fire), against a dict of row
+    tuples. ``repr`` tells 1 from 1.0 and True, and -0.0 from 0.0."""
+
+    @initialize(capacity=st.integers(4, 8), width=st.sampled_from([0, 1, 3]),
+                bulk=st.lists(st.tuples(KEYS, st.lists(FIELD, min_size=3,
+                                                       max_size=3)),
+                              max_size=40))
+    def build(self, capacity, width, bulk):
+        self.width = width
+        self.model = {(k,): tuple(row[:width]) for k, row in bulk}
+        self.tree = BPlusTree.bulk_load(sorted(self.model.items()),
+                                        leaf_capacity=capacity,
+                                        internal_capacity=4)
+
+    def row(self, fields):
+        return tuple(fields[:self.width])
+
+    @rule(key=KEYS, fields=st.lists(FIELD, min_size=3, max_size=3))
+    def insert(self, key, fields):
+        if (key,) in self.model:
+            with pytest.raises(StorageError):
+                self.tree.insert((key,), self.row(fields))
+            return
+        self.tree.insert((key,), self.row(fields))
+        self.model[(key,)] = self.row(fields)
+
+    @rule(key=KEYS)
+    def delete(self, key):
+        if (key,) not in self.model:
+            with pytest.raises(StorageError):
+                self.tree.delete((key,))
+            return
+        assert repr(self.tree.delete((key,))) == repr(self.model.pop((key,)))
+
+    @rule(key=KEYS, fields=st.lists(FIELD, min_size=3, max_size=3))
+    def update_in_place(self, key, fields):
+        replaced = self.tree.replace((key,), self.row(fields))
+        assert replaced == ((key,) in self.model)
+        if replaced:
+            self.model[(key,)] = self.row(fields)
+
+    @rule(key=KEYS, new_key=KEYS, fields=st.lists(FIELD, min_size=3,
+                                                 max_size=3))
+    def update_key(self, key, new_key, fields):
+        if (key,) not in self.model or (new_key,) in self.model:
+            return
+        self.tree.delete((key,))
+        self.tree.insert((new_key,), self.row(fields))
+        del self.model[(key,)]
+        self.model[(new_key,)] = self.row(fields)
+
+    @rule(low=st.none() | KEYS, high=st.none() | KEYS,
+          low_inclusive=st.booleans(), high_inclusive=st.booleans(),
+          probe=KEYS)
+    def read(self, low, high, low_inclusive, high_inclusive, probe):
+        low = None if low is None else (low,)
+        high = None if high is None else (high,)
+        expected = [(k, v) for k, v in sorted(self.model.items())
+                    if (low is None or k > low or (k == low and low_inclusive))
+                    and (high is None or k < high
+                         or (k == high and high_inclusive))]
+        chunks = list(self.tree.leaf_chunks(low, high, low_inclusive,
+                                            high_inclusive))
+        got = [pair for keys, values in chunks
+               for pair in zip(keys, values)]
+        assert repr(got) == repr(expected)
+        for keys, values in chunks:
+            assert len(keys) == len(values) > 0
+            rows = list(values)
+            for ordinal in range(self.width):
+                # What a scan batches from the chunk is what pivoting
+                # its rows gives: dtype, values and their Python types.
+                built = batch_column([values.column(ordinal)])
+                pivoted = _column_array([row[ordinal] for row in rows])
+                assert built.dtype == pivoted.dtype
+                assert repr(built.tolist()) == repr(pivoted.tolist())
+        assert (repr(self.tree.get((probe,)))
+                == repr(self.model.get((probe,))))
+
+    @invariant()
+    def matches_the_model(self):
+        self.tree.check_invariants()
+        assert repr(list(self.tree.items())) == repr(sorted(self.model.items()))
+        leaf = self.tree._first_leaf
+        while leaf is not None:
+            if leaf.keys:       # one column per field, each lossless
+                assert leaf.values.width == self.width
+                for ordinal in range(self.width):
+                    stored = [self.model[key][ordinal] for key in leaf.keys]
+                    kind = leaf.values.column(ordinal).dtype.kind
+                    assert kind == "O" or kind == lossless_dtype(stored)
+            leaf = leaf.next
+
+
+TestColumnarLeaves = ColumnarLeafMachine.TestCase
+TestColumnarLeaves.settings = settings(examples(60), stateful_step_count=40)

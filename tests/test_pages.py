@@ -37,6 +37,7 @@ from repro.storage.pages import (
     snapshot_bytes,
     unpack_value,
 )
+from repro.storage.records import lossless_array
 from repro.storage.recovery import state_digest
 from repro.workloads.ch import generate_ch
 from tests.oracle import examples
@@ -224,8 +225,8 @@ class TestRecordPath:
                 == database.table("customer").rows_with_rids())
 
 
-#: Leaf entry kinds: the fixed layouts a paged leaf keeps as columns,
-#: then the entries that decode to plain lists.
+#: Leaf entry kinds: the fixed layouts whose columns a paged leaf
+#: adopts, then the entries it pivots into columns once.
 FIXED_LEAVES = ["int key", "composite key", "float values", "null column",
                 "empty payload"]
 LIST_LEAVES = ["strings", "int and null"]
@@ -282,7 +283,7 @@ def leaf_chunk(page: bytes):
 
 class TestLeafDecoder:
     """A paged leaf's chunk equals the eager decode of its page: the same
-    key list, and values that read as the same list however they are
+    key list, and records that read as the same list however they are
     indexed, sliced or iterated (``repr`` tells ``1`` from ``1.0``,
     ``-0.0`` from ``0.0`` and tuples from lists)."""
 
@@ -295,11 +296,14 @@ class TestLeafDecoder:
         keys, values = leaf_chunk(page)
         eager_keys, eager_values = eager_chunk(page)
         assert type(keys) is list and keys == eager_keys
-        fixed = kind in FIXED_LEAVES and count >= 16
-        assert isinstance(values, Records) == fixed
-        assert not isinstance(values, list) or not fixed
-        if fixed:       # copies: a cached leaf never holds the page bytes
-            assert all(column.flags.owndata for column in values.columns)
+        # One leaf representation whatever the layout: typed columns,
+        # each of the dtype the lossless rule gives its values, and
+        # copies (a cached leaf never holds the page bytes).
+        assert type(values) is Records
+        assert all(column.flags.owndata for column in values.columns)
+        assert ([column.dtype for column in values.columns]
+                == [lossless_array(list(field)).dtype
+                    for field in zip(*eager_values)])
         assert len(values) == len(eager_values)
         assert ([repr(values[i]) for i in range(-count, count)]
                 == [repr(eager_values[i]) for i in range(-count, count)])

@@ -124,6 +124,7 @@ def paged_index(items, page_rows):
     cut into pages of ``page_rows`` and served through a real pool."""
     from repro.storage.btree import PagedLeafSource, PagedPrimaryBTreeIndex
     from repro.storage.bufferpool import BufferPool
+    from repro.storage.records import Records
     schema = TableSchema("p", [Column("a", INT, nullable=False),
                                Column("b", INT, nullable=False),
                                Column("v", INT)])
@@ -135,7 +136,8 @@ def paged_index(items, page_rows):
             pool, 7, len(items), [page[0][0] for page in pages],
             [(i, i, 64) for i in range(len(pages))],
             lambda offset, length: ([k for k, _ in pages[offset]],
-                                    [v for _, v in pages[offset]])))
+                                    Records.from_rows(
+                                        [v for _, v in pages[offset]]))))
     return index, pool
 
 
@@ -185,12 +187,23 @@ class TestLeafChunks:
         assert pool.pinned_pages() == 0
 
     def test_whole_leaves_are_borrowed_not_copied(self):
-        items = [((i,), (i,)) for i in range(40)]
+        """A whole leaf is handed out as its own key list and records, a
+        leaf cut at a bound as a view of the leaf's arrays: no chunk
+        copies a value column."""
+        items = [((i,), (i, i / 2)) for i in range(40)]
         tree = BPlusTree.bulk_load(items, leaf_capacity=8)
         chunks = list(tree.leaf_chunks((3,), (36,)))
-        leaf = tree._first_leaf.next
+        first, leaf = tree._first_leaf, tree._first_leaf.next
         assert chunks[1][0] is leaf.keys and chunks[1][1] is leaf.values
-        assert chunks[0][0] is not tree._first_leaf.keys  # sliced at the bound
+        assert chunks[0][0] is not first.keys  # sliced at the bound
+        assert chunks[0][0] == first.keys[3:]
+        for ordinal in (0, 1):
+            part = chunks[0][1].column(ordinal)
+            assert np.shares_memory(part, first.values.column(ordinal))
+            assert part.tolist() == [row[ordinal] for row in first.values][3:]
+        last = chunks[-1][1]
+        assert np.shares_memory(last.column(0), tree._find_leaf(
+            (36,)).values.column(0))
 
     def test_abandoned_paged_scan_unpins_its_page(self):
         entries = [((i, 0, i), (i, 0, i)) for i in range(30)]
