@@ -235,9 +235,9 @@ def eval_column(piece: np.ndarray) -> np.ndarray:
 
 
 class RowColumns:
-    """Row tuples read by column: the pivot for scan entries that are
-    rows (a heap chunk, a secondary index's key tuples, bookmark-looked-up
-    columns). It reads like :class:`~repro.storage.records.Records`
+    """Row tuples read by column: the pivot for entries that are rows
+    (a secondary index's key tuples, rows and columns looked up by rid).
+    It reads like :class:`~repro.storage.records.Records`
     (``len``, :meth:`column`, :meth:`view`, :meth:`take`), pivoting a
     field each time one is asked for."""
 

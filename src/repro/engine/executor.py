@@ -404,8 +404,8 @@ class Executor:
             chunks = self._columnstore_chunks(table, where, ranges, ctx)
             row_ms = 0.0        # that source charges per batch instead
         else:
-            chunks = ((rids, read(RowColumns(rows)))
-                      for rids, rows in primary.scan(ctx))
+            chunks = ((rids, read(values))
+                      for rids, values in primary.scan(ctx))
 
         located: List[int] = []
         scanned = 0

@@ -122,7 +122,7 @@ class _ScanBase(PhysicalOperator):
     def _source_widths(self) -> List[int]:
         """Field counts of the sources an entry chunk holds, in the order
         ``_ordinals`` counts through them: by default one, the whole row
-        (a heap chunk's rows, a clustered leaf's records)."""
+        (the records of a heap leaf or a clustered leaf)."""
         return [len(self.table.schema.columns)]
 
     def chunk_step(self, ctx: ExecutionContext) -> Callable:
@@ -132,7 +132,8 @@ class _ScanBase(PhysicalOperator):
 
         An entry chunk is a list of equal-length sources read by column:
         a leaf's :class:`~repro.storage.records.Records`, or
-        :class:`RowColumns` where the entries are rows. ``_ordinals[i]``
+        :class:`RowColumns` where the entries are rows (a secondary
+        leaf's key tuples, bookmark-looked-up columns). ``_ordinals[i]``
         is where output column ``i`` sits across them (see
         :meth:`_source_widths`). Entries that need bookmark lookups
         first gain one more source, the looked-up columns; then the
@@ -231,7 +232,7 @@ class HeapScan(_ScanBase):
         if not isinstance(heap, HeapFile):
             raise ExecutionError(f"{self.table.name} primary is not a heap")
         ctx.charge_parallel_startup(self.dop)
-        chunks = ([RowColumns(rows)] for _, rows in heap.scan(ctx))
+        chunks = ([values] for _, values in heap.scan(ctx))
         yield from self._chunks_to_batches(ctx, chunks, "heap")
 
     def describe(self) -> str:

@@ -42,7 +42,8 @@ flattens chunks into (key, row tuple) pairs for per-entry consumers.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import add, itemgetter
+from itertools import islice
+from operator import add, itemgetter, lt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import StorageError
@@ -157,23 +158,30 @@ class BPlusTree:
             node = node.children[idx]
         return node  # type: ignore[return-value]
 
-    def get(self, key: Key) -> Optional[Row]:
-        """Look up the payload stored under ``key`` (None if absent)."""
+    def _position(self, key: Key) -> Tuple[_Leaf, int]:
+        """The leaf that holds ``key`` and its index there (-1 if absent)."""
         leaf = self._find_leaf(key)
         idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return leaf.values[idx]
-        return None
+            return leaf, idx
+        return leaf, -1
+
+    def __contains__(self, key: Key) -> bool:
+        return self._position(key)[1] >= 0
+
+    def get(self, key: Key) -> Optional[Row]:
+        """Look up the payload stored under ``key`` (None if absent)."""
+        leaf, idx = self._position(key)
+        return leaf.values[idx] if idx >= 0 else None
 
     def replace(self, key: Key, value: Row) -> bool:
         """Overwrite the payload stored under ``key`` in place; False
         (and nothing written) when ``key`` is absent."""
-        leaf = self._find_leaf(key)
-        idx = bisect_left(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            leaf.values[idx] = value
-            return True
-        return False
+        leaf, idx = self._position(key)
+        if idx < 0:
+            return False
+        leaf.values[idx] = value
+        return True
 
     def leaf_chunks(
         self,
@@ -393,9 +401,8 @@ class BPlusTree:
             return tree
         if len(keys) != len(values):
             raise StorageError("bulk_load needs one value per key")
-        for i in range(1, len(keys)):
-            if keys[i] <= keys[i - 1]:
-                raise StorageError("bulk_load requires sorted unique keys")
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise StorageError("bulk_load requires sorted unique keys")
         columns = values.live_columns()
         fill = max(4, int(leaf_capacity * 0.85))
         leaves: List[_Leaf] = []

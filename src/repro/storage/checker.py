@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.errors import StorageError
-from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
+from repro.storage.btree import (PrimaryBTreeIndex, SecondaryBTreeIndex,
+                                 iter_entries)
 from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.compression import _segment_min_max
 from repro.storage.database import Database
@@ -130,14 +131,21 @@ def check_database(db: Database) -> CheckResult:
 # --------------------------------------------------------------- heaps
 def _check_heap(heap: HeapFile, rows: Dict[int, Row], label: str,
                 result: CheckResult) -> None:
-    stored = heap._rows
-    for rid in stored.keys() - rows.keys():
-        result.add(f"{label}: orphan rid {rid} not in table rows")
-    for rid in rows.keys() - stored.keys():
-        result.add(f"{label}: rid {rid} missing from heap")
-    for rid in stored.keys() & rows.keys():
-        if not _rows_equal(stored[rid], rows[rid]):
+    try:
+        heap.tree.check_invariants()
+    except StorageError as exc:
+        result.add(f"{label}: tree invariant violated: {exc}")
+        return
+    seen = set()
+    for rid, row in iter_entries(heap.scan()):
+        seen.add(rid)
+        expected = rows.get(rid)
+        if expected is None:
+            result.add(f"{label}: orphan rid {rid} not in table rows")
+        elif not _rows_equal(row, expected):
             result.add(f"{label}: rid {rid} row mismatch")
+    for rid in rows.keys() - seen:
+        result.add(f"{label}: rid {rid} missing from heap")
 
 
 # ------------------------------------------------------------- B+ trees

@@ -1,21 +1,33 @@
 """Heap file: the unordered row store used when a table has no clustered
 index. Also serves as the RID-addressable backing store for secondary
 index lookups.
+
+A heap is pages of RID-addressed rows in no other order. Its pages are
+the leaves of a :class:`~repro.storage.btree.BPlusTree` keyed by the rid
+alone (a plain ``int``), at most :data:`SCAN_CHUNK_ROWS` rows a leaf:
+each leaf holds its rids as a list and its rows as one
+:class:`~repro.storage.records.Records`, so a heap chunk is the same
+``(keys, values)`` pair a clustered leaf hands out and a scan reads
+column slices. The tree only addresses rows: what a heap access is
+charged stays a heap's (one random read per fetch, the table's bytes
+per scan), never a traversal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
 from repro.engine.metrics import ExecutionContext
+from repro.storage.btree import BPlusTree
 from repro.storage.faults import FaultInjector, trip
+from repro.storage.records import Records
 from repro.storage.telemetry import IndexUsageStats
 
 Row = Tuple[object, ...]
 
-#: Rows per chunk handed out by :meth:`HeapFile.scan`.
+#: Rows per heap leaf, and so at most per chunk of :meth:`HeapFile.scan`.
 SCAN_CHUNK_ROWS = 4096
 
 
@@ -29,12 +41,8 @@ class HeapFile:
         self.name = name
         self.schema = schema
         self.object_id = object_id
-        self._rows: Dict[int, Row] = {}
-        #: Whether ``_rows`` iterates in RID order (rids normally only
-        #: grow); cleared by an insert below ``_max_rid``, after which
-        #: scans sort.
-        self._rid_ordered = True
-        self._max_rid = -1
+        #: rid -> row, in leaves of typed columns (see the module docstring).
+        self.tree = BPlusTree(leaf_capacity=SCAN_CHUNK_ROWS)
         #: Fault injector attached by the owning Table (None standalone).
         self.faults: Optional[FaultInjector] = None
         #: Cumulative usage counters (dm_db_index_usage_stats); recorded
@@ -42,42 +50,41 @@ class HeapFile:
         self.usage = IndexUsageStats()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.tree)
 
     def size_bytes(self) -> int:
         # Heap pages hold rows with ~4% free-space/fragmentation overhead.
         """Approximate on-disk size in bytes."""
-        return int(len(self._rows) * self.schema.row_byte_width * 1.04) + 8192
+        return int(len(self.tree) * self.schema.row_byte_width * 1.04) + 8192
+
+    def load(self, rids: List[int], rows: Sequence[Row]) -> None:
+        """Bulk build: ``rows`` at the ascending ``rids`` become the
+        content of this empty heap, pivoted into columns once. A load is
+        not a statement (table bulk load, snapshot restore, redo): the
+        rows are not checked, no fault point is hit, nothing is charged."""
+        if len(self.tree):
+            raise StorageError(f"bulk load into non-empty heap {self.name!r}")
+        self.tree = BPlusTree.from_columns(
+            rids, Records.from_rows(rows), leaf_capacity=SCAN_CHUNK_ROWS)
+
+    def _check_live(self, rid: int) -> None:
+        if rid not in self.tree:
+            raise StorageError(f"rid {rid} not in heap {self.name!r}")
 
     def insert(self, rid: int, row: Row, ctx: Optional[ExecutionContext] = None) -> None:
         """Insert one row, charging maintenance costs to ``ctx``."""
-        if rid in self._rows:
+        if rid in self.tree:
             raise StorageError(f"duplicate rid {rid} in heap {self.name!r}")
         trip(self.faults, "heap.insert")
-        self._store(rid, row)
+        self.tree.insert(rid, row)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
 
-    def _store(self, rid: int, row: Row) -> None:
-        self._rows[rid] = row
-        if rid < self._max_rid:
-            self._rid_ordered = False
-        else:
-            self._max_rid = rid
-
-    def restore_rows(self, rows_with_rids: Iterable[Tuple[int, Row]]) -> None:
-        """Snapshot restore: take the table's (rid, row) pairs as this
-        heap's content. A load is not a statement — no fault point, no
-        charge — but it keeps the same rid bookkeeping as ``insert``."""
-        for rid, row in rows_with_rids:
-            self._store(rid, row)
-
     def delete(self, rid: int, row: Row, ctx: Optional[ExecutionContext] = None) -> None:
         """Delete one row, charging maintenance costs to ``ctx``."""
-        if rid not in self._rows:
-            raise StorageError(f"rid {rid} not in heap {self.name!r}")
+        self._check_live(rid)
         trip(self.faults, "heap.delete")
-        del self._rows[rid]
+        self.tree.delete(rid)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
 
@@ -89,39 +96,31 @@ class HeapFile:
         ctx: Optional[ExecutionContext] = None,
     ) -> None:
         """Update one row in place (delete+insert when keys change)."""
-        if rid not in self._rows:
-            raise StorageError(f"rid {rid} not in heap {self.name!r}")
+        self._check_live(rid)
         trip(self.faults, "heap.update")
-        self._rows[rid] = new_row
+        self.tree.replace(rid, new_row)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
 
     def fetch(self, rid: int, ctx: Optional[ExecutionContext] = None) -> Row:
         """RID lookup: one random page access on cold runs."""
-        try:
-            row = self._rows[rid]
-        except KeyError:
-            raise StorageError(f"rid {rid} not in heap {self.name!r}") from None
+        row = self.tree.get(rid)
+        if row is None:
+            raise StorageError(f"rid {rid} not in heap {self.name!r}")
         if ctx is not None:
             ctx.charge_random_read(1)
             self.usage.record_lookup()
         return row
 
     def scan(self, ctx: Optional[ExecutionContext] = None
-             ) -> Iterator[Tuple[List[int], List[Row]]]:
-        """Full scan in RID order as (rids, rows) chunks — the B+ leaf
-        chunk protocol (:func:`repro.storage.btree.iter_entries` flattens
-        them); charges sequential-ish heap I/O."""
+             ) -> Iterator[Tuple[List[int], Records]]:
+        """Full scan in RID order as (rids, records) chunks, one per
+        leaf — the B+ leaf chunk protocol, borrowed alike
+        (:func:`repro.storage.btree.iter_entries` flattens them);
+        charges sequential-ish heap I/O."""
         if ctx is not None:
-            nbytes = len(self._rows) * self.schema.row_byte_width
+            nbytes = len(self.tree) * self.schema.row_byte_width
             ctx.charge_btree_scan_read(nbytes)
             ctx.record_data_read(nbytes)
             self.usage.record_scan()
-        if self._rid_ordered:
-            rids, rows = list(self._rows), list(self._rows.values())
-        else:
-            rids = sorted(self._rows)
-            rows = list(map(self._rows.__getitem__, rids))
-        for start in range(0, len(rids), SCAN_CHUNK_ROWS):
-            stop = start + SCAN_CHUNK_ROWS
-            yield rids[start:stop], rows[start:stop]
+        yield from self.tree.leaf_chunks()

@@ -1148,7 +1148,7 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
             if desc["kind"] == "heap":
                 index = HeapFile(desc["name"], table.schema,
                                  object_id=desc["object_id"])
-                index.restore_rows(table.iter_rows())
+                index.load(*table.rids_and_rows())
             elif desc["kind"] == "btree":
                 index = _restore_btree(table, desc, stream, pool, reader)
             elif desc["kind"] == "csi":

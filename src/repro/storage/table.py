@@ -139,12 +139,10 @@ class Table:
         rid allocation must match the log exactly even when aborted
         statements burned rids in the original process (their rids are
         absent from the log and must stay absent)."""
-        for rid, row in zip(rids, rows):
-            row = tuple(row)
-            self._rows[rid] = row
-            self._next_rid = max(self._next_rid, rid + 1)
-            for index in self.all_indexes:
-                index.insert(rid, row)
+        rows = [tuple(row) for row in rows]
+        self._store_rows(rids, rows)
+        if rids:
+            self._next_rid = max(self._next_rid, max(rids) + 1)
         self.modification_counter += len(rids)
 
     # ------------------------------------------------------------ basics
@@ -170,6 +168,11 @@ class Table:
     def has_rid(self, rid: int) -> bool:
         """Whether the RID currently exists."""
         return rid in self._rows
+
+    def rids_and_rows(self) -> Tuple[List[int], List[Row]]:
+        """Every rid in ascending order, and the rows at them."""
+        rids = sorted(self._rows)
+        return rids, list(map(self._rows.__getitem__, rids))
 
     def iter_rows(self) -> Iterator[Tuple[int, Row]]:
         """Iterate (rid, row) pairs in RID order."""
@@ -276,8 +279,7 @@ class Table:
     def set_primary_heap(self) -> HeapFile:
         """Convert the primary structure back to a heap file."""
         heap = self._wire(HeapFile(f"{self.name}_heap", self.schema))
-        for rid, row in self.iter_rows():
-            heap.insert(rid, row)
+        heap.load(*self.rids_and_rows())
         self._evict_cached_segments(self.primary)
         self.primary = heap
         self._log_ops([{"op": "set_primary_heap", "table": self.name}])
@@ -459,24 +461,20 @@ class Table:
         return rid
 
     def bulk_load(self, rows: Sequence[Sequence[object]]) -> List[int]:
-        """Fast path used by workload generators: validates and stores rows
-        without index maintenance; call before creating indexes."""
-        if self.secondary_indexes or len(self.primary) != 0:
+        """Fast path used by workload generators: validates every row,
+        then stores them all without charges; call before creating
+        indexes. A row that fails validation leaves the table, its rid
+        allocation and the log untouched."""
+        if self.secondary_indexes or self._rows:
             raise StorageError(
                 f"bulk_load requires an empty, index-free table; "
-                f"{self.name!r} has {len(self.primary)} rows and "
+                f"{self.name!r} has {len(self._rows)} rows and "
                 f"{len(self.secondary_indexes)} secondary indexes"
             )
-        rids = []
-        validated_rows = []
-        for row in rows:
-            validated = self.schema.validate_row(row)
-            rid = self._next_rid
-            self._next_rid += 1
-            self._rows[rid] = validated
-            self.primary.insert(rid, validated)
-            rids.append(rid)
-            validated_rows.append(validated)
+        validated_rows = list(map(self.schema.validate_row, rows))
+        rids = list(range(self._next_rid, self._next_rid + len(validated_rows)))
+        self._store_rows(rids, validated_rows)
+        self._next_rid += len(rids)
         self.modification_counter += len(rids)
         if rids:
             self._log_ops([{
@@ -484,6 +482,29 @@ class Table:
                 "rids": rids, "rows": validated_rows,
             }])
         return rids
+
+    def _store_rows(self, rids: List[int], rows: List[Row]) -> None:
+        """Add ``rows`` at the ascending ``rids`` to the row store and
+        every index, uncharged: an empty heap with no secondary index is
+        built in one columnar pass, anything else takes the rows one at
+        a time and is rolled back if one of them fails."""
+        primary = self.primary
+        if (isinstance(primary, HeapFile) and not len(primary)
+                and not self.secondary_indexes):
+            primary.load(rids, rows)
+        else:
+            applied: List = []
+            try:
+                for rid, row in zip(rids, rows):
+                    for index in self.all_indexes:
+                        index.insert(rid, row)
+                        applied.append((index, rid, row))
+            except BaseException:
+                with self._rollback_guard():
+                    for index, rid, row in reversed(applied):
+                        index.delete(rid, row)
+                raise
+        self._rows.update(zip(rids, rows))
 
     def delete_rid(self, rid: int, ctx: Optional[ExecutionContext] = None) -> Row:
         """Delete one row by RID through every index."""

@@ -132,6 +132,11 @@ class TestBPlusTree:
         with pytest.raises(StorageError):
             BPlusTree.bulk_load([((2,), (2,)), ((1,), (1,))], leaf_capacity=4)
 
+    @pytest.mark.parametrize("keys", [[1, 1], [1, 3, 2, 4]])
+    def test_bulk_load_rejects_duplicates_and_late_disorder(self, keys):
+        with pytest.raises(StorageError, match="sorted unique"):
+            BPlusTree.bulk_load([((k,), (k,)) for k in keys], leaf_capacity=4)
+
     def test_bulk_load_then_insert_delete(self):
         items = [((i,), (i,)) for i in range(0, 1000, 2)]
         tree = BPlusTree.bulk_load(items, leaf_capacity=8)

@@ -76,10 +76,19 @@ class TestCorruptionDetection:
     def test_tampered_heap_row(self):
         db = make_db()
         heap = db.table("h").primary
-        heap._rows[5] = (5, -1, "XX")
+        heap.tree.replace(5, (5, -1, "XX"))
         result = check_table(db.table("h"))
         assert not result.ok
         assert any("row mismatch" in e for e in result.errors)
+
+    def test_lost_and_orphan_heap_rows(self):
+        db = make_db()
+        heap = db.table("h").primary
+        row = heap.tree.delete(7)
+        heap.tree.insert(10_000, row)
+        result = check_table(db.table("h"))
+        assert any("rid 7 missing from heap" in e for e in result.errors)
+        assert any("orphan rid 10000" in e for e in result.errors)
 
     def test_lost_btree_entry(self):
         db = make_db()
@@ -156,13 +165,13 @@ class TestCorruptionDetection:
 
     def test_raise_if_failed(self):
         db = make_db()
-        db.table("h").primary._rows[5] = (5, -1, "XX")
+        db.table("h").primary.tree.replace(5, (5, -1, "XX"))
         with pytest.raises(StorageError, match="consistency check failed"):
             check_database(db).raise_if_failed()
 
     def test_database_merge_spans_tables(self):
         db = make_db()
-        db.table("h").primary._rows[5] = (5, -1, "XX")
+        db.table("h").primary.tree.replace(5, (5, -1, "XX"))
         index = csi_of(db.table("c"))
         index._groups[0].n_deleted += 1
         result = check_database(db)

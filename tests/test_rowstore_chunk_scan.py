@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import StorageError
 from repro.core.schema import Column, TableSchema
 from repro.core.types import INT, decimal, varchar
 from repro.engine.batch import _column_array, batch_to_rows
@@ -54,6 +55,7 @@ from repro.engine.operators import (
 )
 from repro.storage.btree import BPlusTree, PrimaryBTreeIndex
 from repro.storage.database import Database
+from repro.storage.records import Records
 from tests.reference_eval import eval_row
 
 EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -124,7 +126,6 @@ def paged_index(items, page_rows):
     cut into pages of ``page_rows`` and served through a real pool."""
     from repro.storage.btree import PagedLeafSource, PagedPrimaryBTreeIndex
     from repro.storage.bufferpool import BufferPool
-    from repro.storage.records import Records
     schema = TableSchema("p", [Column("a", INT, nullable=False),
                                Column("b", INT, nullable=False),
                                Column("v", INT)])
@@ -220,16 +221,35 @@ class TestLeafChunks:
         heap = HeapFile("h", schema)
         for rid in range(SCAN_CHUNK_ROWS + 10):
             heap.insert(rid, (rid,))
-        assert heap._rid_ordered
-        sizes = [len(rids) for rids, _ in heap.scan()]
-        assert sizes == [SCAN_CHUNK_ROWS, 10]
+        chunks = list(heap.scan())
+        assert all(isinstance(values, Records) for _, values in chunks)
+        assert all(len(rids) <= SCAN_CHUNK_ROWS for rids, _ in chunks)
+        assert sum(len(rids) for rids, _ in chunks) == SCAN_CHUNK_ROWS + 10
+        assert chunks[0][1].column(0).dtype == np.int64
         heap.delete(5, (5,))
-        heap.insert(5, (-5,))          # a restored rid lands at the end
-        assert not heap._rid_ordered
+        heap.insert(5, (-5,))          # a restored rid lands in rid order
         rids = [rid for chunk, _ in heap.scan() for rid in chunk]
-        assert rids == sorted(rids) and len(rids) == SCAN_CHUNK_ROWS + 10
+        assert rids == list(range(SCAN_CHUNK_ROWS + 10))
         rows = dict(pair for chunk in heap.scan() for pair in zip(*chunk))
         assert rows[5] == (-5,) and rows[6] == (6,)
+
+    def test_bulk_built_heap_chunks_are_leaf_columns(self):
+        from repro.storage.heap import SCAN_CHUNK_ROWS, HeapFile
+        schema = TableSchema("h", [Column("a", INT), Column("b", INT)])
+        heap = HeapFile("h", schema)
+        n = 2 * SCAN_CHUNK_ROWS + 7
+        heap.load(list(range(n)),
+                  [(rid, None if rid == 3 else rid) for rid in range(n)])
+        chunks = list(heap.scan())
+        assert len(chunks) > 2
+        assert all(len(rids) <= SCAN_CHUNK_ROWS for rids, _ in chunks)
+        assert [rid for rids, _ in chunks for rid in rids] == list(range(n))
+        # The NULL makes column b of its own leaf an object array only.
+        assert [values.column(1).dtype for _, values in chunks] == (
+            [np.dtype(object)] + [np.dtype(np.int64)] * (len(chunks) - 1))
+        assert all(values.column(0).dtype == np.int64 for _, values in chunks)
+        with pytest.raises(StorageError, match="non-empty heap"):
+            heap.load([n], [(n, n)])
 
 
 # ====================================== (b) operators against eval_row

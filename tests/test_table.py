@@ -1,5 +1,6 @@
 """Tests for Table (index maintenance across DML) and Database."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import CatalogError, StorageError
@@ -11,6 +12,7 @@ from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.database import Database
 from repro.storage.btree import iter_entries
 from repro.storage.heap import HeapFile
+from repro.storage.records import Records
 from repro.storage.table import Table
 
 
@@ -34,7 +36,12 @@ class TestHeap:
         heap.insert(1, (1, 2, "x"))
         heap.insert(2, (3, 4, "y"))
         assert heap.fetch(1) == (1, 2, "x")
-        assert list(heap.scan()) == [([1, 2], [(1, 2, "x"), (3, 4, "y")])]
+        [(rids, values)] = heap.scan()
+        assert rids == [1, 2]
+        assert isinstance(values, Records)
+        assert list(values) == [(1, 2, "x"), (3, 4, "y")]
+        assert values.column(0).dtype == np.int64
+        assert values.column(2).dtype == object
         assert [rid for rid, _ in iter_entries(heap.scan())] == [1, 2]
         assert len(heap) == 2
 
@@ -309,3 +316,61 @@ class TestBulkLoadGuard:
             table.bulk_load([(1000, 0, "x")])
         message = str(exc.value)
         assert "10 rows" in message and "1 secondary" in message
+
+
+class TestFailedBulkLoad:
+    """A bulk load whose 11th row fails validation stores nothing: every
+    design stays empty and loadable, in memory and after a reopen."""
+
+    ROWS = [(i, i % 10, f"s{i}") for i in range(20)]
+    BAD = ROWS[:10] + [(10, "bad", "x")] + ROWS[11:]
+
+    @staticmethod
+    def make(design, directory=None):
+        database = Database("d")
+        if directory is not None:
+            database.enable_durability(directory)
+        table = database.create_table(schema())
+        if design == "btree":
+            table.set_primary_btree(["a"])
+        elif design == "csi":
+            table.set_primary_columnstore(rowgroup_size=64)
+        return database, table
+
+    @staticmethod
+    def answer(database):
+        from repro.engine.executor import Executor
+        return Executor(database).execute(
+            "SELECT count(*), sum(a) FROM t").rows
+
+    @pytest.mark.parametrize("design", ["heap", "btree", "csi"])
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_failed_load_leaves_the_table_untouched(self, design, durable,
+                                                    tmp_path):
+        from repro.core.errors import SchemaError
+        from repro.storage.checker import check_database
+        from repro.storage.recovery import state_digest
+        directory = str(tmp_path) if durable else None
+        database, table = self.make(design, directory)
+        last_lsn = database.wal.last_lsn if durable else None
+        with pytest.raises(SchemaError):
+            table.bulk_load(self.BAD)
+        assert len(table) == 0 and check_database(database).ok
+        assert table._next_rid == 0 and table.modification_counter == 0
+        assert self.answer(database) == [(0, None)]
+        if durable:
+            assert database.wal.last_lsn == last_lsn
+            database.close()
+            database = Database.open(directory)
+            table = database.table("t")
+            assert len(table) == 0
+        assert table.bulk_load(self.ROWS) == list(range(20))
+        assert self.answer(database) == [(20, 190.0)]
+        assert check_database(database).ok
+        if durable:
+            digest = state_digest(database)
+            database.close()
+            reopened = Database.open(directory)
+            assert state_digest(reopened) == digest
+            assert self.answer(reopened) == [(20, 190.0)]
+            reopened.close()
