@@ -248,6 +248,16 @@ def _check_columnstore(index: ColumnstoreIndex, rows: Dict[int, Row],
                 result.add(f"{label}: live slot ({gi},{pos}) rid {rid} "
                            f"has locator {located!r}")
 
+    # --- the delta store: a rid-keyed tree, as a heap is.
+    try:
+        index._delta.check_invariants()
+    except StorageError as exc:
+        result.add(f"{label}: delta store tree invariant violated: {exc}")
+    delta = dict(index._delta.items())
+    for rid in delta:
+        if type(rid) is not int:
+            result.add(f"{label}: delta store key {rid!r} is not an int rid")
+
     # --- delete buffer / delta-store shadow pairing.
     if index.is_primary and index._delete_buffer:
         result.add(f"{label}: primary columnstore has a nonempty "
@@ -256,7 +266,7 @@ def _check_columnstore(index: ColumnstoreIndex, rows: Dict[int, Row],
         if rid not in index._rid_location:
             result.add(f"{label}: buffered delete for rid {rid} masks no "
                        "compressed copy")
-    for rid in index._delta.keys() & index._rid_location.keys():
+    for rid in delta.keys() & index._rid_location.keys():
         if index.is_primary or rid not in index._delete_buffer:
             result.add(f"{label}: rid {rid} live in both delta store and "
                        "a compressed group")
@@ -276,7 +286,7 @@ def _check_columnstore(index: ColumnstoreIndex, rows: Dict[int, Row],
                 result.add(f"{label}: rid {rid} live in two row groups")
                 continue
             live[rid] = tuple(decoded[name][pos] for name in index.columns)
-    for rid, values in index._delta.items():
+    for rid, values in delta.items():
         if rid in live:
             result.add(f"{label}: rid {rid} live in both delta store and "
                        "a compressed group")

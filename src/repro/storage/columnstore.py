@@ -35,11 +35,14 @@ import numpy as np
 
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
-from repro.engine.batch import Batch, _column_array
+from repro.engine.batch import Batch, batch_column
 from repro.engine.encoded import EncodedColumn
 from repro.engine.metrics import ExecutionContext
+from repro.storage.btree import BPlusTree
 from repro.storage.compression import CompressedRowGroup, compress_rowgroup
 from repro.storage.faults import FaultInjector, trip
+from repro.storage.heap import SCAN_CHUNK_ROWS
+from repro.storage.records import Records, lossless_array
 from repro.storage.segment_cache import DecodedSegmentCache
 from repro.storage.telemetry import IndexUsageStats
 from repro.storage.waits import WAIT_SEGCACHE_MISS
@@ -170,9 +173,10 @@ class ColumnstoreIndex:
         self._groups: List[_RowGroupState] = []
         #: rid -> (group index, position) for compressed rows.
         self._rid_location: Dict[int, Tuple[int, int]] = {}
-        #: Delta store: rid -> row values (in self.columns order). Modelled
-        #: as a dict; B+ tree maintenance CPU is charged via the cost model.
-        self._delta: Dict[int, Row] = {}
+        #: Delta store: rid -> row values (in self.columns order), a heap's
+        #: structure: a B+ tree keyed by the bare rid with SCAN_CHUNK_ROWS-row
+        #: Records leaves. Its maintenance CPU is charged via the cost model.
+        self._delta = BPlusTree(leaf_capacity=SCAN_CHUNK_ROWS)
         #: Secondary CSI only: rids awaiting background compaction into the
         #: delete bitmaps (the "delete buffer" B+ tree).
         self._delete_buffer: Set[int] = set()
@@ -202,19 +206,31 @@ class ColumnstoreIndex:
             name, schema, columns=columns, is_primary=is_primary,
             rowgroup_size=rowgroup_size, object_id=object_id,
         )
-        ordinals = index._column_ordinals
         for start in range(0, len(rows_with_rids), rowgroup_size):
             chunk = rows_with_rids[start:start + rowgroup_size]
             rids = np.fromiter((rid for rid, _ in chunk), dtype=np.int64,
                                count=len(chunk))
-            column_data = {
-                col: _column_array([row[ordinal] for _, row in chunk])
-                for col, ordinal in zip(index.columns, ordinals)
-            }
-            group = compress_rowgroup(schema, column_data, rids,
-                                      presorted=presorted)
+            columns = [lossless_array([row[ordinal] for _, row in chunk])
+                       for ordinal in index._column_ordinals]
+            group, = index._compress(rids, columns, rowgroup_size, presorted)
             index._append_group(group)
         return index
+
+    def _compress(self, rids: np.ndarray, columns: Sequence[np.ndarray],
+                  size: int, presorted: bool = False
+                  ) -> Iterator[CompressedRowGroup]:
+        """The one way rows become row groups: lossless ``columns`` (in
+        ``self.columns`` order) at ``rids``, cut every ``size`` rows. Each
+        group's column is built from its slice (``batch_column``): with
+        its own dtype, so a NULL makes one group's column an object array,
+        not every one's, and as a copy, so no segment pins the whole."""
+        for start in range(0, len(rids), size):
+            stop = start + size
+            yield compress_rowgroup(
+                self.schema,
+                {name: batch_column([column[start:stop]])
+                 for name, column in zip(self.columns, columns)},
+                rids[start:stop].copy(), presorted=presorted)
 
     @staticmethod
     def _register_group(
@@ -252,8 +268,12 @@ class ColumnstoreIndex:
     def restore_side_state(self, delta: Iterable[Tuple[int, Sequence]],
                            delete_buffer: Iterable[int]) -> None:
         """Replace the delta store and the delete buffer with a
-        snapshot's."""
-        self._delta = {rid: tuple(values) for rid, values in delta}
+        snapshot's; ``delta`` is (rid, values) pairs in rid order."""
+        delta = list(delta)
+        self._delta = BPlusTree.from_columns(
+            [rid for rid, _ in delta],
+            Records.from_rows([tuple(values) for _, values in delta]),
+            leaf_capacity=SCAN_CHUNK_ROWS)
         self._delete_buffer = set(delete_buffer)
 
     def attach_pager(self, pager, pool) -> None:
@@ -326,11 +346,11 @@ class ColumnstoreIndex:
         return tuple(row[i] for i in self._column_ordinals)
 
     def insert(self, rid: int, row: Row, ctx: Optional[ExecutionContext] = None) -> None:
-        """Insert into the delta store (a B+ tree in SQL Server)."""
+        """Insert into the delta store, a rid-keyed B+ tree."""
         if rid in self._delta or rid in self._rid_location:
             raise StorageError(f"duplicate rid {rid} in columnstore {self.name!r}")
         trip(self.faults, "csi.delta_insert")
-        self._delta[rid] = self._project(row)
+        self._delta.insert(rid, self._project(row))
         if ctx is not None:
             cm = ctx.cost_model
             ctx.charge_serial_cpu(cm.btree_update_cpu_ms_per_row + cm.seek_cpu_ms)
@@ -342,7 +362,8 @@ class ColumnstoreIndex:
                 # The tuple mover mutates nothing until it commits, so
                 # the new row is still in the delta store; removing it
                 # keeps this insert all-or-nothing.
-                self._delta.pop(rid, None)
+                if rid in self._delta:
+                    self._delta.delete(rid)
                 raise
 
     def delete(self, rid: int, row: Row, ctx: Optional[ExecutionContext] = None) -> None:
@@ -361,23 +382,14 @@ class ColumnstoreIndex:
         into the delete buffer.
 
         All-or-nothing: a failure (invalid rid, injected fault) midway
-        undoes the deletes already applied before re-raising.
-        """
-        self._delete_batch(list(rids), ctx)
-
-    def _delete_batch(
-        self, rid_list: List[int], ctx: Optional[ExecutionContext]
-    ) -> List[Tuple]:
-        """Apply one batch of deletes, returning physical undo tokens.
-
-        On failure the already-applied deletes are rolled back via their
-        tokens before the exception propagates.
+        undoes the deletes already applied, by their physical undo
+        tokens, before re-raising.
         """
         cm = ctx.cost_model if ctx is not None else None
         affected_groups: Set[int] = set()
         applied: List[Tuple] = []
         try:
-            for rid in rid_list:
+            for rid in rids:
                 trip(self.faults, "csi.delete")
                 token = self._apply_delete(rid)
                 applied.append(token)
@@ -395,30 +407,34 @@ class ColumnstoreIndex:
             for group_index in affected_groups:
                 group_rows = self._groups[group_index].group.n_rows
                 ctx.charge_serial_cpu(group_rows * cm.csi_locate_cpu_ms_per_row)
-        return applied
 
     def _apply_delete(self, rid: int) -> Tuple:
         """Delete one rid, returning a physical undo token:
         ``("delta", rid, values)``, ``("bitmap", rid, group, pos)``, or
         ``("buffer", rid)``."""
         if rid in self._delta:
-            return ("delta", rid, self._delta.pop(rid))
+            return ("delta", rid, self._delta.delete(rid))
         location = self._rid_location.get(rid)
         if location is None:
             raise StorageError(f"rid {rid} not in columnstore {self.name!r}")
         group_index, pos = location
-        state = self._groups[group_index]
-        if state.deleted_mask[pos]:
+        if (self._groups[group_index].deleted_mask[pos]
+                or rid in self._delete_buffer):
             raise StorageError(f"rid {rid} already deleted")
         if self.is_primary:
-            state.deleted_mask[pos] = True
-            state.n_deleted += 1
-            del self._rid_location[rid]
+            self._mask_slot(rid)
             return ("bitmap", rid, group_index, pos)
-        if rid in self._delete_buffer:
-            raise StorageError(f"rid {rid} already deleted")
         self._delete_buffer.add(rid)
         return ("buffer", rid)
+
+    def _mask_slot(self, rid: int) -> None:
+        """Set ``rid``'s compressed slot in its group's delete bitmap and
+        drop its locator (a bitmap-deleted slot keeps none)."""
+        group_index, pos = self._rid_location.pop(rid)
+        state = self._groups[group_index]
+        if not state.deleted_mask[pos]:
+            state.deleted_mask[pos] = True
+            state.n_deleted += 1
 
     def _undo_deletes(self, tokens: List[Tuple]) -> None:
         """Physically invert delete tokens (valid while no tuple move has
@@ -426,7 +442,7 @@ class ColumnstoreIndex:
         for token in reversed(tokens):
             kind = token[0]
             if kind == "delta":
-                self._delta[token[1]] = token[2]
+                self._delta.insert(token[1], token[2])
             elif kind == "bitmap":
                 _, rid, group_index, pos = token
                 state = self._groups[group_index]
@@ -440,36 +456,23 @@ class ColumnstoreIndex:
         """Undo helper: logically delete ``rid``'s current live version,
         wherever an intervening tuple move may have put it."""
         if rid in self._delta:
-            del self._delta[rid]
-            return
-        location = self._rid_location.get(rid)
-        if location is None:
-            return  # nothing live to remove
-        if self.is_primary:
-            group_index, pos = location
-            state = self._groups[group_index]
-            if not state.deleted_mask[pos]:
-                state.deleted_mask[pos] = True
-                state.n_deleted += 1
-            del self._rid_location[rid]
-        else:
-            self._delete_buffer.add(rid)
-
-    def _restore_row(self, rid: int, values: Row) -> None:
-        """Undo helper: make ``rid`` live again holding the projected
-        ``values``. When a (stale) compressed copy survives, it stays
-        masked and the restored version becomes a delta-store shadow."""
-        if not self.is_primary and rid in self._rid_location:
-            self._delete_buffer.add(rid)
-        self._delta[rid] = values
+            self._delta.delete(rid)
+        elif rid in self._rid_location:     # else nothing live to remove
+            if self.is_primary:
+                self._mask_slot(rid)
+            else:
+                self._delete_buffer.add(rid)
 
     def restore_row(self, rid: int, row: Row) -> None:
         """Compensating operation for a delete of ``rid``: bring the row
         back without violating the duplicate-rid check (the compressed
         copy, if one survives, stays masked while the restored version
-        lives in the delta store). Used by the table-level rollback of a
-        partially-applied multi-index DML statement."""
-        self._restore_row(rid, self._project(row))
+        lives in the delta store as a shadow). Used by the rollback of
+        :meth:`update_many` and of a partially-applied multi-index DML
+        statement."""
+        if not self.is_primary and rid in self._rid_location:
+            self._delete_buffer.add(rid)
+        self._delta.insert(rid, self._project(row))
 
     def update(
         self,
@@ -498,14 +501,13 @@ class ColumnstoreIndex:
         a tuple move has already compressed intermediate state) before
         re-raising.
         """
-        old_values = {rid: self._project(old) for rid, old, _ in updates}
-        self._delete_batch([rid for rid, _, _ in updates], ctx)
+        self.delete_many([rid for rid, _, _ in updates], ctx)
         reinserted: List[int] = []
         try:
             for rid, _, new_row in updates:
                 if not self.is_primary and rid in self._delete_buffer:
                     trip(self.faults, "csi.delta_insert")
-                    self._delta[rid] = self._project(new_row)
+                    self._delta.insert(rid, self._project(new_row))
                     if ctx is not None:
                         cm = ctx.cost_model
                         ctx.charge_serial_cpu(
@@ -520,8 +522,8 @@ class ColumnstoreIndex:
         except BaseException:
             for rid in reversed(reinserted):
                 self._remove_live_version(rid)
-            for rid, values in old_values.items():
-                self._restore_row(rid, values)
+            for rid, old_row, _ in updates:
+                self.restore_row(rid, old_row)
             raise
 
     # ----------------------------------------------------- background ops
@@ -543,14 +545,8 @@ class ColumnstoreIndex:
     def _fold_buffered_delete(self, rid: int) -> None:
         """Move one buffered delete into the delete bitmap of the
         compressed copy it masks, freeing the rid's locator slot."""
-        location = self._rid_location.get(rid)
-        if location is not None:
-            group_index, pos = location
-            state = self._groups[group_index]
-            if not state.deleted_mask[pos]:
-                state.deleted_mask[pos] = True
-                state.n_deleted += 1
-            del self._rid_location[rid]
+        if rid in self._rid_location:
+            self._mask_slot(rid)
         self._delete_buffer.discard(rid)
 
     def move_tuples(self, ctx: Optional[ExecutionContext] = None,
@@ -570,31 +566,25 @@ class ColumnstoreIndex:
         """
         if not self._delta:
             return
+        rids, values = self._delta_contents()
         if not self.is_primary and self._delete_buffer:
-            for rid in [r for r in self._delta if r in self._delete_buffer]:
+            for rid in self._delete_buffer.intersection(rids.tolist()):
                 self._fold_buffered_delete(rid)
         trip(self.faults, "csi.move_tuples.compress")
-        items = sorted(self._delta.items())
-        rids = np.fromiter((rid for rid, _ in items), dtype=np.int64,
-                           count=len(items))
-        column_data = {
-            col: _column_array([values[i] for _, values in items])
-            for i, col in enumerate(self.columns)
-        }
         try:
-            group = compress_rowgroup(self.schema, column_data, rids)
+            group, = self._compress(rids, values.live_columns(), len(rids))
         except BaseException:
             self.invalidate_cached_segments()  # conservative on abort
             raise
         # Commit point: publish the new group and drain the delta store.
         self._append_group(group)
-        self._delta.clear()
+        self._delta = BPlusTree(leaf_capacity=SCAN_CHUNK_ROWS)
         self.invalidate_cached_segments()
         if not _auto and self.wal_notify is not None:
             self.wal_notify("tuple_move")
         if ctx is not None:
             cm = ctx.cost_model
-            ctx.charge_serial_cpu(len(items) * cm.csi_compress_cpu_ms_per_row)
+            ctx.charge_serial_cpu(len(rids) * cm.csi_compress_cpu_ms_per_row)
             ctx.charge_write(group.size_bytes())
 
     def rebuild(self, ctx: Optional[ExecutionContext] = None) -> None:
@@ -608,35 +598,28 @@ class ColumnstoreIndex:
         """
         trip(self.faults, "csi.rebuild.compress")
         try:
-            live: List[Tuple[int, Row]] = []
+            delta_rids, delta_values = self._delta_contents()
+            # A delta-store shadow supersedes its rid's compressed copy.
+            hidden = np.concatenate([delta_rids, self._buffered_rids()])
+            rid_parts, parts = [delta_rids], [delta_values]
             for state in self._groups:
-                group = state.group
-                decoded = {name: group.column(name).decode()
-                           for name in self.columns}
-                for pos, rid in enumerate(group.rids.tolist()):
-                    if state.deleted_mask[pos]:
-                        continue
-                    if not self.is_primary and rid in self._delete_buffer:
-                        continue
-                    if rid in self._delta:
-                        continue  # delta shadow supersedes the old copy
-                    live.append((rid, tuple(decoded[name][pos]
-                                            for name in self.columns)))
-            live.extend(sorted(self._delta.items()))
-            live.sort()
+                live = self._live_mask(state, hidden)
+                live = slice(None) if live is None else live
+                rid_parts.append(state.group.rids[live])
+                parts.append(Records([state.group.column(name).decode()[live]
+                                      for name in self.columns],
+                                     len(rid_parts[-1])))
+            rids = np.concatenate(rid_parts)
+            order = np.argsort(rids)
             # Build the replacement state entirely off to the side; the
             # old groups stay valid until the swap below.
             new_groups: List[_RowGroupState] = []
             new_locations: Dict[int, Tuple[int, int]] = {}
-            for start in range(0, len(live), self.rowgroup_size):
-                chunk = live[start:start + self.rowgroup_size]
-                rids = np.fromiter((rid for rid, _ in chunk), dtype=np.int64,
-                                   count=len(chunk))
-                column_data = {
-                    name: _column_array([values[i] for _, values in chunk])
-                    for i, name in enumerate(self.columns)
-                }
-                group = compress_rowgroup(self.schema, column_data, rids)
+            for group in self._compress(
+                    rids[order],
+                    [column[order]
+                     for column in Records.concat(parts).live_columns()],
+                    self.rowgroup_size):
                 self._register_group(new_groups, new_locations, group)
         except BaseException:
             self.invalidate_cached_segments()  # conservative on abort
@@ -644,7 +627,7 @@ class ColumnstoreIndex:
         # Commit point: atomically swap in the rebuilt state.
         self._groups = new_groups
         self._rid_location = new_locations
-        self._delta = {}
+        self._delta = BPlusTree(leaf_capacity=SCAN_CHUNK_ROWS)
         self._delete_buffer = set()
         self.invalidate_cached_segments()
         if self.wal_notify is not None:
@@ -652,7 +635,7 @@ class ColumnstoreIndex:
         if ctx is not None:
             cm = ctx.cost_model
             ctx.charge_serial_cpu(
-                len(live) * cm.csi_compress_cpu_ms_per_row)
+                len(rids) * cm.csi_compress_cpu_ms_per_row)
             ctx.charge_write(sum(s.group.size_bytes()
                                  for s in self._groups))
 
@@ -731,9 +714,9 @@ class ColumnstoreIndex:
             subset: delta-only). Every per-group charge is additive, so a
             partitioned scan's merged metrics equal the serial scan's.
         include_delta:
-            Whether to yield the delta-store batch at the end. Morsel
-            workers pass ``False`` — the coordinator reads the delta
-            exactly once.
+            Whether to yield the delta-store batch (its leaves' column
+            slices, in rid order) at the end. Morsel workers pass
+            ``False`` — the coordinator reads the delta exactly once.
         record_usage:
             Whether to bump the index's DMV usage counters
             (``user_scans``/``segments_*``). Morsel workers pass
@@ -756,6 +739,7 @@ class ColumnstoreIndex:
             selected = enumerate(self._groups)
         else:
             selected = ((i, self._groups[i]) for i in groups)
+        buffered = self._buffered_rids()
         for group_index, state in selected:
             group = state.group
             if elimination_ranges and self._eliminated(group, elimination_ranges):
@@ -854,7 +838,7 @@ class ColumnstoreIndex:
                     ctx.charge_serial_cpu(
                         group.n_rows * ctx.cost_model.batch_cpu_ms_per_row
                     )
-                mask = self._live_mask(state)
+                mask = self._live_mask(state, buffered)
                 if mask is not None:
                     batch = batch.filter(mask)
                 if len(batch) > 0:
@@ -893,35 +877,49 @@ class ColumnstoreIndex:
                 return True
         return False
 
-    def _live_mask(self, state: _RowGroupState) -> Optional[np.ndarray]:
-        """Combined delete bitmap + delete buffer mask; None if all live."""
-        mask = None
-        if state.n_deleted:
-            mask = ~state.deleted_mask
-        if not self.is_primary and self._delete_buffer:
-            buffered = np.fromiter(
-                (rid in self._delete_buffer for rid in state.group.rids.tolist()),
-                dtype=bool, count=state.group.n_rows,
-            )
-            if buffered.any():
-                mask = ~buffered if mask is None else (mask & ~buffered)
+    def _buffered_rids(self) -> np.ndarray:
+        """The delete buffer as an array (empty on a primary CSI)."""
+        buffer = () if self.is_primary else self._delete_buffer
+        return np.fromiter(buffer, dtype=np.int64, count=len(buffer))
+
+    @staticmethod
+    def _live_mask(state: _RowGroupState,
+                   hidden: np.ndarray) -> Optional[np.ndarray]:
+        """Delete bitmap combined with the rids in ``hidden`` (the delete
+        buffer; REBUILD adds the delta's); None if all live."""
+        mask = ~state.deleted_mask if state.n_deleted else None
+        if len(hidden):
+            masked = np.isin(state.group.rids, hidden)
+            if masked.any():
+                mask = ~masked if mask is None else mask & ~masked
         return mask
+
+    def _delta_contents(self) -> Tuple[np.ndarray, Records]:
+        """The delta store's rids and rows in rid order (copied)."""
+        chunks = list(self._delta.leaf_chunks())
+        return (self._delta_rids(chunks),
+                Records.concat([values for _, values in chunks]))
+
+    def _delta_rids(self, chunks) -> np.ndarray:
+        """The rids of ``chunks``, every leaf of the delta store."""
+        return np.fromiter((rid for rids, _ in chunks for rid in rids),
+                           dtype=np.int64, count=len(self._delta))
 
     def _delta_batch(
         self, columns: Sequence[str], include_rids: bool
     ) -> Optional[Batch]:
+        """The delta store's rows as one batch, read from its leaves'
+        column slices in rid order."""
         if not self._delta:
             return None
-        items = sorted(self._delta.items())
-        positions = [self.columns.index(c) for c in columns]
+        chunks = list(self._delta.leaf_chunks())
         data = {
-            col: _column_array([values[pos] for _, values in items])
-            for col, pos in zip(columns, positions)
+            col: batch_column([values.column(self.columns.index(col))
+                               for _, values in chunks])
+            for col in columns
         }
         if include_rids:
-            data[RID_COLUMN] = np.fromiter(
-                (rid for rid, _ in items), dtype=np.int64, count=len(items)
-            )
+            data[RID_COLUMN] = self._delta_rids(chunks)
         return Batch(data)
 
     # ------------------------------------------------------------ helpers

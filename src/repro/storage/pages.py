@@ -39,7 +39,8 @@ pages — :data:`PT_BTREE_LEAF` pages of (key, value) leaf entries for B+
 trees (restored via ``BPlusTree.bulk_load``), and per row group a
 :data:`PT_CSI_GROUP` page (rids, delete bitmap, sort order) plus one
 :data:`PT_CSI_SEGMENT` page per column segment, closed by a
-:data:`PT_CSI_SIDE` page (delta store + delete buffer) for
+:data:`PT_CSI_SIDE` page (the delta store's entries in rid order,
+restored via ``BPlusTree.from_columns``, and the delete buffer) for
 columnstores. Heap files carry no data pages: they are rebuilt from the
 row store, which is their definition.
 
@@ -821,7 +822,7 @@ def write_snapshot(database, out: BinaryIO, checkpoint_lsn: int = 0,
                 writer.write(PT_CSI_SIDE, {
                     "table": table.name,
                     "index": index.name,
-                    "delta": sorted(index._delta.items()),
+                    "delta": list(index._delta.items()),
                     "delete_buffer": sorted(index._delete_buffer),
                 })
     return writer.next_page_id

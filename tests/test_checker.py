@@ -129,10 +129,32 @@ class TestCorruptionDetection:
     def test_orphan_delta_rid(self):
         db = make_db()
         index = csi_of(db.table("c"))
-        index._delta[99999] = (99999, 0, "ghost")
+        index._delta.insert(99999, (99999, 0, "ghost"))
         result = check_table(db.table("c"))
         assert not result.ok
         assert any("orphan rid 99999" in e for e in result.errors)
+
+    def test_disordered_delta_leaf(self):
+        db = make_db()
+        index = csi_of(db.table("c"))
+        leaf = index._delta._first_leaf
+        assert len(leaf.keys) >= 2
+        leaf.keys[0], leaf.keys[1] = leaf.keys[1], leaf.keys[0]
+        result = check_table(db.table("c"))
+        assert not result.ok
+        assert any("delta store tree invariant violated: key order"
+                   in e for e in result.errors)
+
+    def test_non_int_delta_key(self):
+        db = make_db()
+        index = csi_of(db.table("c"))
+        rid = max(rid for rid, _ in index._delta.items())
+        row = index._delta.delete(rid)
+        index._delta.insert(float(rid), row)
+        result = check_table(db.table("c"))
+        assert not result.ok
+        assert any(f"delta store key {float(rid)!r} is not an int rid"
+                   in e for e in result.errors)
 
     def test_dropped_rid_locator(self):
         db = make_db()
@@ -157,7 +179,8 @@ class TestCorruptionDetection:
         index = csi_of(db.table("b"))
         # A delta version shadowing a compressed rid is only legal while
         # a buffered delete masks the compressed copy.
-        shadowed = next(iter(index._delta.keys() & index._delete_buffer))
+        shadowed = next(rid for rid, _ in index._delta.items()
+                        if rid in index._delete_buffer)
         index._delete_buffer.discard(shadowed)
         result = check_table(db.table("b"))
         assert not result.ok

@@ -142,6 +142,42 @@ class TestDeltaStore:
             index.insert(0, (0, 0))
 
 
+def rows_with_nulls(start, stop):
+    """``b`` is NULL in every third row."""
+    return [(i, (i, None if i % 3 == 0 else i % 5))
+            for i in range(start, stop)]
+
+
+def segment_kinds(index, column="b"):
+    return [state.group.column(column).decode().dtype.kind
+            for state in index._groups]
+
+
+class TestGroupDtypes:
+    """A row group's column is typed unless that group holds a NULL:
+    ``build``, the tuple mover and REBUILD each decide it per group."""
+
+    def test_build_and_rebuild(self):
+        rows = make_rows(128, modulo=5) + rows_with_nulls(128, 192)
+        for is_primary in (True, False):
+            index = ColumnstoreIndex.build("csi", schema_ab(), rows,
+                                           is_primary=is_primary,
+                                           rowgroup_size=64)
+            assert segment_kinds(index) == ["i", "i", "O"]
+            index.rebuild()
+            assert segment_kinds(index) == ["i", "i", "O"]
+
+    def test_tuple_mover(self):
+        index = build_csi(n=64, rowgroup_size=64)
+        for rid, row in make_rows(74)[64:]:
+            index.insert(rid, row)
+        index.move_tuples()
+        for rid, row in rows_with_nulls(74, 84):
+            index.insert(rid, row)
+        index.move_tuples()
+        assert segment_kinds(index) == ["i", "i", "O"]
+
+
 class TestDeletes:
     def test_primary_delete_uses_bitmap(self):
         index = build_csi(n=1000, rowgroup_size=500, is_primary=True)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.schema import Column, TableSchema
 from repro.core.types import INT
-from repro.engine.batch import concat_batches
+from repro.engine.batch import batch_to_rows, concat_batches
 from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionContext
 from repro.optimizer.catalog import Catalog
@@ -92,6 +92,48 @@ class TestRebuild:
         list(index.scan(["a"], ctx_clean))
         # No anti-semi join and fewer live rows after the rebuild.
         assert ctx_clean.metrics.cpu_ms < ctx_dirty.metrics.cpu_ms
+
+
+def mixed_null_db(is_primary):
+    """``b`` NULL-free in row group 0 and NULL in every third row of
+    group 1 (row groups of 64), with rows 60-65 deleted: a REBUILD cuts
+    its first new group across a typed and an object segment."""
+    db = Database()
+    table = db.create_table(schema())
+    table.bulk_load([(i, None if i >= 64 and i % 3 == 0 else i % 5)
+                     for i in range(128)])
+    if is_primary:
+        table.set_primary_columnstore(rowgroup_size=64)
+    else:
+        table.create_secondary_columnstore("csi", rowgroup_size=64)
+    executor = Executor(db)
+    executor.execute("DELETE FROM t WHERE a >= 60 AND a < 66")
+    table.columnstore_index().rebuild()
+    return db
+
+
+def assert_python_values(rows):
+    kinds = {type(value) for row in rows for value in row}
+    assert kinds <= {int, float, str, type(None)}, kinds
+
+
+class TestRebuildStoresPythonValues:
+    """A rebuilt group mixing a typed segment with a NULL-bearing one
+    holds Python values, as a bulk load or the tuple mover stores them
+    (it used to hold numpy scalars, which reached result rows)."""
+
+    @pytest.mark.parametrize("is_primary", [True, False])
+    def test_select_returns_python_values(self, is_primary):
+        db = mixed_null_db(is_primary)
+        rows = Executor(db).execute("SELECT a, b FROM t").rows
+        assert len(rows) == 122
+        assert_python_values(rows)
+        assert sorted(rows) == [
+            (i, None if i >= 64 and i % 3 == 0 else i % 5)
+            for i in range(128) if not 60 <= i < 66]
+        index = db.table("t").columnstore_index()
+        assert_python_values(batch_to_rows(concat_batches(
+            index.scan(["a", "b"]))))
 
 
 class TestReorganize:

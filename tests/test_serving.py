@@ -27,6 +27,7 @@ from repro.server.session import SessionManager
 from repro.storage.checker import check_database
 from repro.storage.database import Database
 from repro.workloads.synthetic import make_uniform_table, q1_scan
+from tests.test_maintenance import mixed_null_db
 
 DIFFERENTIAL_ITERATIONS = 50
 
@@ -531,6 +532,18 @@ class TestFrontend:
             assert session.stats.errors == 5
             # The connection stays open; plain lines are what they were.
             assert ask("SELECT count(*) FROM micro")["rows"] == [[2000]]
+            _assert_idle(manager)
+
+    @pytest.mark.parametrize("is_primary", [True, False])
+    def test_rebuilt_mixed_segments_reply_json_numbers(self, is_primary):
+        database = mixed_null_db(is_primary)
+        with SessionManager(database) as manager, _served(manager) as connect:
+            conn, reader, session = connect()
+            conn.sendall(b"SELECT a, b FROM t WHERE a < 64\n")
+            rows = json.loads(reader.readline())["rows"]
+            # A numpy scalar reached the reply as its str() ("0").
+            assert sorted(map(tuple, rows)) == [
+                (i, i % 5) for i in range(60)]
             _assert_idle(manager)
 
     def test_overlong_line_gets_a_typed_reply_and_a_closed_connection(self):
