@@ -35,8 +35,9 @@ import numpy as np
 
 from repro.core.errors import AdvisorError
 from repro.core.types import TypeKind
-from repro.engine.batch import _column_array
+from repro.engine.batch import batch_column
 from repro.storage.compression import compress_rowgroup
+from repro.storage.records import Records
 from repro.storage.table import Table
 
 _RUN_HEADER_BYTES = 4
@@ -60,8 +61,8 @@ class SizeEstimate:
 
 def block_sample(table: Table, sampling_ratio: float,
                  block_rows: int = DEFAULT_BLOCK_ROWS,
-                 seed: int = 7) -> List[Tuple[object, ...]]:
-    """Sample whole blocks of ``block_rows`` consecutive rows.
+                 seed: int = 7) -> Records:
+    """Sample whole blocks of ``block_rows`` consecutive rows, as columns.
 
     Emulates page-level sampling of the base table: rows that are
     physically adjacent (and therefore correlated when the table is
@@ -69,22 +70,18 @@ def block_sample(table: Table, sampling_ratio: float,
     """
     if not 0 < sampling_ratio <= 1:
         raise AdvisorError("sampling_ratio must be in (0, 1]")
-    rows = [row for _, row in table.iter_rows()]
+    _, rows = table.columns_by_rid()
     n = len(rows)
-    if n == 0:
-        return []
-    if sampling_ratio >= 1.0:
+    if n == 0 or sampling_ratio >= 1.0:
         return rows
     n_blocks = max(1, n // block_rows)
     want_blocks = max(1, int(round(n_blocks * sampling_ratio)))
     rng = np.random.default_rng(seed)
     chosen = rng.choice(n_blocks, size=min(want_blocks, n_blocks),
                         replace=False)
-    sample: List[Tuple[object, ...]] = []
-    for block in sorted(chosen.tolist()):
-        start = block * block_rows
-        sample.extend(rows[start:start + block_rows])
-    return sample
+    return rows.take(np.concatenate([
+        np.arange(block * block_rows, min(n, (block + 1) * block_rows))
+        for block in sorted(chosen.tolist())]))
 
 
 def gee_distinct_estimate(values: Sequence[object], total_rows: int,
@@ -144,7 +141,7 @@ def estimate_blackbox(table: Table, columns: Sequence[str],
                             sampling_ratio)
     ordinals = table.schema.ordinals(columns)
     column_data = {
-        column: _column_array([row[ordinal] for row in sample])
+        column: batch_column([sample.column(ordinal)])
         for column, ordinal in zip(columns, ordinals)
     }
     rids = np.arange(len(sample))
@@ -181,7 +178,7 @@ def estimate_run_modelling(table: Table, columns: Sequence[str],
                             sampling_ratio)
     ordinals = table.schema.ordinals(columns)
     by_column = {
-        column: [row[ordinal] for row in sample]
+        column: sample.column(ordinal).tolist()
         for column, ordinal in zip(columns, ordinals)
     }
     distinct = {
@@ -240,6 +237,6 @@ def actual_csi_column_sizes(table: Table,
     (used by tests and the estimation-accuracy bench)."""
     from repro.storage.columnstore import ColumnstoreIndex
     index = ColumnstoreIndex.build(
-        "__ground_truth__", table.schema, table.rows_with_rids(),
+        "__ground_truth__", table.schema, *table.columns_by_rid(),
         columns=columns, is_primary=False)
     return index.column_sizes()

@@ -394,7 +394,7 @@ class Executor:
             for keys, values in index.seek_range(low, high, ctx, *inclusive):
                 rids = [key[-1] for key in keys]
                 if lookups:     # a secondary leaf holds keys, not rows
-                    values = RowColumns([table.get_row(rid) for rid in rids])
+                    values = RowColumns(table.get_rows(rids))
                 yield rids, read(values)
 
         if index is not None:
@@ -462,7 +462,7 @@ class Executor:
                     ctx: ExecutionContext) -> int:
         table = bound.table
         rids = self._locate_rids(table, bound.where, bound.top, ctx)
-        rows = [table.get_row(rid) for rid in rids]
+        rows = table.get_rows(rids)
         for _ in rids:
             # Re-fetching the target row is the same random access that
             # _locate_rids charges; cold update runs previously got it

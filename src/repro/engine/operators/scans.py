@@ -344,10 +344,10 @@ class SecondaryBTreeSeek(_BTreeSeekBase):
     def _with_lookups(self, ctx: ExecutionContext) -> Callable:
         """sources -> the bookmark-lookup columns of their entries, one
         charged fetch per rid."""
-        fetch, ordinals = self.table.fetch_columns, self._lookup_ordinals
+        lookup, ordinals = self.table.lookup_columns, self._lookup_ordinals
         rid_at = len(self.index.key_columns)
-        return lambda sources: RowColumns(
-            [fetch(key[rid_at], ordinals, ctx) for key in sources[0].rows])
+        return lambda sources: RowColumns(lookup(
+            [key[rid_at] for key in sources[0].rows], ordinals, ctx))
 
 
 def btree_seek(table: Table, index, columns: Sequence[str],

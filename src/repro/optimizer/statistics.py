@@ -122,7 +122,16 @@ class TableStats:
 
 
 def build_column_stats(values: Sequence[object]) -> ColumnStats:
-    """Compute stats for one column's values."""
+    """Compute stats for one column's values: a sequence, or a lossless
+    column array (an int64 or float64 one is numeric and NULL-free)."""
+    if isinstance(values, np.ndarray):
+        if values.dtype != object and len(values):
+            arr = values.astype(np.float64)
+            return ColumnStats(
+                len(arr), 0, len(sorted_distinct(arr)),
+                float(arr.min()), float(arr.max()), _equidepth_bounds(arr),
+            )
+        values = values.tolist()
     n_rows = len(values)
     non_null = [v for v in values if v is not None]
     n_nulls = n_rows - len(non_null)
@@ -159,23 +168,22 @@ def build_table_stats(table: Table,
     sample); counts are scaled back to the full table like a real
     statistics build. None inspects everything.
     """
-    rows = [row for _, row in table.iter_rows()]
+    _, rows = table.columns_by_rid()
     n = len(rows)
     scale = 1.0
     if sample_rows is not None and n > sample_rows:
         rng = np.random.default_rng(seed)
-        picks = rng.choice(n, size=sample_rows, replace=False)
-        rows = [rows[i] for i in picks]
+        rows = rows.take(rng.choice(n, size=sample_rows, replace=False))
         scale = n / sample_rows
     columns: Dict[str, ColumnStats] = {}
     for ordinal, column in enumerate(table.schema.columns):
-        values = [row[ordinal] for row in rows]
+        values = rows.column(ordinal)
         stats = build_column_stats(values)
         if scale != 1.0:
             stats.n_rows = n
             stats.n_nulls = int(stats.n_nulls * scale)
-            stats.n_distinct = _scale_distinct(values, stats.n_distinct,
-                                               n)
+            stats.n_distinct = _scale_distinct(values.tolist(),
+                                               stats.n_distinct, n)
         columns[column.name] = stats
     return TableStats(row_count=n, columns=columns)
 

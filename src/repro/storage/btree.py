@@ -42,9 +42,11 @@ flattens chunks into (key, row tuple) pairs for per-entry consumers.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import groupby, islice
 from operator import add, itemgetter, lt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
@@ -512,19 +514,21 @@ class _BTreeIndexBase:
         data = len(self) * self.entry_byte_width
         return int(data * 1.02) + 8192
 
-    def _sorted_entries(self, rows_with_rids: Sequence[Tuple[int, Row]]
-                        ) -> Tuple[List[Key], List[Row]]:
-        """The index keys of ``rows_with_rids`` in key order, and the rows
-        in that order: a bulk build's entries, one pass per key column."""
-        rows = [row for _, row in rows_with_rids]
-        key_columns = [list(map(itemgetter(i), rows))
-                       for i in self.key_ordinals]
+    def keys_of(self, rids: List[int], values: Records) -> List[Key]:
+        """The index key of each table row of ``values``, at ``rids``: one
+        pass per key column."""
+        key_columns = [values.column(i).tolist() for i in self.key_ordinals]
         if any(None in column for column in key_columns):
             raise StorageError("NULL is not allowed in index key columns")
-        keys = list(zip(*key_columns, [rid for rid, _ in rows_with_rids]))
+        return list(zip(*key_columns, rids))
+
+    def _sorted_entries(self, rids: np.ndarray, values: Records
+                        ) -> Tuple[List[Key], np.ndarray]:
+        """:meth:`keys_of` in key order, and the row positions in that
+        order: a bulk build's entries."""
+        keys = self.keys_of(rids.tolist(), values)
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        return (list(map(keys.__getitem__, order)),
-                list(map(rows.__getitem__, order)))
+        return list(map(keys.__getitem__, order)), np.array(order, np.intp)
 
     def _make_key(self, row: Row, rid: int) -> Key:
         key_values = tuple(row[i] for i in self.key_ordinals)
@@ -545,6 +549,11 @@ class _BTreeIndexBase:
         nbytes = rows_touched * self.entry_byte_width
         ctx.charge_btree_scan_read(nbytes)
         ctx.record_data_read(nbytes)
+
+    def _get_many(self, keys: List[Key]) -> List[Optional[Row]]:
+        """The payload under each of the ascending ``keys`` (None where
+        absent)."""
+        return list(map(self.tree.get, keys))
 
     def _leaf_chunks(self, *bounds) -> Iterator[Chunk]:
         return self.tree.leaf_chunks(*bounds)
@@ -600,6 +609,9 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
             name, schema, key_columns,
             entry_byte_width=schema.row_byte_width, object_id=object_id,
         )
+        #: rid -> the key its row is stored under, None where no row is:
+        #: a list indexed by rid holding the leaves' own key tuples.
+        self.rid_keys: List[Optional[Key]] = []
 
     @classmethod
     def build(
@@ -607,22 +619,69 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         name: str,
         schema: TableSchema,
         key_columns: Sequence[str],
-        rows_with_rids: Sequence[Tuple[int, Row]],
+        rids: np.ndarray,
+        values: Records,
         object_id: int = 0,
     ) -> "PrimaryBTreeIndex":
-        """Construct and populate the demo database."""
+        """A clustered index on the table rows ``values`` at ``rids``."""
         index = cls(name, schema, key_columns, object_id=object_id)
-        keys, rows = index._sorted_entries(rows_with_rids)
+        keys, order = index._sorted_entries(rids, values)
         index.tree = BPlusTree.from_columns(
-            keys, Records.from_rows(rows),
-            leaf_capacity=index.tree.leaf_capacity)
+            keys, values.take(order), leaf_capacity=index.tree.leaf_capacity)
+        index.map_rids(keys)
         return index
+
+    def map_rids(self, keys: Sequence[Key]) -> None:
+        """Rebuild the rid -> key map from ``keys``, every key stored."""
+        rid_keys: List[Optional[Key]] = [None] * (
+            max(map(itemgetter(-1), keys)) + 1 if keys else 0)
+        for key in keys:
+            rid_keys[key[-1]] = key
+        self.rid_keys = rid_keys
+
+    def _map_rid(self, rid: int, key: Optional[Key]) -> None:
+        rid_keys = self.rid_keys
+        if rid >= len(rid_keys):
+            rid_keys.extend([None] * (rid + 1 - len(rid_keys)))
+        rid_keys[rid] = key
+
+    def __contains__(self, rid: int) -> bool:
+        return 0 <= rid < len(self.rid_keys) and self.rid_keys[rid] is not None
+
+    def fetch(self, rid: int) -> Row:
+        """The row at ``rid`` (StorageError if none), uncharged: its key
+        from the rid map, then one point read."""
+        if rid not in self:
+            raise StorageError(f"rid {rid} not in index {self.name!r}")
+        return self.fetch_many([rid])[0]
+
+    def fetch_many(self, rids: Sequence[int]) -> List[Row]:
+        """The rows at ``rids``, every one present, uncharged: read in key
+        order, so each leaf touched is read (or faulted) once."""
+        order = sorted(range(len(rids)), key=lambda i: self.rid_keys[rids[i]])
+        rows: List[Row] = [()] * len(rids)
+        found = self._get_many([self.rid_keys[rids[i]] for i in order])
+        for i, row in zip(order, found):
+            rows[i] = row
+        return rows
+
+    def columns_by_rid(self) -> Tuple[np.ndarray, Records]:
+        """Every rid, ascending, and the rows at them as columns (copied),
+        read from the leaves uncharged."""
+        chunks = list(self._leaf_chunks(None, None, True, True))
+        rids = np.fromiter((key[-1] for keys, _ in chunks for key in keys),
+                           np.int64, len(self))
+        order = np.argsort(rids)
+        return (rids[order],
+                Records.concat([values for _, values in chunks]).take(order))
 
     def insert(self, rid: int, row: Row, ctx: Optional[ExecutionContext] = None) -> None:
         """Insert one row, charging maintenance costs to ``ctx``."""
         trip(self.faults, "btree.insert")
         self._charge_traversal(ctx)
-        self.tree.insert(self._make_key(row, rid), row)
+        key = self._make_key(row, rid)
+        self.tree.insert(key, row)
+        self._map_rid(rid, key)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 
@@ -631,6 +690,7 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         trip(self.faults, "btree.delete")
         self._charge_traversal(ctx)
         self.tree.delete(self._make_key(row, rid))
+        self.rid_keys[rid] = None
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 
@@ -659,6 +719,7 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
                 # surfacing the failure.
                 self.tree.insert(old_key, old_row)
                 raise
+            self.rid_keys[rid] = new_key
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 
@@ -683,10 +744,6 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         if ctx is not None:
             self.usage.record_scan()
         yield from self._read_chunks(ctx, None, None, True, True)
-
-    def lookup_rid(self, rid_to_row: Row, rid: int) -> Optional[Row]:
-        """Find the stored row for (row values, rid); None if absent."""
-        return self.tree.get(self._make_key(rid_to_row, rid))
 
 
 class SecondaryBTreeIndex(_BTreeIndexBase):
@@ -725,15 +782,16 @@ class SecondaryBTreeIndex(_BTreeIndexBase):
         name: str,
         schema: TableSchema,
         key_columns: Sequence[str],
-        rows_with_rids: Sequence[Tuple[int, Row]],
+        rids: np.ndarray,
+        values: Records,
         included_columns: Sequence[str] = (),
         object_id: int = 0,
     ) -> "SecondaryBTreeIndex":
-        """Construct and populate the demo database."""
+        """A nonclustered index on the table rows ``values`` at ``rids``."""
         index = cls(name, schema, key_columns, included_columns, object_id=object_id)
-        keys, rows = index._sorted_entries(rows_with_rids)
-        payloads = Records([lossless_array(list(map(itemgetter(i), rows)))
-                            for i in index.included_ordinals], len(rows))
+        keys, order = index._sorted_entries(rids, values)
+        payloads = Records([values.column(i)[order]
+                            for i in index.included_ordinals], len(keys))
         index.tree = BPlusTree.from_columns(
             keys, payloads, leaf_capacity=index.tree.leaf_capacity)
         return index
@@ -936,6 +994,8 @@ class _PagedBTreeMixin:
         self._tree = tree
         self._paged = None
         source.evict()
+        if isinstance(self, PrimaryBTreeIndex):
+            self.map_rids(keys)     # onto the resident leaves' keys
 
     def __len__(self) -> int:
         if self._paged is not None:
@@ -998,34 +1058,34 @@ class _PagedBTreeMixin:
                 return
             low = None
 
-    def _paged_get(self, key: Key) -> Optional[Row]:
-        source = self._paged
+    def _get_many(self, keys: List[Key]) -> List[Optional[Row]]:
+        if self._paged is None:
+            return super()._get_many(keys)
+        source, found = self._paged, []
         if source.n_pages == 0:
-            return None
-        page_no = max(0, bisect_right(source.fences, key) - 1)
-        keys, values = source.fetch(page_no, pin=True)
-        try:
-            idx = bisect_left(keys, key)
-            if idx < len(keys) and keys[idx] == key:
-                return values[idx]
-            return None
-        finally:
-            source.unpin(page_no)
+            return [None] * len(keys)
+        for page_no, group in groupby(keys, key=lambda key: max(
+                0, bisect_right(source.fences, key) - 1)):
+            page_keys, values = source.fetch(page_no, pin=True)
+            try:
+                for key in group:
+                    idx = bisect_left(page_keys, key)
+                    found.append(values[idx] if idx < len(page_keys)
+                                 and page_keys[idx] == key else None)
+            finally:
+                source.unpin(page_no)
+        return found
 
 
 class PagedPrimaryBTreeIndex(_PagedBTreeMixin, PrimaryBTreeIndex):
     """Clustered B+ index with demand-paged leaves.
 
-    Read paths (seek/scan/point lookup) page leaf pages in through the
-    buffer pool; mutations inherit the base implementations, which touch
-    ``self.tree`` and therefore materialize first (redo during recovery
-    forces residency the same way).
+    Read paths (seek/scan/rid fetch) page leaf pages in through the
+    buffer pool; the rid -> key map stays resident. Mutations inherit
+    the base implementations, which touch ``self.tree`` and therefore
+    materialize first (redo during recovery forces residency the same
+    way).
     """
-
-    def lookup_rid(self, rid_to_row: Row, rid: int) -> Optional[Row]:
-        if self._paged is None:
-            return super().lookup_rid(rid_to_row, rid)
-        return self._paged_get(self._make_key(rid_to_row, rid))
 
 
 class PagedSecondaryBTreeIndex(_PagedBTreeMixin, SecondaryBTreeIndex):

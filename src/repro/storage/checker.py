@@ -2,12 +2,16 @@
 
 DBCC CHECKDB is SQL Server's answer to "did that crash corrupt
 anything?"; this module is the repro engine's equivalent. A table's
-logical row store (``Table._rows``) is the declared source of truth, so
-:func:`check_table` cross-verifies every physical structure against it:
+primary structure is the table, the one copy of each row, so
+:func:`check_table` first checks the primary's own consistency and then
+cross-verifies every secondary index against the primary's rows:
 
-* every index holds exactly the table's rid set with the right values
-  (no lost rows, no orphans, no stale versions),
-* B+ trees satisfy their internal ordering/chain invariants,
+* the primary is structurally sound: a heap's and a B+ tree's ordering
+  and chain invariants, a clustered B+ tree's keys agree with its rows
+  and its rid -> key map with its leaves, and no rid reaches the
+  table's ``next_rid``,
+* every secondary holds exactly the primary's rid set with the right
+  values (no lost rows, no orphans, no stale versions),
 * columnstores are structurally sound — rid locators match stored
   positions, delete bitmaps agree with their counters, delete buffers
   only mask compressed copies, delta-store shadows are properly paired
@@ -25,7 +29,7 @@ Run it from the command line with ``python -m repro check``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 from repro.storage.btree import (PrimaryBTreeIndex, SecondaryBTreeIndex,
@@ -97,24 +101,35 @@ def _rows_equal(a: Row, b: Row) -> bool:
 
 
 def check_table(table: Table) -> CheckResult:
-    """Cross-verify every index of ``table`` against its row store."""
-    result = CheckResult(checked_tables=1)
-    rows = dict(table._rows)
+    """Check the primary structure of ``table``, then every secondary
+    index against the primary's rows."""
+    result = CheckResult(checked_tables=1, checked_indexes=1)
+    primary = table.primary
+    label = f"{table.name}.{primary.name}"
+    if isinstance(primary, HeapFile):
+        rows = _heap_rows(primary, label, result)
+    elif isinstance(primary, PrimaryBTreeIndex):
+        rows = _primary_btree_rows(primary, label, result)
+    elif isinstance(primary, ColumnstoreIndex):
+        rows = _check_columnstore(primary, label, result)
+    else:  # pragma: no cover - future structure kinds
+        result.add(f"{label}: unknown structure kind {primary!r}")
+        return result
+    if rows is None:
+        return result   # the primary is unreadable: nothing to compare
     for rid in rows:
         if rid >= table._next_rid:
-            result.add(
-                f"{table.name}: rid {rid} >= next_rid {table._next_rid}")
-    for structure in table.all_indexes:
+            result.add(f"{table.name}: orphan rid {rid} >= next_rid "
+                       f"{table._next_rid}")
+    source = f"{primary.kind} {primary.name}"
+    for structure in table.secondary_indexes.values():
         result.checked_indexes += 1
         label = f"{table.name}.{structure.name}"
-        if isinstance(structure, HeapFile):
-            _check_heap(structure, rows, label, result)
-        elif isinstance(structure, PrimaryBTreeIndex):
-            _check_primary_btree(structure, rows, label, result)
-        elif isinstance(structure, SecondaryBTreeIndex):
-            _check_secondary_btree(structure, rows, label, result)
+        if isinstance(structure, SecondaryBTreeIndex):
+            _check_secondary_btree(structure, rows, source, label, result)
         elif isinstance(structure, ColumnstoreIndex):
-            _check_columnstore(structure, rows, label, result)
+            live = _check_columnstore(structure, label, result)
+            _compare_live(structure, live, rows, source, label, result)
         else:  # pragma: no cover - future structure kinds
             result.add(f"{label}: unknown structure kind {structure!r}")
     return result
@@ -128,60 +143,58 @@ def check_database(db: Database) -> CheckResult:
     return result
 
 
-# --------------------------------------------------------------- heaps
-def _check_heap(heap: HeapFile, rows: Dict[int, Row], label: str,
-                result: CheckResult) -> None:
+# ------------------------------------------------------------ primaries
+def _tree_sound(tree, label: str, result: CheckResult) -> bool:
     try:
-        heap.tree.check_invariants()
+        tree.check_invariants()
     except StorageError as exc:
         result.add(f"{label}: tree invariant violated: {exc}")
-        return
-    seen = set()
-    for rid, row in iter_entries(heap.scan()):
-        seen.add(rid)
-        expected = rows.get(rid)
-        if expected is None:
-            result.add(f"{label}: orphan rid {rid} not in table rows")
-        elif not _rows_equal(row, expected):
-            result.add(f"{label}: rid {rid} row mismatch")
-    for rid in rows.keys() - seen:
-        result.add(f"{label}: rid {rid} missing from heap")
+        return False
+    return True
 
 
-# ------------------------------------------------------------- B+ trees
-def _check_primary_btree(index: PrimaryBTreeIndex, rows: Dict[int, Row],
-                         label: str, result: CheckResult) -> None:
-    try:
-        index.tree.check_invariants()
-    except StorageError as exc:
-        result.add(f"{label}: tree invariant violated: {exc}")
-        return
-    seen = set()
+def _heap_rows(heap: HeapFile, label: str,
+               result: CheckResult) -> Optional[Dict[int, Row]]:
+    """The heap's rows by rid; None when its tree is broken."""
+    if _tree_sound(heap.tree, label, result):
+        return dict(iter_entries(heap.scan()))
+    return None
+
+
+def _primary_btree_rows(index: PrimaryBTreeIndex, label: str,
+                        result: CheckResult) -> Optional[Dict[int, Row]]:
+    """The clustered index's rows by rid, each checked against the key it
+    is stored under and the rid -> key map; None when the tree is
+    broken."""
+    rid_keys = index.rid_keys   # as it stands, before ``tree`` may page in
+    if not _tree_sound(index.tree, label, result):
+        return None
+    rows: Dict[int, Row] = {}
     for key, row in index.tree.items():
         rid = key[-1]
-        if rid in seen:
+        if rid in rows:
             result.add(f"{label}: rid {rid} appears twice")
             continue
-        seen.add(rid)
-        expected = rows.get(rid)
-        if expected is None:
-            result.add(f"{label}: orphan rid {rid} not in table rows")
-            continue
-        if not _rows_equal(row, expected):
-            result.add(f"{label}: rid {rid} row mismatch")
-        expected_key = tuple(expected[i] for i in index.key_ordinals)
+        rows[rid] = row
+        expected_key = tuple(row[i] for i in index.key_ordinals)
         if not _rows_equal(key[:-1], expected_key):
             result.add(f"{label}: rid {rid} stored under stale key {key[:-1]!r}")
-    for rid in rows.keys() - seen:
-        result.add(f"{label}: rid {rid} missing from index")
+        mapped = rid_keys[rid] if 0 <= rid < len(rid_keys) else None
+        if mapped is None or not _rows_equal(mapped, key):
+            result.add(f"{label}: rid {rid} maps to key {mapped!r}, "
+                       f"stored under {key!r}")
+    for rid, key in enumerate(rid_keys):
+        if key is not None and rid not in rows:
+            result.add(f"{label}: rid {rid} maps to key {key!r}, "
+                       "which holds no row")
+    return rows
 
 
+# ----------------------------------------------------------- secondaries
 def _check_secondary_btree(index: SecondaryBTreeIndex, rows: Dict[int, Row],
-                           label: str, result: CheckResult) -> None:
-    try:
-        index.tree.check_invariants()
-    except StorageError as exc:
-        result.add(f"{label}: tree invariant violated: {exc}")
+                           source: str, label: str,
+                           result: CheckResult) -> None:
+    if not _tree_sound(index.tree, label, result):
         return
     seen = set()
     for key, payload in index.tree.items():
@@ -192,11 +205,12 @@ def _check_secondary_btree(index: SecondaryBTreeIndex, rows: Dict[int, Row],
         seen.add(rid)
         expected = rows.get(rid)
         if expected is None:
-            result.add(f"{label}: orphan rid {rid} not in table rows")
+            result.add(f"{label}: rid {rid} missing from {source}")
             continue
         expected_key = tuple(expected[i] for i in index.key_ordinals)
         if not _rows_equal(key[:-1], expected_key):
-            result.add(f"{label}: rid {rid} stored under stale key {key[:-1]!r}")
+            result.add(f"{label}: rid {rid} row mismatch: stored under "
+                       f"stale key {key[:-1]!r}")
         expected_payload = tuple(expected[i] for i in index.included_ordinals)
         if not _rows_equal(payload, expected_payload):
             result.add(f"{label}: rid {rid} included-column mismatch")
@@ -205,8 +219,10 @@ def _check_secondary_btree(index: SecondaryBTreeIndex, rows: Dict[int, Row],
 
 
 # ---------------------------------------------------------- columnstores
-def _check_columnstore(index: ColumnstoreIndex, rows: Dict[int, Row],
-                       label: str, result: CheckResult) -> None:
+def _check_columnstore(index: ColumnstoreIndex, label: str,
+                       result: CheckResult) -> Dict[int, Row]:
+    """Check a columnstore's structure; returns its live values by rid
+    (in ``index.columns`` order)."""
     # --- structural: rid locators point exactly at their stored slots.
     for rid, (gi, pos) in index._rid_location.items():
         if gi >= len(index._groups):
@@ -292,9 +308,17 @@ def _check_columnstore(index: ColumnstoreIndex, rows: Dict[int, Row],
                        "a compressed group")
             continue
         live[rid] = tuple(values)
+    if index.n_rows != len(live):
+        result.add(f"{label}: n_rows {index.n_rows} != live rows {len(live)}")
+    return live
 
+
+def _compare_live(index: ColumnstoreIndex, live: Dict[int, Row],
+                  rows: Dict[int, Row], source: str, label: str,
+                  result: CheckResult) -> None:
+    """A secondary columnstore's live values against the primary's rows."""
     for rid in live.keys() - rows.keys():
-        result.add(f"{label}: orphan rid {rid} not in table rows")
+        result.add(f"{label}: rid {rid} missing from {source}")
     for rid in rows.keys() - live.keys():
         result.add(f"{label}: rid {rid} missing from columnstore")
     for rid in live.keys() & rows.keys():
@@ -302,6 +326,3 @@ def _check_columnstore(index: ColumnstoreIndex, rows: Dict[int, Row],
         if not _rows_equal(live[rid], expected):
             result.add(f"{label}: rid {rid} value mismatch "
                        f"({live[rid]!r} != {expected!r})")
-    if index.n_rows != len(rows):
-        result.add(f"{label}: n_rows {index.n_rows} != table row count "
-                   f"{len(rows)}")

@@ -42,7 +42,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.compression import CompressedRowGroup, compress_rowgroup
 from repro.storage.faults import FaultInjector, trip
 from repro.storage.heap import SCAN_CHUNK_ROWS
-from repro.storage.records import Records, lossless_array
+from repro.storage.records import Records
 from repro.storage.segment_cache import DecodedSegmentCache
 from repro.storage.telemetry import IndexUsageStats
 from repro.storage.waits import WAIT_SEGCACHE_MISS
@@ -165,10 +165,13 @@ class ColumnstoreIndex:
             raise StorageError(
                 f"columns {unsupported} have types unsupported by columnstore"
             )
-        if is_primary and set(self.columns) != set(schema.column_names()):
-            raise StorageError(
-                "a primary columnstore must contain all table columns"
-            )
+        if is_primary:
+            if set(self.columns) != set(schema.column_names()):
+                raise StorageError(
+                    "a primary columnstore must contain all table columns"
+                )
+            # In table order, so that its values at a rid are the row.
+            self.columns = schema.column_names()
         self._column_ordinals = schema.ordinals(self.columns)
         self._groups: List[_RowGroupState] = []
         #: rid -> (group index, position) for compressed rows.
@@ -187,15 +190,17 @@ class ColumnstoreIndex:
         cls,
         name: str,
         schema: TableSchema,
-        rows_with_rids: Sequence[Tuple[int, Row]],
+        rids: np.ndarray,
+        values: Records,
         columns: Optional[Sequence[str]] = None,
         is_primary: bool = False,
         rowgroup_size: int = DEFAULT_ROWGROUP_SIZE,
         presorted: bool = False,
         object_id: int = 0,
     ) -> "ColumnstoreIndex":
-        """Bulk load: compress ``rows_with_rids`` directly into row groups
-        (bulk loaded data bypasses the delta store, Section 2).
+        """Bulk load: compress the table rows ``values`` at ``rids``
+        directly into row groups, in that order (bulk loaded data
+        bypasses the delta store, Section 2).
 
         ``presorted`` preserves the incoming row order inside each row
         group instead of applying the greedy compression sort — used to
@@ -206,13 +211,10 @@ class ColumnstoreIndex:
             name, schema, columns=columns, is_primary=is_primary,
             rowgroup_size=rowgroup_size, object_id=object_id,
         )
-        for start in range(0, len(rows_with_rids), rowgroup_size):
-            chunk = rows_with_rids[start:start + rowgroup_size]
-            rids = np.fromiter((rid for rid, _ in chunk), dtype=np.int64,
-                               count=len(chunk))
-            columns = [lossless_array([row[ordinal] for _, row in chunk])
-                       for ordinal in index._column_ordinals]
-            group, = index._compress(rids, columns, rowgroup_size, presorted)
+        for group in index._compress(
+                np.asarray(rids, dtype=np.int64),
+                [values.column(i) for i in index._column_ordinals],
+                rowgroup_size, presorted):
             index._append_group(group)
         return index
 
@@ -311,6 +313,9 @@ class ColumnstoreIndex:
             self.schema.column(c).col_type.byte_width for c in self.columns
         ) + 12
 
+    def __len__(self) -> int:
+        return self.n_rows
+
     @property
     def n_rows(self) -> int:
         """Live row count (compressed minus deleted, plus delta).
@@ -340,6 +345,43 @@ class ColumnstoreIndex:
     def delete_buffer_rows(self) -> int:
         """Rows currently in the delete buffer."""
         return len(self._delete_buffer)
+
+    # ------------------------------------------------------------- reads
+    def __contains__(self, rid: int) -> bool:
+        return rid in self._delta or (rid in self._rid_location
+                                      and rid not in self._delete_buffer)
+
+    def fetch(self, rid: int) -> Row:
+        """The live values of ``rid`` (StorageError if none), uncharged:
+        from the delta store, or one value per column at the rid's
+        compressed slot, each read without decoding its segment."""
+        values = self._delta.get(rid)
+        if values is not None:
+            return values
+        if rid not in self._rid_location or rid in self._delete_buffer:
+            raise StorageError(f"rid {rid} not in columnstore {self.name!r}")
+        group_index, pos = self._rid_location[rid]
+        group = self._groups[group_index].group
+        return tuple([group.column(name).value_at(pos)
+                      for name in self.columns])
+
+    def columns_by_rid(self) -> Tuple[np.ndarray, Records]:
+        """Every live rid, ascending, and its values as columns (copied):
+        each group's decoded live slots and the delta store's rows, whose
+        version supersedes a compressed copy it shadows."""
+        delta_rids, delta_values = self._delta_contents()
+        hidden = np.concatenate([delta_rids, self._buffered_rids()])
+        rid_parts, parts = [delta_rids], [delta_values]
+        for state in self._groups:
+            live = self._live_mask(state, hidden)
+            live = slice(None) if live is None else live
+            rid_parts.append(state.group.rids[live])
+            parts.append(Records([state.group.column(name).decode()[live]
+                                  for name in self.columns],
+                                 len(rid_parts[-1])))
+        rids = np.concatenate(rid_parts)
+        order = np.argsort(rids)
+        return rids[order], Records.concat(parts).take(order)
 
     # ------------------------------------------------------------ mutation
     def _project(self, row: Row) -> Row:
@@ -598,28 +640,13 @@ class ColumnstoreIndex:
         """
         trip(self.faults, "csi.rebuild.compress")
         try:
-            delta_rids, delta_values = self._delta_contents()
-            # A delta-store shadow supersedes its rid's compressed copy.
-            hidden = np.concatenate([delta_rids, self._buffered_rids()])
-            rid_parts, parts = [delta_rids], [delta_values]
-            for state in self._groups:
-                live = self._live_mask(state, hidden)
-                live = slice(None) if live is None else live
-                rid_parts.append(state.group.rids[live])
-                parts.append(Records([state.group.column(name).decode()[live]
-                                      for name in self.columns],
-                                     len(rid_parts[-1])))
-            rids = np.concatenate(rid_parts)
-            order = np.argsort(rids)
+            rids, values = self.columns_by_rid()
             # Build the replacement state entirely off to the side; the
             # old groups stay valid until the swap below.
             new_groups: List[_RowGroupState] = []
             new_locations: Dict[int, Tuple[int, int]] = {}
-            for group in self._compress(
-                    rids[order],
-                    [column[order]
-                     for column in Records.concat(parts).live_columns()],
-                    self.rowgroup_size):
+            for group in self._compress(rids, values.live_columns(),
+                                        self.rowgroup_size):
                 self._register_group(new_groups, new_locations, group)
         except BaseException:
             self.invalidate_cached_segments()  # conservative on abort

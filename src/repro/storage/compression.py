@@ -216,6 +216,21 @@ class ColumnSegment:
             return self.dictionary.decode(decoded)
         return decoded
 
+    def value_at(self, pos: int) -> object:
+        """The value at stored position ``pos`` as a Python scalar, read
+        without decoding the segment: the stored value or code there (for
+        RLE, that of the run covering ``pos``), then its dictionary value."""
+        if self.encoding == ENCODING_RLE:
+            ends = getattr(self, "_run_ends", None)
+            if ends is None:
+                ends = self._run_ends = np.cumsum(self.run_lengths)
+            stored = self.run_values[np.searchsorted(ends, pos, "right")]
+        else:
+            stored = self.values[pos]
+        if self.dictionary is not None:
+            stored = self.dictionary.values[stored]
+        return stored.item() if isinstance(stored, np.generic) else stored
+
     def codes_array(self) -> np.ndarray:
         """The segment's dictionary codes in stored order, *without*
         materializing values — the input to encoded execution. Only

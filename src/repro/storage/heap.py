@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.errors import StorageError
 from repro.core.schema import TableSchema
 from repro.engine.metrics import ExecutionContext
@@ -57,15 +59,29 @@ class HeapFile:
         """Approximate on-disk size in bytes."""
         return int(len(self.tree) * self.schema.row_byte_width * 1.04) + 8192
 
-    def load(self, rids: List[int], rows: Sequence[Row]) -> None:
-        """Bulk build: ``rows`` at the ascending ``rids`` become the
-        content of this empty heap, pivoted into columns once. A load is
-        not a statement (table bulk load, snapshot restore, redo): the
-        rows are not checked, no fault point is hit, nothing is charged."""
+    def __contains__(self, rid: int) -> bool:
+        return rid in self.tree
+
+    def load(self, rids: List[int], values: Sequence[Row]) -> None:
+        """Bulk build: the rows ``values`` (a :class:`Records`, or row
+        tuples, pivoted once) at the ascending ``rids`` become the
+        content of this empty heap. A load is not a statement (table bulk
+        load, a primary conversion, snapshot restore, redo): the rows are
+        not checked, no fault point is hit, nothing is charged."""
         if len(self.tree):
             raise StorageError(f"bulk load into non-empty heap {self.name!r}")
+        if not isinstance(values, Records):
+            values = Records.from_rows(values)
         self.tree = BPlusTree.from_columns(
-            rids, Records.from_rows(rows), leaf_capacity=SCAN_CHUNK_ROWS)
+            rids, values, leaf_capacity=SCAN_CHUNK_ROWS)
+
+    def columns_by_rid(self) -> Tuple[np.ndarray, Records]:
+        """Every rid, ascending, and the rows at them as columns (copied):
+        the leaves in order, uncharged."""
+        chunks = list(self.tree.leaf_chunks())
+        rids = np.fromiter((rid for keys, _ in chunks for rid in keys),
+                           np.int64, len(self.tree))
+        return rids, Records.concat([values for _, values in chunks])
 
     def _check_live(self, rid: int) -> None:
         if rid not in self.tree:

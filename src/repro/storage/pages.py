@@ -33,16 +33,19 @@ index keeps its values as that array's columns, in the
 :class:`~repro.storage.records.Records` every leaf holds.
 
 Snapshot layout: one :data:`PT_CATALOG` page, then per table a
-:data:`PT_TABLE` page, :data:`PT_ROWS` pages chunking the canonical row
-store, and per index a :data:`PT_INDEX` descriptor followed by its data
-pages — :data:`PT_BTREE_LEAF` pages of (key, value) leaf entries for B+
-trees (restored via ``BPlusTree.bulk_load``), and per row group a
+:data:`PT_TABLE` page, :data:`PT_ROWS` pages chunking the table's rows
+in rid order (written from its primary structure), and per index a
+:data:`PT_INDEX` descriptor followed by its data pages —
+:data:`PT_BTREE_LEAF` pages of (key, value) leaf entries for B+ trees
+(restored via ``BPlusTree.from_columns``), and per row group a
 :data:`PT_CSI_GROUP` page (rids, delete bitmap, sort order) plus one
 :data:`PT_CSI_SEGMENT` page per column segment, closed by a
 :data:`PT_CSI_SIDE` page (the delta store's entries in rid order,
 restored via ``BPlusTree.from_columns``, and the delete buffer) for
-columnstores. Heap files carry no data pages: they are rebuilt from the
-row store, which is their definition.
+columnstores. Heap files carry no data pages: a heap is rebuilt from
+the ``PT_ROWS`` pages. Every open reads and checksums those pages; the
+loader keeps of them only what the primary needs — a heap's rows, or a
+clustered B+ tree's rid -> key map when its leaves stay paged.
 
 Serialization is deterministic (dicts and sets are emitted in sorted
 order), which is what lets recovery prove idempotence by comparing
@@ -751,8 +754,8 @@ def write_snapshot(database, out: BinaryIO, checkpoint_lsn: int = 0,
     })
     for table in tables:
         trip(faults, "checkpoint_mid")
-        rows = table.rows_with_rids()
-        n_row_pages = -(-len(rows) // ROWS_PER_PAGE) if rows else 0
+        rids, rows = table.columns_by_rid()
+        n_row_pages = -(-len(rids) // ROWS_PER_PAGE)
         writer.write(PT_TABLE, {
             "table": table.name,
             "schema": _schema_payload(table.schema),
@@ -761,12 +764,12 @@ def write_snapshot(database, out: BinaryIO, checkpoint_lsn: int = 0,
             "n_row_pages": n_row_pages,
             "n_indexes": 1 + len(table.secondary_indexes),
         })
-        for start in range(0, len(rows), ROWS_PER_PAGE):
-            chunk = rows[start:start + ROWS_PER_PAGE]
+        for start in range(0, len(rids), ROWS_PER_PAGE):
+            stop = start + ROWS_PER_PAGE
             writer.write(PT_ROWS, {
                 "table": table.name,
-                "rids": [rid for rid, _ in chunk],
-                "rows": [row for _, row in chunk],
+                "rids": rids[start:stop].tolist(),
+                "rows": rows[start:stop],
             })
         for index in [table.primary] + list(table.secondary_indexes.values()):
             if isinstance(index, (PrimaryBTreeIndex, SecondaryBTreeIndex)):
@@ -923,11 +926,12 @@ class _PageStream:
         self.pages_read += 1
         return location
 
-    def next(self, expected_type: int) -> Page:
-        """Read, checksum and decode the next page."""
+    def next(self, expected_type: int, decode=unpack_value) -> Page:
+        """Read, checksum and decode the next page (``decode`` as for
+        :func:`parse_page`)."""
         _id, offset, length = self.defer(expected_type, check_type=self.lazy)
         self.f.seek(offset)
-        page, _ = parse_page(self.f.read(length))
+        page, _ = parse_page(self.f.read(length), 0, decode)
         _expect_type(page.page_id, page.page_type, expected_type)
         return page
 
@@ -976,10 +980,13 @@ class _CsiPager:
 
 def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
                    pool: Optional[BufferPool],
-                   reader: Optional[SnapshotReader]):
-    """Rebuild one B+ index from its leaf pages: parsed and bulk-loaded
-    now, or — given a pool and a reader — left on disk behind the
-    descriptor's fence keys, the only part that stays resident."""
+                   reader: Optional[SnapshotReader], rids: list,
+                   rows: Records):
+    """Rebuild one B+ index from its leaf pages: decoded and built now,
+    or — given a pool and a reader — left on disk behind the
+    descriptor's fence keys, the only part that stays resident. A
+    clustered index maps every rid to its key: from the leaves it built,
+    or from the table's ``rows`` at ``rids`` when its leaves stay paged."""
     if desc["included_columns"] is None:
         cls = PrimaryBTreeIndex if pool is None else PagedPrimaryBTreeIndex
         index = cls(desc["name"], table.schema, desc["key_columns"],
@@ -988,18 +995,27 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
         cls = SecondaryBTreeIndex if pool is None else PagedSecondaryBTreeIndex
         index = cls(desc["name"], table.schema, desc["key_columns"],
                     desc["included_columns"], object_id=desc["object_id"])
+    primary = isinstance(index, PrimaryBTreeIndex)
     if pool is None:
-        items: List[Tuple] = []
+        keys: List[Tuple] = []
+        parts: List[Records] = []
         for _ in range(desc["n_pages"]):
-            items.extend(stream.next(PT_BTREE_LEAF).payload["items"])
-        if len(items) != desc["n_items"]:
+            page_keys, values = stream.next(PT_BTREE_LEAF, _leaf_chunk).payload
+            keys += page_keys
+            parts.append(values)
+        if len(keys) != desc["n_items"]:
             raise StorageError(
-                f"index {desc['name']!r}: snapshot has {len(items)} leaf "
+                f"index {desc['name']!r}: snapshot has {len(keys)} leaf "
                 f"entries, descriptor says {desc['n_items']}")
-        if items:
-            index.tree = BPlusTree.bulk_load(
-                items, leaf_capacity=index.tree.leaf_capacity)
+        if keys:
+            index.tree = BPlusTree.from_columns(
+                keys, Records.concat(parts),
+                leaf_capacity=index.tree.leaf_capacity)
+        if primary:
+            index.map_rids(keys)
         return index
+    if primary and rids:
+        index.map_rids(index.keys_of(rids, rows))
     if not desc["n_pages"]:
         return index  # empty index: nothing to page
     fences = desc.get("leaf_fences")
@@ -1039,13 +1055,10 @@ def _leaf_chunk(body, offset: int) -> Tuple[Tuple[list, Records], int]:
         raise StorageError("btree leaf payload has no entries") from None
     if isinstance(items, _Fixed):
         outer, parts = items.shape
-        if outer in (tuple, list) and len(parts) == 2 \
-                and parts[1][0] is tuple \
-                and all(part[0] in ("column", "const") for part in parts[1][1]):
-            return (items.values(parts[0]), Records(
-                [items.columns[arg] if kind == "column"
-                 else np.full(items.count, arg, dtype=object)
-                 for kind, arg in parts[1][1]], items.count)), end
+        if outer in (tuple, list) and len(parts) == 2:
+            values = _adopt(items, parts[1])
+            if values is not None:
+                return (items.values(parts[0]), values), end
         items = items.values()
     try:
         keys, values = [k for k, _ in items], [v for _, v in items]
@@ -1053,6 +1066,38 @@ def _leaf_chunk(body, offset: int) -> Tuple[Tuple[list, Records], int]:
         raise StorageError(
             "btree leaf entries are not (key, value) pairs") from None
     return (keys, Records.from_rows(values)), end
+
+
+def _adopt(fixed: _Fixed, shape) -> Optional[Records]:
+    """Tuples of scalars that ``shape`` (a part of ``fixed``'s layout)
+    describes, as :class:`Records` adopting ``fixed``'s columns — a field
+    every tuple holds one constant in becomes an object column of it —
+    or None for any other shape."""
+    kind, parts = shape
+    if kind is not tuple or not all(part[0] in ("column", "const")
+                                    for part in parts):
+        return None
+    return Records([fixed.columns[arg] if part == "column"
+                    else np.full(fixed.count, arg, dtype=object)
+                    for part, arg in parts], fixed.count)
+
+
+def _rows_chunk(body, offset: int) -> Tuple[Tuple[list, Records], int]:
+    """A PT_ROWS payload decoded into ``((rids, rows), next offset)``, the
+    rows as :class:`Records`: rows of one fixed layout adopt its columns,
+    others are pivoted once, so no row tuple of the page is kept."""
+    payload, end = unpack_value(body, offset, lazy=True)
+    try:
+        rids, rows = payload["rids"], payload["rows"]
+    except (TypeError, KeyError):
+        raise StorageError("rows payload has no rows") from None
+    if isinstance(rids, _Fixed):
+        rids = rids.values()
+    values = _adopt(rows, rows.shape) if isinstance(rows, _Fixed) else None
+    if values is None:
+        values = Records.from_rows(
+            rows.values() if isinstance(rows, _Fixed) else rows)
+    return (rids, values), end
 
 
 def _restore_columnstore(table, desc: Dict[str, object],
@@ -1138,9 +1183,15 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
                 f"{table_name!r}, got {table_page['table']!r}")
         table = database.create_table(
             _schema_from_payload(table_name, table_page["schema"]))
+        # The table's rows, read and checksummed by every open, are kept
+        # only until its primary structure takes what it needs of them.
+        rids: list = []
+        parts: List[Records] = []
         for _ in range(table_page["n_row_pages"]):
-            rows_page = stream.next(PT_ROWS).payload
-            table.restore_rows(rows_page["rids"], rows_page["rows"])
+            page_rids, values = stream.next(PT_ROWS, _rows_chunk).payload
+            rids += page_rids
+            parts.append(values)
+        rows = Records.concat(parts)
         table.restore_counters(table_page["next_rid"],
                                table_page["modification_counter"])
         for position in range(table_page["n_indexes"]):
@@ -1149,9 +1200,10 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
             if desc["kind"] == "heap":
                 index = HeapFile(desc["name"], table.schema,
                                  object_id=desc["object_id"])
-                index.load(*table.rids_and_rows())
+                index.load(rids, rows)
             elif desc["kind"] == "btree":
-                index = _restore_btree(table, desc, stream, pool, reader)
+                index = _restore_btree(table, desc, stream, pool, reader,
+                                       rids, rows)
             elif desc["kind"] == "csi":
                 index = _restore_columnstore(table, desc, stream, pool,
                                              reader)
@@ -1163,6 +1215,7 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
                     f"table {table_name!r}: first index in snapshot "
                     "is not the primary structure")
             table.adopt_index(index, primary=position == 0)
+            rids, rows = [], Records()
     if not stream.exhausted:
         raise StorageError(
             f"snapshot has {stream.size - stream.offset} trailing bytes "
@@ -1192,8 +1245,9 @@ def load_snapshot(source, cost_model=None):
 
 
 def load_snapshot_paged(path, pool: Optional[BufferPool], cost_model=None):
-    """Load a snapshot lazily: catalog, row store, B+ fences, and
-    columnstore group metadata come into memory; B+ leaf pages and
+    """Load a snapshot lazily: catalog, heaps, clustered B+ rid -> key
+    maps, B+ fences, and columnstore group metadata come into memory
+    (a B+ or columnstore primary keeps no row); B+ leaf pages and
     column segment pages stay on disk and are demand-loaded through
     ``pool`` on first touch.
 

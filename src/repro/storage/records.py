@@ -146,10 +146,13 @@ class Records(Sequence):
         return Records([column[start:stop] for column in self.columns],
                        stop - start)
 
-    def take(self, mask: np.ndarray) -> "Records":
-        """The rows where the boolean ``mask`` is set, copied."""
-        return Records([column[mask] for column in self.live_columns()],
-                       int(np.count_nonzero(mask)))
+    def take(self, index: np.ndarray) -> "Records":
+        """The rows a boolean mask or an array of positions picks, in
+        its order, copied."""
+        count = (int(np.count_nonzero(index)) if index.dtype == bool
+                 else len(index))
+        return Records([column[index] for column in self.live_columns()],
+                       count)
 
     def _position(self, index: int) -> int:
         if index < 0:

@@ -1,14 +1,15 @@
-"""Table object: canonical row storage plus coordinated index maintenance.
+"""Table object: a schema, a primary structure, and coordinated index
+maintenance.
 
 A :class:`Table` owns
 
-* a logical row store (``rid -> row``) that is the correctness source of
-  truth,
 * a *primary structure* — heap file, clustered B+ tree, or primary
-  columnstore — which determines base-table access paths and sizes,
+  columnstore — which *is* the table: the one copy of each row, the
+  structure every rid read goes to, and what determines base-table
+  access paths and sizes,
 * any number of secondary indexes (B+ trees, and at most one secondary
   columnstore per table, matching SQL Server's restriction noted in
-  Section 4.3).
+  Section 4.3), which reach the rest of a row through the primary.
 
 Every DML call updates the primary structure and all secondary indexes,
 charging maintenance costs to the supplied execution context — this is
@@ -22,6 +23,8 @@ from contextlib import nullcontext
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
+import numpy as np
+
 from repro.core.errors import CatalogError, StorageError
 from repro.core.schema import TableSchema
 from repro.engine.metrics import ExecutionContext
@@ -29,6 +32,7 @@ from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
 from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.faults import FaultInjector, InjectedFault, trip
 from repro.storage.heap import HeapFile
+from repro.storage.records import Records
 from repro.storage.telemetry import LogicalClock
 
 Row = Tuple[object, ...]
@@ -44,7 +48,6 @@ class Table:
                  usage_clock: Optional[LogicalClock] = None):
         self.schema = schema
         self.name = schema.name
-        self._rows: Dict[int, Row] = {}
         self._next_rid = 0
         #: Shared fault injector handed down by the owning Database;
         #: attached to every index structure built on this table. None
@@ -106,15 +109,9 @@ class Table:
         if self.wal is not None:
             self.wal.log_ops(ops)
 
-    # The snapshot loader and WAL redo rebuild a table through the four
-    # methods below; nothing outside this module writes ``_rows`` or
-    # ``_next_rid``. None of them logs, charges or trips a fault point.
-
-    def restore_rows(self, rids: Sequence[int],
-                     rows: Sequence[Sequence[object]]) -> None:
-        """Snapshot restore: add one page of the canonical row store."""
-        for rid, row in zip(rids, rows):
-            self._rows[rid] = tuple(row)
+    # The snapshot loader and WAL redo rebuild a table through the three
+    # methods below; nothing outside this module writes ``_next_rid``.
+    # None of them logs, charges or trips a fault point.
 
     def restore_counters(self, next_rid: int,
                          modification_counter: int) -> None:
@@ -146,38 +143,54 @@ class Table:
         self.modification_counter += len(rids)
 
     # ------------------------------------------------------------ basics
+    #
+    # Every rid read goes to the primary structure, the one copy of each
+    # row; none of these charges anything.
+
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.primary)
 
     @property
     def row_count(self) -> int:
         """Number of live rows in the table."""
-        return len(self._rows)
-
-    def rows_with_rids(self) -> List[Tuple[int, Row]]:
-        """All (rid, row) pairs sorted by RID."""
-        return sorted(self._rows.items())
+        return len(self.primary)
 
     def get_row(self, rid: int) -> Row:
         """Fetch a row tuple by RID (StorageError if absent)."""
         try:
-            return self._rows[rid]
-        except KeyError:
+            return self.primary.fetch(rid)
+        except StorageError:
             raise StorageError(f"rid {rid} not in table {self.name!r}") from None
+
+    def get_rows(self, rids: Sequence[int]) -> List[Row]:
+        """The rows at ``rids``, read in the primary's storage order: a
+        clustered tree's by key, so a paged leaf is faulted once per
+        call rather than once per rid."""
+        primary = self.primary
+        if (isinstance(primary, PrimaryBTreeIndex)
+                and all(map(primary.__contains__, rids))):
+            return primary.fetch_many(rids)
+        return list(map(self.get_row, rids))
 
     def has_rid(self, rid: int) -> bool:
         """Whether the RID currently exists."""
-        return rid in self._rows
+        return rid in self.primary
 
-    def rids_and_rows(self) -> Tuple[List[int], List[Row]]:
-        """Every rid in ascending order, and the rows at them."""
-        rids = sorted(self._rows)
-        return rids, list(map(self._rows.__getitem__, rids))
+    def columns_by_rid(self) -> Tuple[np.ndarray, Records]:
+        """Every rid in ascending order, and the rows at them as columns
+        (a copy, one array per table column): the table read that index
+        builds, statistics, size estimation and the snapshot writer
+        share."""
+        rids, values = self.primary.columns_by_rid()
+        if not len(rids):
+            values = Records([np.empty(0, object)] * len(self.schema.columns))
+        return rids, values
 
     def iter_rows(self) -> Iterator[Tuple[int, Row]]:
-        """Iterate (rid, row) pairs in RID order."""
-        for rid in sorted(self._rows):
-            yield rid, self._rows[rid]
+        """(rid, row) pairs in RID order: :meth:`columns_by_rid` a row at
+        a time."""
+        rids, values = self.columns_by_rid()
+        return zip(rids.tolist(), values)
 
     # ----------------------------------------------------------- indexes
     @property
@@ -227,8 +240,9 @@ class Table:
                           name: Optional[str] = None) -> PrimaryBTreeIndex:
         """Convert the primary structure to a clustered B+ tree."""
         index_name = name or f"{self.name}_pk_btree"
+        self._check_primary_name(index_name)
         index = self._wire(PrimaryBTreeIndex.build(
-            index_name, self.schema, key_columns, self.rows_with_rids()
+            index_name, self.schema, key_columns, *self.columns_by_rid()
         ))
         self._evict_cached_segments(self.primary)
         self.primary = index
@@ -255,11 +269,13 @@ class Table:
             raise CatalogError(
                 f"table {self.name!r} already has columnstore {existing.name!r}"
             )
+        index_name = name or f"{self.name}_pk_csi"
+        self._check_primary_name(index_name)
         kwargs = {}
         if rowgroup_size is not None:
             kwargs["rowgroup_size"] = rowgroup_size
         index = self._wire(ColumnstoreIndex.build(
-            name or f"{self.name}_pk_csi", self.schema, self.rows_with_rids(),
+            index_name, self.schema, *self.columns_by_rid(),
             is_primary=True, presorted=presorted, **kwargs,
         ))
         self._evict_cached_segments(self.primary)
@@ -279,7 +295,8 @@ class Table:
     def set_primary_heap(self) -> HeapFile:
         """Convert the primary structure back to a heap file."""
         heap = self._wire(HeapFile(f"{self.name}_heap", self.schema))
-        heap.load(*self.rids_and_rows())
+        rids, values = self.columns_by_rid()
+        heap.load(rids.tolist(), values)
         self._evict_cached_segments(self.primary)
         self.primary = heap
         self._log_ops([{"op": "set_primary_heap", "table": self.name}])
@@ -294,7 +311,7 @@ class Table:
         """Build a nonclustered B+ tree on the current rows."""
         self._check_index_name(name)
         index = self._wire(SecondaryBTreeIndex.build(
-            name, self.schema, key_columns, self.rows_with_rids(),
+            name, self.schema, key_columns, *self.columns_by_rid(),
             included_columns=included_columns,
         ))
         self.secondary_indexes[name] = index
@@ -334,15 +351,16 @@ class Table:
         kwargs = {}
         if rowgroup_size is not None:
             kwargs["rowgroup_size"] = rowgroup_size
-        rows = self.rows_with_rids()
+        rids, values = self.columns_by_rid()
         presorted = False
         if sorted_on is not None:
-            ordinal = self.schema.ordinal(sorted_on)
-            rows = sorted(rows, key=lambda item: (
-                item[1][ordinal] is not None, item[1][ordinal]))
+            column = values.column(self.schema.ordinal(sorted_on)).tolist()
+            order = np.array(sorted(range(len(column)), key=lambda i: (
+                column[i] is not None, column[i])), np.intp)
+            rids, values = rids[order], values.take(order)
             presorted = True
         index = self._wire(ColumnstoreIndex.build(
-            name, self.schema, rows,
+            name, self.schema, rids, values,
             columns=columns, is_primary=False, presorted=presorted,
             **kwargs,
         ))
@@ -383,6 +401,12 @@ class Table:
         if name in self.secondary_indexes or name == self.primary.name:
             raise CatalogError(f"index {name!r} already exists on {self.name!r}")
 
+    def _check_primary_name(self, name: str) -> None:
+        """A new primary may reuse the old primary's name, never a
+        secondary index's."""
+        if name in self.secondary_indexes:
+            raise CatalogError(f"index {name!r} already exists on {self.name!r}")
+
     def total_index_bytes(self) -> int:
         """Combined size of every index on the table."""
         return sum(index.size_bytes() for index in self.all_indexes)
@@ -394,8 +418,8 @@ class Table:
     # row, injected fault), the structures already touched are undone via
     # compensating operations — in reverse apply order, with fault
     # injection suspended so the rollback itself cannot fault — before
-    # the original exception propagates. ``_rows``, ``_next_rid`` burn
-    # aside, and ``modification_counter`` only advance on success.
+    # the original exception propagates. ``modification_counter`` only
+    # advances on success; ``_next_rid`` burns a failed insert's rid.
 
     def _rollback_guard(self):
         """Suspend fault injection while compensating operations run."""
@@ -436,7 +460,6 @@ class Table:
         validated = self.schema.validate_row(row)
         rid = self._next_rid
         self._next_rid += 1
-        self._rows[rid] = validated
         applied: List = []
         try:
             self.primary.insert(rid, validated, ctx)
@@ -449,7 +472,6 @@ class Table:
             with self._rollback_guard():
                 for structure in reversed(applied):
                     structure.delete(rid, validated)
-                del self._rows[rid]
             self._note_rollback(ctx, exc)
             raise
         self.modification_counter += 1
@@ -465,10 +487,10 @@ class Table:
         then stores them all without charges; call before creating
         indexes. A row that fails validation leaves the table, its rid
         allocation and the log untouched."""
-        if self.secondary_indexes or self._rows:
+        if self.secondary_indexes or len(self):
             raise StorageError(
                 f"bulk_load requires an empty, index-free table; "
-                f"{self.name!r} has {len(self._rows)} rows and "
+                f"{self.name!r} has {len(self)} rows and "
                 f"{len(self.secondary_indexes)} secondary indexes"
             )
         validated_rows = list(map(self.schema.validate_row, rows))
@@ -484,10 +506,10 @@ class Table:
         return rids
 
     def _store_rows(self, rids: List[int], rows: List[Row]) -> None:
-        """Add ``rows`` at the ascending ``rids`` to the row store and
-        every index, uncharged: an empty heap with no secondary index is
-        built in one columnar pass, anything else takes the rows one at
-        a time and is rolled back if one of them fails."""
+        """Add ``rows`` at the ascending ``rids`` to every index,
+        uncharged: an empty heap with no secondary index is built in one
+        columnar pass, anything else takes the rows one at a time and is
+        rolled back if one of them fails."""
         primary = self.primary
         if (isinstance(primary, HeapFile) and not len(primary)
                 and not self.secondary_indexes):
@@ -504,38 +526,18 @@ class Table:
                     for index, rid, row in reversed(applied):
                         index.delete(rid, row)
                 raise
-        self._rows.update(zip(rids, rows))
 
     def delete_rid(self, rid: int, ctx: Optional[ExecutionContext] = None) -> Row:
-        """Delete one row by RID through every index."""
+        """Delete one row by RID through every index; returns the row."""
         row = self.get_row(rid)
-        applied: List = []
-        try:
-            self.primary.delete(rid, row, ctx)
-            applied.append(self.primary)
-            for index in self.secondary_indexes.values():
-                trip(self.fault_injector, "table.secondary_apply")
-                index.delete(rid, row, ctx)
-                applied.append(index)
-        except BaseException as exc:
-            with self._rollback_guard():
-                for structure in reversed(applied):
-                    self._undo_delete(structure, rid, row)
-            self._note_rollback(ctx, exc)
-            raise
-        del self._rows[rid]
-        self.modification_counter += 1
-        self._record_dml(ctx)
-        self._log_ops([{
-            "op": "delete", "table": self.name, "rids": [rid],
-        }])
+        self.delete_rids([rid], ctx)
         return row
 
     def delete_rids(self, rids: Sequence[int],
                     ctx: Optional[ExecutionContext] = None) -> int:
         """Batch delete: lets columnstores amortise their per-statement
         row-group locator scans."""
-        rows = {rid: self.get_row(rid) for rid in rids}
+        rows = dict(zip(rids, self.get_rows(rids)))
         applied: List[Tuple[SecondaryIndex, List[int]]] = []
         try:
             for structure in self.all_indexes:
@@ -560,8 +562,6 @@ class Table:
                         self._undo_delete(structure, rid, rows[rid])
             self._note_rollback(ctx, exc)
             raise
-        for rid in rows:
-            del self._rows[rid]
         self.modification_counter += len(rows)
         if rows:
             self._record_dml(ctx)
@@ -589,8 +589,8 @@ class Table:
         final: Dict[int, Row] = {}
         for rid, new_row in updates:
             final[rid] = self.schema.validate_row(new_row)
-        triples = [(rid, self.get_row(rid), validated)
-                   for rid, validated in final.items()]
+        triples = list(zip(final, self.get_rows(list(final)),
+                           final.values()))
         applied: List[Tuple[SecondaryIndex, List[Tuple[int, Row, Row]]]] = []
         try:
             for structure in self.all_indexes:
@@ -618,8 +618,6 @@ class Table:
                             structure.update(rid, new_row, old_row)
             self._note_rollback(ctx, exc)
             raise
-        for rid, _, new_row in triples:
-            self._rows[rid] = new_row
         self.modification_counter += len(triples)
         if triples:
             self._record_dml(ctx)
@@ -634,14 +632,21 @@ class Table:
                       ctx: Optional[ExecutionContext] = None) -> Row:
         """RID lookup into the primary structure (the bookmark lookup that
         non-covering secondary indexes pay). One random page read cold."""
+        return self.lookup_columns([rid], ordinals, ctx)[0]
+
+    def lookup_columns(self, rids: Sequence[int], ordinals: Sequence[int],
+                       ctx: Optional[ExecutionContext] = None) -> List[Row]:
+        """``len(rids)`` bookmark lookups, charged one rid at a time as
+        :meth:`fetch_columns` charges one, the rows read by
+        :meth:`get_rows`."""
         if ctx is not None:
-            ctx.charge_random_read(1)
-            ctx.charge_serial_cpu(ctx.cost_model.seek_cpu_ms)
-            # Bookmark lookups count against the primary structure, as in
-            # sys.dm_db_index_usage_stats.
-            self.primary.usage.record_lookup()
-        row = self.get_row(rid)
-        return tuple(row[i] for i in ordinals)
+            for _ in rids:
+                ctx.charge_random_read(1)
+                ctx.charge_serial_cpu(ctx.cost_model.seek_cpu_ms)
+                # Bookmark lookups count against the primary structure,
+                # as in sys.dm_db_index_usage_stats.
+                self.primary.usage.record_lookup()
+        return [tuple(row[i] for i in ordinals) for row in self.get_rows(rids)]
 
     def fetch_columns_batch(self, rids: Sequence[int],
                             ordinals: Sequence[int],
@@ -654,6 +659,4 @@ class Table:
             ctx.charge_random_read(len(rids))
             ctx.charge_serial_cpu(len(rids) * ctx.cost_model.seek_cpu_ms)
             self.primary.usage.record_lookups(len(rids))
-        get_row = self.get_row
-        return [tuple(row[i] for i in ordinals)
-                for row in map(get_row, rids)]
+        return [tuple(row[i] for i in ordinals) for row in self.get_rows(rids)]

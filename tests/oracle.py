@@ -24,7 +24,7 @@ def sqlite_mirror(tables: Iterable[Table]) -> sqlite3.Connection:
         connection.execute(f"CREATE TABLE {table.name} ({', '.join(names)})")
         connection.executemany(
             f"INSERT INTO {table.name} VALUES ({', '.join('?' * len(names))})",
-            [row for _, row in table.rows_with_rids()])
+            [row for _, row in table.iter_rows()])
     return connection
 
 

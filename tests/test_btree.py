@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -22,7 +23,14 @@ from repro.storage.btree import (
     SecondaryBTreeIndex,
     iter_entries,
 )
+from repro.storage.records import Records
 from tests.oracle import examples
+
+
+def by_rid(rows):
+    """(rid, row) pairs as the rids and records an index build reads."""
+    return (np.array([rid for rid, _ in rows], np.int64),
+            Records.from_rows([row for _, row in rows]))
 
 
 def schema_two_ints():
@@ -167,7 +175,7 @@ class TestPrimaryBTreeIndex:
     def test_build_and_seek(self):
         schema = schema_two_ints()
         rows = [(i, (i, i % 7)) for i in range(200)]
-        index = PrimaryBTreeIndex.build("pk", schema, ["a"], rows)
+        index = PrimaryBTreeIndex.build("pk", schema, ["a"], *by_rid(rows))
         got = list(iter_entries(index.seek_range((50,), (59,))))
         assert [row[0] for _, row in got] == list(range(50, 60))
         assert [key[-1] for key, _ in got] == list(range(50, 60))  # rids
@@ -175,7 +183,7 @@ class TestPrimaryBTreeIndex:
     def test_nonunique_keys_allowed(self):
         schema = schema_two_ints()
         rows = [(i, (i % 5, i)) for i in range(100)]
-        index = PrimaryBTreeIndex.build("pk", schema, ["a"], rows)
+        index = PrimaryBTreeIndex.build("pk", schema, ["a"], *by_rid(rows))
         hits = list(iter_entries(index.seek_range((3,), (3,))))
         assert len(hits) == 20
         assert all(row[0] == 3 for _, row in hits)
@@ -204,7 +212,7 @@ class TestPrimaryBTreeIndex:
     def test_cold_seek_charges_io(self):
         schema = schema_two_ints()
         rows = [(i, (i, i)) for i in range(5000)]
-        index = PrimaryBTreeIndex.build("pk", schema, ["a"], rows)
+        index = PrimaryBTreeIndex.build("pk", schema, ["a"], *by_rid(rows))
         ctx = ExecutionContext(cold=True)
         list(index.seek_range((0,), (4999,), ctx))
         assert ctx.metrics.pages_read > 0
@@ -213,7 +221,7 @@ class TestPrimaryBTreeIndex:
     def test_hot_seek_records_logical_read(self):
         schema = schema_two_ints()
         rows = [(i, (i, i)) for i in range(1000)]
-        index = PrimaryBTreeIndex.build("pk", schema, ["a"], rows)
+        index = PrimaryBTreeIndex.build("pk", schema, ["a"], *by_rid(rows))
         ctx = ExecutionContext(cold=False)
         list(index.seek_range((0,), (999,), ctx))
         assert ctx.metrics.pages_read == 0
@@ -222,9 +230,9 @@ class TestPrimaryBTreeIndex:
     def test_size_bytes_scales_with_rows(self):
         schema = schema_two_ints()
         small = PrimaryBTreeIndex.build(
-            "pk", schema, ["a"], [(i, (i, i)) for i in range(100)])
+            "pk", schema, ["a"], *by_rid([(i, (i, i)) for i in range(100)]))
         big = PrimaryBTreeIndex.build(
-            "pk", schema, ["a"], [(i, (i, i)) for i in range(10000)])
+            "pk", schema, ["a"], *by_rid([(i, (i, i)) for i in range(10000)]))
         assert big.size_bytes() > small.size_bytes() * 10
 
 
@@ -247,7 +255,7 @@ class TestSecondaryBTreeIndex:
     def test_build_and_seek_returns_covered_values(self):
         rows = [(i, (i, i * 2, f"s{i}")) for i in range(50)]
         index = SecondaryBTreeIndex.build(
-            "ix", self.schema(), ["b"], rows, included_columns=["c"])
+            "ix", self.schema(), ["b"], *by_rid(rows), included_columns=["c"])
         hits = list(iter_entries(index.seek_range((20,), (24,))))
         assert hits == [((20, 10), ("s10",)), ((22, 11), ("s11",)),
                         ((24, 12), ("s12",))]  # (key + rid, included)
@@ -257,7 +265,7 @@ class TestSecondaryBTreeIndex:
 
     def test_update_skips_uncovered_columns(self):
         rows = [(i, (i, i, f"s{i}")) for i in range(10)]
-        index = SecondaryBTreeIndex.build("ix", self.schema(), ["b"], rows)
+        index = SecondaryBTreeIndex.build("ix", self.schema(), ["b"], *by_rid(rows))
         before = list(iter_entries(index.scan()))
         # Change only column c, which the index neither keys nor includes.
         index.update(3, (3, 3, "s3"), (3, 3, "zzz"))
@@ -265,7 +273,7 @@ class TestSecondaryBTreeIndex:
 
     def test_update_rewrites_on_key_change(self):
         rows = [(i, (i, i, f"s{i}")) for i in range(10)]
-        index = SecondaryBTreeIndex.build("ix", self.schema(), ["b"], rows)
+        index = SecondaryBTreeIndex.build("ix", self.schema(), ["b"], *by_rid(rows))
         index.update(3, (3, 3, "s3"), (3, 99, "s3"))
         assert [key[-1] for key, _ in iter_entries(
             index.seek_range((99,), (99,)))] == [3]

@@ -103,11 +103,24 @@ class TestCorruptionDetection:
     def test_stale_secondary_key(self):
         db = make_db()
         table = db.table("h")
-        # Mutate the logical row without maintaining the index.
-        table._rows[9] = (9, 999, table._rows[9][2])
+        # Mutate the primary's row without maintaining the index.
+        table.primary.tree.replace(9, (9, 999, table.get_row(9)[2]))
         result = check_table(table)
         assert not result.ok
         assert any("stale key" in e for e in result.errors)
+
+    def test_rid_key_map_disagreeing_with_the_leaves(self):
+        db = make_db()
+        table = db.table("b")
+        index = table.primary
+        index.rid_keys[20] = (999, 20)      # rid 20 is stored under (20, 20)
+        index.rid_keys[10] = (10, 10)       # rid 10 was deleted
+        result = check_table(table)
+        assert not result.ok
+        assert any("rid 20 maps to key (999, 20), stored under (20, 20)"
+                   in e for e in result.errors)
+        assert any("rid 10 maps to key (10, 10), which holds no row"
+                   in e for e in result.errors)
 
     def test_wrong_delete_bitmap_counter(self):
         db = make_db()

@@ -10,6 +10,13 @@ from repro.core.types import INT, varchar
 from repro.engine.batch import concat_batches
 from repro.engine.metrics import ExecutionContext
 from repro.storage.columnstore import RID_COLUMN, ColumnstoreIndex
+from repro.storage.records import Records
+
+
+def by_rid(rows):
+    """(rid, row) pairs as the rids and records an index build reads."""
+    return (np.array([rid for rid, _ in rows], np.int64),
+            Records.from_rows([row for _, row in rows]))
 
 
 def schema_ab():
@@ -22,7 +29,7 @@ def make_rows(n, modulo=10):
 
 def build_csi(n=5000, rowgroup_size=1000, is_primary=True, presorted=False):
     return ColumnstoreIndex.build(
-        "csi", schema_ab(), make_rows(n), is_primary=is_primary,
+        "csi", schema_ab(), *by_rid(make_rows(n)), is_primary=is_primary,
         rowgroup_size=rowgroup_size, presorted=presorted,
     )
 
@@ -60,7 +67,7 @@ class TestBuild:
 
     def test_secondary_subset_allowed(self):
         index = ColumnstoreIndex.build(
-            "csi", schema_ab(), make_rows(100), columns=["b"],
+            "csi", schema_ab(), *by_rid(make_rows(100)), columns=["b"],
             is_primary=False, rowgroup_size=64)
         assert index.columns == ["b"]
 
@@ -97,7 +104,7 @@ class TestSegmentElimination:
         perm = rng.permutation(4000)
         rows = [(i, (int(perm[i]), i % 5)) for i in range(4000)]
         index = ColumnstoreIndex.build(
-            "csi", schema_ab(), rows, is_primary=True, rowgroup_size=1000)
+            "csi", schema_ab(), *by_rid(rows), is_primary=True, rowgroup_size=1000)
         ctx = ExecutionContext()
         scan_all(index, ["a"], ctx=ctx, elimination_ranges={"a": (0, 10)})
         assert ctx.metrics.segments_skipped == 0
@@ -160,7 +167,7 @@ class TestGroupDtypes:
     def test_build_and_rebuild(self):
         rows = make_rows(128, modulo=5) + rows_with_nulls(128, 192)
         for is_primary in (True, False):
-            index = ColumnstoreIndex.build("csi", schema_ab(), rows,
+            index = ColumnstoreIndex.build("csi", schema_ab(), *by_rid(rows),
                                            is_primary=is_primary,
                                            rowgroup_size=64)
             assert segment_kinds(index) == ["i", "i", "O"]

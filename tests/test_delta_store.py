@@ -70,7 +70,7 @@ class DeltaStoreMachine(RuleBasedStateMachine):
         secondary.bulk_load(bulk)
         secondary.create_secondary_columnstore("csi_s",
                                                rowgroup_size=ROWGROUP)
-        self.model = dict(primary.rows_with_rids())
+        self.model = dict(primary.iter_rows())
 
     def teardown(self):
         self.capacity.stop()

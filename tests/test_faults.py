@@ -277,11 +277,11 @@ class TestDmlRollback:
     def test_batch_update_rollback(self):
         db = make_hybrid_db()
         table = db.table("t")
-        before = dict(table._rows)
+        before = dict(table.iter_rows())
         db.fault_injector.arm("btree.update", on_hit=3)
         with pytest.raises(InjectedFault):
             table.update_rids([(i, (i, 700 + i, "bu")) for i in range(4)])
-        assert dict(table._rows) == before
+        assert dict(table.iter_rows()) == before
         result = check_table(table)
         assert result.ok, result.summary()
 
@@ -432,7 +432,7 @@ def test_exhaustive_fault_sweep():
                 for on_hit in sorted({1, min(2, n_hits), n_hits}):
                     db = builder()
                     table = db.table("t")
-                    snapshot = dict(table._rows)
+                    snapshot = dict(table.iter_rows())
                     db.fault_injector.arm(point, on_hit=on_hit)
                     with pytest.raises(InjectedFault):
                         op(table)
@@ -442,7 +442,7 @@ def test_exhaustive_fault_sweep():
                         f"{op_name}/{design} fault at {point} hit "
                         f"{on_hit}: {result.summary()}")
                     if single_statement:
-                        assert dict(table._rows) == snapshot, (
+                        assert dict(table.iter_rows()) == snapshot, (
                             f"{op_name}/{design} fault at {point} hit "
                             f"{on_hit}: statement partially applied")
                     # The engine recovered: the same operation succeeds
@@ -470,11 +470,11 @@ def test_probabilistic_chaos_run_stays_consistent():
             if step % 4 == 0:
                 table.insert_row((next_a + step, step % 10, "ch"))
             elif step % 4 == 1:
-                rids = sorted(table._rows)
+                rids = table.columns_by_rid()[0].tolist()
                 table.update_rid(rids[step % len(rids)],
                                  (30_000 + step, step % 10, "cu"))
             elif step % 4 == 2:
-                rids = sorted(table._rows)
+                rids = table.columns_by_rid()[0].tolist()
                 table.delete_rid(rids[step % len(rids)])
             else:
                 table_csi(table).reorganize()

@@ -1,6 +1,7 @@
 """Tests for maintenance operations: columnstore REBUILD/REORGANIZE,
 fragmentation tracking, and automatic statistics refresh."""
 
+import numpy as np
 import pytest
 
 from repro.core.schema import Column, TableSchema
@@ -11,6 +12,13 @@ from repro.engine.metrics import ExecutionContext
 from repro.optimizer.catalog import Catalog
 from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.database import Database
+from repro.storage.records import Records
+
+
+def by_rid(rows):
+    """(rid, row) pairs as the rids and records an index build reads."""
+    return (np.array([rid for rid, _ in rows], np.int64),
+            Records.from_rows([row for _, row in rows]))
 
 
 def schema():
@@ -20,7 +28,7 @@ def schema():
 
 def build_csi(n=4000, rowgroup=512, is_primary=True):
     rows = [(i, (i, i % 7)) for i in range(n)]
-    return ColumnstoreIndex.build("csi", schema(), rows,
+    return ColumnstoreIndex.build("csi", schema(), *by_rid(rows),
                                   is_primary=is_primary,
                                   rowgroup_size=rowgroup)
 

@@ -221,8 +221,8 @@ class TestRecordPath:
                    for value in rows_pages[0].payload["rows"][0])
         restored, _ = load_snapshot(snapshot)
         assert state_digest(restored) == state_digest(database)
-        assert (restored.table("customer").rows_with_rids()
-                == database.table("customer").rows_with_rids())
+        assert (list(restored.table("customer").iter_rows())
+                == list(database.table("customer").iter_rows()))
 
 
 #: Leaf entry kinds: the fixed layouts whose columns a paged leaf
@@ -424,7 +424,7 @@ class TestSnapshotRoundTrip:
         database.save(str(tmp_path))
         restored, _ = load_snapshot(str(tmp_path / "snapshot.db"))
         table, copy = database.table("t"), restored.table("t")
-        assert copy.rows_with_rids() == table.rows_with_rids()
+        assert list(copy.iter_rows()) == list(table.iter_rows())
         assert copy._next_rid == table._next_rid
         assert copy.modification_counter == table.modification_counter
         assert [i.name for i in copy.all_indexes] == [

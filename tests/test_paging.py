@@ -132,9 +132,9 @@ class TestDifferentialReads:
                                         high_inclusive=False))
                 == entries(ix_p.seek_range((300,), (600,), low_inclusive=False,
                                            high_inclusive=False)))
-        rid, row = full.table("t").rows_with_rids()[0]
-        assert (full.table("t").primary.lookup_rid(row, rid)
-                == paged.table("t").primary.lookup_rid(row, rid))
+        rid, row = next(full.table("t").iter_rows())
+        assert (full.table("t").primary.fetch(rid)
+                == paged.table("t").primary.fetch(rid) == row)
         # The numeric table: every leaf page, whichever way it decoded.
         n_f, n_p = full.table("n").primary, paged.table("n").primary
         assert entries(n_f.scan()) == entries(n_p.scan())
@@ -146,9 +146,10 @@ class TestDifferentialReads:
         assert entries(ix_f.scan()) == entries(ix_p.scan())
         assert (entries(ix_f.seek_range((10,), (20,)))
                 == entries(ix_p.seek_range((10,), (20,))))
-        for rid, row in full.table("n").rows_with_rids()[::499]:
-            assert (n_f.lookup_rid(row, rid) == n_p.lookup_rid(row, rid)
+        for rid, row in list(full.table("n").iter_rows())[::499]:
+            assert (n_f.fetch(rid) == n_p.fetch(rid)
                     == row)
+        assert n_p.is_paged      # a rid fetch reads one page, in place
 
     def test_numeric_leaves_fault_in_both_page_kinds(self, durable_dir):
         _, paged = open_both(durable_dir)

@@ -24,6 +24,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.compression import rle_runs
 from repro.storage.database import Database
+from repro.storage.records import Records
 from repro.storage.table import Table
 from tests.reference_eval import eval_row
 
@@ -96,8 +97,10 @@ def test_rle_roundtrip(values):
 def test_segment_elimination_never_loses_rows(values, bound_a, bound_b):
     low, high = sorted((bound_a, bound_b))
     schema = TableSchema("t", [Column("a", INT, nullable=False)])
-    rows = [(i, (v,)) for i, v in enumerate(values)]
-    index = ColumnstoreIndex.build("csi", schema, rows, is_primary=True,
+    index = ColumnstoreIndex.build("csi", schema,
+                                   np.arange(len(values), dtype=np.int64),
+                                   Records.from_rows([(v,) for v in values]),
+                                   is_primary=True,
                                    rowgroup_size=64)
     survivors = []
     for batch in index.scan(["a"], elimination_ranges={"a": (low, high)}):
@@ -231,7 +234,7 @@ def test_interleaved_dml_keeps_every_index_consistent(design, steps):
     db, table = _dml_table(design)
     next_a = 100_000
     for i, (op, pick) in enumerate(steps):
-        rids = sorted(table._rows)
+        rids = table.columns_by_rid()[0].tolist()
         if op == "insert" or not rids:
             table.insert_row((next_a + i, pick % 10, "ins"))
         elif op == "delete":

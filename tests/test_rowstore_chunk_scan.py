@@ -395,7 +395,7 @@ def key_ranges_for(predicate, key_columns):
 def reference(table, predicate, columns, order):
     positions = {c: i for i, c in enumerate(COLUMNS)}
     ordinals = [positions[c] for c in columns]
-    picked = [(rid, row) for rid, row in table.rows_with_rids()
+    picked = [(rid, row) for rid, row in table.iter_rows()
               if eval_row(predicate, row, positions)]
     picked.sort(key=lambda pair: tuple(pair[1][positions[c]] for c in order)
                 + (pair[0],))

@@ -13,7 +13,14 @@ from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionContext
 from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.database import Database
+from repro.storage.records import Records
 from repro.storage.segment_cache import DecodedSegmentCache
+
+
+def by_rid(rows):
+    """(rid, row) pairs as the rids and records an index build reads."""
+    return (np.array([rid for rid, _ in rows], np.int64),
+            Records.from_rows([row for _, row in rows]))
 
 
 def schema_ab():
@@ -27,7 +34,7 @@ def make_rows(n, modulo=10):
 def build_cached_csi(n=4000, rowgroup_size=1000, is_primary=True,
                      budget=64 << 20):
     index = ColumnstoreIndex.build(
-        "csi", schema_ab(), make_rows(n), is_primary=is_primary,
+        "csi", schema_ab(), *by_rid(make_rows(n)), is_primary=is_primary,
         rowgroup_size=rowgroup_size,
     )
     index.segment_cache = DecodedSegmentCache(budget_bytes=budget)
@@ -140,7 +147,7 @@ class TestScanIntegration:
         cached = build_cached_csi(n=3000, rowgroup_size=1000,
                                   is_primary=False)
         uncached = ColumnstoreIndex.build(
-            "csi2", schema_ab(), make_rows(3000), is_primary=False,
+            "csi2", schema_ab(), *by_rid(make_rows(3000)), is_primary=False,
             rowgroup_size=1000)
         # Mix in a delta row and a buffered delete on both.
         for index in (cached, uncached):
@@ -210,7 +217,7 @@ class TestScanIntegration:
         cached = build_cached_csi(n=2000, rowgroup_size=1000)
         cached.segment_cache.enabled = False
         plain = ColumnstoreIndex.build(
-            "csi2", schema_ab(), make_rows(2000), is_primary=True,
+            "csi2", schema_ab(), *by_rid(make_rows(2000)), is_primary=True,
             rowgroup_size=1000)
         for index in (cached, plain):
             ctx = ExecutionContext()

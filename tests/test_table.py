@@ -135,6 +135,22 @@ class TestPhysicalDesignChanges:
         with pytest.raises(CatalogError):
             table.create_secondary_btree("ix", ["a"])
 
+    def test_primary_conversion_cannot_take_a_secondary_name(self):
+        table = loaded_table(100)
+        secondary = table.create_secondary_btree("ix", ["b"])
+        with pytest.raises(CatalogError, match="already exists"):
+            table.set_primary_btree(["a"], name="ix")
+        with pytest.raises(CatalogError, match="already exists"):
+            table.set_primary_columnstore(name="ix")
+        assert isinstance(table.primary, HeapFile)
+        assert table.index_by_name("ix") is secondary
+        # A new primary may take the name of the one it replaces.
+        table.set_primary_btree(["a"], name="pk")
+        table.set_primary_btree(["b"], name="pk")
+        assert table.index_by_name("pk") is table.primary
+        table.drop_index("ix")
+        assert table.secondary_indexes == {}
+
     def test_drop_index(self):
         table = loaded_table(100)
         table.create_secondary_btree("ix", ["b"])
