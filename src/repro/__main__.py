@@ -530,12 +530,10 @@ def _cmd_serve(args) -> int:
             # the WAL: every statement served from here on is durable.
             database.enable_durability(args.data_dir)
             print(f"durable: snapshot + WAL in {args.data_dir}")
-    manager = SessionManager(database,
-                             morsel_workers=args.morsel_workers)
-    mode = ("morsel-parallel" if args.morsel_workers
-            else "serial") + (" cold" if args.cold else " hot")
+    manager = SessionManager(database)
+    mode = "cold" if args.cold else "hot"
     print(f"serving CH database ({args.warehouses} warehouses, {mode} "
-          f"scans) on {args.host}:{args.port}")
+          f"runs) on {args.host}:{args.port}")
     print("protocol: one SQL statement per line in, one JSON object per "
           "line out; empty line closes the session")
     try:
@@ -686,8 +684,6 @@ def main(argv=None) -> int:
     serve.add_argument("--port", type=int, default=5433)
     serve.add_argument("--warehouses", type=int, default=2,
                        help="CH scale (TPC-C warehouses)")
-    serve.add_argument("--morsel-workers", type=int, default=4,
-                       help="morsel-scan worker threads (0 = serial scans)")
     serve.add_argument("--cold", action="store_true",
                        help="run client statements cold (charge modeled "
                             "I/O)")

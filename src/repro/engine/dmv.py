@@ -340,8 +340,8 @@ def session_wait_stats_rows(database: Database) -> List[Tuple[object, ...]]:
     """``dm_exec_session_wait_stats``: per-session wait accumulation,
     sessions ascending, wait types in taxonomy order, only nonzero
     buckets (the real view likewise only carries waits that happened).
-    Session 0 is the unattributed/internal bucket (morsel workers,
-    standalone executors). Summing this view's counters grouped by
+    Session 0 is the unattributed/internal bucket (standalone
+    executors, checkpoints). Summing this view's counters grouped by
     wait_type reproduces ``dm_os_wait_stats`` exactly — recording updates
     both ledgers under one lock."""
     rows = []

@@ -275,7 +275,7 @@ def merge_dictionaries(
 def concat_encoded(columns: Sequence[EncodedColumn]) -> Optional[EncodedColumn]:
     """Concatenate encoded columns without materializing.
 
-    When every column shares one dictionary *instance* (morsels of one
+    When every column shares one dictionary *instance* (slices of one
     segment) the codes concatenate directly. Otherwise — the common case
     when a blocking operator concatenates batches from different
     rowgroups, each with its own per-segment dictionary — the

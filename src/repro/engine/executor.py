@@ -136,10 +136,6 @@ class Executor:
         #: Optional Query Store recording every execution (Section 3.1's
         #: monitoring methodology). None disables recording.
         self.query_store = query_store
-        #: Morsel worker pool for intra-query-parallel columnstore scans
-        #: (:class:`repro.server.parallel_scan.MorselPool`); None keeps
-        #: every scan serial.
-        self.morsel_pool = None
 
     def refresh(self) -> None:
         """Invalidate cached statistics and design descriptors (call after
@@ -238,8 +234,6 @@ class Executor:
         record.ctx = ctx = ExecutionContext(
             cost_model=database.cost_model, cold=cold,
             memory_grant_bytes=memory_grant_bytes,
-            morsel_pool=self.morsel_pool,
-            waits=database.waits,
         )
         ctx.charge_statement_overhead()
         result = QueryResult(columns=[], rows=[], metrics=ctx.metrics)

@@ -10,7 +10,8 @@ Elapsed vs CPU time: serial work adds equally to both. Parallel work adds
 its full cost to CPU (times a coordination overhead) but only
 ``cost / dop`` to elapsed time, plus a fixed parallel startup charge —
 reproducing the dip-in-elapsed / jump-in-CPU at the serial→parallel
-transition visible in Figure 1.
+transition visible in Figure 1. That parallelism is modeled only: every
+operator of a statement runs on the thread that executes it.
 """
 
 from __future__ import annotations
@@ -198,20 +199,6 @@ class ExecutionContext:
     dop:
         Degree of parallelism for the *current* parallel region; operators
         enter/leave parallel regions via :meth:`charge_parallel_cpu`.
-    morsel_pool:
-        Optional :class:`repro.server.parallel_scan.MorselPool`. When set,
-        columnstore scans partition their row groups across the pool's
-        workers (morsel-style intra-query parallelism); None (the
-        default) keeps every scan serial and byte-identical to the
-        single-threaded engine.
-    waits:
-        Optional :class:`repro.storage.waits.WaitStatsCollector`.
-        Observation-only: lets the morsel coordinator record real
-        ``CXPACKET`` blocking; never read by operators and never part
-        of modeled metrics. Not propagated to
-        :meth:`spawn_worker` — morsel parallelism never nests, and
-        worker-side waits reach the collector through the structures
-        themselves (attributed to session 0, the internal bucket).
     """
 
     def __init__(
@@ -219,8 +206,6 @@ class ExecutionContext:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         cold: bool = False,
         memory_grant_bytes: Optional[int] = None,
-        morsel_pool: Optional[object] = None,
-        waits: Optional[object] = None,
     ):
         self.cost_model = cost_model
         self.cold = cold
@@ -229,8 +214,6 @@ class ExecutionContext:
             if memory_grant_bytes is not None
             else cost_model.default_memory_grant_bytes
         )
-        self.morsel_pool = morsel_pool
-        self.waits = waits
         self.metrics = QueryMetrics()
         self._memory_in_use = 0
         #: Root of the statement's span tree. Charges made outside any
@@ -300,29 +283,6 @@ class ExecutionContext:
     def active_span(self) -> OperatorSpan:
         """The span charges are currently attributed to."""
         return self._span_stack[-1]
-
-    # --------------------------------------------------- morsel workers
-    def spawn_worker(self) -> "ExecutionContext":
-        """A fresh context for one morsel worker: same cost model, run
-        temperature and grant, but its own
-        :class:`QueryMetrics` (merged back via
-        :meth:`absorb_worker_metrics`) and no morsel pool — morsel
-        parallelism never nests."""
-        return ExecutionContext(
-            cost_model=self.cost_model,
-            cold=self.cold,
-            memory_grant_bytes=self.memory_grant_bytes,
-        )
-
-    def absorb_worker_metrics(self, worker: QueryMetrics) -> None:
-        """Fold one morsel worker's metrics into this statement.
-
-        Called on the coordinating thread while the scan operator's span
-        is active, so the worker's charges are attributed to that span by
-        the normal switch accounting — the span-sum == statement-totals
-        invariant holds with parallel scans exactly as without.
-        """
-        self.metrics.merge(worker)
 
     # ------------------------------------------------------------- CPU
     def charge_serial_cpu(self, ms: float) -> None:

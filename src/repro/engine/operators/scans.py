@@ -400,25 +400,12 @@ class ColumnstoreScan(_ScanBase):
         return names
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Run the operator, yielding result batches.
-
-        With a morsel pool on the context, the rowgroup reads fan out
-        across the pool's workers (rowgroup-granular morsels, see
-        :mod:`repro.server.parallel_scan`); worker metric deltas are
-        absorbed into this context while the scan's span is active, so
-        span-sum == statement-totals holds and modeled costs are
-        byte-identical to the serial path.
-        """
+        """Run the operator, yielding result batches."""
         ctx.charge_parallel_startup(self.dop)
-        pool = ctx.morsel_pool
-        if pool is not None and pool.eligible(self.index):
-            from repro.server.parallel_scan import morsel_scan
-            raw_batches = morsel_scan(self, ctx, pool)
-        else:
-            raw_batches = self.index.scan(
-                self._read_columns, ctx,
-                elimination_ranges=self.pushdown_ranges or None,
-                include_rids=self.include_rids)
+        raw_batches = self.index.scan(
+            self._read_columns, ctx,
+            elimination_ranges=self.pushdown_ranges or None,
+            include_rids=self.include_rids)
         total = 0
         for raw in raw_batches:
             total += len(raw)

@@ -7,8 +7,10 @@ A :class:`SessionManager` wraps one
 state lives in the record its pipeline run creates, so it never crosses
 sessions) while sharing the manager's
 :class:`~repro.optimizer.catalog.Catalog` (statistics are a property of
-the data, not the client), admission controller, and optional morsel
-pool.
+the data, not the client) and admission controller. A statement runs
+on its session's thread from admission to its last batch; the paper's
+parallelism (the degree of parallelism, DOP) is a modeled cost, not a
+thread.
 
 What is per-session vs shared (the ownership rules DESIGN.md spells
 out):
@@ -23,10 +25,9 @@ out):
 
 Modeled I/O is charged to ``QueryMetrics``, never slept: a statement's
 wall time is the interpreter work it does, so concurrent sessions
-interleave under the GIL rather than overlap. Measured at PR 21 on a
-1 M-row primary columnstore (31 rowgroups): the fig-1 selectivity sweep
-runs 2.9 ms/stmt serial vs 3.3 ms/stmt with four morsel workers, the CH
-analytic mix 20.3 vs 20.0 ms/stmt.
+interleave under the GIL rather than overlap. For the same reason a
+scan split across worker threads would only add hand-off cost, so a
+statement's scans run on its own thread.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.core.errors import ExecutionError
 from repro.engine.executor import Executor, QueryResult
 from repro.optimizer.catalog import Catalog
-from repro.server.parallel_scan import MorselPool
 from repro.server.scheduler import AdmissionController
 from repro.storage.database import Database
 
@@ -90,7 +90,6 @@ class Session:
             catalog=manager.catalog,
             query_store=manager.query_store,
         )
-        self._executor.morsel_pool = manager.morsel_pool
         self.closed = False
 
     # ---------------------------------------------------------- execution
@@ -183,10 +182,6 @@ class SessionManager:
     ----------
     database:
         The database every session executes against.
-    morsel_workers:
-        Size of the shared morsel pool; 0 disables intra-query
-        parallelism entirely (every scan serial — the byte-identical
-        configuration).
     grant_capacity_bytes:
         Memory-grant pool capacity; defaults to 8 default grants.
     """
@@ -204,9 +199,11 @@ class SessionManager:
             waits=database.waits,
             events=database.events,
         )
-        self.morsel_pool: Optional[MorselPool] = None
-        if morsel_workers > 0:
-            self.morsel_pool = MorselPool(n_workers=morsel_workers)
+        # Scans are serial; ``morsel_workers`` is accepted and ignored,
+        # and ``morsel_pool`` stays None, only because the e2e benchmark
+        # still passes the one and reads the other. Both go with the
+        # benchmark's next change.
+        self.morsel_pool = None
         self._sessions: Dict[int, Session] = {}
         self._next_session_id = 1
         self._lock = threading.Lock()
@@ -247,11 +244,9 @@ class SessionManager:
             return self.database.checkpoint()
 
     def close(self) -> None:
-        """Close every session and drain the morsel pool."""
+        """Close every session."""
         for session in self.active_sessions():
             session.close()
-        if self.morsel_pool is not None:
-            self.morsel_pool.close()
 
     def __enter__(self) -> "SessionManager":
         return self

@@ -37,6 +37,7 @@ text with different constants (the paper's ``{1}`` placeholders).
 from __future__ import annotations
 
 import datetime as _dt
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -564,6 +565,8 @@ def fill(values: Sequence[object], params: Sequence[object]
         if len(params):
             raise SqlError(_TOO_MANY_PARAMS)
         return values
+    for position, value in enumerate(params, 1):
+        _check_param(position, value)
     remaining = iter(params)
     try:
         filled = [next(remaining) if value is UNBOUND else value
@@ -573,6 +576,20 @@ def fill(values: Sequence[object], params: Sequence[object]
     if next(remaining, UNBOUND) is not UNBOUND:
         raise SqlError(_TOO_MANY_PARAMS)
     return filled
+
+
+def _check_param(position: int, value: object) -> None:
+    """Refuse a ``?`` value that is not a number other than NaN, a
+    string, a date or None. A NaN compares false with everything, and
+    whether a design's seek, range bound or filter then answers some rows
+    or none depends on which comparison it makes; ``sqlite3`` binds NaN
+    as NULL."""
+    if value is None or isinstance(value, (str, _dt.date)):
+        return
+    if isinstance(value, numbers.Real) and value == value:
+        return
+    raise SqlError(f"parameter {position} is {value!r}: a '?' value must "
+                   f"be a number (not NaN), a string, a date or NULL")
 
 
 class Template:

@@ -12,9 +12,9 @@ Pages are identified by ``(object_id, page_no)`` where ``object_id`` is
 the index's id recorded in the snapshot catalog and ``page_no`` is the
 page's id within the snapshot stream.
 
-The pool is shared by every serving session and every morsel worker, so
-all map mutations, LRU reordering, pin counts, and counters run under a
-single per-pool lock — the same discipline as
+The pool is shared by every serving session, so all map mutations, LRU
+reordering, pin counts, and counters run under a single per-pool lock —
+the same discipline as
 :class:`~repro.storage.segment_cache.DecodedSegmentCache` (an unlocked
 ``move_to_end`` racing a ``popitem`` corrupts the ``OrderedDict``).
 

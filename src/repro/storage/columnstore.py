@@ -74,12 +74,27 @@ def ensure_object_ids_above(minimum: int) -> None:
 class _RowGroupState:
     """A compressed row group plus its delete mask."""
 
-    __slots__ = ("group", "deleted_mask", "n_deleted")
+    __slots__ = ("group", "deleted_mask", "n_deleted", "_rid_order")
 
     def __init__(self, group: CompressedRowGroup):
         self.group = group
         self.deleted_mask = np.zeros(group.n_rows, dtype=bool)
         self.n_deleted = 0
+        #: Argsort of the group's rids, made on the first search (two
+        #: concurrent readers may both make it; the copies are equal).
+        self._rid_order: Optional[np.ndarray] = None
+
+    def slots_of(self, rids: np.ndarray) -> np.ndarray:
+        """The slots of those of ``rids`` this group holds: one binary
+        search per rid, where ``np.isin`` would sort or sweep all the
+        group's rids on every scan (a group's rids are unique)."""
+        if self._rid_order is None:
+            self._rid_order = np.argsort(self.group.rids)
+        order = self._rid_order
+        found = order[np.minimum(
+            np.searchsorted(self.group.rids, rids, sorter=order),
+            len(order) - 1)]
+        return found[self.group.rids[found] == rids]
 
     @property
     def live_rows(self) -> int:
@@ -717,9 +732,6 @@ class ColumnstoreIndex:
         ctx: Optional[ExecutionContext] = None,
         elimination_ranges: Optional[Dict[str, Tuple[object, object]]] = None,
         include_rids: bool = False,
-        groups: Optional[Sequence[int]] = None,
-        include_delta: bool = True,
-        record_usage: bool = True,
     ) -> Iterator[Batch]:
         """Scan the index in batch mode.
 
@@ -735,21 +747,9 @@ class ColumnstoreIndex:
             exact predicates to the returned batches.
         include_rids:
             Adds the ``__rid__`` column to each batch.
-        groups:
-            Row-group indexes to scan; ``None`` means all. Morsel-parallel
-            scans hand each worker a subset (an empty list is a valid
-            subset: delta-only). Every per-group charge is additive, so a
-            partitioned scan's merged metrics equal the serial scan's.
-        include_delta:
-            Whether to yield the delta-store batch (its leaves' column
-            slices, in rid order) at the end. Morsel workers pass
-            ``False`` — the coordinator reads the delta exactly once.
-        record_usage:
-            Whether to bump the index's DMV usage counters
-            (``user_scans``/``segments_*``). Morsel workers pass
-            ``False``; the coordinator records one scan plus the summed
-            per-worker segment counts so DMV telemetry stays
-            statement-accurate under parallelism.
+
+        The delta-store batch (its leaves' column slices, in rid order)
+        comes last.
         """
         for name in columns:
             if name not in self.columns:
@@ -760,25 +760,19 @@ class ColumnstoreIndex:
         cache = self.segment_cache
         if cache is not None and not cache.enabled:
             cache = None
-        if ctx is not None and record_usage:
+        if ctx is not None:
             self.usage.record_scan()
-        if groups is None:
-            selected = enumerate(self._groups)
-        else:
-            selected = ((i, self._groups[i]) for i in groups)
         buffered = self._buffered_rids()
-        for group_index, state in selected:
+        for group_index, state in enumerate(self._groups):
             group = state.group
             if elimination_ranges and self._eliminated(group, elimination_ranges):
                 if ctx is not None:
                     ctx.metrics.segments_skipped += 1
-                    if record_usage:
-                        self.usage.add_segment_counts(0, 1)
+                    self.usage.add_segment_counts(0, 1)
                 continue
             if ctx is not None:
                 ctx.metrics.segments_read += 1
-                if record_usage:
-                    self.usage.add_segment_counts(1, 0)
+                self.usage.add_segment_counts(1, 0)
             data = {}
             miss_bytes = 0
             misses = 0
@@ -876,8 +870,6 @@ class ColumnstoreIndex:
                 # consumer's hold on this group's batch.
                 for key in pinned_keys:
                     self.buffer_pool.unpin(key)
-        if not include_delta:
-            return
         delta_batch = self._delta_batch(needed, include_rids)
         if delta_batch is not None:
             if ctx is not None:
@@ -916,9 +908,11 @@ class ColumnstoreIndex:
         buffer; REBUILD adds the delta's); None if all live."""
         mask = ~state.deleted_mask if state.n_deleted else None
         if len(hidden):
-            masked = np.isin(state.group.rids, hidden)
-            if masked.any():
-                mask = ~masked if mask is None else mask & ~masked
+            slots = state.slots_of(hidden)
+            if len(slots):
+                if mask is None:
+                    mask = np.ones(state.group.n_rows, dtype=bool)
+                mask[slots] = False
         return mask
 
     def _delta_contents(self) -> Tuple[np.ndarray, Records]:

@@ -63,8 +63,7 @@ class Database:
         #: Engine-wide wait statistics (``dm_os_wait_stats`` /
         #: ``dm_exec_session_wait_stats``): every blocking primitive of
         #: this database — latch, memory grants, buffer-pool faults, WAL
-        #: flush, morsel exchange, segment-cache decode — records into
-        #: this one collector.
+        #: flush, segment-cache decode — records into this one collector.
         self.waits = WaitStatsCollector()
         #: XEvents-style ring buffer of typed engine events
         #: (``dm_xe_ring_buffer``); timestamps come from the logical

@@ -126,8 +126,8 @@ class DecodedSegmentCache:
         :meth:`put` is a no-op, so a disabled cache leaves every charge
         and metric exactly as the uncached engine produced them.
 
-    Thread safety: one cache is shared by every session and every morsel
-    worker, so lookup + LRU reordering, insertion + eviction, and the
+    Thread safety: one cache is shared by every serving session, so
+    lookup + LRU reordering, insertion + eviction, and the
     ``hits``/``misses``/``evictions`` counters all run under a single
     per-cache lock — an unlocked ``move_to_end`` racing a ``popitem``
     corrupts the ``OrderedDict``, and unlocked ``+=`` undercounts.

@@ -204,9 +204,8 @@ class IndexUsageStats:
                 self.last_user_update = stamp
 
     def add_segment_counts(self, scanned: int, skipped: int) -> None:
-        """Fold a morsel-parallel scan's summed per-worker segment
-        counts into the per-index attribution (workers record nothing
-        themselves; the coordinator calls this once per statement)."""
+        """Fold segments a scan read or eliminated into the per-index
+        attribution (a columnstore scan calls this once per rowgroup)."""
         if scanned == 0 and skipped == 0:
             return
         with self._lock:

@@ -1,9 +1,9 @@
 """Engine-wide wait statistics (the ``sys.dm_os_wait_stats`` analog).
 
 SQL Server's tuning methodology starts from *wait statistics*: every
-time a task blocks — on a latch, a memory grant, a page fault, the log
-flush, or an exchange — the engine classifies the blocked interval
-under a wait type and accumulates it server-wide and per session
+time a task blocks — on a latch, a memory grant, a page fault or the
+log flush — the engine classifies the blocked interval under a wait
+type and accumulates it server-wide and per session
 (``sys.dm_os_wait_stats`` / ``sys.dm_exec_session_wait_stats``). This
 module is that ledger for the repro engine. The blocking primitives
 grown by the serving/durability/paging PRs each record into one
@@ -21,8 +21,6 @@ wait type               recorded by
                         demand-paging faults (time spent in the loader)
 ``WRITELOG``            :class:`~repro.storage.wal.WriteAheadLog` commit
                         flush + fsync
-``CXPACKET``            :func:`~repro.server.parallel_scan.morsel_scan`
-                        coordinator blocked on a morsel worker's result
 ``SEGCACHE_MISS``       :class:`~repro.storage.columnstore.ColumnstoreIndex`
                         scan decode on a decoded-segment-cache miss
 ======================  ====================================================
@@ -37,9 +35,9 @@ Design rules (same contract as :mod:`repro.storage.telemetry`):
 * **Per-session == server-wide by construction.** Every
   :meth:`WaitStatsCollector.record` folds the wait into the server
   totals *and* the recording session's bucket under one lock. Work not
-  attributable to a session (morsel workers, a standalone
-  :class:`~repro.engine.executor.Executor`) lands in session ``0``, so
-  summing the per-session table always reproduces the server table
+  attributable to a session (a standalone
+  :class:`~repro.engine.executor.Executor`, a checkpoint) lands in
+  session ``0``, so summing the per-session table always reproduces the server table
   exactly — the invariant the differential test asserts.
 * **Only genuine blocking counts.** An uncontended latch acquire or an
   immediately satisfied grant records nothing (SQL Server likewise only
@@ -50,9 +48,9 @@ by :meth:`repro.server.session.Session.execute` around the whole
 admission + execution window, so latch/grant/WAL waits on that thread
 carry the session id. :meth:`statement` additionally captures a
 per-statement wait profile (what EXPLAIN ANALYZE and the Query Store
-surface); waits recorded on *other* threads (morsel workers) reach the
-server/session ledgers but not the coordinator statement's profile —
-the coordinator's own ``CXPACKET`` blocking covers the overlap.
+surface). Every operator of a statement, columnstore scans included,
+runs on the thread that executes it, so each wait its execution hits
+lands in its profile.
 
 Lives under :mod:`repro.storage` so storage structures can record waits
 without a storage → engine import cycle.
@@ -69,7 +67,6 @@ WAIT_LATCH_EX = "LATCH_EX"
 WAIT_RESOURCE_SEMAPHORE = "RESOURCE_SEMAPHORE"
 WAIT_PAGEIOLATCH = "PAGEIOLATCH"
 WAIT_WRITELOG = "WRITELOG"
-WAIT_CXPACKET = "CXPACKET"
 WAIT_SEGCACHE_MISS = "SEGCACHE_MISS"
 
 #: Every wait type, in the canonical display order of
@@ -80,7 +77,6 @@ WAIT_TYPES = (
     WAIT_RESOURCE_SEMAPHORE,
     WAIT_PAGEIOLATCH,
     WAIT_WRITELOG,
-    WAIT_CXPACKET,
     WAIT_SEGCACHE_MISS,
 )
 
@@ -143,8 +139,8 @@ class WaitStatsCollector:
     session and statement attribution.
 
     One collector is owned per :class:`~repro.storage.database.Database`
-    (``database.waits``) and shared by every session, every morsel
-    worker, and every storage structure of that database.
+    (``database.waits``) and shared by every session and every
+    storage structure of that database.
     """
 
     def __init__(self) -> None:

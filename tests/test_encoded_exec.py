@@ -535,7 +535,7 @@ class TestSpillingAggregates:
 
 
 class TestConcurrentEncodedSessions:
-    def test_four_sessions_morsel_scans_match_serial_decoded(self):
+    def test_four_sessions_scans_match_serial_decoded(self):
         import threading
 
         from repro.server.session import SessionManager
@@ -561,7 +561,7 @@ class TestConcurrentEncodedSessions:
             except Exception as exc:  # pragma: no cover - diagnostics
                 errors.append((sql, exc))
 
-        with SessionManager(db, morsel_workers=4) as manager:
+        with SessionManager(db) as manager:
             threads = [threading.Thread(target=worker, args=(sql,))
                        for sql in sqls]
             for thread in threads:

@@ -1,5 +1,5 @@
-"""Serving-layer tests: morsel-parallel scans, sessions, admission, and
-the concurrent-session differential suite.
+"""Serving-layer tests: serial scans under a session, sessions,
+admission, and the concurrent-session differential suite.
 
 The differential suite is the acceptance gate for this layer: N session
 threads replay the same statement mix and the engine must produce
@@ -19,9 +19,7 @@ import pytest
 
 from repro.core.errors import ExecutionError, SqlError
 from repro.engine.executor import Executor
-from repro.engine.metrics import SPAN_ATTRIBUTED_FIELDS
 from repro.server.frontend import MAX_STATEMENT_BYTES, ReproServer
-from repro.server.parallel_scan import MorselPool
 from repro.server.scheduler import DatabaseLatch, MemoryGrantPool
 from repro.server.session import SessionManager
 from repro.storage.checker import check_database
@@ -46,21 +44,6 @@ def _metrics_dict(metrics):
     return dataclasses.asdict(metrics)
 
 
-def assert_metrics_equivalent(got, expected):
-    """Field-by-field metric equality; float fields tolerate the
-    last-ulp drift of summing per-morsel charges in a different order
-    than one serial accumulation (everything else must match exactly)."""
-    got_d, expected_d = _metrics_dict(got), _metrics_dict(expected)
-    assert got_d.keys() == expected_d.keys()
-    for name, expected_value in expected_d.items():
-        got_value = got_d[name]
-        if isinstance(expected_value, float):
-            assert got_value == pytest.approx(expected_value,
-                                              rel=1e-9, abs=1e-12), name
-        else:
-            assert got_value == expected_value, name
-
-
 def _assert_idle(manager):
     """No latch is held and no grant is reserved."""
     admission = manager.admission
@@ -68,80 +51,83 @@ def _assert_idle(manager):
     assert admission.grants.available_bytes == admission.grants.capacity_bytes
 
 
-class TestMorselScan:
-    """Morsel-parallel scans must be indistinguishable from serial ones
-    in rows, order, modeled metrics, spans, and DMV usage."""
+def _run_embedded_and_served(sql, dml=(), morsel_workers=4, **db_kwargs):
+    """Run ``dml`` then ``sql`` on an embedded ``Executor`` and on a
+    session of ``SessionManager(..., morsel_workers=...)`` (the call the
+    e2e benchmark makes), each on a fresh database, and check that the
+    manager builds no pool and starts no thread."""
+    embedded_db = _micro_db(**db_kwargs)
+    executor = Executor(embedded_db)
+    for statement in dml:
+        executor.execute(statement)
+    embedded = executor.execute(sql, cold=True)
+    served_db = _micro_db(**db_kwargs)
+    threads_before = set(threading.enumerate())
+    with SessionManager(served_db, morsel_workers=morsel_workers) as manager:
+        assert manager.morsel_pool is None
+        with manager.session(cold=True) as session:
+            for statement in dml:
+                session.execute(statement)
+            served = session.execute(sql)
+        # No thread started (one a previous test left may have ended).
+        assert not set(threading.enumerate()) - threads_before
+    return embedded_db, embedded, served_db, served
 
-    def _run_both(self, sql, **db_kwargs):
-        serial_db = _micro_db(**db_kwargs)
-        serial = Executor(serial_db).execute(sql, cold=True)
-        morsel_db = _micro_db(**db_kwargs)
-        with SessionManager(morsel_db, morsel_workers=4) as manager:
-            with manager.session(cold=True) as session:
-                parallel = session.execute(sql)
-        return serial_db, serial, morsel_db, parallel
+
+def _usage(database):
+    usage = database.table("micro").primary.usage
+    return usage.user_scans, usage.segments_scanned, usage.segments_skipped
+
+
+class TestMorselScan:
+    """``SessionManager`` still accepts the ``morsel_workers=`` argument
+    the e2e benchmark passes, and ignores it: a served columnstore scan
+    runs serially on its statement's thread and returns exactly what an
+    embedded ``Executor`` returns."""
 
     def test_rows_and_metrics_identical(self):
-        serial_db, serial, morsel_db, parallel = self._run_both(
-            q1_scan(10.0))
-        assert parallel.rows == serial.rows
-        assert_metrics_equivalent(parallel.metrics, serial.metrics)
-
-    def test_span_sum_equals_statement_totals(self):
-        _, _, _, parallel = self._run_both(q1_scan(30.0))
-        for name in SPAN_ATTRIBUTED_FIELDS:
-            total = parallel.root_span.total(name)
-            statement = getattr(parallel.metrics, name)
-            assert total == pytest.approx(statement), name
-
-    def test_segment_elimination_matches_serial(self):
-        serial_db, serial, morsel_db, parallel = self._run_both(
-            q1_scan(1.0), sorted_on="col1")
-        assert parallel.metrics.segments_skipped > 0
-        assert_metrics_equivalent(parallel.metrics, serial.metrics)
-        assert parallel.rows == serial.rows
+        _, embedded, _, served = _run_embedded_and_served(q1_scan(10.0))
+        assert served.metrics.segments_read > 0
+        assert served.rows == embedded.rows
+        assert served.metrics == embedded.metrics
 
     def test_usage_counters_match_serial(self):
-        serial_db, _, morsel_db, _ = self._run_both(q1_scan(10.0))
-        serial_usage = serial_db.table("micro").primary.usage
-        morsel_usage = morsel_db.table("micro").primary.usage
-        assert morsel_usage.user_scans == serial_usage.user_scans == 1
-        assert (morsel_usage.segments_scanned
-                == serial_usage.segments_scanned)
-        assert (morsel_usage.segments_skipped
-                == serial_usage.segments_skipped)
-
-    def test_delta_store_rows_appear_once(self):
-        database = _micro_db()
-        executor = Executor(database)
-        executor.execute("INSERT INTO micro (col1, col2) VALUES (1, 2)")
-        executor.execute("INSERT INTO micro (col1, col2) VALUES (3, 4)")
-        serial = executor.execute(
-            "SELECT count(*) FROM micro", cold=True)
-        with SessionManager(database, morsel_workers=4) as manager:
-            with manager.session(cold=True) as session:
-                parallel = session.execute("SELECT count(*) FROM micro")
-        assert parallel.scalar() == serial.scalar() == 40_002
-
-    def test_small_indexes_stay_serial(self):
-        database = Database()
-        make_uniform_table(database, "micro", 1000, 1, seed=5)
-        database.table("micro").set_primary_columnstore()
-        index = database.table("micro").primary
-        pool = MorselPool(n_workers=2, min_rowgroups=2)
-        try:
-            assert index.n_rowgroups == 1
-            assert not pool.eligible(index)
-        finally:
-            pool.close()
+        embedded_db, _, served_db, _ = _run_embedded_and_served(
+            q1_scan(10.0))
+        assert _usage(served_db)[0] == 1
+        assert _usage(served_db) == _usage(embedded_db)
 
     def test_pool_disabled_is_serial_manager(self):
-        database = _micro_db()
-        with SessionManager(database, morsel_workers=0) as manager:
-            assert manager.morsel_pool is None
-            with manager.session(cold=True) as session:
-                result = session.execute(q1_scan(10.0))
-        assert result.metrics.segments_read > 0
+        _, _, off_db, off = _run_embedded_and_served(
+            q1_scan(10.0), morsel_workers=0)
+        _, _, on_db, on = _run_embedded_and_served(
+            q1_scan(10.0), morsel_workers=4)
+        assert off.rows == on.rows
+        assert off.metrics == on.metrics
+        assert _usage(off_db) == _usage(on_db)
+
+
+class TestSerialScans:
+    """Segment elimination and delta-store rows are served exactly as an
+    embedded ``Executor`` scans them."""
+
+    @pytest.mark.parametrize("sql, dml, db_kwargs", [
+        (q1_scan(1.0), (), {"sorted_on": "col1"}),
+        ("SELECT count(*) FROM micro",
+         ("INSERT INTO micro (col1, col2) VALUES (1, 2)",
+          "INSERT INTO micro (col1, col2) VALUES (3, 4)"), {}),
+    ], ids=["segment-elimination", "delta-store"])
+    def test_served_scan_equals_embedded(self, sql, dml, db_kwargs):
+        embedded_db, embedded, served_db, served = _run_embedded_and_served(
+            sql, dml, **db_kwargs)
+        assert served.rows == embedded.rows
+        assert served.metrics == embedded.metrics
+        assert served.metrics.segments_read > 0
+        assert _usage(served_db) == _usage(embedded_db)
+        if db_kwargs:
+            assert served.metrics.segments_skipped > 0
+        if dml:
+            assert served.scalar() == 40_002
 
 
 class TestDifferentialSuite:

@@ -254,7 +254,7 @@ class TestFaultInjectorThreadSafety:
 
 class TestBufferPoolThreadSafety:
     """The PR 9 satellite: BufferPool is shared by every serving session
-    and morsel worker once paging is on, so get_or_load/unpin/
+    once paging is on, so get_or_load/unpin/
     evict_object/clear must hold the pool lock — an unsynchronized
     ``move_to_end`` racing a ``popitem`` corrupts the OrderedDict."""
 

@@ -133,7 +133,7 @@ def test_descending_uint64_above_two_to_the_63():
 # -------------------------------------------------------------- grouping
 
 #: How a batch hands out a group column: plain arrays; dictionary codes
-#: with one dictionary per batch, or one shared by every batch (morsels
+#: with one dictionary per batch, or one shared by every batch (slices
 #: of one segment); or alternating plain numpy and Python-object arrays.
 REPRESENTATIONS = ("plain", "batch_dictionary", "shared_dictionary",
                    "objects")
