@@ -488,19 +488,11 @@ class Executor:
     def _run_insert(self, bound: BoundInsert,
                     ctx: ExecutionContext) -> int:
         table = bound.table
-        inserted: List[int] = []
-        try:
+        # One undo scope around the rows: a multi-row INSERT is
+        # all-or-nothing in memory, as its WAL scope is on disk.
+        with table.statement(ctx, 0):
             for row in bound.rows:
-                inserted.append(table.insert_row(row, ctx))
-        except BaseException:
-            # Statement atomicity across rows: insert_row already undid
-            # the failing row, compensate the successfully applied
-            # prefix so a multi-row INSERT is all-or-nothing in memory
-            # (its WAL scope aborts, so it must also vanish here).
-            with table._rollback_guard():
-                for rid in reversed(inserted):
-                    table.delete_rid(rid)
-            raise
+                table.insert_row(row, ctx)
         return len(bound.rows)
 
     #: The apply step of each DML statement kind; each returns the

@@ -9,7 +9,6 @@ from repro.engine.operators.scans import (
     BTreeSeek,
     ColumnstoreScan,
     HeapScan,
-    RidLookup,
     SecondaryBTreeSeek,
 )
 from repro.engine.operators.filters import Filter, Project, Top
@@ -32,7 +31,6 @@ __all__ = [
     "BTreeSeek",
     "ColumnstoreScan",
     "HeapScan",
-    "RidLookup",
     "SecondaryBTreeSeek",
     "Filter",
     "Project",

@@ -23,7 +23,6 @@ from repro.engine.batch import (
     PendingColumns,
     RowColumns,
     eval_column,
-    rows_to_batch,
 )
 from repro.engine.expressions import (
     ColumnRange,
@@ -39,7 +38,7 @@ from repro.engine.operators.base import (
     ROW_MODE,
 )
 from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
-from repro.storage.columnstore import RID_COLUMN, ColumnstoreIndex
+from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.heap import HeapFile
 from repro.storage.table import Table
 
@@ -379,12 +378,10 @@ class ColumnstoreScan(_ScanBase):
         residual: Optional[Expr] = None,
         prefix: str = "",
         dop: int = 1,
-        include_rids: bool = False,
     ):
         super().__init__(table, columns, residual, prefix, dop)
         self.index = index
         self.pushdown_ranges = pushdown_ranges or {}
-        self.include_rids = include_rids
         #: Bare column names the scan must decode: projected + filtered.
         filter_columns = residual.columns() if residual is not None else []
         bare_filter = [c[len(prefix):] if c.startswith(prefix) else c
@@ -394,18 +391,14 @@ class ColumnstoreScan(_ScanBase):
     @property
     def output_columns(self) -> List[str]:
         """Names of the columns produced, in order."""
-        names = _qualify(self.prefix, self.columns)
-        if self.include_rids:
-            names.append(RID_COLUMN)
-        return names
+        return _qualify(self.prefix, self.columns)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
         ctx.charge_parallel_startup(self.dop)
         raw_batches = self.index.scan(
             self._read_columns, ctx,
-            elimination_ranges=self.pushdown_ranges or None,
-            include_rids=self.include_rids)
+            elimination_ranges=self.pushdown_ranges or None)
         total = 0
         for raw in raw_batches:
             total += len(raw)
@@ -423,8 +416,6 @@ class ColumnstoreScan(_ScanBase):
         renamed = {}
         for bare, qualified in zip(self._read_columns, output_names):
             renamed[qualified] = raw.column(bare)
-        if self.include_rids:
-            renamed[RID_COLUMN] = raw.column(RID_COLUMN)
         batch = Batch(renamed)
         if self.residual is not None:
             mask = eval_batch(self.residual, batch, ctx)
@@ -438,51 +429,4 @@ class ColumnstoreScan(_ScanBase):
         push = f" push={sorted(self.pushdown_ranges)}" if self.pushdown_ranges else ""
         return (f"ColumnstoreScan({self.table.name}.{self.index.name})"
                 f"{push} cols={self.columns} [{self.mode}, dop={self.dop}]")
-
-
-class RidLookup(PhysicalOperator):
-    """Fetch extra columns from the base table for each input RID.
-
-    Used when a columnstore scan feeds a plan that needs columns the CSI
-    does not store, or by UPDATE/DELETE plans locating target rows.
-    """
-
-    mode = ROW_MODE
-
-    def __init__(self, child: PhysicalOperator, table: Table,
-                 columns: Sequence[str], prefix: str = "", dop: int = 1):
-        super().__init__(children=(child,), dop=dop)
-        self.table = table
-        self.columns = list(columns)
-        self.prefix = prefix
-        self._ordinals = table.schema.ordinals(self.columns)
-
-    @property
-    def output_columns(self) -> List[str]:
-        """Names of the columns produced, in order."""
-        return self.child().output_columns + _qualify(self.prefix, self.columns)
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Run the operator, yielding result batches."""
-        new_names = _qualify(self.prefix, self.columns)
-        for batch in self.child().execute(ctx):
-            rids = batch.column(RID_COLUMN)
-            # One batched fetch per input batch (one charge call instead
-            # of one per rid) — bookmark-lookup plans stop paying Python
-            # call overhead per row.
-            fetched_rows = self.table.fetch_columns_batch(
-                rids.tolist(), self._ordinals, ctx)
-            self.charge_rows(ctx, len(batch))
-            columns = dict(batch.columns)
-            extra = rows_to_batch(fetched_rows, new_names)
-            if extra is not None:
-                for name in new_names:
-                    columns[name] = extra.column(name)
-                yield Batch(columns)
-
-    def describe(self) -> str:
-        """One-line human-readable summary of this node."""
-        return (f"RidLookup({self.table.name}) cols={self.columns} "
-                f"[{self.mode}, dop={self.dop}]")
-
 

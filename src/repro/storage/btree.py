@@ -54,6 +54,7 @@ from repro.engine.metrics import ExecutionContext
 from repro.storage.faults import FaultInjector, trip
 from repro.storage.records import Records, lossless_array
 from repro.storage.telemetry import IndexUsageStats
+from repro.storage.undo import UndoLog
 
 Key = Tuple[object, ...]
 Row = Tuple[object, ...]
@@ -497,6 +498,9 @@ class _BTreeIndexBase:
         self.object_id = object_id
         #: Fault injector attached by the owning Table (None standalone).
         self.faults: Optional[FaultInjector] = None
+        #: The owning Table's undo log (a private, never-opened one
+        #: standalone): each write records its inverse there.
+        self.undo = UndoLog()
         #: Cumulative usage counters (dm_db_index_usage_stats); recorded
         #: only for context-carrying (user) accesses, never charged.
         self.usage = IndexUsageStats()
@@ -529,6 +533,17 @@ class _BTreeIndexBase:
         keys = self.keys_of(rids.tolist(), values)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         return list(map(keys.__getitem__, order)), np.array(order, np.intp)
+
+    def _add(self, key: Key, value: Row) -> None:
+        """Insert one entry; its undo removes it."""
+        tree = self.tree
+        tree.insert(key, value)
+        self.undo.record(tree.delete, key)
+
+    def _remove(self, key: Key) -> None:
+        """Remove one entry; its undo puts it back."""
+        tree = self.tree
+        self.undo.record(tree.insert, key, tree.delete(key))
 
     def _make_key(self, row: Row, rid: int) -> Key:
         key_values = tuple(row[i] for i in self.key_ordinals)
@@ -640,9 +655,11 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         self.rid_keys = rid_keys
 
     def _map_rid(self, rid: int, key: Optional[Key]) -> None:
+        """Point ``rid`` at ``key``; its undo points it back."""
         rid_keys = self.rid_keys
         if rid >= len(rid_keys):
             rid_keys.extend([None] * (rid + 1 - len(rid_keys)))
+        self.undo.record(self._map_rid, rid, rid_keys[rid])
         rid_keys[rid] = key
 
     def __contains__(self, rid: int) -> bool:
@@ -680,7 +697,7 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         trip(self.faults, "btree.insert")
         self._charge_traversal(ctx)
         key = self._make_key(row, rid)
-        self.tree.insert(key, row)
+        self._add(key, row)
         self._map_rid(rid, key)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
@@ -689,8 +706,8 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         """Delete one row, charging maintenance costs to ``ctx``."""
         trip(self.faults, "btree.delete")
         self._charge_traversal(ctx)
-        self.tree.delete(self._make_key(row, rid))
-        self.rid_keys[rid] = None
+        self._remove(self._make_key(row, rid))
+        self._map_rid(rid, None)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 
@@ -709,17 +726,12 @@ class PrimaryBTreeIndex(_BTreeIndexBase):
         if old_key == new_key:
             if not self.tree.replace(old_key, new_row):
                 raise StorageError(f"row {rid} not found for in-place update")
+            self.undo.record(self.tree.replace, old_key, old_row)
         else:
-            self.tree.delete(old_key)
-            try:
-                trip(self.faults, "btree.insert")
-                self.tree.insert(new_key, new_row)
-            except BaseException:
-                # Keep the index atomic: put the old entry back before
-                # surfacing the failure.
-                self.tree.insert(old_key, old_row)
-                raise
-            self.rid_keys[rid] = new_key
+            self._remove(old_key)
+            trip(self.faults, "btree.insert")
+            self._add(new_key, new_row)
+            self._map_rid(rid, new_key)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 
@@ -803,7 +815,7 @@ class SecondaryBTreeIndex(_BTreeIndexBase):
         """Insert one row, charging maintenance costs to ``ctx``."""
         trip(self.faults, "btree.insert")
         self._charge_traversal(ctx)
-        self.tree.insert(self._make_key(row, rid), self._payload(row))
+        self._add(self._make_key(row, rid), self._payload(row))
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 
@@ -811,7 +823,7 @@ class SecondaryBTreeIndex(_BTreeIndexBase):
         """Delete one row, charging maintenance costs to ``ctx``."""
         trip(self.faults, "btree.delete")
         self._charge_traversal(ctx)
-        self.tree.delete(self._make_key(row, rid))
+        self._remove(self._make_key(row, rid))
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 
@@ -830,15 +842,9 @@ class SecondaryBTreeIndex(_BTreeIndexBase):
             return  # the index does not cover any modified column
         trip(self.faults, "btree.update")
         self._charge_traversal(ctx)
-        self.tree.delete(old_key)
-        try:
-            trip(self.faults, "btree.insert")
-            self.tree.insert(new_key, self._payload(new_row))
-        except BaseException:
-            # Keep the index atomic: put the old entry back before
-            # surfacing the failure.
-            self.tree.insert(old_key, self._payload(old_row))
-            raise
+        self._remove(old_key)
+        trip(self.faults, "btree.insert")
+        self._add(new_key, self._payload(new_row))
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.btree_update_cpu_ms_per_row)
 

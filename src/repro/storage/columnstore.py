@@ -22,6 +22,13 @@ Follows the SQL Server design described in Section 2 of the paper:
 
 * **Updates** are a delete followed by an insert into the delta store.
 
+Every mutation records its physical inverse in the owning table's undo
+log (:mod:`repro.storage.undo`): a delta row removed or put back, a
+delete-bitmap slot unmasked with its locator, a delete-buffer rid
+discarded or put back, an auto tuple move swapped back. A failed
+statement so leaves the index exactly as it found it; used on its own,
+the index is not all-or-nothing.
+
 Scans yield :class:`~repro.engine.batch.Batch` objects (batch mode).
 """
 
@@ -45,6 +52,7 @@ from repro.storage.heap import SCAN_CHUNK_ROWS
 from repro.storage.records import Records
 from repro.storage.segment_cache import DecodedSegmentCache
 from repro.storage.telemetry import IndexUsageStats
+from repro.storage.undo import UndoLog
 from repro.storage.waits import WAIT_SEGCACHE_MISS
 
 Row = Tuple[object, ...]
@@ -147,6 +155,9 @@ class ColumnstoreIndex:
         self.segment_cache: Optional[DecodedSegmentCache] = None
         #: Fault injector attached by the owning Table (None standalone).
         self.faults: Optional[FaultInjector] = None
+        #: The owning Table's undo log (a private, never-opened one
+        #: standalone): each write records its inverse there.
+        self.undo = UndoLog()
         #: WAL maintenance hook attached by the owning Table when the
         #: database is durable: called with the op kind ("tuple_move",
         #: "rebuild", "reorganize", "compact") at each *explicit*
@@ -407,21 +418,20 @@ class ColumnstoreIndex:
         if rid in self._delta or rid in self._rid_location:
             raise StorageError(f"duplicate rid {rid} in columnstore {self.name!r}")
         trip(self.faults, "csi.delta_insert")
-        self._delta.insert(rid, self._project(row))
+        self._delta_insert(rid, self._project(row))
         if ctx is not None:
             cm = ctx.cost_model
             ctx.charge_serial_cpu(cm.btree_update_cpu_ms_per_row + cm.seek_cpu_ms)
             ctx.charge_serial_cpu(cm.log_write_ms_per_row)
         if len(self._delta) >= self.rowgroup_size:
-            try:
-                self.move_tuples(ctx, _auto=True)
-            except BaseException:
-                # The tuple mover mutates nothing until it commits, so
-                # the new row is still in the delta store; removing it
-                # keeps this insert all-or-nothing.
-                if rid in self._delta:
-                    self._delta.delete(rid)
-                raise
+            self.move_tuples(ctx, _auto=True)
+
+    def _delta_insert(self, rid: int, values: Row) -> None:
+        """Put one row in the delta store; its undo deletes it from this
+        same tree (a later tuple move's undo has reinstated it by then)."""
+        delta = self._delta
+        delta.insert(rid, values)
+        self.undo.record(delta.delete, rid)
 
     def delete(self, rid: int, row: Row, ctx: Optional[ExecutionContext] = None) -> None:
         """Delete one row. See :meth:`delete_many` for the batch path that
@@ -437,40 +447,31 @@ class ColumnstoreIndex:
         find physical locators for the delete bitmap (the expensive path
         of Figure 5). Secondary CSI: each rid is a cheap B+ tree insert
         into the delete buffer.
-
-        All-or-nothing: a failure (invalid rid, injected fault) midway
-        undoes the deletes already applied, by their physical undo
-        tokens, before re-raising.
         """
         cm = ctx.cost_model if ctx is not None else None
         affected_groups: Set[int] = set()
-        applied: List[Tuple] = []
-        try:
-            for rid in rids:
-                trip(self.faults, "csi.delete")
-                token = self._apply_delete(rid)
-                applied.append(token)
-                if token[0] == "bitmap":
-                    affected_groups.add(token[2])
-                if cm is not None:
-                    ctx.charge_serial_cpu(
-                        cm.btree_update_cpu_ms_per_row + cm.log_write_ms_per_row
-                    )
-        except BaseException:
-            self._undo_deletes(applied)
-            raise
+        for rid in rids:
+            trip(self.faults, "csi.delete")
+            group_index = self._apply_delete(rid)
+            if group_index is not None:
+                affected_groups.add(group_index)
+            if cm is not None:
+                ctx.charge_serial_cpu(
+                    cm.btree_update_cpu_ms_per_row + cm.log_write_ms_per_row
+                )
         if self.is_primary and cm is not None:
             # One locator scan per affected row group per statement.
             for group_index in affected_groups:
                 group_rows = self._groups[group_index].group.n_rows
                 ctx.charge_serial_cpu(group_rows * cm.csi_locate_cpu_ms_per_row)
 
-    def _apply_delete(self, rid: int) -> Tuple:
-        """Delete one rid, returning a physical undo token:
-        ``("delta", rid, values)``, ``("bitmap", rid, group, pos)``, or
-        ``("buffer", rid)``."""
-        if rid in self._delta:
-            return ("delta", rid, self._delta.delete(rid))
+    def _apply_delete(self, rid: int) -> Optional[int]:
+        """Delete one rid: from the delta store, by the delete bitmap of
+        its group (whose index is returned) or by the delete buffer."""
+        delta = self._delta
+        if rid in delta:
+            self.undo.record(delta.insert, rid, delta.delete(rid))
+            return None
         location = self._rid_location.get(rid)
         if location is None:
             raise StorageError(f"rid {rid} not in columnstore {self.name!r}")
@@ -480,56 +481,26 @@ class ColumnstoreIndex:
             raise StorageError(f"rid {rid} already deleted")
         if self.is_primary:
             self._mask_slot(rid)
-            return ("bitmap", rid, group_index, pos)
+            return group_index
         self._delete_buffer.add(rid)
-        return ("buffer", rid)
+        self.undo.record(self._delete_buffer.discard, rid)
+        return None
 
     def _mask_slot(self, rid: int) -> None:
         """Set ``rid``'s compressed slot in its group's delete bitmap and
-        drop its locator (a bitmap-deleted slot keeps none)."""
+        drop its locator (a bitmap-deleted slot keeps none); its undo
+        clears the slot and puts the locator back."""
         group_index, pos = self._rid_location.pop(rid)
         state = self._groups[group_index]
-        if not state.deleted_mask[pos]:
-            state.deleted_mask[pos] = True
-            state.n_deleted += 1
+        state.deleted_mask[pos] = True
+        state.n_deleted += 1
+        self.undo.record(self._unmask_slot, rid, group_index, pos)
 
-    def _undo_deletes(self, tokens: List[Tuple]) -> None:
-        """Physically invert delete tokens (valid while no tuple move has
-        intervened, which holds inside a single delete batch)."""
-        for token in reversed(tokens):
-            kind = token[0]
-            if kind == "delta":
-                self._delta.insert(token[1], token[2])
-            elif kind == "bitmap":
-                _, rid, group_index, pos = token
-                state = self._groups[group_index]
-                state.deleted_mask[pos] = False
-                state.n_deleted -= 1
-                self._rid_location[rid] = (group_index, pos)
-            else:
-                self._delete_buffer.discard(token[1])
-
-    def _remove_live_version(self, rid: int) -> None:
-        """Undo helper: logically delete ``rid``'s current live version,
-        wherever an intervening tuple move may have put it."""
-        if rid in self._delta:
-            self._delta.delete(rid)
-        elif rid in self._rid_location:     # else nothing live to remove
-            if self.is_primary:
-                self._mask_slot(rid)
-            else:
-                self._delete_buffer.add(rid)
-
-    def restore_row(self, rid: int, row: Row) -> None:
-        """Compensating operation for a delete of ``rid``: bring the row
-        back without violating the duplicate-rid check (the compressed
-        copy, if one survives, stays masked while the restored version
-        lives in the delta store as a shadow). Used by the rollback of
-        :meth:`update_many` and of a partially-applied multi-index DML
-        statement."""
-        if not self.is_primary and rid in self._rid_location:
-            self._delete_buffer.add(rid)
-        self._delta.insert(rid, self._project(row))
+    def _unmask_slot(self, rid: int, group_index: int, pos: int) -> None:
+        self._rid_location[rid] = (group_index, pos)
+        state = self._groups[group_index]
+        state.deleted_mask[pos] = False
+        state.n_deleted -= 1
 
     def update(
         self,
@@ -552,36 +523,22 @@ class ColumnstoreIndex:
         A deleted compressed rid on a secondary CSI is re-inserted as a
         delta-store *shadow* slot: the buffered delete keeps masking the
         compressed copy while the delta store carries the new version.
-
-        All-or-nothing: a failure mid-batch rolls back the already
-        re-inserted rows and restores the deleted ones (as delta rows when
-        a tuple move has already compressed intermediate state) before
-        re-raising.
         """
         self.delete_many([rid for rid, _, _ in updates], ctx)
-        reinserted: List[int] = []
-        try:
-            for rid, _, new_row in updates:
-                if not self.is_primary and rid in self._delete_buffer:
-                    trip(self.faults, "csi.delta_insert")
-                    self._delta.insert(rid, self._project(new_row))
-                    if ctx is not None:
-                        cm = ctx.cost_model
-                        ctx.charge_serial_cpu(
-                            cm.btree_update_cpu_ms_per_row + cm.seek_cpu_ms
-                            + cm.log_write_ms_per_row
-                        )
-                else:
-                    self.insert(rid, new_row, ctx)
-                reinserted.append(rid)
-            if len(self._delta) >= self.rowgroup_size:
-                self.move_tuples(ctx, _auto=True)
-        except BaseException:
-            for rid in reversed(reinserted):
-                self._remove_live_version(rid)
-            for rid, old_row, _ in updates:
-                self.restore_row(rid, old_row)
-            raise
+        for rid, _, new_row in updates:
+            if not self.is_primary and rid in self._delete_buffer:
+                trip(self.faults, "csi.delta_insert")
+                self._delta_insert(rid, self._project(new_row))
+                if ctx is not None:
+                    cm = ctx.cost_model
+                    ctx.charge_serial_cpu(
+                        cm.btree_update_cpu_ms_per_row + cm.seek_cpu_ms
+                        + cm.log_write_ms_per_row
+                    )
+            else:
+                self.insert(rid, new_row, ctx)
+        if len(self._delta) >= self.rowgroup_size:
+            self.move_tuples(ctx, _auto=True)
 
     # ----------------------------------------------------- background ops
     def invalidate_cached_segments(self) -> None:
@@ -605,6 +562,7 @@ class ColumnstoreIndex:
         if rid in self._rid_location:
             self._mask_slot(rid)
         self._delete_buffer.discard(rid)
+        self.undo.record(self._delete_buffer.add, rid)
 
     def move_tuples(self, ctx: Optional[ExecutionContext] = None,
                     _auto: bool = False) -> None:
@@ -612,7 +570,8 @@ class ColumnstoreIndex:
 
         Crash-safe: the new row group is built off to the side and only
         then swapped in — a failure during compression leaves the delta
-        store (and the segment cache) untouched.
+        store (and the segment cache) untouched. Under a table's undo
+        log a committed move is swapped back if its statement fails.
 
         Shadow slots — delta rows whose rid also has a buffered-deleted
         compressed copy (a secondary-CSI update of a compressed row) —
@@ -634,6 +593,7 @@ class ColumnstoreIndex:
             self.invalidate_cached_segments()  # conservative on abort
             raise
         # Commit point: publish the new group and drain the delta store.
+        self.undo.record(self._unmove, self._delta)
         self._append_group(group)
         self._delta = BPlusTree(leaf_capacity=SCAN_CHUNK_ROWS)
         self.invalidate_cached_segments()
@@ -643,6 +603,14 @@ class ColumnstoreIndex:
             cm = ctx.cost_model
             ctx.charge_serial_cpu(len(rids) * cm.csi_compress_cpu_ms_per_row)
             ctx.charge_write(group.size_bytes())
+
+    def _unmove(self, delta: BPlusTree) -> None:
+        """Undo of a tuple move: drop the row group it published and take
+        back the delta store it drained."""
+        for rid in self._groups.pop().group.rids.tolist():
+            del self._rid_location[rid]
+        self._delta = delta
+        self.invalidate_cached_segments()
 
     def rebuild(self, ctx: Optional[ExecutionContext] = None) -> None:
         """ALTER INDEX ... REBUILD: re-compress everything.

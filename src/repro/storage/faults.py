@@ -23,8 +23,9 @@ Three schedules are supported:
 
 The injector is inert unless a point is armed: ``hit`` then only counts,
 so production paths and every figure/experiment output are unchanged.
-During rollback the engine wraps compensating work in
-:meth:`FaultInjector.suspended` so an undo path can never itself fault.
+A failed statement's undo log (:mod:`repro.storage.undo`) is replayed
+under :meth:`FaultInjector.suspended`, so an inverse can never itself
+fault.
 """
 
 from __future__ import annotations

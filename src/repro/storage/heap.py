@@ -26,6 +26,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.faults import FaultInjector, trip
 from repro.storage.records import Records
 from repro.storage.telemetry import IndexUsageStats
+from repro.storage.undo import UndoLog
 
 Row = Tuple[object, ...]
 
@@ -47,6 +48,9 @@ class HeapFile:
         self.tree = BPlusTree(leaf_capacity=SCAN_CHUNK_ROWS)
         #: Fault injector attached by the owning Table (None standalone).
         self.faults: Optional[FaultInjector] = None
+        #: The owning Table's undo log (a private, never-opened one
+        #: standalone): each write records its inverse there.
+        self.undo = UndoLog()
         #: Cumulative usage counters (dm_db_index_usage_stats); recorded
         #: only for context-carrying (user) accesses, never charged.
         self.usage = IndexUsageStats()
@@ -93,6 +97,7 @@ class HeapFile:
             raise StorageError(f"duplicate rid {rid} in heap {self.name!r}")
         trip(self.faults, "heap.insert")
         self.tree.insert(rid, row)
+        self.undo.record(self.tree.delete, rid)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
 
@@ -100,7 +105,7 @@ class HeapFile:
         """Delete one row, charging maintenance costs to ``ctx``."""
         self._check_live(rid)
         trip(self.faults, "heap.delete")
-        self.tree.delete(rid)
+        self.undo.record(self.tree.insert, rid, self.tree.delete(rid))
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
 
@@ -111,10 +116,13 @@ class HeapFile:
         new_row: Row,
         ctx: Optional[ExecutionContext] = None,
     ) -> None:
-        """Update one row in place (delete+insert when keys change)."""
-        self._check_live(rid)
+        """Update one row in place."""
+        stored = self.tree.get(rid)
+        if stored is None:
+            raise StorageError(f"rid {rid} not in heap {self.name!r}")
         trip(self.faults, "heap.update")
         self.tree.replace(rid, new_row)
+        self.undo.record(self.tree.replace, rid, stored)
         if ctx is not None:
             ctx.charge_serial_cpu(ctx.cost_model.log_write_ms_per_row)
 

@@ -14,12 +14,17 @@ A :class:`Table` owns
 Every DML call updates the primary structure and all secondary indexes,
 charging maintenance costs to the supplied execution context — this is
 where "B+ trees are the cheapest to update" and the delta-store /
-delete-buffer behaviours of Figure 5 come from.
+delete-buffer behaviours of Figure 5 come from. Each call is one undo
+scope (:meth:`Table.statement`): every structure records the physical
+inverse of each step it completes in the table's
+:class:`~repro.storage.undo.UndoLog`, and a failure replays the log
+backwards, so the table and all its indexes end exactly as the
+statement found them — only the rid a failed insert drew stays burned.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -34,6 +39,7 @@ from repro.storage.faults import FaultInjector, InjectedFault, trip
 from repro.storage.heap import HeapFile
 from repro.storage.records import Records
 from repro.storage.telemetry import LogicalClock
+from repro.storage.undo import UndoLog
 
 Row = Tuple[object, ...]
 PrimaryStructure = Union[HeapFile, PrimaryBTreeIndex, ColumnstoreIndex]
@@ -53,6 +59,9 @@ class Table:
         #: attached to every index structure built on this table. None
         #: (standalone tables) disables injection entirely.
         self.fault_injector = fault_injector
+        #: The write statements' undo log, attached to every index
+        #: structure built on this table (see :meth:`statement`).
+        self.undo = UndoLog()
         #: Shared logical clock handed down by the owning Database's
         #: Telemetry (standalone tables get a private one); attached to
         #: every index's usage counters for last_user_* stamps.
@@ -76,9 +85,10 @@ class Table:
 
     def _wire(self, index):
         """Hand a new index structure this table's shared services — the
-        one place fault injector, usage clock, segment cache and WAL
-        maintenance hook are attached, whoever built the index."""
+        one place fault injector, undo log, usage clock, segment cache
+        and WAL maintenance hook are attached, whoever built the index."""
         index.faults = self.fault_injector
+        index.undo = self.undo
         index.usage.clock = self.usage_clock
         if isinstance(index, ColumnstoreIndex):
             index.segment_cache = self.segment_cache
@@ -413,46 +423,47 @@ class Table:
 
     # --------------------------------------------------------------- DML
     #
-    # Every DML entry point is atomic across the primary structure and
-    # all secondary indexes: if any index raises mid-statement (invalid
-    # row, injected fault), the structures already touched are undone via
-    # compensating operations — in reverse apply order, with fault
-    # injection suspended so the rollback itself cannot fault — before
-    # the original exception propagates. ``modification_counter`` only
-    # advances on success; ``_next_rid`` burns a failed insert's rid.
+    # Every write call is all-or-nothing across the primary structure and
+    # all secondary indexes, through the one undo log each structure was
+    # handed in ``_wire``: see :meth:`statement`. ``modification_counter``
+    # only advances on success; ``_next_rid`` burns a failed insert's rid.
 
-    def _rollback_guard(self):
-        """Suspend fault injection while compensating operations run."""
-        if self.fault_injector is not None:
-            return self.fault_injector.suspended()
-        return nullcontext()
-
-    def _note_rollback(self, ctx: Optional[ExecutionContext],
-                       exc: BaseException) -> None:
-        if ctx is not None:
-            ctx.metrics.rollbacks += 1
-            if isinstance(exc, InjectedFault):
-                ctx.metrics.faults_injected += 1
-
-    def _record_dml(self, ctx: Optional[ExecutionContext]) -> None:
-        """Record one maintaining DML statement on every index's usage
-        counters. Statement-granular like SQL Server's ``user_updates``
-        (a multi-row statement counts once); only context-carrying (user)
-        statements count, and only after the statement committed."""
-        if ctx is None:
+    @contextmanager
+    def statement(self, ctx: Optional[ExecutionContext],
+                  rows: int) -> Iterator[None]:
+        """The undo scope of one write statement that changes ``rows``
+        rows. Scopes nest — a multi-row INSERT opens one around its
+        ``insert_row`` calls, each of which opens its own — and the
+        outermost decides for all of them. On success it advances
+        ``modification_counter`` by every row written and records the
+        statement on each index's usage counters. On failure it replays
+        the log in reverse, with fault injection suspended and nothing
+        charged, counts one rollback on ``ctx`` and re-raises."""
+        undo = self.undo
+        if undo.is_open:
+            yield
+            undo.rows += rows
             return
-        for structure in self.all_indexes:
-            structure.usage.record_update()
-
-    @staticmethod
-    def _undo_delete(structure, rid: int, row: Row) -> None:
-        """Compensate one applied delete. Columnstores need
-        ``restore_row`` (a plain insert would trip the duplicate-rid
-        check while a buffered compressed copy survives)."""
-        if isinstance(structure, ColumnstoreIndex):
-            structure.restore_row(rid, row)
-        else:
-            structure.insert(rid, row)
+        undo.is_open = True
+        try:
+            yield
+        except BaseException as exc:
+            faults = self.fault_injector
+            with nullcontext() if faults is None else faults.suspended():
+                undo.undo()
+            if ctx is not None:
+                ctx.metrics.rollbacks += 1
+                if isinstance(exc, InjectedFault):
+                    ctx.metrics.faults_injected += 1
+            raise
+        rows += undo.rows
+        undo.close()
+        self.modification_counter += rows
+        if rows and ctx is not None:
+            # Statement-granular like SQL Server's ``user_updates``: only
+            # context-carrying (user) statements count, once each.
+            for structure in self.all_indexes:
+                structure.usage.record_update()
 
     def insert_row(self, row: Sequence[object],
                    ctx: Optional[ExecutionContext] = None) -> int:
@@ -460,22 +471,11 @@ class Table:
         validated = self.schema.validate_row(row)
         rid = self._next_rid
         self._next_rid += 1
-        applied: List = []
-        try:
+        with self.statement(ctx, 1):
             self.primary.insert(rid, validated, ctx)
-            applied.append(self.primary)
             for index in self.secondary_indexes.values():
                 trip(self.fault_injector, "table.secondary_apply")
                 index.insert(rid, validated, ctx)
-                applied.append(index)
-        except BaseException as exc:
-            with self._rollback_guard():
-                for structure in reversed(applied):
-                    structure.delete(rid, validated)
-            self._note_rollback(ctx, exc)
-            raise
-        self.modification_counter += 1
-        self._record_dml(ctx)
         self._log_ops([{
             "op": "insert", "table": self.name, "rid": rid,
             "row": validated,
@@ -507,25 +507,18 @@ class Table:
 
     def _store_rows(self, rids: List[int], rows: List[Row]) -> None:
         """Add ``rows`` at the ascending ``rids`` to every index,
-        uncharged: an empty heap with no secondary index is built in one
-        columnar pass, anything else takes the rows one at a time and is
-        rolled back if one of them fails."""
+        uncharged and uncounted: an empty heap with no secondary index is
+        built in one columnar pass, anything else takes the rows one at
+        a time in one undo scope."""
         primary = self.primary
         if (isinstance(primary, HeapFile) and not len(primary)
                 and not self.secondary_indexes):
             primary.load(rids, rows)
-        else:
-            applied: List = []
-            try:
-                for rid, row in zip(rids, rows):
-                    for index in self.all_indexes:
-                        index.insert(rid, row)
-                        applied.append((index, rid, row))
-            except BaseException:
-                with self._rollback_guard():
-                    for index, rid, row in reversed(applied):
-                        index.delete(rid, row)
-                raise
+            return
+        with self.statement(None, 0):
+            for rid, row in zip(rids, rows):
+                for index in self.all_indexes:
+                    index.insert(rid, row)
 
     def delete_rid(self, rid: int, ctx: Optional[ExecutionContext] = None) -> Row:
         """Delete one row by RID through every index; returns the row."""
@@ -538,33 +531,16 @@ class Table:
         """Batch delete: lets columnstores amortise their per-statement
         row-group locator scans."""
         rows = dict(zip(rids, self.get_rows(rids)))
-        applied: List[Tuple[SecondaryIndex, List[int]]] = []
-        try:
+        with self.statement(ctx, len(rows)):
             for structure in self.all_indexes:
                 if structure is not self.primary:
                     trip(self.fault_injector, "table.secondary_apply")
                 if isinstance(structure, ColumnstoreIndex):
-                    # Internally all-or-nothing: on failure it has already
-                    # undone its partial batch, so record it only when it
-                    # returns.
                     structure.delete_many(list(rows), ctx)
-                    applied.append((structure, list(rows)))
                 else:
-                    done: List[int] = []
-                    applied.append((structure, done))
                     for rid, row in rows.items():
                         structure.delete(rid, row, ctx)
-                        done.append(rid)
-        except BaseException as exc:
-            with self._rollback_guard():
-                for structure, done in reversed(applied):
-                    for rid in reversed(done):
-                        self._undo_delete(structure, rid, rows[rid])
-            self._note_rollback(ctx, exc)
-            raise
-        self.modification_counter += len(rows)
         if rows:
-            self._record_dml(ctx)
             self._log_ops([{
                 "op": "delete", "table": self.name, "rids": list(rows),
             }])
@@ -591,36 +567,16 @@ class Table:
             final[rid] = self.schema.validate_row(new_row)
         triples = list(zip(final, self.get_rows(list(final)),
                            final.values()))
-        applied: List[Tuple[SecondaryIndex, List[Tuple[int, Row, Row]]]] = []
-        try:
+        with self.statement(ctx, len(triples)):
             for structure in self.all_indexes:
                 if structure is not self.primary:
                     trip(self.fault_injector, "table.secondary_apply")
                 if isinstance(structure, ColumnstoreIndex):
-                    # Internally all-or-nothing (see delete_rids).
                     structure.update_many(triples, ctx)
-                    applied.append((structure, list(triples)))
                 else:
-                    done: List[Tuple[int, Row, Row]] = []
-                    applied.append((structure, done))
                     for rid, old_row, new_row in triples:
                         structure.update(rid, old_row, new_row, ctx)
-                        done.append((rid, old_row, new_row))
-        except BaseException as exc:
-            with self._rollback_guard():
-                for structure, done in reversed(applied):
-                    if isinstance(structure, ColumnstoreIndex):
-                        structure.update_many(
-                            [(rid, new_row, old_row)
-                             for rid, old_row, new_row in done])
-                    else:
-                        for rid, old_row, new_row in reversed(done):
-                            structure.update(rid, new_row, old_row)
-            self._note_rollback(ctx, exc)
-            raise
-        self.modification_counter += len(triples)
         if triples:
-            self._record_dml(ctx)
             self._log_ops([{
                 "op": "update", "table": self.name,
                 "updates": [(rid, new_row)
@@ -646,17 +602,4 @@ class Table:
                 # Bookmark lookups count against the primary structure,
                 # as in sys.dm_db_index_usage_stats.
                 self.primary.usage.record_lookup()
-        return [tuple(row[i] for i in ordinals) for row in self.get_rows(rids)]
-
-    def fetch_columns_batch(self, rids: Sequence[int],
-                            ordinals: Sequence[int],
-                            ctx: Optional[ExecutionContext] = None,
-                            ) -> List[Row]:
-        """Batched bookmark lookup: same modeled cost as ``len(rids)``
-        single fetches (each rid is still one cold random read), charged
-        in one call per batch instead of one per rid."""
-        if ctx is not None and rids:
-            ctx.charge_random_read(len(rids))
-            ctx.charge_serial_cpu(len(rids) * ctx.cost_model.seek_cpu_ms)
-            self.primary.usage.record_lookups(len(rids))
         return [tuple(row[i] for i in ordinals) for row in self.get_rows(rids)]

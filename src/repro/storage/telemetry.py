@@ -168,16 +168,6 @@ class IndexUsageStats:
             if stamp > self.last_user_lookup:
                 self.last_user_lookup = stamp
 
-    def record_lookups(self, n: int) -> None:
-        """A batch of ``n`` bookmark lookups (one stamp for the batch)."""
-        if n <= 0:
-            return
-        stamp = self._stamp()
-        with self._lock:
-            self.user_lookups += n
-            if stamp > self.last_user_lookup:
-                self.last_user_lookup = stamp
-
     def record_update(self) -> None:
         """One DML statement that maintained this index.
 

@@ -26,7 +26,9 @@ after discarded, exactly ARIES' convention.
 
 Statement scoping: ops raised by one SQL statement must be atomic in
 the log even when the executor applies them through several ``Table``
-calls (a multi-row INSERT loops ``insert_row``). The executor wraps DML
+calls (a multi-row INSERT calls ``insert_row`` once a row, inside one
+``Table.statement`` undo scope, so memory is all-or-nothing too). The
+executor wraps DML
 in :meth:`WriteAheadLog.statement`; ops buffer in memory and are written
 together with the COMMIT at scope exit. A crash mid-statement therefore
 leaves at most a dangling BEGIN — never a partial op set — and an

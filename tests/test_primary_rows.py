@@ -6,7 +6,7 @@ non-covering secondary B+ tree (and the first two with a secondary
 columnstore), plus primary conversions, the tuple mover, REBUILD and
 eager and paged snapshot round trips, against a dict of row tuples.
 After every step each table's rid reads — ``get_row``, ``has_rid``,
-``len``, the rid-ordered read and ``fetch_columns_batch`` — give the
+``len``, the rid-ordered read and ``lookup_columns`` — give the
 model's rows, compared by ``repr`` so the Python types count, and
 ``check_table`` is clean.
 """
@@ -214,7 +214,7 @@ class PrimaryRowsMachine(RuleBasedStateMachine):
             assert repr(list(values)) == repr(rows)
             assert repr(list(table.iter_rows())) == repr(
                 list(zip(rids, rows)))
-            assert repr(table.fetch_columns_batch(rids[::-1], [3, 0])) == \
+            assert repr(table.lookup_columns(rids[::-1], [3, 0])) == \
                 repr([(row[3], row[0]) for row in rows[::-1]])
             if table.name in getattr(self, "paged", ()):
                 assert table.primary.is_paged
