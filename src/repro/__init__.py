@@ -58,7 +58,6 @@ from repro.storage.faults import (
     FaultInjector,
     InjectedFault,
 )
-from repro.storage.segment_cache import DecodedSegmentCache, SegmentCacheStats
 from repro.storage.table import Table
 from repro.storage.telemetry import (
     IndexUsageStats,
@@ -85,8 +84,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "Database",
-    "DecodedSegmentCache",
-    "SegmentCacheStats",
     "ExecutionContext",
     "Executor",
     "FaultInjector",

@@ -5,10 +5,8 @@ Commands
 
 ``demo``
     The quickstart walkthrough (B+ tree vs columnstore, advisor loop).
-``micro --experiment {selectivity,updates,groupby,scancache}``
-    Run one micro-benchmark sweep and print the paper-style table
-    (``scancache`` times repeated scans against the decoded-segment
-    cache; tune it with ``--cache-mb`` / ``--no-cache``).
+``micro --experiment {selectivity,updates,groupby}``
+    Run one micro-benchmark sweep and print the paper-style table.
 ``tune --workload {tpcds,cust1..cust5} [--mode hybrid|btree_only|csi_only]``
     Tune a workload and print the recommendation.
 ``inventory``
@@ -164,38 +162,6 @@ def _cmd_micro(args) -> int:
         print(format_table(
             ["#groups", "btree ms", "CSI ms", "CSI spill KB"], rows,
             title=f"GROUP BY sweep, {args.rows} rows (Figure 4)"))
-        return 0
-
-    if args.experiment == "scancache":
-        import time
-
-        from repro.bench.reporting import format_segment_cache
-        from repro.workloads.synthetic import make_group_table
-
-        database = Database(
-            segment_cache_enabled=not args.no_cache,
-            segment_cache_budget_bytes=args.cache_mb << 20,
-        )
-        make_group_table(database, "micro3", args.rows, 1_000)
-        database.table("micro3").set_primary_columnstore(rowgroup_size=8192)
-        executor = Executor(database)
-        rows = []
-        for run in ("cold", "warm", "warm"):
-            start = time.perf_counter()
-            result = executor.execute(q3_group_by())
-            wall_ms = (time.perf_counter() - start) * 1000
-            rows.append((run, f"{wall_ms:.1f}", result.metrics.elapsed_ms,
-                         result.metrics.segment_cache_hits,
-                         result.metrics.segment_cache_misses))
-        print(format_table(
-            ["run", "wall ms", "model ms", "cache hits", "cache misses"],
-            rows,
-            title=f"Repeated columnstore scan, {args.rows} rows "
-                  f"(decoded-segment cache "
-                  f"{'off' if args.no_cache else 'on'})"))
-        print()
-        print(format_segment_cache(database.segment_cache,
-                                   title="segment cache totals"))
         return 0
 
     if args.experiment == "updates":
@@ -462,12 +428,11 @@ def _cmd_monitor(args) -> int:
                         else "-")
             rows.append((
                 sample["clock"], sample["statements"], sample["events"],
-                sample["cache_hits"], sample["cache_misses"], top_text,
+                top_text,
             ))
         print()
         print(format_table(
-            ["clock", "stmts", "events", "cache hit", "cache miss",
-             "top wait"],
+            ["clock", "stmts", "events", "top wait"],
             rows, title=f"telemetry history (interval="
                         f"{database.history.interval} statements)"))
 
@@ -612,13 +577,8 @@ def main(argv=None) -> int:
 
     micro = sub.add_parser("micro", help="run a micro-benchmark sweep")
     micro.add_argument("--experiment", default="selectivity",
-                       choices=("selectivity", "groupby", "updates",
-                                "scancache"))
+                       choices=("selectivity", "groupby", "updates"))
     micro.add_argument("--rows", type=int, default=200_000)
-    micro.add_argument("--cache-mb", type=int, default=64,
-                       help="decoded-segment cache budget (scancache)")
-    micro.add_argument("--no-cache", action="store_true",
-                       help="disable the decoded-segment cache (scancache)")
 
     tune = sub.add_parser("tune", help="tune a workload with the advisor")
     tune.add_argument("--workload", default="tpcds",

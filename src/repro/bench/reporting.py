@@ -68,26 +68,6 @@ def format_histogram(title: str, counts: Sequence[int]) -> str:
     return format_table(["speedup<=", "queries", ""], rows, title=title)
 
 
-def format_segment_cache(cache, title: Optional[str] = None) -> str:
-    """One-row table of a decoded-segment cache's counters.
-
-    ``cache`` is a :class:`repro.storage.segment_cache.DecodedSegmentCache`;
-    benches print this next to warm-vs-cold timings so figure output
-    records how much decode work the cache absorbed.
-    """
-    stats = cache.stats
-    row = (
-        stats.hits, stats.misses, f"{stats.hit_ratio:.2f}",
-        stats.evictions, stats.invalidations, len(cache),
-        f"{cache.bytes_cached / (1024 * 1024):.2f}",
-    )
-    return format_table(
-        ["hits", "misses", "hit ratio", "evictions", "invalidations",
-         "segments", "MB cached"],
-        [row], title=title,
-    )
-
-
 def find_crossover(
     x_values: Sequence[float],
     series_a: Sequence[float],

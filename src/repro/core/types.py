@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.core.errors import SchemaError
@@ -106,7 +107,7 @@ class ColumnType:
             if isinstance(value, bool):
                 raise SchemaError(f"expected numeric, got {value!r}")
             if isinstance(value, (int, float)):
-                return float(value)
+                return _finite(value)
             raise SchemaError(f"expected numeric, got {value!r}")
         if self.kind is TypeKind.VARCHAR:
             if not isinstance(value, str):
@@ -163,6 +164,20 @@ def date_to_int(value: _dt.date) -> int:
 def int_to_date(days: int) -> _dt.date:
     """Convert an internal day number back to a ``datetime.date``."""
     return _EPOCH + _dt.timedelta(days=days)
+
+
+def _finite(value) -> float:
+    """``value`` as a float if it is finite; else the arithmetic overflow
+    error: a DECIMAL column holds no NaN and no infinity (a columnstore
+    could not scale one to its stored integer)."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if math.isfinite(number):
+        return number
+    raise SchemaError(
+        f"arithmetic overflow: {value!r} is not a finite DECIMAL value")
 
 
 def _in_int64(value: int) -> int:

@@ -87,9 +87,6 @@ class AnalyzedQuery:
         if span.segments_read or span.segments_skipped:
             detail += (f" segments={span.segments_read}"
                        f"(+{span.segments_skipped} skipped)")
-        if span.segment_cache_hits or span.segment_cache_misses:
-            detail += (f" cache={span.segment_cache_hits}h/"
-                       f"{span.segment_cache_misses}m")
         if span.code_path_hits or span.code_path_fallbacks:
             detail += (f" code-path={span.code_path_hits}h/"
                        f"{span.code_path_fallbacks}f")

@@ -63,10 +63,6 @@ class CostModel:
     stream_agg_cpu_ms_per_row: float = 3e-4
     #: Fixed CPU to decode (decompress) one column segment.
     segment_decode_cpu_ms: float = 0.05
-    #: CPU for serving one segment from the decoded-segment cache (hash
-    #: lookup + LRU bump); what a scan pays *instead of*
-    #: ``segment_decode_cpu_ms`` and the segment read on a cache hit.
-    segment_cache_lookup_cpu_ms: float = 1e-3
     #: Per-row cost of locating a row inside compressed row groups — the
     #: expensive scan a *primary* CSI performs to populate its delete
     #: bitmap (Section 2: "deleting a row in a primary columnstore needs

@@ -271,9 +271,9 @@ def query_stats_rows(query_store) -> List[Tuple[object, ...]]:
 
 def memory_cache_rows(database: Database,
                       buffer_pool=None) -> List[Tuple[object, ...]]:
-    """``dm_os_memory_cache_counters``: the shared decoded-segment cache,
-    the statement cache (capped by entry, so ``budget_bytes`` is 0 and
-    ``bytes_cached`` counts the UTF-8 bytes of the texts it retains),
+    """``dm_os_memory_cache_counters``: the statement cache (capped by
+    entry, so ``budget_bytes`` is 0 and ``bytes_cached`` counts the
+    UTF-8 bytes of the texts it retains),
     the plans its templates carry (``plan_cache``: entries = plans held,
     hits = executions that reused one, misses = executions of a reusable
     SELECT that were optimized, no byte accounting), plus a
@@ -283,19 +283,12 @@ def memory_cache_rows(database: Database,
     (``bytes_resident``/``budget_bytes``, both rooted in the single
     :data:`~repro.storage.bufferpool.PAGE_BYTES` constant shared with the
     on-disk format) instead of a hardcoded page size."""
-    cache = database.segment_cache
-    stats = cache.stats
-    rows = [(
-        "segment_cache", len(cache), cache.bytes_cached, cache.budget_bytes,
-        stats.hits, stats.misses, stats.evictions,
-        round(stats.hit_ratio, 6), 1 if cache.enabled else 0,
-    )]
     statements = database.statement_cache
-    rows.append((
+    rows = [(
         "statement_cache", len(statements), statements.bytes_cached, 0,
         statements.hits, statements.misses, statements.evictions,
         round(statements.hit_ratio, 6), 1,
-    ))
+    )]
     rows.append((
         "plan_cache", statements.plans_cached, 0, 0,
         statements.plan_hits, statements.plan_misses,

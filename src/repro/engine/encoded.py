@@ -92,13 +92,6 @@ class EncodedColumn:
         return int(self.codes.nbytes)
 
     @property
-    def stored_bytes(self) -> int:
-        """Bytes this column actually occupies while encoded — the int32
-        code array. The shared dictionary is owned by the segment, not
-        the batch/cache entry, so it is not charged here."""
-        return int(self.codes.nbytes)
-
-    @property
     def decoded_dtype(self) -> np.dtype:
         """Dtype :meth:`materialize` would produce (the dictionary's
         value dtype) — ``object`` for string/nullable dictionaries,

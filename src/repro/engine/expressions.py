@@ -78,6 +78,22 @@ class Literal(Expr):
         return repr(self.value)
 
 
+def _floating(value) -> bool:
+    """Whether ``value`` is a float array or scalar (``np.float64`` is a
+    ``float``), whose arithmetic numpy may answer with a warning."""
+    return isinstance(value, float) or (
+        isinstance(value, np.ndarray) and value.dtype.kind == "f")
+
+
+def _float_op(op: Callable, left, right):
+    """``op`` over float operands. A result that overflows is an
+    infinity, as Python's own float arithmetic gives, without numpy's
+    ``RuntimeWarning``: a DECIMAL column refuses it when a write stores
+    it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return op(left, right)
+
+
 def _divide(left, right):
     """``left / right`` for scalars and arrays alike; a zero divisor is
     the statement's error whatever the operands' dtype (numpy would
@@ -85,6 +101,8 @@ def _divide(left, right):
     """
     if np.any(right == 0):
         raise ExecutionError("division by zero")
+    if _floating(left) or _floating(right):
+        return _float_op(operator.truediv, left, right)
     return operator.truediv(left, right)
 
 
@@ -95,6 +113,8 @@ def _exact(op: Callable) -> Callable:
     are held to the same range, so a statement fails or not whatever
     dtype its batches happen to have."""
     def apply(left, right):
+        if _floating(left) or _floating(right):
+            return _float_op(op, left, right)
         out = op(left, right)
         if not isinstance(out, np.ndarray):
             exact = [out]

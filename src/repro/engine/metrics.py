@@ -46,8 +46,10 @@ class QueryMetrics:
     #: Row groups eliminated by segment min/max metadata (Figure 2).
     segments_skipped: int = 0
     segments_read: int = 0
-    #: Decoded-segment cache traffic this statement caused (hits skip the
-    #: decode CPU and segment read charges; zero when the cache is off).
+    #: Always 0: the engine has no decoded-segment cache. The wall-clock
+    #: benchmark's harness reads the first two, and the rowstore-scan and
+    #: hash-join goldens pin all three; the next change to the benchmark
+    #: removes them (ROADMAP 1(e)).
     segment_cache_hits: int = 0
     segment_cache_misses: int = 0
     segment_cache_evictions: int = 0
@@ -85,9 +87,6 @@ class QueryMetrics:
             self.leaf_accesses[kind] = self.leaf_accesses.get(kind, 0) + count
         self.segments_skipped += other.segments_skipped
         self.segments_read += other.segments_read
-        self.segment_cache_hits += other.segment_cache_hits
-        self.segment_cache_misses += other.segment_cache_misses
-        self.segment_cache_evictions += other.segment_cache_evictions
         self.columns_late_materialized += other.columns_late_materialized
         self.code_path_hits += other.code_path_hits
         self.code_path_fallbacks += other.code_path_fallbacks
@@ -110,9 +109,6 @@ SPAN_ATTRIBUTED_FIELDS = (
     "lock_wait_ms",
     "segments_skipped",
     "segments_read",
-    "segment_cache_hits",
-    "segment_cache_misses",
-    "segment_cache_evictions",
     "columns_late_materialized",
     "code_path_hits",
     "code_path_fallbacks",
@@ -149,9 +145,6 @@ class OperatorSpan:
     lock_wait_ms: float = 0.0
     segments_skipped: int = 0
     segments_read: int = 0
-    segment_cache_hits: int = 0
-    segment_cache_misses: int = 0
-    segment_cache_evictions: int = 0
     columns_late_materialized: int = 0
     code_path_hits: int = 0
     code_path_fallbacks: int = 0

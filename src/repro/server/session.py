@@ -19,8 +19,9 @@ out):
   stamp (thread-local on the shared
   :class:`~repro.storage.telemetry.LogicalClock`), transaction scope,
   and all :class:`SessionStats`.
-* **Per database (shared, lock-protected):** segment cache, fault
-  injector, telemetry/usage counters, the tables themselves.
+* **Per database (shared, lock-protected):** buffer pool, statement
+  cache, fault injector, telemetry/usage counters, the tables
+  themselves.
 * **Process-global:** nothing.
 
 Modeled I/O is charged to ``QueryMetrics``, never slept: a statement's

@@ -901,17 +901,18 @@ class PagedLeafSource:
     its ``(keys, values)`` chunk, which is what the pool caches: the key
     list and the :class:`Records` a resident leaf holds. It is supplied
     by :mod:`repro.storage.pages` so this module stays codec-free.
+
+    The pool keys each frame ``(source, page id)``: a B+ index's object
+    id is 0 in the snapshot, so the source itself is what tells its
+    frames from every other index's, and :meth:`evict` drops only them.
     """
 
-    __slots__ = ("pool", "object_id", "n_items", "fences", "page_locs",
-                 "read_page")
+    __slots__ = ("pool", "n_items", "fences", "page_locs", "read_page")
 
-    def __init__(self, pool, object_id: int, n_items: int,
-                 fences: Sequence[Key],
+    def __init__(self, pool, n_items: int, fences: Sequence[Key],
                  page_locs: Sequence[Tuple[int, int, int]],
                  read_page) -> None:
         self.pool = pool
-        self.object_id = object_id
         self.n_items = n_items
         self.fences = [tuple(f) for f in fences]
         #: (snapshot page id, byte offset, byte length) per leaf page.
@@ -926,17 +927,17 @@ class PagedLeafSource:
         """One leaf page's chunk, faulting it in through the pool."""
         page_id, offset, length = self.page_locs[page_no]
         return self.pool.get_or_load(
-            (self.object_id, page_id),
+            (self, page_id),
             lambda: (self.read_page(offset, length), length),
             pin=pin,
         )
 
     def unpin(self, page_no: int) -> None:
-        self.pool.unpin((self.object_id, self.page_locs[page_no][0]))
+        self.pool.unpin((self, self.page_locs[page_no][0]))
 
     def evict(self) -> None:
         """Drop every resident leaf page of this index from the pool."""
-        self.pool.evict_object(self.object_id)
+        self.pool.evict_object(self)
 
 
 class _PagedBTreeMixin:
@@ -980,8 +981,9 @@ class _PagedBTreeMixin:
         """Whether leaf pages still live behind the buffer pool."""
         return self._paged is not None
 
-    def release_paged(self) -> None:
-        """Drop this index's pool pages (rebuild/drop invalidation)."""
+    def release_pages(self) -> None:
+        """Drop this index's leaf frames from the pool (the table drops
+        or replaces the index)."""
         if self._paged is not None:
             self._paged.evict()
 

@@ -8,19 +8,22 @@ honors **pin counts** so a page cannot be evicted while a scan or seek
 is reading it (eviction skips pinned frames; if everything is pinned the
 pool temporarily overcommits rather than corrupting a reader).
 
-Pages are identified by ``(object_id, page_no)`` where ``object_id`` is
-the index's id recorded in the snapshot catalog and ``page_no`` is the
-page's id within the snapshot stream.
+It is the only cache of column segments: a scan decodes (or serves the
+code space of) the segment page the pool holds, every time.
+
+Pages are identified by ``(owner, page_no)``: ``page_no`` is the page's
+id within the snapshot stream, and ``owner`` is what a release drops by
+— a columnstore's object id, recorded in the snapshot catalog, or a
+paged B+ index's :class:`~repro.storage.btree.PagedLeafSource`.
 
 The pool is shared by every serving session, so all map mutations, LRU
-reordering, pin counts, and counters run under a single per-pool lock —
-the same discipline as
-:class:`~repro.storage.segment_cache.DecodedSegmentCache` (an unlocked
-``move_to_end`` racing a ``popitem`` corrupts the ``OrderedDict``).
+reordering, pin counts, and counters run under a single per-pool lock
+(an unlocked ``move_to_end`` racing a ``popitem`` corrupts the
+``OrderedDict``).
 
-Invalidation (:meth:`evict_object`, called on index rebuild/drop) is
-O(pages of that object) via a per-object page index, not a scan of
-every resident frame.
+Release (:meth:`evict_object`, called when a structure is rebuilt,
+dropped or replaced) is O(pages of that owner) via a per-owner page
+index, not a scan of every resident frame.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Dict, Set, Tuple
 from repro.core.errors import StorageError
 from repro.storage.waits import WAIT_PAGEIOLATCH
 
-PageId = Tuple[int, int]
+PageId = Tuple[object, int]
 
 #: One :meth:`BufferPool._insert` evicting at least this many frames is
 #: reported as an ``eviction_storm`` event — the working set is far
@@ -77,8 +80,8 @@ class BufferPool:
             raise StorageError("buffer pool budget must be positive")
         self.budget_bytes = int(budget_bytes)
         self._resident: "OrderedDict[PageId, _Frame]" = OrderedDict()
-        #: object_id -> resident page keys of that object, so
-        #: :meth:`evict_object` is O(pages of the object).
+        #: owner -> resident page keys of that owner, so
+        #: :meth:`evict_object` is O(pages of the owner).
         self._by_object: Dict[object, Set[PageId]] = {}
         self._bytes = 0
         self._lock = threading.RLock()
@@ -232,13 +235,13 @@ class BufferPool:
             return sum(1 for f in self._resident.values() if f.pins)
 
     # ------------------------------------------------------- invalidation
-    def evict_object(self, object_id: int) -> int:
-        """Drop all pages of one object (index rebuild/drop); returns
-        how many were dropped. O(pages of that object) via the
-        per-object index. Pinned frames are dropped too: invalidation
-        means the content is stale, staleness beats residency."""
+    def evict_object(self, owner: object) -> int:
+        """Drop all pages of one owner (a structure rebuilt, dropped or
+        replaced); returns how many were dropped. O(pages of that owner)
+        via the per-owner index. Pinned frames are dropped too: no read
+        can reach those pages again, and staleness beats residency."""
         with self._lock:
-            pages = self._by_object.get(object_id)
+            pages = self._by_object.get(owner)
             if not pages:
                 return 0
             stale = list(pages)

@@ -35,7 +35,6 @@ Scans yield :class:`~repro.engine.batch.Batch` objects (batch mode).
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -50,10 +49,8 @@ from repro.storage.compression import CompressedRowGroup, compress_rowgroup
 from repro.storage.faults import FaultInjector, trip
 from repro.storage.heap import SCAN_CHUNK_ROWS
 from repro.storage.records import Records
-from repro.storage.segment_cache import DecodedSegmentCache
 from repro.storage.telemetry import IndexUsageStats
 from repro.storage.undo import UndoLog
-from repro.storage.waits import WAIT_SEGCACHE_MISS
 
 Row = Tuple[object, ...]
 
@@ -63,8 +60,9 @@ DEFAULT_ROWGROUP_SIZE = 32768
 
 RID_COLUMN = "__rid__"
 
-#: Fallback object-id allocator so every index gets a distinct decoded-
-#: segment cache key space even when the caller passes no explicit id.
+#: Fallback object-id allocator so every columnstore gets a distinct id
+#: even when the caller passes no explicit one: the id keys its segment
+#: frames in a demand-paged database's buffer pool.
 _AUTO_OBJECT_IDS = itertools.count(1)
 
 
@@ -73,7 +71,7 @@ def ensure_object_ids_above(minimum: int) -> None:
 
     Snapshot restore re-creates indexes with their persisted object ids;
     without this, a later auto-assigned id could collide with a restored
-    one and cross-contaminate the shared segment cache."""
+    one, and releasing one index would drop the other's pool frames."""
     global _AUTO_OBJECT_IDS
     current = next(_AUTO_OBJECT_IDS)
     _AUTO_OBJECT_IDS = itertools.count(max(current, minimum + 1))
@@ -149,10 +147,6 @@ class ColumnstoreIndex:
         self.is_primary = is_primary
         self.rowgroup_size = rowgroup_size
         self.object_id = object_id if object_id else next(_AUTO_OBJECT_IDS)
-        #: Shared decoded-segment cache, attached by the owning
-        #: :class:`~repro.storage.table.Table` when the table belongs to a
-        #: :class:`~repro.storage.database.Database`; None means uncached.
-        self.segment_cache: Optional[DecodedSegmentCache] = None
         #: Fault injector attached by the owning Table (None standalone).
         self.faults: Optional[FaultInjector] = None
         #: The owning Table's undo log (a private, never-opened one
@@ -176,8 +170,9 @@ class ColumnstoreIndex:
         #: database opened with ``paging=True``: the shared
         #: :class:`~repro.storage.bufferpool.BufferPool` and the pager
         #: that faults this index's segment pages through it. Both stay
-        #: None on the default in-memory path and after REBUILD (rebuilt
-        #: groups are in-memory, so there is nothing left to page).
+        #: None on the default in-memory path; after REBUILD no group
+        #: has a loader (rebuilt groups are in memory), so nothing
+        #: faults through them.
         self.buffer_pool = None
         self._pager = None
         if columns is None:
@@ -541,18 +536,12 @@ class ColumnstoreIndex:
             self.move_tuples(ctx, _auto=True)
 
     # ----------------------------------------------------- background ops
-    def invalidate_cached_segments(self) -> None:
-        """Drop this index's entries from the shared decoded-segment
-        cache. Called by every structural change (rebuild, tuple move,
-        delete-buffer compaction) and by the drop hooks in
-        :class:`~repro.storage.table.Table`. Tuple moves and compaction
-        are invalidated conservatively: existing group indices stay
-        stable today, but the cache must not depend on that. When the
-        index is demand-paged, the buffer pool's frames for this object
-        are dropped too — rebuilt groups live in memory, so any page
-        faulted from the pre-rebuild snapshot is stale."""
-        if self.segment_cache is not None:
-            self.segment_cache.invalidate_object(self.object_id)
+    def release_pages(self) -> None:
+        """Drop this index's segment frames from the buffer pool when it
+        is demand-paged: after a rebuild (the rebuilt groups live in
+        memory) or when the table drops or replaces the index, no scan
+        can reach them again. A tuple move or a compaction leaves every
+        existing group, and so every frame, valid."""
         if self.buffer_pool is not None:
             self.buffer_pool.evict_object(self.object_id)
 
@@ -570,8 +559,8 @@ class ColumnstoreIndex:
 
         Crash-safe: the new row group is built off to the side and only
         then swapped in — a failure during compression leaves the delta
-        store (and the segment cache) untouched. Under a table's undo
-        log a committed move is swapped back if its statement fails.
+        store untouched. Under a table's undo log a committed move is
+        swapped back if its statement fails.
 
         Shadow slots — delta rows whose rid also has a buffered-deleted
         compressed copy (a secondary-CSI update of a compressed row) —
@@ -587,16 +576,11 @@ class ColumnstoreIndex:
             for rid in self._delete_buffer.intersection(rids.tolist()):
                 self._fold_buffered_delete(rid)
         trip(self.faults, "csi.move_tuples.compress")
-        try:
-            group, = self._compress(rids, values.live_columns(), len(rids))
-        except BaseException:
-            self.invalidate_cached_segments()  # conservative on abort
-            raise
+        group, = self._compress(rids, values.live_columns(), len(rids))
         # Commit point: publish the new group and drain the delta store.
         self.undo.record(self._unmove, self._delta)
         self._append_group(group)
         self._delta = BPlusTree(leaf_capacity=SCAN_CHUNK_ROWS)
-        self.invalidate_cached_segments()
         if not _auto and self.wal_notify is not None:
             self.wal_notify("tuple_move")
         if ctx is not None:
@@ -610,7 +594,6 @@ class ColumnstoreIndex:
         for rid in self._groups.pop().group.rids.tolist():
             del self._rid_location[rid]
         self._delta = delta
-        self.invalidate_cached_segments()
 
     def rebuild(self, ctx: Optional[ExecutionContext] = None) -> None:
         """ALTER INDEX ... REBUILD: re-compress everything.
@@ -622,24 +605,20 @@ class ColumnstoreIndex:
         and full-size row groups with tight min/max metadata.
         """
         trip(self.faults, "csi.rebuild.compress")
-        try:
-            rids, values = self.columns_by_rid()
-            # Build the replacement state entirely off to the side; the
-            # old groups stay valid until the swap below.
-            new_groups: List[_RowGroupState] = []
-            new_locations: Dict[int, Tuple[int, int]] = {}
-            for group in self._compress(rids, values.live_columns(),
-                                        self.rowgroup_size):
-                self._register_group(new_groups, new_locations, group)
-        except BaseException:
-            self.invalidate_cached_segments()  # conservative on abort
-            raise
+        rids, values = self.columns_by_rid()
+        # Build the replacement state entirely off to the side; the old
+        # groups stay valid until the swap below.
+        new_groups: List[_RowGroupState] = []
+        new_locations: Dict[int, Tuple[int, int]] = {}
+        for group in self._compress(rids, values.live_columns(),
+                                    self.rowgroup_size):
+            self._register_group(new_groups, new_locations, group)
         # Commit point: atomically swap in the rebuilt state.
         self._groups = new_groups
         self._rid_location = new_locations
         self._delta = BPlusTree(leaf_capacity=SCAN_CHUNK_ROWS)
         self._delete_buffer = set()
-        self.invalidate_cached_segments()
+        self.release_pages()
         if self.wal_notify is not None:
             self.wal_notify("rebuild")
         if ctx is not None:
@@ -686,7 +665,6 @@ class ColumnstoreIndex:
         # Commit point: apply every fold in one uninterruptible pass.
         for rid in folded:
             self._fold_buffered_delete(rid)
-        self.invalidate_cached_segments()
         if not _auto and self.wal_notify is not None:
             self.wal_notify("compact")
         if ctx is not None:
@@ -725,9 +703,6 @@ class ColumnstoreIndex:
                     f"columnstore {self.name!r} does not contain {name!r}"
                 )
         needed = list(columns)
-        cache = self.segment_cache
-        if cache is not None and not cache.enabled:
-            cache = None
         if ctx is not None:
             self.usage.record_scan()
         buffered = self._buffered_rids()
@@ -742,9 +717,7 @@ class ColumnstoreIndex:
                 ctx.metrics.segments_read += 1
                 self.usage.add_segment_counts(1, 0)
             data = {}
-            miss_bytes = 0
-            misses = 0
-            hits = 0
+            read_bytes = 0
             #: Pool frames pinned for this group's batch; released after
             #: the batch is yielded (or the generator is closed, or a
             #: later segment fails to load), so LRU eviction cannot drop
@@ -752,72 +725,35 @@ class ColumnstoreIndex:
             pinned_keys = []
             try:
                 for name in needed:
-                    decoded = None
-                    if cache is not None:
-                        decoded = cache.get((self.object_id, group_index, name))
-                    if decoded is None:
-                        # SEGCACHE_MISS wait: real wall time spent loading
-                        # and decoding because the decoded cache missed.
-                        # Timed only when a cache is enabled, wired to a
-                        # collector, *and* the scan is session-attributed —
-                        # embedded runs (figures, determinism harnesses)
-                        # carry no session and must keep their DMV
-                        # snapshots free of wall-clock values.
-                        miss_started = (
-                            time.perf_counter()
-                            if (cache is not None and cache.waits is not None
-                                and cache.waits.current_session_id != 0)
-                            else None)
-                        if self._pager is not None and group.loader is not None:
-                            segment, key = self._pager.load(
-                                group_index, name, pin=True)
-                            pinned_keys.append(key)
-                        else:
-                            segment = group.column(name)
-                        code_space = segment.code_space()
-                        if code_space is not None:
-                            # Late materialization: hand the consumer the
-                            # int32 codes plus the shared dictionary instead
-                            # of decoding now. Dictionary segments serve
-                            # their stored codes; numeric RLE / bit-packed
-                            # segments serve the code space derived from
-                            # their compressed representation (run values,
-                            # frame-of-reference offsets). Modeled costs
-                            # (segment read + decode CPU below) are charged
-                            # exactly as for the decoded path — only real
-                            # wall-clock changes.
-                            decoded = EncodedColumn(*code_space)
-                        else:
-                            decoded = segment.decode()
-                        miss_bytes += segment.size_bytes
-                        misses += 1
-                        if cache is not None:
-                            evicted = cache.put(
-                                (self.object_id, group_index, name), decoded)
-                            if ctx is not None:
-                                ctx.metrics.segment_cache_misses += 1
-                                ctx.metrics.segment_cache_evictions += evicted
-                        if miss_started is not None:
-                            cache.waits.record(
-                                WAIT_SEGCACHE_MISS,
-                                (time.perf_counter() - miss_started) * 1000.0)
+                    if self._pager is not None and group.loader is not None:
+                        segment, key = self._pager.load(
+                            group_index, name, pin=True)
+                        pinned_keys.append(key)
                     else:
-                        hits += 1
-                    if isinstance(decoded, EncodedColumn) and ctx is not None:
-                        ctx.metrics.columns_late_materialized += 1
-                    data[name] = decoded
-                if ctx is not None:
-                    if misses:
-                        ctx.charge_seq_read(miss_bytes)
-                        ctx.record_data_read(miss_bytes)
-                        ctx.charge_serial_cpu(
-                            misses * ctx.cost_model.segment_decode_cpu_ms)
-                    if hits:
-                        # Hits are memory resident — no segment read, no
-                        # decode; only a cheap lookup per segment.
-                        ctx.metrics.segment_cache_hits += hits
-                        ctx.charge_serial_cpu(
-                            hits * ctx.cost_model.segment_cache_lookup_cpu_ms)
+                        segment = group.column(name)
+                    code_space = segment.code_space()
+                    if code_space is not None:
+                        # Late materialization: hand the consumer the
+                        # int32 codes plus the shared dictionary instead
+                        # of decoding now. Dictionary segments serve
+                        # their stored codes; numeric RLE / bit-packed
+                        # segments serve the code space derived from
+                        # their compressed representation (run values,
+                        # frame-of-reference offsets). Modeled costs
+                        # (segment read + decode CPU below) are charged
+                        # exactly as for the decoded path — only real
+                        # wall-clock changes.
+                        data[name] = EncodedColumn(*code_space)
+                        if ctx is not None:
+                            ctx.metrics.columns_late_materialized += 1
+                    else:
+                        data[name] = segment.decode()
+                    read_bytes += segment.size_bytes
+                if ctx is not None and needed:
+                    ctx.charge_seq_read(read_bytes)
+                    ctx.record_data_read(read_bytes)
+                    ctx.charge_serial_cpu(
+                        len(needed) * ctx.cost_model.segment_decode_cpu_ms)
                 if include_rids:
                     data[RID_COLUMN] = group.rids
                 batch = Batch(data)

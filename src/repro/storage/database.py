@@ -9,18 +9,14 @@ its physical design.
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.errors import CatalogError, StorageError
 from repro.core.schema import TableSchema
 from repro.engine.costs import DEFAULT_COST_MODEL, CostModel
-from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.events import EventStream
 from repro.storage.faults import FaultInjector
-from repro.storage.segment_cache import (
-    DEFAULT_SEGMENT_CACHE_BUDGET,
-    DecodedSegmentCache,
-)
 from repro.storage.table import Table
 from repro.storage.telemetry import Telemetry
 from repro.storage.timeseries import TelemetryHistory
@@ -28,29 +24,18 @@ from repro.storage.waits import WaitStatsCollector
 
 
 class Database:
-    """A named collection of tables sharing one cost model.
-
-    Parameters
-    ----------
-    segment_cache_budget_bytes:
-        Memory budget of the shared decoded-segment cache.
-    segment_cache_enabled:
-        Opt-in switch for the cache. Off by default so cold-run
-        experiments and the paper's figures are byte-for-byte unchanged;
-        enable it (here or via ``db.segment_cache.enabled = True``) to
-        make repeated columnstore scans skip re-decoding segments.
-    """
+    """A named collection of tables sharing one cost model."""
 
     def __init__(self, name: str = "db",
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 segment_cache_budget_bytes: int = DEFAULT_SEGMENT_CACHE_BUDGET,
-                 segment_cache_enabled: bool = False):
+                 cost_model: CostModel = DEFAULT_COST_MODEL):
         self.name = name
         self.cost_model = cost_model
-        self.segment_cache = DecodedSegmentCache(
-            budget_bytes=segment_cache_budget_bytes,
-            enabled=segment_cache_enabled,
-        )
+        # Stand-in for a decoded-segment cache the engine no longer has:
+        # the wall-clock benchmark's harness reads
+        # ``segment_cache.stats.evictions``. The next change to the
+        # benchmark removes it (ROADMAP 1(e)).
+        self.segment_cache = SimpleNamespace(
+            stats=SimpleNamespace(evictions=0))
         #: Shared fault injector, attached to every index structure of
         #: every table. Disarmed by default — arming points (see
         #: :mod:`repro.storage.faults`) is how robustness tests simulate
@@ -63,7 +48,7 @@ class Database:
         #: Engine-wide wait statistics (``dm_os_wait_stats`` /
         #: ``dm_exec_session_wait_stats``): every blocking primitive of
         #: this database — latch, memory grants, buffer-pool faults, WAL
-        #: flush, segment-cache decode — records into this one collector.
+        #: flush — records into this one collector.
         self.waits = WaitStatsCollector()
         #: XEvents-style ring buffer of typed engine events
         #: (``dm_xe_ring_buffer``); timestamps come from the logical
@@ -80,7 +65,6 @@ class Database:
         #: the ``repro.sql`` package imports this module (the binder).
         from repro.sql.cache import StatementCache
         self.statement_cache = StatementCache()
-        self.segment_cache.waits = self.waits
         self.fault_injector.events = self.events
         self._tables: Dict[str, Table] = {}
         #: Durability backend, both None by default (pure simulator — the
@@ -113,8 +97,7 @@ class Database:
         """Create and register a new empty table."""
         if schema.name in self._tables:
             raise CatalogError(f"table {schema.name!r} already exists")
-        table = Table(schema, segment_cache=self.segment_cache,
-                      fault_injector=self.fault_injector,
+        table = Table(schema, fault_injector=self.fault_injector,
                       usage_clock=self.telemetry.clock)
         self._tables[schema.name] = table
         if self.wal is not None:
@@ -131,9 +114,7 @@ class Database:
         """Remove a table (CatalogError when absent)."""
         if name not in self._tables:
             raise CatalogError(f"no table named {name!r}")
-        for index in self._tables[name].all_indexes:
-            if isinstance(index, ColumnstoreIndex):
-                index.invalidate_cached_segments()
+        self._tables[name].release_pages()
         del self._tables[name]
         if self.wal is not None:
             self.wal.log_ops([{"op": "drop_table", "name": name}])

@@ -941,7 +941,8 @@ class _CsiPager:
 
     Keyed by (row-group index, column); the pool key is the segment
     page's snapshot page id under the index's object id, so
-    ``evict_object`` on rebuild/drop invalidates exactly these frames.
+    :meth:`ColumnstoreIndex.release_pages` (rebuild, drop, replaced
+    primary) drops exactly these frames.
     """
 
     def __init__(self, reader: SnapshotReader, pool: BufferPool,
@@ -1032,8 +1033,7 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
                                 _leaf_chunk).payload
 
     index.attach_paged(PagedLeafSource(
-        pool, desc["object_id"], desc["n_items"], fences, page_locs,
-        read_leaf))
+        pool, desc["n_items"], fences, page_locs, read_leaf))
     return index
 
 

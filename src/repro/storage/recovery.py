@@ -168,9 +168,9 @@ def _apply_op(database, op: Dict[str, object]) -> None:
         index = table.set_primary_columnstore(
             name=op["name"], rowgroup_size=op["rowgroup_size"],
             presorted=op["presorted"])
-        # Replay must reproduce the original object id (it keys the
-        # segment cache and is part of the snapshot digest); forcing it
-        # right after the build is safe — nothing is cached yet.
+        # Replay must reproduce the original object id (it is part of
+        # the snapshot digest); forcing it right after the build is
+        # safe — no pool frame is keyed by it yet.
         index.object_id = op.get("object_id", index.object_id)
     elif kind == "set_primary_heap":
         table.set_primary_heap()

@@ -49,7 +49,7 @@ SecondaryIndex = Union[SecondaryBTreeIndex, ColumnstoreIndex]
 class Table:
     """A named table with a schema, rows, and physical design."""
 
-    def __init__(self, schema: TableSchema, segment_cache=None,
+    def __init__(self, schema: TableSchema,
                  fault_injector: Optional[FaultInjector] = None,
                  usage_clock: Optional[LogicalClock] = None):
         self.schema = schema
@@ -66,10 +66,6 @@ class Table:
         #: Telemetry (standalone tables get a private one); attached to
         #: every index's usage counters for last_user_* stamps.
         self.usage_clock = usage_clock or LogicalClock()
-        #: Shared decoded-segment cache handed down by the owning
-        #: Database; attached to every columnstore built on this table.
-        #: None (standalone tables) leaves columnstores uncached.
-        self.segment_cache = segment_cache
         #: Rows touched by DML since creation — drives statistics
         #: staleness detection (SQL Server's auto-update-stats rule).
         self.modification_counter = 0
@@ -85,13 +81,11 @@ class Table:
 
     def _wire(self, index):
         """Hand a new index structure this table's shared services — the
-        one place fault injector, undo log, usage clock, segment cache
-        and WAL maintenance hook are attached, whoever built the index."""
+        one place fault injector, undo log, usage clock and WAL
+        maintenance hook are attached, whoever built the index."""
         index.faults = self.fault_injector
         index.undo = self.undo
         index.usage.clock = self.usage_clock
-        if isinstance(index, ColumnstoreIndex):
-            index.segment_cache = self.segment_cache
         self._attach_wal_hooks(index)
         return index
 
@@ -235,16 +229,16 @@ class Table:
             if isinstance(idx, SecondaryBTreeIndex)
         ]
 
-    def _evict_cached_segments(self, structure) -> None:
-        """Drop a replaced/dropped index's cached state: a columnstore's
-        decoded segments (and buffer-pool frames, when demand-paged),
-        and a paged B+ tree's leaf pages — a dropped structure must not
-        leave stale pages resident in the shared pool."""
-        if isinstance(structure, ColumnstoreIndex):
-            structure.invalidate_cached_segments()
-        release = getattr(structure, "release_paged", None)
-        if release is not None:
-            release()
+    def release_pages(self, structures=None) -> None:
+        """Free the buffer-pool frames of structures this table drops or
+        replaces — all of its structures when the table itself is
+        dropped. No read can reach those pages again, and a paged
+        columnstore or B+ index leaves them resident until released."""
+        for structure in (self.all_indexes if structures is None
+                          else structures):
+            release = getattr(structure, "release_pages", None)
+            if release is not None:
+                release()
 
     def set_primary_btree(self, key_columns: Sequence[str],
                           name: Optional[str] = None) -> PrimaryBTreeIndex:
@@ -254,7 +248,7 @@ class Table:
         index = self._wire(PrimaryBTreeIndex.build(
             index_name, self.schema, key_columns, *self.columns_by_rid()
         ))
-        self._evict_cached_segments(self.primary)
+        self.release_pages([self.primary])
         self.primary = index
         self._log_ops([{
             "op": "set_primary_btree", "table": self.name,
@@ -288,16 +282,15 @@ class Table:
             index_name, self.schema, *self.columns_by_rid(),
             is_primary=True, presorted=presorted, **kwargs,
         ))
-        self._evict_cached_segments(self.primary)
+        self.release_pages([self.primary])
         self.primary = index
         self._log_ops([{
             "op": "set_primary_columnstore", "table": self.name,
             "name": index.name, "rowgroup_size": rowgroup_size,
             "presorted": presorted,
             # Logged so redo rebuilds the index with the *same* id:
-            # columnstore object ids key the shared segment cache and
-            # participate in the snapshot digest, so replay must not
-            # draw a fresh one.
+            # columnstore object ids participate in the snapshot
+            # digest, so replay must not draw a fresh one.
             "object_id": index.object_id,
         }])
         return index
@@ -307,7 +300,7 @@ class Table:
         heap = self._wire(HeapFile(f"{self.name}_heap", self.schema))
         rids, values = self.columns_by_rid()
         heap.load(rids.tolist(), values)
-        self._evict_cached_segments(self.primary)
+        self.release_pages([self.primary])
         self.primary = heap
         self._log_ops([{"op": "set_primary_heap", "table": self.name}])
         return heap
@@ -390,7 +383,7 @@ class Table:
         """Drop one secondary index by name."""
         if name not in self.secondary_indexes:
             raise CatalogError(f"table {self.name!r} has no secondary index {name!r}")
-        self._evict_cached_segments(self.secondary_indexes[name])
+        self.release_pages([self.secondary_indexes[name]])
         del self.secondary_indexes[name]
         self._log_ops([{
             "op": "drop_index", "table": self.name, "name": name,
@@ -398,8 +391,7 @@ class Table:
 
     def drop_all_secondary_indexes(self) -> None:
         """Drop every secondary index."""
-        for index in self.secondary_indexes.values():
-            self._evict_cached_segments(index)
+        self.release_pages(self.secondary_indexes.values())
         had_indexes = bool(self.secondary_indexes)
         self.secondary_indexes.clear()
         if had_indexes:

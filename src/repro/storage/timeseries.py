@@ -2,9 +2,9 @@
 
 The DMVs expose *point-in-time* snapshots; the ROADMAP's closed-loop
 online tuner (per *Predictive Indexing*, PAPERS.md) needs a *history* —
-"waits per interval", "statements per interval", "cache hit rate over
-time" — to detect workload drift. SQL Server ships this as the Query
-Store's fixed-duration runtime intervals and as management-pack
+"waits per interval", "statements per interval", "buffer-pool hit rate
+over time" — to detect workload drift. SQL Server ships this as the
+Query Store's fixed-duration runtime intervals and as management-pack
 telemetry collection; this module is the repro analog.
 
 :class:`TelemetryHistory` retains up to ``retention`` interval samples,
@@ -20,8 +20,8 @@ Determinism split, same contract as the rest of the observability
 stack:
 
 * The **deterministic core** of each sample — clock stamp, statements
-  per interval, wait *counts* per type, event counts, cache and
-  buffer-pool hit/miss counts — enters :meth:`digest`.
+  per interval, wait *counts* per type, event counts, buffer-pool
+  hit/miss counts — enters :meth:`digest`.
 * The **wall-clock overlay** — per-type wait milliseconds and the
   sample's ``wall_time_s`` — rides along for operators (the
   ``repro monitor`` top-waits panel and Prometheus histograms read it)
@@ -87,9 +87,6 @@ class TelemetryHistory:
             cum["waits"] = {}
         events = getattr(database, "events", None)
         cum["events"] = events.emitted if events is not None else 0
-        cache = database.segment_cache
-        cum["cache_hits"] = cache.stats.hits
-        cum["cache_misses"] = cache.stats.misses
         pool = database.buffer_pool
         if pool is not None:
             cum["pool_hits"] = pool.hits
@@ -113,8 +110,6 @@ class TelemetryHistory:
             "statements": cum["statements"] - prev.get("statements", 0),
             "waits": wait_rows,
             "events": cum["events"] - prev.get("events", 0),
-            "cache_hits": cum["cache_hits"] - prev.get("cache_hits", 0),
-            "cache_misses": cum["cache_misses"] - prev.get("cache_misses", 0),
             # Wall-clock overlay: operator-facing, excluded from digest().
             "wall_time_s": round(time.time(), 3),
         }
@@ -182,8 +177,6 @@ class TelemetryHistory:
             "clock": sample["clock"],
             "statements": sample["statements"],
             "events": sample["events"],
-            "cache_hits": sample["cache_hits"],
-            "cache_misses": sample["cache_misses"],
             "waits": {t: row["count"]
                       for t, row in sample.get("waits", {}).items()},
         }

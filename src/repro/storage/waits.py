@@ -21,8 +21,6 @@ wait type               recorded by
                         demand-paging faults (time spent in the loader)
 ``WRITELOG``            :class:`~repro.storage.wal.WriteAheadLog` commit
                         flush + fsync
-``SEGCACHE_MISS``       :class:`~repro.storage.columnstore.ColumnstoreIndex`
-                        scan decode on a decoded-segment-cache miss
 ======================  ====================================================
 
 Design rules (same contract as :mod:`repro.storage.telemetry`):
@@ -67,7 +65,6 @@ WAIT_LATCH_EX = "LATCH_EX"
 WAIT_RESOURCE_SEMAPHORE = "RESOURCE_SEMAPHORE"
 WAIT_PAGEIOLATCH = "PAGEIOLATCH"
 WAIT_WRITELOG = "WRITELOG"
-WAIT_SEGCACHE_MISS = "SEGCACHE_MISS"
 
 #: Every wait type, in the canonical display order of
 #: ``dm_os_wait_stats``.
@@ -77,7 +74,6 @@ WAIT_TYPES = (
     WAIT_RESOURCE_SEMAPHORE,
     WAIT_PAGEIOLATCH,
     WAIT_WRITELOG,
-    WAIT_SEGCACHE_MISS,
 )
 
 _WAIT_TYPE_SET = frozenset(WAIT_TYPES)

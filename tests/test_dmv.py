@@ -80,7 +80,7 @@ class TestSqlSurface:
             if name == "dm_os_memory_cache_counters":
                 # The caches always exist, even in an empty db.
                 assert [row[0] for row in result.rows] == [
-                    "segment_cache", "statement_cache", "plan_cache"]
+                    "statement_cache", "plan_cache"]
             elif name == "dm_os_wait_stats":
                 # Every canonical wait type is present (zeros included),
                 # like the real view.
@@ -436,7 +436,7 @@ class TestExports:
         assert snap["dm_db_missing_index_details"] == []
         assert [row["cache_name"]
                 for row in snap["dm_os_memory_cache_counters"]] == [
-            "segment_cache", "statement_cache", "plan_cache"]
+            "statement_cache", "plan_cache"]
 
     def test_prometheus_exposition_format(self):
         database = make_hybrid_db()
@@ -474,25 +474,9 @@ class TestExports:
         table = build_view("dm_os_memory_cache_counters", database,
                            buffer_pool=pool)
         rows = {row[0]: row for _, row in table.iter_rows()}
-        assert list(rows) == ["segment_cache", "statement_cache",
-                              "plan_cache", "buffer_pool"]
+        assert list(rows) == ["statement_cache", "plan_cache",
+                              "buffer_pool"]
         assert rows["buffer_pool"][4] == pool.hits
-
-    def test_segment_cache_counters_reflect_hits(self):
-        database = Database(segment_cache_enabled=True)
-        orders = database.create_table(TableSchema("orders", [
-            Column("o_id", INT, nullable=False),
-            Column("o_amt", INT),
-        ]))
-        orders.bulk_load([(i, i) for i in range(4000)])
-        orders.set_primary_columnstore(rowgroup_size=1024)
-        executor = Executor(database)
-        executor.execute("SELECT sum(o_amt) FROM orders")
-        executor.execute("SELECT sum(o_amt) FROM orders")
-        result = executor.execute(
-            "SELECT hits FROM dm_os_memory_cache_counters "
-            "WHERE cache_name = 'segment_cache'")
-        assert result.scalar() > 0
 
 
     def test_statement_cache_counters_answer_is_my_traffic_templated(self):

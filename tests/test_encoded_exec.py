@@ -51,8 +51,8 @@ def rows(n=4000):
     ]
 
 
-def make_db(n=4000, cache=False):
-    db = Database(segment_cache_enabled=True) if cache else Database()
+def make_db(n=4000):
+    db = Database()
     table = db.create_table(schema())
     table.bulk_load(rows(n))
     table.set_primary_columnstore(rowgroup_size=1024)
@@ -244,51 +244,6 @@ class TestDifferentialQueries:
             "SELECT city, count(*) c FROM t WHERE qty = 7 "
             "GROUP BY city ORDER BY c, city", db_factory=factory)
         assert on.metrics.code_path_hits > 0
-
-
-class TestEncodedWithSegmentCache:
-    def test_cache_accounting_identical_across_modes(self):
-        # Hit/miss/eviction counts and residency are mode-independent;
-        # byte totals legitimately differ (encoded entries are charged
-        # at stored code width, decoded ones at decoded width) and are
-        # checked against residency in test_cache_bytes_match_residency.
-        sql = "SELECT count(*) FROM t WHERE city = 'athens'"
-        stats = {}
-        resident_bytes = {}
-        for enabled in (False, True):
-            with scans(enabled):
-                db = make_db(cache=True)
-                executor = Executor(db)
-                executor.execute(sql)
-                executor.execute(sql)
-                cache = db.segment_cache
-                stats[enabled] = (cache.stats.hits, cache.stats.misses,
-                                  cache.stats.evictions, len(cache))
-                resident_bytes[enabled] = cache.bytes_cached
-        assert stats[True] == stats[False]
-        # Codes are never wider than the decoded representation.
-        assert resident_bytes[True] <= resident_bytes[False]
-
-    def test_cache_bytes_match_residency(self):
-        # The differential accounting audit: the cache's byte counter
-        # must equal the sum of the accounting sizes of the entries that
-        # are actually resident — encoded entries at their stored int32
-        # code width, decoded arrays at their decoded width.
-        from repro.storage.segment_cache import _array_bytes
-
-        for enabled in (False, True):
-            with scans(enabled):
-                db = make_db(cache=True)
-                executor = Executor(db)
-                executor.execute(
-                    "SELECT city, region, qty FROM t WHERE qty >= 0")
-                cache = db.segment_cache
-                resident = sum(_array_bytes(entry)
-                               for entry in cache._entries.values())
-                assert cache.bytes_cached == resident
-                for entry in cache._entries.values():
-                    if isinstance(entry, EncodedColumn):
-                        assert _array_bytes(entry) == entry.codes.nbytes
 
 
 def numeric_schema():

@@ -471,8 +471,9 @@ class TestSnapshotProtocol:
         assert rid == database.table("t")._next_rid
 
     def test_fresh_object_ids_above_restored(self, tmp_path):
-        # Columnstore object ids key the shared segment cache; a fresh
-        # index built after a restore must never reuse a restored id.
+        # Columnstore object ids key their segment frames in the buffer
+        # pool; a fresh index built after a restore must never reuse a
+        # restored id.
         database = make_database("hybrid")
         database.save(str(tmp_path))
         restored, _ = load_snapshot(str(tmp_path / "snapshot.db"))

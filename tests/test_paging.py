@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.errors import ReproError
 from repro.core.schema import Column, TableSchema
 from repro.core.types import BIGINT, INT, decimal, varchar
 from repro.engine.executor import Executor
@@ -336,3 +337,178 @@ class TestEvictionBound:
         assert pool.bytes_resident <= budget
         # And the data really was larger than the pool.
         assert total_bytes >= 4 * budget
+
+
+def frames(pool, owner):
+    """The pool keys resident under one owner: a columnstore's object id
+    or a paged B+ index's leaf source."""
+    return set(pool._by_object.get(owner, ()))
+
+
+def owner(index):
+    return index.object_id if index.kind == "csi" else index._paged
+
+
+def fault_in(index):
+    """Read every page of ``index`` through the pool."""
+    if index.kind == "csi":
+        for _ in index.scan(index.columns):
+            pass
+    else:
+        for _ in index.scan():
+            pass
+
+
+class TestRelease:
+    """A structure's pool frames go exactly when no read can reach them
+    again — the table drops or replaces it, or a rebuild moves its rows
+    into memory — and only its own frames go."""
+
+    def test_write_to_one_btree_keeps_the_others_leaves(self, durable_dir):
+        _, paged = open_both(durable_dir)
+        pool = paged.buffer_pool
+        executor = Executor(paged)
+        executor.execute("SELECT sum(a) FROM t")
+        executor.execute("SELECT sum(k) FROM n")
+        # Materializes n's indexes, which releases their leaf frames.
+        executor.execute("INSERT INTO n VALUES (9000, 1, 0.5, NULL)")
+        assert not paged.table("n").primary.is_paged
+        misses = pool.misses
+        executor.execute("SELECT sum(a) FROM t")
+        assert pool.misses == misses        # t's leaves stayed resident
+        pool.check_consistency()
+
+    def test_drop_index_releases_paged_secondary_btree(self, durable_dir):
+        _, paged = open_both(durable_dir)
+        pool = paged.buffer_pool
+        table = paged.table("t")
+        index = table.secondary_indexes["ix_c"]
+        fault_in(index)
+        fault_in(table.primary)
+        index_owner, kept = owner(index), frames(pool, owner(table.primary))
+        assert frames(pool, index_owner) and kept
+        table.drop_index("ix_c")
+        assert not frames(pool, index_owner)
+        assert frames(pool, owner(table.primary)) == kept
+        pool.check_consistency()
+
+    def test_drop_table_releases_every_structure(self, durable_dir):
+        _, paged = open_both(durable_dir)
+        pool = paged.buffer_pool
+        for name in ("t", "u"):
+            table = paged.table(name)
+            structures = table.all_indexes
+            for index in structures:
+                fault_in(index)
+            owners = [owner(index) for index in structures]
+            assert all(frames(pool, o) for o in owners)
+            paged.drop_table(name)
+            assert not any(frames(pool, o) for o in owners)
+            pool.check_consistency()
+        assert frames(pool, owner(paged.table("n").primary)) == set()
+        fault_in(paged.table("n").primary)
+        assert frames(pool, owner(paged.table("n").primary))
+
+    @pytest.mark.parametrize("table_name, convert", [
+        ("t", lambda table: table.set_primary_heap()),
+        ("n", lambda table: table.set_primary_columnstore()),
+        ("u", lambda table: table.set_primary_btree(["a"])),
+    ])
+    def test_replaced_primary_is_released(self, durable_dir, table_name,
+                                          convert):
+        full, paged = open_both(durable_dir)
+        pool = paged.buffer_pool
+        table = paged.table(table_name)
+        fault_in(table.primary)
+        replaced = owner(table.primary)
+        assert frames(pool, replaced)
+        convert(table)
+        convert(full.table(table_name))
+        assert not frames(pool, replaced)
+        pool.check_consistency()
+        sql = f"SELECT * FROM {table_name}"
+        assert (sorted(Executor(paged).execute(sql).rows)
+                == sorted(Executor(full).execute(sql).rows))
+
+
+def build_secondary_csi_dir(tmp_path):
+    """A clustered B+ table with a secondary columnstore of 64-row
+    groups, saved durable; returns the directory."""
+    database = Database("secondary")
+    w = database.create_table(TableSchema("w", [
+        Column("k", INT, nullable=False),
+        Column("v", INT, nullable=False),
+    ]))
+    w.bulk_load([(i, i % 13) for i in range(1000)])
+    w.set_primary_btree(["k"])
+    w.create_secondary_columnstore("w_csi", rowgroup_size=64)
+    database.enable_durability(str(tmp_path))
+    database.wal.close()
+    return str(tmp_path)
+
+
+def tuple_move(database):
+    Executor(database).execute(
+        "INSERT INTO w VALUES (1000, 1), (1001, 2), (1002, 3)")
+    database.table("w").secondary_indexes["w_csi"].move_tuples()
+
+
+def rolled_back_tuple_move(database):
+    """A 65-row INSERT whose 64th row fills the delta store (an automatic
+    tuple move) and whose 65th row fails: the move is undone."""
+    csi = database.table("w").secondary_indexes["w_csi"]
+    moves = []
+    move = csi.move_tuples
+    csi.move_tuples = lambda *args, **kwargs: (
+        moves.append(1), move(*args, **kwargs))[1]
+    values = ", ".join(f"({k}, 1)" for k in range(2000, 2064))
+    with pytest.raises(ReproError):
+        Executor(database).execute(
+            f"INSERT INTO w VALUES {values}, (2064, NULL)")
+    del csi.move_tuples
+    assert moves
+
+
+def compaction(database):
+    Executor(database).execute("DELETE FROM w WHERE k < 100")
+    csi = database.table("w").secondary_indexes["w_csi"]
+    assert csi._delete_buffer
+    csi.compact_delete_buffer()
+
+
+class TestMaintenanceKeepsFrames:
+    """A tuple move (committed or undone) and a delete-buffer compaction
+    leave every existing row group as it was, so its segment frames stay
+    resident, and the columnstore answers as its resident twin does."""
+
+    @pytest.mark.parametrize("operation", [
+        tuple_move, rolled_back_tuple_move, compaction])
+    def test_segment_frames_survive(self, tmp_path, operation):
+        data_dir = build_secondary_csi_dir(tmp_path)
+        full, paged = open_both(data_dir)
+        pool = paged.buffer_pool
+        csi = paged.table("w").secondary_indexes["w_csi"]
+        fault_in(csi)
+        resident = frames(pool, csi.object_id)
+        assert resident
+        operation(full)
+        operation(paged)
+        assert frames(pool, csi.object_id) == resident
+        pool.check_consistency()
+        for sql in ("SELECT v, count(*) FROM w GROUP BY v",
+                    "SELECT sum(k), count(*) FROM w WHERE v < 5"):
+            rf, rp = Executor(full).execute(sql), Executor(paged).execute(sql)
+            assert sorted(rf.rows) == sorted(rp.rows), sql
+            assert rf.metrics == rp.metrics, sql
+        twin = full.table("w").secondary_indexes["w_csi"]
+        scanned = [[batch.column(c) for c in ("k", "v")]
+                   for batch in csi.scan(["k", "v"], include_rids=True)]
+        expected = [[batch.column(c) for c in ("k", "v")]
+                    for batch in twin.scan(["k", "v"], include_rids=True)]
+        assert len(scanned) == len(expected)
+        for got, want in zip(scanned, expected):
+            for a, b in zip(got, want):
+                a = a.materialize() if hasattr(a, "materialize") else a
+                b = b.materialize() if hasattr(b, "materialize") else b
+                assert a.tolist() == b.tolist()
+        assert state_digest(paged) == state_digest(full)

@@ -134,7 +134,7 @@ def paged_index(items, page_rows):
     index = PagedPrimaryBTreeIndex("pk", schema, ["a", "b"])
     if pages:
         index.attach_paged(PagedLeafSource(
-            pool, 7, len(items), [page[0][0] for page in pages],
+            pool, len(items), [page[0][0] for page in pages],
             [(i, i, 64) for i in range(len(pages))],
             lambda offset, length: ([k for k, _ in pages[offset]],
                                     Records.from_rows(

@@ -1,77 +1,15 @@
 """Regression tests for the shared-state fixes behind the serving layer.
 
 Each class targets one of the bugs the multi-session work exposed: the
-unsynchronized segment cache, the statement-clock / usage-stamp races,
-and the fault injector's shared suspend depth and one-shot arming race.
+statement-clock / usage-stamp races, the fault injector's shared suspend
+depth and one-shot arming race, and the shared buffer pool's and
+statement cache's locking.
 """
 
 import threading
 
-import numpy as np
-
 from repro.storage.faults import FaultInjector, InjectedFault
-from repro.storage.segment_cache import DecodedSegmentCache
 from repro.storage.telemetry import IndexUsageStats, LogicalClock
-
-
-class TestSegmentCacheThreadSafety:
-    N_THREADS = 8
-    OPS_PER_THREAD = 300
-
-    def test_concurrent_get_put_invalidate_stays_consistent(self):
-        cache = DecodedSegmentCache(budget_bytes=64 * 1024)
-        arrays = {i: np.arange(128, dtype=np.int64) for i in range(16)}
-        errors = []
-
-        def hammer(seed):
-            try:
-                for i in range(self.OPS_PER_THREAD):
-                    key = ((seed + i) % 4, i % 4, "col1")
-                    if i % 7 == 0:
-                        cache.invalidate_object(key[0])
-                    elif i % 3 == 0:
-                        cache.put(key, arrays[i % 16])
-                    else:
-                        hit = cache.get(key)
-                        if hit is not None:
-                            assert len(hit) == 128
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(n,))
-                   for n in range(self.N_THREADS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, errors[0]
-        # Byte accounting must reconcile with the surviving entries.
-        expected = sum(a.nbytes for a in cache._entries.values())
-        assert cache.bytes_cached == expected
-        assert cache.bytes_cached <= cache.budget_bytes
-        lookups = cache.stats.hits + cache.stats.misses
-        assert lookups > 0
-
-    def test_clear_while_reading(self):
-        cache = DecodedSegmentCache(budget_bytes=64 * 1024)
-        stop = threading.Event()
-        errors = []
-
-        def reader():
-            try:
-                while not stop.is_set():
-                    cache.put((1, 0, "c"), np.arange(64, dtype=np.int64))
-                    cache.get((1, 0, "c"))
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        for _ in range(200):
-            cache.clear()
-        stop.set()
-        thread.join()
-        assert not errors, errors[0]
 
 
 class TestLogicalClockConcurrency:

@@ -22,7 +22,6 @@ from repro.storage.waits import (
     WAIT_LATCH_SH,
     WAIT_PAGEIOLATCH,
     WAIT_RESOURCE_SEMAPHORE,
-    WAIT_SEGCACHE_MISS,
     WAIT_TYPES,
     WAIT_WRITELOG,
     WaitAccumulator,
@@ -311,26 +310,6 @@ class TestEngineIntegration:
         acc = reopened.waits.server_stats()[WAIT_PAGEIOLATCH]
         assert acc.waiting_tasks_count >= 1
         assert reopened.buffer_pool.misses >= 1
-
-    def test_segcache_miss_requires_session_attribution(self):
-        # Embedded (sessionless) runs keep the ledger clean so DMV
-        # snapshots stay deterministic for the figure harnesses...
-        database = _micro_db(n_rows=8000, rowgroup_size=1024)
-        database.segment_cache.enabled = True
-        Executor(database).execute("SELECT sum(col1) FROM micro")
-        assert database.waits.server_stats()[
-            WAIT_SEGCACHE_MISS].waiting_tasks_count == 0
-        # ...while serving-layer scans (serial: the scan runs on the
-        # session's own thread) time their decode misses.
-        database2 = _micro_db(n_rows=8000, rowgroup_size=1024)
-        database2.segment_cache.enabled = True
-        with SessionManager(database2) as manager:
-            with manager.session() as session:
-                session.execute("SELECT sum(col1) FROM micro")
-        acc = database2.waits.server_stats()[WAIT_SEGCACHE_MISS]
-        assert acc.waiting_tasks_count >= 1
-        sessions = database2.waits.session_stats()
-        assert WAIT_SEGCACHE_MISS in sessions[session.session_id]
 
     def test_statement_wait_profile_and_analyze_line(self):
         database = _micro_db(n_rows=2000, rowgroup_size=1024)
