@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.engine.metrics import OperatorSpan
+from repro.engine.metrics import ExecutionContext, OperatorSpan
 
 
 class AnalyzedQuery:
@@ -106,8 +106,18 @@ class AnalyzedQuery:
             executed = {id(c.operator) for c in span.children}
             for child_op in getattr(operator, "children", ()):
                 if id(child_op) not in executed:
-                    lines.append(f"{pad}  {child_op.describe()}"
+                    lines.append(f"{pad}  {self._unexecuted(child_op)}"
                                  f"  [never executed]")
+
+    def _unexecuted(self, operator) -> str:
+        """An operator the statement never ran, shown with the
+        statement's parameter values (a kept tree has parameters where
+        its template has slots; an operator that never ran has no
+        state)."""
+        shown = ExecutionContext()
+        plan = self.result.plan
+        shown.params = plan.params if plan is not None else ()
+        return operator.describe(shown)
 
     # ----------------------------------------------------------- trace
     def to_chrome_trace(self) -> Dict[str, object]:

@@ -95,15 +95,14 @@ class Statement:
     """One statement's record: ``prepare`` creates it, each later stage
     reads what the stages before it wrote, and the record stage tells
     every sensor about the statement from it. Data only, except
-    ``enter``."""
+    ``enter`` and the ``parsed`` it builds on first use."""
 
     sql: str
     params: Sequence[object]
-    #: The cached template of the text, this execution's value for each
-    #: of its slots, and the template with those values in its slots.
+    #: The cached template of the text, and this execution's value for
+    #: each of its slots.
     template: Template
     values: Sequence[object]
-    parsed: object
     #: Only a SELECT is: the latch mode a session admits the statement in.
     read_only: bool
     #: The one hook, behaviour rather than data: a context ``execute``
@@ -112,15 +111,28 @@ class Statement:
     #: grant, so their queueing lands in ``waits``); embedded, nothing.
     enter: ContextManager = nullcontext()
     #: Written by begin (the logical-clock sequence number), bind (the
-    #: bound statement, or a SELECT's reused plan instead), run.
+    #: bound statement, or a SELECT's cached plan and tree instead), run.
     stamp: Optional[int] = None
     bound: object = None
+    #: The cached plan and operator tree (:mod:`repro.optimizer.reuse`)
+    #: a SELECT runs with its ``values``: taken at bind, or kept at run
+    #: by the execution that planned it.
+    cached: object = None
     plan: Optional[PlannedQuery] = None
     ctx: Optional[ExecutionContext] = None
     result: Optional[QueryResult] = None
     #: ``wait_type -> [count, wait_ms]`` of the statement's wait scope.
     waits: Optional[Dict[str, List[float]]] = None
     error: Optional[BaseException] = None
+    _parsed: object = None
+
+    @property
+    def parsed(self):
+        """The template with this execution's values in its slots. Built
+        on first use: a SELECT that runs a cached tree never binds it."""
+        if self._parsed is None:
+            self._parsed = instantiate(self.template, self.values)
+        return self._parsed
 
 
 class Executor:
@@ -149,8 +161,13 @@ class Executor:
         and text that does not parse raises its ``SqlError`` here."""
         template, values = self.database.statement_cache.lookup(sql)
         values = fill(values, params)
-        return Statement(sql, params, template, values,
-                         instantiate(template, values), template.read_only)
+        # Only a reusable template's slots are all ``column = ?`` values,
+        # which any value fills; any other statement is instantiated
+        # here, so a value a slot cannot take (TOP 'x') fails before
+        # admission.
+        return Statement(sql, params, template, values, template.read_only,
+                         _parsed=None if template.plans else instantiate(
+                             template, values))
 
     def execute(
         self,
@@ -193,15 +210,17 @@ class Executor:
         database.events.emit("statement_begin", {
             "sql": record.sql[:200], "statement": record.stamp,
         })
-        self._materialize_views(record.parsed)
+        self._materialize_views(record.template)
 
-    def _materialize_views(self, parsed) -> None:
-        """Rematerialize every ``dm_*`` view ``parsed`` names (and no
-        table shadows) against current telemetry."""
-        database = self.database
+    def _materialize_views(self, template: Template) -> None:
+        """Rematerialize every ``dm_*`` view ``template`` names (and no
+        table shadows) against current telemetry. A slot never names a
+        table, so the template's table references are the statement's."""
+        database, statement = self.database, template.statement
         referenced = [
             ref.table
-            for ref in getattr(parsed, "table_refs", None) or [parsed.table]
+            for ref in (getattr(statement, "table_refs", None)
+                        or [statement.table])
             if ref.table in SYSTEM_VIEW_NAMES
             and not database.has_table(ref.table)
         ]
@@ -215,20 +234,22 @@ class Executor:
               ) -> object:
         """Stage 3: resolve the statement's names against the catalog.
         Given the run's ``options``, a SELECT whose template holds a plan
-        valid for them and these values takes that plan instead, and is
-        neither bound nor optimized (:mod:`repro.optimizer.reuse`)."""
+        valid for them and these values takes that plan and its operator
+        tree instead, and is neither bound, optimized nor materialized
+        (:mod:`repro.optimizer.reuse`)."""
         if options is not None and record.read_only:
-            record.plan = reuse_plan(record.template, record.values,
-                                     options, self.catalog)
-            if record.plan is not None:
+            record.cached = reuse_plan(record.template, record.values,
+                                       options, self.catalog)
+            if record.cached is not None:
                 return None
         record.bound = self.binder.bind(record.parsed)
         return record.bound
 
     def _run(self, record: Statement, options: tuple) -> None:
-        """Stage 4. SELECT: optimize (unless bind took a cached plan),
-        materialize, drain. DML: locate the target rows, then apply them
-        inside one WAL scope."""
+        """Stage 4. SELECT: optimize and materialize (unless bind took a
+        cached plan and tree), drain. A tree with parameters runs with
+        the statement's values as ``ctx.params``. DML: locate the target
+        rows, then apply them inside one WAL scope."""
         bound, database = record.bound, self.database
         cold, memory_grant_bytes, concurrent_queries = options
         record.ctx = ctx = ExecutionContext(
@@ -237,16 +258,23 @@ class Executor:
         )
         ctx.charge_statement_overhead()
         result = QueryResult(columns=[], rows=[], metrics=ctx.metrics)
+        root = None
         if isinstance(bound, BoundSelect):
             optimizer = self._optimizer(
                 ctx.memory_grant_bytes, cold, concurrent_queries)
             record.plan = optimizer.optimize(bound)
-            keep_plan(record.template, record.values, options, self.catalog,
-                      self.binder, bound, record.plan,
-                      optimizer.reported_missing_index)
-        if record.plan is not None:
+            record.cached = keep_plan(
+                record.template, record.values, options, self.catalog,
+                self.binder, bound, record.plan,
+                optimizer.reported_missing_index,
+                self.materializer.materialize)
+            if record.cached is None:
+                root = self.materializer.materialize(record.plan)
+        if record.cached is not None:
+            record.plan = record.cached.planned.with_params(record.values)
+            root, ctx.params = record.cached.root, record.values
+        if root is not None:
             result.plan = record.plan
-            root = self.materializer.materialize(result.plan)
             result.columns = root.output_columns
             for batch in root.execute(ctx):
                 result.rows.extend(batch_to_rows(batch, result.columns))
@@ -337,7 +365,7 @@ class Executor:
         optimizer (never a reused plan), and without stamping or
         announcing a statement."""
         record = self.prepare(sql, params)
-        self._materialize_views(record.parsed)
+        self._materialize_views(record.template)
         bound = self._bind(record)
         if not isinstance(bound, BoundSelect):
             raise ExecutionError("plan() supports SELECT statements")

@@ -7,8 +7,14 @@ vectorized over numpy arrays (:func:`eval_batch`) whatever the
 operator's mode; the per-tuple evaluator it replaced is the tests'
 reference (``tests/reference_eval.py``).
 
-Supported nodes: column references, literals, arithmetic (+ - * /),
-comparisons (= != < <= > >=), BETWEEN, IN, AND/OR/NOT.
+Supported nodes: column references, literals, parameters, arithmetic
+(+ - * /), comparisons (= != < <= > >=), BETWEEN, IN, AND/OR/NOT.
+
+A :class:`Param` is a literal whose value the executing statement
+supplies: a cached operator tree (:mod:`repro.optimizer.reuse`) holds
+one where its template has a slot, and :func:`eval_batch` reads its
+value from ``ExecutionContext.params``, so one tree serves every
+execution without being rebuilt for its values.
 
 NULL semantics follow SQL's three-valued logic for comparisons: any
 comparison with NULL is not-true, so filters drop those rows. The
@@ -22,7 +28,7 @@ NULL operand not-true.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +82,61 @@ class Literal(Expr):
 
     def __str__(self) -> str:
         return repr(self.value)
+
+
+@dataclass(frozen=True)
+class Param(Expr):
+    """Parameter ``index`` of a shared operator tree: a constant whose
+    value is the executing statement's ``ctx.params[index]``."""
+    index: int
+
+    def _collect_columns(self, out: List[str]) -> None:
+        pass
+
+    def __str__(self) -> str:
+        return f"@{self.index}"
+
+
+#: The constant nodes: the evaluator's fast paths take either.
+_CONSTANTS = (Literal, Param)
+
+
+def resolve(value: object, params: Sequence[object]) -> object:
+    """``value``, or the execution's value when it is a :class:`Param`
+    (a seek or elimination bound made from a parameter slot)."""
+    return params[value.index] if value.__class__ is Param else value
+
+
+def _constant(node: Expr, ctx) -> object:
+    """The value of a :class:`Literal` or :class:`Param` node."""
+    if node.__class__ is Param:
+        return ctx.params[node.index]
+    return node.value
+
+
+def with_values(expr: Optional[Expr], params: Sequence[object]
+                ) -> Optional[Expr]:
+    """``expr`` with each :class:`Param` replaced by a :class:`Literal`
+    of its value: how an execution's plan text shows a predicate."""
+    if expr is None or not params:
+        return expr
+    if expr.__class__ is Param:
+        return Literal(params[expr.index])
+    changed = {}
+    for name in expr.__dataclass_fields__:
+        value = getattr(expr, name)
+        if isinstance(value, Expr):
+            new = with_values(value, params)
+        elif isinstance(value, tuple) and all(
+                isinstance(item, Expr) for item in value):
+            new = tuple(with_values(item, params) for item in value)
+            if all(map(operator.is_, new, value)):
+                continue
+        else:
+            continue
+        if new is not value:
+            changed[name] = new
+    return replace(expr, **changed) if changed else expr
 
 
 def _floating(value) -> bool:
@@ -310,8 +371,8 @@ def eval_batch(expr: Expr, batch: Batch, ctx=None) -> np.ndarray:
     """
     if isinstance(expr, ColumnRef):
         return batch.column(expr.name)
-    if isinstance(expr, Literal):
-        return np.full(len(batch), expr.value)
+    if isinstance(expr, _CONSTANTS):
+        return np.full(len(batch), _constant(expr, ctx))
     if isinstance(expr, Arithmetic):
         left = _materialized(eval_batch(expr.left, batch, ctx), ctx,
                              expr, "arithmetic")
@@ -319,20 +380,21 @@ def eval_batch(expr: Expr, batch: Batch, ctx=None) -> np.ndarray:
                               expr, "arithmetic")
         return _null_aware(_ARITH_OPS[expr.op], left, right, None, object)
     if isinstance(expr, Comparison):
-        if isinstance(expr.right, Literal):
+        if isinstance(expr.right, _CONSTANTS):
             subject = eval_batch(expr.left, batch, ctx)
+            value = _constant(expr.right, ctx)
             if isinstance(subject, EncodedColumn):
                 note_code_hit(ctx)
-                return compare_codes(expr.op, subject, expr.right.value)
+                return compare_codes(expr.op, subject, value)
             return _compare_arrays(expr.op, subject,
-                                   np.full(len(batch), expr.right.value))
-        if isinstance(expr.left, Literal):
+                                   np.full(len(batch), value))
+        if isinstance(expr.left, _CONSTANTS):
             subject = eval_batch(expr.right, batch, ctx)
+            value = _constant(expr.left, ctx)
             if isinstance(subject, EncodedColumn):
                 note_code_hit(ctx)
-                return compare_codes(_FLIPPED[expr.op], subject,
-                                     expr.left.value)
-            return _compare_arrays(expr.op, np.full(len(batch), expr.left.value),
+                return compare_codes(_FLIPPED[expr.op], subject, value)
+            return _compare_arrays(expr.op, np.full(len(batch), value),
                                    subject)
         left = _materialized(eval_batch(expr.left, batch, ctx), ctx,
                              expr, "non-literal comparison")

@@ -20,7 +20,7 @@ import math
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import ExecutionError
 from repro.engine.costs import DEFAULT_COST_MODEL, MB, CostModel
@@ -192,6 +192,11 @@ class ExecutionContext:
     dop:
         Degree of parallelism for the *current* parallel region; operators
         enter/leave parallel regions via :meth:`charge_parallel_cpu`.
+
+    Everything that varies between two executions of one operator tree
+    lives here, never on the operators, so a cached tree can run in two
+    sessions at once: the parameter values, the spans, and
+    :attr:`operator_state`.
     """
 
     def __init__(
@@ -201,6 +206,14 @@ class ExecutionContext:
         memory_grant_bytes: Optional[int] = None,
     ):
         self.cost_model = cost_model
+        #: This execution's value of each parameter of the operator tree
+        #: it runs (``Param(i)`` reads ``params[i]``); empty for a tree
+        #: built from literals.
+        self.params: Sequence[object] = ()
+        #: What an operator keeps about its execution past its last
+        #: batch, keyed by the operator (a spilled hash aggregate's
+        #: spill record, which its span label reports).
+        self.operator_state: Dict[object, object] = {}
         self.cold = cold
         self.memory_grant_bytes = (
             memory_grant_bytes
@@ -261,9 +274,10 @@ class ExecutionContext:
 
     def finish_operator_span(self, span: OperatorSpan) -> None:
         """Seal a span once its operator is done; the label is captured
-        now so post-execution state (e.g. SPILLED) is reflected."""
+        now, as this execution saw the operator (its parameter values,
+        a spill)."""
         if span.operator is not None:
-            span.label = span.operator.describe()
+            span.label = span.operator.describe(self)
 
     def finalize_spans(self) -> None:
         """Flush charges made since the last span switch to the active

@@ -322,6 +322,38 @@ def _bounds(values: np.ndarray, starts: np.ndarray):
     return zip(starts.tolist(), starts[1:].tolist() + [len(values)])
 
 
+class Spill:
+    """One hash aggregate execution's spill, from the batch that did not
+    fit the grant on: the real bytes a spill file would hold for the
+    batches after it. Encoded columns serialize their int32 codes (the
+    shared dictionary lives in the segment, not the spill run), plain
+    columns their materialized width. The *modeled* spill charge
+    (``charge_spill``) always uses the decoded payload so figure metrics
+    are mode-independent; these counters surface how much smaller the
+    code-space spill actually is (EXPLAIN ANALYZE)."""
+
+    __slots__ = ("bytes_written", "bytes_decoded")
+
+    def __init__(self):
+        self.bytes_written = 0
+        self.bytes_decoded = 0
+
+    def add_run(self, batch: Batch, decoded_payload: int) -> None:
+        """Account one post-spill run written in code space: encoded
+        columns contribute their int32 code bytes, plain columns their
+        materialized width."""
+        written = 0
+        for arr in batch.columns.values():
+            if isinstance(arr, EncodedColumn):
+                written += arr.codes.nbytes
+            elif arr.dtype == object:
+                written += _object_column_bytes(arr, batch.length)
+            else:
+                written += arr.nbytes
+        self.bytes_written += written
+        self.bytes_decoded += decoded_payload
+
+
 class HashAggregate(_AggregateBase):
     """Hash-based aggregation with memory-grant accounting.
 
@@ -329,23 +361,20 @@ class HashAggregate(_AggregateBase):
     once it exceeds the context's memory grant the operator switches to
     disk-based aggregation — it charges spill I/O for the rows processed
     after the switch and inflates their CPU — while still computing exact
-    results in this simulation.
+    results in this simulation. Whether an execution spilled is that
+    execution's: its :class:`Spill` is kept in the context
+    (:meth:`spill_of`), never on the operator.
     """
 
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
                  aggregates: Sequence[AggregateSpec], dop: int = 1):
         super().__init__(child, group_by, aggregates, dop)
         self.mode = child.mode
-        self.spilled = False
-        #: Real bytes a spill file would hold for the post-spill batches:
-        #: encoded columns serialize their int32 codes (the shared
-        #: dictionary lives in the segment, not the spill run), plain
-        #: columns their materialized width. The *modeled* spill charge
-        #: (``charge_spill``) always uses the decoded payload so figure
-        #: metrics are mode-independent; these counters surface how much
-        #: smaller the code-space spill actually is (EXPLAIN ANALYZE).
-        self.spill_bytes_written = 0
-        self.spill_bytes_decoded = 0
+
+    def spill_of(self, ctx: ExecutionContext) -> Optional[Spill]:
+        """The spill of this operator's execution under ``ctx``; None
+        when it kept within the grant."""
+        return ctx.operator_state.get(self)
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
@@ -357,9 +386,7 @@ class HashAggregate(_AggregateBase):
         table = _SlotTable(len(self.group_by))
         states = _GroupStates(len(self.aggregates))
         reserved = 0
-        self.spilled = False
-        self.spill_bytes_written = 0
-        self.spill_bytes_decoded = 0
+        spill = None
         # The hash-table grant must be returned even when the child (or
         # an aggregate expression) raises mid-stream.
         try:
@@ -368,11 +395,11 @@ class HashAggregate(_AggregateBase):
                 hash_cost = len(batch) * cm.hash_cpu_ms_per_row
                 if self.mode == BATCH_MODE:
                     hash_cost *= cm.batch_cpu_ms_per_row / cm.row_cpu_ms_per_row
-                if self.spilled:
+                if spill is not None:
                     hash_cost *= cm.spill_cpu_multiplier
                     payload = batch.payload_bytes()
                     ctx.charge_spill(payload)
-                    self._serialize_spill_run(batch, payload)
+                    spill.add_run(batch, payload)
                 ctx.charge_parallel_cpu(hash_cost, self.dop)
 
                 keys, *segments = self._segments(batch, ctx, runs=False)
@@ -383,12 +410,12 @@ class HashAggregate(_AggregateBase):
                     # new group, in ascending key-code order (the order
                     # the new slots were handed out in).
                     for _ in range(table.size - known):
-                        if self.spilled:
+                        if spill is not None:
                             break
                         if ctx.acquire_memory(entry_bytes):
                             reserved += entry_bytes
                         else:
-                            self.spilled = True
+                            spill = ctx.operator_state[self] = Spill()
                     states.reserve(table.size)
                 self._fold(states, slots, batch, *segments, ctx)
             if table.size or self.group_by:
@@ -405,31 +432,17 @@ class HashAggregate(_AggregateBase):
         if result is not None:
             yield result
 
-    def _serialize_spill_run(self, batch: Batch, decoded_payload: int) -> None:
-        """Account the real size of one post-spill run written in code
-        space: encoded columns contribute their int32 code bytes, plain
-        columns their materialized width."""
-        written = 0
-        for arr in batch.columns.values():
-            if isinstance(arr, EncodedColumn):
-                written += arr.codes.nbytes
-            elif arr.dtype == object:
-                written += _object_column_bytes(arr, batch.length)
-            else:
-                written += arr.nbytes
-        self.spill_bytes_written += written
-        self.spill_bytes_decoded += decoded_payload
-
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
-        spill = ""
-        if self.spilled:
-            spill = " SPILLED"
-            if self.spill_bytes_written:
-                spill += (f"(wrote {self.spill_bytes_written}B coded"
-                          f" of {self.spill_bytes_decoded}B decoded)")
+        spill = None if ctx is None else self.spill_of(ctx)
+        text = ""
+        if spill is not None:
+            text = " SPILLED"
+            if spill.bytes_written:
+                text += (f"(wrote {spill.bytes_written}B coded"
+                         f" of {spill.bytes_decoded}B decoded)")
         return (f"HashAggregate(by={self.group_by}, "
-                f"aggs={[a.output for a in self.aggregates]}){spill} "
+                f"aggs={[a.output for a in self.aggregates]}){text} "
                 f"[{self.mode}, dop={self.dop}]")
 
 
@@ -481,7 +494,7 @@ class StreamAggregate(_AggregateBase):
         if result is not None:
             yield result
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         return (f"StreamAggregate(by={self.group_by}, "
                 f"aggs={[a.output for a in self.aggregates]}) "

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.core.errors import ExecutionError
 from repro.engine.batch import Batch
@@ -147,8 +147,10 @@ class PhysicalOperator:
             parts.append(child.explain(indent + 2))
         return "\n".join(parts)
 
-    def describe(self) -> str:
-        """One-line human-readable summary of this node."""
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
+        """One-line human-readable summary of this node; given the
+        context of one execution, as that execution saw it (its
+        parameter values, a spill)."""
         return f"{type(self).__name__} [{self.mode} mode, dop={self.dop}]"
 
     def __repr__(self) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class Filter(PhysicalOperator):
             if len(filtered) > 0:
                 yield filtered
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         return f"Filter({self.predicate}) [{self.mode}, dop={self.dop}]"
 
@@ -75,7 +75,7 @@ class Project(PhysicalOperator):
                 columns[name] = values
             yield Batch(columns)
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         names = [name for name, _ in self.outputs]
         return f"Project({names}) [{self.mode}, dop={self.dop}]"
@@ -118,6 +118,6 @@ class Top(PhysicalOperator):
             remaining -= len(batch)
             yield batch
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         return f"Top({self.limit}) [{self.mode}, dop={self.dop}]"

@@ -21,7 +21,7 @@ from repro.engine.encoded import (
     note_code_fallback,
     note_code_hit,
 )
-from repro.engine.expressions import Expr
+from repro.engine.expressions import Expr, with_values
 from repro.engine.metrics import ExecutionContext
 from repro.engine.operators.base import (
     BATCH_MODE,
@@ -311,7 +311,7 @@ class HashJoin(PhysicalOperator):
             **_gather([(batch, rows) for batch, _, rows in pieces],
                       self.child(1).output_columns)})
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         return (f"HashJoin({self.build_keys} = {self.probe_keys}) "
                 f"[{self.mode}, dop={self.dop}]")
@@ -386,7 +386,7 @@ class MergeJoin(PhysicalOperator):
                               right_names)})
                 done = cut
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         return (f"MergeJoin({self.left_keys} = {self.right_keys}) "
                 f"[{self.mode}, dop={self.dop}]")
@@ -476,10 +476,12 @@ class IndexNestedLoopJoin(PhysicalOperator):
         columns.update(pending.batch(self.inner.output_columns).columns)
         return Batch(columns)
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         inner = self.inner
-        where = "" if inner.residual is None else f" where {inner.residual}"
+        residual = inner.residual if ctx is None else with_values(
+            inner.residual, ctx.params)
+        where = "" if residual is None else f" where {residual}"
         return (f"IndexNestedLoopJoin(outer {self.outer_keys} -> "
                 f"{inner.table.name}.{inner.index.name}{where}) "
                 f"[{self.mode}, dop={self.dop}]")

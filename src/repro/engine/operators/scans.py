@@ -29,6 +29,7 @@ from repro.engine.expressions import (
     Expr,
     drop_folded_conjuncts,
     eval_batch,
+    resolve,
 )
 from repro.engine.metrics import ExecutionContext
 from repro.engine.operators.base import (
@@ -82,6 +83,20 @@ def compose_prefix_bounds(ranges: Sequence[ColumnRange]):
     return low, high, low_inclusive, high_inclusive
 
 
+def _resolved(bound: Optional[tuple], params: Sequence[object]
+              ) -> Optional[tuple]:
+    """A composed seek bound with this execution's parameter values."""
+    if bound is None:
+        return None
+    return tuple([resolve(value, params) for value in bound])
+
+
+def _shown(value: object, ctx: Optional[ExecutionContext]) -> object:
+    """A bound as an execution's plan text shows it (without one, a
+    parameter shows as itself)."""
+    return value if ctx is None else resolve(value, ctx.params)
+
+
 class _ScanBase(PhysicalOperator):
     """Shared bits for leaf scans: output naming and residual filters."""
 
@@ -111,12 +126,16 @@ class _ScanBase(PhysicalOperator):
     def _seek_on(self, key_range, key_ranges) -> None:
         """Record the seek ranges along the index key prefix and drop from
         the residual the conjuncts they were derived from: the seek
-        bounds enforce those, so a point lookup keeps no residual."""
+        bounds enforce those, so a point lookup keeps no residual. The
+        bounds are composed here, once; a bound made from a parameter
+        slot is a :class:`~repro.engine.expressions.Param` that
+        :meth:`execute` resolves."""
         if key_ranges is None and key_range is not None:
             key_ranges = [key_range]
         self.key_ranges = list(key_ranges) if key_ranges else None
         self.key_range = self.key_ranges[0] if self.key_ranges else None
         self.residual = drop_folded_conjuncts(self.residual, self.key_ranges or ())
+        self._bounds = compose_prefix_bounds(self.key_ranges or ())
 
     def _source_widths(self) -> List[int]:
         """Field counts of the sources an entry chunk holds, in the order
@@ -234,7 +253,7 @@ class HeapScan(_ScanBase):
         chunks = ([values] for _, values in heap.scan(ctx))
         yield from self._chunks_to_batches(ctx, chunks, "heap")
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         return (f"HeapScan({self.table.name}) cols={self.columns} "
                 f"[{self.mode}, dop={self.dop}]")
@@ -255,7 +274,8 @@ class _BTreeSeekBase(_ScanBase):
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
-        low, high, *inclusive = compose_prefix_bounds(self.key_ranges or ())
+        low, high, *inclusive = self._bounds
+        low, high = _resolved(low, ctx.params), _resolved(high, ctx.params)
         ctx.charge_parallel_startup(self.dop)
         yield from self._chunks_to_batches(
             ctx, self.entry_chunks(ctx, low, high, *inclusive), "btree")
@@ -268,10 +288,11 @@ class _BTreeSeekBase(_ScanBase):
         return ([values] for _, values in self.index.seek_range(
             low, high, ctx, *inclusive))
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
-        bounds = "full" if self.key_range is None else (
-            f"[{self.key_range.low}..{self.key_range.high}]")
+        key_range = self.key_range
+        bounds = "full" if key_range is None else (
+            f"[{_shown(key_range.low, ctx)}..{_shown(key_range.high, ctx)}]")
         lookup = " +lookup" if self.needs_lookup else ""
         return (f"{type(self).__name__}({self.table.name}.{self.index.name} "
                 f"{bounds}){lookup} cols={self.columns} "
@@ -396,9 +417,11 @@ class ColumnstoreScan(_ScanBase):
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Run the operator, yielding result batches."""
         ctx.charge_parallel_startup(self.dop)
+        elimination = {
+            column: (resolve(low, ctx.params), resolve(high, ctx.params))
+            for column, (low, high) in self.pushdown_ranges.items()}
         raw_batches = self.index.scan(
-            self._read_columns, ctx,
-            elimination_ranges=self.pushdown_ranges or None)
+            self._read_columns, ctx, elimination_ranges=elimination or None)
         total = 0
         for raw in raw_batches:
             total += len(raw)
@@ -424,7 +447,7 @@ class ColumnstoreScan(_ScanBase):
             return None
         return batch.project(self.output_columns)
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         push = f" push={sorted(self.pushdown_ranges)}" if self.pushdown_ranges else ""
         return (f"ColumnstoreScan({self.table.name}.{self.index.name})"

@@ -151,7 +151,7 @@ class Sort(PhysicalOperator):
             values = _descending_view(values)
         return _top_n(values, self.limit)
 
-    def describe(self) -> str:
+    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         limit = f", top={self.limit}" if self.limit is not None else ""
         return f"Sort({self.keys}{limit}) [{self.mode}, dop={self.dop}]"

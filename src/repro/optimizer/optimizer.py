@@ -527,7 +527,7 @@ def access_ranges(descriptor: IndexDescriptor,
     given its table's bare-column ranges: a B+ tree seeks the key prefix
     (composite-key sargability: points, optionally ending in one range),
     a columnstore eliminates segments on every ranged column, a heap
-    uses none. Plan reuse re-derives a cached leaf's ranges here too."""
+    uses none."""
     if descriptor.kind == KIND_BTREE:
         seek_ranges = key_prefix_ranges(descriptor.key_columns, ranges)
         if not seek_ranges:

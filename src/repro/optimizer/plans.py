@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.expressions import ColumnRange, Expr
+from repro.engine.expressions import ColumnRange, Expr, resolve
 from repro.engine.operators.aggregates import AggregateSpec
 
 KIND_HEAP = "heap"
@@ -111,14 +111,16 @@ class PlanNode:
         """All access-path leaf nodes in this subtree."""
         return [n for n in self.walk() if isinstance(n, AccessPathNode)]
 
-    def explain(self, indent: int = 0) -> str:
-        """Indented, human-readable plan-tree rendering."""
-        lines = [" " * indent + self.describe()]
+    def explain(self, indent: int = 0, params: Sequence[object] = ()) -> str:
+        """Indented, human-readable plan-tree rendering; ``params`` are
+        the values of a cached plan's parameters (see
+        :class:`PlannedQuery`)."""
+        lines = [" " * indent + self.describe(params)]
         for node in self.inputs:
-            lines.append(node.explain(indent + 2))
+            lines.append(node.explain(indent + 2, params))
         return "\n".join(lines)
 
-    def describe(self) -> str:
+    def describe(self, params: Sequence[object] = ()) -> str:
         """One-line human-readable summary of this node."""
         return (f"{type(self).__name__} rows={self.est_rows:.0f} "
                 f"cost={self.est_cost:.2f}")
@@ -162,13 +164,14 @@ class AccessPathNode(PlanNode):
             return [f"{self.alias}.{c}" for c in self.descriptor.key_columns]
         return []
 
-    def describe(self) -> str:
+    def describe(self, params: Sequence[object] = ()) -> str:
         """One-line human-readable summary of this node."""
         lookup = " +lookup" if self.needs_lookup else ""
         bounds = ""
         if self.ranges:
             bounds = " " + ", ".join(
-                f"{c}:[{r.low}..{r.high}]" for c, r in self.ranges.items())
+                f"{c}:[{resolve(r.low, params)}..{resolve(r.high, params)}]"
+                for c, r in self.ranges.items())
         return (f"{self.access.upper()} {self.alias} via "
                 f"{self.descriptor.describe()}{bounds}{lookup} "
                 f"rows={self.est_rows:.0f} cost={self.est_cost:.3f} "
@@ -200,7 +203,7 @@ class JoinNode(PlanNode):
             return list(ordering)
         return []
 
-    def describe(self) -> str:
+    def describe(self, params: Sequence[object] = ()) -> str:
         """One-line human-readable summary of this node."""
         return (f"{self.method.upper()} JOIN {self.left_keys}="
                 f"{self.right_keys} rows={self.est_rows:.0f} "
@@ -225,7 +228,7 @@ class FilterNode(PlanNode):
         """Sorted-prefix columns of the output ([] when unsorted)."""
         return getattr(self.inputs[0], "output_ordering", [])
 
-    def describe(self) -> str:
+    def describe(self, params: Sequence[object] = ()) -> str:
         """One-line human-readable summary of this node."""
         return (f"FILTER {self.predicate} rows={self.est_rows:.0f} "
                 f"cost={self.est_cost:.3f}")
@@ -254,7 +257,7 @@ class AggregateNode(PlanNode):
             return self.group_by
         return []
 
-    def describe(self) -> str:
+    def describe(self, params: Sequence[object] = ()) -> str:
         """One-line human-readable summary of this node."""
         spill = " SPILL" if self.spill_expected else ""
         return (f"{self.strategy.upper()} AGG by={self.group_by}{spill} "
@@ -282,7 +285,7 @@ class SortNode(PlanNode):
             return []
         return [name for name, _ in self.keys]
 
-    def describe(self) -> str:
+    def describe(self, params: Sequence[object] = ()) -> str:
         """One-line human-readable summary of this node."""
         spill = " SPILL" if self.spill_expected else ""
         return (f"SORT {self.keys}{spill} rows={self.est_rows:.0f} "
@@ -306,7 +309,7 @@ class TopNode(PlanNode):
         """Sorted-prefix columns of the output ([] when unsorted)."""
         return getattr(self.inputs[0], "output_ordering", [])
 
-    def describe(self) -> str:
+    def describe(self, params: Sequence[object] = ()) -> str:
         """One-line human-readable summary of this node."""
         return f"TOP {self.limit} rows={self.est_rows:.0f} cost={self.est_cost:.3f}"
 
@@ -337,7 +340,7 @@ class ProjectNode(PlanNode):
             out.append(renames[column])
         return out
 
-    def describe(self) -> str:
+    def describe(self, params: Sequence[object] = ()) -> str:
         """One-line human-readable summary of this node."""
         return (f"PROJECT {[n for n, _ in self.outputs]} "
                 f"rows={self.est_rows:.0f} cost={self.est_cost:.3f}")
@@ -345,16 +348,26 @@ class ProjectNode(PlanNode):
 
 @dataclass
 class PlannedQuery:
-    """The optimizer's result: a plan tree and its estimated cost."""
+    """The optimizer's result: a plan tree and its estimated cost.
+
+    A cached plan (:mod:`repro.optimizer.reuse`) has a ``Param(i)`` where
+    its template has a slot; one execution's view of it shares the tree
+    and carries that execution's ``params``, which its text shows."""
 
     root: PlanNode
     est_cost: float
     est_rows: float
     uses_hypothetical: bool
+    params: Sequence[object] = ()
+
+    def with_params(self, params: Sequence[object]) -> "PlannedQuery":
+        """This plan as the execution with ``params`` reports it."""
+        return PlannedQuery(self.root, self.est_cost, self.est_rows,
+                            self.uses_hypothetical, params)
 
     def explain(self) -> str:
         """Indented, human-readable plan-tree rendering."""
-        return self.root.explain()
+        return self.root.explain(params=self.params)
 
     def index_kinds_at_leaves(self) -> List[str]:
         """Index kind per leaf — the Figure 10 statistic."""

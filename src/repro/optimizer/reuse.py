@@ -1,12 +1,11 @@
-"""Plan reuse: an equality-only SELECT is planned once per template.
+"""Plan reuse: an equality-only SELECT is planned and built once per
+template.
 
-A point lookup's B+ seek is a small part of its statement; binding and
-optimizing it again for every key is most of the rest. For one class of
-statement template the plan cannot depend on the values beyond a small
-*signature*, so the executor keeps the plan on the template (the one the
-:class:`~repro.sql.cache.StatementCache` already holds) and a later
-execution with values of the same signature copies it instead of binding
-and optimizing.
+For one class of statement template the plan cannot depend on the
+values beyond a small *signature*, so the executor keeps the plan and
+the operator tree made from it on the template (the one the
+:class:`~repro.sql.cache.StatementCache` holds), and a later execution
+with values of the same signature runs that tree with its values.
 
 **Reusable.** Decided at a template's first successful bind
 (:func:`analyse`): every slot is the value side of a top-level
@@ -28,18 +27,22 @@ path.
 **Valid.** A plan is used only while ``database.table(t)``,
 ``catalog.stats(t)`` and ``catalog.indexes_for(t)`` return the very
 objects it was costed on, for every table it reads — the calls the
-optimizer itself makes, so DDL, ``refresh()``, an auto-stats rebuild or
-a rematerialised ``dm_*`` view retire it exactly when replanning would
-see a change. A plan whose optimization reported a missing index is not
-kept, so ``dm_db_missing_index_details`` counts every execution.
+optimizer makes, so DDL, ``refresh()``, an auto-stats rebuild or a
+rematerialised ``dm_*`` view retire it exactly when replanning would
+see a change — and while each table's primary is the one its tree's
+clustered seeks were built over. A plan whose optimization reported a
+missing index is not kept, so ``dm_db_missing_index_details`` counts
+every execution.
 
-**Hit.** The plan's nodes are copied; each leaf's residual is rebuilt
-with the new values (the binder's orientation kept) and its ranges are
-re-extracted from that residual through
-:func:`~repro.optimizer.optimizer.access_ranges`, so a seek still drops
-the conjuncts it folds by identity. Estimates, costs and the plan shape
-are the cached ones, which for a reusable template are what optimizing
-these values would produce.
+**Kept.** The miss that keeps a plan copies it once with ``Param(slot)``
+for each slot's value (:func:`_parametrize`) and runs the copy's tree.
+
+**Hit.** Nothing is copied or built: the executor runs the kept tree
+with the values as ``ctx.params``, which a seek's bounds, a columnstore
+scan's elimination ranges and a residual read as they run. Estimates,
+costs and plan shape are the cached ones: for a reusable template, what
+optimizing these values would produce. The tree holds no per-execution
+state, so sessions run it at once.
 """
 
 from __future__ import annotations
@@ -50,15 +53,15 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.errors import CatalogError
 from repro.core.types import TypeKind
 from repro.engine.expressions import (
+    ColumnRange,
     ColumnRef,
     Comparison,
     Literal,
+    Param,
     conjuncts,
-    extract_column_ranges,
     make_and,
 )
-from repro.optimizer.optimizer import access_ranges, bare_ranges
-from repro.optimizer.plans import PlannedQuery
+from repro.optimizer.plans import AccessPathNode, PlannedQuery
 from repro.sql.ast import SelectStmt
 from repro.sql.parser import Template, instantiate, slot_index
 
@@ -94,18 +97,18 @@ class TemplatePlans:
 
 
 class _Entry:
-    """One cached plan and the catalog objects it was costed on."""
+    """One cached plan, the operator tree built from it, and the catalog
+    objects it was costed on."""
 
-    __slots__ = ("planned", "cost_model", "design", "leaves")
+    __slots__ = ("planned", "root", "cost_model", "design")
 
-    def __init__(self, planned, cost_model, design, leaves):
+    def __init__(self, planned, root, cost_model, design):
+        #: The plan with a ``Param`` for each slot, and its operators.
         self.planned = planned
+        self.root = root
         self.cost_model = cost_model
-        #: ``((name, TableStats, descriptor list), ...)``.
+        #: ``((name, TableStats, descriptor list, primary), ...)``.
         self.design = design
-        #: ``id(leaf) -> parts`` of its residual: a conjunct kept as it
-        #: is, or ``(slot, column, column_left)`` for a slot's equality.
-        self.leaves = leaves
 
 
 def _equality_sides(conj) -> Optional[Tuple[ColumnRef, object]]:
@@ -178,9 +181,9 @@ def _signature(plans: TemplatePlans, values: Sequence[object],
 
 
 def reuse_plan(template: Template, values: Sequence[object],
-               options: tuple, catalog) -> Optional[PlannedQuery]:
-    """The template's cached plan rebuilt for ``values``, or None when
-    it holds no plan valid for them and ``options``."""
+               options: tuple, catalog) -> Optional[_Entry]:
+    """The template's cached plan and tree valid for ``values`` and
+    ``options``, or None when it holds none."""
     plans = template.plans
     if not plans or not plans.entries:
         return None
@@ -196,92 +199,88 @@ def reuse_plan(template: Template, values: Sequence[object],
     entry = plans.entries.get(key)
     if entry is None or entry.cost_model is not database.cost_model:
         return None
-    for name, table_stats, indexes in entry.design:
+    tables = dict(plans.tables)
+    for name, table_stats, indexes, primary in entry.design:
         if stats[name] is not table_stats or \
-                catalog.indexes_for(name) is not indexes:
+                catalog.indexes_for(name) is not indexes or \
+                tables[name].primary is not primary:
             return None
     database.statement_cache.plan_hit(plans, key)
-    planned = entry.planned
-    return PlannedQuery(
-        root=_rebuild(planned.root, entry.leaves, values),
-        est_cost=planned.est_cost, est_rows=planned.est_rows,
-        uses_hypothetical=planned.uses_hypothetical)
+    return entry
 
 
 def keep_plan(template: Template, values: Sequence[object], options: tuple,
               catalog, binder, bound, planned: PlannedQuery,
-              reported_missing_index: bool) -> None:
+              reported_missing_index: bool, materialize) -> Optional[_Entry]:
     """After ``bound`` was optimized into ``planned``: analyse the
     template if it was not yet analysed against these tables, and keep
-    the plan on it when it is reusable."""
+    the plan and its tree (built by ``materialize``) on it when it is
+    reusable. Returns the entry kept (None if none), which this
+    execution runs."""
     plans = template.plans
     if plans is False:
-        return
+        return None
     if plans is None or plans.tables != _tables(bound):
         plans = template.plans = analyse(template, binder) or False
         if not plans:
-            return
+            return None
     database = catalog.database
-    design = tuple((name, catalog.stats(name), catalog.indexes_for(name))
-                   for name, _ in plans.tables)
+    design = tuple((name, catalog.stats(name), catalog.indexes_for(name),
+                    table.primary) for name, table in plans.tables)
     signature = _signature(plans, values,
-                           {name: stats for name, stats, _ in design})
+                           {name: stats for name, stats, _, _ in design})
     entry = None
-    if signature is not None and not reported_missing_index:
-        leaves = _leaf_parts(plans, bound, planned)
-        if leaves is not None:
-            entry = _Entry(planned, database.cost_model, design, leaves)
+    if signature is not None and not reported_missing_index and \
+            not planned.uses_hypothetical:
+        shared = _parametrize(plans, bound, planned)
+        if shared is not None:
+            entry = _Entry(shared, materialize(shared), database.cost_model,
+                           design)
     database.statement_cache.keep_plan(
         plans, (catalog, options, signature), entry)
+    return entry
 
 
-def _leaf_parts(plans: TemplatePlans, bound, planned: PlannedQuery
-                ) -> Optional[Dict[int, list]]:
-    """``id(leaf) -> parts`` for every leaf of ``planned`` (see
-    :class:`_Entry`); None if a slot's conjunct is in no leaf residual."""
-    where = conjuncts(bound.where)
-    slot_of = {}
+def _parametrize(plans: TemplatePlans, bound, planned: PlannedQuery
+                 ) -> Optional[PlannedQuery]:
+    """A copy of ``planned`` with ``Param(slot)`` for each slot's value:
+    in the slot's equality conjunct, which must be in a leaf's residual,
+    and in the range a seek or segment elimination made of it alone (no
+    other conjunct names its column). None if a conjunct is in no leaf."""
+    where, swaps = conjuncts(bound.where), {}
     for slot, (position, _, _) in enumerate(plans.slots):
         conj = where[position]
         sides = _equality_sides(conj)
         if sides is None or not isinstance(sides[1], Literal):
             return None
-        slot_of[id(conj)] = (slot, sides[0], sides[0] is conj.left)
-    leaves, placed = {}, set()
-    for leaf in planned.root.leaves():
-        parts = leaves[id(leaf)] = []
-        for part in conjuncts(leaf.residual):
-            slot = slot_of.get(id(part))
-            if slot is not None:
-                placed.add(id(part))
-            parts.append(part if slot is None else slot)
-    return leaves if len(placed) == len(slot_of) else None
+        column, param = sides[0], Param(slot)
+        swaps[id(conj)] = (Comparison("=", column, param)
+                           if column is conj.left
+                           else Comparison("=", param, column)), param
+    placed = set()
+    root = _copy(planned.root, swaps, placed)
+    if len(placed) != len(swaps):
+        return None
+    return PlannedQuery(root, planned.est_cost, planned.est_rows,
+                        planned.uses_hypothetical)
 
 
-def _rebuild(node, leaves: Dict[int, list], values: Sequence[object]):
-    """A copy of the plan under ``node`` whose leaves' residuals and
-    ranges are made from ``values``."""
+def _copy(node, swaps: Dict[int, tuple], placed: set):
     clone = object.__new__(node.__class__)
     clone.__dict__.update(node.__dict__)
-    parts = leaves.get(id(node))
-    if parts is None:
-        clone.inputs = [_rebuild(child, leaves, values)
-                        for child in node.inputs]
-        return clone
-    clone.residual = make_and([
-        part if part.__class__ is not tuple else _equality(part, values)
-        for part in parts])
-    if node.ranges:
-        ranges, clone.seek_ranges = access_ranges(
-            node.descriptor,
-            bare_ranges(extract_column_ranges(clone.residual)))
-        clone.ranges = ranges or {}
+    clone.inputs = [_copy(child, swaps, placed) for child in node.inputs]
+    if isinstance(node, AccessPathNode):
+        parts = conjuncts(node.residual)
+        placed.update(id(part) for part in parts if id(part) in swaps)
+        clone.residual = make_and([swaps[id(part)][0] if id(part) in swaps
+                                   else part for part in parts])
+        ranges = {}
+        for r in [*node.ranges.values(), *(node.seek_ranges or ())]:
+            conj, param = swaps.get(id(r.sources[0]) if r.sources else None,
+                                    (None, None))
+            ranges.setdefault(id(r), r if conj is None else ColumnRange(
+                param, param, sources=(conj,)))
+        clone.ranges = {c: ranges[id(r)] for c, r in node.ranges.items()}
+        if node.seek_ranges is not None:
+            clone.seek_ranges = [ranges[id(r)] for r in node.seek_ranges]
     return clone
-
-
-def _equality(part: tuple, values: Sequence[object]) -> Comparison:
-    slot, column, column_left = part
-    value = Literal(values[slot])
-    if column_left:
-        return Comparison("=", column, value)
-    return Comparison("=", value, column)

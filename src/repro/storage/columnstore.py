@@ -60,21 +60,26 @@ DEFAULT_ROWGROUP_SIZE = 32768
 
 RID_COLUMN = "__rid__"
 
-#: Fallback object-id allocator so every columnstore gets a distinct id
-#: even when the caller passes no explicit one: the id keys its segment
-#: frames in a demand-paged database's buffer pool.
-_AUTO_OBJECT_IDS = itertools.count(1)
 
+class ObjectIds:
+    """One database's columnstore object ids: each index its database
+    builds draws the next, so two databases built alike get the same ids
+    whatever else the process built. The id keys the index's segment
+    frames in a demand-paged database's buffer pool."""
 
-def ensure_object_ids_above(minimum: int) -> None:
-    """Advance the auto object-id counter past ``minimum``.
+    def __init__(self):
+        self._ids = itertools.count(1)
 
-    Snapshot restore re-creates indexes with their persisted object ids;
-    without this, a later auto-assigned id could collide with a restored
-    one, and releasing one index would drop the other's pool frames."""
-    global _AUTO_OBJECT_IDS
-    current = next(_AUTO_OBJECT_IDS)
-    _AUTO_OBJECT_IDS = itertools.count(max(current, minimum + 1))
+    def allocate(self) -> int:
+        """A fresh id."""
+        return next(self._ids)
+
+    def ensure_above(self, minimum: int) -> None:
+        """Allocate only ids above ``minimum`` from now on. Snapshot
+        restore and redo re-create indexes with their persisted ids;
+        without this, a later id could collide with a restored one, and
+        releasing one index would drop the other's pool frames."""
+        self._ids = itertools.count(max(next(self._ids), minimum + 1))
 
 
 class _RowGroupState:
@@ -146,7 +151,8 @@ class ColumnstoreIndex:
         self.schema = schema
         self.is_primary = is_primary
         self.rowgroup_size = rowgroup_size
-        self.object_id = object_id if object_id else next(_AUTO_OBJECT_IDS)
+        #: 0 for an index built outside a table (nothing pages it).
+        self.object_id = object_id
         #: Fault injector attached by the owning Table (None standalone).
         self.faults: Optional[FaultInjector] = None
         #: The owning Table's undo log (a private, never-opened one

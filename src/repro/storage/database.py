@@ -15,6 +15,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.core.errors import CatalogError, StorageError
 from repro.core.schema import TableSchema
 from repro.engine.costs import DEFAULT_COST_MODEL, CostModel
+from repro.storage.columnstore import ObjectIds
 from repro.storage.events import EventStream
 from repro.storage.faults import FaultInjector
 from repro.storage.table import Table
@@ -67,6 +68,9 @@ class Database:
         self.statement_cache = StatementCache()
         self.fault_injector.events = self.events
         self._tables: Dict[str, Table] = {}
+        #: Columnstore object ids of this database's indexes, drawn per
+        #: database so two databases built alike match byte for byte.
+        self.object_ids = ObjectIds()
         #: Durability backend, both None by default (pure simulator — the
         #: byte-identical configuration): a directory holding the page
         #: snapshot + WAL, and the attached
@@ -98,7 +102,8 @@ class Database:
         if schema.name in self._tables:
             raise CatalogError(f"table {schema.name!r} already exists")
         table = Table(schema, fault_injector=self.fault_injector,
-                      usage_clock=self.telemetry.clock)
+                      usage_clock=self.telemetry.clock,
+                      object_ids=self.object_ids)
         self._tables[schema.name] = table
         if self.wal is not None:
             table.attach_wal(self.wal)

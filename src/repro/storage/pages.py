@@ -76,10 +76,7 @@ from repro.storage.btree import (
     SecondaryBTreeIndex,
 )
 from repro.storage.bufferpool import PAGE_BYTES, BufferPool
-from repro.storage.columnstore import (
-    ColumnstoreIndex,
-    ensure_object_ids_above,
-)
+from repro.storage.columnstore import ColumnstoreIndex
 from repro.storage.compression import (
     ColumnSegment,
     CompressedRowGroup,
@@ -1220,7 +1217,7 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
         raise StorageError(
             f"snapshot has {stream.size - stream.offset} trailing bytes "
             f"after page {stream.pages_read - 1}")
-    ensure_object_ids_above(max_object_id)
+    database.object_ids.ensure_above(max_object_id)
     return database, {
         "name": catalog["name"],
         "checkpoint_lsn": catalog["checkpoint_lsn"],

@@ -302,8 +302,7 @@ def _redo_and_check(database, report: RecoveryReport, paged: bool) -> None:
 
     # Ids forced by replayed DDL may exceed what the snapshot loader
     # reserved; indexes built *after* recovery must not collide.
-    from repro.storage.columnstore import ensure_object_ids_above
-    ensure_object_ids_above(max(
+    database.object_ids.ensure_above(max(
         (index.object_id for table in database.tables()
          for index in table.all_indexes), default=0))
 

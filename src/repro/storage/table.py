@@ -34,7 +34,7 @@ from repro.core.errors import CatalogError, StorageError
 from repro.core.schema import TableSchema
 from repro.engine.metrics import ExecutionContext
 from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
-from repro.storage.columnstore import ColumnstoreIndex
+from repro.storage.columnstore import ColumnstoreIndex, ObjectIds
 from repro.storage.faults import FaultInjector, InjectedFault, trip
 from repro.storage.heap import HeapFile
 from repro.storage.records import Records
@@ -51,7 +51,8 @@ class Table:
 
     def __init__(self, schema: TableSchema,
                  fault_injector: Optional[FaultInjector] = None,
-                 usage_clock: Optional[LogicalClock] = None):
+                 usage_clock: Optional[LogicalClock] = None,
+                 object_ids: Optional[ObjectIds] = None):
         self.schema = schema
         self.name = schema.name
         self._next_rid = 0
@@ -66,6 +67,9 @@ class Table:
         #: Telemetry (standalone tables get a private one); attached to
         #: every index's usage counters for last_user_* stamps.
         self.usage_clock = usage_clock or LogicalClock()
+        #: The owning Database's columnstore object-id allocator
+        #: (standalone tables get a private one).
+        self.object_ids = object_ids or ObjectIds()
         #: Rows touched by DML since creation — drives statistics
         #: staleness detection (SQL Server's auto-update-stats rule).
         self.modification_counter = 0
@@ -280,7 +284,8 @@ class Table:
             kwargs["rowgroup_size"] = rowgroup_size
         index = self._wire(ColumnstoreIndex.build(
             index_name, self.schema, *self.columns_by_rid(),
-            is_primary=True, presorted=presorted, **kwargs,
+            is_primary=True, presorted=presorted,
+            object_id=self.object_ids.allocate(), **kwargs,
         ))
         self.release_pages([self.primary])
         self.primary = index
@@ -365,7 +370,7 @@ class Table:
         index = self._wire(ColumnstoreIndex.build(
             name, self.schema, rids, values,
             columns=columns, is_primary=False, presorted=presorted,
-            **kwargs,
+            object_id=self.object_ids.allocate(), **kwargs,
         ))
         self.secondary_indexes[name] = index
         self._log_ops([{

@@ -24,7 +24,7 @@ from repro.engine.batch import Batch, rows_to_batch
 from repro.engine.encoded import EncodedColumn, note_code_hit
 from repro.engine.metrics import ExecutionContext
 from repro.engine.operators import HashAggregate
-from repro.engine.operators.aggregates import _GroupStates
+from repro.engine.operators.aggregates import Spill, _GroupStates
 from repro.engine.operators.base import BATCH_MODE
 
 
@@ -91,20 +91,18 @@ class ReferenceHashAggregate(HashAggregate):
         slot_of: Dict[Tuple[object, ...], int] = {}
         states = _GroupStates(len(self.aggregates))
         reserved = 0
-        self.spilled = False
-        self.spill_bytes_written = 0
-        self.spill_bytes_decoded = 0
+        spill = None
         try:
             for batch in self.child().execute(ctx):
                 self.charge_rows(ctx, len(batch))
                 hash_cost = len(batch) * cm.hash_cpu_ms_per_row
                 if self.mode == BATCH_MODE:
                     hash_cost *= cm.batch_cpu_ms_per_row / cm.row_cpu_ms_per_row
-                if self.spilled:
+                if spill is not None:
                     hash_cost *= cm.spill_cpu_multiplier
                     payload = batch.payload_bytes()
                     ctx.charge_spill(payload)
-                    self._serialize_spill_run(batch, payload)
+                    spill.add_run(batch, payload)
                 ctx.charge_parallel_cpu(hash_cost, self.dop)
 
                 keys, *segments = self._reference_segments(batch, ctx)
@@ -113,11 +111,12 @@ class ReferenceHashAggregate(HashAggregate):
                     for j, key in enumerate(keys):
                         if slots[j] is None:
                             slots[j] = slot_of[key] = len(slot_of)
-                            if not self.spilled:
+                            if spill is None:
                                 if ctx.acquire_memory(entry_bytes):
                                     reserved += entry_bytes
                                 else:
-                                    self.spilled = True
+                                    spill = ctx.operator_state[self] = (
+                                        Spill())
                     states.reserve(len(slot_of))
                 self._fold(states, np.array(slots, dtype=np.intp), batch,
                            *segments, ctx)

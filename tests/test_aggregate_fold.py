@@ -250,7 +250,8 @@ def engine_fold(op, ctx):
     """``op.execute(ctx)`` in ``reference_fold``'s shape."""
     rows = [row for batch in op.execute(ctx)
             for row in batch_to_rows(batch, op.output_columns)]
-    return rows, getattr(op, "spilled", False)  # a stream never spills
+    # A stream never spills, and keeps no spill record.
+    return rows, ctx.operator_state.get(op) is not None
 
 
 @examples(60)

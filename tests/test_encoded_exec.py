@@ -483,10 +483,11 @@ class TestSpillingAggregates:
             [AggregateSpec("count", None, "c")])
         ctx = ExecutionContext(memory_grant_bytes=2048)
         list(agg.execute(ctx))
-        assert agg.spilled
-        assert agg.spill_bytes_written > 0
-        assert agg.spill_bytes_written < agg.spill_bytes_decoded
-        assert "SPILLED" in agg.describe()
+        spill = agg.spill_of(ctx)
+        assert spill is not None
+        assert spill.bytes_written > 0
+        assert spill.bytes_written < spill.bytes_decoded
+        assert "SPILLED" in agg.describe(ctx)
 
 
 class TestConcurrentEncodedSessions:

@@ -263,7 +263,7 @@ class TestAggregates:
             AggregateSpec("count", None, "cnt")])
         ctx = ExecutionContext(memory_grant_bytes=2048)
         rows, _ = drain(agg, ctx)
-        assert agg.spilled
+        assert agg.spill_of(ctx) is not None
         assert ctx.metrics.spilled_bytes > 0
         assert len(rows) == 5000
 

@@ -481,3 +481,27 @@ class TestSnapshotProtocol:
         new_index = restored.table("t").create_secondary_columnstore(
             "csi_new", rowgroup_size=128, allow_multiple=True)
         assert new_index.object_id > old_id
+
+    def test_two_databases_built_alike_match(self, tmp_path):
+        # Each database draws its own columnstore object ids, so what
+        # else the process built does not change a snapshot's bytes.
+        def build(directory):
+            database = Database()
+            table = database.create_table(TableSchema("t", [
+                Column("k", INT, nullable=False), Column("a", INT)]))
+            table.bulk_load([(k, k % 7) for k in range(100)])
+            table.set_primary_columnstore()
+            database.enable_durability(str(directory))
+            return database
+
+        first, second = build(tmp_path / "a"), build(tmp_path / "b")
+        assert state_digest(first) == state_digest(second)
+        for database in (first, second):
+            database.close()
+        for paging in (False, True):
+            first, second = (
+                Database.open(str(tmp_path / name), paging=paging)
+                for name in ("a", "b"))
+            assert state_digest(first) == state_digest(second), paging
+            first.close()
+            second.close()

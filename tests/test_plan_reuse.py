@@ -265,6 +265,23 @@ def test_a_new_index_is_seen_after_refresh_and_not_before():
     assert _runs(executor, sql, (7,))[1]
 
 
+def test_a_replaced_primary_is_read_without_refresh():
+    """A kept tree's clustered seek was built over the table's primary.
+    Rebuilding the primary without ``refresh()`` leaves the catalog's
+    descriptors as they were, and the statement reads the new primary,
+    as a freshly built seek does."""
+    database = make_database("btree")
+    executor = Executor(database)
+    sql = "SELECT g, s FROM t WHERE k = ?"
+    executor.execute(sql, (1,))
+    database.table("t").set_primary_btree(["k"])
+    executor.execute("UPDATE t SET s = 'zz' WHERE k = 2")
+    result, hit = _runs(executor, sql, (2,))
+    assert not hit and result.rows == [(0, "zz")]
+    result, hit = _runs(executor, sql, (3,))
+    assert hit and result.rows == [(1, "s0")]
+
+
 def test_dml_past_the_auto_stats_threshold_replans():
     database = make_database("heap+ix")
     executor = Executor(database)
@@ -410,3 +427,96 @@ def test_random_values_through_a_reused_plan(flip_databases, c, n, g):
     assert observed(result) == observed(replanned(reference, sql, (c, n, g)))
     assert sorted(result.rows, key=repr) == sqlite_rows(
         mirror, sql, (c, n, g))
+
+
+# ------------------------------------------------------- what a hit does
+#: ``(design, template, warm-up values, value of the spied execution)``:
+#: a lookup by equality that keeps its plan on each design (a selective
+#: ``k = ?`` on a heap or a columnstore reports a missing index, so
+#: those look up the two-valued ``g``).
+SPIED_LOOKUPS = (
+    ("heap", "SELECT count(*) FROM t WHERE g = ?", [(0,), (1,)], (0,)),
+    ("btree", "SELECT g, s FROM t WHERE k = ?", [(17,), (18,)], (2301,)),
+    ("heap+ix", "SELECT k, s FROM t WHERE c = ?", [(45,), (46,)], (47,)),
+    ("pri_csi", "SELECT count(*) FROM t WHERE g = ?", [(0,), (1,)], (1,)),
+    ("paged", "SELECT g, s FROM t WHERE k = ?", [(17,), (18,)], (2301,)),
+)
+
+
+@pytest.mark.parametrize("design, sql, warm, values", SPIED_LOOKUPS,
+                         ids=[case[0] for case in SPIED_LOOKUPS])
+def test_a_hit_binds_plans_and_builds_nothing(tmp_path, design, sql, warm,
+                                              values):
+    """A hit runs the kept operator tree with its values: no bind, no
+    optimization, no materialization, no statement instantiated from
+    the template and no operator constructed."""
+    from collections import Counter
+    from unittest import mock
+
+    from repro.engine.operators.base import PhysicalOperator
+    from repro.optimizer.materializer import Materializer
+    from repro.optimizer.optimizer import Optimizer
+    from repro.sql.binder import Binder
+
+    if design == "paged":
+        durable = make_database("btree")
+        durable.enable_durability(str(tmp_path))
+        durable.close()
+        database = Database.open(str(tmp_path), paging=True,
+                                 pool_bytes=256 * 1024)
+    else:
+        database = make_database(design)
+    executor = Executor(database)
+    for params in warm:
+        executor.execute(sql, params)
+    expected = Executor(make_database(
+        "btree" if design == "paged" else design)).execute(sql, values)
+
+    calls = Counter()
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return mock.patch.object(owner, name, counted)
+
+    import repro.engine.executor as executor_module
+    import repro.optimizer.reuse as reuse_module
+    import repro.sql.parser as parser_module
+    spies = [spy(Binder, "bind"), spy(Optimizer, "optimize"),
+             spy(Materializer, "materialize"),
+             spy(PhysicalOperator, "__init__")]
+    spies += [spy(module, "instantiate") for module in (
+        executor_module, reuse_module, parser_module)]
+    before = plan_hits(database)
+    for patch in spies:
+        patch.start()
+    try:
+        result = executor.execute(sql, values)
+    finally:
+        for patch in spies:
+            patch.stop()
+    assert plan_hits(database) == before + 1, design
+    assert not calls, dict(calls)
+    assert observed(result) == observed(expected)
+    database.close()
+
+
+def test_explain_analyze_of_a_hit_shows_its_values():
+    """The kept tree holds parameters; EXPLAIN ANALYZE shows this
+    execution's values, on operators that ran (span labels) and on one
+    that never did (under ``LIMIT 0``)."""
+    executor = Executor(make_database("btree"))
+    for sql, warm, values in (
+            ("SELECT g FROM t WHERE k = ? LIMIT 0", (6,), (3,)),
+            ("SELECT d.dv, f.y FROM dim d JOIN fact f ON d.dk = f.fk "
+             "WHERE d.dk = ? AND f.x = ?", (4, 1), (3, 2))):
+        executor.execute(sql, warm)
+        before = plan_hits(executor.database)
+        analyzed = executor.explain_analyze(sql, values)
+        assert plan_hits(executor.database) == before + 1
+        fresh = Executor(make_database("btree")).explain_analyze(sql, values)
+        assert analyzed.format() == fresh.format()
+        assert "@" not in analyzed.format()

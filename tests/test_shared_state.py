@@ -319,3 +319,145 @@ class TestStatementCacheThreadSafety:
         assert all(sql in cache._entries for sql in hot)
         texts = [key for key in cache._entries if isinstance(key, str)]
         assert cache.bytes_cached == sum(len(t.encode()) for t in texts)
+
+
+class TestOneTemplateTwoSessions:
+    """A SELECT that reuses its template's plan runs the operator tree
+    the template keeps. Two sessions run one such tree at once, with
+    different values, and meet when the first leaf each execution opens
+    has finished: both are inside the same operators together, and the
+    operators above it have taken all of its rows (an aggregate knows
+    whether it spilled) but not yet reported. Every execution must be
+    what it is when the statements run one after another: rows,
+    ``QueryMetrics``, span labels (a seek's bounds, a spilled
+    aggregate), and the ``dm_exec_query_stats`` counts."""
+
+    #: ``(sql, values of session A, values of session B, grant)``.
+    TEMPLATES = (
+        ("SELECT g, s FROM t WHERE k = ?",
+         [(3,), (17,), (901,), (2398,)], [(5,), (18,), (77,), (1200,)],
+         None),
+        ("SELECT count(*), sum(f.y) FROM dim d JOIN fact f "
+         "ON d.dk = f.fk WHERE d.dk = ? AND f.x = ?",
+         [(3, 1), (7, 2), (11, 0), (60, 1)],
+         [(4, 0), (8, 1), (49, 2), (5, 2)], None),
+        # 200 bytes hold two of the three groups of an in-range ``c``:
+        # those executions spill, the empty out-of-range ones do not.
+        ("SELECT s, count(*) FROM t WHERE c = ? GROUP BY s",
+         [(3,), (45,), (7,), (46,)], [(39,), (4,), (50,), (1,)], 200),
+    )
+
+    @staticmethod
+    def _observed(result):
+        from dataclasses import asdict
+
+        return (result.rows, asdict(result.metrics),
+                [(span.label, span.rows_out)
+                 for span in result.root_span.walk()])
+
+    def _executions(self, session):
+        return [(sql, values, grant)
+                for sql, a, b, grant in self.TEMPLATES
+                for values in (a if session == 0 else b)]
+
+    @staticmethod
+    def _counts(store):
+        from repro.engine.dmv import query_stats_rows
+
+        return sorted((row[0], row[1], row[5], row[6])
+                      for row in query_stats_rows(store))
+
+    def _serial(self):
+        """Every execution run alone, after the same warm-up."""
+        from repro.engine.query_store import QueryStore
+        from repro.server.session import SessionManager
+        from tests.test_plan_reuse import make_database
+
+        store = QueryStore()
+        with SessionManager(make_database("btree+cov"),
+                            query_store=store) as manager:
+            session = manager.session()
+            self._warm(session)
+            observed = [[self._observed(session.execute(
+                sql, values, memory_grant_bytes=grant))
+                for sql, values, grant in self._executions(n)]
+                for n in (0, 1)]
+        return observed, self._counts(store)
+
+    def _warm(self, session):
+        for n in (0, 1):
+            for sql, values, grant in self._executions(n):
+                session.execute(sql, values, memory_grant_bytes=grant)
+
+    def test_two_sessions_run_one_tree_at_once(self, tmp_path):
+        from unittest import mock
+
+        from repro.engine.metrics import ExecutionContext
+        from repro.engine.query_store import QueryStore
+        from repro.server.session import SessionManager
+        from repro.storage.database import Database
+        from tests.test_plan_reuse import make_database
+
+        durable = make_database("btree+cov")
+        durable.enable_durability(str(tmp_path))
+        durable.close()
+        database = Database.open(str(tmp_path), paging=True,
+                                 pool_bytes=256 * 1024)
+        store = QueryStore()
+        manager = SessionManager(database, query_store=store)
+        sessions = [manager.session(), manager.session()]
+        self._warm(sessions[0])
+        cache = database.statement_cache
+        hits = cache.plan_hits
+
+        meet = threading.Barrier(2, timeout=60)
+        finish = ExecutionContext.finish_operator_span
+
+        def finish_and_meet(ctx, span):
+            finish(ctx, span)
+            if not span.operator.children and not getattr(ctx, "met", False):
+                ctx.met = True
+                meet.wait()
+
+        observed, errors = [[], []], []
+
+        def client(n):
+            try:
+                for sql, values, grant in self._executions(n):
+                    observed[n].append(self._observed(sessions[n].execute(
+                        sql, values, memory_grant_bytes=grant)))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                meet.abort()
+
+        with mock.patch.object(ExecutionContext, "finish_operator_span",
+                               finish_and_meet):
+            threads = [threading.Thread(target=client, args=(n,))
+                       for n in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        # Every execution ran a kept tree.
+        assert cache.plan_hits - hits == sum(
+            len(self._executions(n)) for n in (0, 1))
+        labels = [label for run in observed for _, _, spans in run
+                  for label, _ in spans]
+        assert any("SPILLED" in label for label in labels)
+        assert any(label.startswith("HashAggregate") and "SPILLED"
+                   not in label for label in labels)
+        assert any("where (f.x = 2)" in label for label in labels)
+
+        serial, counts = self._serial()
+        assert observed == serial
+        assert self._counts(store) == counts
+        admission = manager.admission
+        assert admission.latch._writer is None
+        assert not admission.latch._readers
+        assert admission.grants.available_bytes == \
+            admission.grants.capacity_bytes
+        assert database.buffer_pool.pinned_pages() == 0
+        manager.close()
+        database.close()

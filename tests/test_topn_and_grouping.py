@@ -226,7 +226,7 @@ def run_grouped(operator, batches, group_by, grant, specs=None):
                      else [()] * table.size)
     else:
         slot_keys = op.slot_keys
-    return (bits(rows), slot_keys, requests, op.spilled,
+    return (bits(rows), slot_keys, requests, op.spill_of(ctx) is not None,
             dataclasses.asdict(ctx.metrics), ctx.memory_in_use)
 
 
