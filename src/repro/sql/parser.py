@@ -114,10 +114,23 @@ class _ValueSlot:
 
 @dataclass(frozen=True)
 class _CountSlot:
-    """A parameter after TOP: becomes ``int(value)``, capped by the
-    statement's LIMIT when it has one."""
+    """A parameter after TOP: becomes the value as a row count (see
+    :func:`_top_count`), capped by the statement's LIMIT when it has
+    one. ``param`` is the ``?``'s position in the text, None where the
+    slot stands for a literal."""
     index: int
+    param: Optional[int]
     limit: Optional[int] = None
+
+
+def _top_count(value: object, param: Optional[int]) -> int:
+    """``value`` as a TOP row count: a Python or numpy integer >= 0, else
+    a SqlError naming the ``?`` at position ``param`` or the literal."""
+    if isinstance(value, numbers.Integral) and value >= 0:
+        return int(value)
+    what = f"TOP {value!r}" if param is None else \
+        f"parameter {param} is {value!r}"
+    raise SqlError(f"{what}: a TOP count must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,6 +154,8 @@ class _Parser:
         #: Whether number and string literals become slots like ``?``.
         self.slot_literals = slot_literals
         self.n_slots = 0
+        #: ``?`` markers consumed so far.
+        self.n_params = 0
 
     # ----------------------------------------------------------- plumbing
     def peek(self, offset: int = 0) -> Token:
@@ -231,7 +246,7 @@ class _Parser:
             limit_token = self.expect(NUMBER)
             limit = int(limit_token.value)
             if isinstance(top, _CountSlot):
-                top = _CountSlot(top.index, limit)
+                top = _CountSlot(top.index, top.param, limit)
             else:
                 top = limit if top is None else min(top, limit)
         return SelectStmt(
@@ -282,7 +297,8 @@ class _Parser:
         parenthesized = self.accept(LPAREN) is not None
         token = self.accept(PARAM) or self.expect(NUMBER)
         index = self._slot_index(token)
-        value = int(token.value) if index is None else _CountSlot(index)
+        value = _top_count(token.value, None) if index is None else \
+            _CountSlot(index, self.n_params if token.type == PARAM else None)
         if parenthesized:
             self.expect(RPAREN)
         return value
@@ -290,7 +306,9 @@ class _Parser:
     def _slot_index(self, token: Token) -> Optional[int]:
         """The next slot index when the just-consumed PARAM, NUMBER or
         STRING ``token`` is a parameter position, else None."""
-        if token.type != PARAM and not self.slot_literals:
+        if token.type == PARAM:
+            self.n_params += 1
+        elif not self.slot_literals:
             return None
         index = self.n_slots
         self.n_slots += 1
@@ -630,10 +648,10 @@ def _builder(node) -> Optional[Callable[[Sequence[object]], object]]:
         index = node.index
         return lambda values: values[index]
     if cls is _CountSlot:
-        index, limit = node.index, node.limit
+        index, param, limit = node.index, node.param, node.limit
         if limit is None:
-            return lambda values: int(values[index])
-        return lambda values: min(int(values[index]), limit)
+            return lambda values: _top_count(values[index], param)
+        return lambda values: min(_top_count(values[index], param), limit)
     if cls is _Negated:
         operand = _builder(node.operand)
         return lambda values: _negate(operand(values))

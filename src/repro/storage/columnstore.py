@@ -294,15 +294,13 @@ class ColumnstoreIndex:
         for pos in np.flatnonzero(deleted_mask).tolist():
             self._rid_location.pop(int(group.rids[pos]), None)
 
-    def restore_side_state(self, delta: Iterable[Tuple[int, Sequence]],
+    def restore_side_state(self, delta_rids: List[int], delta_values: Records,
                            delete_buffer: Iterable[int]) -> None:
         """Replace the delta store and the delete buffer with a
-        snapshot's; ``delta`` is (rid, values) pairs in rid order."""
-        delta = list(delta)
+        snapshot's; the delta store's rows are ``delta_values`` at the
+        ascending ``delta_rids``."""
         self._delta = BPlusTree.from_columns(
-            [rid for rid, _ in delta],
-            Records.from_rows([tuple(values) for _, values in delta]),
-            leaf_capacity=SCAN_CHUNK_ROWS)
+            delta_rids, delta_values, leaf_capacity=SCAN_CHUNK_ROWS)
         self._delete_buffer = set(delete_buffer)
 
     def attach_pager(self, pager, pool) -> None:

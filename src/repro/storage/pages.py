@@ -13,7 +13,7 @@ self-describing binary payload.
 Page header (32 bytes, little-endian)::
 
     magic      4s   b"RPPG"
-    version    B    format version (currently 1)
+    version    B    format version (currently 2)
     page_type  B    PT_* constant
     reserved   H    zero
     page_id    Q    sequential within the snapshot stream
@@ -26,26 +26,31 @@ The payload is encoded with a small tagged value codec
 universe the engine stores after validation — ``None``/bool/int/float/
 str/bytes, containers, and 1-D numpy arrays (object arrays element-wise)
 — so numpy segment payloads round-trip bit-exactly. A long sequence
-whose items share one fixed layout (a B+ leaf's entries, a page of
-integer rows) is written and read as one numpy record array, in the same
+whose items share one fixed layout (a leaf page's entries, a WAL
+record's rids) is written and read as one numpy record array, in the same
 bytes the per-value encoding gives; a B+ leaf page faulted in by a paged
 index keeps its values as that array's columns, in the
 :class:`~repro.storage.records.Records` every leaf holds.
 
 Snapshot layout: one :data:`PT_CATALOG` page, then per table a
-:data:`PT_TABLE` page, :data:`PT_ROWS` pages chunking the table's rows
-in rid order (written from its primary structure), and per index a
-:data:`PT_INDEX` descriptor followed by its data pages —
-:data:`PT_BTREE_LEAF` pages of (key, value) leaf entries for B+ trees
-(restored via ``BPlusTree.from_columns``), and per row group a
-:data:`PT_CSI_GROUP` page (rids, delete bitmap, sort order) plus one
-:data:`PT_CSI_SEGMENT` page per column segment, closed by a
-:data:`PT_CSI_SIDE` page (the delta store's entries in rid order,
-restored via ``BPlusTree.from_columns``, and the delete buffer) for
-columnstores. Heap files carry no data pages: a heap is rebuilt from
-the ``PT_ROWS`` pages. Every open reads and checksums those pages; the
-loader keeps of them only what the primary needs — a heap's rows, or a
-clustered B+ tree's rid -> key map when its leaves stay paged.
+:data:`PT_TABLE` page and per index a :data:`PT_INDEX` descriptor
+followed by its data pages. Four structures are a
+:class:`~repro.storage.btree.BPlusTree` of
+:class:`~repro.storage.records.Records` leaves — a heap (keyed by rid),
+a clustered or a secondary B+ tree, and a columnstore's delta store
+(keyed by rid) — and each is written as its own run of
+:data:`PT_BTREE_LEAF` pages of (key, value) entries right after its
+descriptor, whose ``n_items`` sizes the run, and read back through one
+decoder (:func:`_leaf_chunk`) into ``BPlusTree.from_columns``. A
+columnstore's run is followed per row group by a :data:`PT_CSI_GROUP`
+page (rids, delete bitmap, sort order) plus one :data:`PT_CSI_SEGMENT`
+page per column segment, and closed by a :data:`PT_CSI_SIDE` page (the
+delete buffer). Each row is stored once, by the table's primary
+structure: an eager open builds every tree, and a paged open leaves B+
+leaf pages on disk behind the descriptor's fence keys, except that a
+clustered primary reads each of its leaf pages once (uncached) to
+rebuild its rid -> key map. Heaps and delta stores load resident under
+both opens.
 
 Serialization is deterministic (dicts and sets are emitted in sorted
 order), which is what lets recovery prove idempotence by comparing
@@ -99,13 +104,12 @@ __all__ = [
 # ------------------------------------------------------------ page codec
 
 PAGE_MAGIC = b"RPPG"
-PAGE_VERSION = 1
+PAGE_VERSION = 2
 PAGE_HEADER = struct.Struct("<4sBBHQQII")
 
 PT_CATALOG = 1
 PT_TABLE = 2
-PT_ROWS = 3
-PT_INDEX = 4
+PT_INDEX = 4        # 3 held a table's rows until format version 2
 PT_BTREE_LEAF = 5
 PT_CSI_GROUP = 6
 PT_CSI_SEGMENT = 7
@@ -114,7 +118,6 @@ PT_CSI_SIDE = 8
 PAGE_TYPE_NAMES = {
     PT_CATALOG: "catalog",
     PT_TABLE: "table",
-    PT_ROWS: "rows",
     PT_INDEX: "index",
     PT_BTREE_LEAF: "btree_leaf",
     PT_CSI_GROUP: "csi_group",
@@ -122,8 +125,7 @@ PAGE_TYPE_NAMES = {
     PT_CSI_SIDE: "csi_side",
 }
 
-#: Rows per PT_ROWS page and leaf entries per PT_BTREE_LEAF page.
-ROWS_PER_PAGE = 2048
+#: Leaf entries per PT_BTREE_LEAF page.
 BTREE_ITEMS_PER_PAGE = 1024
 
 # ----------------------------------------------------------- value codec
@@ -320,8 +322,8 @@ def _array_dtype(raw: bytes) -> np.dtype:
 # ------------------------------------------------- fixed-layout sequences
 #
 # A page is mostly long sequences of one shape: a B+ leaf is 1 024
-# ``((k, rid), (k, a, b, c))`` entries, a rows page 2 048 row tuples, a
-# WAL delete its list of rids. When every item of a sequence has the same
+# ``((k, rid), (k, a, b, c))`` entries, a heap leaf 1 024 ``(rid, row)``
+# entries, a WAL delete its list of rids. When every item of a sequence has the same
 # *fixed layout* -- built only from int64, float64, None, True and False,
 # nested in tuples and lists of constant length -- its encoding is a
 # record array: the tag and count bytes repeat in every record and the
@@ -621,50 +623,46 @@ def _schema_from_payload(name: str, columns: List[Tuple]) -> TableSchema:
     ])
 
 
-def _leaf_fences(items: List[Tuple]) -> List[Tuple]:
-    """First key of each PT_BTREE_LEAF page — the resident separator
-    array that lets a paged B+ index route a seek to the right leaf page
-    without materializing internal nodes."""
-    return [items[start][0]
-            for start in range(0, len(items), BTREE_ITEMS_PER_PAGE)]
+def _leaf_pages(n_items: int) -> int:
+    """Length of the PT_BTREE_LEAF run that holds ``n_items`` entries."""
+    return -(-n_items // BTREE_ITEMS_PER_PAGE)
 
 
-def _index_descriptor(table, index,
-                      btree_items: Optional[List[Tuple]] = None
-                      ) -> Dict[str, object]:
+def _index_descriptor(table, index, items: List[Tuple]) -> Dict[str, object]:
+    """The PT_INDEX payload of ``index``, whose leaf run holds ``items``."""
     desc: Dict[str, object] = {
         "table": table.name,
         "name": index.name,
         "role": "primary" if index is table.primary else "secondary",
         "object_id": getattr(index, "object_id", 0),
+        "n_items": len(items),
     }
+    n_pages = _leaf_pages(len(items))
     if isinstance(index, HeapFile):
-        desc.update({"kind": "heap", "n_pages": 0})
+        desc.update({"kind": "heap", "n_pages": n_pages})
     elif isinstance(index, (PrimaryBTreeIndex, SecondaryBTreeIndex)):
-        items = (list(index.tree.items())
-                 if btree_items is None else btree_items)
-        n_items = len(items)
         desc.update({
             "kind": "btree",
             "key_columns": list(index.key_columns),
             "included_columns": (
                 None if isinstance(index, PrimaryBTreeIndex)
                 else list(index.included_columns)),
-            "n_items": n_items,
-            "n_pages": -(-n_items // BTREE_ITEMS_PER_PAGE) if n_items else 0,
-            "leaf_fences": _leaf_fences(items),
+            "n_pages": n_pages,
+            # The first key of each leaf page: the resident separator
+            # array that routes a paged index's seek to its leaf page.
+            "leaf_fences": [items[start][0] for start in
+                            range(0, len(items), BTREE_ITEMS_PER_PAGE)],
         })
     elif isinstance(index, ColumnstoreIndex):
-        n_groups = len(index._groups)
-        n_pages = sum(1 + len(state.group.column_names())
-                      for state in index._groups) + 1
         desc.update({
             "kind": "csi",
             "is_primary": index.is_primary,
             "columns": list(index.columns),
             "rowgroup_size": index.rowgroup_size,
-            "n_groups": n_groups,
-            "n_pages": n_pages,
+            "n_groups": len(index._groups),
+            "n_pages": n_pages + 1 + sum(
+                1 + len(state.group.column_names())
+                for state in index._groups),
         })
     else:
         raise StorageError(
@@ -751,41 +749,28 @@ def write_snapshot(database, out: BinaryIO, checkpoint_lsn: int = 0,
     })
     for table in tables:
         trip(faults, "checkpoint_mid")
-        rids, rows = table.columns_by_rid()
-        n_row_pages = -(-len(rids) // ROWS_PER_PAGE)
         writer.write(PT_TABLE, {
             "table": table.name,
             "schema": _schema_payload(table.schema),
             "next_rid": table._next_rid,
             "modification_counter": table.modification_counter,
-            "n_row_pages": n_row_pages,
             "n_indexes": 1 + len(table.secondary_indexes),
         })
-        for start in range(0, len(rids), ROWS_PER_PAGE):
-            stop = start + ROWS_PER_PAGE
-            writer.write(PT_ROWS, {
-                "table": table.name,
-                "rids": rids[start:stop].tolist(),
-                "rows": rows[start:stop],
-            })
         for index in [table.primary] + list(table.secondary_indexes.values()):
-            if isinstance(index, (PrimaryBTreeIndex, SecondaryBTreeIndex)):
-                # Materializes a paged index: a checkpoint needs every
-                # leaf entry anyway, and quiesced checkpoints are the
-                # only writers of snapshots.
-                items = list(index.tree.items())
-                writer.write(PT_INDEX,
-                             _index_descriptor(table, index,
-                                               btree_items=items))
-                for start in range(0, len(items), BTREE_ITEMS_PER_PAGE):
-                    chunk = items[start:start + BTREE_ITEMS_PER_PAGE]
-                    writer.write(PT_BTREE_LEAF, {
-                        "table": table.name,
-                        "index": index.name,
-                        "items": chunk,
-                    })
-                continue
-            writer.write(PT_INDEX, _index_descriptor(table, index))
+            # The tree of Records leaves whose entries follow the
+            # descriptor. A paged B+ index materializes: a checkpoint
+            # needs every leaf entry anyway, and quiesced checkpoints are
+            # the only writers of snapshots.
+            tree = (index._delta if isinstance(index, ColumnstoreIndex)
+                    else index.tree)
+            items = list(tree.items())
+            writer.write(PT_INDEX, _index_descriptor(table, index, items))
+            for start in range(0, len(items), BTREE_ITEMS_PER_PAGE):
+                writer.write(PT_BTREE_LEAF, {
+                    "table": table.name,
+                    "index": index.name,
+                    "items": items[start:start + BTREE_ITEMS_PER_PAGE],
+                })
             if isinstance(index, ColumnstoreIndex):
                 for gi, state in enumerate(index._groups):
                     group = state.group
@@ -822,7 +807,6 @@ def write_snapshot(database, out: BinaryIO, checkpoint_lsn: int = 0,
                 writer.write(PT_CSI_SIDE, {
                     "table": table.name,
                     "index": index.name,
-                    "delta": list(index._delta.items()),
                     "delete_buffer": sorted(index._delete_buffer),
                 })
     return writer.next_page_id
@@ -976,15 +960,32 @@ class _CsiPager:
         return lambda column: self.load(group_index, column)[0]
 
 
+def _read_leaves(stream: _PageStream, desc: Dict[str, object]
+                 ) -> Tuple[list, Records]:
+    """The leaf run after the descriptor ``desc``, decoded: its keys in
+    order and their values as one :class:`Records`, what
+    ``BPlusTree.from_columns`` builds a tree of."""
+    keys: list = []
+    parts: List[Records] = []
+    for _ in range(_leaf_pages(desc["n_items"])):
+        page_keys, values = stream.next(PT_BTREE_LEAF, _leaf_chunk).payload
+        keys += page_keys
+        parts.append(values)
+    if len(keys) != desc["n_items"]:
+        raise StorageError(
+            f"index {desc['name']!r}: snapshot has {len(keys)} leaf "
+            f"entries, descriptor says {desc['n_items']}")
+    return keys, Records.concat(parts)
+
+
 def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
                    pool: Optional[BufferPool],
-                   reader: Optional[SnapshotReader], rids: list,
-                   rows: Records):
+                   reader: Optional[SnapshotReader]):
     """Rebuild one B+ index from its leaf pages: decoded and built now,
     or — given a pool and a reader — left on disk behind the
     descriptor's fence keys, the only part that stays resident. A
-    clustered index maps every rid to its key: from the leaves it built,
-    or from the table's ``rows`` at ``rids`` when its leaves stay paged."""
+    clustered index maps every rid to its key, read from its leaves:
+    the ones it built, or each paged leaf page once, outside the pool."""
     if desc["included_columns"] is None:
         cls = PrimaryBTreeIndex if pool is None else PagedPrimaryBTreeIndex
         index = cls(desc["name"], table.schema, desc["key_columns"],
@@ -995,40 +996,31 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
                     desc["included_columns"], object_id=desc["object_id"])
     primary = isinstance(index, PrimaryBTreeIndex)
     if pool is None:
-        keys: List[Tuple] = []
-        parts: List[Records] = []
-        for _ in range(desc["n_pages"]):
-            page_keys, values = stream.next(PT_BTREE_LEAF, _leaf_chunk).payload
-            keys += page_keys
-            parts.append(values)
-        if len(keys) != desc["n_items"]:
-            raise StorageError(
-                f"index {desc['name']!r}: snapshot has {len(keys)} leaf "
-                f"entries, descriptor says {desc['n_items']}")
+        keys, values = _read_leaves(stream, desc)
         if keys:
             index.tree = BPlusTree.from_columns(
-                keys, Records.concat(parts),
-                leaf_capacity=index.tree.leaf_capacity)
+                keys, values, leaf_capacity=index.tree.leaf_capacity)
         if primary:
             index.map_rids(keys)
         return index
-    if primary and rids:
-        index.map_rids(index.keys_of(rids, rows))
-    if not desc["n_pages"]:
+    n_pages = _leaf_pages(desc["n_items"])
+    if not n_pages:
         return index  # empty index: nothing to page
     fences = desc.get("leaf_fences")
-    if fences is None or len(fences) != desc["n_pages"]:
+    if fences is None or len(fences) != n_pages:
         raise StorageError(
             f"index {desc['name']!r}: snapshot predates the paged "
             "format (no leaf fences) — rewrite it with save() before "
             "opening with paging=True")
-    page_locs = [stream.defer(PT_BTREE_LEAF)
-                 for _ in range(desc["n_pages"])]
+    page_locs = [stream.defer(PT_BTREE_LEAF) for _ in range(n_pages)]
 
     def read_leaf(offset: int, length: int):
         return reader.read_page(offset, length, PT_BTREE_LEAF,
                                 _leaf_chunk).payload
 
+    if primary:
+        index.map_rids([key for _id, offset, length in page_locs
+                        for key in read_leaf(offset, length)[0]])
     index.attach_paged(PagedLeafSource(
         pool, desc["n_items"], fences, page_locs, read_leaf))
     return index
@@ -1079,37 +1071,21 @@ def _adopt(fixed: _Fixed, shape) -> Optional[Records]:
                     for part, arg in parts], fixed.count)
 
 
-def _rows_chunk(body, offset: int) -> Tuple[Tuple[list, Records], int]:
-    """A PT_ROWS payload decoded into ``((rids, rows), next offset)``, the
-    rows as :class:`Records`: rows of one fixed layout adopt its columns,
-    others are pivoted once, so no row tuple of the page is kept."""
-    payload, end = unpack_value(body, offset, lazy=True)
-    try:
-        rids, rows = payload["rids"], payload["rows"]
-    except (TypeError, KeyError):
-        raise StorageError("rows payload has no rows") from None
-    if isinstance(rids, _Fixed):
-        rids = rids.values()
-    values = _adopt(rows, rows.shape) if isinstance(rows, _Fixed) else None
-    if values is None:
-        values = Records.from_rows(
-            rows.values() if isinstance(rows, _Fixed) else rows)
-    return (rids, values), end
-
-
 def _restore_columnstore(table, desc: Dict[str, object],
                          stream: _PageStream, pool: Optional[BufferPool],
                          reader: Optional[SnapshotReader]
                          ) -> ColumnstoreIndex:
-    """Rebuild one columnstore. Group pages (rids, delete bitmap, sort
-    order, per-column metadata) and the side page always load now;
-    segment pages are parsed now, or — given a pool and a reader — left
-    to a pager that faults them through the pool."""
+    """Rebuild one columnstore. The delta store's leaf pages, group
+    pages (rids, delete bitmap, sort order, per-column metadata) and the
+    side page always load now; segment pages are parsed now, or — given
+    a pool and a reader — left to a pager that faults them through the
+    pool."""
     index = ColumnstoreIndex(
         desc["name"], table.schema, columns=desc["columns"],
         is_primary=desc["is_primary"], rowgroup_size=desc["rowgroup_size"],
         object_id=desc["object_id"],
     )
+    delta_rids, delta_values = _read_leaves(stream, desc)
     pager = None
     if pool is not None:
         pager = _CsiPager(reader, pool, desc["object_id"])
@@ -1153,14 +1129,14 @@ def _restore_columnstore(table, desc: Dict[str, object],
                 loader=loader),
             group_page["deleted_mask"], group_page["n_deleted"])
     side = stream.next(PT_CSI_SIDE).payload
-    index.restore_side_state(side["delta"], side["delete_buffer"])
+    index.restore_side_state(delta_rids, delta_values, side["delete_buffer"])
     return index
 
 
 def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
           reader: Optional[SnapshotReader] = None):
-    """The one snapshot loader: walk the catalog → table → rows → index
-    pages of the snapshot open as ``f`` and rebuild the database through
+    """The one snapshot loader: walk the catalog → table → index pages
+    of the snapshot open as ``f`` and rebuild the database through
     each structure's restore interface. Leaf and segment pages are
     parsed now, or — given a pool and a reader — stay on disk (see
     :func:`load_snapshot_paged`). Returns ``(database, meta)``."""
@@ -1180,15 +1156,6 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
                 f"{table_name!r}, got {table_page['table']!r}")
         table = database.create_table(
             _schema_from_payload(table_name, table_page["schema"]))
-        # The table's rows, read and checksummed by every open, are kept
-        # only until its primary structure takes what it needs of them.
-        rids: list = []
-        parts: List[Records] = []
-        for _ in range(table_page["n_row_pages"]):
-            page_rids, values = stream.next(PT_ROWS, _rows_chunk).payload
-            rids += page_rids
-            parts.append(values)
-        rows = Records.concat(parts)
         table.restore_counters(table_page["next_rid"],
                                table_page["modification_counter"])
         for position in range(table_page["n_indexes"]):
@@ -1197,10 +1164,9 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
             if desc["kind"] == "heap":
                 index = HeapFile(desc["name"], table.schema,
                                  object_id=desc["object_id"])
-                index.load(rids, rows)
+                index.load(*_read_leaves(stream, desc))
             elif desc["kind"] == "btree":
-                index = _restore_btree(table, desc, stream, pool, reader,
-                                       rids, rows)
+                index = _restore_btree(table, desc, stream, pool, reader)
             elif desc["kind"] == "csi":
                 index = _restore_columnstore(table, desc, stream, pool,
                                              reader)
@@ -1212,7 +1178,6 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
                     f"table {table_name!r}: first index in snapshot "
                     "is not the primary structure")
             table.adopt_index(index, primary=position == 0)
-            rids, rows = [], Records()
     if not stream.exhausted:
         raise StorageError(
             f"snapshot has {stream.size - stream.offset} trailing bytes "
@@ -1242,11 +1207,11 @@ def load_snapshot(source, cost_model=None):
 
 
 def load_snapshot_paged(path, pool: Optional[BufferPool], cost_model=None):
-    """Load a snapshot lazily: catalog, heaps, clustered B+ rid -> key
-    maps, B+ fences, and columnstore group metadata come into memory
-    (a B+ or columnstore primary keeps no row); B+ leaf pages and
-    column segment pages stay on disk and are demand-loaded through
-    ``pool`` on first touch.
+    """Load a snapshot lazily: catalog, heaps, delta stores, clustered
+    B+ rid -> key maps (read from their leaf pages), B+ fences, and
+    columnstore group metadata come into memory (a B+ or columnstore
+    primary keeps no row); B+ leaf pages and column segment pages stay
+    on disk and are demand-loaded through ``pool`` on first touch.
 
     Returns ``(database, meta, reader)``. The caller owns the reader's
     lifetime (``Database.open(..., paging=True)`` parks it on the

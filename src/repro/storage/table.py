@@ -187,8 +187,7 @@ class Table:
     def columns_by_rid(self) -> Tuple[np.ndarray, Records]:
         """Every rid in ascending order, and the rows at them as columns
         (a copy, one array per table column): the table read that index
-        builds, statistics, size estimation and the snapshot writer
-        share."""
+        builds, statistics and size estimation share."""
         rids, values = self.primary.columns_by_rid()
         if not len(rids):
             values = Records([np.empty(0, object)] * len(self.schema.columns))

@@ -28,7 +28,6 @@ from repro.storage.pages import (
     PAGE_MAGIC,
     PAGE_VERSION,
     PT_BTREE_LEAF,
-    PT_ROWS,
     Records,
     build_page,
     load_snapshot,
@@ -210,15 +209,20 @@ class TestRecordPath:
             # entries are one record array, not 6 calls each
             assert len(calls) == 7
 
-    def test_rows_pages_with_strings_round_trip(self):
+    def test_heap_leaf_pages_with_strings_round_trip(self):
         database = Database("ch")
         generate_ch(database, n_warehouses=1)
+        Executor(database).execute(
+            "UPDATE customer SET c_last = NULL, c_payment_cnt = NULL "
+            "WHERE c_id BETWEEN 100 AND 140")
         snapshot = snapshot_bytes(database)
-        rows_pages = [page for _, page in pages_of(snapshot)
-                      if page.page_type == PT_ROWS
-                      and page.payload["table"] == "customer"]
-        assert any(isinstance(value, str)
-                   for value in rows_pages[0].payload["rows"][0])
+        leaves = [page.payload["items"] for _, page in pages_of(snapshot)
+                  if page.page_type == PT_BTREE_LEAF
+                  and page.payload["index"] == "customer_heap"]
+        assert len(leaves) == 3
+        rows = [row for items in leaves for _rid, row in items]
+        assert any(isinstance(value, str) for value in rows[0])
+        assert any(row[3] is None and row[6] is None for row in rows)
         restored, _ = load_snapshot(snapshot)
         assert state_digest(restored) == state_digest(database)
         assert (list(restored.table("customer").iter_rows())

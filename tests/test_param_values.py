@@ -12,6 +12,12 @@ value deleted the ``k = 3`` row of a heap and raised a bare
 refuses such a value with ``SqlError`` naming its position, before any
 design sees it, in-process and over the frontend's JSON lines alike
 (``json.loads`` accepts ``NaN``).
+
+A TOP count is stricter: an integer >= 0 or ``SqlError`` from
+``prepare``, before admission. ``int(value)`` made ``2.7`` and ``'2'``
+a ``TOP 2``, deleted one row for ``DELETE TOP (?)`` with ``1.5``, and
+raised a bare ``ValueError`` for ``'x'``, a bare ``TypeError`` for
+``None``, and an ``ExecutionError`` after admission for ``-1``.
 """
 
 import json
@@ -38,6 +44,10 @@ STATEMENTS = ("SELECT count(*) FROM t WHERE k = ?",
               "UPDATE t SET a = 0 WHERE k = ?")
 BAD_VALUES = (float("nan"), np.float64("nan"), [3], (3,), {"k": 3}, b"3",
               3j)
+TOP_STATEMENTS = ("SELECT TOP {} k FROM t ORDER BY k",
+                  "UPDATE TOP {} t SET a = 0",
+                  "DELETE TOP {} FROM t")
+BAD_COUNTS = ("x", None, 2.7, 1.5, "2", -1, np.float64(2.0))
 
 
 def make_database(design):
@@ -86,6 +96,43 @@ def test_good_values_still_answer(design):
     for value, expected in ((3, 3), (3.5, 4), (True, 1), (np.int64(3), 3),
                             (float("inf"), N_ROWS), (None, 0)):
         assert executor.execute(count, [value]).rows == [(expected,)], value
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("sql", TOP_STATEMENTS)
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+def test_bad_top_count_is_refused_by_prepare(design, sql, value):
+    executor = Executor(make_database(design))
+    before = executor.execute(EVERYTHING).rows
+    with pytest.raises(SqlError, match="^parameter 1 .*TOP count"):
+        executor.prepare(sql.format("(?)"), [value])
+    with pytest.raises(SqlError, match="^parameter 1 .*TOP count"):
+        executor.execute(sql.format("(?)"), [value])
+    assert executor.execute(EVERYTHING).rows == before
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("sql", TOP_STATEMENTS)
+@pytest.mark.parametrize("literal", ["2.5", "(2.5)"])
+def test_fractional_top_literal_is_refused(design, sql, literal):
+    executor = Executor(make_database(design))
+    before = executor.execute(EVERYTHING).rows
+    with pytest.raises(SqlError, match=r"^TOP 2\.5: a TOP count"):
+        executor.prepare(sql.format(literal))
+    assert executor.execute(EVERYTHING).rows == before
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_integer_top_counts_still_answer(design):
+    executor = Executor(make_database(design))
+    select = TOP_STATEMENTS[0].format("(?)")
+    for value, expected in ((2, [(0,), (1,)]), (np.int64(1), [(0,)]),
+                            (0, [])):
+        assert executor.execute(select, [value]).rows == expected, value
+    assert executor.execute(TOP_STATEMENTS[0].format("2")).rows \
+        == [(0,), (1,)]
+    assert executor.execute("DELETE TOP (?) FROM t",
+                            [np.int32(3)]).rows_affected == 3
 
 
 @pytest.mark.parametrize("design", DESIGNS)

@@ -182,7 +182,7 @@ def test_generated_literals_and_parameters_parse_alike(statement):
      lambda s: s.where.right == Literal(-2.5)),
     ("SELECT a FROM t WHERE a = -?", ("x",),
      lambda s: s.where.right == Arithmetic("-", Literal(0), Literal("x"))),
-    ("SELECT TOP ? a FROM t", ("7",), lambda s: s.top == 7),
+    ("SELECT TOP ? a FROM t", (7,), lambda s: s.top == 7),
     ("SELECT TOP (?) a FROM t LIMIT 3", (7,), lambda s: s.top == 3),
     ("SELECT TOP (?) a FROM t LIMIT 30", (7,), lambda s: s.top == 7),
     ("SELECT a FROM t WHERE a IN (?, 2, NULL, 'x')", (1,),
