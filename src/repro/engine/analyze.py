@@ -30,6 +30,7 @@ class AnalyzedQuery:
         self.sql = sql
         self.result = result
         self.root_span: Optional[OperatorSpan] = result.root_span
+        self._estimates = _plan_estimates(result)
 
     # ------------------------------------------------------------- text
     def format(self) -> str:
@@ -70,7 +71,7 @@ class AnalyzedQuery:
                      lines: List[str]) -> None:
         pad = "  " * depth
         lines.append(f"{pad}{span.label}")
-        est = _estimated_rows(span)
+        est = self._estimated_rows(span)
         est_text = f"{est:.0f}" if est is not None else "?"
         batches = "batch" if span.batches_out == 1 else "batches"
         lines.append(
@@ -144,7 +145,7 @@ class AnalyzedQuery:
         for child in span.children:
             cursor = self._layout(child, cursor, events)
         end_ms = cursor + span.elapsed_ms
-        est = _estimated_rows(span)
+        est = self._estimated_rows(span)
         events.append({
             "name": span.label or "<statement>",
             "ph": "X",
@@ -169,10 +170,25 @@ class AnalyzedQuery:
         return end_ms
 
 
-def _estimated_rows(span: OperatorSpan) -> Optional[float]:
-    """Optimizer row estimate for a span's operator, when the
-    materializer recorded the plan-node pairing."""
-    plan_node = getattr(span.operator, "plan_node", None)
-    if plan_node is None:
-        return None
-    return float(plan_node.est_rows)
+    def _estimated_rows(self, span: OperatorSpan) -> Optional[float]:
+        """Optimizer row estimate for a span's operator, when the
+        materializer recorded the plan-node pairing."""
+        plan_node = getattr(span.operator, "plan_node", None)
+        if plan_node is None:
+            return None
+        return float(self._estimates.get(id(plan_node), plan_node.est_rows))
+
+
+def _plan_estimates(result) -> Dict[int, float]:
+    """``id(plan node an operator was built from) -> est rows`` of the
+    node in its place in the plan the statement reports. A kept operator
+    tree (:mod:`repro.optimizer.reuse`) was built from the plan of the
+    execution that kept it; an execution that optimized its own values
+    and decided alike reports its own plan, whose estimates are its
+    values'."""
+    spans = result.root_span.children if result.root_span else ()
+    built = getattr(spans[0].operator, "plan_node", None) if spans else None
+    if built is None or result.plan is None:
+        return {}
+    return {id(node): reported.est_rows for node, reported in zip(
+        built.walk(), result.plan.root.walk())}

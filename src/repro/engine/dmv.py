@@ -274,9 +274,10 @@ def memory_cache_rows(database: Database,
     """``dm_os_memory_cache_counters``: the statement cache (capped by
     entry, so ``budget_bytes`` is 0 and ``bytes_cached`` counts the
     UTF-8 bytes of the texts it retains),
-    the plans its templates carry (``plan_cache``: entries = plans held,
-    hits = executions that reused one, misses = executions of a reusable
-    SELECT that were optimized, no byte accounting), plus a
+    the plans its templates carry (``plan_cache``: entries = operator
+    trees held, hits = executions that ran a kept one, misses =
+    executions of a reusable SELECT that built a tree, no byte
+    accounting), plus a
     :class:`~repro.storage.bufferpool.BufferPool` when one exists — either the database's own demand-paging pool
     (``Database.open(..., paging=True)``) or a modeled pool the caller
     tracks. Byte math derives from the pool's real accounting

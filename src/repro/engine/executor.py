@@ -36,7 +36,7 @@ from repro.optimizer.cost_model import CostingOptions
 from repro.optimizer.materializer import Materializer
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.plans import PlannedQuery
-from repro.optimizer.reuse import keep_plan, reuse_plan
+from repro.optimizer.reuse import kept_tree, rebound, reuse_plan
 from repro.sql.binder import (
     Binder,
     BoundDelete,
@@ -111,12 +111,13 @@ class Statement:
     #: grant, so their queueing lands in ``waits``); embedded, nothing.
     enter: ContextManager = nullcontext()
     #: Written by begin (the logical-clock sequence number), bind (the
-    #: bound statement, or a SELECT's cached plan and tree instead), run.
+    #: bound statement, or an equality-only SELECT's kept plan and tree
+    #: instead), run.
     stamp: Optional[int] = None
     bound: object = None
-    #: The cached plan and operator tree (:mod:`repro.optimizer.reuse`)
-    #: a SELECT runs with its ``values``: taken at bind, or kept at run
-    #: by the execution that planned it.
+    #: The kept plan and operator tree (:mod:`repro.optimizer.reuse`) a
+    #: SELECT runs with its ``values``: taken at bind, or at run after
+    #: optimizing, kept then or earlier.
     cached: object = None
     plan: Optional[PlannedQuery] = None
     ctx: Optional[ExecutionContext] = None
@@ -129,7 +130,8 @@ class Statement:
     @property
     def parsed(self):
         """The template with this execution's values in its slots. Built
-        on first use: a SELECT that runs a cached tree never binds it."""
+        on first use: a SELECT whose template keeps its bound statement
+        never binds it."""
         if self._parsed is None:
             self._parsed = instantiate(self.template, self.values)
         return self._parsed
@@ -161,10 +163,10 @@ class Executor:
         and text that does not parse raises its ``SqlError`` here."""
         template, values = self.database.statement_cache.lookup(sql)
         values = fill(values, params)
-        # Only a reusable template's slots are all ``column = ?`` values,
-        # which any value fills; any other statement is instantiated
-        # here, so a value a slot cannot take (TOP 'x') fails before
-        # admission.
+        # A reusable template's slots are all comparison or BETWEEN
+        # values, which any value fills, and it is instantiated only if
+        # it binds; any other statement is instantiated here, so a value
+        # a slot cannot take (TOP 'x') fails before admission.
         return Statement(sql, params, template, values, template.read_only,
                          _parsed=None if template.plans else instantiate(
                              template, values))
@@ -233,23 +235,32 @@ class Executor:
     def _bind(self, record: Statement, options: Optional[tuple] = None
               ) -> object:
         """Stage 3: resolve the statement's names against the catalog.
-        Given the run's ``options``, a SELECT whose template holds a plan
-        valid for them and these values takes that plan and its operator
-        tree instead, and is neither bound, optimized nor materialized
-        (:mod:`repro.optimizer.reuse`)."""
+        Given the run's ``options``, a SELECT of a reusable template is
+        not bound (:mod:`repro.optimizer.reuse`): an equality-only one
+        whose template holds a plan valid for them and these values takes
+        that plan and its operator tree instead, and is neither bound,
+        optimized nor materialized; else, once a bind of these value
+        types succeeded, its WHERE is rebuilt from the kept bound
+        statement."""
         if options is not None and record.read_only:
             record.cached = reuse_plan(record.template, record.values,
                                        options, self.catalog)
             if record.cached is not None:
                 return None
+            record.bound = rebound(record.template, record.values,
+                                   self.database)
+            if record.bound is not None:
+                return record.bound
         record.bound = self.binder.bind(record.parsed)
         return record.bound
 
     def _run(self, record: Statement, options: tuple) -> None:
-        """Stage 4. SELECT: optimize and materialize (unless bind took a
-        cached plan and tree), drain. A tree with parameters runs with
-        the statement's values as ``ctx.params``. DML: locate the target
-        rows, then apply them inside one WAL scope."""
+        """Stage 4. SELECT: optimize (unless bind took a kept plan and
+        tree), run the kept tree whose plan decides as this one does or
+        materialize one, drain. A kept tree runs with the statement's
+        values as ``ctx.params``; the plan the statement reports is the
+        one optimizing its values made. DML: locate the target rows, then
+        apply them inside one WAL scope."""
         bound, database = record.bound, self.database
         cold, memory_grant_bytes, concurrent_queries = options
         record.ctx = ctx = ExecutionContext(
@@ -263,15 +274,18 @@ class Executor:
             optimizer = self._optimizer(
                 ctx.memory_grant_bytes, cold, concurrent_queries)
             record.plan = optimizer.optimize(bound)
-            record.cached = keep_plan(
+            record.cached = kept_tree(
                 record.template, record.values, options, self.catalog,
                 self.binder, bound, record.plan,
                 optimizer.reported_missing_index,
                 self.materializer.materialize)
             if record.cached is None:
                 root = self.materializer.materialize(record.plan)
-        if record.cached is not None:
+            else:
+                record.plan = record.plan.with_params(record.values)
+        elif record.cached is not None:
             record.plan = record.cached.planned.with_params(record.values)
+        if record.cached is not None:
             root, ctx.params = record.cached.root, record.values
         if root is not None:
             result.plan = record.plan

@@ -28,7 +28,7 @@ NULL operand not-true.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,7 +136,13 @@ def with_values(expr: Optional[Expr], params: Sequence[object]
             continue
         if new is not value:
             changed[name] = new
-    return replace(expr, **changed) if changed else expr
+    if not changed:
+        return expr
+    # A copy with the new fields: what ``dataclasses.replace`` makes,
+    # without re-running ``__init__`` on fields it already checked.
+    clone = object.__new__(expr.__class__)
+    clone.__dict__.update(expr.__dict__, **changed)
+    return clone
 
 
 def _floating(value) -> bool:
@@ -404,10 +410,11 @@ def eval_batch(expr: Expr, batch: Batch, ctx=None) -> np.ndarray:
     if isinstance(expr, Between):
         value = eval_batch(expr.subject, batch, ctx)
         if (isinstance(value, EncodedColumn)
-                and isinstance(expr.low, Literal)
-                and isinstance(expr.high, Literal)):
+                and isinstance(expr.low, _CONSTANTS)
+                and isinstance(expr.high, _CONSTANTS)):
             note_code_hit(ctx)
-            return between_codes(value, expr.low.value, expr.high.value)
+            return between_codes(value, _constant(expr.low, ctx),
+                                 _constant(expr.high, ctx))
         value = _materialized(value, ctx, expr, "non-literal BETWEEN bounds")
         low = _materialized(eval_batch(expr.low, batch, ctx), ctx,
                             expr, "non-literal BETWEEN bounds")

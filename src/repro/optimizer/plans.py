@@ -350,9 +350,11 @@ class ProjectNode(PlanNode):
 class PlannedQuery:
     """The optimizer's result: a plan tree and its estimated cost.
 
-    A cached plan (:mod:`repro.optimizer.reuse`) has a ``Param(i)`` where
+    A kept plan (:mod:`repro.optimizer.reuse`) has a ``Param(i)`` where
     its template has a slot; one execution's view of it shares the tree
-    and carries that execution's ``params``, which its text shows."""
+    and carries that execution's ``params``, which its text shows. A
+    plan whose execution ran a kept operator tree carries them too, for
+    the operators' descriptions."""
 
     root: PlanNode
     est_cost: float
@@ -364,6 +366,17 @@ class PlannedQuery:
         """This plan as the execution with ``params`` reports it."""
         return PlannedQuery(self.root, self.est_cost, self.est_rows,
                             self.uses_hypothetical, params)
+
+    def decisions(self) -> tuple:
+        """What the materializer builds from this plan, without its
+        estimates and its values: per node, in pre-order, its kind, mode,
+        dop and fan-in, and a leaf's index, access, columns and lookup, a
+        join's method and keys, an aggregate's strategy, a spill flag,
+        and the shape of every seek and elimination range (which bounds
+        are open or inclusive, which are points). Two optimizations of
+        one bound statement that decide alike build alike, so one
+        operator tree serves both with its values as parameters."""
+        return tuple(_decisions(node) for node in self.root.walk())
 
     def explain(self) -> str:
         """Indented, human-readable plan-tree rendering."""
@@ -382,3 +395,34 @@ class PlannedQuery:
     def referenced_indexes(self) -> List[IndexDescriptor]:
         """Descriptors of every index the plan reads."""
         return [leaf.descriptor for leaf in self.root.leaves()]
+
+
+def _range_shape(column_range: ColumnRange) -> tuple:
+    """The value-free shape of a seek or elimination range."""
+    return (column_range.low is None, column_range.high is None,
+            column_range.low_inclusive, column_range.high_inclusive,
+            column_range.is_point)
+
+
+def _decisions(node: PlanNode) -> tuple:
+    """One node's part of :meth:`PlannedQuery.decisions`."""
+    made = (type(node), node.mode, node.dop, len(node.inputs))
+    if isinstance(node, AccessPathNode):
+        descriptor = node.descriptor
+        return made + (
+            node.alias, descriptor.table_name, descriptor.name,
+            descriptor.kind, node.access, tuple(node.columns),
+            node.needs_lookup,
+            tuple((column, _range_shape(column_range))
+                  for column, column_range in node.ranges.items()),
+            None if node.seek_ranges is None else tuple(
+                _range_shape(column_range)
+                for column_range in node.seek_ranges))
+    if isinstance(node, JoinNode):
+        return made + (node.method, tuple(node.left_keys),
+                       tuple(node.right_keys))
+    if isinstance(node, AggregateNode):
+        return made + (node.strategy, node.spill_expected)
+    if isinstance(node, SortNode):
+        return made + (node.spill_expected,)
+    return made

@@ -1,58 +1,80 @@
-"""Plan reuse: an equality-only SELECT is planned and built once per
-template.
+"""Plan reuse: a SELECT template whose slots are comparison values keeps
+its operator trees, and an execution runs a kept tree with its values.
 
-For one class of statement template the plan cannot depend on the
-values beyond a small *signature*, so the executor keeps the plan and
-the operator tree made from it on the template (the one the
-:class:`~repro.sql.cache.StatementCache` holds), and a later execution
-with values of the same signature runs that tree with its values.
+The executor keeps them on the template (the one the
+:class:`~repro.sql.cache.StatementCache` holds). A kept tree holds a
+``Param(slot)`` wherever the template has a slot, and runs with the
+execution's values as ``ctx.params``.
 
 **Reusable.** Decided at a template's first successful bind
-(:func:`analyse`): every slot is the value side of a top-level
-``column = ?`` conjunct of WHERE (no slot in TOP, IN, BETWEEN, a range,
-arithmetic, the select list or ON), and that column is not DATE-typed
-and is named by no other WHERE conjunct. The optimizer then sees a value
-only through ``ColumnStats.equality_selectivity``, which is a constant
-unless the value is a number outside ``[min, max]``.
+(:func:`analyse`): every slot is the value side of a top-level WHERE
+conjunct ``column op ?`` (``op`` one of ``= < <= > >=``, the column on
+either side) or ``column BETWEEN ? AND ?``. No slot sits in TOP, IN,
+arithmetic, the select list or ON. The column is not DATE-typed (the
+binder converts date strings by value). It is named by no other WHERE
+conjunct, or by exactly one other slot conjunct that bounds it from the
+opposite side (``col >= ? AND col < ?``): two bounds on one side would
+intersect into a range whose source depends on the values.
 
-**Signature.** Per slot, the value's type and that out-of-range bit
-(``ColumnStats.outside_range``); a plan is kept under ``(catalog,
-options, signature)``, options being the run's ``(cold,
-memory_grant_bytes, concurrent_queries)`` and the catalog the one whose
-statistics it was costed on (sessions share one; executors made apart
-keep apart plans instead of replacing each other's). Values of other
-types (and NaN) are not classed: such a statement takes the uncached
-path.
+**Bound once per value types.** The template keeps the statement bound
+with a ``Param`` in each slot. The binder's checks on a value (a string
+against a number column, a number against a VARCHAR) depend only on its
+type, so once a bind of some value types succeeded, a later execution
+with the same types is not bound: its WHERE is rebuilt from the kept one
+(:func:`rebound`, ``expressions.with_values``). Other types bind, and
+fail, as before.
 
-**Valid.** A plan is used only while ``database.table(t)``,
+**Equality-only templates** skip the optimizer too. When every slot is a
+``column = ?`` value, the optimizer sees a value only through
+``ColumnStats.equality_selectivity``, a constant unless the value is a
+number outside ``[min, max]``. A *signature*, per slot the value's type
+and that bit (``ColumnStats.outside_range``), then decides the plan: a
+plan is kept under ``(catalog, options, signature)``, options being the
+run's ``(cold, memory_grant_bytes, concurrent_queries)``. A later
+execution with that signature (:func:`reuse_plan`) is neither bound,
+optimized nor materialized, and reports the kept plan, whose estimates
+are the ones optimizing it would produce.
+
+**Range templates** (and equality plans whose optimization reported a
+missing index, so that the report repeats) are optimized on every
+execution, by the unchanged optimizer, on their own values. The fresh
+plan's :meth:`~repro.optimizer.plans.PlannedQuery.decisions` (what the
+materializer builds from it, estimates and values left out) key the
+kept tree, under ``(catalog, decisions)``: an execution whose plan
+decides as a kept one did runs that tree, and reports its fresh plan, so
+EXPLAIN, estimates, Query Store and charges are those of an uncached
+execution. A sweep of one ``col < ?`` text therefore flips plan and dop
+where literal texts do.
+
+**Valid.** A tree is used only while ``database.table(t)``,
 ``catalog.stats(t)`` and ``catalog.indexes_for(t)`` return the very
-objects it was costed on, for every table it reads — the calls the
+objects it was costed on, for every table it reads (the calls the
 optimizer makes, so DDL, ``refresh()``, an auto-stats rebuild or a
 rematerialised ``dm_*`` view retire it exactly when replanning would
-see a change — and while each table's primary is the one its tree's
-clustered seeks were built over. A plan whose optimization reported a
-missing index is not kept, so ``dm_db_missing_index_details`` counts
-every execution.
+see a change), and while each table's primary is the one its clustered
+seeks were built over.
 
-**Kept.** The miss that keeps a plan copies it once with ``Param(slot)``
-for each slot's value (:func:`_parametrize`) and runs the copy's tree.
+**Kept.** The execution that keeps a tree copies its plan once with the
+kept ``Param`` conjuncts in place of its own (:func:`_parametrize`),
+builds the copy's tree, and runs it. A plan the copy cannot express is
+run but not kept: a ``BETWEEN ? AND ?`` whose equal values made a point
+that a composite-key seek continues past.
 
-**Hit.** Nothing is copied or built: the executor runs the kept tree
-with the values as ``ctx.params``, which a seek's bounds, a columnstore
-scan's elimination ranges and a residual read as they run. Estimates,
-costs and plan shape are the cached ones: for a reusable template, what
-optimizing these values would produce. The tree holds no per-execution
-state, so sessions run it at once.
+**Shared.** The tree holds no per-execution state, so sessions run it at
+once.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
+from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.errors import CatalogError
 from repro.core.types import TypeKind
 from repro.engine.expressions import (
+    _FLIPPED,
+    Between,
     ColumnRange,
     ColumnRef,
     Comparison,
@@ -60,13 +82,18 @@ from repro.engine.expressions import (
     Param,
     conjuncts,
     make_and,
+    with_values,
 )
 from repro.optimizer.plans import AccessPathNode, PlannedQuery
 from repro.sql.ast import SelectStmt
 from repro.sql.parser import Template, instantiate, slot_index
 
-#: Value types a signature classes; any other takes the uncached path.
+#: Value types a signature classes; any other takes the range path.
 _CLASSED_TYPES = frozenset((int, float, str, bool, type(None)))
+#: Comparison operators whose value a slot may be, by the side of the
+#: column they bound (the column on the left).
+_LOWER, _UPPER = frozenset((">", ">=")), frozenset(("<", "<="))
+_OPS = _LOWER | _UPPER | {"="}
 
 
 class _Marker:
@@ -81,23 +108,33 @@ class _Marker:
 
 class TemplatePlans:
     """A reusable template: what it binds to, where its slots land, and
-    its plans (``(catalog, options, signature) -> _Entry``, least
-    recently used first; the statement cache inserts, touches and evicts
-    them)."""
+    its kept trees (``key -> _Entry``, least recently used first; the
+    statement cache inserts, touches and evicts them)."""
 
-    __slots__ = ("tables", "slots", "entries")
+    __slots__ = ("tables", "slots", "positions", "equality_only", "bound",
+                 "parts", "types", "entries")
 
-    def __init__(self, tables: Tuple, slots: Tuple):
+    def __init__(self, tables: Tuple, slots: Tuple, positions: Tuple,
+                 equality_only: bool, bound):
         #: ``((name, Table), ...)``: the tables the template bound to.
         self.tables = tables
-        #: Per slot, in slot order: ``(position of its conjunct in the
-        #: bound WHERE, table name, column)``.
+        #: Per slot, in slot order: ``(table name, column)``.
         self.slots = slots
+        #: Positions in the bound WHERE of the conjuncts holding slots.
+        self.positions = positions
+        #: Whether every slot is a ``column = ?`` value.
+        self.equality_only = equality_only
+        #: The bound statement with ``Param(slot)`` in each slot, and
+        #: the conjuncts of its WHERE.
+        self.bound = bound
+        self.parts = tuple(conjuncts(bound.where))
+        #: Value-type tuples a bind of this template has accepted.
+        self.types: set = set()
         self.entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
 
 
 class _Entry:
-    """One cached plan, the operator tree built from it, and the catalog
+    """One kept plan, the operator tree built from it, and the catalog
     objects it was costed on."""
 
     __slots__ = ("planned", "root", "cost_model", "design")
@@ -111,15 +148,26 @@ class _Entry:
         self.design = design
 
 
-def _equality_sides(conj) -> Optional[Tuple[ColumnRef, object]]:
-    """``(column, other side)`` of a ``column = x`` / ``x = column``
-    comparison, else None."""
-    if not isinstance(conj, Comparison) or conj.op != "=":
+def _bounds(conj) -> Optional[Tuple[str, Tuple[Tuple[object, str], ...]]]:
+    """``(column name, ((value side, op with the column on the left),
+    ...))`` of a conjunct a slot may be the value of, else None."""
+    if isinstance(conj, Between):
+        if isinstance(conj.subject, ColumnRef):
+            return conj.subject.name, ((conj.low, ">="), (conj.high, "<="))
+        return None
+    if not isinstance(conj, Comparison) or conj.op not in _OPS:
         return None
     if isinstance(conj.left, ColumnRef):
-        return conj.left, conj.right
+        return conj.left.name, ((conj.right, conj.op),)
     if isinstance(conj.right, ColumnRef):
-        return conj.right, conj.left
+        return conj.right.name, ((conj.left, _FLIPPED[conj.op]),)
+    return None
+
+
+def _marker(node) -> Optional[int]:
+    """The slot a bound value side holds, else None."""
+    if isinstance(node, Literal) and isinstance(node.value, _Marker):
+        return node.value.index
     return None
 
 
@@ -130,31 +178,57 @@ def analyse(template: Template, binder) -> Optional[TemplatePlans]:
     statement = template.statement
     if not isinstance(statement, SelectStmt):
         return None
-    in_equalities = 0
+    in_bounds = 0
     for conj in conjuncts(statement.where):
-        sides = _equality_sides(conj)
-        if sides is not None and slot_index(sides[1]) is not None:
-            in_equalities += 1
-    if in_equalities != template.n_slots:
+        found = _bounds(conj)
+        if found is not None:
+            in_bounds += sum(slot_index(value) is not None
+                             for value, _ in found[1])
+    if in_bounds != template.n_slots:
         return None
     bound = binder.bind(instantiate(
         template, [_Marker(i) for i in range(template.n_slots)]))
     parts = conjuncts(bound.where)
     named = Counter(name for conj in parts for name in set(conj.columns()))
     slots = [None] * template.n_slots
+    sides: Dict[str, list] = {}
+    positions, params = [], list(parts)
     for position, conj in enumerate(parts):
-        sides = _equality_sides(conj)
-        if sides is None or not isinstance(sides[1], Literal) or \
-                not isinstance(sides[1].value, _Marker):
+        found = _bounds(conj)
+        if found is None or any(_marker(value) is None
+                                for value, _ in found[1]):
             continue
-        column = sides[0].name
+        column, values = found
         alias, name = column.split(".", 1)
         table = bound.table_by_alias(alias).table
-        if named[column] != 1 or \
-                table.schema.column(name).col_type.kind is TypeKind.DATE:
+        if table.schema.column(name).col_type.kind is TypeKind.DATE:
             return None
-        slots[sides[1].value.index] = (position, table.name, name)
-    return TemplatePlans(_tables(bound), tuple(slots))
+        for value, _ in values:
+            slots[_marker(value)] = (table.name, name)
+        sides.setdefault(column, []).append(
+            "both" if len(values) > 1 or values[0][1] == "=" else
+            "lower" if values[0][1] in _LOWER else "upper")
+        positions.append(position)
+        params[position] = _with_params(conj)
+    for column, bounded in sides.items():
+        if named[column] != len(bounded) or len(bounded) > 1 and \
+                sorted(bounded) != ["lower", "upper"]:
+            return None
+    if None in slots:
+        return None
+    equality_only = all(isinstance(parts[p], Comparison) and
+                        parts[p].op == "=" for p in positions)
+    return TemplatePlans(_tables(bound), tuple(slots), tuple(positions),
+                         equality_only,
+                         replace(bound, where=make_and(params)))
+
+
+def _with_params(conj):
+    """A slot conjunct with ``Param(slot)`` for each marker."""
+    changes = {name: Param(_marker(getattr(conj, name)))
+               for name in ("left", "right", "low", "high")
+               if _marker(getattr(conj, name, None)) is not None}
+    return replace(conj, **changes)
 
 
 def _tables(bound) -> Tuple:
@@ -163,12 +237,22 @@ def _tables(bound) -> Tuple:
                   for bound_table in bound.tables}.items())
 
 
+def _same_tables(plans: TemplatePlans, database) -> bool:
+    """Whether every table the template bound to is still the one its
+    name resolves to."""
+    try:
+        return all(database.table(name) is table
+                   for name, table in plans.tables)
+    except CatalogError:
+        return False
+
+
 def _signature(plans: TemplatePlans, values: Sequence[object],
                stats: Dict[str, object]) -> Optional[tuple]:
     """Per slot ``(type, outside [min, max])``, or None when a value is
     not one a signature classes."""
     signature = []
-    for (_, table, column), value in zip(plans.slots, values):
+    for (table, column), value in zip(plans.slots, values):
         kind = type(value)
         if kind not in _CLASSED_TYPES or value != value:      # NaN
             return None
@@ -180,107 +264,146 @@ def _signature(plans: TemplatePlans, values: Sequence[object],
     return tuple(signature)
 
 
+def _valid(entry: Optional[_Entry], plans: TemplatePlans, catalog,
+           stats: Dict[str, object]) -> bool:
+    """Whether ``entry`` was costed on the catalog objects and built over
+    the primaries that are current."""
+    if entry is None or entry.cost_model is not catalog.database.cost_model:
+        return False
+    tables = dict(plans.tables)
+    return all(stats[name] is table_stats
+               and catalog.indexes_for(name) is indexes
+               and tables[name].primary is primary
+               for name, table_stats, indexes, primary in entry.design)
+
+
 def reuse_plan(template: Template, values: Sequence[object],
                options: tuple, catalog) -> Optional[_Entry]:
-    """The template's cached plan and tree valid for ``values`` and
-    ``options``, or None when it holds none."""
+    """The kept plan and tree of an equality-only template valid for
+    ``values`` and ``options``, or None when it holds none."""
     plans = template.plans
-    if not plans or not plans.entries:
-        return None
-    database = catalog.database
-    try:
-        if any(database.table(name) is not table
-               for name, table in plans.tables):
-            return None
-    except CatalogError:
+    if not plans or not plans.equality_only or not plans.entries or \
+            not _same_tables(plans, catalog.database):
         return None
     stats = {name: catalog.stats(name) for name, _ in plans.tables}
     key = (catalog, options, _signature(plans, values, stats))
     entry = plans.entries.get(key)
-    if entry is None or entry.cost_model is not database.cost_model:
+    if not _valid(entry, plans, catalog, stats):
         return None
-    tables = dict(plans.tables)
-    for name, table_stats, indexes, primary in entry.design:
-        if stats[name] is not table_stats or \
-                catalog.indexes_for(name) is not indexes or \
-                tables[name].primary is not primary:
-            return None
-    database.statement_cache.plan_hit(plans, key)
+    catalog.database.statement_cache.plan_hit(plans, key)
     return entry
 
 
-def keep_plan(template: Template, values: Sequence[object], options: tuple,
+def rebound(template: Template, values: Sequence[object], database):
+    """The template's bound statement with ``values`` in its WHERE, made
+    from the one kept with parameters; None when no bind of these value
+    types succeeded, or a table it bound to was replaced."""
+    plans = template.plans
+    if not plans or tuple(map(type, values)) not in plans.types or \
+            not _same_tables(plans, database):
+        return None
+    parts = list(plans.parts)
+    for position in plans.positions:
+        parts[position] = with_values(parts[position], values)
+    bound = object.__new__(plans.bound.__class__)
+    bound.__dict__.update(plans.bound.__dict__)
+    bound.where = make_and(parts)
+    return bound
+
+
+def kept_tree(template: Template, values: Sequence[object], options: tuple,
               catalog, binder, bound, planned: PlannedQuery,
               reported_missing_index: bool, materialize) -> Optional[_Entry]:
     """After ``bound`` was optimized into ``planned``: analyse the
-    template if it was not yet analysed against these tables, and keep
-    the plan and its tree (built by ``materialize``) on it when it is
-    reusable. Returns the entry kept (None if none), which this
-    execution runs."""
+    template if it was not yet analysed against these tables, then
+    return the kept tree this execution runs with its values. That is
+    one kept earlier for a plan that decides as ``planned`` does, or one
+    built and kept now; None when the template is not reusable or the
+    plan cannot be kept. Counts the execution as one plan hit or miss."""
     plans = template.plans
     if plans is False:
         return None
-    if plans is None or plans.tables != _tables(bound):
+    if plans is None or bound.tables is not plans.bound.tables and \
+            plans.tables != _tables(bound):
         plans = template.plans = analyse(template, binder) or False
         if not plans:
             return None
-    database = catalog.database
-    design = tuple((name, catalog.stats(name), catalog.indexes_for(name),
-                    table.primary) for name, table in plans.tables)
-    signature = _signature(plans, values,
-                           {name: stats for name, stats, _, _ in design})
+    plans.types.add(tuple(map(type, values)))
+    cache = catalog.database.statement_cache
+    stats = {name: catalog.stats(name) for name, _ in plans.tables}
+    signature = _signature(plans, values, stats) if \
+        plans.equality_only and not reported_missing_index else None
+    if signature is not None:
+        key = (catalog, options, signature)
+    else:
+        key = (catalog, planned.decisions())
+        entry = plans.entries.get(key)
+        if _valid(entry, plans, catalog, stats):
+            cache.plan_hit(plans, key)
+            return entry
     entry = None
-    if signature is not None and not reported_missing_index and \
-            not planned.uses_hypothetical:
+    if not planned.uses_hypothetical:
         shared = _parametrize(plans, bound, planned)
         if shared is not None:
-            entry = _Entry(shared, materialize(shared), database.cost_model,
-                           design)
-    database.statement_cache.keep_plan(
-        plans, (catalog, options, signature), entry)
+            design = tuple((name, stats[name], catalog.indexes_for(name),
+                            table.primary) for name, table in plans.tables)
+            entry = _Entry(shared, materialize(shared),
+                           catalog.database.cost_model, design)
+    cache.keep_plan(plans, key, entry)
     return entry
 
 
 def _parametrize(plans: TemplatePlans, bound, planned: PlannedQuery
                  ) -> Optional[PlannedQuery]:
-    """A copy of ``planned`` with ``Param(slot)`` for each slot's value:
-    in the slot's equality conjunct, which must be in a leaf's residual,
-    and in the range a seek or segment elimination made of it alone (no
-    other conjunct names its column). None if a conjunct is in no leaf."""
-    where, swaps = conjuncts(bound.where), {}
-    for slot, (position, _, _) in enumerate(plans.slots):
-        conj = where[position]
-        sides = _equality_sides(conj)
-        if sides is None or not isinstance(sides[1], Literal):
-            return None
-        column, param = sides[0], Param(slot)
-        swaps[id(conj)] = (Comparison("=", column, param)
-                           if column is conj.left
-                           else Comparison("=", param, column)), param
+    """A copy of ``planned`` with the kept ``Param`` conjuncts in place
+    of ``bound``'s slot conjuncts: in a leaf's residual, and in the
+    ranges a seek or segment elimination made of them. None if a slot
+    conjunct is in no leaf, or a composite-key seek continues past a
+    range that is a point only for these values."""
+    where = conjuncts(bound.where)
+    swaps = {id(where[p]): plans.parts[p] for p in plans.positions}
     placed = set()
     root = _copy(planned.root, swaps, placed)
-    if len(placed) != len(swaps):
+    if len(placed) != len(swaps) or any(
+            not r.is_point for leaf in root.leaves()
+            for r in (leaf.seek_ranges or ())[:-1]):
         return None
     return PlannedQuery(root, planned.est_cost, planned.est_rows,
                         planned.uses_hypothetical)
 
 
-def _copy(node, swaps: Dict[int, tuple], placed: set):
+def _copy(node, swaps: Dict[int, object], placed: set):
     clone = object.__new__(node.__class__)
     clone.__dict__.update(node.__dict__)
     clone.inputs = [_copy(child, swaps, placed) for child in node.inputs]
     if isinstance(node, AccessPathNode):
         parts = conjuncts(node.residual)
         placed.update(id(part) for part in parts if id(part) in swaps)
-        clone.residual = make_and([swaps[id(part)][0] if id(part) in swaps
-                                   else part for part in parts])
+        clone.residual = make_and([swaps.get(id(part), part)
+                                   for part in parts])
         ranges = {}
         for r in [*node.ranges.values(), *(node.seek_ranges or ())]:
-            conj, param = swaps.get(id(r.sources[0]) if r.sources else None,
-                                    (None, None))
-            ranges.setdefault(id(r), r if conj is None else ColumnRange(
-                param, param, sources=(conj,)))
+            ranges.setdefault(id(r), _param_range(r, swaps))
         clone.ranges = {c: ranges[id(r)] for c, r in node.ranges.items()}
         if node.seek_ranges is not None:
             clone.seek_ranges = [ranges[id(r)] for r in node.seek_ranges]
     return clone
+
+
+def _param_range(column_range: ColumnRange, swaps: Dict[int, object]
+                 ) -> ColumnRange:
+    """``column_range`` made again from the kept conjuncts its sources
+    swap to: their ``Param`` values as its bounds. A slot's column is
+    bounded by its slot conjuncts alone, at most one per side, so each
+    bound comes from one of them."""
+    if not column_range.sources or id(column_range.sources[0]) not in swaps:
+        return column_range
+    sources = tuple(swaps[id(conj)] for conj in column_range.sources)
+    made = ColumnRange(sources=sources)
+    for conj in sources:
+        for value, op in _bounds(conj)[1]:
+            if op not in _UPPER:
+                made.low, made.low_inclusive = value, op != ">"
+            if op not in _LOWER:
+                made.high, made.high_inclusive = value, op != "<"
+    return made

@@ -50,7 +50,8 @@ class StatementCache:
     #: do not repeat, and their size is what an entry cap cannot bound.
     MAX_TEXT_CHARS = 4096
     #: Most plans kept per template (one per option set and value
-    #: signature), least recently used evicted first.
+    #: signature, or per plan decisions), least recently used evicted
+    #: first.
     PLANS_PER_TEMPLATE = 4
 
     def __init__(self) -> None:
@@ -62,8 +63,8 @@ class StatementCache:
         self.evictions = 0
         #: UTF-8 bytes of the raw texts currently retained as keys.
         self.bytes_cached = 0
-        #: Executions of a reusable SELECT that took a cached plan / that
-        #: were optimized; plans dropped for the cap or with a template.
+        #: Executions of a reusable SELECT that ran a kept tree / that
+        #: built one; plans dropped for the cap or with a template.
         self.plan_hits = 0
         self.plan_misses = 0
         self.plan_evictions = 0
@@ -102,7 +103,7 @@ class StatementCache:
                 plans.entries.move_to_end(key)
 
     def keep_plan(self, plans, key, entry) -> None:
-        """Count an optimization of a reusable statement and keep its
+        """Count a reusable statement that built its tree and keep the
         plan under ``key`` (``entry`` None: counted, not kept)."""
         with self._lock:
             self.plan_misses += 1

@@ -121,10 +121,14 @@ class TestSpanTree:
         assert len(root.children) == 1
         top = root.children[0]
         assert top.operator is not None
+        # A range template runs a kept tree: the operators describe the
+        # execution's values, its ``ctx.params``, which the plan carries.
+        shown = ExecutionContext()
+        shown.params = result.plan.params
 
         def check(span, operator):
             assert span.operator is operator
-            assert span.label == operator.describe()
+            assert span.label == operator.describe(shown)
             assert len(span.children) == len(operator.children)
             for child_span, child_op in zip(span.children,
                                             operator.children):

@@ -197,14 +197,15 @@ def test_a_reused_plan_is_the_plan_planning_makes(design):
 
 def test_the_matrix_reaches_what_it_claims():
     """Hits on seeks, scans, joins and aggregates; a plan reported as a
-    missing index is never reused but counted every time."""
+    missing index runs a kept tree, and is optimized and counted every
+    time."""
     database = make_database("heap")
     executor = Executor(database)
     sql = "SELECT g, s FROM t WHERE k = ?"      # a heap scan: missing index
-    for key in (1, 2, 3):
+    for n, key in enumerate((1, 2, 3)):
         before = plan_hits(database)
         executor.execute(sql, (key,))
-        assert plan_hits(database) == before
+        assert plan_hits(database) == before + (n > 0)
     (row,) = missing_index_rows(database)
     assert row[:2] == ("t", "k") and row[4] == 3       # statement_count
     for design in ("btree", "pri_csi"):
@@ -213,7 +214,7 @@ def test_the_matrix_reaches_what_it_claims():
         executor.execute(sql, (1,))
         before = plan_hits(database)
         executor.execute(sql, (2,))
-        assert plan_hits(database) == before + (design == "btree")
+        assert plan_hits(database) == before + 1
 
 
 def test_an_out_of_range_value_has_its_own_access_path():
@@ -417,16 +418,212 @@ def test_random_values_through_a_reused_plan(flip_databases, c, n, g):
     database, reference_database, mirror = flip_databases
     executor = Executor(database)
     sql = "SELECT k, n FROM t WHERE c = ? AND n = ? AND g = ?"
+    earlier = missing_index_rows(database)
     first = executor.execute(sql, (c, n, g))
     reports = missing_index_rows(database)
     result, hit = _runs(executor, sql, (c, n, g))
-    # Reused unless planning reports a missing index (no B+ tree on g).
-    assert hit == (missing_index_rows(database) == reports)
+    # Reused; a plan that reports a missing index (no B+ tree on g) is
+    # optimized again, and reports it again.
+    assert hit
+    assert (missing_index_rows(database) != reports) == (reports != earlier)
     assert observed(result) == observed(first)
     reference = Executor(reference_database)
     assert observed(result) == observed(replanned(reference, sql, (c, n, g)))
     assert sorted(result.rows, key=repr) == sqlite_rows(
         mirror, sql, (c, n, g))
+
+
+# ------------------------------------------------------ range templates
+#: Range templates: one bound, two bounds from opposite sides, BETWEEN,
+#: a range with an equality, a join, and composite-key prefixes (``g``
+#: then ``k`` on the ``composite`` design).
+RANGE_TEMPLATES = (
+    "SELECT count(*), sum(c) FROM t WHERE k < ?",
+    "SELECT k, s FROM t WHERE ? <= k AND k < ? ORDER BY k",
+    "SELECT count(*), max(k) FROM t WHERE c BETWEEN ? AND ?",
+    "SELECT g, count(*) FROM t WHERE k >= ? AND c <= ? GROUP BY g",
+    "SELECT count(*), sum(f.y) FROM dim d JOIN fact f ON d.dk = f.fk "
+    "WHERE f.fk < ? AND d.dv = ?",
+    "SELECT count(*), sum(k) FROM t WHERE g = ? AND k BETWEEN ? AND ?",
+    "SELECT count(*), sum(c) FROM t WHERE g BETWEEN ? AND ? AND k < ?",
+)
+RANGE_DESIGNS = DESIGNS + ("composite",)
+#: In and beyond ``[min, max]`` of every column, both signs of 2**70,
+#: NULL, a bool, floats and numpy integers.
+_RANGE_VALUES = st.one_of(
+    st.integers(-3, 2500), st.integers(-3, 3),
+    st.sampled_from([None, True, False, 2 ** 70, -2 ** 70, 0.5, 17.5,
+                     1200.25]),
+    st.integers(-3, 2500).map(__import__("numpy").int64))
+
+
+def make_range_database(design: str) -> Database:
+    """:func:`make_database`, or for ``composite`` a heap design with
+    ``t`` clustered on ``(g, k)``."""
+    if design != "composite":
+        return make_database(design)
+    database = make_database("heap")
+    database.table("t").set_primary_btree(["g", "k"])
+    return database
+
+
+@pytest.fixture(scope="module")
+def range_databases():
+    return {design: (make_range_database(design),
+                     make_range_database(design))
+            for design in RANGE_DESIGNS}
+
+
+def _kept(executor, sql, plan) -> bool:
+    """Whether ``sql``'s template keeps a tree for ``plan``'s decisions."""
+    plans = executor.database.statement_cache.lookup(sql)[0].plans
+    return bool(plans) and (executor.catalog, plan.decisions()) in \
+        plans.entries
+
+
+def _sqlite_values(values) -> bool:
+    return all(value is None or type(value) in (int, float)
+               and abs(value) < 2 ** 63 for value in values)
+
+
+@examples(80)
+@given(data=st.data(), design=st.sampled_from(RANGE_DESIGNS),
+       sql=st.sampled_from(RANGE_TEMPLATES))
+def test_a_range_hit_with_other_values_is_a_fresh_execution(
+        range_databases, data, design, sql):
+    """Warm a range template with one set of values, then run it with
+    another: rows, every metric, span rows, the plan text and its Query
+    Store fingerprint are what a fresh executor's execution gives. It
+    hits exactly when its plan decides as the warm-up's did, unless a
+    composite-key seek continued past a point made of two slots."""
+    database, reference_database = range_databases[design]
+    slots = sql.count("?")
+    values = st.tuples(*[_RANGE_VALUES] * slots)
+    warm, other = data.draw(values), data.draw(values)
+    executor = Executor(database)
+    warmed = executor.execute(sql, warm)
+    kept = _kept(executor, sql, warmed.plan)
+    result, hit = _runs(executor, sql, other)
+    assert hit == (kept and result.plan.decisions()
+                   == warmed.plan.decisions()), (warm, other)
+    expected = replanned(Executor(reference_database), sql, other)
+    assert observed(result) == observed(expected), (warm, other)
+    if _sqlite_values(other):
+        mirror = sqlite_mirror(reference_database.tables())
+        rows = result.rows if "ORDER BY" in sql else sorted(
+            result.rows, key=repr)
+        assert rows == sqlite_rows(mirror, sql, other), other
+
+
+@pytest.mark.parametrize("design", RANGE_DESIGNS)
+def test_range_values_that_matter_hit_and_match(design):
+    """The values the property must reach, run in order through each
+    template after a warm-up, each compared with a fresh executor:
+    low > high, BETWEEN with equal bounds (a point, which a composite
+    key's seek continues past), values outside ``[min, max]``, 2**70,
+    NULL, a bool, a float on an INT column and numpy integers."""
+    import numpy as np
+
+    database, reference_database = (make_range_database(design),
+                                    make_range_database(design))
+    executor = Executor(database)
+    cases = (
+        ("SELECT count(*), sum(c) FROM t WHERE k < ?",
+         [(17,), (30,), (-5,), (9999,), (2 ** 70,), (-2 ** 70,), (None,),
+          (True,), (40.5,), (np.int64(60),), (2399,)]),
+        ("SELECT count(*), max(k) FROM t WHERE c BETWEEN ? AND ?",
+         [(3, 9), (10, 20), (20, 10), (7, 7), (8, 8), (-9, 100),
+          (None, 5), (2.5, np.int64(30)), (True, 3)]),
+        ("SELECT count(*), sum(k) FROM t WHERE g = ? AND k BETWEEN ? AND ?",
+         [(1, 10, 90), (0, 100, 300), (1, 50, 50), (0, 60, 60),
+          (1, 90, 10), (5, 1, 2), (np.int64(1), 3, 9)]),
+        ("SELECT count(*), sum(c) FROM t WHERE g BETWEEN ? AND ? AND k < ?",
+         [(0, 1, 500), (0, 1, 900), (1, 1, 500), (1, 1, 700), (0, 0, 50),
+          (1, 0, 50), (None, 1, 5)]),
+    )
+    hits = 0
+    for sql, runs in cases:
+        for values in runs:
+            result, hit = _runs(executor, sql, values)
+            hits += hit
+            expected = replanned(Executor(reference_database), sql, values)
+            assert observed(result) == observed(expected), (sql, values)
+    assert hits >= 8, hits
+
+
+def test_a_string_for_a_number_column_fails_every_time():
+    """The binder refuses a string compared with an INT column. Value
+    types whose bind succeeded are not bound again; a string's never
+    did, so every execution binds and fails."""
+    from repro.core.errors import SqlError
+
+    executor = Executor(make_database("btree"))
+    sql = "SELECT count(*) FROM t WHERE k < ?"
+    executor.execute(sql, (5,))
+    for _ in range(3):
+        with pytest.raises(SqlError, match="cannot compare int column 'k'"):
+            executor.execute(sql, ("3",))
+        assert executor.execute(sql, (4,)).rows == [(4,)]
+
+
+def test_a_missing_index_plan_is_kept_and_reported_every_time():
+    """``c3 = ?`` on a heap reports a missing index each time it is
+    optimized. Its plan is kept like a range plan's: every execution is
+    optimized again and reported, and every one after the first hits."""
+    database = make_database("heap")
+    executor = Executor(database)
+    counters = ("SELECT hits, misses FROM dm_os_memory_cache_counters "
+                "WHERE cache_name = 'plan_cache'")
+    (hits, misses), = executor.execute(counters).rows
+    for key in range(1, 6):
+        assert executor.execute("SELECT g, s FROM t WHERE k = ?",
+                                (key,)).rows == [(key % 2, f"s{key % 3}")]
+    (row,) = missing_index_rows(database)
+    assert row[:2] == ("t", "k") and row[4] == 5        # statement_count
+    # Misses: the first lookup, and the first read of the counters.
+    assert executor.execute(counters).rows == [(hits + 4, misses + 2)]
+
+
+def test_a_figure_1_sweep_through_one_text_flips_where_literals_do():
+    """Figure 1 through one ``col1 < ?`` text on a heap with a secondary
+    B+ tree and a columnstore: every execution plans as the literal text
+    does on a fresh executor, so the access path changes at the same
+    thresholds, and so does dop, at ``parallel_row_threshold`` rows."""
+    rows = 100_000
+    database, reference_database = Database(), Database()
+    for db in (database, reference_database):
+        table = db.create_table(TableSchema("r", [
+            Column("col1", INT, nullable=False), Column("col2", INT)]))
+        keys = list(range(rows))
+        random.Random(3).shuffle(keys)
+        table.bulk_load([(k, k % 97) for k in keys])
+        table.create_secondary_btree("ix_col1", ["col1"],
+                                     included_columns=["col2"])
+        table.create_secondary_columnstore("csi_r", rowgroup_size=8192)
+    executor = Executor(database)
+    threshold = database.cost_model.parallel_row_threshold
+    sql = "SELECT sum(col2) FROM r WHERE col1 < ?"
+    sweep = sorted({int(rows * 10 ** (e / 16)) for e in range(-72, 1)})
+    shapes, seeks, hits = [], [], 0
+    for value in sweep:
+        result, hit = _runs(executor, sql, (value,))
+        hits += hit
+        literal = replanned(Executor(reference_database),
+                            f"SELECT sum(col2) FROM r WHERE col1 < {value}")
+        assert observed(result) == observed(literal), value
+        leaf, = result.plan.root.leaves()
+        shapes.append((leaf.descriptor.name, leaf.access, leaf.dop))
+        if leaf.access == "seek":
+            seeks.append((leaf.est_rows, leaf.dop))
+    # Seek, columnstore scan, a parallel seek, a scan again.
+    changes = [n for n in range(1, len(shapes))
+               if shapes[n][:2] != shapes[n - 1][:2]]
+    assert len(changes) >= 3, shapes
+    assert {dop for _, dop in seeks} == {1, database.cost_model.max_dop}
+    assert all((dop > 1) == (rows_scanned >= threshold)
+               for rows_scanned, dop in seeks)
+    # Each distinct plan is built once; every other execution hits.
+    assert hits == len(sweep) - len(set(shapes)), (hits, shapes)
 
 
 # ------------------------------------------------------- what a hit does
@@ -443,13 +640,32 @@ SPIED_LOOKUPS = (
 )
 
 
-@pytest.mark.parametrize("design, sql, warm, values", SPIED_LOOKUPS,
-                         ids=[case[0] for case in SPIED_LOOKUPS])
+#: Range templates, spied alike: a hit with values other than the
+#: warm-up's that the optimizer plans as it planned them.
+SPIED_RANGES = (
+    ("btree", "SELECT count(*), sum(c) FROM t WHERE k < ?", [(17,)], (30,)),
+    ("heap+ix", "SELECT k, s FROM t WHERE c BETWEEN ? AND ?", [(45, 50)],
+     (41, 47)),
+    ("sorted_csi", "SELECT count(*) FROM t WHERE g >= ? AND k < ?",
+     [(1, 900)], (0, 2000)),
+    ("paged", "SELECT g, s FROM t WHERE ? <= k AND k <= ?", [(17, 30)],
+     (100, 110)),
+)
+SPIED = ([case + (0,) for case in SPIED_LOOKUPS]
+         + [case + (1,) for case in SPIED_RANGES])
+
+
+@pytest.mark.parametrize(
+    "design, sql, warm, values, optimizations", SPIED,
+    ids=[case[0] for case in SPIED_LOOKUPS]
+    + [f"{case[0]}-range" for case in SPIED_RANGES])
 def test_a_hit_binds_plans_and_builds_nothing(tmp_path, design, sql, warm,
-                                              values):
+                                              values, optimizations):
     """A hit runs the kept operator tree with its values: no bind, no
-    optimization, no materialization, no statement instantiated from
-    the template and no operator constructed."""
+    materialization, no plan copied, no statement instantiated from the
+    template and no operator constructed. An equality lookup is not
+    optimized either; a range template is optimized once, on its own
+    values."""
     from collections import Counter
     from unittest import mock
 
@@ -487,7 +703,8 @@ def test_a_hit_binds_plans_and_builds_nothing(tmp_path, design, sql, warm,
     import repro.sql.parser as parser_module
     spies = [spy(Binder, "bind"), spy(Optimizer, "optimize"),
              spy(Materializer, "materialize"),
-             spy(PhysicalOperator, "__init__")]
+             spy(PhysicalOperator, "__init__"),
+             spy(reuse_module, "_parametrize")]
     spies += [spy(module, "instantiate") for module in (
         executor_module, reuse_module, parser_module)]
     before = plan_hits(database)
@@ -499,7 +716,7 @@ def test_a_hit_binds_plans_and_builds_nothing(tmp_path, design, sql, warm,
         for patch in spies:
             patch.stop()
     assert plan_hits(database) == before + 1, design
-    assert not calls, dict(calls)
+    assert calls == Counter({"optimize": optimizations}), dict(calls)
     assert observed(result) == observed(expected)
     database.close()
 

@@ -1,10 +1,11 @@
 """A plan-cache hit against a miss over the SQL corpus.
 
 For every SELECT of ``tests/sql_corpus.py::runnable_workloads()`` whose
-template keeps its plan, a second execution on a warmed executor (a hit:
-the kept operator tree run with the statement's values) must equal a
-fresh executor's first execution of the same text (a miss: bound,
-optimized and materialized). Rows, ``rows_affected``, every
+template keeps its plan, the next text of the same template (another
+text with other values where the corpus has one) run on an executor
+warmed with the first (a hit: the kept operator tree run with its own
+values) must equal a fresh executor's first execution of that text (a
+miss: bound, optimized and materialized). Rows, ``rows_affected``, every
 ``QueryMetrics`` field and the span rows are compared, with encoded and
 decoded columnstore scans and under two memory grants.
 
@@ -20,6 +21,8 @@ import pytest
 from hypothesis import settings
 
 from repro.engine.executor import Executor
+from repro.sql.lexer import tokenize
+from repro.sql.parser import normalise
 from tests.reference_scan import scans
 from tests.sql_corpus import runnable_workloads
 
@@ -44,13 +47,21 @@ def observed(result) -> tuple:
 
 
 def _selects(build, texts):
+    """``(text, next text of its template)`` per SELECT of ``texts``
+    (sampled in tier-1), the next wrapping round to the first."""
     database = build()
     probe = Executor(database)
     selects = [sql for sql in dict.fromkeys(texts)
                if probe.prepare(sql).read_only]
+    by_template = {}
+    for sql in selects:
+        by_template.setdefault(normalise(tokenize(sql))[0], []).append(sql)
+    following = {}
+    for same in by_template.values():
+        following.update(zip(same, same[1:] + same[:1]))
     if len(selects) > TIER1_SAMPLE and not _long_profile():
         selects = random.Random(41).sample(selects, TIER1_SAMPLE)
-    return selects
+    return [(sql, following[sql]) for sql in selects]
 
 
 @pytest.mark.parametrize("encoded", (True, False),
@@ -66,15 +77,14 @@ def test_a_hit_equals_a_fresh_miss(workload, encoded):
         for grant in GRANTS:
             database = build()
             warmed = Executor(database)
-            for sql in selects:
+            for sql, following in selects:
                 warmed.execute(sql, memory_grant_bytes=grant)
                 before = database.statement_cache.plan_hits
-                hit = warmed.execute(sql, memory_grant_bytes=grant)
+                hit = warmed.execute(following, memory_grant_bytes=grant)
                 if database.statement_cache.plan_hits == before:
-                    continue        # not reusable
+                    continue        # not reusable, or planned otherwise
                 hits += 1
                 miss = Executor(database).execute(
-                    sql, memory_grant_bytes=grant)
-                assert observed(hit) == observed(miss), (sql, grant)
-    if workload != "tpch":          # its SELECTs keep no plan
-        assert hits, workload
+                    following, memory_grant_bytes=grant)
+                assert observed(hit) == observed(miss), (following, grant)
+    assert hits, workload

@@ -323,8 +323,9 @@ class TestStatementCacheThreadSafety:
 
 class TestOneTemplateTwoSessions:
     """A SELECT that reuses its template's plan runs the operator tree
-    the template keeps. Two sessions run one such tree at once, with
-    different values, and meet when the first leaf each execution opens
+    the template keeps: an equality lookup's, or the one a range
+    template's fresh plan decides alike with. Two sessions run one such
+    tree at once, with different values, and meet when the first leaf each execution opens
     has finished: both are inside the same operators together, and the
     operators above it have taken all of its rows (an aggregate knows
     whether it spilled) but not yet reported. Every execution must be
@@ -345,6 +346,11 @@ class TestOneTemplateTwoSessions:
         # those executions spill, the empty out-of-range ones do not.
         ("SELECT s, count(*) FROM t WHERE c = ? GROUP BY s",
          [(3,), (45,), (7,), (46,)], [(39,), (4,), (50,), (1,)], 200),
+        # A range template, optimized on each execution's values: under
+        # and over the parallel threshold of 1 000 rows, so two trees.
+        ("SELECT count(*), sum(c) FROM t WHERE k BETWEEN ? AND ?",
+         [(3, 90), (100, 1500), (7, 7), (50, 1200)],
+         [(10, 400), (200, 1900), (9, 500), (0, 2399)], None),
     )
 
     @staticmethod
