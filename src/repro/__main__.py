@@ -283,31 +283,35 @@ def _cmd_check(args) -> int:
 
 
 def _reopen_round_trip(database, label: str) -> list:
-    """Save ``database``, reopen the snapshot eagerly and paged, and
-    return what failed: a reopened ``state_digest`` that is not the
-    original's, or a checker finding."""
+    """Save ``database``, print the snapshot's bytes by page type,
+    reopen it eagerly and paged, and return what failed: a reopened
+    ``state_digest`` that is not the original's, or a checker finding."""
     import tempfile
 
     from repro.storage.checker import check_database
     from repro.storage.database import Database
+    from repro.storage.pages import census
     from repro.storage.recovery import state_digest
 
     digest = state_digest(database)
     failures = []
     with tempfile.TemporaryDirectory() as directory:
-        database.save(directory)
+        with open(database.save(directory), "rb") as snapshot:
+            sizes = census(snapshot.read())
+        print(f"snapshot {label}: {sum(sizes.values())} bytes, "
+              + ", ".join(f"{name} {size}" for name, size in sizes.items()))
         for paging in (False, True):
             mode = f"{label}, {'paged' if paging else 'eager'} open"
             found = len(failures)
             reopened = Database.open(directory, paging=paging)
             try:
-                # Checked before the digest, which materializes every
-                # paged B+ tree.
+                # The digest first: it reads paged B+ trees through the
+                # pool, and the checker then materializes them.
+                if state_digest(reopened) != digest:
+                    failures.append(f"{mode}: state digest differs")
                 checked = check_database(reopened)
                 if not checked.ok:
                     failures.append(f"{mode}: {checked.summary()}")
-                if state_digest(reopened) != digest:
-                    failures.append(f"{mode}: state digest differs")
             finally:
                 reopened.close()
             print(f"round trip {mode}: "

@@ -88,7 +88,8 @@ class Optimizer:
         #: hypothetical probing never pollutes the DMVs.
         self.telemetry = telemetry
         #: Whether planning reported a missing index; such a plan is
-        #: never reused, so the report repeats with every execution.
+        #: optimized on every execution, so the report repeats, though
+        #: its kept operator tree is reused (see ``optimizer.reuse``).
         self.reported_missing_index = False
 
     # ------------------------------------------------------------ surface

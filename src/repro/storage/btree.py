@@ -945,14 +945,15 @@ class _PagedBTreeMixin:
 
     While paged, seeks and scans route through the leaf-fence array and
     fetch only the touched leaf pages (pinned for the duration of the
-    read). Any access that needs the full in-memory tree — a mutation,
-    ``check_invariants``, a checkpoint's ``tree.items()`` — goes through
-    the ``tree`` property, which transparently **materializes**: all
-    leaf pages are read once, their columns adopted by a real
-    :class:`BPlusTree` (:meth:`BPlusTree.from_columns`, no row built),
-    and the paged pages evicted from the pool. After
-    materialization the index is indistinguishable from an eagerly
-    restored one, so correctness never depends on staying paged.
+    read); a checkpoint writes the leaves from the same chunks. Any
+    access that needs the full in-memory tree — a mutation,
+    ``check_invariants`` — goes through the ``tree`` property, which
+    transparently **materializes**: all leaf pages are read once, their
+    columns adopted by a real :class:`BPlusTree`
+    (:meth:`BPlusTree.from_columns`, no row built), and the paged pages
+    evicted from the pool. After materialization the index is
+    indistinguishable from an eagerly restored one, so correctness never
+    depends on staying paged.
 
     Modeled-cost parity: ``_charge_traversal`` of a paged index charges
     the height the materialized tree *would* have (the deterministic

@@ -13,7 +13,7 @@ self-describing binary payload.
 Page header (32 bytes, little-endian)::
 
     magic      4s   b"RPPG"
-    version    B    format version (currently 2)
+    version    B    format version (currently 3)
     page_type  B    PT_* constant
     reserved   H    zero
     page_id    Q    sequential within the snapshot stream
@@ -26,31 +26,31 @@ The payload is encoded with a small tagged value codec
 universe the engine stores after validation — ``None``/bool/int/float/
 str/bytes, containers, and 1-D numpy arrays (object arrays element-wise)
 — so numpy segment payloads round-trip bit-exactly. A long sequence
-whose items share one fixed layout (a leaf page's entries, a WAL
-record's rids) is written and read as one numpy record array, in the same
-bytes the per-value encoding gives; a B+ leaf page faulted in by a paged
-index keeps its values as that array's columns, in the
-:class:`~repro.storage.records.Records` every leaf holds.
+whose items share one fixed layout (a WAL record's rids or rows) is
+written and read as one numpy record array, in the same bytes the
+per-value encoding gives.
 
 Snapshot layout: one :data:`PT_CATALOG` page, then per table a
 :data:`PT_TABLE` page and per index a :data:`PT_INDEX` descriptor
-followed by its data pages. Four structures are a
-:class:`~repro.storage.btree.BPlusTree` of
-:class:`~repro.storage.records.Records` leaves — a heap (keyed by rid),
-a clustered or a secondary B+ tree, and a columnstore's delta store
-(keyed by rid) — and each is written as its own run of
-:data:`PT_BTREE_LEAF` pages of (key, value) entries right after its
-descriptor, whose ``n_items`` sizes the run, and read back through one
-decoder (:func:`_leaf_chunk`) into ``BPlusTree.from_columns``. A
-columnstore's run is followed per row group by a :data:`PT_CSI_GROUP`
-page (rids, delete bitmap, sort order) plus one :data:`PT_CSI_SEGMENT`
-page per column segment, and closed by a :data:`PT_CSI_SIDE` page (the
-delete buffer). Each row is stored once, by the table's primary
-structure: an eager open builds every tree, and a paged open leaves B+
-leaf pages on disk behind the descriptor's fence keys, except that a
-clustered primary reads each of its leaf pages once (uncached) to
-rebuild its rid -> key map. Heaps and delta stores load resident under
-both opens.
+followed by its data pages. The entries of each tree of
+:class:`~repro.storage.records.Records` leaves — a heap and a delta
+store (keyed by rid), a clustered and a secondary B+ tree — follow its
+descriptor, whose ``n_items`` sizes the run, as :data:`PT_BTREE_LEAF`
+pages of up to :data:`BTREE_ITEMS_PER_PAGE` entries, each its columns::
+
+    {"keys": [key field 0, ..., rid] or rid, "values": [field 0, ...]}
+
+one lossless array a field (int64, float64, else objects: the rule
+:class:`Records` stores by), decoded by :func:`_leaf_chunk` into the
+``(keys, Records)`` chunk a leaf holds. A columnstore's run is followed
+per row group by a :data:`PT_CSI_GROUP` page (rids, delete bitmap, sort
+order) plus one :data:`PT_CSI_SEGMENT` page per column segment, and
+closed by a :data:`PT_CSI_SIDE` page (the delete buffer). Each row is
+stored once, by the table's primary structure. An eager open builds
+every tree; a paged open leaves B+ leaf and segment pages on disk (a
+clustered primary reads each leaf page once, uncached, for its rid ->
+key map), and a checkpoint reads them back through the pool. Heaps and
+delta stores load resident.
 
 Serialization is deterministic (dicts and sets are emitted in sorted
 order), which is what lets recovery prove idempotence by comparing
@@ -65,7 +65,7 @@ import struct
 import threading
 import zlib
 from itertools import repeat
-from typing import BinaryIO, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +74,7 @@ from repro.core.schema import Column, TableSchema
 from repro.core.types import ColumnType, TypeKind
 from repro.storage.btree import (
     BPlusTree,
+    Chunk,
     PagedLeafSource,
     PagedPrimaryBTreeIndex,
     PagedSecondaryBTreeIndex,
@@ -90,10 +91,11 @@ from repro.storage.compression import (
 )
 from repro.storage.faults import FaultInjector, trip
 from repro.storage.heap import HeapFile
-from repro.storage.records import Records
+from repro.storage.records import Records, lossless_array
 
 __all__ = [
     "PAGE_BYTES",
+    "census",
     "load_snapshot",
     "load_snapshot_paged",
     "snapshot_bytes",
@@ -104,7 +106,7 @@ __all__ = [
 # ------------------------------------------------------------ page codec
 
 PAGE_MAGIC = b"RPPG"
-PAGE_VERSION = 2
+PAGE_VERSION = 3
 PAGE_HEADER = struct.Struct("<4sBBHQQII")
 
 PT_CATALOG = 1
@@ -215,25 +217,19 @@ def pack_value(value: object, out: bytearray) -> None:
             f"value of type {type(value).__name__} cannot be serialized")
 
 
-def unpack_value(buf, offset: int = 0,
-                 lazy: bool = False) -> Tuple[object, int]:
+def unpack_value(buf, offset: int = 0) -> Tuple[object, int]:
     """Decode one value at ``offset`` of ``buf`` (any bytes-like object);
     returns (value, next offset). Input that is not a whole encoding
     raises :class:`StorageError`, never another exception type, so a
     reader that catches it (the WAL scan, the snapshot loader) sees every
-    malformed payload.
-
-    With ``lazy``, a fixed-layout list that is the value or one of its
-    dict values (a B+ leaf page's entries) decodes to its
-    :class:`_Fixed` columns instead of a list; lists nested deeper
-    decode as usual."""
+    malformed payload."""
     try:
-        return _unpack(buf, offset, lazy)
+        return _unpack(buf, offset)
     except RecursionError:
         raise StorageError("value payload nested too deeply") from None
 
 
-def _unpack(buf, offset: int, lazy: bool = False) -> Tuple[object, int]:
+def _unpack(buf, offset: int) -> Tuple[object, int]:
     try:
         tag = buf[offset]
     except IndexError:
@@ -262,7 +258,7 @@ def _unpack(buf, offset: int, lazy: bool = False) -> Tuple[object, int]:
                     f"undecodable {what} payload {raw[:32]!r}") from None
         if tag in (_T_LIST, _T_TUPLE):
             (count,) = _U32.unpack_from(buf, offset)
-            items, offset = _unpack_items(buf, offset + 4, count, lazy)
+            items, offset = _unpack_items(buf, offset + 4, count)
             return (items if tag == _T_LIST else tuple(items)), offset
         if tag == _T_DICT:
             (count,) = _U32.unpack_from(buf, offset)
@@ -270,7 +266,7 @@ def _unpack(buf, offset: int, lazy: bool = False) -> Tuple[object, int]:
             result = {}
             for _ in range(count):
                 key, offset = _unpack(buf, offset)
-                val, offset = _unpack(buf, offset, lazy)
+                val, offset = _unpack(buf, offset)
                 try:
                     result[key] = val
                 except TypeError:
@@ -321,21 +317,20 @@ def _array_dtype(raw: bytes) -> np.dtype:
 
 # ------------------------------------------------- fixed-layout sequences
 #
-# A page is mostly long sequences of one shape: a B+ leaf is 1 024
-# ``((k, rid), (k, a, b, c))`` entries, a heap leaf 1 024 ``(rid, row)``
-# entries, a WAL delete its list of rids. When every item of a sequence has the same
-# *fixed layout* -- built only from int64, float64, None, True and False,
-# nested in tuples and lists of constant length -- its encoding is a
-# record array: the tag and count bytes repeat in every record and the
-# values sit at constant offsets. Such sequences are coded in one numpy
-# pass; every other sequence, and every malformed one, goes one value at
-# a time. The bytes are the same either way.
+# A WAL record is mostly long sequences of one shape: a delete's or a
+# bulk insert's rids, a bulk insert's rows. When every item of a sequence
+# has the same *fixed layout* -- built only from int64, float64, None,
+# True and False, nested in tuples and lists of constant length -- its
+# encoding is a record array: the tag and count bytes repeat in every
+# record and the values sit at constant offsets. Such sequences are coded
+# in one numpy pass; every other sequence, and every malformed one, goes
+# one value at a time. The bytes are the same either way.
 
 #: Sequences shorter than this are coded one value at a time. The record
-#: path has ~15 us of numpy set-up: at 16 items it decodes B+ leaf
-#: entries in 25 us against 57 us per value and encodes them in 28
-#: against 96 us (CPython 3.11, numpy 2.4), while a list of plain ints
-#: only breaks even near 40 items.
+#: path has ~15 us of numpy set-up: at 16 items it decodes ``((k, rid),
+#: (k, a, b, c))`` pairs in 25 us against 57 us per value and encodes
+#: them in 28 against 96 us (CPython 3.11, numpy 2.4), while a list of
+#: plain ints only breaks even near 40 items.
 _MIN_RECORDS = 16
 
 
@@ -395,30 +390,13 @@ def _describe(column, template: bytearray,
     return True
 
 
-class _Fixed(NamedTuple):
-    """``count`` values of one fixed layout, still as its columns."""
-    shape: object
-    columns: List[np.ndarray]
-    count: int
-
-    def values(self, shape=None) -> list:
-        """The values (or, given a part of the shape, that part of each)."""
-        columns = self.columns
-        return list(_rebuild(self.shape if shape is None else shape,
-                             lambda i: columns[i].tolist(), self.count))
-
-
-def _unpack_items(buf, offset: int, count: int, lazy: bool = False
-                  ) -> Tuple[object, int]:
-    """Decode ``count`` consecutive values; returns (list, next offset),
-    or with ``lazy`` (:class:`_Fixed`, next offset) when the values share
-    one fixed layout."""
+def _unpack_items(buf, offset: int, count: int) -> Tuple[list, int]:
+    """Decode ``count`` consecutive values; returns (list, next offset)."""
     if count >= _MIN_RECORDS:
         layout = _fixed_layout(buf, offset, count)
         if layout is not None:
             shape, columns, end = layout
-            fixed = _Fixed(shape, columns, count)
-            return (fixed if lazy else fixed.values()), end
+            return list(_rebuild(shape, columns, count)), end
     items = []
     for _ in range(count):
         item, offset = _unpack(buf, offset)
@@ -500,15 +478,15 @@ def _learn(buf, at: int, start: int, positions: List[int],
     return (list if tag == _T_LIST else tuple, parts), at
 
 
-def _rebuild(shape, column: Callable[[int], list], count: int):
-    """An iterable of the ``count`` values a learned shape describes;
-    ``column(i)`` gives the values of column ``i``, asked once each."""
+def _rebuild(shape, columns: List[np.ndarray], count: int):
+    """An iterable of the ``count`` values a learned shape describes,
+    reading each of :func:`_fixed_layout`'s ``columns`` once."""
     kind, arg = shape
     if kind == "column":
-        return column(arg)
+        return columns[arg].tolist()
     if kind == "const":
         return repeat(arg, count)
-    parts = [_rebuild(part, column, count) for part in arg]
+    parts = [_rebuild(part, columns, count) for part in arg]
     if kind is tuple:
         return zip(*parts) if parts else repeat((), count)
     return map(list, zip(*parts)) if parts else ([] for _ in range(count))
@@ -584,11 +562,8 @@ def _check_header(header: bytes, at: int, available: int,
     return page_type, page_id, lsn, payload_len, crc
 
 
-def parse_page(buf: bytes, offset: int = 0,
-               decode=unpack_value) -> Tuple[Page, int]:
-    """Decode one page at ``offset``, validating magic and checksum.
-    ``decode(body, 0)`` decodes the payload (:func:`unpack_value`, or
-    :func:`_leaf_chunk` for a B+ leaf faulted in)."""
+def parse_page(buf: bytes, offset: int = 0) -> Tuple[Page, int]:
+    """Decode one page at ``offset``, validating magic and checksum."""
     body_start = offset + PAGE_HEADER.size
     page_type, page_id, lsn, payload_len, crc = _check_header(
         bytes(buf[offset:body_start]), offset, len(buf) - offset)
@@ -598,12 +573,27 @@ def parse_page(buf: bytes, offset: int = 0,
                        payload_len)
     if zlib.crc32(body, zlib.crc32(meta)) != crc:
         raise StorageError(f"page {page_id} checksum mismatch")
-    payload, consumed = decode(body, 0)
+    payload, consumed = unpack_value(body, 0)
     if consumed != len(body):
         raise StorageError(
             f"page {page_id} payload has {len(body) - consumed} "
             "trailing bytes")
     return Page(page_id, page_type, lsn, payload), body_end
+
+
+def census(snapshot: bytes) -> Dict[str, int]:
+    """Page type name -> bytes of its pages (headers included) in
+    ``snapshot``: what a format change moves. Reads headers only."""
+    sizes: Dict[str, int] = {}
+    offset = 0
+    while offset < len(snapshot):
+        page_type, _id, _lsn, payload_len, _crc = _check_header(
+            snapshot[offset:offset + PAGE_HEADER.size], offset,
+            len(snapshot) - offset)
+        name = PAGE_TYPE_NAMES.get(page_type, str(page_type))
+        sizes[name] = sizes.get(name, 0) + PAGE_HEADER.size + payload_len
+        offset += PAGE_HEADER.size + payload_len
+    return sizes
 
 
 # ------------------------------------------------------- snapshot writer
@@ -628,18 +618,32 @@ def _leaf_pages(n_items: int) -> int:
     return -(-n_items // BTREE_ITEMS_PER_PAGE)
 
 
-def _index_descriptor(table, index, items: List[Tuple]) -> Dict[str, object]:
-    """The PT_INDEX payload of ``index``, whose leaf run holds ``items``."""
+def _leaf_stream(index) -> Iterator[Chunk]:
+    """The leaf chunks of ``index``'s entries, uncharged; a paged B+
+    index reads its leaf pages through the buffer pool and stays paged."""
+    if isinstance(index, ColumnstoreIndex):
+        return index._delta.leaf_chunks()
+    if isinstance(index, HeapFile):
+        return index.tree.leaf_chunks()
+    return index._leaf_chunks(None, None, True, True)
+
+
+def _index_descriptor(table, index) -> Dict[str, object]:
+    """The PT_INDEX payload of ``index``: what kind of structure to
+    rebuild and the size of the leaf run that follows it."""
+    n_items, fences = 0, []     # the first key of each leaf page
+    for keys, _values in _leaf_stream(index):
+        fences += keys[-n_items % BTREE_ITEMS_PER_PAGE::BTREE_ITEMS_PER_PAGE]
+        n_items += len(keys)
     desc: Dict[str, object] = {
         "table": table.name,
         "name": index.name,
         "role": "primary" if index is table.primary else "secondary",
         "object_id": getattr(index, "object_id", 0),
-        "n_items": len(items),
+        "n_items": n_items,
     }
-    n_pages = _leaf_pages(len(items))
     if isinstance(index, HeapFile):
-        desc.update({"kind": "heap", "n_pages": n_pages})
+        desc["kind"] = "heap"
     elif isinstance(index, (PrimaryBTreeIndex, SecondaryBTreeIndex)):
         desc.update({
             "kind": "btree",
@@ -647,11 +651,9 @@ def _index_descriptor(table, index, items: List[Tuple]) -> Dict[str, object]:
             "included_columns": (
                 None if isinstance(index, PrimaryBTreeIndex)
                 else list(index.included_columns)),
-            "n_pages": n_pages,
             # The first key of each leaf page: the resident separator
             # array that routes a paged index's seek to its leaf page.
-            "leaf_fences": [items[start][0] for start in
-                            range(0, len(items), BTREE_ITEMS_PER_PAGE)],
+            "leaf_fences": fences,
         })
     elif isinstance(index, ColumnstoreIndex):
         desc.update({
@@ -660,15 +662,44 @@ def _index_descriptor(table, index, items: List[Tuple]) -> Dict[str, object]:
             "columns": list(index.columns),
             "rowgroup_size": index.rowgroup_size,
             "n_groups": len(index._groups),
-            "n_pages": n_pages + 1 + sum(
-                1 + len(state.group.column_names())
-                for state in index._groups),
         })
     else:
         raise StorageError(
             f"index {index.name!r} of type {type(index).__name__} "
             "cannot be serialized")
     return desc
+
+
+def _leaf_payloads(chunks: Iterable[Chunk]) -> Iterator[Dict[str, object]]:
+    """The PT_BTREE_LEAF payloads of a leaf run: the entries of
+    ``chunks`` cut into pages of :data:`BTREE_ITEMS_PER_PAGE`."""
+    keys: list = []
+    parts: List[Records] = []
+    for chunk_keys, values in chunks:
+        start = 0
+        while start < len(chunk_keys):
+            stop = min(len(chunk_keys),
+                       start + BTREE_ITEMS_PER_PAGE - len(keys))
+            keys += chunk_keys[start:stop]
+            parts.append(values.view(start, stop))
+            start = stop
+            if len(keys) == BTREE_ITEMS_PER_PAGE:
+                yield _leaf_payload(keys, Records.concat(parts))
+                keys, parts = [], []
+    if keys:
+        yield _leaf_payload(keys, Records.concat(parts))
+
+
+def _leaf_payload(keys: list, values: Records) -> Dict[str, object]:
+    """One leaf page's entries as columns (see the module docstring),
+    each the array the lossless rule gives its values: the bytes depend
+    on the entries, not on how the leaves hold them."""
+    key_columns = ([lossless_array(list(field)) for field in zip(*keys)]
+                   if type(keys[0]) is tuple else lossless_array(keys))
+    return {"keys": key_columns,
+            "values": [lossless_array(column.tolist())
+                       if column.dtype == object else column
+                       for column in values.live_columns()]}
 
 
 def _segment_payload(table_name: str, index_name: str, group_index: int,
@@ -757,20 +788,9 @@ def write_snapshot(database, out: BinaryIO, checkpoint_lsn: int = 0,
             "n_indexes": 1 + len(table.secondary_indexes),
         })
         for index in [table.primary] + list(table.secondary_indexes.values()):
-            # The tree of Records leaves whose entries follow the
-            # descriptor. A paged B+ index materializes: a checkpoint
-            # needs every leaf entry anyway, and quiesced checkpoints are
-            # the only writers of snapshots.
-            tree = (index._delta if isinstance(index, ColumnstoreIndex)
-                    else index.tree)
-            items = list(tree.items())
-            writer.write(PT_INDEX, _index_descriptor(table, index, items))
-            for start in range(0, len(items), BTREE_ITEMS_PER_PAGE):
-                writer.write(PT_BTREE_LEAF, {
-                    "table": table.name,
-                    "index": index.name,
-                    "items": items[start:start + BTREE_ITEMS_PER_PAGE],
-                })
+            writer.write(PT_INDEX, _index_descriptor(table, index))
+            for payload in _leaf_payloads(_leaf_stream(index)):
+                writer.write(PT_BTREE_LEAF, payload)
             if isinstance(index, ColumnstoreIndex):
                 for gi, state in enumerate(index._groups):
                     group = state.group
@@ -836,10 +856,9 @@ class SnapshotReader:
         self._lock = threading.Lock()
         self._closed = False
 
-    def read_page(self, offset: int, length: int, expected_type: int,
-                  decode=unpack_value) -> Page:
-        """Read, checksum, and decode one page at a known location
-        (``decode`` as for :func:`parse_page`)."""
+    def read_page(self, offset: int, length: int,
+                  expected_type: int) -> Page:
+        """Read, checksum, and decode one page at a known location."""
         with self._lock:
             if self._closed:
                 raise StorageError(
@@ -850,7 +869,7 @@ class SnapshotReader:
             raise StorageError(
                 f"snapshot {self.path}: short read at offset {offset} "
                 f"({len(buf)} of {length} bytes)")
-        page, _ = parse_page(buf, 0, decode)
+        page, _ = parse_page(buf, 0)
         _expect_type(page.page_id, page.page_type, expected_type)
         return page
 
@@ -907,12 +926,11 @@ class _PageStream:
         self.pages_read += 1
         return location
 
-    def next(self, expected_type: int, decode=unpack_value) -> Page:
-        """Read, checksum and decode the next page (``decode`` as for
-        :func:`parse_page`)."""
+    def next(self, expected_type: int) -> Page:
+        """Read, checksum and decode the next page."""
         _id, offset, length = self.defer(expected_type, check_type=self.lazy)
         self.f.seek(offset)
-        page, _ = parse_page(self.f.read(length), 0, decode)
+        page, _ = parse_page(self.f.read(length), 0)
         _expect_type(page.page_id, page.page_type, expected_type)
         return page
 
@@ -968,7 +986,7 @@ def _read_leaves(stream: _PageStream, desc: Dict[str, object]
     keys: list = []
     parts: List[Records] = []
     for _ in range(_leaf_pages(desc["n_items"])):
-        page_keys, values = stream.next(PT_BTREE_LEAF, _leaf_chunk).payload
+        page_keys, values = _leaf_chunk(stream.next(PT_BTREE_LEAF).payload)
         keys += page_keys
         parts.append(values)
     if len(keys) != desc["n_items"]:
@@ -997,9 +1015,8 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
     primary = isinstance(index, PrimaryBTreeIndex)
     if pool is None:
         keys, values = _read_leaves(stream, desc)
-        if keys:
-            index.tree = BPlusTree.from_columns(
-                keys, values, leaf_capacity=index.tree.leaf_capacity)
+        index.tree = BPlusTree.from_columns(
+            keys, values, leaf_capacity=index.tree.leaf_capacity)
         if primary:
             index.map_rids(keys)
         return index
@@ -1014,9 +1031,9 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
             "opening with paging=True")
     page_locs = [stream.defer(PT_BTREE_LEAF) for _ in range(n_pages)]
 
-    def read_leaf(offset: int, length: int):
-        return reader.read_page(offset, length, PT_BTREE_LEAF,
-                                _leaf_chunk).payload
+    def read_leaf(offset: int, length: int) -> Chunk:
+        return _leaf_chunk(
+            reader.read_page(offset, length, PT_BTREE_LEAF).payload)
 
     if primary:
         index.map_rids([key for _id, offset, length in page_locs
@@ -1026,49 +1043,31 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
     return index
 
 
-def _leaf_chunk(body, offset: int) -> Tuple[Tuple[list, Records], int]:
-    """A PT_BTREE_LEAF payload decoded into the chunk a paged leaf is
-    cached as: ``((keys, values), next offset)``, the key list and the
-    :class:`Records` a resident leaf holds.
-
-    The payload decodes as :func:`unpack_value` decodes it, except that
-    entries of one fixed layout stay columns: the keys are built as a
-    list, which seeks bisect, and each value field's column (or the
-    constant every value holds there) is adopted as it is, so a fault
-    builds the key tuples and no row. Other entries (strings, NULL in
-    some rows) are pivoted into columns once."""
-    payload, end = unpack_value(body, offset, lazy=True)
-    try:
-        items = payload["items"]
-    except (TypeError, KeyError):
-        raise StorageError("btree leaf payload has no entries") from None
-    if isinstance(items, _Fixed):
-        outer, parts = items.shape
-        if outer in (tuple, list) and len(parts) == 2:
-            values = _adopt(items, parts[1])
-            if values is not None:
-                return (items.values(parts[0]), values), end
-        items = items.values()
-    try:
-        keys, values = [k for k, _ in items], [v for _, v in items]
-    except (TypeError, ValueError):
-        raise StorageError(
-            "btree leaf entries are not (key, value) pairs") from None
-    return (keys, Records.from_rows(values)), end
-
-
-def _adopt(fixed: _Fixed, shape) -> Optional[Records]:
-    """Tuples of scalars that ``shape`` (a part of ``fixed``'s layout)
-    describes, as :class:`Records` adopting ``fixed``'s columns — a field
-    every tuple holds one constant in becomes an object column of it —
-    or None for any other shape."""
-    kind, parts = shape
-    if kind is not tuple or not all(part[0] in ("column", "const")
-                                    for part in parts):
-        return None
-    return Records([fixed.columns[arg] if part == "column"
-                    else np.full(fixed.count, arg, dtype=object)
-                    for part, arg in parts], fixed.count)
+def _leaf_chunk(payload: object) -> Chunk:
+    """A PT_BTREE_LEAF payload as the chunk a leaf holds: the key list
+    (tuples, or rids) that seeks bisect and the :class:`Records` of the
+    values, adopting the page's arrays (copies of the page bytes), an
+    object column narrowed by the lossless rule as
+    ``BPlusTree.from_columns`` narrows it."""
+    if type(payload) is not dict or set(payload) != {"keys", "values"}:
+        raise StorageError("btree leaf payload is not key and value columns")
+    keys, values = payload["keys"], payload["values"]
+    rids = isinstance(keys, np.ndarray)
+    key_columns = [keys] if rids else keys
+    if type(key_columns) is not list or not key_columns \
+            or type(values) is not list:
+        raise StorageError("btree leaf payload is not key and value columns")
+    columns = key_columns + values
+    if not all(isinstance(column, np.ndarray) and column.dtype in
+               (np.int64, np.float64, object) for column in columns) \
+            or len(set(map(len, columns))) != 1:
+        raise StorageError("btree leaf columns are not lossless arrays "
+                           "of one length")
+    columns = [lossless_array(column.tolist()) if column.dtype == object
+               else column for column in columns]
+    key_lists = [column.tolist() for column in columns[:len(key_columns)]]
+    keys = key_lists[0] if rids else list(zip(*key_lists))
+    return keys, Records(columns[len(key_columns):], len(keys))
 
 
 def _restore_columnstore(table, desc: Dict[str, object],

@@ -3,9 +3,9 @@
 A :class:`Records` holds ``count`` row tuples of one width as one numpy
 array per field. A resident leaf and a leaf faulted in from a snapshot
 page hold their values as the same class, so a range scan reads column
-slices whichever it is, and a per-entry reader (a point lookup, the
-checker, the snapshot writer) gets row tuples of Python scalars built
-on demand.
+slices whichever it is (and the snapshot writer writes the columns),
+and a per-entry reader (a point lookup, the checker) gets row tuples of
+Python scalars built on demand.
 
 Every column is *lossless*: it gives back exactly the values stored in
 it. A column is int64 only while every value is a Python ``int`` that

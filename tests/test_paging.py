@@ -287,6 +287,46 @@ class TestDifferentialDml:
                          reopened.table("t").iter_rows()}
         assert state_digest(reopened) == state_digest(paged)
 
+    def test_write_free_checkpoint_keeps_trees_paged(self, tmp_path):
+        """A checkpoint reads paged B+ leaves through the pool, within
+        its budget: neither tree materializes, both still answer, and
+        the snapshot it wrote is the database's."""
+        database = Database("ck")
+        table = database.create_table(TableSchema("t", [
+            Column("k", INT, nullable=False), Column("v", INT)]))
+        table.bulk_load([(i, i * 7 % 1000) for i in range(20000)])
+        table.set_primary_btree(["k"])
+        table.create_secondary_btree("ix_v", ["v"])
+        digest = state_digest(database)
+        database.enable_durability(str(tmp_path))
+        database.close()
+        paged = Database.open(str(tmp_path), paging=True,
+                              pool_bytes=65536)
+        try:
+            primary = paged.table("t").primary
+            secondary = paged.table("t").secondary_indexes["ix_v"]
+            paged.checkpoint()
+            pool = paged.buffer_pool
+            assert pool.misses > 0
+            assert primary.is_paged and secondary.is_paged
+            assert pool.peak_bytes <= pool.budget_bytes
+            assert (list(iter_entries(primary.seek_range((12345,), (12345,))))
+                    == [((12345, 12345), (12345, 12345 * 7 % 1000))])
+            assert ([key for key, _ in iter_entries(
+                secondary.seek_range((5,), (5,)))]
+                    == [(5, i) for i in range(20000) if i * 7 % 1000 == 5])
+            assert sum(len(keys) for keys, _ in primary.scan()) == 20000
+            assert sum(len(keys) for keys, _ in secondary.scan()) == 20000
+            assert primary.is_paged and secondary.is_paged
+            assert pool.peak_bytes <= pool.budget_bytes
+        finally:
+            paged.close()
+        eager = Database.open(str(tmp_path))
+        try:
+            assert state_digest(eager) == digest
+        finally:
+            eager.close()
+
     def test_rebuild_invalidates_pool(self, durable_dir):
         _, paged = open_both(durable_dir)
         csi_rows(paged)
