@@ -25,10 +25,10 @@ The payload is encoded with a small tagged value codec
 (:func:`pack_value` / :func:`unpack_value`) covering exactly the value
 universe the engine stores after validation — ``None``/bool/int/float/
 str/bytes, containers, and 1-D numpy arrays (object arrays element-wise)
-— so numpy segment payloads round-trip bit-exactly. A long sequence
-whose items share one fixed layout (a WAL record's rids or rows) is
-written and read as one numpy record array, in the same bytes the
-per-value encoding gives.
+— so numpy segment payloads round-trip bit-exactly. Rows are never
+coded as a sequence of row tuples: a leaf page and a WAL multi-row op
+(:mod:`repro.storage.wal`) both write them as the leaf columns below,
+built by :func:`_leaf_payload` and read back by :func:`_leaf_chunk`.
 
 Snapshot layout: one :data:`PT_CATALOG` page, then per table a
 :data:`PT_TABLE` page and per index a :data:`PT_INDEX` descriptor
@@ -64,7 +64,6 @@ import os
 import struct
 import threading
 import zlib
-from itertools import repeat
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -191,7 +190,8 @@ def pack_value(value: object, out: bytearray) -> None:
         if value.dtype == object:
             out.append(_T_OBJARRAY)
             out += _U32.pack(len(value))
-            _pack_items(value.tolist(), out)
+            for item in value.tolist():
+                pack_value(item, out)
         else:
             dtype = value.dtype.str.encode("ascii")
             raw = np.ascontiguousarray(value).tobytes()
@@ -203,7 +203,8 @@ def pack_value(value: object, out: bytearray) -> None:
     elif isinstance(value, (list, tuple)):
         out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
         out += _U32.pack(len(value))
-        _pack_items(value, out)
+        for item in value:
+            pack_value(item, out)
     elif isinstance(value, dict):
         # Sorted by key so serialization is order-independent (the
         # digest-based idempotence checks depend on this).
@@ -315,181 +316,13 @@ def _array_dtype(raw: bytes) -> np.dtype:
     return dtype
 
 
-# ------------------------------------------------- fixed-layout sequences
-#
-# A WAL record is mostly long sequences of one shape: a delete's or a
-# bulk insert's rids, a bulk insert's rows. When every item of a sequence
-# has the same *fixed layout* -- built only from int64, float64, None,
-# True and False, nested in tuples and lists of constant length -- its
-# encoding is a record array: the tag and count bytes repeat in every
-# record and the values sit at constant offsets. Such sequences are coded
-# in one numpy pass; every other sequence, and every malformed one, goes
-# one value at a time. The bytes are the same either way.
-
-#: Sequences shorter than this are coded one value at a time. The record
-#: path has ~15 us of numpy set-up: at 16 items it decodes ``((k, rid),
-#: (k, a, b, c))`` pairs in 25 us against 57 us per value and encodes
-#: them in 28 against 96 us (CPython 3.11, numpy 2.4), while a list of
-#: plain ints only breaks even near 40 items.
-_MIN_RECORDS = 16
-
-
-def _pack_items(items, out: bytearray) -> None:
-    """Append the encodings of ``items``: one record array when they all
-    share a fixed layout, else one value at a time."""
-    if len(items) >= _MIN_RECORDS:
-        template = bytearray()
-        fields: List[Tuple[int, np.ndarray]] = []
-        if _describe(items, template, fields):
-            records = np.empty((len(items), len(template)), np.uint8)
-            records[:] = np.frombuffer(template, np.uint8)
-            for at, column in fields:
-                records[:, at:at + 8] = column.view(np.uint8).reshape(-1, 8)
-            out += records.tobytes()
-            return
-    for item in items:
-        pack_value(item, out)
-
-
-def _describe(column, template: bytearray,
-              fields: List[Tuple[int, np.ndarray]]) -> bool:
-    """Append to ``template`` the encoding every value of ``column``
-    shares, with zeros where values go, and to ``fields`` the (offset,
-    values) of each int64/float64 slot. False when the values share no
-    fixed layout. Only exact types qualify: a bool, a numpy scalar or an
-    int subclass is tagged by :func:`pack_value`'s ``isinstance`` rules,
-    which the per-value path applies."""
-    kinds = set(map(type, column))
-    if len(kinds) != 1:
-        return False
-    kind = kinds.pop()
-    if kind is int:
-        try:
-            values = np.array(column, np.dtype("<i8"))
-        except OverflowError:  # beyond int64: _T_BIGINT, coded per value
-            return False
-        template.append(_T_INT)
-    elif kind is float:
-        values = np.array(column, np.dtype("<f8"))
-        template.append(_T_FLOAT)
-    elif kind is type(None):
-        template.append(_T_NONE)
-        return True
-    elif kind is tuple or kind is list:
-        lengths = set(map(len, column))
-        if len(lengths) != 1:
-            return False
-        template.append(_T_TUPLE if kind is tuple else _T_LIST)
-        template += _U32.pack(lengths.pop())
-        return all(_describe(part, template, fields)
-                   for part in zip(*column))
-    else:
-        return False
-    fields.append((len(template), values))
-    template += bytes(8)
-    return True
-
-
 def _unpack_items(buf, offset: int, count: int) -> Tuple[list, int]:
     """Decode ``count`` consecutive values; returns (list, next offset)."""
-    if count >= _MIN_RECORDS:
-        layout = _fixed_layout(buf, offset, count)
-        if layout is not None:
-            shape, columns, end = layout
-            return list(_rebuild(shape, columns, count)), end
     items = []
     for _ in range(count):
         item, offset = _unpack(buf, offset)
         items.append(item)
     return items, offset
-
-
-def _fixed_layout(buf, offset: int, count: int
-                  ) -> Optional[Tuple[object, List[np.ndarray], int]]:
-    """The ``count`` values at ``offset`` as one record array: ``(shape,
-    columns, end)``, where ``columns`` holds one array per int64/float64
-    slot of the layout (copies: the page buffer is never kept) and
-    ``shape`` says how they nest; None when the values are not all of the
-    first value's fixed layout (or run past the buffer: the per-value
-    path then raises what it raises).
-
-    The check is exact. Decoding reads structure only from tag and count
-    bytes, each at a position the earlier ones fix, so a record whose tag
-    and count bytes all equal the first record's decodes along the same
-    path; and where a record departs from the layout, the first byte
-    that differs is a tag or count byte at a position the layout expects.
-    """
-    positions: List[int] = []
-    formats: List[Tuple[int, str]] = []
-    learned = _learn(buf, offset, offset, positions, formats)
-    if learned is None:
-        return None
-    shape, itemsize = learned[0], learned[1] - offset
-    end = offset + count * itemsize
-    if end > len(buf):
-        return None
-    last = end - itemsize
-    # One record's worth of Python before any numpy pass, so a sequence
-    # of rows with strings or ragged tuples costs O(1) to turn away.
-    if any(buf[last + at] != buf[offset + at] for at in positions):
-        return None
-    structure = np.frombuffer(buf, np.uint8, count * itemsize, offset) \
-        .reshape(count, itemsize)[:, positions]
-    if not (structure == structure[0]).all():
-        return None
-    columns = []
-    if formats:
-        records = np.frombuffer(buf, np.dtype({
-            "names": [f"v{i}" for i in range(len(formats))],
-            "formats": [fmt for _, fmt in formats],
-            "offsets": [at for at, _ in formats],
-            "itemsize": itemsize,
-        }), count, offset)
-        columns = [records[name].copy() for name in records.dtype.names]
-    return shape, columns, end
-
-
-def _learn(buf, at: int, start: int, positions: List[int],
-           formats: List[Tuple[int, str]]) -> Optional[Tuple[object, int]]:
-    """Walk the value at ``at`` as a fixed layout: record its tag and count
-    byte positions and value slots (relative to ``start``) and return
-    (shape, next offset), or None when it is not one."""
-    if at >= len(buf):
-        return None
-    tag = buf[at]
-    positions.append(at - start)
-    if tag in _CONSTANTS:
-        return ("const", _CONSTANTS[tag]), at + 1
-    if tag == _T_INT or tag == _T_FLOAT:
-        formats.append((at + 1 - start, "<i8" if tag == _T_INT else "<f8"))
-        return ("column", len(formats) - 1), at + 9
-    if tag not in (_T_LIST, _T_TUPLE) or at + 5 > len(buf):
-        return None
-    positions.extend(range(at + 1 - start, at + 5 - start))
-    (count,) = _U32.unpack_from(buf, at + 1)
-    at += 5
-    parts = []
-    for _ in range(count):
-        learned = _learn(buf, at, start, positions, formats)
-        if learned is None:
-            return None
-        part, at = learned
-        parts.append(part)
-    return (list if tag == _T_LIST else tuple, parts), at
-
-
-def _rebuild(shape, columns: List[np.ndarray], count: int):
-    """An iterable of the ``count`` values a learned shape describes,
-    reading each of :func:`_fixed_layout`'s ``columns`` once."""
-    kind, arg = shape
-    if kind == "column":
-        return columns[arg].tolist()
-    if kind == "const":
-        return repeat(arg, count)
-    parts = [_rebuild(part, columns, count) for part in arg]
-    if kind is tuple:
-        return zip(*parts) if parts else repeat((), count)
-    return map(list, zip(*parts)) if parts else ([] for _ in range(count))
 
 
 # ----------------------------------------------------------- page framing
@@ -630,11 +463,19 @@ def _leaf_stream(index) -> Iterator[Chunk]:
 
 def _index_descriptor(table, index) -> Dict[str, object]:
     """The PT_INDEX payload of ``index``: what kind of structure to
-    rebuild and the size of the leaf run that follows it."""
-    n_items, fences = 0, []     # the first key of each leaf page
-    for keys, _values in _leaf_stream(index):
-        fences += keys[-n_items % BTREE_ITEMS_PER_PAGE::BTREE_ITEMS_PER_PAGE]
-        n_items += len(keys)
+    rebuild and the size of the leaf run that follows it. A paged B+
+    index still holds the run its snapshot holds: its source gives the
+    count and the fences without a walk that would fault every leaf
+    page in once more than the writer does."""
+    source = getattr(index, "_paged", None)
+    if source is not None:
+        n_items, fences = source.n_items, list(source.fences)
+    else:
+        n_items, fences = 0, []     # the first key of each leaf page
+        for keys, _values in _leaf_stream(index):
+            fences += keys[-n_items % BTREE_ITEMS_PER_PAGE::
+                           BTREE_ITEMS_PER_PAGE]
+            n_items += len(keys)
     desc: Dict[str, object] = {
         "table": table.name,
         "name": index.name,

@@ -36,11 +36,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.errors import RecoveryError, ReproError
+import numpy as np
+
+from repro.core.errors import RecoveryError, ReproError, StorageError
+from repro.storage.btree import Chunk
 from repro.storage.checker import check_database
 from repro.storage.pages import (
     load_snapshot_paged,
     snapshot_bytes,
+    _leaf_chunk,
     _schema_from_payload,
 )
 from repro.storage.wal import (
@@ -139,6 +143,20 @@ class RecoveryReport:
 _MAINTENANCE_KINDS = ("tuple_move", "rebuild", "reorganize", "compact")
 
 
+def _logged_rows(op: Dict[str, object]) -> Chunk:
+    """The rids and rows of a multi-row op, decoded as a leaf page is
+    (:func:`~repro.storage.pages._leaf_chunk`): the rids one int64
+    column, each field one lossless column. Any other shape — the row
+    tuples logs once held among them — is refused, never applied."""
+    rows = op.get("rows")
+    if (set(op) != {"op", "table", "rows"} or type(rows) is not dict
+            or not isinstance(rows.get("keys"), np.ndarray)
+            or rows["keys"].dtype != np.int64):
+        raise StorageError(
+            f"{op.get('op')} op is not rids and rows as leaf columns")
+    return _leaf_chunk(rows)
+
+
 def _apply_op(database, op: Dict[str, object]) -> None:
     """Replay one logical redo op against the recovering database."""
     kind = op.get("op")
@@ -157,11 +175,14 @@ def _apply_op(database, op: Dict[str, object]) -> None:
                 f"{table.name!r}")
         table.redo_insert([op["rid"]], [op["row"]])
     elif kind == "bulk_insert":
-        table.redo_insert(op["rids"], op["rows"])
+        table.redo_insert(*_logged_rows(op))
     elif kind == "delete":
-        table.delete_rids(op["rids"])
+        rids, values = _logged_rows(op)
+        if values.width:
+            raise StorageError("delete op carries value columns")
+        table.delete_rids(rids)
     elif kind == "update":
-        table.update_rids([(rid, tuple(row)) for rid, row in op["updates"]])
+        table.update_rids(list(zip(*_logged_rows(op))))
     elif kind == "set_primary_btree":
         table.set_primary_btree(op["key_columns"], name=op["name"])
     elif kind == "set_primary_columnstore":

@@ -37,6 +37,7 @@ from repro.storage.btree import PrimaryBTreeIndex, SecondaryBTreeIndex
 from repro.storage.columnstore import ColumnstoreIndex, ObjectIds
 from repro.storage.faults import FaultInjector, InjectedFault, trip
 from repro.storage.heap import HeapFile
+from repro.storage.pages import _leaf_payload
 from repro.storage.records import Records
 from repro.storage.telemetry import LogicalClock
 from repro.storage.undo import UndoLog
@@ -117,6 +118,16 @@ class Table:
         if self.wal is not None:
             self.wal.log_ops(ops)
 
+    def _log_rows(self, op: str, rids: List[int],
+                  rows: Sequence[Row] = ()) -> None:
+        """Log a multi-row op: its rids and rows (a delete logs none) as
+        one leaf page's columns."""
+        if self.wal is not None:
+            values = (Records.from_rows(rows) if rows
+                      else Records([], len(rids)))
+            self.wal.log_ops([{"op": op, "table": self.name,
+                               "rows": _leaf_payload(rids, values)}])
+
     # The snapshot loader and WAL redo rebuild a table through the three
     # methods below; nothing outside this module writes ``_next_rid``.
     # None of them logs, charges or trips a fault point.
@@ -137,14 +148,13 @@ class Table:
         else:
             self.secondary_indexes[index.name] = index
 
-    def redo_insert(self, rids: Sequence[int],
-                    rows: Sequence[Sequence[object]]) -> None:
-        """WAL redo of logged inserts (one row, or a bulk load's): every
-        row goes in at its logged rid. ``insert_row`` cannot be reused:
-        rid allocation must match the log exactly even when aborted
-        statements burned rids in the original process (their rids are
-        absent from the log and must stay absent)."""
-        rows = [tuple(row) for row in rows]
+    def redo_insert(self, rids: List[int], rows: Sequence[Row]) -> None:
+        """WAL redo of logged inserts (one row, or a bulk load's
+        :class:`Records`): every row goes in at its logged rid.
+        ``insert_row`` cannot be reused: rid allocation must match the
+        log exactly even when aborted statements burned rids in the
+        original process (their rids are absent from the log and must
+        stay absent)."""
         self._store_rows(rids, rows)
         if rids:
             self._next_rid = max(self._next_rid, max(rids) + 1)
@@ -495,13 +505,10 @@ class Table:
         self._next_rid += len(rids)
         self.modification_counter += len(rids)
         if rids:
-            self._log_ops([{
-                "op": "bulk_insert", "table": self.name,
-                "rids": rids, "rows": validated_rows,
-            }])
+            self._log_rows("bulk_insert", rids, validated_rows)
         return rids
 
-    def _store_rows(self, rids: List[int], rows: List[Row]) -> None:
+    def _store_rows(self, rids: List[int], rows: Sequence[Row]) -> None:
         """Add ``rows`` at the ascending ``rids`` to every index,
         uncharged and uncounted: an empty heap with no secondary index is
         built in one columnar pass, anything else takes the rows one at
@@ -537,9 +544,7 @@ class Table:
                     for rid, row in rows.items():
                         structure.delete(rid, row, ctx)
         if rows:
-            self._log_ops([{
-                "op": "delete", "table": self.name, "rids": list(rows),
-            }])
+            self._log_rows("delete", list(rows))
         return len(rows)
 
     def update_rid(self, rid: int, new_row: Sequence[object],
@@ -573,11 +578,7 @@ class Table:
                     for rid, old_row, new_row in triples:
                         structure.update(rid, old_row, new_row, ctx)
         if triples:
-            self._log_ops([{
-                "op": "update", "table": self.name,
-                "updates": [(rid, new_row)
-                            for rid, _, new_row in triples],
-            }])
+            self._log_rows("update", list(final), list(final.values()))
         return len(triples)
 
     def fetch_columns(self, rid: int, ordinals: Sequence[int],

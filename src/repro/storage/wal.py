@@ -24,6 +24,18 @@ frame that is truncated or fails its CRC — the *torn tail* a crash
 mid-append leaves behind; everything before it is trusted, everything
 after discarded, exactly ARIES' convention.
 
+An OP payload is a dict naming its ``op`` and, for DML, its ``table``.
+The multi-row ops (``bulk_insert``, ``update``, ``delete``) carry their
+rows as one leaf page's columns, the encoding a ``PT_BTREE_LEAF`` page
+uses (:func:`repro.storage.pages._leaf_payload`)::
+
+    {"op": ..., "table": ..., "rows": {"keys": rid column,
+                                        "values": [field 0, ...]}}
+
+the rids one int64 array, each field one lossless array, and no value
+column for a delete. Recovery decodes them as a leaf page is decoded and
+refuses any other shape. A one-row ``insert`` logs ``rid`` and ``row``.
+
 Statement scoping: ops raised by one SQL statement must be atomic in
 the log even when the executor applies them through several ``Table``
 calls (a multi-row INSERT calls ``insert_row`` once a row, inside one

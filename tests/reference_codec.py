@@ -1,12 +1,12 @@
-"""The page codec as it was before fixed-layout sequences, kept as the
-reference.
+"""The page codec's reference: the format, written down once more.
 
-``reference_pack`` and ``reference_unpack`` are ``pack_value`` and
-``unpack_value`` of ``repro.storage.pages`` as they were: one recursive
-Python call per value, with no record path. They define the format:
+``reference_pack`` and ``reference_unpack`` are an independent copy of
+``pack_value`` and ``unpack_value`` of ``repro.storage.pages``: one
+recursive Python call per value. They define the format:
 ``tests/test_codec_identity.py`` requires the engine's encoder to write
 exactly their bytes and its decoder to return exactly their values,
-types and float bits.
+types and float bits, so a change to the engine's codec cannot move the
+bytes of a snapshot or a log unnoticed.
 """
 
 import struct

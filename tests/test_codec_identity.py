@@ -1,18 +1,16 @@
 """The page codec against its per-value reference.
 
-``tests/reference_codec.py`` is the codec as it was before fixed-layout
-sequences were coded as record arrays. The engine's encoder must write
+``tests/reference_codec.py`` is a recursive codec written apart from
+the engine's, and it pins the format. The engine's encoder must write
 its bytes exactly and the engine's decoder must return its values
 exactly: the same type (``int``/``bool``/``float``, ``tuple``/``list``),
 the same float bits (-0.0, NaN payloads, infinities) and the same end
 offset. On a damaged encoding the decoder must return what the reference
 returns, or raise ``StorageError`` where the reference raised anything.
 
-The generated sequences are the record path's inputs and its near
-misses: uniform items of a drawn layout at the lengths around the
-record threshold and at page sizes, with a few items replaced by ragged
-tuples, bools, numpy scalars, values beyond int64 or items of another
-layout.
+The generated sequences are uniform items of a drawn layout, short and
+at page sizes, with a few items replaced by ragged tuples, bools, numpy
+scalars, values beyond int64 or items of another layout.
 """
 
 import math
@@ -37,8 +35,8 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, NAN_PAYLOAD,
 INT_ENDS = [0, -1, 2 ** 63 - 1, -2 ** 63, 2 ** 62]
 BEYOND_INT64 = [2 ** 63, -2 ** 63 - 1, 2 ** 100]
 
-#: Scalar kinds of a layout leaf: the record path's, and the ones that
-#: make the encoder (and, but for constants, the decoder) fall back.
+#: Scalar kinds of a layout leaf: int64, float64 and None, which have
+#: fixed-size encodings, and the kinds tagged apart from them.
 RECORD_SCALARS = ["int", "float", "none", "int ends"]
 SCALARS = RECORD_SCALARS + ["true", "false", "bool", "beyond int64",
                             "numpy int", "numpy float", "numpy bool", "str"]

@@ -102,8 +102,8 @@ def encode(value) -> bytes:
     return bytes(buf)
 
 
-#: One value of every kind the codec writes, and the sequences it codes
-#: as record arrays.
+#: One value of every kind the codec writes, and long uniform sequences
+#: (each coded one value at a time, as every sequence is).
 EVERY_KIND = {
     "none": None, "false": False, "true": True, "int": -7, "bigint": 2**70,
     "float": -2.5, "str": "ünï", "bytes": b"\x00raw",

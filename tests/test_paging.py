@@ -10,6 +10,7 @@ residency bounded by the budget.
 """
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.storage.recovery import recover, state_digest
 
 
 #: Rows of ``n`` whose ``y`` is NULL: every fifth row of its third leaf
-#: page, so that page decodes to lists and the others to columns.
+#: page, so that page's ``y`` column is objects and the others' int64.
 NULL_Y = range(2 * BTREE_ITEMS_PER_PAGE, 3 * BTREE_ITEMS_PER_PAGE, 5)
 
 
@@ -155,9 +156,9 @@ class TestDifferentialReads:
     def test_numeric_leaves_fault_in_both_page_kinds(self, durable_dir):
         _, paged = open_both(durable_dir)
         source = paged.table("n").primary._paged
-        # Both page kinds fault in as the one leaf representation: the
-        # fixed-layout pages adopt their typed columns, and the page with
-        # NULLs in ``y`` holds that column (only) as an object array.
+        # Every page faults in as the one leaf representation: the pages
+        # of Python ints and floats keep their typed columns, and the page
+        # with NULLs in ``y`` holds that column (only) as an object array.
         pages = [source.fetch(page_no)[1] for page_no in range(source.n_pages)]
         assert {type(values) for values in pages} == {Records}
         assert ([[column.dtype.kind for column in values.columns]
@@ -326,6 +327,39 @@ class TestDifferentialDml:
             assert state_digest(eager) == digest
         finally:
             eager.close()
+
+    def test_checkpoint_faults_each_leaf_page_once(self, tmp_path):
+        """The descriptor of a paged B+ index takes its item count and
+        fences from the index's leaf source, so a checkpoint through a
+        pool smaller than the trees misses once per leaf page (the
+        writer's read), and writes the bytes an eager save writes."""
+        database = Database("ck")
+        table = database.create_table(TableSchema("t", [
+            Column("k", INT, nullable=False), Column("v", INT)]))
+        table.bulk_load([(i, i * 7 % 1000) for i in range(20000)])
+        table.set_primary_btree(["k"])
+        table.create_secondary_btree("ix_v", ["v"])
+        database.enable_durability(str(tmp_path / "paged"))
+        database.close()
+        shutil.copytree(tmp_path / "paged", tmp_path / "eager")
+        paged = Database.open(str(tmp_path / "paged"), paging=True,
+                              pool_bytes=65536)
+        try:
+            t = paged.table("t")
+            sources = [t.primary._paged, t.secondary_indexes["ix_v"]._paged]
+            assert sum(source.n_pages for source in sources) == 40
+            before = paged.buffer_pool.misses
+            paged.checkpoint()
+            assert paged.buffer_pool.misses - before == 40
+        finally:
+            paged.close()
+        eager = Database.open(str(tmp_path / "eager"))
+        try:
+            eager.checkpoint()
+        finally:
+            eager.close()
+        assert ((tmp_path / "paged" / "snapshot.db").read_bytes()
+                == (tmp_path / "eager" / "snapshot.db").read_bytes())
 
     def test_rebuild_invalidates_pool(self, durable_dir):
         _, paged = open_both(durable_dir)

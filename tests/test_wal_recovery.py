@@ -9,14 +9,18 @@ history.
 """
 
 import os
+import random
 import shutil
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.errors import RecoveryError
 from repro.storage.faults import InjectedFault
 from repro.core.schema import Column, TableSchema
-from repro.core.types import INT, varchar
+from repro.core.types import BIGINT, INT, decimal, varchar
 from repro.engine.executor import Executor
 from repro.storage.database import Database
 from repro.storage.recovery import recover, state_digest
@@ -29,6 +33,7 @@ from repro.storage.wal import (
     WriteAheadLog,
     read_wal,
 )
+from tests.oracle import examples
 
 
 def schema(name="t"):
@@ -205,6 +210,121 @@ class TestRecovery:
             handle.write(bytes(blob))
         with pytest.raises(RecoveryError):
             recover(str(tmp_path))
+
+
+# ------------------------------------------- multi-row ops as leaf columns
+
+WIDE = TableSchema("w", [
+    Column("k", INT, nullable=False),
+    Column("g", INT, nullable=False),
+    Column("b", BIGINT),
+    Column("d", decimal(2)),
+    Column("s", varchar(12)),
+])
+N_ROWS = 1400
+N_UPDATED = 1100
+
+
+def pool(values):
+    """A few values of one nullable field, NULL among the choices."""
+    return st.lists(st.none() | values, min_size=1, max_size=6)
+
+
+#: Each example builds its rows from a few drawn values per field: int64's
+#: ends (a BIGINT beyond them is refused at validation), -0.0, any text.
+field_pools = st.tuples(
+    pool(st.sampled_from([-2 ** 63, 2 ** 63 - 1, 0, -1])
+         | st.integers(-2 ** 63, 2 ** 63 - 1)),
+    pool(st.sampled_from([-0.0, 0.0, 0.5]) | st.floats(-1e6, 1e6)),
+    pool(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)),
+    st.integers(0, 2 ** 32))
+
+
+def wide_history(data_dir, design, pools, checkpoint):
+    """A durable database whose WAL holds a bulk load, an UPDATE of
+    N_UPDATED rows in no rid order and a DELETE of a seventh of the rows,
+    into a heap, clustered B+ or primary CSI table with a secondary B+
+    index; ``checkpoint`` snapshots it between the load and the DML."""
+    bigints, decimals, strings, seed = pools
+    rng = random.Random(seed)
+
+    def row(k):
+        return (k, k % 7, rng.choice(bigints), rng.choice(decimals),
+                rng.choice(strings))
+
+    database = Database("rows")
+    database.enable_durability(data_dir)
+    table = database.create_table(WIDE)
+    table.bulk_load([row(k) for k in range(N_ROWS)])
+    if design == "btree":
+        table.set_primary_btree(["k"])
+    elif design == "csi":
+        table.set_primary_columnstore(rowgroup_size=512)
+    table.create_secondary_btree("ix_g", ["g"])
+    if checkpoint:
+        database.checkpoint()
+    table.update_rids([(rid, row(rid))
+                       for rid in rng.sample(range(N_ROWS), N_UPDATED)])
+    Executor(database).execute("DELETE FROM w WHERE g = 3")
+    return database
+
+
+class TestRowOpsAsColumns:
+    """``bulk_insert``, ``update`` and ``delete`` log their rows as one
+    leaf page's columns; redo decodes them as a leaf page is decoded."""
+
+    @pytest.mark.parametrize("checkpoint", [False, True],
+                             ids=["all_redo", "dml_redo"])
+    @pytest.mark.parametrize("design", ["heap", "btree", "csi"])
+    @examples(3)
+    @given(pools=field_pools)
+    def test_recovery_reaches_the_original_state(self, design, checkpoint,
+                                                 pools):
+        with tempfile.TemporaryDirectory() as data_dir:
+            database = wide_history(data_dir, design, pools, checkpoint)
+            digest = state_digest(database)
+            database.close()
+            ops = [r.payload for r in read_wal(
+                os.path.join(data_dir, WAL_FILENAME)).records
+                if r.rec_type == REC_OP]
+            rows = {op["op"]: op["rows"] for op in ops
+                    if op["op"] in ("bulk_insert", "update", "delete")}
+            assert set(rows) == ({"update", "delete"} if checkpoint
+                                 else {"bulk_insert", "update", "delete"})
+            for payload in rows.values():
+                assert payload["keys"].dtype == np.int64
+            assert len(rows["update"]["keys"]) == N_UPDATED
+            assert rows["delete"]["values"] == []
+            for paging in (False, True):
+                reopened = Database.open(
+                    data_dir, paging=paging,
+                    pool_bytes=65536 if paging else None)
+                try:
+                    assert reopened.last_recovery.check_ok
+                    assert state_digest(reopened) == digest
+                finally:
+                    reopened.close()
+
+    @pytest.mark.parametrize("op", [
+        {"op": "update", "table": "w", "updates": [(0, (0, 0, 1, 2.0, "x"))]},
+        {"op": "update", "table": "w", "rows": [(0, 0, 1, 2.0, "x")]},
+        {"op": "bulk_insert", "table": "w", "rids": [N_ROWS],
+         "rows": [(N_ROWS, 0, 1, 2.0, "x")]},
+        {"op": "delete", "table": "w", "rids": [0]},
+        {"op": "delete", "table": "w",
+         "rows": {"keys": np.array([0.0]), "values": []}},
+    ], ids=["update_pairs", "update_tuples", "bulk_insert_tuples",
+            "delete_list", "delete_float_rids"])
+    def test_old_shaped_op_is_refused(self, tmp_path, op):
+        database = Database("rows")
+        table = database.create_table(WIDE)
+        table.bulk_load([(k, k % 7, k, k / 4, "s") for k in range(10)])
+        database.enable_durability(str(tmp_path))
+        database.wal.log_ops([op])
+        database.close()
+        for paging in (False, True):
+            with pytest.raises(RecoveryError, match=repr(op["op"])):
+                Database.open(str(tmp_path), paging=paging)
 
 
 class TestTruncationProperty:
