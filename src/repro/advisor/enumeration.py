@@ -125,15 +125,13 @@ class GreedyEnumerator:
             table.name, self.catalog.indexes_for(table.name))
 
         cost = cm.statement_overhead_ms
-        # Locate cost: cheap with any sargable B+ tree, else a scan.
-        sargable = self._has_sargable_btree(bound, descriptors)
-        if sargable:
-            cost += cm.seek_cpu_ms + rows_affected * cm.row_cpu_ms_per_row
-        else:
-            cost += stats.row_count * cm.batch_cpu_ms_per_row
-
-        if isinstance(bound, BoundInsert):
-            rows_affected = max(rows_affected, len(bound.rows))
+        # Locate cost: cheap with any sargable B+ tree, else a scan. An
+        # INSERT locates no rows (and has no WHERE to look at).
+        if not isinstance(bound, BoundInsert):
+            if self._has_sargable_btree(bound, descriptors):
+                cost += cm.seek_cpu_ms + rows_affected * cm.row_cpu_ms_per_row
+            else:
+                cost += stats.row_count * cm.batch_cpu_ms_per_row
 
         for descriptor in descriptors:
             cost += self._maintenance_cost(descriptor, rows_affected, stats,

@@ -238,13 +238,19 @@ class RowColumns:
     """Row tuples read by column: the pivot for entries that are rows
     (a secondary index's key tuples, rows and columns looked up by rid).
     It reads like :class:`~repro.storage.records.Records`
-    (``len``, :meth:`column`, :meth:`view`, :meth:`take`), pivoting a
+    (``len``, :meth:`column`, :meth:`view`, :meth:`take`,
+    :meth:`concat`), pivoting a
     field each time one is asked for."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Row]):
         self.rows = rows
+
+    @classmethod
+    def concat(cls, parts: Sequence["RowColumns"]) -> "RowColumns":
+        """The rows of ``parts`` in order, as one sequence."""
+        return cls([row for part in parts for row in part.rows])
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -116,8 +116,11 @@ SPAN_ATTRIBUTED_FIELDS = (
     "rollbacks",
 )
 #: ``QueryMetrics`` -> the tuple of those fields' current values: one C
-#: call per span switch (a point lookup switches spans 14 times).
+#: call per span switch (four per operator that yields one batch).
 _metrics_mark = attrgetter(*SPAN_ATTRIBUTED_FIELDS)
+#: Switches logged before the log is credited to the spans: a long scan
+#: keeps a bounded log, not one entry per batch it ever yielded.
+_SPAN_LOG_ENTRIES = 1024
 
 
 @dataclass
@@ -226,23 +229,33 @@ class ExecutionContext:
         #: operator (statement overhead, DML index maintenance) land here.
         self.root_span = OperatorSpan(label="<statement>", op_id=0)
         self._span_stack: List[OperatorSpan] = [self.root_span]
+        #: Span switches not yet credited (see :meth:`_replay_switches`),
+        #: and the mark the last credited interval ended at.
+        self._span_log: List[tuple] = []
         self._span_mark = _metrics_mark(self.metrics)
         self._next_span_id = 1
 
     # ------------------------------------------------------------- spans
-    def _attribute_to_active(self) -> None:
-        """Charge everything since the last switch point to the span that
-        was active during that interval (the current stack top)."""
-        mark = _metrics_mark(self.metrics)
+    def _replay_switches(self) -> None:
+        """Credit every interval of the switch log to the span that was
+        active during it, then empty the log.
+
+        Each entry is ``(span active up to the switch, mark at the
+        switch)``; the delta between consecutive marks is added field by
+        field to that span. These are the subtractions and additions an
+        eager credit at every switch would make, in the same order, so
+        span values do not depend on when the log is replayed."""
         previous = self._span_mark
-        if mark != previous:
-            span = self._span_stack[-1]
-            for name, new_value, old_value in zip(
-                    SPAN_ATTRIBUTED_FIELDS, mark, previous):
-                delta = new_value - old_value
-                if delta:
-                    setattr(span, name, getattr(span, name) + delta)
-            self._span_mark = mark
+        for span, mark in self._span_log:
+            if mark != previous:
+                for name, new_value, old_value in zip(
+                        SPAN_ATTRIBUTED_FIELDS, mark, previous):
+                    delta = new_value - old_value
+                    if delta:
+                        setattr(span, name, getattr(span, name) + delta)
+                previous = mark
+        self._span_mark = previous
+        self._span_log.clear()
 
     def begin_operator_span(self, operator) -> OperatorSpan:
         """Open a span for one operator execution, parented under the
@@ -260,13 +273,17 @@ class ExecutionContext:
 
     def push_span(self, span: OperatorSpan) -> None:
         """Make ``span`` the attribution target for subsequent charges."""
-        self._attribute_to_active()
-        self._span_stack.append(span)
+        stack, log = self._span_stack, self._span_log
+        log.append((stack[-1], _metrics_mark(self.metrics)))
+        stack.append(span)
+        if len(log) >= _SPAN_LOG_ENTRIES:
+            self._replay_switches()
 
     def pop_span(self, span: OperatorSpan) -> None:
         """Suspend ``span``; charges flow to whatever it was stacked on."""
-        self._attribute_to_active()
-        popped = self._span_stack.pop()
+        stack = self._span_stack
+        self._span_log.append((stack[-1], _metrics_mark(self.metrics)))
+        popped = stack.pop()
         if popped is not span:
             raise ExecutionError(
                 f"span stack corruption: popped {popped.label!r}, "
@@ -280,11 +297,14 @@ class ExecutionContext:
             span.label = span.operator.describe(self)
 
     def finalize_spans(self) -> None:
-        """Flush charges made since the last span switch to the active
-        span (the root once every operator has finished). Without this,
-        trailing statement work — and all of a DML statement, which runs
-        no operators — would never reach the span tree."""
-        self._attribute_to_active()
+        """Credit the switch log, and the charges made since the last
+        switch to the active span (the root once every operator has
+        finished). Without this, no span would hold a charge — trailing
+        statement work and all of a DML statement, which runs no
+        operators, included."""
+        self._span_log.append(
+            (self._span_stack[-1], _metrics_mark(self.metrics)))
+        self._replay_switches()
 
     @property
     def active_span(self) -> OperatorSpan:

@@ -12,6 +12,7 @@ wins by up to ~5x instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,17 +84,19 @@ class _GroupStates:
     def column(self, i: int, spec: AggregateSpec,
                slots: np.ndarray) -> List[object]:
         """Aggregate ``i``'s output value for ``slots``, in that order."""
-        counts = self.counts[i, slots]
+        counts = self.counts[i][slots]
         if spec.func == "count":
             return (self.totals[slots] if spec.expr is None
                     else counts).tolist()
         if spec.func in ("min", "max"):
-            return self.best[i, slots].tolist()
+            return self.best[i][slots].tolist()
         # sum / avg of no non-NULL value is NULL.
         seen = counts > 0
         values = self.sum_values(i, slots, spec)[seen]
         if spec.func == "avg":
             values = values / counts[seen]
+        if len(values) == len(slots):
+            return values.tolist()
         out = np.full(len(slots), None, dtype=object)
         out[seen] = values
         return out.tolist()
@@ -152,6 +155,11 @@ class _GroupStates:
 _WRAP = 1 << 64
 _HALF = 1 << 63
 
+#: A scalar aggregate's batch is one segment, starting at row 0, and its
+#: one group is slot 0 (read-only: shared by every execution).
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+_ONE_SEGMENT.flags.writeable = False
+
 
 class _AggregateBase(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
@@ -161,6 +169,9 @@ class _AggregateBase(PhysicalOperator):
         self.aggregates = list(aggregates)
         if not self.aggregates and not self.group_by:
             raise ExecutionError("aggregate needs group keys or aggregates")
+        #: Whether a COUNT(*) reads the states' row totals, which are
+        #: kept only then.
+        self._counts_rows = any(spec.expr is None for spec in self.aggregates)
 
     @property
     def output_columns(self) -> List[str]:
@@ -184,7 +195,7 @@ class _AggregateBase(PhysicalOperator):
         contiguous runs on the narrowest unsigned dtype that holds the
         group numbers (numpy radix-sorts 8- and 16-bit keys)."""
         if not self.group_by:
-            return [], None, np.zeros(1, dtype=np.intp), np.array([len(batch)])
+            return [], None, _ONE_SEGMENT, np.array([len(batch)])
         groups, keys = _factorize(batch, self.group_by, ctx)
         if runs:
             change = np.empty(len(groups), dtype=bool)
@@ -221,7 +232,8 @@ class _AggregateBase(PhysicalOperator):
         and decode one value per group; sum/avg read the decoded values,
         which is a hit when they are integers and a fallback otherwise.
         """
-        states.totals[slots] += sizes
+        if self._counts_rows:
+            states.totals[slots] += sizes
         for i, spec in enumerate(self.aggregates):
             if spec.expr is None:
                 continue
@@ -383,8 +395,11 @@ class HashAggregate(_AggregateBase):
             len(self.group_by) * 16 + len(self.aggregates) * 24
             + cm.hash_entry_overhead_bytes
         )
+        # A scalar aggregate is one group: one slot of state, its slot
+        # and segment start constant; the table only counts it.
+        scalar = not self.group_by
         table = _SlotTable(len(self.group_by))
-        states = _GroupStates(len(self.aggregates))
+        states = _GroupStates(len(self.aggregates), 1 if scalar else 16)
         reserved = 0
         spill = None
         # The hash-table grant must be returned even when the child (or
@@ -418,14 +433,14 @@ class HashAggregate(_AggregateBase):
                             spill = ctx.operator_state[self] = Spill()
                     states.reserve(table.size)
                 self._fold(states, slots, batch, *segments, ctx)
-            if table.size or self.group_by:
-                order = table.ordered()
-            else:
+            if scalar:
                 # A scalar aggregate answers one row even over no input
                 # (count 0, the others NULL); it is not a hash-table
                 # entry, so it takes no grant and no modeled cost.
-                order = np.zeros(1, dtype=np.intp)
-            result = self._result(table.keys(order), states, order)
+                result = self._result([], states, _ONE_SEGMENT)
+            else:
+                order = table.ordered()
+                result = self._result(table.keys(order), states, order)
         finally:
             if reserved:
                 ctx.release_memory(reserved)
@@ -435,15 +450,22 @@ class HashAggregate(_AggregateBase):
     def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
         spill = None if ctx is None else self.spill_of(ctx)
-        text = ""
-        if spill is not None:
-            text = " SPILLED"
-            if spill.bytes_written:
-                text += (f"(wrote {spill.bytes_written}B coded"
-                         f" of {spill.bytes_decoded}B decoded)")
+        head, tail = self._label_parts
+        if spill is None:
+            return head + tail
+        text = " SPILLED"
+        if spill.bytes_written:
+            text += (f"(wrote {spill.bytes_written}B coded"
+                     f" of {spill.bytes_decoded}B decoded)")
+        return head + text + tail
+
+    @cached_property
+    def _label_parts(self) -> Tuple[str, str]:
+        """The static text of :meth:`describe` before and after an
+        execution's spill, made once per operator."""
         return (f"HashAggregate(by={self.group_by}, "
-                f"aggs={[a.output for a in self.aggregates]}){text} "
-                f"[{self.mode}, dop={self.dop}]")
+                f"aggs={[a.output for a in self.aggregates]})",
+                f" [{self.mode}, dop={self.dop}]")
 
 
 class StreamAggregate(_AggregateBase):
@@ -494,8 +516,9 @@ class StreamAggregate(_AggregateBase):
         if result is not None:
             yield result
 
-    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
-        """One-line human-readable summary of this node."""
+    @cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe`, made once per operator."""
         return (f"StreamAggregate(by={self.group_by}, "
                 f"aggs={[a.output for a in self.aggregates]}) "
                 f"[{self.mode}, dop={self.dop}]")
@@ -702,7 +725,7 @@ class _SlotTable:
         columns); groups not met before take the next slots, in order."""
         if not keys:            # a scalar aggregate is one group
             self.size = 1
-            return np.zeros(1, dtype=np.intp)
+            return _ONE_SEGMENT
         numbers = [domain.number(key)[key.parts]
                    for domain, key in zip(self.columns, keys)]
         slots = numbers[0]

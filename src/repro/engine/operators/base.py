@@ -54,29 +54,35 @@ def _instrument_execute(raw):
     @functools.wraps(raw)
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         span = ctx.begin_operator_span(self)
+        push, pop = ctx.push_span, ctx.pop_span
         gen = raw(self, ctx)
+        push(span)
+        pushed = True
         try:
-            while True:
-                ctx.push_span(span)
-                try:
-                    batch = next(gen)
-                except StopIteration:
-                    break
-                finally:
-                    ctx.pop_span(span)
+            for batch in gen:
+                pop(span)
+                pushed = False
                 span.rows_out += len(batch)
                 span.batches_out += 1
                 yield batch
+                push(span)
+                pushed = True
         finally:
-            # Close the inner generator under this span so cleanup work
-            # (e.g. releasing memory grants) is attributed to it, whether
-            # we finished normally, raised, or were closed early.
-            ctx.push_span(span)
-            try:
-                gen.close()
-            finally:
-                ctx.pop_span(span)
-                ctx.finish_operator_span(span)
+            # Pushed here: the generator returned or raised under the
+            # span. Otherwise we were closed early (or raised into) at
+            # the yield, and the generator is closed under this span so
+            # its cleanup work (e.g. releasing memory grants) is
+            # attributed to it. A generator that returned or raised has
+            # no frame left and its close() runs no code: no switch.
+            if pushed:
+                pop(span)
+            if gen.gi_frame is not None:
+                push(span)
+                try:
+                    gen.close()
+                finally:
+                    pop(span)
+            ctx.finish_operator_span(span)
 
     execute._span_instrumented = True
     return execute
@@ -151,6 +157,13 @@ class PhysicalOperator:
         """One-line human-readable summary of this node; given the
         context of one execution, as that execution saw it (its
         parameter values, a spill)."""
+        return self._label
+
+    @functools.cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe` that no execution changes, made
+        once per operator: a kept tree labels the spans of every
+        execution it runs."""
         return f"{type(self).__name__} [{self.mode} mode, dop={self.dop}]"
 
     def __repr__(self) -> str:

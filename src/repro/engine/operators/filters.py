@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +43,9 @@ class Filter(PhysicalOperator):
             if len(filtered) > 0:
                 yield filtered
 
-    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
-        """One-line human-readable summary of this node."""
+    @cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe`, made once per operator."""
         return f"Filter({self.predicate}) [{self.mode}, dop={self.dop}]"
 
 
@@ -75,8 +77,9 @@ class Project(PhysicalOperator):
                 columns[name] = values
             yield Batch(columns)
 
-    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
-        """One-line human-readable summary of this node."""
+    @cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe`, made once per operator."""
         names = [name for name, _ in self.outputs]
         return f"Project({names}) [{self.mode}, dop={self.dop}]"
 
@@ -118,6 +121,7 @@ class Top(PhysicalOperator):
             remaining -= len(batch)
             yield batch
 
-    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
-        """One-line human-readable summary of this node."""
+    @cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe`, made once per operator."""
         return f"Top({self.limit}) [{self.mode}, dop={self.dop}]"

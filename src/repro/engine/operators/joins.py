@@ -8,6 +8,7 @@ The merge join exploits B+ tree sort order on both inputs.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -311,8 +312,9 @@ class HashJoin(PhysicalOperator):
             **_gather([(batch, rows) for batch, _, rows in pieces],
                       self.child(1).output_columns)})
 
-    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
-        """One-line human-readable summary of this node."""
+    @cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe`, made once per operator."""
         return (f"HashJoin({self.build_keys} = {self.probe_keys}) "
                 f"[{self.mode}, dop={self.dop}]")
 
@@ -386,8 +388,9 @@ class MergeJoin(PhysicalOperator):
                               right_names)})
                 done = cut
 
-    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
-        """One-line human-readable summary of this node."""
+    @cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe`, made once per operator."""
         return (f"MergeJoin({self.left_keys} = {self.right_keys}) "
                 f"[{self.mode}, dop={self.dop}]")
 
@@ -482,6 +485,14 @@ class IndexNestedLoopJoin(PhysicalOperator):
         residual = inner.residual if ctx is None else with_values(
             inner.residual, ctx.params)
         where = "" if residual is None else f" where {residual}"
+        head, tail = self._label_parts
+        return f"{head}{where}{tail}"
+
+    @cached_property
+    def _label_parts(self) -> Tuple[str, str]:
+        """The static text of :meth:`describe` before and after the
+        inner residual, made once per operator."""
+        inner = self.inner
         return (f"IndexNestedLoopJoin(outer {self.outer_keys} -> "
-                f"{inner.table.name}.{inner.index.name}{where}) "
-                f"[{self.mode}, dop={self.dop}]")
+                f"{inner.table.name}.{inner.index.name}",
+                f") [{self.mode}, dop={self.dop}]")

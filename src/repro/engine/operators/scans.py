@@ -13,6 +13,7 @@ vectorised evaluator, see :meth:`_ScanBase.chunk_step`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,6 +144,23 @@ class _ScanBase(PhysicalOperator):
         (the records of a heap leaf or a clustered leaf)."""
         return [len(self.table.schema.columns)]
 
+    @cached_property
+    def _step_layout(self) -> Tuple[List[Tuple[int, int]],
+                                    Optional[List[str]],
+                                    List[Tuple[int, int]]]:
+        """Where the step reads, worked out once per operator: the
+        (source, field) of each output column, and the residual's column
+        names with the (source, field) of each (None without a
+        residual)."""
+        widths = self._source_widths()
+        at = [_locate(ordinal, widths) for ordinal in self._ordinals]
+        if self.residual is None:
+            return at, None, []
+        filter_names = (list(dict.fromkeys(self.residual.columns()))
+                        or self.output_columns[:1])  # a constant predicate
+        return at, filter_names, [at[self._output_position(name)]
+                                  for name in filter_names]
+
     def chunk_step(self, ctx: ExecutionContext) -> Callable:
         """The per-chunk step of a rowstore scan: ``step(sources,
         pending)`` adds to ``pending`` (a :class:`PendingColumns`) the
@@ -154,33 +172,52 @@ class _ScanBase(PhysicalOperator):
         leaf's key tuples, bookmark-looked-up columns). ``_ordinals[i]``
         is where output column ``i`` sits across them (see
         :meth:`_source_widths`). Entries that need bookmark lookups
-        first gain one more source, the looked-up columns; then the
-        residual's columns are read and evaluated in one
-        :func:`eval_batch` call, the sources are cut to the survivors,
-        and the survivors' output columns are read.
+        first gain one more source, the looked-up columns (see
+        :meth:`_widen_step`); then the chunk is a run of one for
+        :meth:`_run_step`.
         """
-        widths = self._source_widths()
-        at = [_locate(ordinal, widths) for ordinal in self._ordinals]
-        widen = self._with_lookups(ctx) if self.needs_lookup else None
-        residual = self.residual
-        if residual is not None:
-            filter_names = (list(dict.fromkeys(residual.columns()))
-                            or self.output_columns[:1])  # a constant predicate
-            filter_at = [at[self._output_position(name)]
-                         for name in filter_names]
+        widen, step = self._widen_step(ctx), self._run_step(ctx)
+        if widen is None:
+            return lambda sources, pending: step([sources], pending)
+        return lambda sources, pending: step([widen(sources)], pending)
 
-        def step(sources, pending):
-            if widen is not None:
-                sources = sources + [widen(sources)]
-            if residual is not None:
-                mask = eval_batch(residual, Batch({
-                    name: eval_column(sources[source].column(ordinal))
-                    for name, (source, ordinal) in zip(filter_names, filter_at)
-                }), ctx)
-                mask = np.asarray(mask, dtype=bool)
-                if not mask.any():
-                    return
-                sources = [source.take(mask) for source in sources]
+    def _widen_step(self, ctx: ExecutionContext) -> Optional[Callable]:
+        """sources -> the sources plus their bookmark-looked-up columns,
+        charged as the lookups are made; None when nothing is looked
+        up."""
+        if not self.needs_lookup:
+            return None
+        lookup = self._with_lookups(ctx)
+        return lambda sources: sources + [lookup(sources)]
+
+    def _run_step(self, ctx: ExecutionContext) -> Callable:
+        """``step(run, pending)`` over a run of entry chunks whose
+        sources hold every column the scan reads. With a residual, the
+        run is joined into one chunk (each source's ``concat``; a run of
+        one is its chunk, borrowed), the residual's columns are read
+        and evaluated in one :func:`eval_batch` call, the sources are
+        cut to the survivors, and the survivors' output columns are
+        added to ``pending``. Without one, every chunk's output columns
+        are added as they are: there is nothing to evaluate."""
+        at, filter_names, filter_at = self._step_layout
+        residual = self.residual
+
+        def step(run, pending):
+            if residual is None:
+                for sources in run:
+                    pending.add([sources[source].column(ordinal)
+                                 for source, ordinal in at])
+                return
+            sources = run[0] if len(run) == 1 else [
+                type(parts[0]).concat(parts) for parts in zip(*run)]
+            mask = eval_batch(residual, Batch({
+                name: eval_column(sources[source].column(ordinal))
+                for name, (source, ordinal) in zip(filter_names, filter_at)
+            }), ctx)
+            mask = np.asarray(mask, dtype=bool)
+            if not mask.any():
+                return
+            sources = [source.take(mask) for source in sources]
             pending.add([sources[source].column(ordinal)
                          for source, ordinal in at])
         return step
@@ -195,27 +232,48 @@ class _ScanBase(PhysicalOperator):
         output batches and charge the scan for them.
 
         Output batches hold ``DEFAULT_BATCH_ROWS`` rows (the last one
-        fewer). A chunk is never stepped past the row that fills a
-        batch, so a bookmark lookup's charges keep their order relative
-        to the charges of the operators consuming that batch.
+        fewer). Consecutive whole chunks are gathered into a *run* of at
+        most the rows the pending batch still needs, and each run is
+        one step (:meth:`_run_step`). A chunk that does not fit whole
+        ends the run before it and is stepped as ``view``s, each up to
+        the row that fills a batch, so no step crosses that row.
+        Bookmark lookups are made as each chunk or view arrives, where a
+        step per chunk made them, so their charges keep their order
+        relative to the charges of the operators consuming a batch.
         """
         names = self.output_columns
-        step = self.chunk_step(ctx)
+        widen, step = self._widen_step(ctx), self._run_step(ctx)
         pending = PendingColumns(len(names))
-        scanned = 0
+        run: List[List[object]] = []
+        gathered = scanned = 0
         for sources in chunks:
             size = len(sources[0])
             scanned += size
-            start = 0
-            while start < size:
-                stop = min(size, start + DEFAULT_BATCH_ROWS - pending.count)
-                step(sources if stop - start == size
-                     else [source.view(start, stop) for source in sources],
-                     pending)
-                start = stop
+            if run and gathered + size > DEFAULT_BATCH_ROWS - pending.count:
+                step(run, pending)
+                run, gathered = [], 0
+            needed = DEFAULT_BATCH_ROWS - pending.count - gathered
+            if size > needed:       # the run is empty: step views
+                start = 0
+                while start < size:
+                    stop = min(size, start + DEFAULT_BATCH_ROWS - pending.count)
+                    piece = [source.view(start, stop) for source in sources]
+                    step([piece if widen is None else widen(piece)], pending)
+                    start = stop
+                    if pending.count >= DEFAULT_BATCH_ROWS:
+                        yield pending.batch(names)
+                        pending = PendingColumns(len(names))
+                continue
+            run.append(sources if widen is None else widen(sources))
+            gathered += size
+            if size == needed:      # the run may fill the batch
+                step(run, pending)
+                run, gathered = [], 0
                 if pending.count >= DEFAULT_BATCH_ROWS:
                     yield pending.batch(names)
                     pending = PendingColumns(len(names))
+        if run:
+            step(run, pending)
         self.charge_rows(ctx, scanned, 2.0 if self.needs_lookup else 1.0)
         ctx.metrics.record_leaf_access(kind)
         if pending.count:
@@ -253,8 +311,9 @@ class HeapScan(_ScanBase):
         chunks = ([values] for _, values in heap.scan(ctx))
         yield from self._chunks_to_batches(ctx, chunks, "heap")
 
-    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
-        """One-line human-readable summary of this node."""
+    @cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe`, made once per operator."""
         return (f"HeapScan({self.table.name}) cols={self.columns} "
                 f"[{self.mode}, dop={self.dop}]")
 
@@ -293,10 +352,16 @@ class _BTreeSeekBase(_ScanBase):
         key_range = self.key_range
         bounds = "full" if key_range is None else (
             f"[{_shown(key_range.low, ctx)}..{_shown(key_range.high, ctx)}]")
+        head, tail = self._label_parts
+        return f"{head}{bounds}{tail}"
+
+    @cached_property
+    def _label_parts(self) -> Tuple[str, str]:
+        """The static text of :meth:`describe` before and after the
+        bounds, made once per operator."""
         lookup = " +lookup" if self.needs_lookup else ""
-        return (f"{type(self).__name__}({self.table.name}.{self.index.name} "
-                f"{bounds}){lookup} cols={self.columns} "
-                f"[{self.mode}, dop={self.dop}]")
+        return (f"{type(self).__name__}({self.table.name}.{self.index.name} ",
+                f"){lookup} cols={self.columns} [{self.mode}, dop={self.dop}]")
 
 
 class BTreeSeek(_BTreeSeekBase):
@@ -447,8 +512,9 @@ class ColumnstoreScan(_ScanBase):
             return None
         return batch.project(self.output_columns)
 
-    def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
-        """One-line human-readable summary of this node."""
+    @cached_property
+    def _label(self) -> str:
+        """The text of :meth:`describe`, made once per operator."""
         push = f" push={sorted(self.pushdown_ranges)}" if self.pushdown_ranges else ""
         return (f"ColumnstoreScan({self.table.name}.{self.index.name})"
                 f"{push} cols={self.columns} [{self.mode}, dop={self.dop}]")

@@ -14,7 +14,8 @@ the input) plus extra CPU, while still producing exact results.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import math
 
@@ -153,8 +154,15 @@ class Sort(PhysicalOperator):
 
     def describe(self, ctx: Optional[ExecutionContext] = None) -> str:
         """One-line human-readable summary of this node."""
+        head, tail = self._label_parts
         limit = f", top={self.limit}" if self.limit is not None else ""
-        return f"Sort({self.keys}{limit}) [{self.mode}, dop={self.dop}]"
+        return f"{head}{limit}{tail}"
+
+    @cached_property
+    def _label_parts(self) -> Tuple[str, str]:
+        """The static text of :meth:`describe` before and after the
+        limit (set after the sort is built, when a TOP sits on it)."""
+        return f"Sort({self.keys}", f") [{self.mode}, dop={self.dop}]"
 
 
 def _sortable_array(values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the tuning advisor: size estimation, candidates, merging,
 enumeration, and the end-to-end tune/apply loop."""
 
+import math
 import random
 
 import pytest
@@ -375,3 +376,19 @@ class TestEndToEndTuning:
         ddl = rec.ddl()
         assert all(statement.startswith("CREATE") for statement in ddl)
         assert "COLUMNSTORE" in " ".join(ddl)
+
+    @pytest.mark.parametrize("mode", [MODE_HYBRID, MODE_BTREE_ONLY,
+                                      MODE_CSI_ONLY])
+    def test_workload_with_an_insert_is_tuned(self, mode):
+        """An INSERT has no WHERE: it is costed as its maintenance alone,
+        in every mode, instead of failing the tuning."""
+        db = make_db()
+        wl = Workload.from_sql([
+            "SELECT sum(v) FROM fact WHERE id = 17",
+            "SELECT nation, sum(v) FROM fact GROUP BY nation",
+            ("INSERT INTO fact VALUES (99999, 1, 2, 3, 'x')", 10.0),
+        ], db)
+        rec = TuningAdvisor(db).tune(wl, mode=mode)
+        assert len(rec.per_statement_costs) == 3
+        assert all(math.isfinite(cost) and cost > 0
+                   for cost in rec.per_statement_costs)

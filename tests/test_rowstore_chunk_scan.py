@@ -20,6 +20,8 @@ import json
 import os
 import random
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import StorageError
 from repro.core.schema import Column, TableSchema
 from repro.core.types import INT, decimal, varchar
-from repro.engine.batch import _column_array, batch_to_rows
+from repro.engine.batch import PendingColumns, _column_array, batch_to_rows
 from repro.engine.executor import Executor
 from repro.engine.expressions import (
     And,
@@ -53,9 +55,12 @@ from repro.engine.operators import (
     IndexNestedLoopJoin,
     SecondaryBTreeSeek,
 )
+from repro.engine.operators import scans
+from repro.storage import pages
 from repro.storage.btree import BPlusTree, PrimaryBTreeIndex
 from repro.storage.database import Database
 from repro.storage.records import Records
+from tests.oracle import examples
 from tests.reference_eval import eval_row
 
 EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -437,6 +442,175 @@ class TestOperatorsSelectWhatEvalRowSelects:
             assert not op.needs_lookup
             rows, _ = drain(op)
             assert rows == reference(n, predicate, columns, ["g"])
+
+
+# --------------------------------------------------------- leaf runs
+
+class PerLeaf:
+    """A rowstore scan's batching as it was before leaf runs: each chunk
+    stepped on its own, cut into views only where it crosses the row
+    that fills a batch. The reference for :class:`TestLeafRuns`."""
+
+    def _chunks_to_batches(self, ctx, chunks, kind):
+        names = self.output_columns
+        step = self.chunk_step(ctx)
+        pending = PendingColumns(len(names))
+        scanned = 0
+        for sources in chunks:
+            size = len(sources[0])
+            scanned += size
+            start = 0
+            while start < size:
+                stop = min(size,
+                           start + scans.DEFAULT_BATCH_ROWS - pending.count)
+                step(sources if stop - start == size
+                     else [source.view(start, stop) for source in sources],
+                     pending)
+                start = stop
+                if pending.count >= scans.DEFAULT_BATCH_ROWS:
+                    yield pending.batch(names)
+                    pending = PendingColumns(len(names))
+        self.charge_rows(ctx, scanned, 2.0 if self.needs_lookup else 1.0)
+        ctx.metrics.record_leaf_access(kind)
+        if pending.count:
+            yield pending.batch(names)
+
+
+class PerLeafBTreeSeek(PerLeaf, BTreeSeek):
+    pass
+
+
+class PerLeafSecondaryBTreeSeek(PerLeaf, SecondaryBTreeSeek):
+    pass
+
+
+@st.composite
+def leaf_run_rows(draw):
+    """Rows in blocks whose columns differ in kind, so that leaves of one
+    column hold int64, float64 or object arrays: ``f`` ints, floats or
+    both, ``x`` and ``s`` NULLs in some blocks only."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = draw(st.lists(st.tuples(
+        st.integers(1, 40), st.sampled_from(["int", "float", "mixed"]),
+        st.booleans(), st.booleans()), min_size=1, max_size=8))
+    rows = []
+    for length, f_kind, x_nulls, s_nulls in blocks:
+        for _ in range(length):
+            k = len(rows)
+            f = (rng.randrange(0, 100) if f_kind == "int"
+                 or (f_kind == "mixed" and rng.random() < 0.5)
+                 else rng.randrange(0, 400) / 4)
+            rows.append((
+                k, rng.randrange(6),
+                None if x_nulls and rng.random() < 0.4 else rng.randrange(-20, 20),
+                rng.randrange(0, 9), f,
+                None if s_nulls and rng.random() < 0.5 else f"s{rng.randrange(6)}"))
+    return rows
+
+
+def with_leaf_capacity(index, capacity):
+    """Rebuild ``index``'s tree with leaves of ``capacity`` entries."""
+    index.tree = BPlusTree.bulk_load(list(index.tree.items()),
+                                     leaf_capacity=capacity)
+
+
+def batches_seen(op, cold):
+    """Every batch of ``op`` as (column, dtype, values) triples, and the
+    execution's metrics."""
+    ctx = ExecutionContext(cold=cold)
+    batches = [[(name, str(batch.column(name).dtype),
+                 batch.column(name).tolist()) for name in op.output_columns]
+               for batch in op.execute(ctx)]
+    return batches, dataclasses.asdict(ctx.metrics)
+
+
+class TestLeafRuns:
+    """A scan that steps runs of leaves produces the batches (values,
+    dtypes, boundaries) and charges (``QueryMetrics``, bit for bit) that
+    stepping one leaf at a time did, on clustered, covering and
+    non-covering secondary trees, resident and paged; and the rows a
+    brute-force filter of the table selects."""
+
+    @examples(40)
+    @given(rows=leaf_run_rows(), capacity=st.integers(4, 24),
+           page_rows=st.integers(2, 30),
+           batch_rows=st.sampled_from([3, 7, 16, 4096]),
+           predicate=predicates_over(COLUMNS),
+           extra=st.permutations(COLUMNS).map(lambda p: p[:3]),
+           low=st.one_of(st.none(), st.integers(-1, 6)),
+           cold=st.booleans())
+    def test_runs_equal_per_leaf_steps(self, rows, capacity, page_rows,
+                                       batch_rows, predicate, extra, low,
+                                       cold):
+        def build(capacity=None):
+            database = Database("leaf-runs")
+            table = database.create_table(scan_schema("t"))
+            table.bulk_load(rows)
+            table.set_primary_btree(["k"])
+            table.create_secondary_btree("ix_cov", ["g"],
+                                         included_columns=["x", "f", "s"])
+            table.create_secondary_btree("ix_g", ["g"])
+            if capacity is not None:
+                for index in [table.primary,
+                              *table.secondary_indexes.values()]:
+                    with_leaf_capacity(index, capacity)
+            return database
+
+        columns = list(dict.fromkeys(predicate.columns() + list(extra)))
+        bounds = None if low is None else [ColumnRange(low, None)]
+
+        def designs(database):
+            t = database.table("t")
+            return [
+                ("clustered", lambda cls: cls(
+                    t, columns, residual=predicate,
+                    key_ranges=key_ranges_for(predicate, ["k"])),
+                 BTreeSeek, PerLeafBTreeSeek),
+                ("covering", lambda cls: cls(
+                    t, t.secondary_indexes["ix_cov"],
+                    [c for c in columns if c in ("g", "x", "f", "s")]
+                    or ["g"], key_ranges=bounds),
+                 SecondaryBTreeSeek, PerLeafSecondaryBTreeSeek),
+                ("lookup", lambda cls: cls(
+                    t, t.secondary_indexes["ix_g"], columns,
+                    key_ranges=bounds, residual=predicate),
+                 SecondaryBTreeSeek, PerLeafSecondaryBTreeSeek),
+            ]
+
+        # Small leaves resident, and leaf pages of ``page_rows`` entries
+        # paged from a snapshot of the same rows in leaves of the size
+        # the schema gives (which set the paged trees' modeled height).
+        small, database = build(capacity), build()
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(pages, "BTREE_ITEMS_PER_PAGE", page_rows):
+            database.save(directory)
+            paged = Database.open(directory, paging=True, pool_bytes=1 << 16)
+        try:
+            with mock.patch.object(scans, "DEFAULT_BATCH_ROWS", batch_rows):
+                seen = {}
+                for where, db in (("small leaves", small),
+                                  ("resident", database), ("paged", paged)):
+                    for name, make, runs, per_leaf in designs(db):
+                        got = batches_seen(make(runs), cold)
+                        assert got == batches_seen(make(per_leaf), cold), (
+                            where, name)
+                        assert all(len(batch[0][2]) == batch_rows
+                                   for batch in got[0][:-1])
+                        seen[where, name] = got
+            for name, *_ in designs(database):
+                assert seen["resident", name] == seen["paged", name]
+                assert seen["small leaves", name][0] == seen["paged", name][0]
+            assert paged.table("t").primary.is_paged or not rows
+            assert paged.buffer_pool.pinned_pages() == 0
+        finally:
+            paged.close()
+        got_rows = [row for batch in seen["resident", "lookup"][0]
+                    for row in zip(*(values for _, _, values in batch))]
+        in_range = Comparison(">=", ColumnRef("g"), Literal(low))
+        assert got_rows == reference(
+            database.table("t"),
+            predicate if low is None else And((in_range, predicate)),
+            columns, ["g"])
 
 
 # ------------------------------------------------ the recorded corpus
