@@ -90,6 +90,64 @@ def _clip_leaf(keys: List[Key], values: Records, low: Optional[Key],
     return keys, values, last
 
 
+def _bulk_fill(capacity: int) -> int:
+    """Entries a bulk load puts in a node: ~85 %, headroom for inserts."""
+    return max(4, int(capacity * 0.85))
+
+
+def cut_leaves(chunks: Iterable[Chunk], leaf_capacity: int
+               ) -> Iterator[Chunk]:
+    """The entries of ``chunks``, in order, cut where a bulk load of a
+    tree of ``leaf_capacity`` begins its leaves — every
+    :func:`_bulk_fill` entries, whatever leaves they come in — for
+    :meth:`BPlusTree.from_columns` and the snapshot's leaf pages alike.
+    The cut is a function of the entries, not of the splits and merges
+    that shaped the leaves. A leaf within one chunk is a view of it."""
+    fill = _bulk_fill(leaf_capacity)
+    keys: List[Key] = []
+    parts: List[Records] = []
+    for chunk_keys, values in chunks:
+        start = 0
+        while start < len(chunk_keys):
+            stop = min(len(chunk_keys), start + fill - len(keys))
+            keys += chunk_keys[start:stop]
+            parts.append(values.view(start, stop))
+            start = stop
+            if len(keys) == fill:
+                yield keys, parts[0] if len(parts) == 1 else Records.concat(parts)
+                keys, parts = [], []
+    if keys:
+        yield keys, parts[0] if len(parts) == 1 else Records.concat(parts)
+
+
+def _check_leaf_size(entries: int, leaf_capacity: int) -> None:
+    if not 0 < entries <= leaf_capacity:
+        raise StorageError(f"a leaf of {entries} entries does not fit a "
+                           f"tree of leaf capacity {leaf_capacity}")
+
+
+def _build_levels(level: list, separators: List[Key],
+                  internal_capacity: int) -> Tuple[object, int]:
+    """The internal levels a bulk load builds over ``level`` (the
+    leaves, ``separators`` their first keys), bottom up: the root and
+    the height."""
+    fanout = _bulk_fill(internal_capacity)
+    height = 1
+    while len(level) > 1:
+        next_level: List[object] = []
+        next_seps: List[Key] = []
+        for start in range(0, len(level), fanout):
+            group = level[start:start + fanout]
+            node = _Internal()
+            node.children = group
+            node.keys = separators[start + 1:start + len(group)]
+            next_level.append(node)
+            next_seps.append(separators[start])
+        level, separators = next_level, next_seps
+        height += 1
+    return level[0], height
+
+
 class _Leaf:
     __slots__ = ("keys", "values", "next", "prev", "page_no")
 
@@ -142,6 +200,11 @@ class BPlusTree:
     def height(self) -> int:
         """Number of node levels from root to leaf."""
         return self._height
+
+    @property
+    def fill(self) -> int:
+        """Entries per leaf of a bulk load (:func:`cut_leaves`)."""
+        return _bulk_fill(self.leaf_capacity)
 
     @property
     def leaf_count(self) -> int:
@@ -377,11 +440,8 @@ class BPlusTree:
         leaf_capacity: int = 128,
         internal_capacity: int = 64,
     ) -> "BPlusTree":
-        """Build a tree bottom-up from *sorted* unique (key, value) pairs.
-
-        Leaves are filled to ~85% like a real bulk load, leaving headroom
-        for subsequent inserts.
-        """
+        """Build a tree bottom-up from *sorted* unique (key, value) pairs,
+        its leaves cut where :func:`cut_leaves` cuts them."""
         return cls.from_columns([k for k, _ in items],
                                 Records.from_rows([v for _, v in items]),
                                 leaf_capacity, internal_capacity)
@@ -399,51 +459,49 @@ class BPlusTree:
         cut into views, one per leaf, and an object column is narrowed
         per leaf to the tightest lossless dtype, so one NULL leaves one
         leaf's column an object array rather than the whole column's."""
-        tree = cls(leaf_capacity=leaf_capacity, internal_capacity=internal_capacity)
-        if not keys:
-            return tree
         if len(keys) != len(values):
             raise StorageError("bulk_load needs one value per key")
-        if not all(map(lt, keys, islice(keys, 1, None))):
-            raise StorageError("bulk_load requires sorted unique keys")
-        columns = values.live_columns()
-        fill = max(4, int(leaf_capacity * 0.85))
+        return cls.from_leaves(
+            ((leaf_keys, Records([column if column.dtype != object
+                                  else lossless_array(column.tolist())
+                                  for column in leaf_values.live_columns()],
+                                 len(leaf_keys)))
+             for leaf_keys, leaf_values
+             in cut_leaves([(keys, values)], leaf_capacity)),
+            leaf_capacity, internal_capacity)
+
+    @classmethod
+    def from_leaves(
+        cls,
+        chunks: Iterable[Chunk],
+        leaf_capacity: int = 128,
+        internal_capacity: int = 64,
+    ) -> "BPlusTree":
+        """A tree whose leaves are ``chunks``, each adopted as it is (not
+        copied), under the internal levels a bulk load builds. A chunk
+        of no entries or over ``leaf_capacity``, or keys not ascending
+        across chunks, is a :class:`StorageError`, never a leaf."""
+        tree = cls(leaf_capacity=leaf_capacity, internal_capacity=internal_capacity)
         leaves: List[_Leaf] = []
-        for start in range(0, len(keys), fill):
-            stop = min(start + fill, len(keys))
+        for keys, values in chunks:
+            _check_leaf_size(len(keys), leaf_capacity)
+            if len(keys) != len(values):
+                raise StorageError("bulk_load needs one value per key")
+            if not all(map(lt, keys, islice(keys, 1, None))) \
+                    or leaves and not leaves[-1].keys[-1] < keys[0]:
+                raise StorageError("bulk_load requires sorted unique keys")
             leaf = _Leaf()
             leaf.page_no = tree._alloc_page() if leaves else tree._first_leaf.page_no
-            leaf.keys = keys[start:stop]
-            leaf.values = Records(
-                [column[start:stop] if column.dtype != object
-                 else lossless_array(column[start:stop].tolist())
-                 for column in columns], stop - start)
+            leaf.keys, leaf.values = keys, values
             if leaves:
                 leaves[-1].next = leaf
                 leaf.prev = leaves[-1]
             leaves.append(leaf)
-        tree._first_leaf = leaves[0]
-        tree._count = len(keys)
-        # Build internal levels bottom-up.
-        level: List[object] = list(leaves)
-        separators = [leaf.keys[0] for leaf in leaves]
-        height = 1
-        fanout = max(4, int(internal_capacity * 0.85))
-        while len(level) > 1:
-            next_level: List[object] = []
-            next_seps: List[Key] = []
-            for start in range(0, len(level), fanout):
-                group = level[start:start + fanout]
-                node = _Internal()
-                node.children = list(group)
-                node.keys = separators[start + 1:start + len(group)]
-                next_level.append(node)
-                next_seps.append(separators[start])
-            level = next_level
-            separators = next_seps
-            height += 1
-        tree._root = level[0]
-        tree._height = height
+            tree._count += len(keys)
+        if leaves:
+            tree._first_leaf = leaves[0]
+            tree._root, tree._height = _build_levels(
+                leaves, [leaf.keys[0] for leaf in leaves], internal_capacity)
         return tree
 
     def items(self) -> Iterator[Tuple[Key, Row]]:
@@ -550,10 +608,14 @@ class _BTreeIndexBase:
         _check_key_not_null(key_values)
         return key_values + (rid,)
 
+    def _height(self) -> int:
+        """Node levels a seek walks, root to leaf."""
+        return self.tree.height
+
     def _charge_traversal(self, ctx: Optional[ExecutionContext]) -> None:
         if ctx is None:
             return
-        ctx.charge_random_read(self.tree.height)
+        ctx.charge_random_read(self._height())
         ctx.charge_serial_cpu(ctx.cost_model.seek_cpu_ms)
 
     def _charge_range_io(
@@ -889,35 +951,36 @@ class SecondaryBTreeIndex(_BTreeIndexBase):
 class PagedLeafSource:
     """Demand-paged leaf storage of one B+ index.
 
-    The lazy snapshot loader hands each paged index one of these: the
-    resident half is tiny (item count, one fence key per leaf page, page
-    locations), the leaf pages themselves are fetched through the buffer
-    pool on first touch and evicted LRU under its budget. ``fences[i]``
-    is the first key of leaf page ``i`` — a one-level "internal node"
-    kept in memory, exactly the tentpole's contract (catalog and B+
-    internal structure resident, leaves paged).
-
-    ``read_page(offset, length)`` decodes one PT_BTREE_LEAF page into
-    its ``(keys, values)`` chunk, which is what the pool caches: the key
-    list and the :class:`Records` a resident leaf holds. It is supplied
-    by :mod:`repro.storage.pages` so this module stays codec-free.
+    The resident half is tiny (item count, one fence key per page, page
+    locations); the pages are fetched through the buffer pool on first
+    touch and evicted LRU under its budget. Page ``i`` is leaf ``i`` of
+    ``tree`` once materialized: ``fences[i]`` is its first key, and a
+    seek charges ``height``, the levels :meth:`BPlusTree.from_leaves`
+    builds over the pages. ``read_page(offset, length)`` (supplied by
+    :mod:`repro.storage.pages`, so this module stays codec-free) decodes
+    a page into the ``(keys, values)`` chunk the pool caches, a leaf's
+    two objects; one that does not fit a leaf fails its fault.
 
     The pool keys each frame ``(source, page id)``: a B+ index's object
     id is 0 in the snapshot, so the source itself is what tells its
     frames from every other index's, and :meth:`evict` drops only them.
     """
 
-    __slots__ = ("pool", "n_items", "fences", "page_locs", "read_page")
+    __slots__ = ("pool", "n_items", "fences", "page_locs", "read_page",
+                 "leaf_capacity", "height")
 
     def __init__(self, pool, n_items: int, fences: Sequence[Key],
                  page_locs: Sequence[Tuple[int, int, int]],
-                 read_page) -> None:
+                 read_page, tree: BPlusTree) -> None:
         self.pool = pool
         self.n_items = n_items
         self.fences = [tuple(f) for f in fences]
         #: (snapshot page id, byte offset, byte length) per leaf page.
         self.page_locs = list(page_locs)
         self.read_page = read_page
+        self.leaf_capacity = tree.leaf_capacity
+        self.height = _build_levels(self.page_locs, self.fences,
+                                    tree.internal_capacity)[1]
 
     @property
     def n_pages(self) -> int:
@@ -926,11 +989,13 @@ class PagedLeafSource:
     def fetch(self, page_no: int, pin: bool = False) -> Chunk:
         """One leaf page's chunk, faulting it in through the pool."""
         page_id, offset, length = self.page_locs[page_no]
-        return self.pool.get_or_load(
-            (self, page_id),
-            lambda: (self.read_page(offset, length), length),
-            pin=pin,
-        )
+
+        def fault() -> Tuple[Chunk, int]:
+            chunk = self.read_page(offset, length)
+            _check_leaf_size(len(chunk[0]), self.leaf_capacity)
+            return chunk, length
+
+        return self.pool.get_or_load((self, page_id), fault, pin=pin)
 
     def unpin(self, page_no: int) -> None:
         self.pool.unpin((self, self.page_locs[page_no][0]))
@@ -945,26 +1010,23 @@ class _PagedBTreeMixin:
 
     While paged, seeks and scans route through the leaf-fence array and
     fetch only the touched leaf pages (pinned for the duration of the
-    read); a checkpoint writes the leaves from the same chunks. Any
-    access that needs the full in-memory tree — a mutation,
-    ``check_invariants`` — goes through the ``tree`` property, which
-    transparently **materializes**: all leaf pages are read once, their
-    columns adopted by a real :class:`BPlusTree`
-    (:meth:`BPlusTree.from_columns`, no row built), and the paged pages
-    evicted from the pool. After materialization the index is
-    indistinguishable from an eagerly restored one, so correctness never
-    depends on staying paged.
-
-    Modeled-cost parity: ``_charge_traversal`` of a paged index charges
-    the height the materialized tree *would* have (the deterministic
-    ``bulk_load`` shape recomputed from the item count), so modeled
-    metrics are identical whether or not the index ever materializes.
+    read); a checkpoint writes the pages as they are. A mutation or
+    ``check_invariants`` goes through the ``tree`` property, which
+    **materializes**: the pages are adopted as the leaves of the
+    :class:`BPlusTree` an eager open builds
+    (:meth:`BPlusTree.from_leaves`) and evicted from the pool, so
+    modeled metrics are identical whether or not the index ever
+    materializes.
     """
 
     _paged: Optional[PagedLeafSource] = None
 
-    def attach_paged(self, source: PagedLeafSource) -> None:
-        self._paged = source
+    def attach_paged(self, pool, n_items: int, fences: Sequence[Key],
+                     page_locs: Sequence[Tuple[int, int, int]],
+                     read_page) -> None:
+        """Read leaf pages on disk until the first write."""
+        self._paged = PagedLeafSource(pool, n_items, fences, page_locs,
+                                      read_page, self._tree)
 
     @property
     def tree(self) -> BPlusTree:
@@ -990,52 +1052,28 @@ class _PagedBTreeMixin:
 
     def _materialize(self) -> None:
         source = self._paged
-        keys: List[Key] = []
-        parts: List[Records] = []
-        for page_no in range(source.n_pages):
-            page_keys, values = source.fetch(page_no)
-            keys += page_keys
-            parts.append(values)
-        tree = BPlusTree.from_columns(
-            keys, Records.concat(parts),
+        tree = BPlusTree.from_leaves(
+            map(source.fetch, range(source.n_pages)),
             leaf_capacity=self._tree.leaf_capacity,
             internal_capacity=self._tree.internal_capacity)
+        if len(tree) != source.n_items:
+            raise StorageError(
+                f"index {self.name!r}: leaf pages hold {len(tree)} "
+                f"entries, descriptor says {source.n_items}")
         self._tree = tree
         self._paged = None
         source.evict()
         if isinstance(self, PrimaryBTreeIndex):
-            self.map_rids(keys)     # onto the resident leaves' keys
+            self.map_rids([key for keys, _ in tree.leaf_chunks()
+                           for key in keys])
 
     def __len__(self) -> int:
         if self._paged is not None:
             return self._paged.n_items
         return len(self._tree)
 
-    def _paged_height(self) -> int:
-        """Height of the tree :meth:`_materialize` would build — the
-        deterministic :meth:`BPlusTree.bulk_load` shape recomputed from
-        the item count, so paged and materialized traversals charge
-        identical modeled I/O."""
-        n = self._paged.n_items
-        if n == 0:
-            return 1
-        fill = max(4, int(self._tree.leaf_capacity * 0.85))
-        fanout = max(4, int(self._tree.internal_capacity * 0.85))
-        level = -(-n // fill)
-        height = 1
-        while level > 1:
-            level = -(-level // fanout)
-            height += 1
-        return height
-
-    def _charge_traversal(self, ctx: Optional[ExecutionContext]) -> None:
-        if ctx is None:
-            return
-        if self._paged is not None:
-            ctx.charge_random_read(self._paged_height())
-            ctx.charge_serial_cpu(ctx.cost_model.seek_cpu_ms)
-        else:
-            super()._charge_traversal(ctx)
+    def _height(self) -> int:
+        return self._tree.height if self._paged is None else self._paged.height
 
     def _leaf_chunks(self, *bounds) -> Iterator[Chunk]:
         if self._paged is None:
@@ -1071,8 +1109,6 @@ class _PagedBTreeMixin:
         if self._paged is None:
             return super()._get_many(keys)
         source, found = self._paged, []
-        if source.n_pages == 0:
-            return [None] * len(keys)
         for page_no, group in groupby(keys, key=lambda key: max(
                 0, bisect_right(source.fences, key) - 1)):
             page_keys, values = source.fetch(page_no, pin=True)

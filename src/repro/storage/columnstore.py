@@ -44,7 +44,7 @@ from repro.core.schema import TableSchema
 from repro.engine.batch import Batch, batch_column
 from repro.engine.encoded import EncodedColumn
 from repro.engine.metrics import ExecutionContext
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import BPlusTree, Chunk
 from repro.storage.compression import CompressedRowGroup, compress_rowgroup
 from repro.storage.faults import FaultInjector, trip
 from repro.storage.heap import SCAN_CHUNK_ROWS
@@ -294,13 +294,13 @@ class ColumnstoreIndex:
         for pos in np.flatnonzero(deleted_mask).tolist():
             self._rid_location.pop(int(group.rids[pos]), None)
 
-    def restore_side_state(self, delta_rids: List[int], delta_values: Records,
+    def restore_side_state(self, delta_leaves: Iterable[Chunk],
                            delete_buffer: Iterable[int]) -> None:
         """Replace the delta store and the delete buffer with a
-        snapshot's; the delta store's rows are ``delta_values`` at the
-        ascending ``delta_rids``."""
-        self._delta = BPlusTree.from_columns(
-            delta_rids, delta_values, leaf_capacity=SCAN_CHUNK_ROWS)
+        snapshot's; the delta store's leaves are ``delta_leaves``, its
+        leaf pages' ``(rids, values)`` chunks, adopted as they are."""
+        self._delta = BPlusTree.from_leaves(delta_leaves,
+                                            leaf_capacity=SCAN_CHUNK_ROWS)
         self._delete_buffer = set(delete_buffer)
 
     def attach_pager(self, pager, pool) -> None:

@@ -70,8 +70,8 @@ class HeapFile:
         """Bulk build: the rows ``values`` (a :class:`Records`, or row
         tuples, pivoted once) at the ascending ``rids`` become the
         content of this empty heap. A load is not a statement (table bulk
-        load, a primary conversion, snapshot restore, redo): the rows are
-        not checked, no fault point is hit, nothing is charged."""
+        load, a primary conversion, redo): the rows are not checked, no
+        fault point is hit, nothing is charged."""
         if len(self.tree):
             raise StorageError(f"bulk load into non-empty heap {self.name!r}")
         if not isinstance(values, Records):

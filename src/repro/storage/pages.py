@@ -13,7 +13,7 @@ self-describing binary payload.
 Page header (32 bytes, little-endian)::
 
     magic      4s   b"RPPG"
-    version    B    format version (currently 3)
+    version    B    format version (currently 4)
     page_type  B    PT_* constant
     reserved   H    zero
     page_id    Q    sequential within the snapshot stream
@@ -36,7 +36,9 @@ followed by its data pages. The entries of each tree of
 :class:`~repro.storage.records.Records` leaves — a heap and a delta
 store (keyed by rid), a clustered and a secondary B+ tree — follow its
 descriptor, whose ``n_items`` sizes the run, as :data:`PT_BTREE_LEAF`
-pages of up to :data:`BTREE_ITEMS_PER_PAGE` entries, each its columns::
+pages cut where a bulk load cuts leaves
+(:func:`~repro.storage.btree.cut_leaves`): each is adopted as one leaf
+of the tree that reads it back, and holds its entries' columns::
 
     {"keys": [key field 0, ..., rid] or rid, "values": [field 0, ...]}
 
@@ -64,7 +66,7 @@ import os
 import struct
 import threading
 import zlib
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,11 +76,11 @@ from repro.core.types import ColumnType, TypeKind
 from repro.storage.btree import (
     BPlusTree,
     Chunk,
-    PagedLeafSource,
     PagedPrimaryBTreeIndex,
     PagedSecondaryBTreeIndex,
     PrimaryBTreeIndex,
     SecondaryBTreeIndex,
+    cut_leaves,
 )
 from repro.storage.bufferpool import PAGE_BYTES, BufferPool
 from repro.storage.columnstore import ColumnstoreIndex
@@ -105,7 +107,7 @@ __all__ = [
 # ------------------------------------------------------------ page codec
 
 PAGE_MAGIC = b"RPPG"
-PAGE_VERSION = 3
+PAGE_VERSION = 4
 PAGE_HEADER = struct.Struct("<4sBBHQQII")
 
 PT_CATALOG = 1
@@ -125,9 +127,6 @@ PAGE_TYPE_NAMES = {
     PT_CSI_SEGMENT: "csi_segment",
     PT_CSI_SIDE: "csi_side",
 }
-
-#: Leaf entries per PT_BTREE_LEAF page.
-BTREE_ITEMS_PER_PAGE = 1024
 
 # ----------------------------------------------------------- value codec
 
@@ -446,42 +445,29 @@ def _schema_from_payload(name: str, columns: List[Tuple]) -> TableSchema:
     ])
 
 
-def _leaf_pages(n_items: int) -> int:
-    """Length of the PT_BTREE_LEAF run that holds ``n_items`` entries."""
-    return -(-n_items // BTREE_ITEMS_PER_PAGE)
+def _leaf_run(index) -> Iterable[Chunk]:
+    """The leaf pages of ``index``'s run, uncharged: a paged B+ index's
+    as they are, through the pool (it stays paged); any other tree's
+    entries cut as its bulk load cuts leaves, held for the descriptor."""
+    if getattr(index, "_paged", None) is not None:
+        return index._leaf_chunks(None, None, True, True)
+    tree = index._delta if isinstance(index, ColumnstoreIndex) else index.tree
+    return list(cut_leaves(tree.leaf_chunks(), tree.leaf_capacity))
 
 
-def _leaf_stream(index) -> Iterator[Chunk]:
-    """The leaf chunks of ``index``'s entries, uncharged; a paged B+
-    index reads its leaf pages through the buffer pool and stays paged."""
-    if isinstance(index, ColumnstoreIndex):
-        return index._delta.leaf_chunks()
-    if isinstance(index, HeapFile):
-        return index.tree.leaf_chunks()
-    return index._leaf_chunks(None, None, True, True)
-
-
-def _index_descriptor(table, index) -> Dict[str, object]:
+def _index_descriptor(table, index, run: Iterable[Chunk]
+                      ) -> Dict[str, object]:
     """The PT_INDEX payload of ``index``: what kind of structure to
-    rebuild and the size of the leaf run that follows it. A paged B+
-    index still holds the run its snapshot holds: its source gives the
-    count and the fences without a walk that would fault every leaf
-    page in once more than the writer does."""
+    rebuild and the size of the leaf ``run`` that follows it (a paged
+    B+ index's source gives both, so only the writer walks its pages)."""
     source = getattr(index, "_paged", None)
-    if source is not None:
-        n_items, fences = source.n_items, list(source.fences)
-    else:
-        n_items, fences = 0, []     # the first key of each leaf page
-        for keys, _values in _leaf_stream(index):
-            fences += keys[-n_items % BTREE_ITEMS_PER_PAGE::
-                           BTREE_ITEMS_PER_PAGE]
-            n_items += len(keys)
     desc: Dict[str, object] = {
         "table": table.name,
         "name": index.name,
         "role": "primary" if index is table.primary else "secondary",
         "object_id": getattr(index, "object_id", 0),
-        "n_items": n_items,
+        "n_items": (source.n_items if source is not None
+                    else sum(len(keys) for keys, _values in run)),
     }
     if isinstance(index, HeapFile):
         desc["kind"] = "heap"
@@ -492,9 +478,9 @@ def _index_descriptor(table, index) -> Dict[str, object]:
             "included_columns": (
                 None if isinstance(index, PrimaryBTreeIndex)
                 else list(index.included_columns)),
-            # The first key of each leaf page: the resident separator
-            # array that routes a paged index's seek to its leaf page.
-            "leaf_fences": fences,
+            # Each leaf page's first key: a paged index's seek routing.
+            "leaf_fences": (list(source.fences) if source is not None
+                            else [keys[0] for keys, _values in run]),
         })
     elif isinstance(index, ColumnstoreIndex):
         desc.update({
@@ -509,26 +495,6 @@ def _index_descriptor(table, index) -> Dict[str, object]:
             f"index {index.name!r} of type {type(index).__name__} "
             "cannot be serialized")
     return desc
-
-
-def _leaf_payloads(chunks: Iterable[Chunk]) -> Iterator[Dict[str, object]]:
-    """The PT_BTREE_LEAF payloads of a leaf run: the entries of
-    ``chunks`` cut into pages of :data:`BTREE_ITEMS_PER_PAGE`."""
-    keys: list = []
-    parts: List[Records] = []
-    for chunk_keys, values in chunks:
-        start = 0
-        while start < len(chunk_keys):
-            stop = min(len(chunk_keys),
-                       start + BTREE_ITEMS_PER_PAGE - len(keys))
-            keys += chunk_keys[start:stop]
-            parts.append(values.view(start, stop))
-            start = stop
-            if len(keys) == BTREE_ITEMS_PER_PAGE:
-                yield _leaf_payload(keys, Records.concat(parts))
-                keys, parts = [], []
-    if keys:
-        yield _leaf_payload(keys, Records.concat(parts))
 
 
 def _leaf_payload(keys: list, values: Records) -> Dict[str, object]:
@@ -629,9 +595,10 @@ def write_snapshot(database, out: BinaryIO, checkpoint_lsn: int = 0,
             "n_indexes": 1 + len(table.secondary_indexes),
         })
         for index in [table.primary] + list(table.secondary_indexes.values()):
-            writer.write(PT_INDEX, _index_descriptor(table, index))
-            for payload in _leaf_payloads(_leaf_stream(index)):
-                writer.write(PT_BTREE_LEAF, payload)
+            run = _leaf_run(index)
+            writer.write(PT_INDEX, _index_descriptor(table, index, run))
+            for keys, values in run:
+                writer.write(PT_BTREE_LEAF, _leaf_payload(keys, values))
             if isinstance(index, ColumnstoreIndex):
                 for gi, state in enumerate(index._groups):
                     group = state.group
@@ -820,31 +787,28 @@ class _CsiPager:
 
 
 def _read_leaves(stream: _PageStream, desc: Dict[str, object]
-                 ) -> Tuple[list, Records]:
-    """The leaf run after the descriptor ``desc``, decoded: its keys in
-    order and their values as one :class:`Records`, what
-    ``BPlusTree.from_columns`` builds a tree of."""
-    keys: list = []
-    parts: List[Records] = []
-    for _ in range(_leaf_pages(desc["n_items"])):
-        page_keys, values = _leaf_chunk(stream.next(PT_BTREE_LEAF).payload)
-        keys += page_keys
-        parts.append(values)
-    if len(keys) != desc["n_items"]:
+                 ) -> List[Chunk]:
+    """The leaf run after the descriptor ``desc``, decoded: one chunk a
+    page, the leaves ``BPlusTree.from_leaves`` adopts."""
+    leaves: List[Chunk] = []
+    n_items = 0
+    while n_items < desc["n_items"]:
+        leaves.append(_leaf_chunk(stream.next(PT_BTREE_LEAF).payload))
+        n_items += len(leaves[-1][0])
+    if n_items != desc["n_items"]:
         raise StorageError(
-            f"index {desc['name']!r}: snapshot has {len(keys)} leaf "
+            f"index {desc['name']!r}: snapshot has {n_items} leaf "
             f"entries, descriptor says {desc['n_items']}")
-    return keys, Records.concat(parts)
+    return leaves
 
 
 def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
                    pool: Optional[BufferPool],
                    reader: Optional[SnapshotReader]):
-    """Rebuild one B+ index from its leaf pages: decoded and built now,
-    or — given a pool and a reader — left on disk behind the
-    descriptor's fence keys, the only part that stays resident. A
-    clustered index maps every rid to its key, read from its leaves:
-    the ones it built, or each paged leaf page once, outside the pool."""
+    """Rebuild one B+ index whose leaves are its leaf pages: adopted
+    now, or — given a pool and a reader — left on disk behind the
+    descriptor's fence keys. A clustered index maps every rid to its
+    key, read from its leaves (each paged one once, outside the pool)."""
     if desc["included_columns"] is None:
         cls = PrimaryBTreeIndex if pool is None else PagedPrimaryBTreeIndex
         index = cls(desc["name"], table.schema, desc["key_columns"],
@@ -855,22 +819,21 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
                     desc["included_columns"], object_id=desc["object_id"])
     primary = isinstance(index, PrimaryBTreeIndex)
     if pool is None:
-        keys, values = _read_leaves(stream, desc)
-        index.tree = BPlusTree.from_columns(
-            keys, values, leaf_capacity=index.tree.leaf_capacity)
+        index.tree = BPlusTree.from_leaves(_read_leaves(stream, desc),
+                                           index.tree.leaf_capacity)
         if primary:
-            index.map_rids(keys)
+            index.map_rids([key for keys, _ in index.tree.leaf_chunks()
+                            for key in keys])
         return index
-    n_pages = _leaf_pages(desc["n_items"])
-    if not n_pages:
+    if not desc["n_items"]:
         return index  # empty index: nothing to page
     fences = desc.get("leaf_fences")
-    if fences is None or len(fences) != n_pages:
+    if not fences:
         raise StorageError(
             f"index {desc['name']!r}: snapshot predates the paged "
             "format (no leaf fences) — rewrite it with save() before "
             "opening with paging=True")
-    page_locs = [stream.defer(PT_BTREE_LEAF) for _ in range(n_pages)]
+    page_locs = [stream.defer(PT_BTREE_LEAF) for _ in fences]
 
     def read_leaf(offset: int, length: int) -> Chunk:
         return _leaf_chunk(
@@ -879,8 +842,7 @@ def _restore_btree(table, desc: Dict[str, object], stream: _PageStream,
     if primary:
         index.map_rids([key for _id, offset, length in page_locs
                         for key in read_leaf(offset, length)[0]])
-    index.attach_paged(PagedLeafSource(
-        pool, desc["n_items"], fences, page_locs, read_leaf))
+    index.attach_paged(pool, desc["n_items"], fences, page_locs, read_leaf)
     return index
 
 
@@ -925,7 +887,7 @@ def _restore_columnstore(table, desc: Dict[str, object],
         is_primary=desc["is_primary"], rowgroup_size=desc["rowgroup_size"],
         object_id=desc["object_id"],
     )
-    delta_rids, delta_values = _read_leaves(stream, desc)
+    delta = _read_leaves(stream, desc)
     pager = None
     if pool is not None:
         pager = _CsiPager(reader, pool, desc["object_id"])
@@ -969,7 +931,7 @@ def _restore_columnstore(table, desc: Dict[str, object],
                 loader=loader),
             group_page["deleted_mask"], group_page["n_deleted"])
     side = stream.next(PT_CSI_SIDE).payload
-    index.restore_side_state(delta_rids, delta_values, side["delete_buffer"])
+    index.restore_side_state(delta, side["delete_buffer"])
     return index
 
 
@@ -1004,7 +966,8 @@ def _load(f: BinaryIO, cost_model, pool: Optional[BufferPool] = None,
             if desc["kind"] == "heap":
                 index = HeapFile(desc["name"], table.schema,
                                  object_id=desc["object_id"])
-                index.load(*_read_leaves(stream, desc))
+                index.tree = BPlusTree.from_leaves(
+                    _read_leaves(stream, desc), index.tree.leaf_capacity)
             elif desc["kind"] == "btree":
                 index = _restore_btree(table, desc, stream, pool, reader)
             elif desc["kind"] == "csi":

@@ -21,6 +21,7 @@ from repro.storage.btree import (
     BPlusTree,
     PrimaryBTreeIndex,
     SecondaryBTreeIndex,
+    cut_leaves,
     iter_entries,
 )
 from repro.storage.records import Records
@@ -144,6 +145,18 @@ class TestBPlusTree:
     def test_bulk_load_rejects_duplicates_and_late_disorder(self, keys):
         with pytest.raises(StorageError, match="sorted unique"):
             BPlusTree.bulk_load([((k,), (k,)) for k in keys], leaf_capacity=4)
+
+    @pytest.mark.parametrize("leaves, refused", [
+        ([[1, 2, 3, 4, 5]], "5 entries does not fit"),
+        ([[1, 2], []], "0 entries does not fit"),
+        ([[1, 2], [2, 3]], "sorted unique"),
+        ([[1, 3], [2, 4]], "sorted unique"),
+    ])
+    def test_from_leaves_refuses_what_no_leaf_holds(self, leaves, refused):
+        with pytest.raises(StorageError, match=refused):
+            BPlusTree.from_leaves(
+                [([(k,) for k in keys], Records.from_rows([(k,) for k in keys]))
+                 for keys in leaves], leaf_capacity=4)
 
     def test_bulk_load_then_insert_delete(self):
         items = [((i,), (i,)) for i in range(0, 1000, 2)]
@@ -382,6 +395,29 @@ class ColumnarLeafMachine(RuleBasedStateMachine):
                 assert repr(built.tolist()) == repr(pivoted.tolist())
         assert (repr(self.tree.get((probe,)))
                 == repr(self.model.get((probe,))))
+
+    @rule()
+    def bulk_load_is_its_cut_adopted(self):
+        """``from_columns`` builds the tree ``from_leaves`` builds over
+        ``cut_leaves`` of the same entries — the cut of this tree's
+        live leaves, however its splits and merges shaped them (what a
+        snapshot writes) — to the leaf, the entry and the level."""
+        def shape(tree):
+            tree.check_invariants()
+            return (tree.height, [(keys, repr(list(values)))
+                                  for keys, values in tree.leaf_chunks()])
+
+        capacity = self.tree.leaf_capacity
+        entries = sorted(self.model.items())
+        keys = [key for key, _ in entries]
+        values = Records.from_rows([row for _, row in entries])
+        bulk = BPlusTree.from_columns(keys, values, capacity, 4)
+        assert shape(bulk) == shape(BPlusTree.from_leaves(
+            cut_leaves([(keys, values)], capacity), capacity, 4))
+        assert shape(bulk) == shape(BPlusTree.from_leaves(
+            cut_leaves(self.tree.leaf_chunks(), capacity), capacity, 4))
+        assert all(len(leaf_keys) == bulk.fill
+                   for leaf_keys, _ in list(bulk.leaf_chunks())[:-1])
 
     @invariant()
     def matches_the_model(self):

@@ -8,12 +8,16 @@ report exactly the same modeled metrics as its in-memory twin.
 
 import contextlib
 import io
+import pathlib
 
 from repro.__main__ import main
 from repro.core.schema import Column, TableSchema
 from repro.core.types import INT, varchar
 from repro.engine.executor import Executor
 from repro.storage.database import Database
+from repro.workloads.synthetic import make_uniform_table, q1_scan
+
+RESULTS = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
 
 def capture(argv):
@@ -98,3 +102,28 @@ class TestFigureIdentity:
             assert lhs.metrics.cpu_ms == rhs.metrics.cpu_ms
             assert lhs.metrics.data_read_mb == rhs.metrics.data_read_mb
             assert lhs.metrics.data_written_mb == rhs.metrics.data_written_mb
+
+    def test_zero_row_q1_is_the_committed_figure_point(self):
+        """Figures 1 and 2's zero-row B+ tree point, on the figures'
+        500 000-row clustered table: Q1 at selectivity 0 reads no row
+        and answers one, a NULL sum. The committed figure files print
+        its times, so an engine change that moves them fails here."""
+        database = Database()
+        make_uniform_table(database, "micro", 500_000, 1, seed=5)
+        database.table("micro").set_primary_btree(["col1"])
+        executor = Executor(database)
+        hot = executor.execute(q1_scan(0.0))
+        cold = executor.execute(q1_scan(0.0), cold=True)
+        assert hot.rows == cold.rows == [(None,)]
+        assert round(cold.metrics.elapsed_ms, 3) == 1.572
+        assert round(hot.metrics.elapsed_ms, 3) == 0.072
+        assert round(hot.metrics.cpu_ms, 3) == 0.072
+        # sel% | btree cold | CSI cold | btree hot | CSI hot | btree CPU
+        fig1 = (RESULTS / "fig1_selectivity.txt").read_text().splitlines()
+        cells = [cell.strip() for cell in fig1[3].split("|")]
+        assert [cells[i] for i in (0, 1, 3, 5)] \
+            == ["0", "1.572", "0.072", "0.072"]
+        # sel% | btree ms (cold)
+        fig2 = (RESULTS / "fig2_data_skipping.txt").read_text().splitlines()
+        assert [cell.strip() for cell in fig2[3].split("|")][:2] \
+            == ["0", "1.572"]

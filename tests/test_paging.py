@@ -20,16 +20,24 @@ from repro.core.schema import Column, TableSchema
 from repro.core.types import BIGINT, INT, decimal, varchar
 from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionContext
-from repro.storage.btree import iter_entries
+from repro.storage.btree import PrimaryBTreeIndex, iter_entries
 from repro.storage.checker import check_database
 from repro.storage.database import Database
-from repro.storage.pages import BTREE_ITEMS_PER_PAGE, Records
+from repro.storage.pages import Records
 from repro.storage.recovery import recover, state_digest
 
 
+N_SCHEMA = TableSchema("n", [
+    Column("k", INT, nullable=False),
+    Column("x", INT, nullable=False),
+    Column("f", decimal(2)),
+    Column("y", BIGINT),
+])
+#: Entries per leaf of ``n``'s clustered tree, and so per leaf page.
+N_FILL = PrimaryBTreeIndex("pk", N_SCHEMA, ["k"]).tree.fill
 #: Rows of ``n`` whose ``y`` is NULL: every fifth row of its third leaf
 #: page, so that page's ``y`` column is objects and the others' int64.
-NULL_Y = range(2 * BTREE_ITEMS_PER_PAGE, 3 * BTREE_ITEMS_PER_PAGE, 5)
+NULL_Y = range(2 * N_FILL, 3 * N_FILL, 5)
 
 
 def build_mixed_db():
@@ -52,12 +60,7 @@ def build_mixed_db():
     ]))
     u.bulk_load([(i, i * 2) for i in range(4096)])
     u.set_primary_columnstore(name="u_csi", rowgroup_size=1024)
-    n = database.create_table(TableSchema("n", [
-        Column("k", INT, nullable=False),
-        Column("x", INT, nullable=False),
-        Column("f", decimal(2)),
-        Column("y", BIGINT),
-    ]))
+    n = database.create_table(N_SCHEMA)
     n.bulk_load([(i, i * 7 % 1000, i / 4, None if i in NULL_Y else i << 34)
                  for i in range(5000)])
     n.set_primary_btree(["k"])
@@ -117,7 +120,7 @@ class TestPagedOpen:
 class TestDifferentialReads:
     def test_scans_and_seeks_identical(self, durable_dir):
         full, paged = open_both(durable_dir)
-        # Chunk boundaries differ (leaf vs snapshot page); entries do not.
+        # A paged chunk is a snapshot page, an eager one a leaf: the same.
         def entries(chunks):
             return list(iter_entries(chunks))
         assert (entries(full.table("t").primary.scan())
@@ -163,7 +166,8 @@ class TestDifferentialReads:
         assert {type(values) for values in pages} == {Records}
         assert ([[column.dtype.kind for column in values.columns]
                  for values in pages]
-                == [list("iifi")] * 2 + [list("iifO")] + [list("iifi")] * 2)
+                == [list("iifi")] * 2 + [list("iifO")]
+                + [list("iifi")] * (len(pages) - 3))
 
     def test_modeled_metrics_identical(self, durable_dir):
         """Paged reads charge exactly the modeled costs of the in-memory
@@ -224,6 +228,57 @@ class TestDifferentialReads:
         csi_rows(paged)
         assert paged.buffer_pool.misses == cold_misses
         assert paged.buffer_pool.hits > 0
+
+
+def faulted_leaves(index):
+    """The key lists of ``index``'s leaf pages resident in its pool, in
+    page order."""
+    source = index._paged
+    page_ids = [page_id for page_id, _offset, _length in source.page_locs]
+    resident = {page_id for _owner, page_id in frames(source.pool, source)}
+    return [source.fetch(page_no)[0]
+            for page_no, page_id in enumerate(page_ids) if page_id in resident]
+
+
+class TestFaultIsOneLeaf:
+    """A leaf page is a leaf of the eager tree: from an empty pool, a
+    cold seek faults the one page that holds its key, and a range scan
+    exactly the leaves the eager tree reads for it."""
+
+    @pytest.mark.parametrize("name", [None, "ix_x"])
+    def test_seek_faults_the_leaf_that_holds_the_key(self, durable_dir, name):
+        full, paged = open_both(durable_dir)
+        eager, lazy = (table.primary if name is None
+                       else table.secondary_indexes[name]
+                       for table in (full.table("n"), paged.table("n")))
+        leaves = [keys for keys, _ in eager.tree.leaf_chunks()]
+        assert len(leaves) > 3
+        pool = paged.buffer_pool
+        for leaf in (leaves[0], leaves[2], leaves[-1]):
+            lazy.release_pages()
+            before = pool.misses
+            key = leaf[len(leaf) // 2][:1]
+            assert list(iter_entries(lazy.seek_range(key, key))) \
+                == list(iter_entries(eager.seek_range(key, key)))
+            assert pool.misses - before == 1
+            assert faulted_leaves(lazy) == [leaf]
+
+    @pytest.mark.parametrize("name", [None, "ix_x"])
+    def test_range_scan_faults_the_leaves_it_reads(self, durable_dir, name):
+        full, paged = open_both(durable_dir)
+        eager, lazy = (table.primary if name is None
+                       else table.secondary_indexes[name]
+                       for table in (full.table("n"), paged.table("n")))
+        leaves = [keys for keys, _ in eager.tree.leaf_chunks()]
+        low, high = leaves[1][10][:1], leaves[3][-10][:1]
+        read = [next(leaf for leaf in leaves if keys[0] in leaf)
+                for keys, _ in eager.seek_range(low, high)]
+        assert len(read) >= 3
+        pool = paged.buffer_pool
+        assert list(iter_entries(lazy.seek_range(low, high))) \
+            == list(iter_entries(eager.seek_range(low, high)))
+        assert pool.misses == len(read)
+        assert faulted_leaves(lazy) == read
 
 
 class TestDifferentialDml:
@@ -339,6 +394,7 @@ class TestDifferentialDml:
         table.bulk_load([(i, i * 7 % 1000) for i in range(20000)])
         table.set_primary_btree(["k"])
         table.create_secondary_btree("ix_v", ["v"])
+        leaves = [index.tree.leaf_count for index in table.all_indexes]
         database.enable_durability(str(tmp_path / "paged"))
         database.close()
         shutil.copytree(tmp_path / "paged", tmp_path / "eager")
@@ -347,10 +403,10 @@ class TestDifferentialDml:
         try:
             t = paged.table("t")
             sources = [t.primary._paged, t.secondary_indexes["ix_v"]._paged]
-            assert sum(source.n_pages for source in sources) == 40
+            assert [source.n_pages for source in sources] == leaves
             before = paged.buffer_pool.misses
             paged.checkpoint()
-            assert paged.buffer_pool.misses - before == 40
+            assert paged.buffer_pool.misses - before == sum(leaves)
         finally:
             paged.close()
         eager = Database.open(str(tmp_path / "eager"))

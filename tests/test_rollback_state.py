@@ -194,3 +194,24 @@ def test_failed_multi_row_insert_leaves_counters(design):
     assert table.modification_counter == 102
     assert [index.usage.user_updates for index in table.all_indexes] == \
         [1, 1]
+
+
+def test_rolled_back_insert_that_split_leaves_restores_the_digest():
+    """Every row of the INSERT lands in one leaf of the clustered tree
+    and one of the secondary B+ tree, a leaf's capacity of them, so both
+    split; the statement fails on its last row. Rolling back deletes the
+    rows (borrowing and merging as deletes do), which does not give back
+    the leaves from before, but a snapshot cuts its pages where a bulk
+    load cuts leaves, so the digest is the one from before."""
+    db = build("btree")
+    table = db.table("t")
+    trees = [table.primary.tree, table.secondary_indexes["ix_a"].tree]
+    n_rows = max(tree.leaf_capacity for tree in trees)
+    pages = [tree._next_page_no for tree in trees]     # one more a split
+    sql = ("INSERT INTO t (k, a, s) VALUES "
+           + ", ".join(["(1500, 3, 'x')"] * n_rows))
+    # A row is inserted into the clustered tree, then the secondary.
+    before, after = failed_digest(db, sql, "btree.insert", 2 * n_rows)
+    assert all(tree._next_page_no > count
+               for tree, count in zip(trees, pages))
+    assert after == before

@@ -56,7 +56,6 @@ from repro.engine.operators import (
     SecondaryBTreeSeek,
 )
 from repro.engine.operators import scans
-from repro.storage import pages
 from repro.storage.btree import BPlusTree, PrimaryBTreeIndex
 from repro.storage.database import Database
 from repro.storage.records import Records
@@ -129,7 +128,7 @@ def build_tree(items, capacity, bulk):
 def paged_index(items, page_rows):
     """A PagedPrimaryBTreeIndex over ``items`` ((key + rid, row) pairs)
     cut into pages of ``page_rows`` and served through a real pool."""
-    from repro.storage.btree import PagedLeafSource, PagedPrimaryBTreeIndex
+    from repro.storage.btree import PagedPrimaryBTreeIndex
     from repro.storage.bufferpool import BufferPool
     schema = TableSchema("p", [Column("a", INT, nullable=False),
                                Column("b", INT, nullable=False),
@@ -138,12 +137,12 @@ def paged_index(items, page_rows):
     pool = BufferPool(budget_bytes=1 << 20)
     index = PagedPrimaryBTreeIndex("pk", schema, ["a", "b"])
     if pages:
-        index.attach_paged(PagedLeafSource(
+        index.attach_paged(
             pool, len(items), [page[0][0] for page in pages],
             [(i, i, 64) for i in range(len(pages))],
             lambda offset, length: ([k for k, _ in pages[offset]],
                                     Records.from_rows(
-                                        [v for _, v in pages[offset]]))))
+                                        [v for _, v in pages[offset]])))
     return index, pool
 
 
@@ -533,16 +532,16 @@ class TestLeafRuns:
 
     @examples(40)
     @given(rows=leaf_run_rows(), capacity=st.integers(4, 24),
-           page_rows=st.integers(2, 30),
+           page_capacity=st.integers(4, 36),
            batch_rows=st.sampled_from([3, 7, 16, 4096]),
            predicate=predicates_over(COLUMNS),
            extra=st.permutations(COLUMNS).map(lambda p: p[:3]),
            low=st.one_of(st.none(), st.integers(-1, 6)),
            cold=st.booleans())
-    def test_runs_equal_per_leaf_steps(self, rows, capacity, page_rows,
+    def test_runs_equal_per_leaf_steps(self, rows, capacity, page_capacity,
                                        batch_rows, predicate, extra, low,
                                        cold):
-        def build(capacity=None):
+        def build(capacity):
             database = Database("leaf-runs")
             table = database.create_table(scan_schema("t"))
             table.bulk_load(rows)
@@ -550,10 +549,8 @@ class TestLeafRuns:
             table.create_secondary_btree("ix_cov", ["g"],
                                          included_columns=["x", "f", "s"])
             table.create_secondary_btree("ix_g", ["g"])
-            if capacity is not None:
-                for index in [table.primary,
-                              *table.secondary_indexes.values()]:
-                    with_leaf_capacity(index, capacity)
+            for index in [table.primary, *table.secondary_indexes.values()]:
+                with_leaf_capacity(index, capacity)
             return database
 
         columns = list(dict.fromkeys(predicate.columns() + list(extra)))
@@ -577,12 +574,11 @@ class TestLeafRuns:
                  SecondaryBTreeSeek, PerLeafSecondaryBTreeSeek),
             ]
 
-        # Small leaves resident, and leaf pages of ``page_rows`` entries
-        # paged from a snapshot of the same rows in leaves of the size
-        # the schema gives (which set the paged trees' modeled height).
-        small, database = build(capacity), build()
-        with tempfile.TemporaryDirectory() as directory, \
-                mock.patch.object(pages, "BTREE_ITEMS_PER_PAGE", page_rows):
+        # Small leaves resident, and the same rows in leaves of
+        # ``page_capacity``, resident and paged from their snapshot, whose
+        # leaf pages are those leaves.
+        small, database = build(capacity), build(page_capacity)
+        with tempfile.TemporaryDirectory() as directory:
             database.save(directory)
             paged = Database.open(directory, paging=True, pool_bytes=1 << 16)
         try:

@@ -22,8 +22,9 @@ against a recording made from the two separate loaders they replaced
     leaves (heap, clustered and secondary B+, delta store) is written
     once, as its own run of leaf pages; eager and paged opens give the
     source's ``state_digest``, a paged clustered table answers every rid
-    as an eager one does, and a page of format version 1 or 2 is
-    refused.
+    as an eager one does, page i of a run is leaf i of the tree that
+    reads it back, and a page of format version 1 to 3, or one over
+    its tree's leaf capacity, is refused.
 
 Then the two defects the merge fixed or made fixable: a reopened heap
 keeps its high-water rid, and a database can be closed — N paged opens
@@ -39,7 +40,11 @@ columns, which moved the page boundaries again: only the corruption
 section was re-recorded, and every entry in it that changed differs in
 a byte offset, a length or the version number, except that a flipped
 low bit of the last page's length now makes it one byte longer (a
-truncation) rather than one byte shorter (a checksum mismatch).
+truncation) rather than one byte shorter (a checksum mismatch). Format
+version 4 cuts leaf pages at the reading tree's leaves: only
+``meta.pages_read``, the reports' ``snapshot_pages`` and the corruption
+entries that print the version byte (a flipped version, and three
+truncated pages whose next "magic" ends in it) were re-recorded.
 """
 
 import dataclasses
@@ -72,12 +77,14 @@ from repro.storage.pages import (
     PT_INDEX,
     SnapshotReader,
     _leaf_chunk,
+    _leaf_payload,
     build_page,
     load_snapshot,
     load_snapshot_paged,
     parse_page,
     snapshot_bytes,
 )
+from repro.storage.records import Records
 from repro.storage.recovery import recover, state_digest
 from repro.storage.wal import SNAPSHOT_FILENAME
 from tests.sql_corpus import runnable_workloads
@@ -525,6 +532,100 @@ def leaf_tree(index):
     return index._delta if isinstance(index, ColumnstoreIndex) else index.tree
 
 
+def leaf_page_keys(snapshot: bytes):
+    """Index name -> the key list of each leaf page of its run."""
+    runs, name, offset = {}, None, 0
+    while offset < len(snapshot):
+        page, offset = parse_page(snapshot, offset)
+        if page.page_type == PT_INDEX:
+            name = page.payload["name"]
+            runs[name] = []
+        elif page.page_type == PT_BTREE_LEAF:
+            runs[name].append(_leaf_chunk(page.payload)[0])
+    return runs
+
+
+def test_each_page_is_a_leaf_of_the_reopened_tree():
+    """Page i of a run is leaf i of the tree an eager open builds of it,
+    every page but the last holding that tree's bulk-load fill, however
+    the writer's leaves were split: heap, clustered and secondary B+
+    trees and delta stores alike."""
+    database = three_designs()
+    split = []
+    for name in ("h", "b", "c"):
+        table = database.table(name)
+        before = [leaf_tree(index).leaf_count for index in table.all_indexes]
+        for i in range(1700):       # one key, one leaf: past its capacity
+            table.insert_row((1000, 5, "s1"))
+        split.append([leaf_tree(index).leaf_count for index in
+                      table.all_indexes] != before)
+    assert all(split)
+    snapshot = snapshot_bytes(database)
+    pages = leaf_page_keys(snapshot)
+    reopened, _meta = load_snapshot(snapshot)
+    kinds = set()
+    for table in reopened.tables():
+        for index in table.all_indexes:
+            tree = leaf_tree(index)
+            leaves = [keys for keys, _ in tree.leaf_chunks()]
+            assert pages.pop(index.name) == leaves, index.name
+            assert {len(keys) for keys in leaves[:-1]} <= {tree.fill}
+            kinds.add(type(index).__name__)
+    assert not pages
+    assert kinds == {"HeapFile", "PrimaryBTreeIndex", "SecondaryBTreeIndex",
+                     "ColumnstoreIndex"}
+    assert snapshot_bytes(reopened) == snapshot
+
+
+def merged_leaf_pages(snapshot: bytes, index_name: str) -> bytes:
+    """``snapshot`` with the first two leaf pages of ``index_name``'s run
+    written as one page, its fences and page ids to match."""
+    pages, offset = [], 0
+    while offset < len(snapshot):
+        page, offset = parse_page(snapshot, offset)
+        pages.append(page)
+    at = next(i for i, page in enumerate(pages) if page.page_type == PT_INDEX
+              and page.payload["name"] == index_name)
+    descriptor, first, second = pages[at:at + 3]
+    (keys, values), (more_keys, more_values) = (
+        _leaf_chunk(first.payload), _leaf_chunk(second.payload))
+    first.payload = _leaf_payload(keys + more_keys,
+                                  Records.concat([values, more_values]))
+    del descriptor.payload["leaf_fences"][1]
+    del pages[at + 2]
+    return b"".join(build_page(page_id, page.page_type, page.lsn, page.payload)
+                    for page_id, page in enumerate(pages))
+
+
+@pytest.mark.parametrize("index_name", ["b_pk_btree", "ix_b"])
+def test_a_page_over_the_leaf_capacity_is_refused(tmp_path, index_name):
+    """A leaf page holding more entries than a leaf of the tree reading
+    it back is a StorageError — at an eager open, and at a paged one's
+    fault and first write — never an over-full leaf."""
+    database = three_designs()
+    database.drop_table("h")
+    database.drop_table("c")
+    snapshot = merged_leaf_pages(snapshot_bytes(database), index_name)
+    refused = "entries does not fit a tree of leaf capacity"
+    with pytest.raises(StorageError, match=refused):
+        load_snapshot(snapshot)
+    path = os.path.join(str(tmp_path), SNAPSHOT_FILENAME)
+    with open(path, "wb") as out:
+        out.write(snapshot)
+    pool = BufferPool(budget_bytes=POOL_BYTES)
+    paged, _meta, reader = load_snapshot_paged(path, pool)
+    try:
+        index = next(index for index in paged.table("b").all_indexes
+                     if index.name == index_name)
+        with pytest.raises(StorageError, match=refused):
+            list(index.scan())
+        with pytest.raises(StorageError, match=refused):
+            index.tree
+        assert pool.pinned_pages() == 0
+    finally:
+        reader.close()
+
+
 def test_each_structure_is_written_once_as_its_own_leaf_run():
     database = three_designs()
     runs, previous, descriptor = {}, None, None
@@ -592,11 +693,12 @@ def with_version(page: bytes, version: int) -> bytes:
 
 
 def test_a_version_1_page_is_refused_by_both_opens(tmp_path):
-    """And a version-2 page, whose leaves were entries, not columns."""
+    """And a version-2 page, whose leaves were entries, not columns, and
+    a version-3 page, cut at 1 024 entries rather than at a leaf."""
     snapshot = snapshot_bytes(small_database())
     offsets = page_offsets(snapshot)
     path = os.path.join(str(tmp_path), SNAPSHOT_FILENAME)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         refused = f"^unsupported page version {version}$"
         for start, end in zip(offsets, offsets[1:] + [len(snapshot)]):
             old = snapshot[:start] \
