@@ -138,7 +138,7 @@ def maybe_materialize(values):
 def note_code_hit(ctx, n: int = 1) -> None:
     """Count ``n`` operations that ran on codes without materializing."""
     if ctx is not None:
-        ctx.metrics.code_path_hits += n
+        ctx.count("code_path_hits", n)
 
 
 def note_code_fallback(ctx, n: int = 1, reason: Optional[str] = None) -> None:
@@ -152,7 +152,7 @@ def note_code_fallback(ctx, n: int = 1, reason: Optional[str] = None) -> None:
     """
     if ctx is None:
         return
-    ctx.metrics.code_path_fallbacks += n
+    ctx.count("code_path_fallbacks", n)
     if reason:
         span = ctx.active_span
         span.fallback_reasons[reason] = span.fallback_reasons.get(reason, 0) + n

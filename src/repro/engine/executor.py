@@ -308,15 +308,14 @@ class Executor:
         record.result = result
 
     def _record(self, record: Statement) -> None:
-        """Stage 5, success or failure: close the spans, format the wait
-        profile, feed the Query Store, emit ``statement_end``, offer the
-        history a sample."""
+        """Stage 5, success or failure: hand the result its span tree,
+        format the wait profile, feed the Query Store, emit
+        ``statement_end``, offer the history a sample."""
         database, result = self.database, record.result
         payload = {"sql": record.sql[:200], "statement": record.stamp}
         if record.error is not None:
             payload["error"] = type(record.error).__name__
         else:
-            record.ctx.finalize_spans()
             result.root_span = record.ctx.root_span
             result.wait_profile = {
                 wait_type: {"count": int(count), "wait_ms": round(ms, 4)}

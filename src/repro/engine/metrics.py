@@ -12,6 +12,10 @@ its full cost to CPU (times a coordination overhead) but only
 reproducing the dip-in-elapsed / jump-in-CPU at the serial→parallel
 transition visible in Figure 1. That parallelism is modeled only: every
 operator of a statement runs on the thread that executes it.
+
+Per-operator attribution: every charge method adds the amount it
+computes to the statement's metrics and, when it is made, to the
+:class:`OperatorSpan` of the operator running (the top of a span stack).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import ExecutionError
@@ -97,8 +100,8 @@ class QueryMetrics:
 #: QueryMetrics fields that are *additive* and attributed span-by-span.
 #: Every charge made while a span is active lands on that span; summing a
 #: field over the whole span tree (root included) reproduces the
-#: statement-level total exactly — the invariant the differential tests
-#: in ``tests/test_explain_analyze.py`` enforce.
+#: statement-level total (floats to 1e-9 relative: their sums are grouped
+#: differently) — the invariant ``tests/test_explain_analyze.py`` enforces.
 SPAN_ATTRIBUTED_FIELDS = (
     "elapsed_ms",
     "cpu_ms",
@@ -115,12 +118,6 @@ SPAN_ATTRIBUTED_FIELDS = (
     "faults_injected",
     "rollbacks",
 )
-#: ``QueryMetrics`` -> the tuple of those fields' current values: one C
-#: call per span switch (four per operator that yields one batch).
-_metrics_mark = attrgetter(*SPAN_ATTRIBUTED_FIELDS)
-#: Switches logged before the log is credited to the spans: a long scan
-#: keeps a bounded log, not one entry per batch it ever yielded.
-_SPAN_LOG_ENTRIES = 1024
 
 
 @dataclass
@@ -132,7 +129,8 @@ class OperatorSpan:
     stack (children push their spans on top while producing a batch, so
     charges always land on the innermost running operator). All charge
     fields are **self** amounts — exclusive of children; use
-    :meth:`total` for inclusive values.
+    :meth:`total` for inclusive values. A float field is the in-order
+    sum of the charges made while the span was active.
     """
 
     label: str = ""
@@ -228,35 +226,12 @@ class ExecutionContext:
         #: Root of the statement's span tree. Charges made outside any
         #: operator (statement overhead, DML index maintenance) land here.
         self.root_span = OperatorSpan(label="<statement>", op_id=0)
+        #: Spans of the running operators, innermost last (the operator
+        #: wrapper appends and pops it directly).
         self._span_stack: List[OperatorSpan] = [self.root_span]
-        #: Span switches not yet credited (see :meth:`_replay_switches`),
-        #: and the mark the last credited interval ended at.
-        self._span_log: List[tuple] = []
-        self._span_mark = _metrics_mark(self.metrics)
         self._next_span_id = 1
 
     # ------------------------------------------------------------- spans
-    def _replay_switches(self) -> None:
-        """Credit every interval of the switch log to the span that was
-        active during it, then empty the log.
-
-        Each entry is ``(span active up to the switch, mark at the
-        switch)``; the delta between consecutive marks is added field by
-        field to that span. These are the subtractions and additions an
-        eager credit at every switch would make, in the same order, so
-        span values do not depend on when the log is replayed."""
-        previous = self._span_mark
-        for span, mark in self._span_log:
-            if mark != previous:
-                for name, new_value, old_value in zip(
-                        SPAN_ATTRIBUTED_FIELDS, mark, previous):
-                    delta = new_value - old_value
-                    if delta:
-                        setattr(span, name, getattr(span, name) + delta)
-                previous = mark
-        self._span_mark = previous
-        self._span_log.clear()
-
     def begin_operator_span(self, operator) -> OperatorSpan:
         """Open a span for one operator execution, parented under the
         span active right now (its producing operator, or the root)."""
@@ -273,21 +248,13 @@ class ExecutionContext:
 
     def push_span(self, span: OperatorSpan) -> None:
         """Make ``span`` the attribution target for subsequent charges."""
-        stack, log = self._span_stack, self._span_log
-        log.append((stack[-1], _metrics_mark(self.metrics)))
-        stack.append(span)
-        if len(log) >= _SPAN_LOG_ENTRIES:
-            self._replay_switches()
+        self._span_stack.append(span)
 
     def pop_span(self, span: OperatorSpan) -> None:
         """Suspend ``span``; charges flow to whatever it was stacked on."""
-        stack = self._span_stack
-        self._span_log.append((stack[-1], _metrics_mark(self.metrics)))
-        popped = stack.pop()
+        popped = self._span_stack.pop()
         if popped is not span:
-            raise ExecutionError(
-                f"span stack corruption: popped {popped.label!r}, "
-                f"expected {span.label!r}")
+            raise span_stack_corruption(popped, span)
 
     def finish_operator_span(self, span: OperatorSpan) -> None:
         """Seal a span once its operator is done; the label is captured
@@ -296,26 +263,22 @@ class ExecutionContext:
         if span.operator is not None:
             span.label = span.operator.describe(self)
 
-    def finalize_spans(self) -> None:
-        """Credit the switch log, and the charges made since the last
-        switch to the active span (the root once every operator has
-        finished). Without this, no span would hold a charge — trailing
-        statement work and all of a DML statement, which runs no
-        operators, included."""
-        self._span_log.append(
-            (self._span_stack[-1], _metrics_mark(self.metrics)))
-        self._replay_switches()
-
     @property
     def active_span(self) -> OperatorSpan:
         """The span charges are currently attributed to."""
         return self._span_stack[-1]
 
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the integer counter ``name`` (one of
+        SPAN_ATTRIBUTED_FIELDS) of the statement and of the active span."""
+        metrics, span = self.metrics, self._span_stack[-1]
+        setattr(metrics, name, getattr(metrics, name) + n)
+        setattr(span, name, getattr(span, name) + n)
+
     # ------------------------------------------------------------- CPU
     def charge_serial_cpu(self, ms: float) -> None:
         """Serial work: adds to both CPU and elapsed time."""
-        self.metrics.cpu_ms += ms
-        self.metrics.elapsed_ms += ms
+        self._charge_cpu(ms, ms)
 
     def charge_parallel_cpu(self, ms: float, dop: int) -> None:
         """Parallel work at degree ``dop``.
@@ -325,17 +288,23 @@ class ExecutionContext:
         """
         dop = max(1, min(dop, self.cost_model.max_dop))
         if dop == 1:
-            self.charge_serial_cpu(ms)
+            self._charge_cpu(ms, ms)
             return
-        self.metrics.cpu_ms += ms * self.cost_model.parallel_cpu_overhead
-        self.metrics.elapsed_ms += ms / dop
+        self._charge_cpu(ms * self.cost_model.parallel_cpu_overhead, ms / dop)
         self.metrics.dop = max(self.metrics.dop, dop)
 
     def charge_parallel_startup(self, dop: int) -> None:
         """Fixed elapsed cost of spinning up a parallel region."""
         if dop > 1:
-            self.metrics.elapsed_ms += self.cost_model.parallel_startup_ms
-            self.metrics.cpu_ms += self.cost_model.parallel_startup_ms * dop * 0.1
+            startup_ms = self.cost_model.parallel_startup_ms
+            self._charge_cpu(startup_ms * dop * 0.1, startup_ms)
+
+    def _charge_cpu(self, cpu_ms: float, elapsed_ms: float) -> None:
+        metrics, span = self.metrics, self._span_stack[-1]
+        metrics.cpu_ms += cpu_ms
+        metrics.elapsed_ms += elapsed_ms
+        span.cpu_ms += cpu_ms
+        span.elapsed_ms += elapsed_ms
 
     def choose_dop(self, estimated_rows: int) -> int:
         """The engine's parallelism heuristic: serial below a row
@@ -351,10 +320,9 @@ class ExecutionContext:
         if not self.cold or pages <= 0:
             return
         cm = self.cost_model
-        self.metrics.pages_read += pages
-        self.metrics.data_read_mb += pages * cm.page_bytes / MB
-        self.metrics.elapsed_ms += pages * cm.random_io_ms_per_page
         # I/O wait consumes negligible CPU.
+        self._charge_read(pages, pages * cm.page_bytes / MB,
+                          pages * cm.random_io_ms_per_page)
 
     def charge_btree_scan_read(self, data_bytes: float) -> None:
         """Leaf-chain scan reads at B+ tree effective bandwidth."""
@@ -362,9 +330,8 @@ class ExecutionContext:
             return
         cm = self.cost_model
         mb = data_bytes / MB
-        self.metrics.pages_read += _ceil_pages(data_bytes, cm.page_bytes)
-        self.metrics.data_read_mb += mb
-        self.metrics.elapsed_ms += mb * cm.btree_scan_io_ms_per_mb
+        self._charge_read(_ceil_pages(data_bytes, cm.page_bytes), mb,
+                          mb * cm.btree_scan_io_ms_per_mb)
 
     def charge_seq_read(self, data_bytes: float) -> None:
         """Large sequential reads (columnstore segments)."""
@@ -372,23 +339,38 @@ class ExecutionContext:
             return
         cm = self.cost_model
         mb = data_bytes / MB
-        self.metrics.pages_read += _ceil_pages(data_bytes, cm.page_bytes)
-        self.metrics.data_read_mb += mb
-        self.metrics.elapsed_ms += mb * cm.seq_io_ms_per_mb
+        self._charge_read(_ceil_pages(data_bytes, cm.page_bytes), mb,
+                          mb * cm.seq_io_ms_per_mb)
+
+    def _charge_read(self, pages: int, mb: float, elapsed_ms: float) -> None:
+        metrics, span = self.metrics, self._span_stack[-1]
+        metrics.pages_read += pages
+        metrics.data_read_mb += mb
+        metrics.elapsed_ms += elapsed_ms
+        span.pages_read += pages
+        span.data_read_mb += mb
+        span.elapsed_ms += elapsed_ms
 
     def record_data_read(self, data_bytes: float) -> None:
         """Account logical data volume on hot runs (Figure 2(b) reports
         data read even for memory-resident executions)."""
         if self.cold:
             return  # already recorded by the charge_* call
-        self.metrics.data_read_mb += data_bytes / MB
+        mb = data_bytes / MB
+        self.metrics.data_read_mb += mb
+        self._span_stack[-1].data_read_mb += mb
 
     def charge_write(self, data_bytes: float) -> None:
         """Charge write I/O for the given number of bytes."""
-        cm = self.cost_model
-        mb = data_bytes / MB
-        self.metrics.data_written_mb += mb
-        self.metrics.elapsed_ms += mb * cm.write_io_ms_per_mb
+        self._charge_write(data_bytes / MB, self.cost_model.write_io_ms_per_mb)
+
+    def _charge_write(self, mb: float, ms_per_mb: float) -> None:
+        metrics, span = self.metrics, self._span_stack[-1]
+        elapsed_ms = mb * ms_per_mb
+        metrics.data_written_mb += mb
+        metrics.elapsed_ms += elapsed_ms
+        span.data_written_mb += mb
+        span.elapsed_ms += elapsed_ms
 
     # ----------------------------------------------------------- memory
     def acquire_memory(self, nbytes: int) -> bool:
@@ -425,15 +407,21 @@ class ExecutionContext:
         it back: charge write + read I/O regardless of hot/cold (spills
         always hit storage) plus extra CPU."""
         cm = self.cost_model
-        mb = nbytes / MB
-        self.metrics.spilled_bytes += nbytes
-        self.metrics.data_written_mb += mb
-        self.metrics.elapsed_ms += mb * (cm.write_io_ms_per_mb + cm.seq_io_ms_per_mb)
+        self.count("spilled_bytes", nbytes)
+        self._charge_write(nbytes / MB,
+                           cm.write_io_ms_per_mb + cm.seq_io_ms_per_mb)
 
     # ------------------------------------------------------------- misc
     def charge_statement_overhead(self) -> None:
         """Fixed per-statement cost (parse, plan cache, logging)."""
         self.charge_serial_cpu(self.cost_model.statement_overhead_ms)
+
+
+def span_stack_corruption(popped: OperatorSpan,
+                          expected: OperatorSpan) -> ExecutionError:
+    """The error for suspending ``expected`` when ``popped`` was on top."""
+    return ExecutionError(f"span stack corruption: popped {popped.label!r}, "
+                          f"expected {expected.label!r}")
 
 
 def _ceil_pages(data_bytes: float, page_bytes: int) -> int:

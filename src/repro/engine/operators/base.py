@@ -31,7 +31,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.core.errors import ExecutionError
 from repro.engine.batch import Batch
-from repro.engine.metrics import ExecutionContext
+from repro.engine.metrics import ExecutionContext, span_stack_corruption
 
 ROW_MODE = "row"
 BATCH_MODE = "batch"
@@ -54,18 +54,20 @@ def _instrument_execute(raw):
     @functools.wraps(raw)
     def execute(self, ctx: ExecutionContext) -> Iterator[Batch]:
         span = ctx.begin_operator_span(self)
-        push, pop = ctx.push_span, ctx.pop_span
+        stack = ctx._span_stack
         gen = raw(self, ctx)
-        push(span)
+        stack.append(span)
         pushed = True
         try:
             for batch in gen:
-                pop(span)
+                popped = stack.pop()
+                if popped is not span:
+                    raise span_stack_corruption(popped, span)
                 pushed = False
                 span.rows_out += len(batch)
                 span.batches_out += 1
                 yield batch
-                push(span)
+                stack.append(span)
                 pushed = True
         finally:
             # Pushed here: the generator returned or raised under the
@@ -75,13 +77,13 @@ def _instrument_execute(raw):
             # attributed to it. A generator that returned or raised has
             # no frame left and its close() runs no code: no switch.
             if pushed:
-                pop(span)
+                ctx.pop_span(span)
             if gen.gi_frame is not None:
-                push(span)
+                ctx.push_span(span)
                 try:
                     gen.close()
                 finally:
-                    pop(span)
+                    ctx.pop_span(span)
             ctx.finish_operator_span(span)
 
     execute._span_instrumented = True

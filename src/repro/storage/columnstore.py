@@ -714,11 +714,11 @@ class ColumnstoreIndex:
             group = state.group
             if elimination_ranges and self._eliminated(group, elimination_ranges):
                 if ctx is not None:
-                    ctx.metrics.segments_skipped += 1
+                    ctx.count("segments_skipped")
                     self.usage.add_segment_counts(0, 1)
                 continue
             if ctx is not None:
-                ctx.metrics.segments_read += 1
+                ctx.count("segments_read")
                 self.usage.add_segment_counts(1, 0)
             data = {}
             read_bytes = 0
@@ -749,7 +749,7 @@ class ColumnstoreIndex:
                         # wall-clock changes.
                         data[name] = EncodedColumn(*code_space)
                         if ctx is not None:
-                            ctx.metrics.columns_late_materialized += 1
+                            ctx.count("columns_late_materialized")
                     else:
                         data[name] = segment.decode()
                     read_bytes += segment.size_bytes

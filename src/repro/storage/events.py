@@ -52,7 +52,6 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 #: Default ring capacity, matching the spirit of the 4 MB default ring
@@ -75,17 +74,21 @@ EVENT_NAMES = (
 _EVENT_NAME_SET = frozenset(EVENT_NAMES)
 
 
-@dataclass
 class Event:
     """One captured event: a monotonically increasing id, the logical
     clock stamp at emission, the emitting session, and a JSON-friendly
     payload."""
 
-    event_id: int
-    timestamp: int
-    name: str
-    session_id: int
-    payload: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("event_id", "timestamp", "name", "session_id", "payload")
+
+    def __init__(self, event_id: int, timestamp: int, name: str,
+                 session_id: int,
+                 payload: Optional[Dict[str, object]] = None) -> None:
+        self.event_id = event_id
+        self.timestamp = timestamp
+        self.name = name
+        self.session_id = session_id
+        self.payload = {} if payload is None else payload
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -141,8 +144,10 @@ class EventStream:
              session_id: Optional[int] = None) -> Event:
         """Append one event to the ring and notify subscribers.
 
-        Subscribers run synchronously *outside* the ring lock; their
-        exceptions are swallowed and counted in ``subscriber_errors``.
+        The event keeps ``payload`` itself, not a copy: pass a dict made
+        for this call and leave it unchanged afterwards. Subscribers run
+        synchronously *outside* the ring lock; their exceptions are
+        swallowed and counted in ``subscriber_errors``.
         """
         if name not in _EVENT_NAME_SET:
             raise ValueError(f"unknown event name {name!r}")
@@ -151,15 +156,14 @@ class EventStream:
             session_id = resolver() if resolver is not None else 0
         timestamp = self._clock.stamp if self._clock is not None else 0
         with self._lock:
-            event = Event(event_id=self._next_id, timestamp=int(timestamp),
-                          name=name, session_id=int(session_id),
-                          payload=dict(payload or {}))
+            event = Event(self._next_id, int(timestamp), name,
+                          int(session_id), payload)
             self._next_id += 1
             self.emitted += 1
             if len(self._ring) == self.capacity:
                 self.dropped += 1
             self._ring.append(event)
-            subscribers = list(self._subscribers)
+            subscribers = list(self._subscribers) if self._subscribers else ()
         for fn in subscribers:
             try:
                 fn(event)

@@ -458,9 +458,9 @@ class Table:
             with nullcontext() if faults is None else faults.suspended():
                 undo.undo()
             if ctx is not None:
-                ctx.metrics.rollbacks += 1
+                ctx.count("rollbacks")
                 if isinstance(exc, InjectedFault):
-                    ctx.metrics.faults_injected += 1
+                    ctx.count("faults_injected")
             raise
         rows += undo.rows
         undo.close()

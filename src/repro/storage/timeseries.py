@@ -130,6 +130,8 @@ class TelemetryHistory:
         boundary crossing.
         """
         clock_now = database.telemetry.clock.now
+        if clock_now < self._next_due:      # read again under the lock
+            return None
         with self._lock:
             if clock_now < self._next_due:
                 return None

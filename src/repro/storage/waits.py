@@ -57,8 +57,7 @@ without a storage → engine import cycle.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 WAIT_LATCH_SH = "LATCH_SH"
 WAIT_LATCH_EX = "LATCH_EX"
@@ -130,6 +129,42 @@ class WaitAccumulator:
                 f"ms={self.wait_time_ms:.3f})")
 
 
+class _SessionScope:
+    """The context manager :meth:`WaitStatsCollector.session_scope`
+    returns."""
+
+    __slots__ = ("_local", "_session_id", "_previous")
+
+    def __init__(self, local: threading.local, session_id: int) -> None:
+        self._local = local
+        self._session_id = session_id
+
+    def __enter__(self) -> None:
+        self._previous = getattr(self._local, "session_id", 0)
+        self._local.session_id = self._session_id
+
+    def __exit__(self, *exc) -> None:
+        self._local.session_id = self._previous
+
+
+class _StatementScope:
+    """The context manager :meth:`WaitStatsCollector.statement`
+    returns."""
+
+    __slots__ = ("_local",)
+
+    def __init__(self, local: threading.local) -> None:
+        self._local = local
+
+    def __enter__(self) -> Dict[str, List[float]]:
+        profile: Dict[str, List[float]] = {}
+        self._local.profile = profile
+        return profile
+
+    def __exit__(self, *exc) -> None:
+        self._local.profile = None
+
+
 class WaitStatsCollector:
     """Server-wide + per-session wait accumulation with thread-local
     session and statement attribution.
@@ -156,31 +191,19 @@ class WaitStatsCollector:
         internal bucket)."""
         return getattr(self._local, "session_id", 0)
 
-    @contextmanager
-    def session_scope(self, session_id: int) -> Iterator[None]:
+    def session_scope(self, session_id: int) -> "_SessionScope":
         """Attribute every wait recorded on this thread to
         ``session_id`` for the duration of the scope (nested scopes restore the
         outer attribution on exit)."""
-        previous = getattr(self._local, "session_id", 0)
-        self._local.session_id = int(session_id)
-        try:
-            yield
-        finally:
-            self._local.session_id = previous
+        return _SessionScope(self._local, int(session_id))
 
-    @contextmanager
-    def statement(self) -> Iterator[Dict[str, List[float]]]:
+    def statement(self) -> "_StatementScope":
         """Capture this thread's waits into a per-statement profile.
 
-        Yields a dict ``wait_type -> [count, wait_ms]`` that fills in as
-        the statement blocks.
+        Entering the scope gives a dict ``wait_type -> [count, wait_ms]``
+        that fills in as the statement blocks.
         """
-        profile: Dict[str, List[float]] = {}
-        self._local.profile = profile
-        try:
-            yield profile
-        finally:
-            self._local.profile = None
+        return _StatementScope(self._local)
 
     # ---------------------------------------------------------- recording
     def record(self, wait_type: str, ms: float) -> None:

@@ -8,10 +8,11 @@ steps once per batch's worth of rows, not once per leaf; a heap leaf
 already holds a batch, so a heap scan steps as it did one leaf at a time.
 An operator switches spans once on each side of every pull, and its
 generator's close runs under its span only when there is something left
-to close. The span tree's charges are credited from the switch log when
-the statement ends; the parity tests hold it to the invariants of
+to close. Every charge lands on the span on top when it is made: the
+parity tests hold the span tree to the invariants of
 ``tests/test_explain_analyze.py`` on an early-closed scan, a spilling
-aggregate and a statement a fault ends mid-scan.
+aggregate and a statement a fault ends mid-scan, and the attribution
+tests hold each span to the in-order sum of its own charges.
 """
 
 from unittest import mock
@@ -22,7 +23,8 @@ import pytest
 from repro.core.schema import Column, TableSchema
 from repro.core.types import INT, varchar
 from repro.engine.executor import Executor
-from repro.engine.metrics import SPAN_ATTRIBUTED_FIELDS, ExecutionContext
+from repro.engine.metrics import (SPAN_ATTRIBUTED_FIELDS, ExecutionContext,
+                                  OperatorSpan, QueryMetrics)
 from repro.engine.operators import scans
 from repro.engine.operators.aggregates import AggregateSpec, HashAggregate
 from repro.engine.operators.base import DEFAULT_BATCH_ROWS, PhysicalOperator
@@ -111,21 +113,34 @@ class TestLeafRuns:
         assert result.rows == clustered.rows
 
 
+class _RecordingStack(list):
+    """A span stack that records every push and pop, as ``(kind, span)``
+    with ``kind`` "push" or "pop"."""
+
+    def __init__(self, spans, switches):
+        super().__init__(spans)
+        self.switches = switches
+
+    def append(self, span):
+        self.switches.append(("push", span))
+        super().append(span)
+
+    def pop(self):
+        span = super().pop()
+        self.switches.append(("pop", span))
+        return span
+
+
 def switched(database, sql, **options):
-    """The result of ``sql`` and its span switches, in order, as
-    ``(kind, span)`` with ``kind`` "push" or "pop"."""
+    """The result of ``sql`` and its span switches, in order."""
     switches = []
-    real_push, real_pop = ExecutionContext.push_span, ExecutionContext.pop_span
+    real_init = ExecutionContext.__init__
 
-    def push(self, span):
-        switches.append(("push", span))
-        real_push(self, span)
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self._span_stack = _RecordingStack(self._span_stack, switches)
 
-    def pop(self, span):
-        switches.append(("pop", span))
-        real_pop(self, span)
-
-    with mock.patch.multiple(ExecutionContext, push_span=push, pop_span=pop):
+    with mock.patch.object(ExecutionContext, "__init__", init):
         result = Executor(database).execute(sql, **options)
     return result, switches
 
@@ -171,29 +186,6 @@ class TestSpanSwitches:
                                ExecutionContext())
 
 
-    def test_span_values_do_not_depend_on_when_the_log_is_replayed(self):
-        """A statement of thousands of switches, replayed every few
-        switches or once at the end: bit-identical spans."""
-        from repro.engine import metrics
-
-        def spans(entries):
-            with mock.patch.object(metrics, "_SPAN_LOG_ENTRIES", entries), \
-                    mock.patch.object(scans, "DEFAULT_BATCH_ROWS", 7):
-                result = Executor(corpus_db("btree")).execute(
-                    "SELECT a, b FROM t WHERE a < 3000 AND b > 2",
-                    cold=True)
-            return [(span.label, span.rows_out, span.batches_out,
-                     [getattr(span, field).hex()
-                      if isinstance(getattr(span, field), float)
-                      else getattr(span, field)
-                      for field in SPAN_ATTRIBUTED_FIELDS])
-                    for span in result.root_span.walk()]
-
-        often = spans(4)
-        assert often[-1][2] > 300          # batches out of the scan
-        assert often == spans(10 ** 9)
-
-
 # ------------------------------------------------------------ span parity
 
 def assert_span_invariants(root, metrics, ctx):
@@ -228,7 +220,7 @@ def corpus_db(design):
     table.bulk_load([(i, i % 16, f"name{i % 7:03d}") for i in range(10_000)])
     if design == "btree":
         table.set_primary_btree(["a"])
-    else:
+    elif design == "csi":
         table.set_primary_columnstore(rowgroup_size=1024)
     return database
 
@@ -271,35 +263,7 @@ class TestSpanParity:
     def test_statement_failing_mid_scan(self):
         """A fault raised between two batches of a scan unwinds every
         operator; the charges made so far still add up over the spans."""
-        database = corpus_db("btree")
-        injector = database.fault_injector
-        table = database.table("t")
-
-        class Tripping(PhysicalOperator):
-            """Passes its child's batches on, hitting a fault point
-            before each one."""
-
-            def __init__(self, child):
-                super().__init__(children=(child,))
-
-            @property
-            def output_columns(self):
-                return self.child().output_columns
-
-            def execute(self, ctx):
-                for batch in self.child().execute(ctx):
-                    trip(injector, "heap.insert")
-                    yield batch
-
-        scan = scans.BTreeSeek(table, ["a", "b"], prefix="t.")
-        root = HashAggregate(Tripping(scan), [],
-                             [AggregateSpec("sum", ColumnRef("t.b"), "s")])
-        ctx = ExecutionContext(memory_grant_bytes=1_000_000)
-        ctx.charge_statement_overhead()
-        injector.arm("heap.insert", on_hit=2)
-        with pytest.raises(InjectedFault):
-            list(root.execute(ctx))
-        ctx.finalize_spans()
+        ctx = run_failing_mid_scan()
         assert ctx.active_span is ctx.root_span
         assert ctx.memory_in_use == 0
         assert_span_invariants(ctx.root_span, ctx.metrics, ctx)
@@ -312,3 +276,144 @@ class TestSpanParity:
             "HashAggregate": (ctx.metrics.memory_peak_bytes, {}),
             "Tripping": (0, {}), "BTreeSeek": (0, {})}
 
+
+class Tripping(PhysicalOperator):
+    """Passes its child's batches on, hitting a fault point before each
+    one."""
+
+    def __init__(self, child, injector):
+        super().__init__(children=(child,))
+        self.injector = injector
+
+    @property
+    def output_columns(self):
+        return self.child().output_columns
+
+    def execute(self, ctx):
+        for batch in self.child().execute(ctx):
+            trip(self.injector, "heap.insert")
+            yield batch
+
+
+def run_failing_mid_scan():
+    """Aggregate a clustered scan whose second batch trips a fault; the
+    context the failed statement leaves."""
+    database = corpus_db("btree")
+    scan = scans.BTreeSeek(database.table("t"), ["a", "b"], prefix="t.")
+    root = HashAggregate(Tripping(scan, database.fault_injector), [],
+                         [AggregateSpec("sum", ColumnRef("t.b"), "s")])
+    ctx = ExecutionContext(memory_grant_bytes=1_000_000)
+    ctx.charge_statement_overhead()
+    database.fault_injector.arm("heap.insert", on_hit=2)
+    with pytest.raises(InjectedFault):
+        list(root.execute(ctx))
+    return ctx
+
+
+# ------------------------------------------------------- charge attribution
+
+#: Every ExecutionContext method that adds to the statement's metrics.
+CHARGE_METHODS = sorted(
+    name for name in vars(ExecutionContext)
+    if name.startswith("charge_") or name in ("record_data_read", "count"))
+
+
+def charged(run):
+    """``run()``'s return value and every charge it made, in order, as
+    ``(context, span on top, method, args, kwargs)``. A charge made
+    inside another (``charge_statement_overhead`` calling
+    ``charge_serial_cpu``) is part of the outer one."""
+    calls, depth = [], [0]
+
+    def spy(real):
+        def charge(self, *args, **kwargs):
+            if depth[0] == 0:
+                calls.append((self, self.active_span, real, args, kwargs))
+            depth[0] += 1
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return charge
+
+    spies = {name: spy(getattr(ExecutionContext, name))
+             for name in CHARGE_METHODS}
+    with mock.patch.multiple(ExecutionContext, **spies):
+        value = run()
+    return value, calls
+
+
+def bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def assert_spans_are_their_charges(ctx, calls):
+    """Each span's attributed fields equal, bit for bit, the in-order sum
+    of the charges made while it was on top, and the statement's totals
+    the in-order sum of all of them. A charge's amount is what it adds to
+    a fresh context of the same cost model and temperature."""
+    mine = [call for call in calls if call[0] is ctx]
+    assert mine
+    expected = {id(span): OperatorSpan() for span in ctx.root_span.walk()}
+    totals = QueryMetrics()
+    for _, span, method, args, kwargs in mine:
+        probe = ExecutionContext(ctx.cost_model, cold=ctx.cold)
+        method(probe, *args, **kwargs)
+        for target in (expected[id(span)], totals):
+            for field in SPAN_ATTRIBUTED_FIELDS:
+                amount = getattr(probe.metrics, field)
+                setattr(target, field, getattr(target, field) + amount)
+    for field in SPAN_ATTRIBUTED_FIELDS:
+        assert bits(getattr(ctx.metrics, field)) == \
+            bits(getattr(totals, field)), field
+        for span in ctx.root_span.walk():
+            assert bits(getattr(span, field)) == \
+                bits(getattr(expected[id(span)], field)), (span.label, field)
+
+
+def recorded(database, sql, **options):
+    """The context of one statement, failed or not."""
+    executor = Executor(database)
+    record = executor.prepare(sql)
+    try:
+        executor.execute(record, **options)
+    except InjectedFault:
+        assert record.error is not None
+    return record.ctx
+
+
+def failing_update():
+    database = corpus_db("btree")
+    database.fault_injector.arm("btree.update", on_hit=40)
+    ctx = recorded(database, "UPDATE t SET s = 'x' WHERE a < 100")
+    assert (ctx.metrics.rollbacks, ctx.metrics.faults_injected) == (1, 1)
+    return ctx
+
+
+ATTRIBUTION_CASES = {
+    "heap-scan": lambda: recorded(
+        corpus_db("heap"), "SELECT b, count(*) c FROM t WHERE a > 17 "
+        "GROUP BY b", cold=True),
+    "clustered-seek": lambda: recorded(
+        corpus_db("btree"), "SELECT sum(b) s FROM t WHERE a BETWEEN 100 "
+        "AND 5000", cold=True),
+    "csi-scan": lambda: recorded(
+        corpus_db("csi"), "SELECT s, sum(b) x FROM t WHERE s <> 'name003' "
+        "AND a > 1500 GROUP BY s", cold=True),
+    "top-closes-early": lambda: recorded(
+        corpus_db("btree"), "SELECT TOP 7 a, b FROM t", cold=True),
+    "spilling-aggregate": lambda: recorded(
+        corpus_db("csi"), "SELECT a, count(*) c FROM t WHERE s >= s "
+        "GROUP BY a", memory_grant_bytes=20_000),
+    "fault-mid-scan": run_failing_mid_scan,
+    "dml": lambda: recorded(
+        corpus_db("btree"), "UPDATE t SET b = b + 1 WHERE a < 300"),
+    "dml-rolled-back": failing_update,
+}
+
+
+class TestChargeAttribution:
+    @pytest.mark.parametrize("case", sorted(ATTRIBUTION_CASES))
+    def test_spans_sum_their_charges(self, case):
+        ctx, calls = charged(ATTRIBUTION_CASES[case])
+        assert_spans_are_their_charges(ctx, calls)

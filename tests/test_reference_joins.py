@@ -69,7 +69,6 @@ def observe(op, indexes=(), cold=False):
     before = [(u.user_seeks, u.user_scans, u.user_lookups) for u in usage]
     ctx = ExecutionContext(cold=cold)
     batches = list(op.execute(ctx))
-    ctx.finalize_spans()
     return {
         "batches": [[(name, column.dtype.str, column.tolist())
                      for name, column in batch.columns.items()]
